@@ -43,7 +43,6 @@ from .errors import (
     DomainError,
     InvalidParams,
     QesError,
-    WrongModel,
 )
 
 EXIT_OK = 0
@@ -51,7 +50,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
-_USAGE_ERRORS = (InvalidParams, WrongModel, DomainError, BaselineUnsolvable)
+_USAGE_ERRORS = (InvalidParams, DomainError, BaselineUnsolvable)
 
 # verify: a root fails its check when the action residual exceeds this or
 # the gap does not shrink under grid refinement.
@@ -276,10 +275,9 @@ def _root_row(model, root):
         "energy": float(model.energy(root)),
         "normalizable": bool(model.normalizable(root)),
     }
-    try:
-        row["double_well"] = bool(model.double_well(root))
-    except WrongModel:
-        pass
+    double_well = getattr(model, "double_well", None)
+    if double_well is not None:
+        row["double_well"] = bool(double_well(root))
     return row
 
 
@@ -380,14 +378,7 @@ def cmd_constraint(args):
     chain = recurrence.run_ttrr(system)
     values = _parse_range(args.range)
     coeffs = [float(c) for c in chain.constraint]
-    rows = []
-    for x in values:
-        value = polynomials.poly_eval(coeffs, float(x))
-        try:
-            value = math.ldexp(value, chain.constraint_exp2)
-        except OverflowError:
-            value = math.copysign(math.inf, value)
-        rows.append((float(x), value))
+    rows = [(float(x), polynomials.poly_eval(coeffs, float(x))) for x in values]
     if args.format == "json":
         payload = {
             "model": args.model,

@@ -18,10 +18,6 @@ class DomainError(QesError):
     """A coordinate lies outside the domain of a map or potential."""
 
 
-class WrongModel(QesError):
-    """An operation was requested for a model it does not apply to."""
-
-
 class BaselineUnsolvable(QesError):
     """The termination condition has no admissible solution for these inputs."""
 

@@ -17,10 +17,12 @@ Two families of scan variable occur:
 * energy-scan models (the hyperbolic double wells): the potential is fully
   fixed and the constraint roots are the algebraic energies themselves.
 
-Every model provides two independent descriptions of the same recurrence —
-the ODE coefficient table and the closed-form multiplicator table — which
-the test suite cross-checks slice by slice.  All tables are written with
-plain arithmetic so that exact (Fraction) inputs produce exact recurrences.
+Each model describes its recurrence once, by its ODE coefficient table;
+:func:`qespectra.recurrence.build_baseline` reads the slice multiplicators
+off that table.  The tables are written with plain arithmetic so that
+exact (Fraction) inputs produce exact coefficients.  Only the sech-power
+well classifies its admissible potentials as double wells
+(``double_well``); the other models have no such method.
 
 The hyperbolic double wells additionally come in a second algebraization
 through the squared-sinh variable instead of squared-cosh.  The two chains
@@ -39,8 +41,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import BaselineUnsolvable, DomainError, InvalidParams, WrongModel
-from .recurrence import OdeCoefficients, SliceMultiplicators
+from .errors import BaselineUnsolvable, DomainError, InvalidParams
+from .recurrence import OdeCoefficients
 
 
 def _num(value):
@@ -159,25 +161,6 @@ class SechPowerWell:
             b2=4 * r, b1=10 + 4 * (s - r), b0=-6,
             c1=self.v1 + self.v2 + 5 * r + 2 * r * s,
             c0=(s + 1) * (s + 2) - 3 * r - self.v1 - self.v2 - scan,
-        )
-
-    def multiplicators(self):
-        r, s = self._r, self.s
-        h = _half(self.v1)
-        w = (self.v1 + self.v2) / (2 * r)
-        shared = (2 * self.n + w + 3 * h) * (2 * self.n + w + h) - self.v1 - self.v2
-        lead_q1 = 4 * r
-        if self.parity == "even":
-            mid = (4, 2 + 4 * (s - r), shared - r)
-            trail = (-4, 2, 0)
-        else:
-            mid = (4, 6 + 4 * (s - r), shared - 3 * r)
-            trail = (-4, -2, 0)
-        return SliceMultiplicators(
-            lead=(0, lead_q1, -(lead_q1 * self.n)),
-            mid=mid,
-            trail=trail,
-            sigma0=-1 if isinstance(self.v1, Fraction) else -1.0,
         )
 
     def normalizable(self, root=None):
@@ -299,34 +282,6 @@ class RationalCoshWell:
             ) + l2 / g,
         )
 
-    def multiplicators(self):
-        l1, l2, g, n = self.lam1, self.lam2, self.g, self.n
-        L = l1 + l2
-        h = _half(self.g)
-        if self.parity == "even":
-            lead_q2, lead_q1 = 1, 2 * L
-            mid_q1 = (2 + 1 / g) - (2 * L + 3 * h + (2 * l1 + 1) / g)
-            c0n = -(1 + g) / (4 * g) * (
-                2 * l1 + 2 * l2 * g / (1 + g)
-                - self.v1 - self.v3 / (1 + g) ** 2 - 4 * (n + L) ** 2
-            )
-            trail = ((1 + g) / g, -(1 + g) / (2 * g), 0)
-        else:
-            lead_q2, lead_q1 = 1, 2 * L + 1
-            mid_q1 = (2 + 1 / g) - (2 * L + 7 * h + 2 * (l1 + 1) / g)
-            en = -1 - 4 * (n + L) * (n + L + 1)
-            c0n = -(1 + g) / (4 * g) * (
-                6 * l1 + 4 * l2 + 1 + 2 * l2 * g / (1 + g)
-                - self.v1 - self.v3 / (1 + g) ** 2 + en
-            ) + l2 / g
-            trail = ((1 + g) / g, (1 + g) / (2 * g), 0)
-        return SliceMultiplicators(
-            lead=(lead_q2, lead_q1, -(lead_q2 * n * n + lead_q1 * n)),
-            mid=(-(2 + 1 / g), mid_q1, c0n),
-            trail=trail,
-            sigma0=1 / (4 * g),
-        )
-
     def normalizable(self, root=None):
         L = self.lam1 + self.lam2
         if self.parity == "even":
@@ -350,9 +305,6 @@ class RationalCoshWell:
         c2 = np.cosh(x) ** 2
         shell = 1.0 + float(self.g) * c2
         return float(self.v1) / c2 + float(scan) / shell + float(self.v3) / shell ** 2
-
-    def double_well(self, scan):
-        raise WrongModel("double-well classification applies to the sech-power well")
 
     def params(self):
         return {"V1": float(self.v1), "V3": float(self.v3), "g": float(self.g)}
@@ -409,15 +361,6 @@ class CoulombOscillator:
             c1=self.n, c0=scan,
         )
 
-    def multiplicators(self):
-        one = Fraction(1) if isinstance(self.lam, Fraction) else 1.0
-        return SliceMultiplicators(
-            lead=(0, -one, self.n * one),
-            mid=(0, 0, 0),
-            trail=(one, 2 * self.lam - 1, 0),
-            sigma0=one,
-        )
-
     def normalizable(self, root=None):
         return True
 
@@ -436,9 +379,6 @@ class CoulombOscillator:
             raise DomainError("the radial coordinate must be positive")
         lam = float(self.lam)
         return lam * (lam - 1) / x ** 2 + 0.25 * x * x - float(scan) / x
-
-    def double_well(self, scan):
-        raise WrongModel("double-well classification applies to the sech-power well")
 
     def params(self):
         return {"lambda": float(self.lam), "omega": float(self.omega)}
@@ -501,33 +441,12 @@ class HyperbolicDoubleWell:
                 b2=-4 * xi, b1=4 * (a + b + xi + 1), b0=-2 * (2 * a + 1),
                 c1=2 * xi * (m - a - b),
                 c0=scan + (a + b) ** 2 + xi * (2 * a - m),
-                c0_base=(a + b) ** 2 + xi * (2 * a - m),
-                sigma_e=1,
             )
         return OdeCoefficients(
             a3=0, a2=4, a1=4,
             b2=-4 * xi, b1=4 * (a + b - xi + 1), b0=2 * (2 * b + 1),
             c1=2 * xi * (m - a - b),
             c0=scan + (a + b) ** 2 + xi * (m - 2 * b),
-            c0_base=(a + b) ** 2 + xi * (m - 2 * b),
-            sigma_e=1,
-        )
-
-    def multiplicators(self):
-        xi, a, b, n = self.xi, self.alpha, self.beta, self.n
-        one = Fraction(1) if isinstance(self.xi, Fraction) else 1.0
-        lead_q1 = -4 * xi
-        if self.variant == "cosh2":
-            mid = (4, 4 * (a + b + xi), (a + b) ** 2 - xi * (2 * n + b - a))
-            trail = (-4, 2 - 4 * a, 0)
-        else:
-            mid = (4, 4 * (a + b - xi), (a + b) ** 2 + xi * (2 * n + a - b))
-            trail = (4, 4 * b - 2, 0)
-        return SliceMultiplicators(
-            lead=(0, lead_q1, -(lead_q1 * n)),
-            mid=mid,
-            trail=trail,
-            sigma0=one,
         )
 
     def normalizable(self, root=None):
@@ -552,9 +471,6 @@ class HyperbolicDoubleWell:
         x = np.asarray(x, dtype=float)
         xi, m = float(self.xi), float(self.m_quantum)
         return 0.25 * xi * xi * np.sinh(2 * x) ** 2 - (m + 1) * xi * np.cosh(2 * x)
-
-    def double_well(self, scan):
-        raise WrongModel("double-well classification applies to the sech-power well")
 
     def params(self):
         return {"xi": float(self.xi), "alpha": self.alpha, "beta": self.beta}
@@ -602,18 +518,6 @@ class ShiftedGaussWell:
             b2=-2 * xi, b1=8 - 4 * m, b0=2 * xi,
             c1=2 * xi * (m - 1),
             c0=scan + 1 - 2 * m - xi * xi,
-            c0_base=1 - 2 * m - xi * xi,
-            sigma_e=1,
-        )
-
-    def multiplicators(self):
-        xi, n = self.xi, self.n
-        one = Fraction(1) if isinstance(self.xi, Fraction) else 1.0
-        return SliceMultiplicators(
-            lead=(0, -2 * xi, 2 * xi * n),
-            mid=(4, -4 * n, -(xi * xi) - 2 * n - 1),
-            trail=(0, 2 * xi, 0),
-            sigma0=one,
         )
 
     def normalizable(self, root=None):
@@ -631,9 +535,6 @@ class ShiftedGaussWell:
         x = np.asarray(x, dtype=float)
         xi, m = float(self.xi), float(self.m_quantum)
         return (xi * np.cosh(2 * x) - m) ** 2
-
-    def double_well(self, scan):
-        raise WrongModel("double-well classification applies to the sech-power well")
 
     def params(self):
         return {"xi": float(self.xi)}
@@ -706,34 +607,12 @@ class PerturbedGaussWell:
                 b2=-8 * xi, b1=4 * (a + b + 2 * xi + 1), b0=-2 * (2 * a + 1),
                 c1=4 * xi * (m - a - b - 1),
                 c0=scan - m * m - xi * xi + (a + b) ** 2 + 2 * xi * (2 * a - m + 1),
-                c0_base=-m * m - xi * xi + (a + b) ** 2 + 2 * xi * (2 * a - m + 1),
-                sigma_e=1,
             )
         return OdeCoefficients(
             a3=0, a2=4, a1=4,
             b2=-8 * xi, b1=4 * (a + b - 2 * xi + 1), b0=2 * (2 * b + 1),
             c1=4 * xi * (m - a - b - 1),
             c0=scan - m * m - xi * xi + (a + b) ** 2 + 2 * xi * (m - 2 * b - 1),
-            c0_base=-m * m - xi * xi + (a + b) ** 2 + 2 * xi * (m - 2 * b - 1),
-            sigma_e=1,
-        )
-
-    def multiplicators(self):
-        xi, a, b, n = self.xi, self.alpha, self.beta, self.n
-        one = Fraction(1) if isinstance(self.xi, Fraction) else 1.0
-        lead_q1 = -8 * xi
-        base = -(2 * n + 1) * (2 * n + 1 + 2 * a + 2 * b) - xi * xi
-        if self.variant == "cosh2":
-            mid = (4, 4 * (a + b + 2 * xi), base + 2 * xi * (a - b - 2 * n))
-            trail = (-4, 2 - 4 * a, 0)
-        else:
-            mid = (4, 4 * (a + b - 2 * xi), base + 2 * xi * (a - b + 2 * n))
-            trail = (4, 4 * b - 2, 0)
-        return SliceMultiplicators(
-            lead=(0, lead_q1, -(lead_q1 * n)),
-            mid=mid,
-            trail=trail,
-            sigma0=one,
         )
 
     def normalizable(self, root=None):
@@ -770,9 +649,6 @@ class PerturbedGaussWell:
         if b * (b - 1) != 0:
             v = v + b * (b - 1) / np.sinh(x) ** 2
         return v
-
-    def double_well(self, scan):
-        raise WrongModel("double-well classification applies to the sech-power well")
 
     def params(self):
         return {"xi": float(self.xi), "alpha": float(self.alpha), "beta": float(self.beta)}

@@ -3,8 +3,8 @@
 Polynomials are plain Python sequences of coefficients in ascending order
 (``p[k]`` multiplies ``x**k``); the zero polynomial is the empty list.  The
 arithmetic helpers never call numpy, so the same code path runs on floats
-and on :class:`fractions.Fraction` entries — exact rational replays of the
-recurrence are used as an oracle in the test suite.
+and on :class:`fractions.Fraction` entries — the recurrence chain is built
+with them in exact rational arithmetic.
 
 The second half of the module converts a terminating three-term recurrence
 into its *canonical* monic form
@@ -148,7 +148,7 @@ def exact_gcd(p, q):
     must already be exact (ints or Fractions) — float coefficients carry
     rounding noise that makes almost every pair coprime, which is why the
     "do these two chain members share a zero?" question is answered on the
-    exact rational replay of the recurrence, never on the float chain.
+    exact chain, never on float images of it.
 
     Returns ascending monic coefficients; gcd(0, 0) is the empty list.
     """
@@ -189,15 +189,13 @@ class CanonicalTtrr:
         lam: products ``lam_1 .. lam_{n+1}``; all strictly positive in both
             variants (the minus variant stores the absolute values).
             ``lam[0]`` is 1.0 by convention and multiplies nothing.
-        scale, shift: affine map back to the physical scan variable,
-            ``scan = scale * y + shift``.
+        scale: map back to the physical scan variable, ``scan = scale * y``.
     """
 
     variant: str
     d: tuple
     lam: tuple
     scale: float
-    shift: float
 
     @property
     def size(self):
@@ -274,7 +272,6 @@ def to_canonical_ttrr(system):
         d=tuple(d),
         lam=tuple(lam),
         scale=1.0 / float(sigma),
-        shift=0.0,
     )
 
 
@@ -422,7 +419,7 @@ def real_roots(ttrr):
         raise EigensolveFailure("eigensolve produced non-finite values")
 
     ys, resid = _polish_on(lambda y: ttrr_terminal(ttrr, y), ys)
-    xs = ttrr.scale * ys + ttrr.shift
+    xs = ttrr.scale * ys
     return _finish_rootset(xs, resid)
 
 

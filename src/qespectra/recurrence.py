@@ -15,19 +15,18 @@ functions:
 A degree-n polynomial solution ``sum_k P[n,k] z^(n-k)`` exists when
 ``F_{+1}(n) = 0`` (the baseline condition, which pins one model parameter)
 and the coefficients satisfy the descending three-term recurrence coded in
-:func:`run_ttrr`.  The leftover relation that cannot be absorbed — the
+:func:`exact_chain`.  The leftover relation that cannot be absorbed — the
 grade-(-1) action on the constant term — is the *constraint polynomial* in
 the one remaining free (scan) parameter; its roots select the solvable
 members of the family.
 
-All arithmetic here is number-type generic: model tables built from
-:class:`fractions.Fraction` values run exactly, which the tests use as an
-oracle for the floating-point path.
+The ODE coefficient table of each model is the only description of its
+recurrence: :func:`build_baseline` reads the quadratic multiplicator tables
+off it, as exact rationals, so there is one chain and it is exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,20 +42,13 @@ from .polynomials import (
     poly_scale,
 )
 
-# Rescale a running chain member once its largest coefficient passes this.
-_RESCALE_AT = 1e150
 # Backward-error threshold for "this scan value annihilates the constraint".
 _ROOT_BWD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class OdeCoefficients:
-    """Coefficients of the canonical ODE at one fixed scan value.
-
-    For energy-scan models the constant term is affine in the energy,
-    ``c0 = c0_base + sigma_e * E``; the split is recorded so callers can
-    reconstruct the scan dependence without re-deriving the table.
-    """
+    """Coefficients of the canonical ODE at one fixed scan value."""
 
     a3: object
     a2: object
@@ -66,15 +58,14 @@ class OdeCoefficients:
     b0: object
     c1: object
     c0: object
-    c0_base: object = None
-    sigma_e: object = None
 
 
 def multiplicator_values(ode, k):
     """Grade (+1, 0, -1) multiplicators read directly off ODE coefficients.
 
-    This is the definition, used in tests to cross-check every model's
-    closed-form multiplicator table against its ODE coefficient table.
+    This is the definition; :func:`build_baseline` regroups it into the
+    quadratic tables the recurrence runs on, and the tests check the two
+    against each other.
     """
     kk = k * (k - 1)
     f1 = kk * ode.a3 + k * ode.b2 + ode.c1
@@ -85,17 +76,13 @@ def multiplicator_values(ode, k):
 
 @dataclass(frozen=True)
 class SliceMultiplicators:
-    """Closed-form slice multiplicators of one model on its baseline.
+    """Slice multiplicators of one model on its baseline.
 
     Each grade is stored as quadratic coefficients ``(q2, q1, q0)`` in the
     slice index ``k``; the grade-0 function additionally carries the scan
     variable linearly with slope ``sigma0``:
 
         F0(k; x) = q2 k^2 + q1 k + q0 + sigma0 * x
-
-    The evaluation below groups terms as ``(q2 k^2 + q1 k) + q0`` on
-    purpose: model tables build ``q0`` with the matching grouping so that
-    the baseline zero ``F1(n) == 0`` comes out exact in floating point.
     """
 
     lead: tuple
@@ -133,11 +120,39 @@ class BaselineSystem:
 
 
 def build_baseline(model):
-    """Assemble the baseline recurrence data for a model instance."""
+    """Assemble the baseline recurrence data for a model instance.
+
+    The slice multiplicators are read off the model's ODE coefficient table
+    by regrouping the definition (:func:`multiplicator_values`) as
+    quadratics in k:
+
+        F1(k)     = a3 k^2 + (b2 - a3) k + c1
+        F0(k; x)  = a2 k^2 + (b1 - a2) k + c0(x)
+        Fm1(k)    = a1 k^2 + (b0 - a1) k
+
+    The scan variable enters the table only through c0, affinely, so the
+    table at scan values 0 and 1 fixes both c0(0) and the slope sigma0.
+    The baseline condition F1(n) = 0 is what pins ``c1``; the constant term
+    of F1 is therefore written as -(q2 n^2 + q1 n), which makes the zero
+    hold by construction.  Every entry is converted to :class:`Fraction`
+    (exactly, floats included), so the chain built on the table is exact.
+    """
     name, value = model.baseline()
+    at0 = model.ode_coefficients(0)
+    at1 = model.ode_coefficients(1)
+    n = model.n
+    a3, a2, a1 = Fraction(at0.a3), Fraction(at0.a2), Fraction(at0.a1)
+    lead_q1 = Fraction(at0.b2) - a3
+    c0 = Fraction(at0.c0)
+    mult = SliceMultiplicators(
+        lead=(a3, lead_q1, -(a3 * n * n + lead_q1 * n)),
+        mid=(a2, Fraction(at0.b1) - a2, c0),
+        trail=(a1, Fraction(at0.b0) - a1, Fraction(0)),
+        sigma0=Fraction(at1.c0) - c0,
+    )
     return BaselineSystem(
-        n=model.n,
-        mult=model.multiplicators(),
+        n=n,
+        mult=mult,
         scan_variable=model.scan_name,
         baseline_name=name,
         baseline_value=value,
@@ -148,32 +163,18 @@ def build_baseline(model):
 class ConstraintChain:
     """Chain of coefficient polynomials in the scan variable.
 
-    ``members[k]`` holds P[n, k] (ascending coefficients); the terminal
-    ``constraint`` polynomial has degree n+1 and its roots are the
-    admissible scan values.  Floating-point runs rescale members by powers
-    of two when coefficients threaten to overflow; ``member_exp2[k]`` is the
-    binary exponent to restore the true value (exact runs keep all zeros).
+    ``members[k]`` holds P[n, k] (ascending exact coefficients); the
+    terminal ``constraint`` polynomial has degree n+1 and its roots are the
+    admissible scan values.
     """
 
     n: int
     members: tuple
-    member_exp2: tuple
     constraint: tuple
-    constraint_exp2: int
-    b0: object
-    c0_const: object
-    sigma0: object
 
 
-def _is_exact(value):
-    return isinstance(value, (int, Fraction))
-
-
-def _max_abs(coeffs):
-    return max((abs(float(c)) for c in coeffs), default=0.0)
-
-
-def run_ttrr(system):
+@lru_cache(maxsize=64)
+def exact_chain(system):
     """Run the descending three-term recurrence and extract the constraint.
 
     Starting from P[n,0] = 1, each slice k = 1..n resolves
@@ -185,19 +186,19 @@ def run_ttrr(system):
     constraint polynomial
 
         P(x) = Fm1(1) P[n,n-1] + F0(0; x) P[n,n].
+
+    The multiplicators of :func:`build_baseline` are exact rationals, so
+    every member and the constraint carry exact coefficients.  Cached per
+    baseline system; treat the result as read-only.
+
+    Raises:
+        DivisionByZeroMultiplicator: F1 vanishes before the last slice.
     """
     mult = system.mult
     n = system.n
     sigma = mult.sigma0
-    exact = (
-        _is_exact(sigma)
-        and all(_is_exact(c) for grp in (mult.lead, mult.mid, mult.trail) for c in grp)
-    )
-
-    prev, cur = [], [1 if exact else 1.0]
-    exp2 = 0
+    prev, cur = [], [1]
     members = [tuple(cur)]
-    exps = [0]
     for k in range(1, n + 1):
         f1 = mult.f1(n - k)
         if f1 == 0:
@@ -211,89 +212,17 @@ def run_ttrr(system):
         )
         prev, cur = cur, new
         members.append(tuple(cur))
-        exps.append(exp2)
-        if not exact:
-            big = _max_abs(cur)
-            if big > _RESCALE_AT:
-                shrink = int(math.log2(big)) - 16
-                factor = math.ldexp(1.0, -shrink)
-                prev = poly_scale(prev, factor)
-                cur = poly_scale(cur, factor)
-                exp2 += shrink
 
-    b0 = mult.fm1(1)
-    c0_const = mult.f0_const(0)
     constraint = poly_add(
-        poly_scale(prev, b0),
-        poly_mul_linear(cur, c0_const, sigma),
+        poly_scale(prev, mult.fm1(1)),
+        poly_mul_linear(cur, mult.f0_const(0), sigma),
     )
-    return ConstraintChain(
-        n=n,
-        members=tuple(members),
-        member_exp2=tuple(exps),
-        constraint=tuple(constraint),
-        constraint_exp2=exp2,
-        b0=b0,
-        c0_const=c0_const,
-        sigma0=sigma,
-    )
+    return ConstraintChain(n=n, members=tuple(members), constraint=tuple(constraint))
 
 
-def assemble_solution(chain, root):
-    """Monic polynomial solution S(z) at one root of the constraint.
-
-    Returns ascending coefficients ``S[j]`` of ``S(z) = sum_j S[j] z^j``
-    with ``S[n] = 1``: the member P[n, n-j] evaluated at the root supplies
-    the coefficient of ``z^j``.
-
-    Raises:
-        NotARoot: the backward error of the constraint at ``root`` is too
-            large for it to count as a zero.
-    """
-    value, mag = poly_eval_mag([float(c) for c in chain.constraint], float(root))
-    # mag bounds |value| from above, so mag == 0 forces value == 0: an exact
-    # root of a constraint whose terms all vanish at this point (e.g. the
-    # n = 0 chain evaluated at scan value 0).  Only a genuinely nonzero
-    # residual relative to the term magnitude disqualifies the root.
-    if abs(value) > _ROOT_BWD_TOL * mag:
-        raise NotARoot(
-            f"constraint backward error {abs(value):.3g} / {mag:.3g} "
-            f"at scan value {float(root):.6g}"
-        )
-    coeffs = []
-    for j in range(chain.n + 1):
-        member = chain.members[chain.n - j]
-        exp = chain.member_exp2[chain.n - j]
-        val = poly_eval(member, root)
-        if exp:
-            val = math.ldexp(float(val), exp)
-        coeffs.append(val)
-    return coeffs
-
-
-@lru_cache(maxsize=64)
-def exact_chain(system):
-    """Replay the chain over `Fraction` images of the multiplicators.
-
-    Every float multiplicator entry is a finite binary rational, so the
-    replay is exact: the returned chain's members and constraint carry
-    `Fraction` coefficients (never rescaled — all ``member_exp2`` stay 0).
-    Cached per baseline system; treat the result as read-only.
-    """
-    mult = system.mult
-    twin = BaselineSystem(
-        n=system.n,
-        mult=SliceMultiplicators(
-            lead=tuple(Fraction(v) for v in mult.lead),
-            mid=tuple(Fraction(v) for v in mult.mid),
-            trail=tuple(Fraction(v) for v in mult.trail),
-            sigma0=Fraction(mult.sigma0),
-        ),
-        scan_variable=system.scan_variable,
-        baseline_name=system.baseline_name,
-        baseline_value=system.baseline_value,
-    )
-    return run_ttrr(twin)
+def run_ttrr(system):
+    """The coefficient chain of a baseline system (the cached exact chain)."""
+    return exact_chain(system)
 
 
 # Exact Newton polish: stop once the step is below scale / 10**32.
@@ -301,35 +230,28 @@ _POLISH_STEPS = 6
 _POLISH_GRAIN = 1 << 200
 
 
-def exact_solution(system, root):
-    """Assemble S(z) at a constraint root with exact rational arithmetic.
+def assemble_solution(chain, root):
+    """Monic polynomial solution S(z) at one root of the constraint.
 
-    Two separate precision cliffs make the floating path useless for deep
-    wells.  First, the floating chain evaluates each member at the root by
-    Horner on coefficients that can sit 15+ orders of magnitude above the
-    member's value there, so assembled low-order coefficients lose every
-    correct digit.  Second, the coefficients are violently sensitive to the
-    root position itself: constraint slopes reach ~1e12 while the solution
-    needs the root to ~1e-30, far beyond float resolution — assembling at a
-    merely float-accurate root yields a polynomial whose ODE defect is
-    comparable to the solution itself.
+    Returns ascending exact coefficients ``S[j]`` of ``S(z) = sum_j S[j]
+    z^j`` with ``S[n] = 1``: the member P[n, n-j] evaluated at the root
+    supplies the coefficient of ``z^j``.
 
-    Both are curable because every multiplicator entry is a finite binary
-    float — an exact rational — and the whole computation is field
-    operations: the chain is replayed over `Fraction` images (cached per
-    baseline system), the root is Newton-polished in that exact arithmetic
-    (quadratic convergence: two steps from a float-accurate start), and the
-    members are evaluated at the polished rational root.  O(n^3) bignum
-    work, well under a millisecond at catalog sizes.
-
-    Returns ascending exact coefficients of the monic S(z).
+    The coefficients are violently sensitive to the root position:
+    constraint slopes reach ~1e12 while the solution needs the root to
+    ~1e-30, far beyond float resolution, and assembling at a merely
+    float-accurate root yields a polynomial whose ODE defect is comparable
+    to the solution itself.  So ``root`` is first Newton-polished on the
+    exact constraint (quadratic convergence: two steps from a
+    float-accurate start), and the members are evaluated at the polished
+    rational root.  O(n^3) bignum work, well under a millisecond at catalog
+    sizes.
 
     Raises:
-        NotARoot: ``root`` does not identify a constraint root (it drifts
-            under polish, or the backward-error gate of
-            :func:`assemble_solution` rejects it).
+        NotARoot: ``root`` does not identify a constraint root: it drifts
+            under polish, or the backward error of the constraint at the
+            polished root is too large for it to count as a zero.
     """
-    chain = exact_chain(system)
     x = Fraction(root)
     scale = max(Fraction(1), abs(x))
     derivative = poly_deriv(chain.constraint)
@@ -356,7 +278,25 @@ def exact_solution(system, root):
             f"scan value {float(root):.6g} drifted by {float(moved):.3g} "
             "under exact Newton polish; it does not identify a root"
         )
-    return assemble_solution(chain, x)
+    value, mag = poly_eval_mag([float(c) for c in chain.constraint], float(x))
+    # mag bounds |value| from above, so mag == 0 forces value == 0: an exact
+    # root of a constraint whose terms all vanish at this point (e.g. the
+    # n = 0 chain evaluated at scan value 0).  Only a genuinely nonzero
+    # residual relative to the term magnitude disqualifies the root.
+    if abs(value) > _ROOT_BWD_TOL * mag:
+        raise NotARoot(
+            f"constraint backward error {abs(value):.3g} / {mag:.3g} "
+            f"at scan value {float(x):.6g}"
+        )
+    return [poly_eval(chain.members[chain.n - j], x) for j in range(chain.n + 1)]
+
+
+def exact_solution(system, root):
+    """Assemble S(z) at a constraint root of a baseline system.
+
+    The solution on the system's exact chain; see :func:`assemble_solution`.
+    """
+    return assemble_solution(exact_chain(system), root)
 
 
 def ode_residual(ode, solution):
@@ -374,6 +314,10 @@ def ode_residual(ode, solution):
         poly_add(poly_mul(a, d2), poly_mul(b, d1)),
         poly_mul(c, list(solution)),
     )
+
+
+def _max_abs(coeffs):
+    return max((abs(float(c)) for c in coeffs), default=0.0)
 
 
 def relative_ode_residual(ode, solution):

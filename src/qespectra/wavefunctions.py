@@ -10,6 +10,7 @@ symmetric grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,15 +162,18 @@ def _first_peak_sign(psi):
 def sample(model, root, points=2001, halfwidth=None, xs=None, chain=None):
     """Sample the normalized wavefunction of one constraint root.
 
-    Builds (or reuses) the coefficient chain, assembles the polynomial part
-    at ``root``, multiplies by the prefactor and normalizes by the trapezoid
-    rule.  The returned wavefunction is positive at its first interior
-    extremum.
+    Assembles the polynomial part at ``root`` on ``chain`` (the model's
+    coefficient chain from :func:`~qespectra.recurrence.run_ttrr`; built
+    here when not given), multiplies by the prefactor and normalizes by the
+    trapezoid rule.  The returned wavefunction is positive at its first
+    interior extremum.
+
+    Raises:
+        NotARoot: ``root`` does not identify a root of the constraint.
     """
-    if chain is not None:
-        # Cheap early admission gate against the caller's floating chain.
-        recurrence.assemble_solution(chain, root)
-    coeffs = recurrence.exact_solution(recurrence.build_baseline(model), root)
+    if chain is None:
+        chain = recurrence.run_ttrr(recurrence.build_baseline(model))
+    coeffs = recurrence.assemble_solution(chain, root)
     if xs is None:
         xs = default_grid(model, model.n, points=points, halfwidth=halfwidth)
     else:
@@ -186,7 +190,13 @@ def sample(model, root, points=2001, halfwidth=None, xs=None, chain=None):
     if not np.all(np.isfinite(psi)):
         raise DegenerateGrid("wavefunction overflowed on this grid; shrink it")
 
-    norm = float(np.sqrt(np.trapezoid(psi * psi, xs)))
+    # Square at unit peak: psi * psi overflows for long chains while the norm
+    # itself fits.  Scaling by a power of two is exact, so the norm is the
+    # same number wherever the unscaled square neither overflows nor
+    # underflows.
+    peak_exp = math.frexp(float(np.max(np.abs(psi))))[1]
+    unit = np.ldexp(psi, -peak_exp)
+    norm = math.ldexp(float(np.sqrt(np.trapezoid(unit * unit, xs))), peak_exp)
     if norm == 0.0:
         raise DegenerateGrid("wavefunction is identically zero on this grid")
     psi = psi / norm

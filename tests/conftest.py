@@ -52,3 +52,31 @@ def solve_model(model):
 def deep():
     """Accessor fixture for the cached deep-well cases."""
     return solved
+
+
+def float_chain_at(model, x):
+    """The chain at one scan value, by a float run read off the ODE table.
+
+    Runs the scalar three-term recurrence with the multiplicators
+    ``recurrence.multiplicator_values(model.ode_coefficients(x), k)`` in
+    float, independent of the tables ``build_baseline`` derives.  Returns
+    (member values P[n,k](x) for k = 0..n, the constraint value), each as a
+    (value, magnitude) pair; the magnitude is the same recurrence run on
+    absolute values, the scale of the float rounding in the value.
+    """
+    ode = model.ode_coefficients(x)
+    n = model.n
+
+    def grade(k, g):
+        return float(recurrence.multiplicator_values(ode, k)[g])
+
+    p_prev, p, m_prev, m = 0.0, 1.0, 0.0, 1.0
+    members = [(p, m)]
+    for k in range(1, n + 1):
+        f1, f0, fm1 = grade(n - k, 0), grade(n + 1 - k, 1), grade(n + 2 - k, 2)
+        p_prev, p = p, -(f0 * p + fm1 * p_prev) / f1
+        m_prev, m = m, (abs(f0) * m + abs(fm1) * m_prev) / abs(f1)
+        members.append((p, m))
+    f0, fm1 = grade(0, 1), grade(1, 2)
+    constraint = (fm1 * p_prev + f0 * p, abs(fm1) * m_prev + abs(f0) * m)
+    return members, constraint

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -9,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import DEEP_CASES
 from qespectra import cli
 from qespectra.errors import InvalidParams
 
@@ -150,6 +152,34 @@ def test_roots_energy_scan_has_no_double_well_column(capsys):
     rows = json.loads(out)["roots"]
     assert all("double_well" not in row for row in rows)
     assert all(row["normalizable"] for row in rows)
+
+
+# sha256 of the `roots --format json` output of each deep case, recorded
+# with the hand-written multiplicator tables the ODE-derived ones replaced.
+ROOTS_JSON_SHA256 = {
+    "xie-even": "72964fed8e661361a0fb1d0148e645732bc074b21c5852e02218b5688f385c00",
+    "xie-odd": "81ffac20e70839420b878b37fe757af6ebbc11509adfe935b27f7fce2f6e0341",
+    "chen-even": "499b6859ada239288e93ff121021d379d85599ad7ca412fa0c75de4fd4924e8a",
+    "chen-odd": "7e810d05abe5dc017fd2ffd1351226ca038980df419e8815233b20156cc1deb2",
+    "coulomb": "30e77ad8edbf9a375db5b869acd35dc77d5e5d688105431f73413402984a1d17",
+    "razavy": "bb8ad9d8b3a2c61d3a11932c08d9d5a6015218a1a95665acd51980fb48544b76",
+    "dshg": "0ab60f97ec176512317685a750912ad0e8fd34b65b95b344739a07da123b4e1d",
+    "pdshg-20": "33c87735b6449077d1471ab9d6bbacc59fc7813955ef4789023e31920f52a286",
+    "pdshg-21": "1950926ed99ab79e00d79dde7f4f1c36bc85a62e2fea93b32009c13cc293eb19",
+}
+
+
+def test_roots_json_bytes_are_pinned(capsys):
+    changed = []
+    for key, (model_id, n, params) in DEEP_CASES.items():
+        argv = ["roots", "--model", model_id, "--n", str(n), "--format", "json"]
+        for name, value in params:
+            argv += ["--param", f"{name}={value}"]
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == 0, key
+        if hashlib.sha256(out.encode()).hexdigest() != ROOTS_JSON_SHA256[key]:
+            changed.append(key)
+    assert not changed, f"roots JSON bytes changed for {changed}"
 
 
 def test_roots_accepts_m_alias(capsys):

@@ -132,7 +132,7 @@ def test_canonical_ttrr_hermite_like_chain():
     assert ttrr.size == 4
     assert ttrr.lam[0] == 1.0
     assert all(l > 0 for l in ttrr.lam[1:])
-    assert ttrr.scale == 1.0 and ttrr.shift == 0.0
+    assert ttrr.scale == 1.0
     roots = P.real_roots(ttrr).roots
     # terminal member by hand: m4 = y^4 - 10 y^2 + 9 = (y^2 - 1)(y^2 - 9)
     np.testing.assert_allclose(roots, [-3.0, -1.0, 1.0, 3.0], atol=1e-10)

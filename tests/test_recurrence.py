@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import solve_model, solved
+from conftest import float_chain_at, solve_model, solved
 from qespectra import models, polynomials, recurrence
 from qespectra.errors import DivisionByZeroMultiplicator, NotARoot
 
@@ -73,48 +73,31 @@ def test_constraint_couples_the_last_two_members():
     # The constraint must be Fm1(1) * P[n,n-1] + F0(0; x) * P[n,n]
     # with both members exactly as stored on the chain.
     _, system, chain, _, _ = solved("razavy")
-    b0 = system.mult.fm1(1)
-    c0 = system.mult.f0_const(0)
-    assert chain.b0 == b0
-    assert chain.c0_const == c0
+    mult = system.mult
     lhs = polynomials.poly_add(
-        polynomials.poly_scale(list(chain.members[chain.n - 1]), b0),
+        polynomials.poly_scale(list(chain.members[chain.n - 1]), mult.fm1(1)),
         polynomials.poly_mul_linear(
-            list(chain.members[chain.n]), c0, chain.sigma0
+            list(chain.members[chain.n]), mult.f0_const(0), mult.sigma0
         ),
     )
-    # exact-parameter instance: the chain runs in Fraction arithmetic with
-    # no rescaling, so the recombination must match coefficient for
-    # coefficient, exactly
-    assert chain.constraint_exp2 == chain.member_exp2[chain.n]
+    # the chain runs in Fraction arithmetic, so the recombination must
+    # match coefficient for coefficient, exactly
     assert list(lhs) == list(chain.constraint)
 
 
 def test_division_by_zero_multiplicator():
-    class BadMult:
-        sigma0 = 1.0
-
-        def f1(self, k):
-            return 0.0
-
-        def f0_const(self, k):
-            return 1.0
-
-        def f0(self, k, x):
-            return 1.0 + x
-
-        def fm1(self, k):
-            return 1.0
-
-    class BadSystem:
-        n = 2
-        mult = BadMult()
-        scan_variable = "x"
-        baseline_name = "none"
-        baseline_value = 0
-
+    # F1(k) = k - 1 vanishes at slice 1, before the baseline slice n = 2
+    system = recurrence.BaselineSystem(
+        n=2,
+        mult=recurrence.SliceMultiplicators(
+            lead=(0, 1, -1), mid=(0, 0, 1), trail=(0, 1, 0), sigma0=1,
+        ),
+        scan_variable="x",
+        baseline_name="none",
+        baseline_value=0,
+    )
     with pytest.raises(DivisionByZeroMultiplicator):
-        recurrence.run_ttrr(BadSystem())
+        recurrence.run_ttrr(system)
 
 
 # ---------------------------------------------------------------------------
@@ -133,22 +116,17 @@ RATIONAL_INSTANCES = [
 
 @pytest.mark.parametrize("model_id,n,params", RATIONAL_INSTANCES)
 def test_exact_replay_matches_float_chain(model_id, n, params):
-    """Fraction replay and float chain agree coefficient by coefficient."""
+    """The exact chain agrees with a float chain run off the ODE table."""
     model = models.make(model_id, n, params)
     system = recurrence.build_baseline(model)
-    chain = recurrence.run_ttrr(system)
     exact = recurrence.exact_chain(system)
-    assert exact.n == chain.n
-    assert all(e == 0 for e in exact.member_exp2)
-    for k in range(n + 1):
-        floats = [
-            math.ldexp(float(c), chain.member_exp2[k]) for c in chain.members[k]
-        ]
-        exacts = [float(c) for c in exact.members[k]]
-        assert len(floats) == len(exacts)
-        scale = max(1.0, max(abs(v) for v in exacts))
-        for a, b in zip(floats, exacts):
-            assert abs(a - b) <= 1e-12 * scale
+    assert recurrence.run_ttrr(system) is exact
+    for x in (-1.5, 0.25, 3.0):
+        members, constraint = float_chain_at(model, x)
+        polys = tuple(exact.members) + (exact.constraint,)
+        for poly, (value, mag) in zip(polys, members + [constraint]):
+            got = float(polynomials.poly_eval(poly, Fraction(x)))
+            assert abs(got - value) <= 1e-12 * mag
 
 
 def test_exact_chain_members_are_fractions():
@@ -212,15 +190,13 @@ def test_exact_solution_accepts_exact_zero_root_of_n0_chain():
 
 
 def test_assemble_solution_float_path_matches_exact():
+    # a float root assembled on the pipeline's chain gives exactly the
+    # exact_solution of its baseline system: there is one path
     model, system, chain, _, roots = solved("xie-even")
     root = roots.roots[0]
-    floats = recurrence.assemble_solution(chain, root)
-    exacts = recurrence.exact_solution(system, root)
-    assert len(floats) == len(exacts)
-    # the high-order coefficients are well-conditioned in float;
-    # low-order ones are exactly what the exact path is for
-    assert floats[-1] == pytest.approx(float(exacts[-1]))
-    assert floats[-2] == pytest.approx(float(exacts[-2]), rel=1e-9)
+    assert recurrence.assemble_solution(chain, root) == recurrence.exact_solution(
+        system, root
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import solved
+from conftest import solve_model, solved
 from qespectra import models, wavefunctions
 from qespectra.errors import AsymmetricGrid, DegenerateGrid
 
@@ -134,6 +134,41 @@ def test_sample_parity_alternates_for_symmetric_double_well():
     assert all(
         p == ("even" if i % 2 == 0 else "odd") for i, p in enumerate(parities)
     )
+
+
+# Constraints with a root at scan value 0, which the float eigensolve returns
+# as a tiny nonzero (coulomb: -6.2e-33).
+ROOT_AT_ZERO = [
+    ("coulomb", 4, {"lambda": 1}),
+    ("razavy", 2, {"xi": 3, "alpha": 1, "beta": 0}),
+    ("razavy-sinh2", 1, {"xi": 4, "alpha": 1, "beta": 1}),
+    ("razavy-sinh2", 2, {"xi": 3, "alpha": 1, "beta": 0}),
+]
+
+
+@pytest.mark.parametrize("model_id,n,params", ROOT_AT_ZERO)
+def test_sample_accepts_a_root_at_scan_value_zero(model_id, n, params):
+    model = models.make(model_id, n, params)
+    _, chain, _, roots = solve_model(model)
+    assert min(abs(r) for r in roots.roots) < 1e-15
+    counts = [
+        wavefunctions.sample(model, r, chain=chain).node_count
+        for r in roots.roots
+    ]
+    assert all(b > a for a, b in zip(counts, counts[1:])), counts
+
+
+def test_sample_norm_survives_an_overflowing_square():
+    # max|psi| is ~1e162 before normalization, so psi * psi overflows
+    model = models.make(
+        "razavy-sinh2", 80, {"xi": Fraction(1, 2), "alpha": 0, "beta": 1}
+    )
+    _, chain, _, roots = solve_model(model)
+    grid = wavefunctions.sample(model, roots.roots[5], chain=chain)
+    assert math.isfinite(grid.norm)
+    assert np.trapezoid(grid.psi ** 2, grid.xs) == pytest.approx(1.0, rel=1e-8)
+    assert grid.node_count == 11
+    assert grid.parity == "odd"
 
 
 def test_sample_explicit_grid_validation():
