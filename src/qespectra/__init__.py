@@ -24,7 +24,7 @@ from .errors import QesError
 from .models import catalog, make
 from .oracle import FdConfig, VerificationReport, fd_spectrum, verify_root
 from .polynomials import RootSet, real_roots, to_canonical_ttrr
-from .recurrence import build_baseline, exact_solution, run_ttrr
+from .recurrence import build_baseline, exact_solution, run_ttrr, solve
 from .wavefunctions import sample
 
 __version__ = "0.1.0"
@@ -49,6 +49,7 @@ __all__ = [
     "recurrence",
     "run_ttrr",
     "sample",
+    "solve",
     "to_canonical_ttrr",
     "verify_root",
 ]

@@ -56,26 +56,6 @@ _USAGE_ERRORS = (InvalidParams, DomainError, BaselineUnsolvable)
 # the gap does not shrink under grid refinement.
 VERIFY_RESIDUAL_MAX = 1e-4
 
-_CONSTRAINT_NOTES = {
-    "xie-even": "V1 > 0; normalizable needs V2 < -(4n+3)*sqrt(V1) - V1",
-    "xie-odd": "V1 > 0; normalizable needs V2 < -(4n+5)*sqrt(V1) - V1",
-    "chen-even": "g > 0; 4*V1 <= 1; V3 >= -(1+g)",
-    "chen-odd": "g > 0; 4*V1 <= 1; V3 >= -(1+g)",
-    "coulomb": "omega > 0; lambda > -1/2",
-    "razavy": "xi > 0; alpha and beta each 0 or 1",
-    "razavy-sinh2": "xi > 0; alpha and beta each 0 or 1",
-    "dshg": "xi > 0; M = n + 1",
-    "perturbed-dshg": (
-        "xi > 0; beta in [0, 1] excluding 1/2; the four (alpha, beta) "
-        "parity choices form the quadruplet that covers one level family"
-    ),
-    "perturbed-dshg-sinh2": (
-        "xi > 0; beta in [0, 1] excluding 1/2; the four (alpha, beta) "
-        "parity choices form the quadruplet that covers one level family"
-    ),
-}
-
-
 # ---------------------------------------------------------------------------
 # number parsing / emission
 # ---------------------------------------------------------------------------
@@ -225,14 +205,6 @@ def _build_model(args):
     return model
 
 
-def _spectrum(model):
-    system = recurrence.build_baseline(model)
-    chain = recurrence.run_ttrr(system)
-    ttrr = polynomials.to_canonical_ttrr(system)
-    roots = polynomials.real_roots(ttrr)
-    return system, chain, ttrr, roots
-
-
 def _pick_indices(roots, root_index):
     count = len(roots.roots)
     if root_index is None:
@@ -281,12 +253,12 @@ def _root_row(model, root):
     return row
 
 
-def _spectrum_result(model_id, model, system, chain, ttrr, roots, rows):
+def _spectrum_result(model_id, model, system, ttrr, rows):
     name, value = model.baseline()
     lam_tail = ttrr.lam[1:]
     return {
         "model": model_id,
-        "params": {k: _scalar_param(v) for k, v in model.params().items()},
+        "params": {k: _scalar_param(v) for k, v in models.params(model).items()},
         "n": int(model.n),
         "baseline": {"name": name, "value": float(value)},
         "roots": rows,
@@ -297,33 +269,23 @@ def _spectrum_result(model_id, model, system, chain, ttrr, roots, rows):
     }
 
 
-def _rows_to_csv(rows):
-    header = []
-    for row in rows:
-        for key in row:
-            if key not in header:
-                header.append(key)
-    flat = []
-    for row in rows:
-        cells = []
-        for key in header:
-            value = row.get(key)
-            if isinstance(value, dict):
-                value = None
-            cells.append(value)
-        flat.append(cells)
-    return emit_csv(header, flat)
+def _write_result(result, args):
+    """A spectrum result as JSON, or as CSV with one row per root.
 
-
-def _result_csv(result):
+    The CSV header is the union of the row keys in order of appearance, with
+    the verification fields flattened into the row.
+    """
+    if args.format != "csv":
+        _write(emit_json(result) + "\n", args.out)
+        return
     rows = []
     for row in result["roots"]:
         flat = dict(row)
-        verification = flat.pop("verification", None)
-        if verification:
-            flat.update(verification)
+        flat.update(flat.pop("verification", {}))
         rows.append(flat)
-    return _rows_to_csv(rows)
+    header = list(dict.fromkeys(key for row in rows for key in row))
+    cells = [[row.get(key) for key in header] for row in rows]
+    _write(emit_csv(header, cells), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +293,7 @@ def _result_csv(result):
 # ---------------------------------------------------------------------------
 
 def cmd_models(args):
-    listing = []
-    for entry in models.catalog():
-        entry = dict(entry)
-        entry["constraints"] = _CONSTRAINT_NOTES.get(entry["model"], "")
-        listing.append(entry)
+    listing = models.catalog()
     if args.format == "csv":
         header = ["model", "scan_variable", "parameters", "constraints", "summary"]
         rows = [
@@ -361,14 +319,9 @@ def cmd_models(args):
 
 def cmd_roots(args):
     model = _build_model(args)
-    system, chain, ttrr, roots = _spectrum(model)
+    system, _, ttrr, roots = recurrence.solve(model)
     rows = [_root_row(model, r) for r in roots.roots]
-    result = _spectrum_result(args.model, model, system, chain, ttrr, roots, rows)
-    if args.format == "csv":
-        text = _result_csv(result)
-    else:
-        text = emit_json(result) + "\n"
-    _write(text, args.out)
+    _write_result(_spectrum_result(args.model, model, system, ttrr, rows), args)
     return EXIT_OK
 
 
@@ -395,7 +348,7 @@ def cmd_constraint(args):
 
 def cmd_wavefunction(args):
     model = _build_model(args)
-    system, chain, ttrr, roots = _spectrum(model)
+    _, chain, _, roots = recurrence.solve(model)
     index = _pick_indices(roots, args.root_index)[0]
     root = roots.roots[index]
     grid = wavefunctions.sample(
@@ -423,7 +376,7 @@ def cmd_wavefunction(args):
 
 def cmd_verify(args):
     model = _build_model(args)
-    system, chain, ttrr, roots = _spectrum(model)
+    system, chain, ttrr, roots = recurrence.solve(model)
     indices = _pick_indices(roots, args.root_index)
     overrides = (args.xmin, args.xmax, args.points)
     rows = []
@@ -439,9 +392,8 @@ def cmd_verify(args):
                 points=base.points if args.points is None else args.points,
             )
         report = oracle.verify_root(model, root, cfg=cfg, chain=chain)
-        sampled = wavefunctions.sample(model, root, chain=chain)
         row = _root_row(model, root)
-        row["node_count"] = int(sampled.node_count)
+        row["node_count"] = report.node_count
         row["verification"] = {
             "algebraic_energy": report.algebraic_energy,
             "nearest_fd_energy": report.nearest_fd_energy,
@@ -453,12 +405,7 @@ def cmd_verify(args):
         if report.residual > VERIFY_RESIDUAL_MAX or not report.converged:
             all_ok = False
         rows.append(row)
-    result = _spectrum_result(args.model, model, system, chain, ttrr, roots, rows)
-    if args.format == "csv":
-        text = _result_csv(result)
-    else:
-        text = emit_json(result) + "\n"
-    _write(text, args.out)
+    _write_result(_spectrum_result(args.model, model, system, ttrr, rows), args)
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 

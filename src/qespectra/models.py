@@ -24,6 +24,11 @@ exact (Fraction) inputs produce exact coefficients.  Only the sech-power
 well classifies its admissible potentials as double wells
 (``double_well``); the other models have no such method.
 
+Each class also declares its user-facing parameters once, as ``PARAMS``
+(user name -> field).  A :data:`CATALOG` row adds only the fixed fields
+(parity sector or chain variant) and the notes; :func:`catalog`,
+:func:`make` and :func:`params` derive everything else from the class.
+
 The hyperbolic double wells additionally come in a second algebraization
 through the squared-sinh variable instead of squared-cosh.  The two chains
 look different (their off-diagonal products even have opposite signs) but
@@ -35,7 +40,7 @@ a sharp consistency test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from typing import ClassVar
 
@@ -114,9 +119,8 @@ class SechPowerWell:
     n: int
     parity: str = "even"
 
-    name: ClassVar[str] = "sech-power-well"
+    PARAMS: ClassVar[dict] = {"V1": "v1", "V2": "v2"}
     scan_name: ClassVar[str] = "V3"
-    is_energy_scan: ClassVar[bool] = False
     half_line: ClassVar[bool] = False
 
     def __post_init__(self):
@@ -189,9 +193,6 @@ class SechPowerWell:
         v1, v2, v3 = float(self.v1), float(self.v2), float(scan)
         return v1 > 0 and v2 < 0 and v3 > 0 and (-v3 / (2 * v2)) < 1
 
-    def params(self):
-        return {"V1": float(self.v1), "V2": float(self.v2)}
-
 
 # ---------------------------------------------------------------------------
 # rational-in-cosh^2 well (scan variable V2)
@@ -213,9 +214,8 @@ class RationalCoshWell:
     n: int
     parity: str = "even"
 
-    name: ClassVar[str] = "rational-cosh-well"
+    PARAMS: ClassVar[dict] = {"V1": "v1", "V3": "v3", "g": "g"}
     scan_name: ClassVar[str] = "V2"
-    is_energy_scan: ClassVar[bool] = False
     half_line: ClassVar[bool] = False
 
     def __post_init__(self):
@@ -306,9 +306,6 @@ class RationalCoshWell:
         shell = 1.0 + float(self.g) * c2
         return float(self.v1) / c2 + float(scan) / shell + float(self.v3) / shell ** 2
 
-    def params(self):
-        return {"V1": float(self.v1), "V3": float(self.v3), "g": float(self.g)}
-
 
 # ---------------------------------------------------------------------------
 # radial oscillator with a Coulomb term (scan variable beta)
@@ -329,11 +326,9 @@ class CoulombOscillator:
     omega: object = 2
     n: int = 0
 
-    name: ClassVar[str] = "coulomb-oscillator"
+    PARAMS: ClassVar[dict] = {"lambda": "lam", "omega": "omega"}
     scan_name: ClassVar[str] = "beta"
-    is_energy_scan: ClassVar[bool] = False
     half_line: ClassVar[bool] = True
-    parity: ClassVar[str] = "none"
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _num(self.lam))
@@ -380,9 +375,6 @@ class CoulombOscillator:
         lam = float(self.lam)
         return lam * (lam - 1) / x ** 2 + 0.25 * x * x - float(scan) / x
 
-    def params(self):
-        return {"lambda": float(self.lam), "omega": float(self.omega)}
-
 
 # ---------------------------------------------------------------------------
 # hyperbolic double wells (energy scan)
@@ -404,9 +396,8 @@ class HyperbolicDoubleWell:
     n: int
     variant: str = "cosh2"
 
-    name: ClassVar[str] = "hyperbolic-double-well"
+    PARAMS: ClassVar[dict] = {"xi": "xi", "alpha": "alpha", "beta": "beta"}
     scan_name: ClassVar[str] = "E"
-    is_energy_scan: ClassVar[bool] = True
     half_line: ClassVar[bool] = False
 
     def __post_init__(self):
@@ -416,6 +407,8 @@ class HyperbolicDoubleWell:
             raise InvalidParams("xi must be positive")
         if self.alpha not in (0, 1) or self.beta not in (0, 1):
             raise InvalidParams("alpha and beta must each be 0 or 1")
+        object.__setattr__(self, "alpha", int(self.alpha))
+        object.__setattr__(self, "beta", int(self.beta))
         if self.variant not in ("cosh2", "sinh2"):
             raise InvalidParams(f"unknown variant {self.variant!r}")
 
@@ -472,9 +465,6 @@ class HyperbolicDoubleWell:
         xi, m = float(self.xi), float(self.m_quantum)
         return 0.25 * xi * xi * np.sinh(2 * x) ** 2 - (m + 1) * xi * np.cosh(2 * x)
 
-    def params(self):
-        return {"xi": float(self.xi), "alpha": self.alpha, "beta": self.beta}
-
 
 @dataclass(frozen=True)
 class ShiftedGaussWell:
@@ -488,12 +478,9 @@ class ShiftedGaussWell:
     xi: object
     n: int
 
-    name: ClassVar[str] = "shifted-gauss-well"
+    PARAMS: ClassVar[dict] = {"xi": "xi"}
     scan_name: ClassVar[str] = "E"
-    is_energy_scan: ClassVar[bool] = True
     half_line: ClassVar[bool] = False
-    parity: ClassVar[str] = "none"
-    variant: ClassVar[str] = "native"
 
     def __post_init__(self):
         object.__setattr__(self, "xi", _num(self.xi))
@@ -536,9 +523,6 @@ class ShiftedGaussWell:
         xi, m = float(self.xi), float(self.m_quantum)
         return (xi * np.cosh(2 * x) - m) ** 2
 
-    def params(self):
-        return {"xi": float(self.xi)}
-
 
 @dataclass(frozen=True)
 class PerturbedGaussWell:
@@ -558,9 +542,8 @@ class PerturbedGaussWell:
     n: int
     variant: str = "cosh2"
 
-    name: ClassVar[str] = "perturbed-gauss-well"
+    PARAMS: ClassVar[dict] = {"xi": "xi", "alpha": "alpha", "beta": "beta"}
     scan_name: ClassVar[str] = "E"
-    is_energy_scan: ClassVar[bool] = True
 
     def __post_init__(self):
         object.__setattr__(self, "xi", _num(self.xi))
@@ -650,115 +633,67 @@ class PerturbedGaussWell:
             v = v + b * (b - 1) / np.sinh(x) ** 2
         return v
 
-    def params(self):
-        return {"xi": float(self.xi), "alpha": float(self.alpha), "beta": float(self.beta)}
-
 
 # ---------------------------------------------------------------------------
 # registry and construction
 # ---------------------------------------------------------------------------
 
-def _m_to_n_even_step(m, offset):
-    """Recover n from M = 2n + offset; BaselineUnsolvable unless integral."""
-    twice_n = m - offset
-    n = twice_n / 2
-    rounded = round(float(n))
-    if abs(float(n) - rounded) > 1e-9 or rounded < 0:
-        raise BaselineUnsolvable(
-            f"M = {m} is not reachable: M - {offset} must be an even "
-            "non-negative integer"
-        )
-    return int(rounded)
-
-
+# model id -> (class, fixed fields, summary, admissibility note).  Everything
+# else the catalog lists is read off the class.
 CATALOG = {
-    "xie-even": {
-        "factory": lambda n, p: SechPowerWell(p["V1"], p["V2"], n, "even"),
-        "params": ("V1", "V2"),
-        "defaults": {},
-        "scan": "V3",
-        "summary": "sech-power triple well, even sector; roots are V3 values",
-    },
-    "xie-odd": {
-        "factory": lambda n, p: SechPowerWell(p["V1"], p["V2"], n, "odd"),
-        "params": ("V1", "V2"),
-        "defaults": {},
-        "scan": "V3",
-        "summary": "sech-power triple well, odd sector; roots are V3 values",
-    },
-    "chen-even": {
-        "factory": lambda n, p: RationalCoshWell(p["V1"], p["V3"], p["g"], n, "even"),
-        "params": ("V1", "V3", "g"),
-        "defaults": {},
-        "scan": "V2",
-        "summary": "rational-in-cosh^2 well, even sector; roots are V2 values",
-    },
-    "chen-odd": {
-        "factory": lambda n, p: RationalCoshWell(p["V1"], p["V3"], p["g"], n, "odd"),
-        "params": ("V1", "V3", "g"),
-        "defaults": {},
-        "scan": "V2",
-        "summary": "rational-in-cosh^2 well, odd sector; roots are V2 values",
-    },
-    "coulomb": {
-        "factory": lambda n, p: CoulombOscillator(p["lambda"], p.get("omega", 2), n),
-        "params": ("lambda", "omega"),
-        "defaults": {"omega": 2},
-        "scan": "beta",
-        "summary": "radial oscillator with Coulomb term; roots are beta values",
-    },
-    "razavy": {
-        "factory": lambda n, p: HyperbolicDoubleWell(
-            p["xi"], int(p["alpha"]), int(p["beta"]), n, "cosh2"),
-        "params": ("xi", "alpha", "beta"),
-        "defaults": {},
-        "scan": "E",
-        "summary": "hyperbolic double well; roots are energies (cosh^2 chain)",
-        "m_offset": lambda p: p["alpha"] + p["beta"],
-    },
-    "razavy-sinh2": {
-        "factory": lambda n, p: HyperbolicDoubleWell(
-            p["xi"], int(p["alpha"]), int(p["beta"]), n, "sinh2"),
-        "params": ("xi", "alpha", "beta"),
-        "defaults": {},
-        "scan": "E",
-        "summary": "hyperbolic double well; sinh^2 chain (same spectrum)",
-        "m_offset": lambda p: p["alpha"] + p["beta"],
-    },
-    "dshg": {
-        "factory": lambda n, p: ShiftedGaussWell(p["xi"], n),
-        "params": ("xi",),
-        "defaults": {},
-        "scan": "E",
-        "summary": "squared shifted-cosh well in the exponential variable",
-        "m_offset": None,  # M = n + 1, handled separately
-    },
-    "perturbed-dshg": {
-        "factory": lambda n, p: PerturbedGaussWell(
-            p["xi"], p["alpha"], p["beta"], n, "cosh2"),
-        "params": ("xi", "alpha", "beta"),
-        "defaults": {},
-        "scan": "E",
-        "summary": "squared shifted-cosh well with inverse-square terms "
-                   "(cosh^2 chain)",
-        "m_offset": lambda p: p["alpha"] + p["beta"] + 1,
-    },
-    "perturbed-dshg-sinh2": {
-        "factory": lambda n, p: PerturbedGaussWell(
-            p["xi"], p["alpha"], p["beta"], n, "sinh2"),
-        "params": ("xi", "alpha", "beta"),
-        "defaults": {},
-        "scan": "E",
-        "summary": "perturbed well through the sinh^2 chain (same spectrum)",
-        "m_offset": lambda p: p["alpha"] + p["beta"] + 1,
-    },
+    "xie-even": (
+        SechPowerWell, {"parity": "even"},
+        "sech-power triple well, even sector; roots are V3 values",
+        "V1 > 0; normalizable needs V2 < -(4n+3)*sqrt(V1) - V1"),
+    "xie-odd": (
+        SechPowerWell, {"parity": "odd"},
+        "sech-power triple well, odd sector; roots are V3 values",
+        "V1 > 0; normalizable needs V2 < -(4n+5)*sqrt(V1) - V1"),
+    "chen-even": (
+        RationalCoshWell, {"parity": "even"},
+        "rational-in-cosh^2 well, even sector; roots are V2 values",
+        "g > 0; 4*V1 <= 1; V3 >= -(1+g)"),
+    "chen-odd": (
+        RationalCoshWell, {"parity": "odd"},
+        "rational-in-cosh^2 well, odd sector; roots are V2 values",
+        "g > 0; 4*V1 <= 1; V3 >= -(1+g)"),
+    "coulomb": (
+        CoulombOscillator, {},
+        "radial oscillator with Coulomb term; roots are beta values",
+        "omega > 0; lambda > -1/2"),
+    "razavy": (
+        HyperbolicDoubleWell, {"variant": "cosh2"},
+        "hyperbolic double well; roots are energies (cosh^2 chain)",
+        "xi > 0; alpha and beta each 0 or 1"),
+    "razavy-sinh2": (
+        HyperbolicDoubleWell, {"variant": "sinh2"},
+        "hyperbolic double well; sinh^2 chain (same spectrum)",
+        "xi > 0; alpha and beta each 0 or 1"),
+    "dshg": (
+        ShiftedGaussWell, {},
+        "squared shifted-cosh well in the exponential variable",
+        "xi > 0; M = n + 1"),
+    "perturbed-dshg": (
+        PerturbedGaussWell, {"variant": "cosh2"},
+        "squared shifted-cosh well with inverse-square terms (cosh^2 chain)",
+        "xi > 0; beta in [0, 1] excluding 1/2; the four (alpha, beta) "
+        "parity choices form the quadruplet that covers one level family"),
+    "perturbed-dshg-sinh2": (
+        PerturbedGaussWell, {"variant": "sinh2"},
+        "perturbed well through the sinh^2 chain (same spectrum)",
+        "xi > 0; beta in [0, 1] excluding 1/2; the four (alpha, beta) "
+        "parity choices form the quadruplet that covers one level family"),
 }
 
-_ALIASES = {
-    "v1": "V1", "v2": "V2", "v3": "V3", "g": "g",
-    "lambda": "lambda", "lam": "lambda", "omega": "omega",
-    "xi": "xi", "alpha": "alpha", "beta": "beta", "m": "M",
-}
+
+def _defaults(cls):
+    """Dataclass defaults of the user-facing parameters that have one."""
+    default = {f.name: f.default for f in fields(cls)}
+    return {
+        name: default[field]
+        for name, field in cls.PARAMS.items()
+        if default[field] is not MISSING
+    }
 
 
 def catalog():
@@ -766,51 +701,71 @@ def catalog():
     return [
         {
             "model": key,
-            "scan_variable": entry["scan"],
-            "parameters": list(entry["params"]),
-            "defaults": dict(entry["defaults"]),
-            "summary": entry["summary"],
+            "scan_variable": cls.scan_name,
+            "parameters": list(cls.PARAMS),
+            "defaults": _defaults(cls),
+            "summary": summary,
+            "constraints": constraints,
         }
-        for key, entry in CATALOG.items()
+        for key, (cls, _, summary, constraints) in CATALOG.items()
     ]
+
+
+def params(model):
+    """A model instance's parameters under their user-facing names."""
+    return {name: getattr(model, field) for name, field in model.PARAMS.items()}
+
+
+def _n_for_m(build, m):
+    """The slice count n with ``m_quantum == m``, solved exactly.
+
+    ``m_quantum`` is affine in n, so the instances at n = 0 and n = 1 fix
+    it; M is reachable only when n comes out a non-negative integer.
+    """
+    m0 = Fraction(build(0).m_quantum)
+    step = Fraction(build(1).m_quantum) - m0
+    n = (Fraction(m) - m0) / step
+    if n.denominator != 1 or n < 0:
+        raise BaselineUnsolvable(
+            f"M = {m} is not reachable: M = {m0} + {step}*n needs an integer n >= 0"
+        )
+    return int(n)
 
 
 def make(model_id, n=None, params=None):
     """Build a model instance from user-facing names and a parameter dict.
 
-    ``params`` keys are case-insensitive (``v1`` or ``V1``); energy-scan
-    models accept ``M`` instead of (or alongside, consistently) ``n``.
+    ``params`` keys are case-insensitive and may also be the field names
+    (``lam`` for ``lambda``); energy-scan models accept ``M`` instead of
+    (or alongside, consistently) ``n``.
     """
     if model_id not in CATALOG:
         known = ", ".join(sorted(CATALOG))
         raise InvalidParams(f"unknown model {model_id!r}; known models: {known}")
-    entry = CATALOG[model_id]
-    raw = dict(params or {})
-    clean = dict(entry["defaults"])
-    for key, value in raw.items():
-        canon = _ALIASES.get(str(key).lower())
-        if canon is None:
+    cls, fixed, _, _ = CATALOG[model_id]
+    spelled = {}
+    for name, field in cls.PARAMS.items():
+        spelled[name.lower()] = spelled[field.lower()] = name
+    values = _defaults(cls)
+    m_given = None
+    for key, value in (params or {}).items():
+        lowered = str(key).lower()
+        if lowered == "m" and hasattr(cls, "m_quantum"):
+            m_given = value
+        elif lowered in spelled:
+            values[spelled[lowered]] = value
+        else:
             raise InvalidParams(f"unknown parameter {key!r} for model {model_id!r}")
-        clean[canon] = value
-
-    m_given = clean.pop("M", None)
-    missing = [p for p in entry["params"] if p not in clean]
+    missing = [name for name in cls.PARAMS if name not in values]
     if missing:
         raise InvalidParams(f"model {model_id!r} is missing parameters: {missing}")
-    extra = [p for p in clean if p not in entry["params"]]
-    if extra:
-        raise InvalidParams(f"model {model_id!r} does not take parameters: {extra}")
+    kwargs = {cls.PARAMS[name]: value for name, value in values.items()}
+
+    def build(k):
+        return cls(n=k, **fixed, **kwargs)
 
     if m_given is not None:
-        if "m_offset" not in entry:
-            raise InvalidParams(f"model {model_id!r} has no M parameter")
-        if entry["m_offset"] is None:
-            n_from_m = float(m_given) - 1
-            if n_from_m != int(n_from_m) or n_from_m < 0:
-                raise BaselineUnsolvable(f"M = {m_given} needs M - 1 = n >= 0")
-            n_from_m = int(n_from_m)
-        else:
-            n_from_m = _m_to_n_even_step(float(m_given), float(entry["m_offset"](clean)))
+        n_from_m = _n_for_m(build, m_given)
         if n is None:
             n = n_from_m
         elif int(n) != n_from_m:
@@ -819,4 +774,4 @@ def make(model_id, n=None, params=None):
             )
     if n is None:
         raise InvalidParams("the slice count n (or, for energy scans, M) is required")
-    return entry["factory"](int(n), clean)
+    return build(int(n))

@@ -72,6 +72,7 @@ class VerificationReport:
     residual: float
     converged: bool
     ambiguous: bool
+    node_count: int  # of the algebraic wavefunction on the residual grid
 
 
 def _is_radial(model):
@@ -313,6 +314,7 @@ def verify_root(model, root, energy=None, grid=None, cfg=None, chain=None):
     if cfg is None:
         cfg = default_verify_config(model, root)
     scan = root
+    res_cfg = cfg
     if grid is not None:
         nodes = grid_nodes(model, cfg)
         xs = np.asarray(grid.xs, dtype=float)
@@ -323,16 +325,13 @@ def verify_root(model, root, energy=None, grid=None, cfg=None, chain=None):
                 f"wavefunction grid ({len(xs)} pts) does not match the "
                 f"verifier nodes ({len(nodes)} pts) for this configuration"
             )
-        res_cfg = cfg
-        psi = np.asarray(grid.psi, dtype=float)
     else:
-        res_cfg = cfg
         if not explicit_cfg and _is_radial(model):
             res_cfg = _radial_residual_config(model, scan, cfg)
-        sampled = wavefunctions.sample(
+        grid = wavefunctions.sample(
             model, root, xs=grid_nodes(model, res_cfg), chain=chain
         )
-        psi = np.asarray(sampled.psi, dtype=float)
+    psi = np.asarray(grid.psi, dtype=float)
 
     if _is_radial(model):
         residual = _residual_radial(model, scan, res_cfg, psi, energy)
@@ -357,4 +356,5 @@ def verify_root(model, root, energy=None, grid=None, cfg=None, chain=None):
         residual=residual,
         converged=converged,
         ambiguous=ambiguous,
+        node_count=int(grid.node_count),
     )

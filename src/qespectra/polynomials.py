@@ -391,6 +391,10 @@ def real_roots(ttrr):
     whose eigenvalues are checked for spurious imaginary parts and then
     polished through the chain recurrence.  Roots are returned in the
     physical scan variable, ascending.
+
+    Raises:
+        EigensolveFailure: the eigensolve fails, or the chain recurrence
+            overflows at some root, which leaves that root unpolished.
     """
     if any(l <= 0 for l in ttrr.lam):
         raise NonPositiveLambda("canonical chain products must be positive")
@@ -419,6 +423,12 @@ def real_roots(ttrr):
         raise EigensolveFailure("eigensolve produced non-finite values")
 
     ys, resid = _polish_on(lambda y: ttrr_terminal(ttrr, y), ys)
+    if not np.all(np.isfinite(resid)):
+        # the float chain overflowed there, so those roots are raw seeds
+        raise EigensolveFailure(
+            f"{int(np.count_nonzero(~np.isfinite(resid)))} of {m} roots could "
+            "not be polished: the canonical chain is not finite there"
+        )
     xs = ttrr.scale * ys
     return _finish_rootset(xs, resid)
 
@@ -428,8 +438,10 @@ def real_roots_companion(coeffs):
 
     Independent cross-check for :func:`real_roots`.  Raises
     :class:`ComplexRootDetected` if any root has a relative imaginary part
-    above the tolerance, since the constraint polynomials this package
-    builds must have real roots.
+    above the tolerance, or if two seeds polish to the same point (a
+    conjugate pair whose imaginary parts fall below the tolerance, or a
+    multiple root), since the constraint polynomials this package builds
+    must have real simple roots.
     """
     # Seeds come from eigenvalues of the float companion matrix, but the
     # Newton polish keeps the caller's coefficients exact (ints, Fractions,
@@ -460,4 +472,9 @@ def real_roots_companion(coeffs):
         )
 
     ys, resid = _polish_on(chain_eval, np.sort(r.real))
+    if np.any(np.diff(ys) <= 0):
+        raise ComplexRootDetected(
+            "two companion roots polish to the same point; the pair is "
+            "complex or multiple, not two real simple roots"
+        )
     return _finish_rootset(ys, resid)

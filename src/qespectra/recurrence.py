@@ -23,6 +23,8 @@ members of the family.
 The ODE coefficient table of each model is the only description of its
 recurrence: :func:`build_baseline` reads the quadratic multiplicator tables
 off it, as exact rationals, so there is one chain and it is exact.
+:func:`solve` runs the whole pipeline for one model: baseline, chain,
+canonical form and roots.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import polynomials
 from .errors import DivisionByZeroMultiplicator, NotARoot
 from .polynomials import (
     poly_add,
@@ -299,21 +302,16 @@ def exact_solution(system, root):
     return assemble_solution(exact_chain(system), root)
 
 
-def ode_residual(ode, solution):
-    """Residual polynomial of the ODE applied to a candidate solution.
+def solve(model):
+    """Baseline, exact chain, canonical form and real roots of one model.
 
-    Computes A(z) S'' + B(z) S' + C(z) S with A, B, C rebuilt from the ODE
-    coefficients; identically zero (to rounding) iff S solves the equation.
+    Returns ``(system, chain, ttrr, roots)``.  Each stage is called through
+    its module attribute, so a wrapper put on one (a tracer) sees the call.
     """
-    a = [0, ode.a1, ode.a2, ode.a3]
-    b = [ode.b0, ode.b1, ode.b2]
-    c = [ode.c0, ode.c1]
-    d1 = poly_deriv(solution)
-    d2 = poly_deriv(d1)
-    return poly_add(
-        poly_add(poly_mul(a, d2), poly_mul(b, d1)),
-        poly_mul(c, list(solution)),
-    )
+    system = build_baseline(model)
+    chain = run_ttrr(system)
+    ttrr = polynomials.to_canonical_ttrr(system)
+    return system, chain, ttrr, polynomials.real_roots(ttrr)
 
 
 def _max_abs(coeffs):

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import pytest
 
-from qespectra import models, polynomials, recurrence
+from qespectra import models, recurrence, solve
 
 # The deep-well instances the acceptance suite revolves around, with exact
 # rational parameters so every coefficient table stays in Fraction arithmetic.
@@ -32,20 +32,7 @@ def solved(case_key):
     """(model, system, chain, ttrr, roots) for one named deep-well case."""
     model_id, n, params = DEEP_CASES[case_key]
     model = models.make(model_id, n, dict(params))
-    system = recurrence.build_baseline(model)
-    chain = recurrence.run_ttrr(system)
-    ttrr = polynomials.to_canonical_ttrr(system)
-    roots = polynomials.real_roots(ttrr)
-    return model, system, chain, ttrr, roots
-
-
-def solve_model(model):
-    """Pipeline for an ad-hoc instance (no caching)."""
-    system = recurrence.build_baseline(model)
-    chain = recurrence.run_ttrr(system)
-    ttrr = polynomials.to_canonical_ttrr(system)
-    roots = polynomials.real_roots(ttrr)
-    return system, chain, ttrr, roots
+    return (model, *solve(model))
 
 
 @pytest.fixture(scope="session")

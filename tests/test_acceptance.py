@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import DEEP_CASES, solve_model
-from qespectra import models, oracle, polynomials, recurrence
+from conftest import DEEP_CASES
+from qespectra import models, oracle, polynomials, recurrence, solve
 
 # ---------------------------------------------------------------------------
 # frozen reference spectra
@@ -117,10 +117,10 @@ def test_07_perturbed_gauss_well_both_parities(deep):
 
 
 def test_08_parity_pair_union_rebuilds_unperturbed_spectrum():
-    even = solve_model(models.make(
+    even = solve(models.make(
         "perturbed-dshg", n=5, params={"xi": 2, "alpha": 1, "beta": 0}
     ))[3].roots
-    odd = solve_model(models.make(
+    odd = solve(models.make(
         "perturbed-dshg", n=5, params={"xi": 2, "alpha": 0, "beta": 1}
     ))[3].roots
     assert len(even) == 6 and len(odd) == 6
@@ -241,7 +241,7 @@ def test_11_sinh2_variants_reproduce_cosh2_spectra(deep):
     ]
     for key, variant_model in pairs:
         _, _, _, _, reference = deep(key)
-        variant_roots = solve_model(variant_model)[3].roots
+        variant_roots = solve(variant_model)[3].roots
         np.testing.assert_allclose(
             np.asarray(variant_roots), np.asarray(reference.roots),
             rtol=1e-8, err_msg=key,

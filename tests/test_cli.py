@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -169,17 +170,64 @@ ROOTS_JSON_SHA256 = {
 }
 
 
+# sha256 of the `models` listing, and of `verify --root-index k --format
+# json` for the cheapest state k of each deep case, recorded while the
+# catalog still repeated each model class in hand-written rows.
+MODELS_SHA256 = {
+    "json": "451dd0969fba86ca0c69e56714eff6bca1b53ec6a6e5b4b193917f374c5768e7",
+    "csv": "661184224dcd45302d6f07bef72cd28e3b5e1f7493a3a65e85bdfae2ada92c0d",
+}
+VERIFY_JSON_SHA256 = {
+    "xie-even": (1, "53ad0b8b6009e7e27137a00c954ef24a3abf927079dfcbdcee8759c63a6f9b27"),
+    "xie-odd": (0, "6dfe0745792e121476910d6c3eb53279809d96eb87be0d373271b1bce4bae0ec"),
+    "chen-even": (7, "5a649e16e1beab64b85c8f3f73f16e752185bbb22ae4151a618057c2a53977a3"),
+    "chen-odd": (7, "2dbd1976647fa681f5b5ba8df351766cc0b48f828e79aeac25d9a77192cee2ef"),
+    "coulomb": (5, "2737794c4f5c2aceb1cde53f57b348fc81ee97ba77dae7ca17c5ded249ab56c5"),
+    "razavy": (0, "712d547e5c182008247fe52f009d6104d8e5e70b9ffdbcaa72e1ad1552dc6fef"),
+    "dshg": (1, "bffdfd318f082a66e25701cd2f07b3930dbc5d57a8fc3d2438b103ef261c3b0e"),
+    "pdshg-20": (0, "51e5b339ab5b6d7992f72638fc47a8f9f801540e3d198fe5d3f12258b94599d4"),
+    "pdshg-21": (0, "ddefbd34a299a5f9cce9d05f8d9bbe683a722f7e0ac0a9a10a1a3ac7fcec9488"),
+}
+
+
+def _deep_argv(command, key, *extra):
+    model_id, n, params = DEEP_CASES[key]
+    argv = [command, "--model", model_id, "--n", str(n), *extra, "--format", "json"]
+    for name, value in params:
+        argv += ["--param", f"{name}={value}"]
+    return argv
+
+
+def _sha256(out):
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
 def test_roots_json_bytes_are_pinned(capsys):
     changed = []
-    for key, (model_id, n, params) in DEEP_CASES.items():
-        argv = ["roots", "--model", model_id, "--n", str(n), "--format", "json"]
-        for name, value in params:
-            argv += ["--param", f"{name}={value}"]
-        code, out = run_cli(*argv, capsys=capsys)
+    for key in DEEP_CASES:
+        code, out = run_cli(*_deep_argv("roots", key), capsys=capsys)
         assert code == 0, key
-        if hashlib.sha256(out.encode()).hexdigest() != ROOTS_JSON_SHA256[key]:
+        if _sha256(out) != ROOTS_JSON_SHA256[key]:
             changed.append(key)
     assert not changed, f"roots JSON bytes changed for {changed}"
+
+
+def test_models_bytes_are_pinned(capsys):
+    for fmt, want in MODELS_SHA256.items():
+        code, out = run_cli("models", "--format", fmt, capsys=capsys)
+        assert code == 0
+        assert _sha256(out) == want, fmt
+
+
+def test_verify_json_bytes_are_pinned(capsys):
+    changed = []
+    for key, (k, want) in VERIFY_JSON_SHA256.items():
+        argv = _deep_argv("verify", key, "--root-index", str(k))
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == 0, key
+        if _sha256(out) != want:
+            changed.append(key)
+    assert not changed, f"verify JSON bytes changed for {changed}"
 
 
 def test_roots_accepts_m_alias(capsys):
@@ -368,10 +416,14 @@ def test_out_writes_file(tmp_path, capsys):
 
 
 def test_module_entry_point_smoke():
+    # the child process imports the same package this suite imports
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qespectra", "roots", "--model", "coulomb",
          "--n", "1", "--param", "lambda=1/2"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     result = json.loads(proc.stdout)

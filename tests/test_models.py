@@ -6,8 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import solve_model, solved
-from qespectra import models, recurrence
+from qespectra import models, recurrence, solve
 from qespectra.errors import (
     BaselineUnsolvable,
     DomainError,
@@ -83,6 +82,46 @@ def test_make_accepts_m_for_energy_scan_models():
         models.make("xie-even", None, {"V1": 1, "V2": -50, "M": 10})
 
 
+def test_make_needs_m_exactly_reachable():
+    # M is solved exactly: an M that a float tolerance used to round onto an
+    # integer n is now unreachable
+    with pytest.raises(BaselineUnsolvable):
+        models.make("razavy", None, {"xi": 1, "alpha": 0, "beta": 1, "M": 21 + 1e-10})
+    with pytest.raises(BaselineUnsolvable):
+        models.make("dshg", None, {"xi": 2, "M": 12 + 1e-12})
+    with pytest.raises(BaselineUnsolvable):
+        models.make("perturbed-dshg", None,
+                    {"xi": 2, "alpha": 1, "beta": 0, "M": Fraction(25, 2)})
+    with pytest.raises(BaselineUnsolvable):
+        models.make("dshg", None, {"xi": 2, "M": 0})  # n = -1
+    # any exact spelling of a reachable M works, fractional offsets included
+    assert models.make("dshg", None, {"xi": 2, "M": Fraction(24, 2)}).n == 11
+    assert models.make("dshg", None, {"xi": 2, "M": 12.0}).n == 11
+    m = models.make("perturbed-dshg", None,
+                    {"xi": 2, "alpha": Fraction(1, 3), "beta": 0, "M": Fraction(16, 3)})
+    assert m.n == 2
+
+
+def test_catalog_is_read_off_the_classes():
+    listing = {entry["model"]: entry for entry in models.catalog()}
+    for model_id, entry in listing.items():
+        cls = models.CATALOG[model_id][0]
+        assert entry["scan_variable"] == cls.scan_name
+        assert entry["parameters"] == list(cls.PARAMS)
+        assert entry["constraints"]
+    assert listing["coulomb"]["defaults"] == {"omega": 2}
+    assert all(not listing[k]["defaults"] for k in listing if k != "coulomb")
+    # the field name is accepted as a spelling of the parameter
+    assert models.make("coulomb", 1, {"lam": Fraction(1, 2)}).omega == 2
+
+
+@pytest.mark.parametrize("model_id", ALL_IDS)
+def test_params_rebuild_the_instance(model_id):
+    model = models.make(model_id, 3, SAMPLE_PARAMS[model_id])
+    assert models.params(model).items() >= SAMPLE_PARAMS[model_id].items()
+    assert models.make(model_id, 3, models.params(model)) == model
+
+
 # ---------------------------------------------------------------------------
 # parameter validation
 # ---------------------------------------------------------------------------
@@ -117,6 +156,14 @@ def test_razavy_validators():
         models.make("razavy", 1, {"xi": 0, "alpha": 0, "beta": 0})
     with pytest.raises(InvalidParams):
         models.make("razavy", 1, {"xi": 1, "alpha": 2, "beta": 0})
+
+
+def test_razavy_exponents_are_checked_before_they_become_ints():
+    with pytest.raises(InvalidParams):
+        models.make("razavy", 1, {"xi": 1, "alpha": 1.5, "beta": 0})
+    model = models.make("razavy-sinh2", 1, {"xi": 1, "alpha": 1.0, "beta": Fraction(0)})
+    assert (model.alpha, model.beta) == (1, 0)
+    assert type(model.alpha) is int and type(model.beta) is int
 
 
 def test_perturbed_dshg_validators():
@@ -291,8 +338,8 @@ def test_models_equal_spectra_between_variants():
     # small instance here keeps the unit suite self-contained)
     a = models.make("razavy", 2, {"xi": 1, "alpha": 1, "beta": 0})
     b = models.make("razavy-sinh2", 2, {"xi": 1, "alpha": 1, "beta": 0})
-    _, _, _, ra = solve_model(a)
-    _, _, _, rb = solve_model(b)
+    _, _, _, ra = solve(a)
+    _, _, _, rb = solve(b)
     np.testing.assert_allclose(ra.roots, rb.roots, rtol=1e-10)
 
 
@@ -307,8 +354,8 @@ def test_perturbed_dshg_matches_shifted_razavy():
     np.testing.assert_allclose(
         pdshg.potential(xs, None), razavy.potential(xs, None) + shift, rtol=1e-12
     )
-    _, _, _, rp = solve_model(pdshg)
-    _, _, _, rr = solve_model(razavy)
+    _, _, _, rp = solve(pdshg)
+    _, _, _, rr = solve(razavy)
     np.testing.assert_allclose(
         np.asarray(rp.roots), np.asarray(rr.roots) + shift, rtol=1e-9
     )

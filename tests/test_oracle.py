@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import solved
-from qespectra import models, oracle, wavefunctions
+from qespectra import models, oracle, solve, wavefunctions
 from qespectra.errors import DegenerateGrid, GridMismatch, InvalidParams
 
 
@@ -101,9 +101,7 @@ def test_verify_root_negative_control():
     # an energy 1.0 off a true level must be loudly wrong on both meters
     model = models.make("dshg", 0, {"xi": 1})
     # n = 0: single root at the exact ground energy
-    from conftest import solve_model
-
-    _, chain, _, roots = solve_model(model)
+    _, chain, _, roots = solve(model)
     root = roots.roots[0]
     report = oracle.verify_root(model, root, energy=root + 1.0, chain=chain)
     assert report.abs_gap > 0.1
@@ -155,9 +153,7 @@ def test_residual_full_line_converges_at_high_order():
     # the 5-point scheme on an analytic state: doubling the mesh must
     # shrink the residual by far more than the 2nd-order factor of 4
     model = models.make("dshg", 1, {"xi": 1})
-    from conftest import solve_model
-
-    _, chain, _, roots = solve_model(model)
+    _, chain, _, roots = solve(model)
     root = roots.roots[0]
 
     def residual_at(points):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qespectra import models, recurrence, solve
 from qespectra import polynomials as P
 from qespectra.errors import (
     ComplexRootDetected,
@@ -189,6 +190,27 @@ def test_real_roots_companion_cross_check_quadratic():
 def test_real_roots_companion_rejects_complex():
     with pytest.raises(ComplexRootDetected):
         P.real_roots_companion([1, 0, 1])     # x^2 + 1
+
+
+def test_real_roots_companion_rejects_a_collapsed_doublet():
+    # dshg n = 5, xi = 0.1 (float): the companion seeds of the lowest doublet
+    # coincide, so polishing cannot split them; the canonical route resolves
+    # both members
+    _, chain, _, roots = solve(models.make("dshg", 5, {"xi": 0.1}))
+    with pytest.raises(ComplexRootDetected):
+        P.real_roots_companion(chain.constraint)
+    assert roots.min_gap > 0
+
+
+def test_real_roots_refuses_roots_it_cannot_polish():
+    # razavy-sinh2 n = 80: the float chain overflows at the nine lowest
+    # roots, which would otherwise come back as raw eigenvalue seeds
+    model = models.make(
+        "razavy-sinh2", 80, {"xi": Fraction(1, 2), "alpha": 0, "beta": 1}
+    )
+    ttrr = P.to_canonical_ttrr(recurrence.build_baseline(model))
+    with pytest.raises(EigensolveFailure, match="9 of 81 roots"):
+        P.real_roots(ttrr)
 
 
 def test_near_degenerate_pair_warns_not_merges():

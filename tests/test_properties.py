@@ -5,10 +5,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import float_chain_at
-from qespectra import cli, models, polynomials, recurrence, wavefunctions
+from qespectra import cli, models, polynomials, recurrence, solve, wavefunctions
 from qespectra.errors import ComplexRootDetected
 
 settings.register_profile("suite", max_examples=30, deadline=None)
@@ -82,15 +82,14 @@ def model_instances(draw, max_n=5, rational_only=False):
 # ---------------------------------------------------------------------------
 
 @given(model=model_instances())
+@example(model=models.make("dshg", 5, {"xi": 0.1}))
 def test_solved_instance_invariants(model):
-    system = recurrence.build_baseline(model)
-    ttrr = polynomials.to_canonical_ttrr(system)
+    system, chain, ttrr, roots = solve(model)
 
     # chain products are strictly positive after the variant split
     assert all(lam > 0 for lam in ttrr.lam)
     assert ttrr.variant in ("plus", "minus")
 
-    roots = polynomials.real_roots(ttrr)
     xs = np.asarray(roots.roots)
 
     # one real simple root per chain state, in ascending order
@@ -100,11 +99,11 @@ def test_solved_instance_invariants(model):
 
     # eigensolve route agrees with the companion-matrix route on the exact
     # constraint coefficients; a doublet so tight that the float companion
-    # seeds collapse into a conjugate pair is the one documented out
-    exact_chain = recurrence.exact_chain(system)
+    # seeds collapse into a conjugate pair (or into one point, as at dshg
+    # n = 5, xi = 0.1) is the one documented out
     span = max(1.0, float(xs[-1] - xs[0]))
     try:
-        other = polynomials.real_roots_companion(exact_chain.constraint)
+        other = polynomials.real_roots_companion(chain.constraint)
     except ComplexRootDetected:
         pass
     else:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import float_chain_at, solve_model, solved
+from conftest import float_chain_at, solved
 from qespectra import models, polynomials, recurrence
 from qespectra.errors import DivisionByZeroMultiplicator, NotARoot
 
@@ -52,7 +52,7 @@ def test_coulomb_n1_constraint_by_hand():
     # F1(k) = n - k, F0(k; x) = x, Fm1(k) = k (k + 2 lam - 1):
     # P[1,1] = -x, constraint = 2 lam - x^2; roots +-1 at lam = 1/2.
     model = models.make("coulomb", 1, {"lambda": Fraction(1, 2)})
-    system, chain, ttrr, roots = solve_model(model)
+    system, chain, ttrr, roots = recurrence.solve(model)
     assert chain.n == 1
     assert list(chain.members[0]) == [1]
     assert [float(c) for c in chain.members[1]] == [0.0, -1.0]
@@ -64,7 +64,7 @@ def test_coulomb_n1_constraint_by_hand():
 def test_coulomb_n2_roots_by_hand():
     # constraint x^3/2 - 3x at lam = 1/2: roots -sqrt(6), 0, sqrt(6)
     model = models.make("coulomb", 2, {"lambda": Fraction(1, 2)})
-    _, _, _, roots = solve_model(model)
+    _, _, _, roots = recurrence.solve(model)
     s6 = math.sqrt(6.0)
     assert roots.roots == pytest.approx([-s6, 0.0, s6], abs=1e-12)
 
