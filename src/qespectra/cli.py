@@ -330,8 +330,10 @@ def cmd_constraint(args):
     system = recurrence.build_baseline(model)
     chain = recurrence.run_ttrr(system)
     values = _parse_range(args.range)
-    coeffs = [float(c) for c in chain.constraint]
-    rows = [(float(x), polynomials.poly_eval(coeffs, float(x))) for x in values]
+    rows = [
+        (float(x), polynomials.poly_eval(chain.constraint_float, float(x)))
+        for x in values
+    ]
     if args.format == "json":
         payload = {
             "model": args.model,

@@ -125,6 +125,37 @@ def poly_eval(p, x):
     return acc
 
 
+def integer_image(p):
+    """Integer numerators over one common denominator: ``(nums, den)``.
+
+    ``p[k] == Fraction(nums[k], den)``; coefficients are converted exactly
+    (floats included).  :func:`eval_image` evaluates the image.
+    """
+    exact = [Fraction(c) for c in p]
+    den = math.lcm(*(c.denominator for c in exact))
+    return tuple(c.numerator * (den // c.denominator) for c in exact), den
+
+
+def eval_image(image, x):
+    """Exact value at the rational ``x`` of a polynomial's integer image.
+
+    Horner in homogeneous form over ``x = p/q``: the accumulator
+    ``sum_k nums[k] p^k q^(d-k)`` stays a plain integer, and one Fraction
+    over ``den * q^d`` is built at the end.  That is the rational
+    :func:`poly_eval` returns on the coefficients at ``Fraction(x)``, but
+    without a gcd per step.
+    """
+    nums, den = image
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    coeffs = reversed(nums)
+    acc, qk = next(coeffs, 0), 1
+    for a in coeffs:
+        qk *= q
+        acc = acc * p + a * qk
+    return Fraction(acc, den * qk)
+
+
 def poly_eval_mag(p, x):
     """Horner evaluation together with the running magnitude sum.
 
@@ -461,15 +492,11 @@ def real_roots_companion(coeffs):
             f"companion root imaginary part {worst:.3g} exceeds "
             f"{_IMAG_TOL:.0e} * radius {radius:.3g}"
         )
-    exact_dc = poly_deriv(exact_c)
+    image = integer_image(exact_c)
+    slope_image = integer_image(poly_deriv(exact_c))
 
     def chain_eval(y):
-        y = Fraction(y)
-        return (
-            float(poly_eval(exact_c, y)),
-            float(poly_eval(exact_dc, y)),
-            0.0,
-        )
+        return float(eval_image(image, y)), float(eval_image(slope_image, y)), 0.0
 
     ys, resid = _polish_on(chain_eval, np.sort(r.real))
     if np.any(np.diff(ys) <= 0):

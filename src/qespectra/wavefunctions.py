@@ -135,9 +135,12 @@ def _eval_poly_extended(coeffs, z):
     zl = z.astype(np.longdouble)
     acc = np.zeros(zl.shape, dtype=np.longdouble)
     for c in reversed(coeffs):
-        cq = Fraction(c)
-        hi = float(cq)
-        lo = float(cq - Fraction(hi))
+        num, den = Fraction(c).as_integer_ratio()
+        # int / int rounds correctly, as float(Fraction) does, and raises
+        # OverflowError past the float range
+        hi = num / den
+        hi_num, hi_den = hi.as_integer_ratio()
+        lo = (num * hi_den - hi_num * den) / (den * hi_den)
         acc = acc * zl + (np.longdouble(hi) + np.longdouble(lo))
     with np.errstate(over="ignore"):
         return acc.astype(float)

@@ -230,6 +230,36 @@ def test_verify_json_bytes_are_pinned(capsys):
     assert not changed, f"verify JSON bytes changed for {changed}"
 
 
+# sha256 of `wavefunction --root-index k --format csv` for states of long
+# chains, recorded while the solution was assembled by Fraction Horner:
+# (model, n, parameters, k) -> digest.  dshg roots 0 and 1 are the two
+# members of its lowest doublet.
+WAVEFUNCTION_CSV_SHA256 = {
+    ("razavy-sinh2", 40, ("xi=1/2", "alpha=0", "beta=1"), 20):
+        "5c417848574e00ab9cdfcfea19c6484749621ccfb2d9d5bc4c0c78bb13ef9d0d",
+    ("coulomb", 29, ("lambda=1/2",), 14):
+        "af3fa9404db0ba55e4ed24e84fcf253f5da69481f7fb600675b93781d65c8aa9",
+    ("dshg", 20, ("xi=2",), 0):
+        "2296d5eb07fd78f02e88b08a376a1d919483ec0c76ca9720d9e4f977d043d0b4",
+    ("dshg", 20, ("xi=2",), 1):
+        "6bd741d2fbf164f2fbee4870e814763305d9630c55462bc48734bea75ab72fca",
+}
+
+
+def test_wavefunction_csv_bytes_are_pinned(capsys):
+    changed = []
+    for (model_id, n, params, k), want in WAVEFUNCTION_CSV_SHA256.items():
+        argv = ["wavefunction", "--model", model_id, "--n", str(n),
+                "--root-index", str(k), "--format", "csv"]
+        for param in params:
+            argv += ["--param", param]
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == 0, (model_id, k)
+        if _sha256(out) != want:
+            changed.append((model_id, k))
+    assert not changed, f"wavefunction CSV bytes changed for {changed}"
+
+
 def test_roots_accepts_m_alias(capsys):
     code, out = run_cli(
         "roots", "--model", "dshg", "--param", "xi=2", "--param", "M=12",

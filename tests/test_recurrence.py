@@ -199,6 +199,126 @@ def test_assemble_solution_float_path_matches_exact():
     )
 
 
+def _fraction_assembly(chain, root):
+    """The solution by plain Fraction Horner on the chain's own members.
+
+    The polish schedule of ``assemble_solution`` (Newton on the exact
+    constraint, each iterate rounded to 200 fractional bits), then
+    ``poly_eval`` of every member at the polished root; no gates.
+    """
+    grain = recurrence._POLISH_GRAIN
+    x = Fraction(root)
+    scale = max(Fraction(1), abs(x))
+    derivative = polynomials.poly_deriv(chain.constraint)
+    for _ in range(recurrence._POLISH_STEPS):
+        value = polynomials.poly_eval(chain.constraint, x)
+        if value == 0:
+            break
+        slope = polynomials.poly_eval(derivative, x)
+        if slope == 0:
+            break
+        step = value / slope
+        x = Fraction(round((x - step) * grain), grain)
+        if abs(step) <= scale / 10**32:
+            break
+    return [
+        polynomials.poly_eval(chain.members[chain.n - j], x)
+        for j in range(chain.n + 1)
+    ]
+
+
+# rational parameters for every catalog id, inside its documented range
+CATALOG_PARAMS = {
+    "xie-even": {"V1": 1, "V2": -50},
+    "xie-odd": {"V1": 1, "V2": -50},
+    "chen-even": {"V1": Fraction(9, 100), "V3": 400, "g": Fraction(1, 4)},
+    "chen-odd": {"V1": Fraction(9, 100), "V3": 400, "g": Fraction(1, 4)},
+    "coulomb": {"lambda": Fraction(1, 2)},
+    "razavy": {"xi": Fraction(1, 2), "alpha": 0, "beta": 1},
+    "razavy-sinh2": {"xi": Fraction(1, 2), "alpha": 0, "beta": 1},
+    "dshg": {"xi": 2},
+    "perturbed-dshg": {"xi": 2, "alpha": 2, "beta": 0},
+    "perturbed-dshg-sinh2": {"xi": 2, "alpha": 2, "beta": 0},
+}
+
+EXACTNESS_CASES = (
+    [(model_id, n, params) for model_id, params in CATALOG_PARAMS.items() for n in (5, 20)]
+    + [
+        ("razavy-sinh2", 40, CATALOG_PARAMS["razavy-sinh2"]),
+        # roots at scan value 0
+        ("coulomb", 4, {"lambda": 1}),
+        ("razavy", 2, {"xi": 3, "alpha": 1, "beta": 0}),
+    ]
+)
+
+
+@pytest.mark.parametrize("model_id,n,params", EXACTNESS_CASES)
+def test_assemble_solution_equals_fraction_horner(model_id, n, params):
+    # the integer images are an evaluation shortcut: every coefficient must
+    # be the very rational that Fraction Horner gives
+    _, chain, _, roots = recurrence.solve(models.make(model_id, n, params))
+    for root in roots.roots:
+        got = recurrence.assemble_solution(chain, root)
+        assert got == _fraction_assembly(chain, root), root
+        assert all(type(c) is Fraction for c in got)
+
+
+def test_assemble_solution_splits_the_dshg_doublets():
+    # dshg n = 20, xi = 2 (an exactness case above): the float roots of each
+    # doublet lie 7e-15 apart, yet both members polish to their own root
+    _, chain, _, roots = recurrence.solve(models.make("dshg", 20, {"xi": 2}))
+    assert roots.min_gap < 1e-13
+    lowest = [recurrence.assemble_solution(chain, r) for r in roots.roots[:2]]
+    assert lowest[0] != lowest[1]
+
+
+def test_assemble_solution_gates_still_fire():
+    model = models.make("coulomb", 1, {"lambda": Fraction(1, 2)})
+    chain = recurrence.run_ttrr(recurrence.build_baseline(model))
+    # constraint 1 - x^2: from 0.5 Newton walks to the root 1
+    with pytest.raises(NotARoot, match="drifted"):
+        recurrence.assemble_solution(chain, 0.5)
+    # at 0 the slope vanishes, so the polish stops where |P| = 1 = magnitude
+    with pytest.raises(NotARoot, match="backward error"):
+        recurrence.assemble_solution(chain, 0.0)
+
+
+def test_exact_chain_cache_clear_drops_the_images():
+    # the integer images live on the cached chain only, so clearing the
+    # cache (as the benchmark does between rounds) drops them too
+    model = models.make("coulomb", 6, {"lambda": Fraction(1, 2)})
+    system = recurrence.build_baseline(model)
+    first = recurrence.exact_chain(system)
+    assert recurrence.exact_chain(system) is first
+    recurrence.exact_chain.cache_clear()
+    second = recurrence.exact_chain(system)
+    assert second is not first
+    assert second.member_images is not first.member_images
+    assert second.member_images == first.member_images
+    assert callable(recurrence.exact_chain.cache_clear)
+
+
+def test_exact_chain_builds_past_the_float_range():
+    # razavy-sinh2 n = 160: the constraint's coefficients pass the float
+    # range, which only its float image may refuse, not the exact chain
+    model = models.make("razavy-sinh2", 160, {"xi": Fraction(1, 2), "alpha": 0, "beta": 1})
+    chain = recurrence.run_ttrr(recurrence.build_baseline(model))
+    assert max(abs(c) for c in chain.constraint) > 10**308
+    with pytest.raises(OverflowError):
+        chain.constraint_float
+
+
+def test_chain_images_are_the_chain():
+    _, _, chain, _, _ = solved("chen-even")
+    polys = chain.members + (chain.constraint,)
+    images = chain.member_images + (chain.constraint_image,)
+    for poly, (nums, den) in zip(polys, images):
+        assert [Fraction(a, den) for a in nums] == list(poly)
+    nums, den = chain.slope_image
+    assert [Fraction(a, den) for a in nums] == polynomials.poly_deriv(chain.constraint)
+    assert chain.constraint_float == tuple(float(c) for c in chain.constraint)
+
+
 # ---------------------------------------------------------------------------
 # ODE residual of assembled solutions
 # ---------------------------------------------------------------------------

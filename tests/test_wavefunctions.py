@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import solved
-from qespectra import models, solve, wavefunctions
+from qespectra import models, recurrence, solve, wavefunctions
 from qespectra.errors import AsymmetricGrid, DegenerateGrid
 
 
@@ -82,6 +82,32 @@ def test_decay_halfwidth_overflow_safety():
     model = models.make("coulomb", 2, {"lambda": Fraction(1, 2)})
     L = wavefunctions.decay_halfwidth(model, 400)
     assert 0.0 < L <= 60.0
+
+
+def _fraction_split_horner(coeffs, z):
+    """Extended Horner with each coefficient split into hi + lo by Fractions."""
+    zl = z.astype(np.longdouble)
+    acc = np.zeros(zl.shape, dtype=np.longdouble)
+    for c in reversed(coeffs):
+        hi = float(Fraction(c))
+        lo = float(Fraction(c) - Fraction(hi))
+        acc = acc * zl + (np.longdouble(hi) + np.longdouble(lo))
+    with np.errstate(over="ignore"):
+        return acc.astype(float)
+
+
+def test_extended_horner_splits_as_fractions_do():
+    model = models.make("razavy-sinh2", 40, {"xi": Fraction(1, 2), "alpha": 0, "beta": 1})
+    _, chain, _, roots = solve(model)
+    z = np.linspace(-3.0, 3.0, 97)
+    for root in roots.roots[::4]:
+        coeffs = recurrence.assemble_solution(chain, root)
+        np.testing.assert_array_equal(
+            wavefunctions._eval_poly_extended(coeffs, z),
+            _fraction_split_horner(coeffs, z),
+        )
+    with pytest.raises(OverflowError):
+        wavefunctions._eval_poly_extended([Fraction(10**400, 3)], z)
 
 
 # ---------------------------------------------------------------------------
