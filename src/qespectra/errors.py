@@ -31,8 +31,9 @@ class SigmaZero(QesError):
 
 
 class NonPositiveLambda(QesError):
-    """The canonical chain products are not sign-definite, so no tridiagonal
-    eigenproblem (symmetric or comrade) represents the constraint polynomial."""
+    """The canonical chain products are not all positive at any candidate
+    centre, so no symmetric tridiagonal eigenproblem represents the
+    constraint polynomial."""
 
 
 class EigensolveFailure(QesError):

@@ -30,11 +30,12 @@ Each class also declares its user-facing parameters once, as ``PARAMS``
 :func:`make` and :func:`params` derive everything else from the class.
 
 The hyperbolic double wells additionally come in a second algebraization
-through the squared-sinh variable instead of squared-cosh.  The two chains
-look different (their off-diagonal products even have opposite signs) but
-must produce identical spectra; the duplication is kept because it turns an
-otherwise nonsymmetric root-finding problem into a symmetric one and makes
-a sharp consistency test.
+through the squared-sinh variable instead of squared-cosh.  Since
+sinh^2 x = cosh^2 x - 1, its table is not written out: it is the cosh^2
+table shifted to z = 1 + w by :func:`qespectra.recurrence.recentre`, the
+same shift root finding applies to any chain.  The two catalog ids differ
+in the coordinate their states are sampled on, and their exact constraints
+agree, which the tests check.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import BaselineUnsolvable, DomainError, InvalidParams
-from .recurrence import OdeCoefficients
+from .recurrence import OdeCoefficients, recentre
 
 
 def _num(value):
@@ -386,8 +387,8 @@ class HyperbolicDoubleWell:
 
     The exponents alpha, beta in {0, 1} select the parity sector.  Both the
     squared-cosh and the squared-sinh algebraizations are provided; they
-    share potential, prefactor and spectrum but produce chains of opposite
-    off-diagonal sign.
+    share potential, prefactor and spectrum, and the sinh^2 table is the
+    cosh^2 one re-centred at z = 1.
     """
 
     xi: object
@@ -428,19 +429,14 @@ class HyperbolicDoubleWell:
 
     def ode_coefficients(self, scan):
         xi, a, b, m = self.xi, self.alpha, self.beta, self.m_quantum
-        if self.variant == "cosh2":
-            return OdeCoefficients(
-                a3=0, a2=4, a1=-4,
-                b2=-4 * xi, b1=4 * (a + b + xi + 1), b0=-2 * (2 * a + 1),
-                c1=2 * xi * (m - a - b),
-                c0=scan + (a + b) ** 2 + xi * (2 * a - m),
-            )
-        return OdeCoefficients(
-            a3=0, a2=4, a1=4,
-            b2=-4 * xi, b1=4 * (a + b - xi + 1), b0=2 * (2 * b + 1),
+        ode = OdeCoefficients(
+            a3=0, a2=4, a1=-4,
+            b2=-4 * xi, b1=4 * (a + b + xi + 1), b0=-2 * (2 * a + 1),
             c1=2 * xi * (m - a - b),
-            c0=scan + (a + b) ** 2 + xi * (m - 2 * b),
+            c0=scan + (a + b) ** 2 + xi * (2 * a - m),
         )
+        # sinh^2 x = cosh^2 x - 1
+        return ode if self.variant == "cosh2" else recentre(ode, 1)
 
     def normalizable(self, root=None):
         return True
@@ -584,19 +580,14 @@ class PerturbedGaussWell:
 
     def ode_coefficients(self, scan):
         xi, a, b, m = self.xi, self.alpha, self.beta, self.m_quantum
-        if self.variant == "cosh2":
-            return OdeCoefficients(
-                a3=0, a2=4, a1=-4,
-                b2=-8 * xi, b1=4 * (a + b + 2 * xi + 1), b0=-2 * (2 * a + 1),
-                c1=4 * xi * (m - a - b - 1),
-                c0=scan - m * m - xi * xi + (a + b) ** 2 + 2 * xi * (2 * a - m + 1),
-            )
-        return OdeCoefficients(
-            a3=0, a2=4, a1=4,
-            b2=-8 * xi, b1=4 * (a + b - 2 * xi + 1), b0=2 * (2 * b + 1),
+        ode = OdeCoefficients(
+            a3=0, a2=4, a1=-4,
+            b2=-8 * xi, b1=4 * (a + b + 2 * xi + 1), b0=-2 * (2 * a + 1),
             c1=4 * xi * (m - a - b - 1),
-            c0=scan - m * m - xi * xi + (a + b) ** 2 + 2 * xi * (m - 2 * b - 1),
+            c0=scan - m * m - xi * xi + (a + b) ** 2 + 2 * xi * (2 * a - m + 1),
         )
+        # sinh^2 x = cosh^2 x - 1
+        return ode if self.variant == "cosh2" else recentre(ode, 1)
 
     def normalizable(self, root=None):
         return True

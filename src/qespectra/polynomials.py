@@ -15,15 +15,10 @@ in the rescaled scan variable ``y``.  When every product ``lam_k`` is
 positive, the terminal member's roots are the eigenvalues of the symmetric
 (Jacobi) tridiagonal matrix with diagonal ``d`` and off-diagonal
 ``sqrt(lam)``; they are therefore real and simple, and LAPACK's tridiagonal
-solver delivers them to machine precision.  When every ``lam_k`` is
-negative, no symmetric matrix exists (the chain can have complex zeros in
-general), but the sign-flipped chain
-
-    m_k(y) = (-y - d_k) m_{k-1}(y) + lam_k m_{k-2}(y),   lam_k > 0
-
-is still the characteristic polynomial of a real *nonsymmetric* tridiagonal
-comrade matrix, which the general eigensolver handles well; a Newton polish
-through the recurrence itself then restores full accuracy.  Root finding on
+solver delivers them to machine precision, after which a Newton polish
+through the recurrence itself restores the last bits.  The products depend
+on where the ODE variable is centred, so the canonical form is taken at the
+first candidate centre where they are all positive.  Root finding on
 monomial coefficients (companion matrix) is kept as an independent
 cross-check.
 """
@@ -51,10 +46,6 @@ from .errors import (
 _IMAG_TOL = 1e-8
 # Roots closer than this fraction of the root span trigger SimplicityWarning.
 _SIMPLE_RTOL = 1e-10
-
-SIGN_PLUS = "plus"
-SIGN_MINUS = "minus"
-
 
 # ---------------------------------------------------------------------------
 # dense coefficient arithmetic (number-type generic)
@@ -214,16 +205,15 @@ class CanonicalTtrr:
     """Monic canonical form of a terminating three-term recurrence.
 
     Attributes:
-        variant: ``"plus"`` when the original off-diagonal products are all
-            positive (symmetric-solvable), ``"minus"`` when all negative.
+        centre: the exact centre r of the ODE variable, z = r + w, at which
+            the chain was read off; 0 is the model's own variable.
         d: diagonal terms ``d_1 .. d_{n+1}`` of the canonical chain.
-        lam: products ``lam_1 .. lam_{n+1}``; all strictly positive in both
-            variants (the minus variant stores the absolute values).
+        lam: products ``lam_1 .. lam_{n+1}``, all strictly positive.
             ``lam[0]`` is 1.0 by convention and multiplies nothing.
         scale: map back to the physical scan variable, ``scan = scale * y``.
     """
 
-    variant: str
+    centre: Fraction
     d: tuple
     lam: tuple
     scale: float
@@ -251,58 +241,52 @@ def to_canonical_ttrr(system):
     """Reduce a baseline recurrence to canonical monic form.
 
     ``system`` is a :class:`~qespectra.recurrence.BaselineSystem` (any object
-    with ``n`` and ``mult`` attributes works).  Writing the grade-0
-    multiplicator as ``F0(k; x) = q(k) + sigma * x``, the raw members are
-    rescaled to be monic in ``y = sigma * x``, which turns the recurrence
-    into the canonical chain with
+    with ``n`` and ``mult`` attributes works; ``recentred`` is optional).
+    Writing the grade-0 multiplicator as ``F0(k; x) = q(k) + sigma * x``,
+    the raw members are rescaled to be monic in ``y = sigma * x``, which
+    turns the recurrence into the canonical chain with
 
         d_k   = -q(n + 1 - k)
         lam_k = Fm1(n + 2 - k) * F1(n + 1 - k)
 
     for ``k = 1 .. n+1``.  The terminal member (one step past the last
     regular slice) is proportional to the constraint polynomial, so its
-    roots are exactly the admissible scan values.
+    roots are exactly the admissible scan values.  The multiplicators are
+    taken at the model's own centre or, failing that, at the first of the
+    system's other centres whose products are all positive; F1 and sigma
+    are the same at every centre, and so are the constraint's roots.
 
     Raises:
         SigmaZero: the scan variable is absent from the recurrence.
         DivisionByZeroMultiplicator: ``F1`` vanishes before the last step.
-        NonPositiveLambda: the products are not all of one strict sign.
+        NonPositiveLambda: no centre gives all-positive products.
     """
-    mult = system.mult
     n = system.n
-    sigma = mult.sigma0
+    sigma = system.mult.sigma0
     if sigma == 0:
         raise SigmaZero("grade-0 multiplicator has no scan-variable term")
     for j in range(n):
-        if mult.f1(j) == 0:
+        if system.mult.f1(j) == 0:
             raise DivisionByZeroMultiplicator(
                 f"leading multiplicator vanishes at slice {j} < n={n}"
             )
 
-    d = [-float(mult.f0_const(n + 1 - k)) for k in range(1, n + 2)]
-    lam = [1.0]
-    for k in range(2, n + 2):
-        lam.append(float(mult.fm1(n + 2 - k)) * float(mult.f1(n + 1 - k)))
-
-    tail = lam[1:]
-    if all(v > 0 for v in tail):
-        variant = SIGN_PLUS
-    elif all(v < 0 for v in tail):
-        variant = SIGN_MINUS
-        d = [-v for v in d]
-        lam = [1.0] + [-v for v in tail]
-    elif not tail:
-        variant = SIGN_PLUS  # n = 0: a single linear member, trivially symmetric
-    else:
-        raise NonPositiveLambda(
-            f"mixed-sign chain products (min {min(tail):.3g}, max {max(tail):.3g}); "
-            "no tridiagonal eigenproblem represents this chain"
-        )
-    return CanonicalTtrr(
-        variant=variant,
-        d=tuple(d),
-        lam=tuple(lam),
-        scale=1.0 / float(sigma),
+    centres = ((Fraction(0), system.mult), *getattr(system, "recentred", ()))
+    for centre, mult in centres:
+        lam = [1.0]
+        for k in range(2, n + 2):
+            lam.append(float(mult.fm1(n + 2 - k)) * float(mult.f1(n + 1 - k)))
+        if all(v > 0 for v in lam):
+            return CanonicalTtrr(
+                centre=centre,
+                d=tuple(-float(mult.f0_const(n + 1 - k)) for k in range(1, n + 2)),
+                lam=tuple(lam),
+                scale=1.0 / float(sigma),
+            )
+    tried = ", ".join(str(centre) for centre, _ in centres)
+    raise NonPositiveLambda(
+        f"the chain products are not all positive at any centre (tried {tried}); "
+        "no symmetric tridiagonal eigenproblem represents this chain"
     )
 
 
@@ -313,42 +297,18 @@ def ttrr_terminal(ttrr, y):
     natural backward-error scale for deciding whether a value is
     numerically zero.
     """
-    plus = ttrr.variant == SIGN_PLUS
     p_prev, p = 0.0, 1.0
     dp_prev, dp = 0.0, 0.0
     m_prev, m = 0.0, 1.0
-    for k in range(1, ttrr.size + 1):
-        dk = ttrr.d[k - 1]
-        lk = ttrr.lam[k - 1]
-        if plus:
-            lin, dlin, sgn = y - dk, 1.0, -1.0
-        else:
-            lin, dlin, sgn = -y - dk, -1.0, 1.0
-        p_new = lin * p + sgn * lk * p_prev
-        dp_new = dlin * p + lin * dp + sgn * lk * dp_prev
+    for dk, lk in zip(ttrr.d, ttrr.lam):
+        lin = y - dk
+        p_new = lin * p - lk * p_prev
+        dp_new = p + lin * dp - lk * dp_prev
         m_new = abs(lin) * m + lk * m_prev
         p_prev, p = p, p_new
         dp_prev, dp = dp, dp_new
         m_prev, m = m, m_new
     return p, dp, m
-
-
-def _comrade_matrix(ttrr):
-    """Real tridiagonal companion ("comrade") matrix of a minus-variant chain.
-
-    Column k encodes y*m_{k-1} = lam_k m_{k-2} - d_k m_{k-1} - m_k; dropping
-    the final m_{n+1} is exactly working modulo the terminal member, so the
-    eigenvalues are its roots.
-    """
-    m = ttrr.size
-    T = np.zeros((m, m))
-    for i in range(m):
-        T[i, i] = -ttrr.d[i]
-        if i + 1 < m:
-            T[i + 1, i] = -1.0
-        if i > 0:
-            T[i - 1, i] = ttrr.lam[i]
-    return T
 
 
 def _polish_on(eval_fn, ys):
@@ -369,7 +329,7 @@ def _polish_on(eval_fn, ys):
         if i + 1 < n:
             gap = min(gap, ys[i + 1] - ys[i])
         cap = 0.4 * gap
-        y = ys[i]
+        y = float(ys[i])  # Python floats overflow quietly; the caller reports it
         v, dv, mag = eval_fn(y)
         best_y, best_v = y, abs(v)
         for _ in range(12):
@@ -417,11 +377,9 @@ def _finish_rootset(xs, resid):
 def real_roots(ttrr):
     """All roots of the terminal canonical member, by tridiagonal eigensolve.
 
-    The plus variant goes through the symmetric Jacobi matrix (real simple
-    roots guaranteed); the minus variant through the real comrade matrix,
-    whose eigenvalues are checked for spurious imaginary parts and then
-    polished through the chain recurrence.  Roots are returned in the
-    physical scan variable, ascending.
+    The eigenvalues of the symmetric Jacobi matrix (real and simple by
+    construction) are polished through the chain recurrence and returned
+    in the physical scan variable, ascending.
 
     Raises:
         EigensolveFailure: the eigensolve fails, or the chain recurrence
@@ -430,26 +388,15 @@ def real_roots(ttrr):
     if any(l <= 0 for l in ttrr.lam):
         raise NonPositiveLambda("canonical chain products must be positive")
     m = ttrr.size
-    if ttrr.variant == SIGN_PLUS:
-        if m == 1:
-            ys = np.array([ttrr.d[0]])
-        else:
-            diag = np.asarray(ttrr.d, dtype=float)
-            off = np.sqrt(np.asarray(ttrr.lam[1:], dtype=float))
-            try:
-                ys = sla.eigvalsh_tridiagonal(diag, off)
-            except Exception as exc:  # pragma: no cover - LAPACK failure path
-                raise EigensolveFailure(f"tridiagonal eigensolve failed: {exc}") from exc
+    if m == 1:
+        ys = np.array([ttrr.d[0]])
     else:
-        w = sla.eigvals(_comrade_matrix(ttrr))
-        radius = float(np.abs(w).max()) or 1.0
-        worst = float(np.abs(w.imag).max())
-        if worst > _IMAG_TOL * radius:
-            raise EigensolveFailure(
-                f"comrade eigenvalues have imaginary parts up to {worst:.3g} "
-                f"(radius {radius:.3g}); chain roots are not all real"
-            )
-        ys = np.sort(w.real)
+        diag = np.asarray(ttrr.d, dtype=float)
+        off = np.sqrt(np.asarray(ttrr.lam[1:], dtype=float))
+        try:
+            ys = sla.eigvalsh_tridiagonal(diag, off)
+        except Exception as exc:  # pragma: no cover - LAPACK failure path
+            raise EigensolveFailure(f"tridiagonal eigensolve failed: {exc}") from exc
     if not np.all(np.isfinite(ys)):
         raise EigensolveFailure("eigensolve produced non-finite values")
 

@@ -29,7 +29,8 @@ canonical form and roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -114,13 +115,74 @@ class SliceMultiplicators:
 
 @dataclass(frozen=True)
 class BaselineSystem:
-    """A model pinned to its baseline: everything the recurrence needs."""
+    """A model pinned to its baseline: everything the recurrence needs.
+
+    ``mult`` is tabulated in the model's own variable z; the exact chain
+    runs on it.  ``recentred`` holds ``(r, multiplicators)`` for every
+    other candidate centre r, tabulated on the table shifted to z = r + w
+    (:func:`recentre`); root finding may run on one of them instead.
+    """
 
     n: int
     mult: SliceMultiplicators
     scan_variable: str
     baseline_name: str
     baseline_value: object
+    recentred: tuple = ()
+
+
+def recentre(ode, r):
+    """The ODE table after the exact shift z = r + w, as a table in w.
+
+    ``r`` must be 0 or a root of a3 z^2 + a2 z + a1, so that the shifted
+    leading coefficient keeps no constant term and the ODE keeps its graded
+    shape.  The shift maps polynomial solutions of degree n onto polynomial
+    solutions of degree n, so the shifted chain ends in a constraint with
+    the same roots; only its off-diagonal products change, and with them
+    whether the chain is a Jacobi (all-positive) chain.
+    """
+    if r * ((ode.a3 * r + ode.a2) * r + ode.a1) != 0:
+        raise ValueError(f"z = {r} is not a zero of the leading ODE coefficient")
+    return OdeCoefficients(
+        a3=ode.a3,
+        a2=ode.a2 + 3 * ode.a3 * r,
+        a1=3 * ode.a3 * r * r + 2 * ode.a2 * r + ode.a1,
+        b2=ode.b2,
+        b1=2 * ode.b2 * r + ode.b1,
+        b0=ode.b2 * r * r + ode.b1 * r + ode.b0,
+        c1=ode.c1,
+        c0=ode.c1 * r + ode.c0,
+    )
+
+
+def candidate_centres(ode):
+    """The nonzero rational roots of a3 z^2 + a2 z + a1, ascending.
+
+    These, after the model's own centre 0, are the centres at which the
+    chain can be read off a shifted table (:func:`recentre`).  The
+    coefficients must be exact: a float table converted exactly has a
+    rational root only where no rounding broke it.
+    """
+    a3, a2, a1 = ode.a3, ode.a2, ode.a1
+    if a3 == 0:
+        roots = [-a1 / a2] if a2 else []
+    else:
+        disc = a2 * a2 - 4 * a3 * a1
+        s = Fraction(math.isqrt(max(disc.numerator, 0)), math.isqrt(disc.denominator))
+        # rational roots only where the discriminant is a rational square
+        roots = [(-a2 + t) / (2 * a3) for t in (-s, s)] if s * s == disc else []
+    return sorted({r for r in roots if r != 0})
+
+
+def _slice_multiplicators(ode, sigma0, n):
+    """Quadratic multiplicator tables of an exact table at scan value 0."""
+    lead_q1 = ode.b2 - ode.a3
+    return SliceMultiplicators(
+        lead=(ode.a3, lead_q1, -(ode.a3 * n * n + lead_q1 * n)),
+        mid=(ode.a2, ode.b1 - ode.a2, ode.c0),
+        trail=(ode.a1, ode.b0 - ode.a1, Fraction(0)),
+        sigma0=sigma0,
+    )
 
 
 def build_baseline(model):
@@ -140,26 +202,24 @@ def build_baseline(model):
     of F1 is therefore written as -(q2 n^2 + q1 n), which makes the zero
     hold by construction.  Every entry is converted to :class:`Fraction`
     (exactly, floats included), so the chain built on the table is exact.
+
+    The same tables are also read off the table shifted to each of
+    :func:`candidate_centres`; the shift leaves F1 and sigma0 as they are.
     """
     name, value = model.baseline()
-    at0 = model.ode_coefficients(0)
-    at1 = model.ode_coefficients(1)
+    at0 = OdeCoefficients(*map(Fraction, astuple(model.ode_coefficients(0))))
+    sigma0 = Fraction(model.ode_coefficients(1).c0) - at0.c0
     n = model.n
-    a3, a2, a1 = Fraction(at0.a3), Fraction(at0.a2), Fraction(at0.a1)
-    lead_q1 = Fraction(at0.b2) - a3
-    c0 = Fraction(at0.c0)
-    mult = SliceMultiplicators(
-        lead=(a3, lead_q1, -(a3 * n * n + lead_q1 * n)),
-        mid=(a2, Fraction(at0.b1) - a2, c0),
-        trail=(a1, Fraction(at0.b0) - a1, Fraction(0)),
-        sigma0=Fraction(at1.c0) - c0,
-    )
     return BaselineSystem(
         n=n,
-        mult=mult,
+        mult=_slice_multiplicators(at0, sigma0, n),
         scan_variable=model.scan_name,
         baseline_name=name,
         baseline_value=value,
+        recentred=tuple(
+            (r, _slice_multiplicators(recentre(at0, r), sigma0, n))
+            for r in candidate_centres(at0)
+        ),
     )
 
 

@@ -1,6 +1,7 @@
 """Unit tests for dense polynomial arithmetic and root extraction."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -139,7 +140,7 @@ def test_canonical_ttrr_hermite_like_chain():
     # (a rescaled) Hermite chain whose roots are symmetric about 0.
     sys3 = _FakeSystem(3)
     ttrr = P.to_canonical_ttrr(sys3)
-    assert ttrr.variant == "plus"
+    assert ttrr.centre == 0
     assert ttrr.size == 4
     assert ttrr.lam[0] == 1.0
     assert all(l > 0 for l in ttrr.lam[1:])
@@ -177,17 +178,28 @@ def test_ttrr_terminal_magnitude_bounds_value():
     assert P.ttrr_terminal(ttrr, 1.0)[1] == pytest.approx((vp - vm) / (2 * h), rel=1e-6)
 
 
-def test_minus_variant_all_negative_products_uses_comrade_route():
+def test_all_negative_products_without_a_positive_centre_raise():
+    # the fake system offers no centre but its own, where every product is
+    # negative: no symmetric tridiagonal eigenproblem represents the chain
     sys0 = _FakeSystem(3)
     orig = sys0.mult.fm1
     sys0.mult.fm1 = lambda k: -orig(k)
-    ttrr = P.to_canonical_ttrr(sys0)
-    assert ttrr.variant == "minus"
-    assert all(l > 0 for l in ttrr.lam[1:])   # stored as absolute values
-    # the flipped-sign chain here has complex roots, which must be flagged,
-    # not silently truncated to their real parts
-    with pytest.raises(EigensolveFailure):
-        P.real_roots(ttrr)
+    with pytest.raises(NonPositiveLambda, match="tried 0"):
+        P.to_canonical_ttrr(sys0)
+
+
+def test_float_table_without_a_rational_centre_raises():
+    # 1/g rounds at g = 3.0, so the exactly converted table has no rational
+    # centre besides 0, where this chain's products are all negative
+    params = {"V1": 0.09, "V3": 400.0, "g": 3.0}
+    system = recurrence.build_baseline(models.make("chen-even", 20, params))
+    assert system.recentred == ()
+    with pytest.raises(NonPositiveLambda):
+        P.to_canonical_ttrr(system)
+    # the same well from exact parameters re-centres at z = 1
+    exact = {"V1": Fraction(9, 100), "V3": 400, "g": 3}
+    _, _, ttrr, roots = solve(models.make("chen-even", 20, exact))
+    assert ttrr.centre == 1 and len(roots.roots) == 21
 
 
 def test_real_roots_companion_cross_check_quadratic():
@@ -219,8 +231,11 @@ def test_real_roots_refuses_roots_it_cannot_polish():
         "razavy-sinh2", 80, {"xi": Fraction(1, 2), "alpha": 0, "beta": 1}
     )
     ttrr = P.to_canonical_ttrr(recurrence.build_baseline(model))
-    with pytest.raises(EigensolveFailure, match="9 of 81 roots"):
-        P.real_roots(ttrr)
+    # the overflow is reported by the typed error alone, not by a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EigensolveFailure, match="9 of 81 roots"):
+            P.real_roots(ttrr)
 
 
 def test_near_degenerate_pair_warns_not_merges():

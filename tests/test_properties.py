@@ -86,9 +86,9 @@ def model_instances(draw, max_n=5, rational_only=False):
 def test_solved_instance_invariants(model):
     system, chain, ttrr, roots = solve(model)
 
-    # chain products are strictly positive after the variant split
+    # chain products are strictly positive at the chosen centre
     assert all(lam > 0 for lam in ttrr.lam)
-    assert ttrr.variant in ("plus", "minus")
+    assert ttrr.centre in (0, *(centre for centre, _ in system.recentred))
 
     xs = np.asarray(roots.roots)
 

@@ -44,6 +44,42 @@ def test_build_baseline_reads_model_fields():
     assert system.baseline_value == 2
 
 
+_CHEN_DEEP = {"V1": Fraction(9, 100), "V3": 400, "g": Fraction(1, 4)}
+
+
+def test_candidate_centres_are_the_rational_zeros_of_the_leading_coefficient():
+    # chen: a3 z^2 + a2 z + a1 = (z - 1)(z - 1 - 1/g); razavy: 4 z - 4;
+    # coulomb: the constant 1, so only its own centre
+    chen = models.make("chen-even", 3, _CHEN_DEEP)
+    assert [r for r, _ in recurrence.build_baseline(chen).recentred] == [1, 5]
+    razavy = models.make("razavy", 3, {"xi": 1, "alpha": 0, "beta": 0})
+    assert [r for r, _ in recurrence.build_baseline(razavy).recentred] == [1]
+    coulomb = models.make("coulomb", 3, {"lambda": 1})
+    assert recurrence.build_baseline(coulomb).recentred == ()
+
+
+def test_recentre_keeps_the_graded_shape_and_the_lead_multiplicator():
+    model = models.make("chen-odd", 4, _CHEN_DEEP)
+    ode = model.ode_coefficients(Fraction(-7, 3))
+    shifted = recurrence.recentre(ode, 5)
+    # A(z) = a3 z^3 + a2 z^2 + a1 z, B and C at z = 5 + w
+    for w in (Fraction(-2), Fraction(1, 3), Fraction(4)):
+        z = 5 + w
+        assert ode.a3 * z**3 + ode.a2 * z**2 + ode.a1 * z == (
+            shifted.a3 * w**3 + shifted.a2 * w**2 + shifted.a1 * w
+        )
+        assert ode.b2 * z**2 + ode.b1 * z + ode.b0 == (
+            shifted.b2 * w**2 + shifted.b1 * w + shifted.b0
+        )
+        assert ode.c1 * z + ode.c0 == shifted.c1 * w + shifted.c0
+    for k in range(6):
+        assert recurrence.multiplicator_values(shifted, k)[0] == (
+            recurrence.multiplicator_values(ode, k)[0]
+        )
+    with pytest.raises(ValueError):
+        recurrence.recentre(ode, 2)
+
+
 # ---------------------------------------------------------------------------
 # chain construction against hand-solved instances
 # ---------------------------------------------------------------------------
