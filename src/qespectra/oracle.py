@@ -20,8 +20,9 @@ Two discretizations are used:
   on half-offset nodes x_i = (i - 1/2) h.  The flux through x = 0 carries
   weight w(0) = 0, which encodes the regularity condition with no boundary
   fudging, and a diagonal similarity reduces the problem to a symmetric
-  tridiagonal one.  Nearest-eigenvalue queries use bisection on an
-  expanding window, so very fine grids stay cheap.
+  tridiagonal one.  The nearest eigenvalue is found by O(N) shift-and-invert
+  solves and certified by one bisection query that is two Sturm counts when
+  nothing lies nearer, so very fine grids stay cheap.
 """
 
 from __future__ import annotations
@@ -35,10 +36,16 @@ from scipy import linalg as sla
 from . import wavefunctions
 from .errors import DegenerateGrid, GridMismatch, InvalidParams
 
-# Window-based eigenvalue query: gap is "converged" when halving the step
-# shrinks it by at least this factor, or it is already at the noise floor.
+# The gap is "converged" when halving the step shrinks it by at least this
+# factor, or it is already at the noise floor.
 _SHRINK = 3.0
 _GAP_FLOOR = 1e-9
+# Nearest-eigenvalue query: inverse-iteration solves at the target, then at
+# most this many Rayleigh-quotient steps; the FD matrix's rounding floor is
+# _FLOOR_EPS * eps * ||T||.
+_INVERSE_SOLVES = 2
+_RQ_STEPS = 3
+_FLOOR_EPS = 8.0
 # Step-size rule for default grids: h = _H_SCALE / max(1, E - min V).
 _H_SCALE = 0.07
 _MIN_POINTS = 4000
@@ -144,45 +151,99 @@ def fd_spectrum(model, scan, cfg, count=12):
     )
 
 
-def _nearest_two(diag, off, energy):
-    """Nearest and second-nearest eigenvalues to ``energy`` via windowing.
+def _start_vector(n):
+    """Fixed, zero-mean start for inverse iteration.
 
-    Expands a value window around the target until at least two eigenvalues
-    are safely interior, then reads off distances.  Falls back to the full
-    range for pathologically sparse spectra.
+    Pseudo-random entries overlap every eigenvector, whatever its parity.
     """
-    lo_bound = float(diag.min() - 2.0 * np.abs(off).max() if len(off) else diag.min())
-    hi_bound = float(diag.max() + 2.0 * np.abs(off).max() if len(off) else diag.max())
-    width = max(1.0, 1e-3 * (abs(energy) + 1.0))
-    for _ in range(40):
-        lo, hi = energy - width, energy + width
-        vals = sla.eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, hi))
-        if len(vals) >= 2:
-            dist = np.abs(vals - energy)
-            order = np.argsort(dist)
-            # accept only if the winner is safely inside the window
-            if dist[order[0]] < 0.5 * width:
-                return float(vals[order[0]]), float(dist[order[1]])
-        elif len(vals) == 1 and abs(vals[0] - energy) < 0.5 * width:
-            # one candidate close by; make sure no rival hides just outside
-            wider = sla.eigvalsh_tridiagonal(
-                diag, off, select="v",
-                select_range=(energy - 4 * width, energy + 4 * width),
-            )
-            if len(wider) >= 2:
-                dist = np.abs(wider - energy)
-                order = np.argsort(dist)
-                return float(wider[order[0]]), float(dist[order[1]])
-            return float(vals[0]), math.inf
-        if lo < lo_bound and hi > hi_bound:
+    x = np.random.default_rng(0).random(n)
+    x -= 0.5
+    x /= np.linalg.norm(x)
+    return x
+
+
+def _nearest(diag, off, energy):
+    """The eigenvalue of the tridiagonal T = (diag, off) nearest ``energy``.
+
+    Find: factor T - E once, take two inverse-iteration solves from a fixed
+    start, then Rayleigh-quotient steps (an LU solve at the current estimate
+    each) until one moves the estimate lam by no more than the rounding
+    floor 8 eps ||T||.  An exactly singular T - E makes E itself the answer.
+
+    Certify: the residual r of the final pair puts an eigenvalue within r of
+    lam, so one bisection query on the disc |mu - E| < |lam - E| - max(r,
+    floor) settles it.  An empty disc costs two Sturm counts and certifies
+    lam; any eigenvalue inside is bisected to full precision by the same
+    call and the nearest replaces lam.  If the steps stalled (r above twice
+    the floor, as for E midway between two eigenvalues), the disc grows to
+    |lam - E| + r instead, which holds at least one eigenvalue.
+    """
+    lapack = sla.lapack
+    tnorm = max(diag.max(), -diag.min()) + 2.0 * max(
+        off.max(initial=0.0), -off.min(initial=0.0)
+    )
+    floor = _FLOOR_EPS * np.finfo(float).eps * tnorm
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(
+        off.copy(), diag - energy, off.copy(),
+        overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+    )
+    if info > 0:
+        return float(energy)
+    x = _start_vector(len(diag))
+    lam = energy
+    for _ in range(_INVERSE_SOLVES):
+        y = lapack.dgttrs(dl, d, du, du2, ipiv, x)[0]
+        lam = energy + (x @ y) / (y @ y)
+        y /= np.linalg.norm(y)
+        x = y
+    del du2, ipiv
+    for _ in range(_RQ_STEPS):
+        shift = lam
+        np.subtract(diag, shift, out=d)
+        dl[:] = off
+        du[:] = off
+        y, info = lapack.dgtsv(
+            dl, d, du, x, overwrite_dl=1, overwrite_d=1, overwrite_du=1
+        )[3:]
+        if info > 0:  # exactly singular: the shift is an eigenvalue
             break
-        width *= 4.0
-    vals = sla.eigvalsh_tridiagonal(diag, off)
-    dist = np.abs(vals - energy)
-    order = np.argsort(dist)
-    if len(vals) == 1:
-        return float(vals[0]), math.inf
-    return float(vals[order[0]]), float(dist[order[1]])
+        lam = shift + (x @ y) / (y @ y)
+        y /= np.linalg.norm(y)
+        x = y
+        if abs(lam - shift) <= floor:
+            break
+    # r = (T - lam) x, in the factorization's buffers
+    r = np.subtract(diag, lam, out=d)
+    r *= x
+    r[:-1] += np.multiply(off, x[1:], out=dl)
+    r[1:] += np.multiply(off, x[:-1], out=du)
+    resid = float(np.linalg.norm(r))
+    del x, y, r, d, dl, du
+
+    dist = abs(lam - energy)
+    radius = dist - max(resid, floor) if resid <= 2.0 * floor else dist + resid
+    if radius > 0.0:
+        inside = sla.eigvalsh_tridiagonal(
+            diag, off, select="v", select_range=(energy - radius, energy + radius)
+        )
+        if len(inside):
+            lam = inside[np.argmin(np.abs(inside - energy))]
+    return float(lam)
+
+
+def _ambiguous(diag, off, energy, gap):
+    """Whether a second eigenvalue lies within 2 ``gap`` of ``energy``.
+
+    A Sturm count of [E - 2 gap, E + 2 gap]: the query's tolerance is wider
+    than its window, so no eigenvalue in it is bisected.
+    """
+    if gap <= 0.0:
+        return False
+    found = sla.eigvalsh_tridiagonal(
+        diag, off, select="v",
+        select_range=(energy - 2.0 * gap, energy + 2.0 * gap), tol=8.0 * gap,
+    )
+    return len(found) >= 2
 
 
 def _residual_full_line(model, scan, cfg, psi, energy):
@@ -256,8 +317,8 @@ def default_verify_config(model, root):
     The box extends past the sampled decay width of the state; the step
     follows the local-error estimate h^2 (E - min V)^2 / 12, clamped to a
     sane point range.  The energy scales of the deepest catalog wells push
-    the defaults far beyond 4000 points; windowed eigenvalue queries keep
-    that cheap.
+    the defaults far beyond 4000 points; O(N) nearest-eigenvalue queries
+    keep that cheap.
     """
     scan = root
     energy = model.energy(root)
@@ -332,23 +393,25 @@ def verify_root(model, root, energy=None, grid=None, cfg=None, chain=None):
             model, root, xs=grid_nodes(model, res_cfg), chain=chain
         )
     psi = np.asarray(grid.psi, dtype=float)
+    node_count = int(grid.node_count)
 
     if _is_radial(model):
         residual = _residual_radial(model, scan, res_cfg, psi, energy)
     else:
         residual = _residual_full_line(model, scan, res_cfg, psi, energy)
+    del grid, psi
 
     diag, off = _tridiag(model, scan, cfg)
-    nearest, second_dist = _nearest_two(diag, off, energy)
+    nearest = _nearest(diag, off, energy)
     gap = abs(nearest - energy)
+    ambiguous = _ambiguous(diag, off, energy, gap)
+    del diag, off
 
-    diag2, off2 = _tridiag(model, scan, _doubled(model, cfg))
-    nearest2, _ = _nearest_two(diag2, off2, energy)
-    gap2 = abs(nearest2 - energy)
+    diag, off = _tridiag(model, scan, _doubled(model, cfg))
+    gap2 = abs(_nearest(diag, off, energy) - energy)
 
     floor = _GAP_FLOOR * max(1.0, abs(energy))
     converged = (gap2 * _SHRINK <= gap) or (gap2 <= floor)
-    ambiguous = second_dist < 2.0 * gap
     return VerificationReport(
         algebraic_energy=energy,
         nearest_fd_energy=nearest,
@@ -356,5 +419,5 @@ def verify_root(model, root, energy=None, grid=None, cfg=None, chain=None):
         residual=residual,
         converged=converged,
         ambiguous=ambiguous,
-        node_count=int(grid.node_count),
+        node_count=node_count,
     )
