@@ -10,8 +10,8 @@ a finite polynomial space:
 * ``recurrence`` — gradation slicing of the canonical equation into a
   terminating three-term recurrence and the constraint polynomial whose
   roots are the algebraic spectrum;
-* ``polynomials`` — canonical chain form, symmetric-tridiagonal root
-  extraction with polishing, and a companion-matrix cross-check;
+* ``polynomials`` — canonical chain form, and root extraction by a
+  symmetric-tridiagonal eigensolve with Newton polishing;
 * ``wavefunctions`` — exact assembly and stable sampling of the polynomial
   wavefunctions, node counting, parity;
 * ``oracle`` — independent finite-difference verification of every

@@ -37,13 +37,8 @@ class NonPositiveLambda(QesError):
 
 
 class EigensolveFailure(QesError):
-    """An eigenvalue backend returned something unusable (NaN, complex pairs
-    where real roots were guaranteed, or a failed convergence flag)."""
-
-
-class ComplexRootDetected(QesError):
-    """A root with a significant imaginary part appeared where only real
-    roots are meaningful."""
+    """An eigenvalue backend returned something unusable (NaN, a failed
+    convergence flag), or a root could not be polished."""
 
 
 class NotARoot(QesError):

@@ -18,9 +18,8 @@ positive, the terminal member's roots are the eigenvalues of the symmetric
 solver delivers them to machine precision, after which a Newton polish
 through the recurrence itself restores the last bits.  The products depend
 on where the ODE variable is centred, so the canonical form is taken at the
-first candidate centre where they are all positive.  Root finding on
-monomial coefficients (companion matrix) is kept as an independent
-cross-check.
+first candidate centre where they are all positive.  :func:`real_roots` is
+the one root finder.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import numpy as np
 from scipy import linalg as sla
 
 from .errors import (
-    ComplexRootDetected,
     DivisionByZeroMultiplicator,
     EigensolveFailure,
     NonPositiveLambda,
@@ -42,8 +40,6 @@ from .errors import (
     SimplicityWarning,
 )
 
-# Relative imaginary part above which an eigenvalue no longer counts as real.
-_IMAG_TOL = 1e-8
 # Roots closer than this fraction of the root span trigger SimplicityWarning.
 _SIMPLE_RTOL = 1e-10
 
@@ -241,7 +237,7 @@ def to_canonical_ttrr(system):
     """Reduce a baseline recurrence to canonical monic form.
 
     ``system`` is a :class:`~qespectra.recurrence.BaselineSystem` (any object
-    with ``n`` and ``mult`` attributes works; ``recentred`` is optional).
+    with ``n``, ``mult`` and ``recentred`` attributes works).
     Writing the grade-0 multiplicator as ``F0(k; x) = q(k) + sigma * x``,
     the raw members are rescaled to be monic in ``y = sigma * x``, which
     turns the recurrence into the canonical chain with
@@ -271,7 +267,7 @@ def to_canonical_ttrr(system):
                 f"leading multiplicator vanishes at slice {j} < n={n}"
             )
 
-    centres = ((Fraction(0), system.mult), *getattr(system, "recentred", ()))
+    centres = ((Fraction(0), system.mult), *system.recentred)
     for centre, mult in centres:
         lam = [1.0]
         for k in range(2, n + 2):
@@ -311,75 +307,14 @@ def ttrr_terminal(ttrr, y):
     return p, dp, m
 
 
-def _polish_on(eval_fn, ys):
-    """Damped Newton polish of a sorted root estimate vector.
-
-    Each root may move at most a fraction of the gap to its nearest
-    neighbour, so polishing can never reorder or merge the estimates.
-    ``eval_fn(y) -> (value, derivative, magnitude)``.
-    """
-    ys = np.sort(np.asarray(ys, dtype=float))
-    out = np.empty_like(ys)
-    resid = np.empty_like(ys)
-    n = len(ys)
-    for i in range(n):
-        gap = math.inf
-        if i > 0:
-            gap = min(gap, ys[i] - ys[i - 1])
-        if i + 1 < n:
-            gap = min(gap, ys[i + 1] - ys[i])
-        cap = 0.4 * gap
-        y = float(ys[i])  # Python floats overflow quietly; the caller reports it
-        v, dv, mag = eval_fn(y)
-        best_y, best_v = y, abs(v)
-        for _ in range(12):
-            if dv == 0.0 or not math.isfinite(v):
-                break
-            step = -v / dv
-            if abs(step) > cap:
-                step = math.copysign(cap, step)
-            y += step
-            v, dv, mag = eval_fn(y)
-            if abs(v) < best_v:
-                best_y, best_v = y, abs(v)
-            if abs(step) <= 1e-16 * (1.0 + abs(y)):
-                break
-        out[i] = best_y
-        resid[i] = best_v
-    return out, resid
-
-
-def _finish_rootset(xs, resid):
-    """Sort by physical value, compute min gap, warn on near-degeneracy."""
-    order = np.argsort(xs)
-    xs = xs[order]
-    resid = resid[order]
-    if len(xs) > 1:
-        gaps = np.diff(xs)
-        min_gap = float(gaps.min())
-        span = float(xs[-1] - xs[0])
-        if span > 0 and min_gap < _SIMPLE_RTOL * span:
-            warnings.warn(
-                f"two roots are only {min_gap:.3g} apart (span {span:.3g}); "
-                "reporting both rather than merging",
-                SimplicityWarning,
-                stacklevel=3,
-            )
-    else:
-        min_gap = math.inf
-    return RootSet(
-        roots=tuple(float(x) for x in xs),
-        residuals=tuple(float(r) for r in resid),
-        min_gap=min_gap,
-    )
-
-
 def real_roots(ttrr):
     """All roots of the terminal canonical member, by tridiagonal eigensolve.
 
     The eigenvalues of the symmetric Jacobi matrix (real and simple by
     construction) are polished through the chain recurrence and returned
-    in the physical scan variable, ascending.
+    in the physical scan variable, ascending.  Roots closer than a tiny
+    fraction of the span are reported anyway, with a
+    :class:`SimplicityWarning`, rather than merged.
 
     Raises:
         EigensolveFailure: the eigensolve fails, or the chain recurrence
@@ -394,61 +329,61 @@ def real_roots(ttrr):
         diag = np.asarray(ttrr.d, dtype=float)
         off = np.sqrt(np.asarray(ttrr.lam[1:], dtype=float))
         try:
-            ys = sla.eigvalsh_tridiagonal(diag, off)
+            ys = sla.eigvalsh_tridiagonal(diag, off)  # ascending
         except Exception as exc:  # pragma: no cover - LAPACK failure path
             raise EigensolveFailure(f"tridiagonal eigensolve failed: {exc}") from exc
     if not np.all(np.isfinite(ys)):
         raise EigensolveFailure("eigensolve produced non-finite values")
 
-    ys, resid = _polish_on(lambda y: ttrr_terminal(ttrr, y), ys)
+    # Damped Newton polish: each root moves at most 0.4 of the gap to its
+    # nearest neighbour, so the polish can never reorder or merge them.
+    gaps = np.concatenate(([math.inf], np.diff(ys), [math.inf]))
+    caps = 0.4 * np.minimum(gaps[:-1], gaps[1:])
+    polished = np.empty_like(ys)
+    resid = np.empty_like(ys)
+    for i, (y, cap) in enumerate(zip(ys.tolist(), caps.tolist())):
+        # Python floats overflow quietly; the check below reports it
+        v, dv, _ = ttrr_terminal(ttrr, y)
+        best_y, best_v = y, abs(v)
+        for _ in range(12):
+            if dv == 0.0 or not math.isfinite(v):
+                break
+            step = -v / dv
+            if abs(step) > cap:
+                step = math.copysign(cap, step)
+            y += step
+            v, dv, _ = ttrr_terminal(ttrr, y)
+            if abs(v) < best_v:
+                best_y, best_v = y, abs(v)
+            if abs(step) <= 1e-16 * (1.0 + abs(y)):
+                break
+        polished[i] = best_y
+        resid[i] = best_v
     if not np.all(np.isfinite(resid)):
         # the float chain overflowed there, so those roots are raw seeds
         raise EigensolveFailure(
             f"{int(np.count_nonzero(~np.isfinite(resid)))} of {m} roots could "
             "not be polished: the canonical chain is not finite there"
         )
-    xs = ttrr.scale * ys
-    return _finish_rootset(xs, resid)
 
-
-def real_roots_companion(coeffs):
-    """Roots of a monomial-coefficient polynomial via the companion matrix.
-
-    Independent cross-check for :func:`real_roots`.  Raises
-    :class:`ComplexRootDetected` if any root has a relative imaginary part
-    above the tolerance, or if two seeds polish to the same point (a
-    conjugate pair whose imaginary parts fall below the tolerance, or a
-    multiple root), since the constraint polynomials this package builds
-    must have real simple roots.
-    """
-    # Seeds come from eigenvalues of the float companion matrix, but the
-    # Newton polish keeps the caller's coefficients exact (ints, Fractions,
-    # and floats are all finite rationals).  Anything less loses the
-    # near-degenerate pairs twice over: rounding the coefficients displaces
-    # a doublet root by (rounding / tiny slope), and float64 Horner noise in
-    # the slope turns the Newton steps themselves into junk.
-    exact_c = [Fraction(v) for v in trim(list(coeffs))]
-    c = trim([float(v) for v in exact_c])
-    if len(c) < 2:
-        raise ValueError("need a polynomial of degree >= 1")
-    r = np.roots(c[::-1])
-    radius = float(np.abs(r).max()) or 1.0
-    worst = float(np.abs(r.imag).max())
-    if worst > _IMAG_TOL * radius:
-        raise ComplexRootDetected(
-            f"companion root imaginary part {worst:.3g} exceeds "
-            f"{_IMAG_TOL:.0e} * radius {radius:.3g}"
-        )
-    image = integer_image(exact_c)
-    slope_image = integer_image(poly_deriv(exact_c))
-
-    def chain_eval(y):
-        return float(eval_image(image, y)), float(eval_image(slope_image, y)), 0.0
-
-    ys, resid = _polish_on(chain_eval, np.sort(r.real))
-    if np.any(np.diff(ys) <= 0):
-        raise ComplexRootDetected(
-            "two companion roots polish to the same point; the pair is "
-            "complex or multiple, not two real simple roots"
-        )
-    return _finish_rootset(ys, resid)
+    # a negative scale reverses the order
+    xs = ttrr.scale * polished
+    order = np.argsort(xs)
+    xs = xs[order]
+    resid = resid[order]
+    min_gap = math.inf
+    if m > 1:
+        min_gap = float(np.diff(xs).min())
+        span = float(xs[-1] - xs[0])
+        if span > 0 and min_gap < _SIMPLE_RTOL * span:
+            warnings.warn(
+                f"two roots are only {min_gap:.3g} apart (span {span:.3g}); "
+                "reporting both rather than merging",
+                SimplicityWarning,
+                stacklevel=2,
+            )
+    return RootSet(
+        roots=tuple(float(x) for x in xs),
+        residuals=tuple(float(r) for r in resid),
+        min_gap=min_gap,
+    )

@@ -125,9 +125,6 @@ class BaselineSystem:
 
     n: int
     mult: SliceMultiplicators
-    scan_variable: str
-    baseline_name: str
-    baseline_value: object
     recentred: tuple = ()
 
 
@@ -206,16 +203,12 @@ def build_baseline(model):
     The same tables are also read off the table shifted to each of
     :func:`candidate_centres`; the shift leaves F1 and sigma0 as they are.
     """
-    name, value = model.baseline()
     at0 = OdeCoefficients(*map(Fraction, astuple(model.ode_coefficients(0))))
     sigma0 = Fraction(model.ode_coefficients(1).c0) - at0.c0
     n = model.n
     return BaselineSystem(
         n=n,
         mult=_slice_multiplicators(at0, sigma0, n),
-        scan_variable=model.scan_name,
-        baseline_name=name,
-        baseline_value=value,
         recentred=tuple(
             (r, _slice_multiplicators(recentre(at0, r), sigma0, n))
             for r in candidate_centres(at0)

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import pytest
 
-from qespectra import models, recurrence, solve
+from qespectra import models, polynomials, recurrence, solve
 
 # The deep-well instances the acceptance suite revolves around, with exact
 # rational parameters so every coefficient table stays in Fraction arithmetic.
@@ -67,3 +67,47 @@ def float_chain_at(model, x):
     f0, fm1 = grade(0, 1), grade(1, 2)
     constraint = (fm1 * p_prev + f0 * p, abs(fm1) * m_prev + abs(f0) * m)
     return members, constraint
+
+
+def exact_root(chain, root):
+    """The constraint root next to the float ``root``, as a rational.
+
+    Exact Newton on the chain's integer image, kept to 330 fractional bits,
+    until the step falls below 2**-300 of the root.
+    """
+    x, grain = Fraction(root), 1 << 330
+    for _ in range(50):
+        value = polynomials.eval_image(chain.constraint_image, x)
+        if value == 0:
+            break
+        step = value / polynomials.eval_image(chain.slope_image, x)
+        x = Fraction(round((x - step) * grain), grain)
+        if abs(step) <= abs(x) / 2**300:
+            break
+    else:
+        raise AssertionError(f"exact Newton from {root!r} did not converge")
+    return x
+
+
+def certified_roots(chain, roots):
+    """Certify a root set against the exact constraint; the refined roots.
+
+    Each float root is refined by :func:`exact_root`; the refined rationals
+    must be strictly increasing.  The constraint, of degree n + 1, must then
+    change sign n + 1 times across n + 2 points: the midpoints between
+    neighbouring refined roots, and one point a span below the lowest and
+    one a span above the highest.  So it has exactly n + 1 real simple
+    roots, one in each interval, and the float roots find all of them.
+    """
+    refined = [exact_root(chain, root) for root in roots.roots]
+    assert all(a < b for a, b in zip(refined, refined[1:])), "refined roots not increasing"
+    span = (refined[-1] - refined[0]) or 1
+    points = [
+        refined[0] - span,
+        *((a + b) / 2 for a, b in zip(refined, refined[1:])),
+        refined[-1] + span,
+    ]
+    values = [polynomials.eval_image(chain.constraint_image, x) for x in points]
+    changes = sum(a * b < 0 for a, b in zip(values, values[1:]))
+    assert changes == chain.n + 1, f"{changes} sign changes for {chain.n + 1} roots"
+    return refined

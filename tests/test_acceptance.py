@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import DEEP_CASES
-from qespectra import models, oracle, polynomials, recurrence, solve
+from conftest import DEEP_CASES, certified_roots, exact_root
+from qespectra import models, oracle, recurrence, solve
 from qespectra.errors import NonPositiveLambda
 
 # ---------------------------------------------------------------------------
@@ -182,8 +182,8 @@ TABLE_PARAMS = {
 
 def test_10_invariant_sweep(deep):
     # (a) positive chain products and (b) real simple ascending roots,
-    # (c) assembled solutions solve the equation, (d) the two root-finding
-    # routes agree, all across the deep cases
+    # (c) assembled solutions solve the equation, (d) the roots are
+    # certified against the exact constraint, all across the deep cases
     for key in DEEP_CASES:
         model, system, chain, ttrr, roots = deep(key)
         assert all(lam > 0 for lam in ttrr.lam), key
@@ -198,12 +198,9 @@ def test_10_invariant_sweep(deep):
             residual = recurrence.relative_ode_residual(ode, solution)
             assert residual < 1e-10, f"{key} root {root}: residual {residual:.3g}"
 
-        other = polynomials.real_roots_companion(exact_chain.constraint)
+        exact = [float(x) for x in certified_roots(exact_chain, roots)]
         span = max(1.0, float(xs[-1] - xs[0]))
-        np.testing.assert_allclose(
-            np.asarray(other.roots), xs, rtol=1e-9, atol=1e-9 * span,
-            err_msg=key,
-        )
+        np.testing.assert_allclose(exact, xs, rtol=1e-9, atol=1e-9 * span, err_msg=key)
 
     # (f) the per-model multiplicator tables match the generic quadratic
     # slice rule applied to the model's ODE coefficients
@@ -283,26 +280,6 @@ LONG_CASES = {
 }
 
 
-def exact_root(chain, root):
-    """The constraint root next to ``root``, correctly rounded to a float.
-
-    Exact Newton on the chain's integer image, kept to 330 fractional bits,
-    until the step falls below 2**-300 of the root; rounded once.
-    """
-    x, grain = Fraction(root), 1 << 330
-    for _ in range(50):
-        value = polynomials.eval_image(chain.constraint_image, x)
-        if value == 0:
-            break
-        step = value / polynomials.eval_image(chain.slope_image, x)
-        x = Fraction(round((x - step) * grain), grain)
-        if abs(step) <= abs(x) / 2**300:
-            break
-    else:
-        raise AssertionError(f"exact Newton from {root!r} did not converge")
-    return float(x)
-
-
 def ulps(a, b):
     """How many doubles lie between ``a`` and ``b``, counting one end."""
     def ordinal(x):
@@ -320,7 +297,7 @@ def test_12_roots_are_within_a_few_ulp_of_the_exact_roots(deep):
     far = []
     for key, chain, roots, bound in cases:
         for index, root in enumerate(roots.roots):
-            distance = ulps(root, exact_root(chain, root))
+            distance = ulps(root, float(exact_root(chain, root)))
             if distance > bound:
                 far.append(f"{key}[{index}]: {distance} ulp (bound {bound})")
     assert not far, "\n".join(far)
@@ -377,8 +354,10 @@ def test_13_envelope_roots_or_no_positive_centre(model_id, params, n):
         with pytest.raises(NonPositiveLambda):
             solve(model)
         return
-    _, _, ttrr, roots = solve(model)
+    _, chain, ttrr, roots = solve(model)
     assert ttrr.centre == positive[0]
     xs = np.asarray(roots.roots)
     assert len(xs) == n + 1
     assert np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)
+    if n < 40:  # test_12 certifies four n = 40 chains exactly
+        certified_roots(chain, roots)

@@ -494,6 +494,18 @@ def test_exit_3_on_numerical_failure(capsys):
     assert code == 3
 
 
+def test_exit_3_when_the_constraint_overflows_float(capsys):
+    # the n = 150 constraint has coefficients beyond the float range
+    code = cli.main([
+        "constraint", "--model", "razavy-sinh2", "--n", "150",
+        "--param", "xi=1/2", "--param", "alpha=0", "--param", "beta=1",
+        "--range=-10:10:3",
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "listing.json"
     code, out = run_cli("models", "--out", str(target), capsys=capsys)

@@ -1,5 +1,6 @@
 """Unit tests for dense polynomial arithmetic and root extraction."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -7,10 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import certified_roots
 from qespectra import models, recurrence, solve
 from qespectra import polynomials as P
 from qespectra.errors import (
-    ComplexRootDetected,
     EigensolveFailure,
     NonPositiveLambda,
     SigmaZero,
@@ -130,6 +131,8 @@ class _FakeMult:
 
 
 class _FakeSystem:
+    recentred = ()
+
     def __init__(self, n):
         self.n = n
         self.mult = _FakeMult(n)
@@ -202,26 +205,14 @@ def test_float_table_without_a_rational_centre_raises():
     assert ttrr.centre == 1 and len(roots.roots) == 21
 
 
-def test_real_roots_companion_cross_check_quadratic():
-    # x^2 - 3x + 2
-    rs = P.real_roots_companion([2, -3, 1])
-    np.testing.assert_allclose(rs.roots, [1.0, 2.0], atol=1e-12)
-    assert rs.min_gap == pytest.approx(1.0)
-
-
-def test_real_roots_companion_rejects_complex():
-    with pytest.raises(ComplexRootDetected):
-        P.real_roots_companion([1, 0, 1])     # x^2 + 1
-
-
-def test_real_roots_companion_rejects_a_collapsed_doublet():
-    # dshg n = 5, xi = 0.1 (float): the companion seeds of the lowest doublet
-    # coincide, so polishing cannot split them; the canonical route resolves
-    # both members
+def test_real_roots_resolves_a_tight_doublet():
+    # dshg n = 5, xi = 0.1 (float): the lowest doublet is tight enough that
+    # companion-matrix seeds of the monomial constraint coincide; the
+    # canonical route resolves both members, and the exact constraint
+    # certifies them
     _, chain, _, roots = solve(models.make("dshg", 5, {"xi": 0.1}))
-    with pytest.raises(ComplexRootDetected):
-        P.real_roots_companion(chain.constraint)
     assert roots.min_gap > 0
+    certified_roots(chain, roots)
 
 
 def test_real_roots_refuses_roots_it_cannot_polish():
@@ -239,18 +230,42 @@ def test_real_roots_refuses_roots_it_cannot_polish():
 
 
 def test_near_degenerate_pair_warns_not_merges():
-    # x (x - 1) (x - 1e12): the 0..1 gap is far below 1e-10 of the span,
-    # yet each root is perfectly well conditioned
-    coeffs = P.poly_mul(P.poly_mul([0.0, 1.0], [-1.0, 1.0]), [-1e12, 1.0])
-    with pytest.warns(SimplicityWarning):
-        rs = P.real_roots_companion(coeffs)
+    # the terminal member is y (y - 1) (y - 1e12) - (y - 1/2): roots within
+    # 1e-12 of 0, 1 and 1e12.  The 0..1 gap is far below 1e-10 of the
+    # span, yet each root is perfectly well conditioned
+    ttrr = P.CanonicalTtrr(
+        centre=Fraction(0), d=(0.5, 0.5, 1e12), lam=(1.0, 0.25, 1.0), scale=1.0
+    )
+    with pytest.warns(SimplicityWarning) as record:
+        rs = P.real_roots(ttrr)
+    assert record[0].filename == __file__   # points at the caller
     assert len(rs.roots) == 3
+    np.testing.assert_allclose(rs.roots, [0.0, 1.0, 1e12], rtol=1e-12, atol=1e-11)
     assert rs.min_gap == pytest.approx(1.0, rel=1e-6)
 
 
+# terminal member (y - 2) ((y - 2)^2 - 1): roots 1, 2, 3
+_ONE_TWO_THREE = P.CanonicalTtrr(
+    centre=Fraction(0), d=(2.0, 2.0, 2.0), lam=(1.0, 0.5, 0.5), scale=1.0
+)
+
+
 def test_rootset_is_ascending_with_residuals():
-    rs = P.real_roots_companion([6.0, -11.0, 6.0, -1.0])  # roots 1, 2, 3
+    rs = P.real_roots(_ONE_TWO_THREE)
     assert list(rs.roots) == sorted(rs.roots)
     np.testing.assert_allclose(rs.roots, [1.0, 2.0, 3.0], atol=1e-10)
     assert all(r >= 0.0 for r in rs.residuals)
     assert rs.min_gap == pytest.approx(1.0, abs=1e-9)
+
+
+def test_negative_scale_roots_are_resorted_ascending():
+    # scan = -y, as for a chain whose sigma0 is negative: the polished roots
+    # come out descending and are re-sorted with their residuals
+    ttrr = P.CanonicalTtrr(
+        centre=Fraction(0), d=(0.5, 0.5, 1e3), lam=(1.0, 0.25, 1.0), scale=1.0
+    )
+    up = P.real_roots(ttrr)
+    down = P.real_roots(dataclasses.replace(ttrr, scale=-1.0))
+    assert down.roots == tuple(-x for x in reversed(up.roots))
+    assert down.residuals == tuple(reversed(up.residuals))
+    assert down.min_gap == up.min_gap

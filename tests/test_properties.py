@@ -7,9 +7,8 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import float_chain_at
+from conftest import certified_roots, float_chain_at
 from qespectra import cli, models, polynomials, recurrence, solve, wavefunctions
-from qespectra.errors import ComplexRootDetected
 
 settings.register_profile("suite", max_examples=30, deadline=None)
 settings.load_profile("suite")
@@ -97,19 +96,11 @@ def test_solved_instance_invariants(model):
     assert np.all(np.isfinite(xs))
     assert np.all(np.diff(xs) > 0)
 
-    # eigensolve route agrees with the companion-matrix route on the exact
-    # constraint coefficients; a doublet so tight that the float companion
-    # seeds collapse into a conjugate pair (or into one point, as at dshg
-    # n = 5, xi = 0.1) is the one documented out
+    # the exact constraint certifies every root, tight doublets included
+    # (dshg n = 5, xi = 0.1), and the float roots sit on the exact ones
+    exact = [float(x) for x in certified_roots(chain, roots)]
     span = max(1.0, float(xs[-1] - xs[0]))
-    try:
-        other = polynomials.real_roots_companion(chain.constraint)
-    except ComplexRootDetected:
-        pass
-    else:
-        np.testing.assert_allclose(
-            np.asarray(other.roots), xs, rtol=1e-9, atol=1e-9 * span
-        )
+    np.testing.assert_allclose(exact, xs, rtol=1e-9, atol=1e-9 * span)
 
     # every assembled solution satisfies the defining equation
     for root in roots.roots:

@@ -39,9 +39,8 @@ def test_build_baseline_reads_model_fields():
     model = models.make("coulomb", 2, {"lambda": Fraction(1, 2)})
     system = recurrence.build_baseline(model)
     assert system.n == 2
-    assert system.scan_variable == "beta"
-    assert system.baseline_name == "epsilon"
-    assert system.baseline_value == 2
+    assert model.scan_name == "beta"
+    assert model.baseline() == ("epsilon", 2)
 
 
 _CHEN_DEEP = {"V1": Fraction(9, 100), "V3": 400, "g": Fraction(1, 4)}
@@ -128,9 +127,6 @@ def test_division_by_zero_multiplicator():
         mult=recurrence.SliceMultiplicators(
             lead=(0, 1, -1), mid=(0, 0, 1), trail=(0, 1, 0), sigma0=1,
         ),
-        scan_variable="x",
-        baseline_name="none",
-        baseline_value=0,
     )
     with pytest.raises(DivisionByZeroMultiplicator):
         recurrence.run_ttrr(system)
