@@ -22,9 +22,9 @@ Output is JSON (default for models/roots/verify) or CSV (default for
 constraint/wavefunction); numbers carry 17 significant digits so emitted
 files round-trip bit-exactly through a parse/re-emit cycle.
 
-Exit codes: 0 success; 2 invalid request (unknown model, bad parameters,
-inadmissible baseline); 3 numerical failure inside the pipeline; 4
-verification shortfall.
+Exit codes: 0 success; 2 invalid request (unknown model, bad parameters or
+grid options, inadmissible baseline); 3 numerical failure inside the
+pipeline; 4 verification shortfall.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import numpy as np
 from . import models, oracle, polynomials, recurrence, wavefunctions
 from .errors import (
     BaselineUnsolvable,
+    DegenerateGrid,
     DomainError,
     InvalidParams,
     QesError,
@@ -205,6 +206,14 @@ def _build_model(args):
     return model
 
 
+def _requested_grid(make, *args, **kwargs):
+    """A grid built from command-line options: a bad one is a bad request."""
+    try:
+        return make(*args, **kwargs)
+    except DegenerateGrid as exc:
+        raise InvalidParams(str(exc)) from exc
+
+
 def _pick_indices(roots, root_index):
     count = len(roots.roots)
     if root_index is None:
@@ -350,16 +359,17 @@ def cmd_constraint(args):
 
 def cmd_wavefunction(args):
     model = _build_model(args)
+    xs = _requested_grid(
+        wavefunctions.default_grid,
+        model,
+        model.n,
+        points=args.grid_points,
+        halfwidth=args.grid_l,
+    )
     _, chain, _, roots = recurrence.solve(model)
     index = _pick_indices(roots, args.root_index)[0]
     root = roots.roots[index]
-    grid = wavefunctions.sample(
-        model,
-        root,
-        points=args.grid_points,
-        halfwidth=args.grid_l,
-        chain=chain,
-    )
+    grid = wavefunctions.sample(model, root, xs=xs, chain=chain)
     if args.format == "json":
         payload = {
             "model": args.model,
@@ -388,7 +398,8 @@ def cmd_verify(args):
         cfg = None
         if any(v is not None for v in overrides):
             base = oracle.default_verify_config(model, root)
-            cfg = oracle.FdConfig(
+            cfg = _requested_grid(
+                oracle.FdConfig,
                 xmin=base.xmin if args.xmin is None else args.xmin,
                 xmax=base.xmax if args.xmax is None else args.xmax,
                 points=base.points if args.points is None else args.points,

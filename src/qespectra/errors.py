@@ -55,10 +55,6 @@ class AsymmetricGrid(QesError):
     about the origin."""
 
 
-class GridMismatch(QesError):
-    """Wavefunction samples do not live on the verifier's grid."""
-
-
 class SimplicityWarning(UserWarning):
     """Two computed roots are closer than the simplicity resolution
     threshold; they are reported anyway rather than silently merged."""

@@ -18,11 +18,12 @@ Two families of scan variable occur:
   fixed and the constraint roots are the algebraic energies themselves.
 
 Each model describes its recurrence once, by its ODE coefficient table;
-:func:`qespectra.recurrence.build_baseline` reads the slice multiplicators
-off that table.  The tables are written with plain arithmetic so that
-exact (Fraction) inputs produce exact coefficients.  Only the sech-power
-well classifies its admissible potentials as double wells
-(``double_well``); the other models have no such method.
+:meth:`~qespectra.recurrence.OdeCoefficients.multiplicators` reads the
+slice multiplicators straight off that table.  The tables are written
+with plain arithmetic so that exact (Fraction) inputs produce exact
+coefficients.  Only the sech-power well classifies its admissible
+potentials as double wells (``double_well``); the other models have no
+such method.
 
 Each class also declares its user-facing parameters once, as ``PARAMS``
 (user name -> field).  A :data:`CATALOG` row adds only the fixed fields

@@ -34,7 +34,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from . import wavefunctions
-from .errors import DegenerateGrid, GridMismatch, InvalidParams
+from .errors import DegenerateGrid, InvalidParams
 
 # The gap is "converged" when halving the step shrinks it by at least this
 # factor, or it is already at the noise floor.
@@ -363,35 +363,22 @@ def _doubled(model, cfg):
     return FdConfig(cfg.xmin, cfg.xmax, 2 * cfg.points + 1)
 
 
-def verify_root(model, root, energy=None, grid=None, cfg=None, chain=None):
+def verify_root(model, root, energy=None, cfg=None, chain=None):
     """Check one algebraic (root, energy) pair against the FD operator.
 
-    ``grid`` may carry a pre-sampled wavefunction; it must live exactly on
-    the verifier's nodes for ``cfg`` (GridMismatch otherwise).  When absent,
-    the wavefunction is sampled here.
+    The wavefunction is sampled here, on :func:`grid_nodes` of ``cfg``; when
+    ``cfg`` is the default, the radial residual gets its own finer mesh.
     """
     energy = model.energy(root) if energy is None else float(energy)
-    explicit_cfg = cfg is not None
-    if cfg is None:
-        cfg = default_verify_config(model, root)
     scan = root
     res_cfg = cfg
-    if grid is not None:
-        nodes = grid_nodes(model, cfg)
-        xs = np.asarray(grid.xs, dtype=float)
-        if len(xs) != len(nodes) or not np.allclose(
-            xs, nodes, rtol=0.0, atol=1e-9 * (cfg.xmax - cfg.xmin)
-        ):
-            raise GridMismatch(
-                f"wavefunction grid ({len(xs)} pts) does not match the "
-                f"verifier nodes ({len(nodes)} pts) for this configuration"
-            )
-    else:
-        if not explicit_cfg and _is_radial(model):
+    if cfg is None:
+        cfg = res_cfg = default_verify_config(model, root)
+        if _is_radial(model):
             res_cfg = _radial_residual_config(model, scan, cfg)
-        grid = wavefunctions.sample(
-            model, root, xs=grid_nodes(model, res_cfg), chain=chain
-        )
+    grid = wavefunctions.sample(
+        model, root, xs=grid_nodes(model, res_cfg), chain=chain
+    )
     psi = np.asarray(grid.psi, dtype=float)
     node_count = int(grid.node_count)
 

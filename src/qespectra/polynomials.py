@@ -237,20 +237,21 @@ def to_canonical_ttrr(system):
     """Reduce a baseline recurrence to canonical monic form.
 
     ``system`` is a :class:`~qespectra.recurrence.BaselineSystem` (any object
-    with ``n``, ``mult`` and ``recentred`` attributes works).
-    Writing the grade-0 multiplicator as ``F0(k; x) = q(k) + sigma * x``,
-    the raw members are rescaled to be monic in ``y = sigma * x``, which
-    turns the recurrence into the canonical chain with
+    with ``n``, ``sigma0`` and ``centres`` attributes works, each centre's
+    table offering ``multiplicators(k) -> (F1, F0, Fm1)`` at scan value 0).
+    Writing the grade-0 multiplicator as ``F0(k) + sigma * x``, the raw
+    members are rescaled to be monic in ``y = sigma * x``, which turns the
+    recurrence into the canonical chain with
 
-        d_k   = -q(n + 1 - k)
+        d_k   = -F0(n + 1 - k)
         lam_k = Fm1(n + 2 - k) * F1(n + 1 - k)
 
     for ``k = 1 .. n+1``.  The terminal member (one step past the last
     regular slice) is proportional to the constraint polynomial, so its
     roots are exactly the admissible scan values.  The multiplicators are
-    taken at the model's own centre or, failing that, at the first of the
-    system's other centres whose products are all positive; F1 and sigma
-    are the same at every centre, and so are the constraint's roots.
+    taken at the first of the system's centres whose products are all
+    positive; F1 and sigma are the same at every centre, and so are the
+    constraint's roots.
 
     Raises:
         SigmaZero: the scan variable is absent from the recurrence.
@@ -258,28 +259,26 @@ def to_canonical_ttrr(system):
         NonPositiveLambda: no centre gives all-positive products.
     """
     n = system.n
-    sigma = system.mult.sigma0
+    sigma = system.sigma0
     if sigma == 0:
         raise SigmaZero("grade-0 multiplicator has no scan-variable term")
-    for j in range(n):
-        if system.mult.f1(j) == 0:
+    for centre, ode in system.centres:
+        F1, F0, Fm1 = zip(*map(ode.multiplicators, range(n + 2)))
+        if 0 in F1[:n]:
             raise DivisionByZeroMultiplicator(
-                f"leading multiplicator vanishes at slice {j} < n={n}"
+                f"leading multiplicator vanishes at slice {F1.index(0)} < n={n}"
             )
-
-    centres = ((Fraction(0), system.mult), *system.recentred)
-    for centre, mult in centres:
         lam = [1.0]
         for k in range(2, n + 2):
-            lam.append(float(mult.fm1(n + 2 - k)) * float(mult.f1(n + 1 - k)))
+            lam.append(float(Fm1[n + 2 - k]) * float(F1[n + 1 - k]))
         if all(v > 0 for v in lam):
             return CanonicalTtrr(
                 centre=centre,
-                d=tuple(-float(mult.f0_const(n + 1 - k)) for k in range(1, n + 2)),
+                d=tuple(-float(F0[n + 1 - k]) for k in range(1, n + 2)),
                 lam=tuple(lam),
                 scale=1.0 / float(sigma),
             )
-    tried = ", ".join(str(centre) for centre, _ in centres)
+    tried = ", ".join(str(centre) for centre, _ in system.centres)
     raise NonPositiveLambda(
         f"the chain products are not all positive at any centre (tried {tried}); "
         "no symmetric tridiagonal eigenproblem represents this chain"
@@ -287,24 +286,16 @@ def to_canonical_ttrr(system):
 
 
 def ttrr_terminal(ttrr, y):
-    """Terminal chain member at ``y``: value, derivative and magnitude.
-
-    The magnitude is the same recurrence run on absolute values, giving the
-    natural backward-error scale for deciding whether a value is
-    numerically zero.
-    """
+    """Terminal chain member at ``y``: value and derivative."""
     p_prev, p = 0.0, 1.0
     dp_prev, dp = 0.0, 0.0
-    m_prev, m = 0.0, 1.0
     for dk, lk in zip(ttrr.d, ttrr.lam):
         lin = y - dk
         p_new = lin * p - lk * p_prev
         dp_new = p + lin * dp - lk * dp_prev
-        m_new = abs(lin) * m + lk * m_prev
         p_prev, p = p, p_new
         dp_prev, dp = dp, dp_new
-        m_prev, m = m, m_new
-    return p, dp, m
+    return p, dp
 
 
 def real_roots(ttrr):
@@ -343,7 +334,7 @@ def real_roots(ttrr):
     resid = np.empty_like(ys)
     for i, (y, cap) in enumerate(zip(ys.tolist(), caps.tolist())):
         # Python floats overflow quietly; the check below reports it
-        v, dv, _ = ttrr_terminal(ttrr, y)
+        v, dv = ttrr_terminal(ttrr, y)
         best_y, best_v = y, abs(v)
         for _ in range(12):
             if dv == 0.0 or not math.isfinite(v):
@@ -352,7 +343,7 @@ def real_roots(ttrr):
             if abs(step) > cap:
                 step = math.copysign(cap, step)
             y += step
-            v, dv, _ = ttrr_terminal(ttrr, y)
+            v, dv = ttrr_terminal(ttrr, y)
             if abs(v) < best_v:
                 best_y, best_v = y, abs(v)
             if abs(step) <= 1e-16 * (1.0 + abs(y)):

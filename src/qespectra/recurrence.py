@@ -21,8 +21,10 @@ the one remaining free (scan) parameter; its roots select the solvable
 members of the family.
 
 The ODE coefficient table of each model is the only description of its
-recurrence: :func:`build_baseline` reads the quadratic multiplicator tables
-off it, as exact rationals, so there is one chain and it is exact.
+recurrence: :func:`build_baseline` pins it to the baseline, as exact
+rationals, and the multiplicators are read straight off it
+(:meth:`OdeCoefficients.multiplicators`), so there is one chain and it is
+exact.
 :func:`solve` runs the whole pipeline for one model: baseline, chain,
 canonical form and roots.
 """
@@ -30,7 +32,7 @@ canonical form and roots.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -64,68 +66,29 @@ class OdeCoefficients:
     c1: object
     c0: object
 
-
-def multiplicator_values(ode, k):
-    """Grade (+1, 0, -1) multiplicators read directly off ODE coefficients.
-
-    This is the definition; :func:`build_baseline` regroups it into the
-    quadratic tables the recurrence runs on, and the tests check the two
-    against each other.
-    """
-    kk = k * (k - 1)
-    f1 = kk * ode.a3 + k * ode.b2 + ode.c1
-    f0 = kk * ode.a2 + k * ode.b1 + ode.c0
-    fm1 = kk * ode.a1 + k * ode.b0
-    return f1, f0, fm1
-
-
-@dataclass(frozen=True)
-class SliceMultiplicators:
-    """Slice multiplicators of one model on its baseline.
-
-    Each grade is stored as quadratic coefficients ``(q2, q1, q0)`` in the
-    slice index ``k``; the grade-0 function additionally carries the scan
-    variable linearly with slope ``sigma0``:
-
-        F0(k; x) = q2 k^2 + q1 k + q0 + sigma0 * x
-    """
-
-    lead: tuple
-    mid: tuple
-    trail: tuple
-    sigma0: object
-
-    @staticmethod
-    def _quad(coeffs, k):
-        q2, q1, q0 = coeffs
-        return (q2 * k * k + q1 * k) + q0
-
-    def f1(self, k):
-        return self._quad(self.lead, k)
-
-    def f0_const(self, k):
-        return self._quad(self.mid, k)
-
-    def f0(self, k, x):
-        return self._quad(self.mid, k) + self.sigma0 * x
-
-    def fm1(self, k):
-        return self._quad(self.trail, k)
+    def multiplicators(self, k):
+        """Grade (+1, 0, -1) multiplicators on z^k: ``(F1, F0, Fm1)``."""
+        kk = k * (k - 1)
+        f1 = kk * self.a3 + k * self.b2 + self.c1
+        f0 = kk * self.a2 + k * self.b1 + self.c0
+        fm1 = kk * self.a1 + k * self.b0
+        return f1, f0, fm1
 
 
 @dataclass(frozen=True)
 class BaselineSystem:
     """A model pinned to its baseline: everything the recurrence needs.
 
-    ``mult`` is tabulated in the model's own variable z; the exact chain
-    runs on it.  ``recentred`` holds ``(r, multiplicators)`` for every
-    other candidate centre r, tabulated on the table shifted to z = r + w
-    (:func:`recentre`); root finding may run on one of them instead.
+    ``centres`` holds ``(r, table)`` for the model's own centre r = 0 and
+    then for every other candidate centre: the exact ODE table at scan
+    value 0, shifted to z = r + w (:func:`recentre`).  The exact chain runs
+    on the first; root finding may run on any of them.  The scan variable
+    enters each table only through c0, with slope ``sigma0``.
     """
 
     n: int
-    mult: SliceMultiplicators
-    recentred: tuple = ()
+    sigma0: Fraction
+    centres: tuple
 
 
 def recentre(ode, r):
@@ -171,49 +134,25 @@ def candidate_centres(ode):
     return sorted({r for r in roots if r != 0})
 
 
-def _slice_multiplicators(ode, sigma0, n):
-    """Quadratic multiplicator tables of an exact table at scan value 0."""
-    lead_q1 = ode.b2 - ode.a3
-    return SliceMultiplicators(
-        lead=(ode.a3, lead_q1, -(ode.a3 * n * n + lead_q1 * n)),
-        mid=(ode.a2, ode.b1 - ode.a2, ode.c0),
-        trail=(ode.a1, ode.b0 - ode.a1, Fraction(0)),
-        sigma0=sigma0,
-    )
-
-
 def build_baseline(model):
     """Assemble the baseline recurrence data for a model instance.
 
-    The slice multiplicators are read off the model's ODE coefficient table
-    by regrouping the definition (:func:`multiplicator_values`) as
-    quadratics in k:
-
-        F1(k)     = a3 k^2 + (b2 - a3) k + c1
-        F0(k; x)  = a2 k^2 + (b1 - a2) k + c0(x)
-        Fm1(k)    = a1 k^2 + (b0 - a1) k
-
-    The scan variable enters the table only through c0, affinely, so the
-    table at scan values 0 and 1 fixes both c0(0) and the slope sigma0.
-    The baseline condition F1(n) = 0 is what pins ``c1``; the constant term
-    of F1 is therefore written as -(q2 n^2 + q1 n), which makes the zero
-    hold by construction.  Every entry is converted to :class:`Fraction`
-    (exactly, floats included), so the chain built on the table is exact.
-
-    The same tables are also read off the table shifted to each of
-    :func:`candidate_centres`; the shift leaves F1 and sigma0 as they are.
+    The table at scan value 0 is converted to :class:`Fraction` (exactly,
+    floats included), so the chain built on it is exact.  The scan variable
+    enters the table only through c0, affinely, so the table at scan value
+    1 fixes the slope sigma0.  The table is shifted to each centre (0 and
+    :func:`candidate_centres`), and there ``c1`` is set to
+    -(n(n-1) a3 + n b2): the baseline condition F1(n) = 0 then holds
+    exactly, even where the model's float table misses it by a rounding.
     """
     at0 = OdeCoefficients(*map(Fraction, astuple(model.ode_coefficients(0))))
     sigma0 = Fraction(model.ode_coefficients(1).c0) - at0.c0
     n = model.n
-    return BaselineSystem(
-        n=n,
-        mult=_slice_multiplicators(at0, sigma0, n),
-        recentred=tuple(
-            (r, _slice_multiplicators(recentre(at0, r), sigma0, n))
-            for r in candidate_centres(at0)
-        ),
-    )
+    centres = []
+    for r in (Fraction(0), *candidate_centres(at0)):
+        ode = recentre(at0, r)
+        centres.append((r, replace(ode, c1=-(n * (n - 1) * ode.a3 + n * ode.b2))))
+    return BaselineSystem(n=n, sigma0=sigma0, centres=tuple(centres))
 
 
 @dataclass(frozen=True)
@@ -272,35 +211,37 @@ def exact_chain(system):
 
         P(x) = Fm1(1) P[n,n-1] + F0(0; x) P[n,n].
 
-    The multiplicators of :func:`build_baseline` are exact rationals, so
-    every member and the constraint carry exact coefficients.  Cached per
-    baseline system; treat the result as read-only.
+    The multiplicators are read off the system's table at centre 0, in
+    exact rationals, so every member and the constraint carry exact
+    coefficients.  Cached per baseline system; treat the result as
+    read-only.
 
     Raises:
         DivisionByZeroMultiplicator: F1 vanishes before the last slice.
     """
-    mult = system.mult
     n = system.n
-    sigma = mult.sigma0
+    sigma = system.sigma0
+    ode = system.centres[0][1]
+    F1, F0, Fm1 = zip(*map(ode.multiplicators, range(n + 2)))
     prev, cur = [], [1]
     members = [tuple(cur)]
     for k in range(1, n + 1):
-        f1 = mult.f1(n - k)
+        f1 = F1[n - k]
         if f1 == 0:
             raise DivisionByZeroMultiplicator(
                 f"leading multiplicator vanishes at slice {n - k}; "
                 "the recurrence cannot be continued"
             )
         new = poly_add(
-            poly_scale(prev, -mult.fm1(n + 2 - k) / f1),
-            poly_mul_linear(cur, -mult.f0_const(n + 1 - k) / f1, -sigma / f1),
+            poly_scale(prev, -Fm1[n + 2 - k] / f1),
+            poly_mul_linear(cur, -F0[n + 1 - k] / f1, -sigma / f1),
         )
         prev, cur = cur, new
         members.append(tuple(cur))
 
     constraint = poly_add(
-        poly_scale(prev, mult.fm1(1)),
-        poly_mul_linear(cur, mult.f0_const(0), sigma),
+        poly_scale(prev, Fm1[1]),
+        poly_mul_linear(cur, F0[0], sigma),
     )
     return ConstraintChain(n=n, members=tuple(members), constraint=tuple(constraint))
 

@@ -82,8 +82,8 @@ def default_grid(model, degree, points=2001, halfwidth=None):
     if points < 16:
         raise DegenerateGrid(f"need at least 16 grid points, got {points}")
     L = float(halfwidth if halfwidth is not None else decay_halfwidth(model, degree))
-    if not L > 0:
-        raise DegenerateGrid(f"grid half-width must be positive, got {L}")
+    if not 0 < L < math.inf:
+        raise DegenerateGrid(f"grid half-width must be positive and finite, got {L}")
     if model.half_line:
         h = L / points
         return (np.arange(points) + 0.5) * h
@@ -162,13 +162,13 @@ def _first_peak_sign(psi):
     return 1.0 if psi[int(np.argmax(mag))] > 0 else -1.0
 
 
-def sample(model, root, points=2001, halfwidth=None, xs=None, chain=None):
+def sample(model, root, xs=None, chain=None):
     """Sample the normalized wavefunction of one constraint root.
 
     Assembles the polynomial part at ``root`` on ``chain`` (the model's
     coefficient chain from :func:`~qespectra.recurrence.run_ttrr`; built
-    here when not given), multiplies by the prefactor and normalizes by the
-    trapezoid rule.  The returned wavefunction is positive at its first
+    here when not given), multiplies by the prefactor on ``xs`` (default:
+    :func:`default_grid`) and normalizes by the trapezoid rule.  The returned wavefunction is positive at its first
     interior extremum.
 
     Raises:
@@ -178,7 +178,7 @@ def sample(model, root, points=2001, halfwidth=None, xs=None, chain=None):
         chain = recurrence.run_ttrr(recurrence.build_baseline(model))
     coeffs = recurrence.assemble_solution(chain, root)
     if xs is None:
-        xs = default_grid(model, model.n, points=points, halfwidth=halfwidth)
+        xs = default_grid(model, model.n)
     else:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 1 or len(xs) < 16 or np.any(np.diff(xs) <= 0):

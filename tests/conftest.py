@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import pytest
 
-from qespectra import models, polynomials, recurrence, solve
+from qespectra import models, polynomials, solve
 
 # The deep-well instances the acceptance suite revolves around, with exact
 # rational parameters so every coefficient table stays in Fraction arithmetic.
@@ -45,8 +45,8 @@ def float_chain_at(model, x):
     """The chain at one scan value, by a float run read off the ODE table.
 
     Runs the scalar three-term recurrence with the multiplicators
-    ``recurrence.multiplicator_values(model.ode_coefficients(x), k)`` in
-    float, independent of the tables ``build_baseline`` derives.  Returns
+    ``model.ode_coefficients(x).multiplicators(k)`` in float, independent
+    of the baseline table ``build_baseline`` pins.  Returns
     (member values P[n,k](x) for k = 0..n, the constraint value), each as a
     (value, magnitude) pair; the magnitude is the same recurrence run on
     absolute values, the scale of the float rounding in the value.
@@ -55,7 +55,7 @@ def float_chain_at(model, x):
     n = model.n
 
     def grade(k, g):
-        return float(recurrence.multiplicator_values(ode, k)[g])
+        return float(ode.multiplicators(k)[g])
 
     p_prev, p, m_prev, m = 0.0, 1.0, 0.0, 1.0
     members = [(p, m)]

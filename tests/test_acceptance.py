@@ -202,23 +202,19 @@ def test_10_invariant_sweep(deep):
         span = max(1.0, float(xs[-1] - xs[0]))
         np.testing.assert_allclose(exact, xs, rtol=1e-9, atol=1e-9 * span, err_msg=key)
 
-    # (f) the per-model multiplicator tables match the generic quadratic
-    # slice rule applied to the model's ODE coefficients
+    # (f) the baseline system's table at centre 0, carried to a probe scan
+    # value, gives the multiplicators of the model's own ODE table there
     for model_id, params in TABLE_PARAMS.items():
         model = models.make(model_id, n=6, params=params)
         system = recurrence.build_baseline(model)
+        table = system.centres[0][1]
         for probe in (Fraction(-3, 2), Fraction(7, 3)):
             ode = model.ode_coefficients(probe)
             for k in range(0, 9):
-                f1, f0, fm1 = recurrence.multiplicator_values(ode, k)
-                for got, want in (
-                    (system.mult.f1(k), f1),
-                    (system.mult.f0(k, probe), f0),
-                    (system.mult.fm1(k), fm1),
-                ):
-                    assert abs(float(got) - float(want)) <= 1e-12 * max(
-                        1.0, abs(float(want))
-                    ), (model_id, k)
+                f1, f0, fm1 = table.multiplicators(k)
+                assert (f1, f0 + system.sigma0 * probe, fm1) == (
+                    ode.multiplicators(k)
+                ), (model_id, k)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +320,7 @@ def _positive_centres(model):
         ode = recurrence.recentre(table, centre)
 
         def grade(k, g):
-            return recurrence.multiplicator_values(ode, k)[g]
+            return ode.multiplicators(k)[g]
 
         if all(grade(n + 2 - k, 2) * grade(n + 1 - k, 0) > 0 for k in range(2, n + 2)):
             positive.append(centre)

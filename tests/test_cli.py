@@ -484,14 +484,37 @@ def test_exit_2_on_argparse_errors(capsys):
     assert run_cli("no-such-command", capsys=capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("wavefunction", "--grid-points", "10"),
+    ("wavefunction", "--grid-l", "-1"),
+    ("wavefunction", "--grid-l", "nan"),
+    ("wavefunction", "--grid-l", "inf"),
+    ("verify", "--points", "50"),
+    ("verify", "--xmin", "3", "--xmax", "1"),
+    ("verify", "--xmax", "inf"),
+], ids=" ".join)
+def test_exit_2_on_bad_grid_options(argv, capsys):
+    command, *options = argv
+    code = cli.main([
+        command, "--model", "dshg", "--n", "1", "--param", "xi=1",
+        "--root-index", "0", *options,
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_exit_3_on_numerical_failure(capsys):
-    # a degenerate sampling grid is a pipeline failure, not a usage error
-    code, _ = run_cli(
+    # a state that underflows on every node of a valid grid is a pipeline
+    # failure, not a usage error
+    code = cli.main([
         "wavefunction", "--model", "coulomb", "--n", "1",
-        "--param", "lambda=1/2", "--root-index", "0", "--grid-points", "4",
-        capsys=capsys,
-    )
+        "--param", "lambda=1/2", "--root-index", "0",
+        "--grid-l", "1e5", "--grid-points", "16",
+    ])
+    err = capsys.readouterr().err
     assert code == 3
+    assert err.startswith("numerical failure:") and "identically zero" in err
 
 
 def test_exit_3_when_the_constraint_overflows_float(capsys):

@@ -185,34 +185,37 @@ def test_negative_n_rejected():
 
 
 # ---------------------------------------------------------------------------
-# table consistency: derived multiplicators vs ODE definition
+# table consistency: the baseline table vs the model's ODE table
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("model_id", ALL_IDS)
 def test_multiplicator_table_matches_ode_definition(model_id):
     n = 6
     model = models.make(model_id, n, SAMPLE_PARAMS[model_id])
-    mult = recurrence.build_baseline(model).mult
+    system = recurrence.build_baseline(model)
+    table = system.centres[0][1]
     for scan in (Fraction(-3, 2), Fraction(7, 3)):
         ode = model.ode_coefficients(scan)
         for k in range(n + 2):
-            f1, f0, fm1 = recurrence.multiplicator_values(ode, k)
-            assert math.isclose(float(mult.f1(k)), float(f1),
-                                rel_tol=1e-12, abs_tol=1e-9)
-            assert math.isclose(float(mult.f0(k, scan)), float(f0),
-                                rel_tol=1e-12, abs_tol=1e-9)
-            assert math.isclose(float(mult.fm1(k)), float(fm1),
-                                rel_tol=1e-12, abs_tol=1e-9)
+            f1, f0, fm1 = table.multiplicators(k)
+            # exact parameters: the two tables agree Fraction for Fraction
+            assert (f1, f0 + system.sigma0 * scan, fm1) == ode.multiplicators(k)
 
 
-@pytest.mark.parametrize("model_id", ALL_IDS)
-def test_baseline_zeroes_the_leading_multiplicator(model_id):
+@pytest.mark.parametrize(
+    "model_id, params",
+    [(model_id, SAMPLE_PARAMS[model_id]) for model_id in ALL_IDS]
+    # converted exactly, the model's own float table gives F1(5) = 1.1e-16
+    + [("dshg", {"xi": 0.3})],
+    ids=[*ALL_IDS, "dshg-float"],
+)
+def test_baseline_zeroes_the_leading_multiplicator(model_id, params):
     n = 5
-    model = models.make(model_id, n, SAMPLE_PARAMS[model_id])
-    mult = recurrence.build_baseline(model).mult
-    assert float(mult.f1(n)) == 0.0
-    for k in range(n):
-        assert float(mult.f1(k)) != 0.0
+    system = recurrence.build_baseline(models.make(model_id, n, params))
+    for _, table in system.centres:
+        f1 = [table.multiplicators(k)[0] for k in range(n + 1)]
+        assert f1[n] == 0
+        assert all(v != 0 for v in f1[:n])
 
 
 # ---------------------------------------------------------------------------

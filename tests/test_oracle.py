@@ -11,7 +11,7 @@ from scipy import linalg as sla
 
 from conftest import solved
 from qespectra import models, oracle, solve, wavefunctions
-from qespectra.errors import DegenerateGrid, GridMismatch, InvalidParams
+from qespectra.errors import DegenerateGrid, InvalidParams
 
 
 @dataclass(frozen=True)
@@ -231,21 +231,14 @@ def test_verify_root_negative_control():
     assert report.residual > 1e-2
 
 
-def test_verify_root_explicit_grid_must_match_nodes():
-    model = models.make("coulomb", 1, {"lambda": Fraction(1, 2)})
-    cfg = oracle.FdConfig(0.0, 25.0, 4000)
-    xs_wrong = np.linspace(0.01, 25.0, 500)
-    grid = wavefunctions.sample(model, 1.0, xs=xs_wrong)
-    with pytest.raises(GridMismatch):
-        oracle.verify_root(model, 1.0, grid=grid, cfg=cfg)
-
-
 def test_verify_root_accepts_matching_presampled_grid():
+    # with an explicit configuration the oracle samples on its grid nodes:
+    # the state it checks is the one presampled there
     model = models.make("coulomb", 1, {"lambda": Fraction(1, 2)})
     cfg = oracle.FdConfig(0.0, 25.0, 6000)
-    xs = oracle.grid_nodes(model, cfg)
-    grid = wavefunctions.sample(model, 1.0, xs=xs)
-    report = oracle.verify_root(model, 1.0, grid=grid, cfg=cfg)
+    grid = wavefunctions.sample(model, 1.0, xs=oracle.grid_nodes(model, cfg))
+    report = oracle.verify_root(model, 1.0, cfg=cfg)
+    assert report.node_count == grid.node_count
     assert report.abs_gap < 1e-4
     assert report.residual < 1e-5
 
@@ -281,10 +274,7 @@ def test_residual_full_line_converges_at_high_order():
 
     def residual_at(points):
         cfg = oracle.FdConfig(-7.0, 7.0, points)
-        xs = oracle.grid_nodes(model, cfg)
-        grid = wavefunctions.sample(model, root, xs=xs)
-        report = oracle.verify_root(model, root, grid=grid, cfg=cfg)
-        return report.residual
+        return oracle.verify_root(model, root, cfg=cfg).residual
 
     coarse = residual_at(999)
     fine = residual_at(1999)

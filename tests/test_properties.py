@@ -87,7 +87,7 @@ def test_solved_instance_invariants(model):
 
     # chain products are strictly positive at the chosen centre
     assert all(lam > 0 for lam in ttrr.lam)
-    assert ttrr.centre in (0, *(centre for centre, _ in system.recentred))
+    assert ttrr.centre in (centre for centre, _ in system.centres)
 
     xs = np.asarray(roots.roots)
 
@@ -130,15 +130,16 @@ def test_exact_replay_matches_float_chain(model):
         min_value=Fraction(-5), max_value=Fraction(5), max_denominator=9
     ),
 )
-def test_slice_multiplicators_match_ode_definition(model, k, probe):
+def test_baseline_table_matches_ode_definition(model, k, probe):
     system = recurrence.build_baseline(model)
-    ode = model.ode_coefficients(probe)
-    f1, f0, fm1 = recurrence.multiplicator_values(ode, k)
-    assert math.isclose(system.mult.f1(k), f1, rel_tol=1e-12, abs_tol=1e-9)
-    assert math.isclose(
-        system.mult.f0(k, float(probe)), f0, rel_tol=1e-12, abs_tol=1e-9
-    )
-    assert math.isclose(system.mult.fm1(k), fm1, rel_tol=1e-12, abs_tol=1e-9)
+    f1, f0, fm1 = system.centres[0][1].multiplicators(k)
+    got = (f1, f0 + system.sigma0 * probe, fm1)
+    want = model.ode_coefficients(probe).multiplicators(k)
+    if all(isinstance(v, (int, Fraction)) for v in models.params(model).values()):
+        assert got == want
+    else:
+        for g, w in zip(got, want):
+            assert math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------

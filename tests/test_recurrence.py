@@ -14,25 +14,15 @@ from qespectra.errors import DivisionByZeroMultiplicator, NotARoot
 # multiplicator plumbing
 # ---------------------------------------------------------------------------
 
-def test_multiplicator_values_is_the_quadratic_definition():
+def test_multiplicators_is_the_quadratic_definition():
     ode = recurrence.OdeCoefficients(
         a3=2, a2=-1, a1=3, b2=5, b1=0, b0=-2, c1=7, c0=11,
     )
-    f1, f0, fm1 = recurrence.multiplicator_values(ode, 3)
+    f1, f0, fm1 = ode.multiplicators(3)
     kk = 3 * 2
     assert f1 == kk * 2 + 3 * 5 + 7
     assert f0 == kk * -1 + 3 * 0 + 11
     assert fm1 == kk * 3 + 3 * -2
-
-
-def test_slice_multiplicators_grouping_and_scan_slope():
-    mult = recurrence.SliceMultiplicators(
-        lead=(1, -2, 3), mid=(0, 5, -1), trail=(2, 0, 0), sigma0=-4,
-    )
-    assert mult.f1(3) == 9 - 6 + 3
-    assert mult.f0_const(2) == 10 - 1
-    assert mult.f0(2, 0.5) == 9 + (-4) * 0.5
-    assert mult.fm1(2) == 8
 
 
 def test_build_baseline_reads_model_fields():
@@ -50,11 +40,11 @@ def test_candidate_centres_are_the_rational_zeros_of_the_leading_coefficient():
     # chen: a3 z^2 + a2 z + a1 = (z - 1)(z - 1 - 1/g); razavy: 4 z - 4;
     # coulomb: the constant 1, so only its own centre
     chen = models.make("chen-even", 3, _CHEN_DEEP)
-    assert [r for r, _ in recurrence.build_baseline(chen).recentred] == [1, 5]
+    assert [r for r, _ in recurrence.build_baseline(chen).centres[1:]] == [1, 5]
     razavy = models.make("razavy", 3, {"xi": 1, "alpha": 0, "beta": 0})
-    assert [r for r, _ in recurrence.build_baseline(razavy).recentred] == [1]
+    assert [r for r, _ in recurrence.build_baseline(razavy).centres[1:]] == [1]
     coulomb = models.make("coulomb", 3, {"lambda": 1})
-    assert recurrence.build_baseline(coulomb).recentred == ()
+    assert recurrence.build_baseline(coulomb).centres[1:] == ()
 
 
 def test_recentre_keeps_the_graded_shape_and_the_lead_multiplicator():
@@ -72,9 +62,7 @@ def test_recentre_keeps_the_graded_shape_and_the_lead_multiplicator():
         )
         assert ode.c1 * z + ode.c0 == shifted.c1 * w + shifted.c0
     for k in range(6):
-        assert recurrence.multiplicator_values(shifted, k)[0] == (
-            recurrence.multiplicator_values(ode, k)[0]
-        )
+        assert shifted.multiplicators(k)[0] == ode.multiplicators(k)[0]
     with pytest.raises(ValueError):
         recurrence.recentre(ode, 2)
 
@@ -108,11 +96,13 @@ def test_constraint_couples_the_last_two_members():
     # The constraint must be Fm1(1) * P[n,n-1] + F0(0; x) * P[n,n]
     # with both members exactly as stored on the chain.
     _, system, chain, _, _ = solved("razavy")
-    mult = system.mult
+    table = system.centres[0][1]
     lhs = polynomials.poly_add(
-        polynomials.poly_scale(list(chain.members[chain.n - 1]), mult.fm1(1)),
+        polynomials.poly_scale(
+            list(chain.members[chain.n - 1]), table.multiplicators(1)[2]
+        ),
         polynomials.poly_mul_linear(
-            list(chain.members[chain.n]), mult.f0_const(0), mult.sigma0
+            list(chain.members[chain.n]), table.multiplicators(0)[1], system.sigma0
         ),
     )
     # the chain runs in Fraction arithmetic, so the recombination must
@@ -122,12 +112,10 @@ def test_constraint_couples_the_last_two_members():
 
 def test_division_by_zero_multiplicator():
     # F1(k) = k - 1 vanishes at slice 1, before the baseline slice n = 2
-    system = recurrence.BaselineSystem(
-        n=2,
-        mult=recurrence.SliceMultiplicators(
-            lead=(0, 1, -1), mid=(0, 0, 1), trail=(0, 1, 0), sigma0=1,
-        ),
+    table = recurrence.OdeCoefficients(
+        a3=0, a2=0, a1=0, b2=1, b1=0, b0=1, c1=-1, c0=1,
     )
+    system = recurrence.BaselineSystem(n=2, sigma0=1, centres=((0, table),))
     with pytest.raises(DivisionByZeroMultiplicator):
         recurrence.run_ttrr(system)
 

@@ -65,8 +65,9 @@ def test_default_grid_validation():
     model = models.make("dshg", 1, {"xi": 1})
     with pytest.raises(DegenerateGrid):
         wavefunctions.default_grid(model, 1, points=4)
-    with pytest.raises(DegenerateGrid):
-        wavefunctions.default_grid(model, 1, points=100, halfwidth=-1.0)
+    for halfwidth in (-1.0, math.nan, math.inf):
+        with pytest.raises(DegenerateGrid):
+            wavefunctions.default_grid(model, 1, points=100, halfwidth=halfwidth)
 
 
 def test_decay_halfwidth_is_finite_and_covers_the_state():
@@ -117,7 +118,8 @@ def test_extended_horner_splits_as_fractions_do():
 def test_sample_coulomb_n1_node_at_plus_one():
     # S(z) = z - 1 at the beta = +1 root: exactly one node, at x = 1
     model = models.make("coulomb", 1, {"lambda": Fraction(1, 2)})
-    grid = wavefunctions.sample(model, 1.0, points=4001)
+    xs = wavefunctions.default_grid(model, 1, points=4001)
+    grid = wavefunctions.sample(model, 1.0, xs=xs)
     assert grid.node_count == 1
     sign_flips = np.nonzero(np.diff(np.sign(grid.psi)))[0]
     crossing = grid.xs[sign_flips[0]]
