@@ -23,8 +23,9 @@ constraint/wavefunction); numbers carry 17 significant digits so emitted
 files round-trip bit-exactly through a parse/re-emit cycle.
 
 Exit codes: 0 success; 2 invalid request (unknown model, bad parameters or
-grid options, inadmissible baseline); 3 numerical failure inside the
-pipeline; 4 verification shortfall.
+grid options, too many grid points, inadmissible baseline, no FD
+discretization for the model); 3 numerical failure inside the pipeline;
+4 verification shortfall.
 """
 
 from __future__ import annotations
@@ -62,29 +63,16 @@ VERIFY_RESIDUAL_MAX = 1e-4
 # ---------------------------------------------------------------------------
 
 def _parse_value(text):
-    """Parse a CLI parameter value, keeping it exact whenever possible.
+    """Parse a CLI parameter value exactly, as a ``Fraction``.
 
-    Integers stay ``int``; finite decimals and ratios become ``Fraction``
-    (``0.09`` parses to 9/100, ``1/4`` to 1/4), so model coefficient tables
-    built from CLI input stay exact rationals end to end.  Anything else
-    falls back to float.
+    Integers, decimals (exponents included) and ratios are all exact:
+    ``0.09`` parses to 9/100 and ``1/4`` to 1/4, so model coefficient
+    tables built from CLI input stay exact rationals end to end.
     """
-    text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        raise InvalidParams(f"cannot parse parameter value {text!r} as a number")
-    if not math.isfinite(value):
-        raise InvalidParams(f"parameter value {text!r} is not finite")
-    return value
+        raise InvalidParams(f"cannot parse parameter value {text!r} as a finite number")
 
 
 def _parse_params(pairs):
@@ -206,10 +194,12 @@ def _build_model(args):
     return model
 
 
-def _requested_grid(make, *args, **kwargs):
+def _requested_grid(make, *args, points, **kwargs):
     """A grid built from command-line options: a bad one is a bad request."""
+    if points > oracle._MAX_POINTS:  # refused before anything is allocated
+        raise InvalidParams(f"too many grid points: {points} > {oracle._MAX_POINTS}")
     try:
-        return make(*args, **kwargs)
+        return make(*args, points=points, **kwargs)
     except DegenerateGrid as exc:
         raise InvalidParams(str(exc)) from exc
 
@@ -243,11 +233,8 @@ def _p_nn_zero_flag(system):
 
 
 def _scalar_param(value):
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        return float(value)
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return float(value)
-    return int(value)
+    """An exact parameter for JSON: an int when integral, else a float."""
+    return int(value) if value.denominator == 1 else float(value)
 
 
 def _root_row(model, root):

@@ -19,9 +19,10 @@ Two families of scan variable occur:
 
 Each model describes its recurrence once, by its ODE coefficient table;
 :meth:`~qespectra.recurrence.OdeCoefficients.multiplicators` reads the
-slice multiplicators straight off that table.  The tables are written
-with plain arithmetic so that exact (Fraction) inputs produce exact
-coefficients.  Only the sech-power well classifies its admissible
+slice multiplicators straight off that table.  Every parameter is an exact
+:class:`~fractions.Fraction` from the moment the model is built (a float
+is taken as the binary rational it already is), so every table entry is
+an exact rational.  Only the sech-power well classifies its admissible
 potentials as double wells (``double_well``); the other models have no
 such method.
 
@@ -53,10 +54,13 @@ from .recurrence import OdeCoefficients, recentre
 
 
 def _num(value):
-    """Normalize a parameter: exact inputs stay exact, floats stay floats."""
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    return float(value)
+    """A finite real parameter as a Fraction (a float is the binary rational it is)."""
+    if not isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InvalidParams(f"parameters must be finite real numbers, got {value!r}")
 
 
 # Working precision (decimal digits) for rational square roots.
@@ -64,31 +68,22 @@ _SQRT_DIGITS = 10**40
 
 
 def _sqrt(value):
-    """Square root that keeps Fraction inputs rational.
+    """Square root of a non-negative Fraction, as a Fraction.
 
     Perfect squares come back exact.  Anything else gets a 40-digit rational
-    approximation via exact integer sqrt, so model tables built from exact
-    parameters stay in Fraction arithmetic throughout.  That matters: the
-    map from table entries to the low-order solution coefficients amplifies
-    input rounding by up to ~1e20 for deep wells, so float(sqrt(...)) in a
-    table poisons every sampled wavefunction downstream, while a 1e-40
-    rational detune of one table entry only redefines the solved Hamiltonian
-    by the same negligible amount.
+    approximation via exact integer sqrt, so model tables stay in Fraction
+    arithmetic throughout.  That matters: the map from table entries to the
+    low-order solution coefficients amplifies input rounding by up to ~1e20
+    for deep wells, so float(sqrt(...)) in a table poisons every sampled
+    wavefunction downstream, while a 1e-40 rational detune of one table
+    entry only redefines the solved Hamiltonian by the same negligible
+    amount.
     """
-    if isinstance(value, Fraction):
-        num, den = value.numerator, value.denominator
-        if num >= 0:
-            rn, rd = math.isqrt(num), math.isqrt(den)
-            if rn * rn == num and rd * rd == den:
-                return Fraction(rn, rd)
-            scaled = math.isqrt(num * den * _SQRT_DIGITS**2)
-            return Fraction(scaled, den * _SQRT_DIGITS)
-    return math.sqrt(value)
-
-
-def _half(ref):
-    """1/2 in the same number system as ``ref``."""
-    return Fraction(1, 2) if isinstance(ref, Fraction) else 0.5
+    num, den = value.numerator, value.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
+    return Fraction(math.isqrt(num * den * _SQRT_DIGITS**2), den * _SQRT_DIGITS)
 
 
 def _log_cosh(x):
@@ -116,8 +111,8 @@ class SechPowerWell:
     through s = sqrt(-E), and the constraint roots are admissible V3 values.
     """
 
-    v1: object
-    v2: object
+    v1: Fraction
+    v2: Fraction
     n: int
     parity: str = "even"
 
@@ -142,8 +137,7 @@ class SechPowerWell:
     @property
     def s(self):
         """sqrt(-E), fixed by the termination condition."""
-        h = _half(self.v1)
-        offset = 3 * h if self.parity == "even" else 5 * h
+        offset = Fraction(3 if self.parity == "even" else 5, 2)
         return -2 * self.n - (self.v1 + self.v2) / (2 * self._r) - offset
 
     def baseline(self):
@@ -210,9 +204,9 @@ class RationalCoshWell:
     states, so that branch is hard-coded.
     """
 
-    v1: object
-    v3: object
-    g: object
+    v1: Fraction
+    v3: Fraction
+    g: Fraction
     n: int
     parity: str = "even"
 
@@ -258,13 +252,12 @@ class RationalCoshWell:
     def ode_coefficients(self, scan):
         l1, l2, g = self.lam1, self.lam2, self.g
         L = l1 + l2
-        h = _half(self.g)
         en = self._en
         if self.parity == "even":
             return OdeCoefficients(
                 a3=1, a2=-2 - 1 / g, a1=1 + 1 / g,
                 b2=2 * L + 1,
-                b1=-(2 * L + 3 * h + (2 * l1 + 1) / g),
+                b1=-(2 * L + Fraction(3, 2) + (2 * l1 + 1) / g),
                 b0=(1 + g) / (2 * g),
                 c1=L * L + en / 4,
                 c0=-(1 + g) / (4 * g) * (
@@ -275,7 +268,7 @@ class RationalCoshWell:
         return OdeCoefficients(
             a3=1, a2=-2 - 1 / g, a1=1 + 1 / g,
             b2=2 * (L + 1),
-            b1=-(2 * L + 7 * h + 2 * (l1 + 1) / g),
+            b1=-(2 * L + Fraction(7, 2) + 2 * (l1 + 1) / g),
             b0=3 * (1 + g) / (2 * g),
             c1=L * (L + 1) + (en + 1) / 4,
             c0=-(1 + g) / (4 * g) * (
@@ -324,8 +317,8 @@ class CoulombOscillator:
     the rescaling the identity.
     """
 
-    lam: object
-    omega: object = 2
+    lam: Fraction
+    omega: Fraction = 2
     n: int = 0
 
     PARAMS: ClassVar[dict] = {"lambda": "lam", "omega": "omega"}
@@ -346,7 +339,7 @@ class CoulombOscillator:
 
     def energy(self, root):
         """Eigenvalue alpha/omega; independent of which beta root is taken."""
-        return float(self.n + self.lam + _half(self.lam))
+        return float(self.n + self.lam + Fraction(1, 2))
 
     def beta_physical(self, root):
         return float(root) * math.sqrt(float(self.omega) / 2.0)
@@ -392,7 +385,7 @@ class HyperbolicDoubleWell:
     cosh^2 one re-centred at z = 1.
     """
 
-    xi: object
+    xi: Fraction
     alpha: int
     beta: int
     n: int
@@ -472,7 +465,7 @@ class ShiftedGaussWell:
     numerically.  Scan variable is the energy.
     """
 
-    xi: object
+    xi: Fraction
     n: int
 
     PARAMS: ClassVar[dict] = {"xi": "xi"}
@@ -533,9 +526,9 @@ class PerturbedGaussWell:
     (the sinh^beta factor has a branch point at the origin).
     """
 
-    xi: object
-    alpha: object
-    beta: object
+    xi: Fraction
+    alpha: Fraction
+    beta: Fraction
     n: int
     variant: str = "cosh2"
 
@@ -716,7 +709,7 @@ def _n_for_m(build, m):
     """
     m0 = Fraction(build(0).m_quantum)
     step = Fraction(build(1).m_quantum) - m0
-    n = (Fraction(m) - m0) / step
+    n = (_num(m) - m0) / step
     if n.denominator != 1 or n < 0:
         raise BaselineUnsolvable(
             f"M = {m} is not reachable: M = {m0} + {step}*n needs an integer n >= 0"

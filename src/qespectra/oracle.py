@@ -10,7 +10,7 @@ shrink like h^2 (a factor >= 3 in practice, or hitting the noise floor).
 Two discretizations are used:
 
 * full-line models: interior nodes of a uniform grid, walls at +-L;
-* the radial model: the plain 3-point stencil cannot see the correct
+* the radial Coulomb model: the plain 3-point stencil cannot see the correct
   x -> 0 behaviour through the inverse-square term (for exponents around
   1/2 it converges too slowly to pass a factor-3 halving test), so the
   substitution u = x**lam * v is discretized instead, in conservation form
@@ -23,6 +23,9 @@ Two discretizations are used:
   tridiagonal one.  The nearest eigenvalue is found by O(N) shift-and-invert
   solves and certified by one bisection query that is two Sturm counts when
   nothing lies nearer, so very fine grids stay cheap.
+
+No other half-line model (fractional-beta perturbed-dshg) has one; checking
+it raises :class:`InvalidParams`.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from scipy import linalg as sla
 
 from . import wavefunctions
 from .errors import DegenerateGrid, InvalidParams
+from .models import CoulombOscillator
 
 # The gap is "converged" when halving the step shrinks it by at least this
 # factor, or it is already at the noise floor.
@@ -83,7 +87,13 @@ class VerificationReport:
 
 
 def _is_radial(model):
-    return bool(model.half_line)
+    """Whether the model takes the radial discretization (Coulomb alone)."""
+    if isinstance(model, CoulombOscillator):
+        return True
+    if model.half_line:
+        raise InvalidParams(f"no finite-difference discretization for a half-line "
+                            f"{type(model).__name__}; only Coulomb has a radial one")
+    return False
 
 
 def _uniform_nodes(cfg):

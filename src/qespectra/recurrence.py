@@ -32,7 +32,7 @@ canonical form and roots.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -120,8 +120,7 @@ def candidate_centres(ode):
 
     These, after the model's own centre 0, are the centres at which the
     chain can be read off a shifted table (:func:`recentre`).  The
-    coefficients must be exact: a float table converted exactly has a
-    rational root only where no rounding broke it.
+    coefficients must be exact rationals.
     """
     a3, a2, a1 = ode.a3, ode.a2, ode.a1
     if a3 == 0:
@@ -137,22 +136,19 @@ def candidate_centres(ode):
 def build_baseline(model):
     """Assemble the baseline recurrence data for a model instance.
 
-    The table at scan value 0 is converted to :class:`Fraction` (exactly,
-    floats included), so the chain built on it is exact.  The scan variable
-    enters the table only through c0, affinely, so the table at scan value
-    1 fixes the slope sigma0.  The table is shifted to each centre (0 and
-    :func:`candidate_centres`), and there ``c1`` is set to
-    -(n(n-1) a3 + n b2): the baseline condition F1(n) = 0 then holds
-    exactly, even where the model's float table misses it by a rounding.
+    The model's table at scan value 0 is exact; made :class:`Fraction`
+    entry by entry, it carries an exact chain.  It satisfies F1(n) = 0
+    identically, and so does its shift to each centre (0 and
+    :func:`candidate_centres`), since :func:`recentre` keeps a3, b2 and c1.
+    The scan variable enters the table only through c0, affinely, so the
+    table at scan value 1 fixes the slope sigma0.
     """
     at0 = OdeCoefficients(*map(Fraction, astuple(model.ode_coefficients(0))))
     sigma0 = Fraction(model.ode_coefficients(1).c0) - at0.c0
-    n = model.n
-    centres = []
-    for r in (Fraction(0), *candidate_centres(at0)):
-        ode = recentre(at0, r)
-        centres.append((r, replace(ode, c1=-(n * (n - 1) * ode.a3 + n * ode.b2))))
-    return BaselineSystem(n=n, sigma0=sigma0, centres=tuple(centres))
+    centres = tuple(
+        (r, recentre(at0, r)) for r in (Fraction(0), *candidate_centres(at0))
+    )
+    return BaselineSystem(n=model.n, sigma0=sigma0, centres=centres)
 
 
 @dataclass(frozen=True)

@@ -168,8 +168,8 @@ def sample(model, root, xs=None, chain=None):
     Assembles the polynomial part at ``root`` on ``chain`` (the model's
     coefficient chain from :func:`~qespectra.recurrence.run_ttrr`; built
     here when not given), multiplies by the prefactor on ``xs`` (default:
-    :func:`default_grid`) and normalizes by the trapezoid rule.  The returned wavefunction is positive at its first
-    interior extremum.
+    :func:`default_grid`) and normalizes by the trapezoid rule.  The
+    returned wavefunction is positive at its first interior extremum.
 
     Raises:
         NotARoot: ``root`` does not identify a root of the constraint.

@@ -28,15 +28,13 @@ def run_cli(*argv, capsys=None):
 # ---------------------------------------------------------------------------
 
 def test_parse_value_keeps_exact_forms():
-    assert cli._parse_value("3") == 3 and isinstance(cli._parse_value("3"), int)
-    v = cli._parse_value("0.09")
-    assert isinstance(v, Fraction) and v == Fraction(9, 100)
-    v = cli._parse_value("1/4")
-    assert isinstance(v, Fraction) and v == Fraction(1, 4)
-    with pytest.raises(InvalidParams):
-        cli._parse_value("not-a-number")
-    with pytest.raises(InvalidParams):
-        cli._parse_value("inf")
+    for text, want in (("3", 3), ("0.09", Fraction(9, 100)), ("1/4", Fraction(1, 4)),
+                       ("-2.5e-3", Fraction(-1, 400))):
+        v = cli._parse_value(text)
+        assert isinstance(v, Fraction) and v == want, text
+    for bad in ("not-a-number", "inf", "nan", "1/0", ""):
+        with pytest.raises(InvalidParams):
+            cli._parse_value(bad)
 
 
 def test_parse_params_and_range():
@@ -502,6 +500,68 @@ def test_exit_2_on_bad_grid_options(argv, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, option", [
+    ("verify", "--points"),
+    ("wavefunction", "--grid-points"),
+])
+def test_exit_2_on_too_many_grid_points(command, option, tmp_path, capsys):
+    # one point above the oracle's ceiling is refused before any allocation
+    target = tmp_path / "out.txt"
+    code = cli.main([
+        command, "--model", "dshg", "--n", "1", "--param", "xi=1",
+        "--root-index", "0", option, str(oracle._MAX_POINTS + 1),
+        "--out", str(target),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_verify_exits_2_on_a_half_line_model_without_a_discretization(capsys):
+    # fractional beta puts perturbed-dshg on the half line, where only the
+    # Coulomb model has a radial FD discretization
+    code = cli.main([
+        "verify", "--model", "perturbed-dshg", "--n", "3", "--param", "xi=1",
+        "--param", "alpha=1", "--param", "beta=1/4", "--root-index", "0",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+# One admissible parameter set per catalog id, and the half-line case.
+SMOKE_PARAMS = {
+    "xie-even": ("V1=1", "V2=-50"),
+    "xie-odd": ("V1=1", "V2=-50"),
+    "chen-even": ("V1=0.09", "V3=400", "g=1/4"),
+    "chen-odd": ("V1=0.09", "V3=400", "g=1/4"),
+    "coulomb": ("lambda=1/2",),
+    "razavy": ("xi=1/2", "alpha=0", "beta=1"),
+    "razavy-sinh2": ("xi=1/2", "alpha=0", "beta=1"),
+    "dshg": ("xi=2",),
+    "perturbed-dshg": ("xi=2", "alpha=2", "beta=0"),
+    "perturbed-dshg-sinh2": ("xi=2", "alpha=2", "beta=0"),
+    "perturbed-dshg-half-line": ("xi=1", "alpha=1", "beta=1/4"),
+}
+
+
+@pytest.mark.parametrize("key", SMOKE_PARAMS)
+def test_verify_smoke_every_catalog_id(key, capsys):
+    # each call verifies or fails verification, or is refused in one line;
+    # an exception would propagate out of cli.main and fail the test
+    model_id = key.removesuffix("-half-line")
+    argv = ["verify", "--model", model_id, "--n", "1", "--root-index", "0"]
+    for param in SMOKE_PARAMS[key]:
+        argv += ["--param", param]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 4), key
+    if code == 2:
+        assert err.startswith("error:") and err.count("\n") == 1, key
 
 
 def test_exit_3_on_numerical_failure(capsys):

@@ -55,6 +55,35 @@ def test_make_unknown_model_and_params():
         models.make("coulomb", None, {"lambda": 0.5})  # n missing
 
 
+@pytest.mark.parametrize("model_id", ALL_IDS)
+def test_float_parameters_build_the_exact_model(model_id):
+    # a float is the exact binary rational it is, from entry to table
+    floats = {k: float(v) for k, v in SAMPLE_PARAMS[model_id].items()}
+    exact = {k: Fraction(v) for k, v in floats.items()}
+    for n in (0, 5):
+        model = models.make(model_id, n, floats)
+        assert model == models.make(model_id, n, exact)
+        assert all(isinstance(v, Fraction) or type(v) is int
+                   for v in models.params(model).values())
+        system = recurrence.build_baseline(model)
+        assert system == recurrence.build_baseline(models.make(model_id, n, exact))
+        for _, table in system.centres:
+            assert all(type(v) is Fraction for v in vars(table).values())
+
+
+@pytest.mark.parametrize("model_id", ALL_IDS)
+def test_non_finite_or_non_numeric_parameters_raise(model_id):
+    for name in SAMPLE_PARAMS[model_id]:
+        for bad in (math.nan, math.inf, -math.inf, "1", None, 1j):
+            params = {**SAMPLE_PARAMS[model_id], name: bad}
+            with pytest.raises(InvalidParams):
+                models.make(model_id, 2, params)
+    if hasattr(models.CATALOG[model_id][0], "m_quantum"):
+        for bad in (math.nan, math.inf, "12"):
+            with pytest.raises(InvalidParams):
+                models.make(model_id, None, {**SAMPLE_PARAMS[model_id], "M": bad})
+
+
 def test_make_param_names_case_insensitive():
     a = models.make("xie-even", 2, {"V1": 1, "V2": -9})
     b = models.make("xie-even", 2, {"v1": 1, "v2": -9})
@@ -205,7 +234,8 @@ def test_multiplicator_table_matches_ode_definition(model_id):
 @pytest.mark.parametrize(
     "model_id, params",
     [(model_id, SAMPLE_PARAMS[model_id]) for model_id in ALL_IDS]
-    # converted exactly, the model's own float table gives F1(5) = 1.1e-16
+    # a float parameter is the exact binary rational it is, so its table
+    # zeroes F1(5) exactly as well
     + [("dshg", {"xi": 0.3})],
     ids=[*ALL_IDS, "dshg-float"],
 )
@@ -333,7 +363,6 @@ def test_sqrt_keeps_fractions_rational():
     assert isinstance(s, Fraction)
     assert abs(s * s - 2) < Fraction(1, 10 ** 39)
     assert models._sqrt(Fraction(9, 4)) == Fraction(3, 2)  # perfect square
-    assert models._sqrt(2.0) == math.sqrt(2.0)  # floats stay float
 
 
 def test_models_equal_spectra_between_variants():

@@ -172,18 +172,13 @@ def test_all_negative_products_without_a_positive_centre_raise():
         P.to_canonical_ttrr(sys0)
 
 
-def test_float_table_without_a_rational_centre_raises():
-    # 1/g rounds at g = 3.0, so the exactly converted table has no rational
-    # centre besides 0, where this chain's products are all negative
+def test_float_parameters_re_centre_like_their_exact_twins():
+    # g = 3.0 is the exact 3 once the model is built, so 1/g is exact and
+    # the chain re-centres at z = 1, where its products are all positive
     params = {"V1": 0.09, "V3": 400.0, "g": 3.0}
-    system = recurrence.build_baseline(models.make("chen-even", 20, params))
-    assert [centre for centre, _ in system.centres] == [0]
-    with pytest.raises(NonPositiveLambda):
-        P.to_canonical_ttrr(system)
-    # the same well from exact parameters re-centres at z = 1
-    exact = {"V1": Fraction(9, 100), "V3": 400, "g": 3}
-    _, _, ttrr, roots = solve(models.make("chen-even", 20, exact))
+    _, chain, ttrr, roots = solve(models.make("chen-even", 20, params))
     assert ttrr.centre == 1 and len(roots.roots) == 21
+    certified_roots(chain, roots)
 
 
 def test_real_roots_resolves_a_tight_doublet():
