@@ -123,24 +123,28 @@ def integer_image(p):
     return tuple(c.numerator * (den // c.denominator) for c in exact), den
 
 
-def eval_image(image, x):
-    """Exact value at the rational ``x`` of a polynomial's integer image.
+def image_horner(image, p, q):
+    """Value and slope at ``x = p/q`` (q > 0) of a polynomial's integer image.
 
-    Horner in homogeneous form over ``x = p/q``: the accumulator
-    ``sum_k nums[k] p^k q^(d-k)`` stays a plain integer, and one Fraction
-    over ``den * q^d`` is built at the end.  That is the rational
-    :func:`poly_eval` returns on the coefficients at ``Fraction(x)``, but
-    without a gcd per step.
+    Horner in homogeneous form keeps a = sum_k nums[k] p^k q^(d-k) and
+    b = sum_k k nums[k] p^(k-1) q^(d-k) plain integers.  Returns
+    ``(a, b, den * q^d)``: the value is a / (den q^d) and the slope
+    b q / (den q^d), neither reduced, since no gcd is taken.
     """
     nums, den = image
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
     coeffs = reversed(nums)
-    acc, qk = next(coeffs, 0), 1
-    for a in coeffs:
+    a, b, qk = next(coeffs, 0), 0, 1
+    for c in coeffs:
         qk *= q
-        acc = acc * p + a * qk
-    return Fraction(acc, den * qk)
+        a, b = a * p + c * qk, b * p + a
+    return a, b, den * qk
+
+
+def eval_image(image, x):
+    """Exact value at the rational ``x`` of an integer image, by :func:`image_horner`."""
+    x = Fraction(x)
+    value, _, den = image_horner(image, x.numerator, x.denominator)
+    return Fraction(value, den)
 
 
 def poly_eval_mag(p, x):

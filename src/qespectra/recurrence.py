@@ -39,12 +39,10 @@ from functools import cached_property, lru_cache
 from . import polynomials
 from .errors import DivisionByZeroMultiplicator, NotARoot
 from .polynomials import (
-    eval_image,
+    image_horner,
     integer_image,
     poly_add,
-    poly_deriv,
     poly_eval_mag,
-    poly_mul,
     poly_mul_linear,
     poly_scale,
 )
@@ -157,31 +155,23 @@ class ConstraintChain:
 
     ``members[k]`` holds P[n, k] (ascending exact coefficients); the
     terminal ``constraint`` polynomial has degree n+1 and its roots are the
-    admissible scan values.
+    admissible scan values.  ``steps[k-1]`` holds the integers
+    ``(alpha, beta, gamma, delta)`` of slice k: P[n,k] = ((alpha + beta x)
+    P[n,k-1] + gamma P[n,k-2]) / delta, with P[n,-1] = 0.
 
-    The images :func:`assemble_solution` evaluates are built on first use
-    and kept on the chain, so they live exactly as long as the cached chain
-    does.
+    The images below are built on first use and kept on the chain, so they
+    live exactly as long as the cached chain does.
     """
 
     n: int
     members: tuple
     constraint: tuple
-
-    @cached_property
-    def member_images(self):
-        """Integer image (:func:`~qespectra.polynomials.integer_image`) of each member."""
-        return tuple(integer_image(m) for m in self.members)
+    steps: tuple
 
     @cached_property
     def constraint_image(self):
         """Integer image of the constraint."""
         return integer_image(self.constraint)
-
-    @cached_property
-    def slope_image(self):
-        """Integer image of the constraint's derivative."""
-        return integer_image(poly_deriv(self.constraint))
 
     @cached_property
     def constraint_float(self):
@@ -221,6 +211,7 @@ def exact_chain(system):
     F1, F0, Fm1 = zip(*map(ode.multiplicators, range(n + 2)))
     prev, cur = [], [1]
     members = [tuple(cur)]
+    steps = []
     for k in range(1, n + 1):
         f1 = F1[n - k]
         if f1 == 0:
@@ -228,18 +219,20 @@ def exact_chain(system):
                 f"leading multiplicator vanishes at slice {n - k}; "
                 "the recurrence cannot be continued"
             )
-        new = poly_add(
-            poly_scale(prev, -Fm1[n + 2 - k] / f1),
-            poly_mul_linear(cur, -F0[n + 1 - k] / f1, -sigma / f1),
-        )
+        alpha, beta, gamma = -F0[n + 1 - k] / f1, -sigma / f1, -Fm1[n + 2 - k] / f1
+        new = poly_add(poly_scale(prev, gamma), poly_mul_linear(cur, alpha, beta))
         prev, cur = cur, new
         members.append(tuple(cur))
+        delta = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
+        steps.append(tuple(int(c * delta) for c in (alpha, beta, gamma)) + (delta,))
 
     constraint = poly_add(
         poly_scale(prev, Fm1[1]),
         poly_mul_linear(cur, F0[0], sigma),
     )
-    return ConstraintChain(n=n, members=tuple(members), constraint=tuple(constraint))
+    return ConstraintChain(
+        n=n, members=tuple(members), constraint=tuple(constraint), steps=tuple(steps)
+    )
 
 
 def run_ttrr(system):
@@ -252,12 +245,35 @@ _POLISH_STEPS = 6
 _POLISH_GRAIN = 1 << 200
 
 
+def _solution_image(chain, p, q):
+    """Integer image of S(z) at the scan value ``p/q`` (q > 0), by the steps.
+
+    At x = p/q every member is P[n,k] = M_k / D_n over the common
+    denominator D_n = q^n delta_1 ... delta_n, and the steps give the
+    integers M_k from M_0 = D_n on:
+
+        M_k = ((alpha_k q + beta_k p) M_{k-1} + gamma_k q M_{k-2}) / (q delta_k),
+
+    a division that is exact because M_k is an integer.  S[j] = P[n,n-j].
+    """
+    den = q**chain.n * math.prod(step[3] for step in chain.steps)
+    prev, cur = 0, den
+    members = [cur]
+    for alpha, beta, gamma, delta in chain.steps:
+        prev, cur = cur, ((alpha * q + beta * p) * cur + gamma * q * prev) // (q * delta)
+        members.append(cur)
+    return tuple(reversed(members)), den
+
+
 def assemble_solution(chain, root):
     """Monic polynomial solution S(z) at one root of the constraint.
 
-    Returns ascending exact coefficients ``S[j]`` of ``S(z) = sum_j S[j]
-    z^j`` with ``S[n] = 1``: the member P[n, n-j] evaluated at the root
-    supplies the coefficient of ``z^j``.
+    Returns the integer image ``(nums, den)`` of ``S(z) = sum_j S[j] z^j``
+    (the shape :func:`~qespectra.polynomials.integer_image` gives):
+    ``S[j] = nums[j] / den``, with ``S[n] = 1`` and ``den > 0``.  The
+    member P[n, n-j] evaluated at the root supplies the coefficient of
+    ``z^j``.  The pair is not reduced; ``Fraction(nums[j], den)`` is the
+    very rational Fraction Horner on the member gives.
 
     The coefficients are violently sensitive to the root position:
     constraint slopes reach ~1e12 while the solution needs the root to
@@ -266,46 +282,48 @@ def assemble_solution(chain, root):
     to the solution itself.  So ``root`` is first Newton-polished on the
     exact constraint (quadratic convergence: two steps from a
     float-accurate start), and the members are evaluated at the polished
-    rational root.
+    rational root by the chain's own recurrence (:func:`_solution_image`).
 
-    Every evaluation runs on the chain's integer images
-    (:func:`~qespectra.polynomials.eval_image`): plain-integer Horner and
-    one Fraction per value, the very rational Fraction Horner gives.  The
-    n+1 member values are O(n^2) big-integer products whose operands grow
-    to ~200 n bits, so the cost grows about as n^3: per root on one Xeon
-    core, ~1.5 ms at n = 20, 5-9 ms at n = 40, 30-60 ms at n = 80.
+    No gcd is taken: the polish is Newton on the value and slope of
+    :func:`~qespectra.polynomials.image_horner`, every rational an integer
+    pair with a positive denominator, each iterate rounded to the grain by
+    ``divmod`` (ties to even, as ``round`` rounds a Fraction), and every
+    test made by cross-multiplication.  Per root on one Xeon core: 0.3-0.5
+    ms at n = 20, 1.0-1.6 ms at n = 40, 5-8 ms at n = 80.
 
     Raises:
         NotARoot: ``root`` does not identify a constraint root: it drifts
             under polish, or the backward error of the constraint at the
             polished root is too large for it to count as a zero.
     """
-    x = Fraction(root)
-    scale = max(Fraction(1), abs(x))
-    moved = Fraction(0)
+    p, q = Fraction(root).as_integer_ratio()
+    q0, scale_num = q, max(q, abs(p))  # scale = max(1, |root|) = scale_num / q0
+    moved_num, moved_den = 0, 1
     for _ in range(_POLISH_STEPS):
-        value = eval_image(chain.constraint_image, x)
-        if value == 0:
+        value, slope, _ = image_horner(chain.constraint_image, p, q)
+        if value == 0 or slope == 0:
             break
-        slope = eval_image(chain.slope_image, x)
-        if slope == 0:
-            break
-        step = value / slope
-        x -= step
+        # step = value / slope = step_num / step_den, step_den > 0
+        step_num, step_den = (value, slope * q) if slope > 0 else (-value, -slope * q)
         # Newton squares the iterate's bit length each pass; unchecked, the
         # rational blows up to megabit denominators.  Rounding to a fixed
         # 200 fractional bits (~60 digits) keeps every evaluation cheap while
         # staying far inside the 1e-32 stopping tolerance.
-        x = Fraction(round(x * _POLISH_GRAIN), _POLISH_GRAIN)
-        moved += abs(step)
-        if abs(step) <= scale / 10**32:
+        den = q * step_den
+        p, rest = divmod((p * step_den - q * step_num) * _POLISH_GRAIN, den)
+        if 2 * rest > den or (2 * rest == den and p & 1):
+            p += 1
+        q = _POLISH_GRAIN
+        moved_num = moved_num * step_den + abs(step_num) * moved_den
+        moved_den *= step_den
+        if abs(step_num) * 10**32 * q0 <= scale_num * step_den:
             break
-    if moved > scale / 10**6:
+    if moved_num * 10**6 * q0 > scale_num * moved_den:
         raise NotARoot(
-            f"scan value {float(root):.6g} drifted by {float(moved):.3g} "
+            f"scan value {float(root):.6g} drifted by {moved_num / moved_den:.3g} "
             "under exact Newton polish; it does not identify a root"
         )
-    value, mag = poly_eval_mag(chain.constraint_float, float(x))
+    value, mag = poly_eval_mag(chain.constraint_float, p / q)
     # mag bounds |value| from above, so mag == 0 forces value == 0: an exact
     # root of a constraint whose terms all vanish at this point (e.g. the
     # n = 0 chain evaluated at scan value 0).  Only a genuinely nonzero
@@ -313,17 +331,18 @@ def assemble_solution(chain, root):
     if abs(value) > _ROOT_BWD_TOL * mag:
         raise NotARoot(
             f"constraint backward error {abs(value):.3g} / {mag:.3g} "
-            f"at scan value {float(x):.6g}"
+            f"at scan value {p / q:.6g}"
         )
-    return [eval_image(chain.member_images[chain.n - j], x) for j in range(chain.n + 1)]
+    return _solution_image(chain, p, q)
 
 
 def exact_solution(system, root):
     """Assemble S(z) at a constraint root of a baseline system.
 
-    The solution on the system's exact chain; see :func:`assemble_solution`.
+    Ascending Fraction coefficients; see :func:`assemble_solution`.
     """
-    return assemble_solution(exact_chain(system), root)
+    nums, den = assemble_solution(exact_chain(system), root)
+    return [Fraction(a, den) for a in nums]
 
 
 def solve(model):
@@ -336,29 +355,3 @@ def solve(model):
     chain = run_ttrr(system)
     ttrr = polynomials.to_canonical_ttrr(system)
     return system, chain, ttrr, polynomials.real_roots(ttrr)
-
-
-def _max_abs(coeffs):
-    return max((abs(float(c)) for c in coeffs), default=0.0)
-
-
-def relative_ode_residual(ode, solution):
-    """Max residual coefficient over the size of the largest contribution.
-
-    The scale is floored at (largest ODE coefficient) * (largest solution
-    coefficient): for a constant solution every derivative term vanishes and
-    the one surviving product is the defect itself, which would otherwise
-    make a perfectly solved equation read as relative residual 1.
-    """
-    a = [0, ode.a1, ode.a2, ode.a3]
-    b = [ode.b0, ode.b1, ode.b2]
-    c = [ode.c0, ode.c1]
-    d1 = poly_deriv(solution)
-    d2 = poly_deriv(d1)
-    terms = [poly_mul(a, d2), poly_mul(b, d1), poly_mul(c, list(solution))]
-    scale = max(_max_abs(t) for t in terms)
-    scale = max(scale, _max_abs(a + b + c) * _max_abs(list(solution)))
-    res = poly_add(poly_add(terms[0], terms[1]), terms[2])
-    if scale == 0.0:
-        return 0.0
-    return _max_abs(res) / scale

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -122,8 +121,8 @@ def parity_classify(grid):
     return None
 
 
-def _eval_poly_extended(coeffs, z):
-    """Horner evaluation in 80-bit extended precision.
+def _eval_poly_extended(image, z):
+    """Horner evaluation in 80-bit extended precision of an integer image.
 
     A deep-well solution polynomial cancels pointwise by up to ~1e6 on the
     physical interval (its values sit that far below its coefficients), and
@@ -132,12 +131,12 @@ def _eval_poly_extended(coeffs, z):
     accumulation over double-double images of the exact coefficients keeps
     the pointwise relative error near 1e-13 in the worst catalog case.
     """
+    nums, den = image
     zl = z.astype(np.longdouble)
     acc = np.zeros(zl.shape, dtype=np.longdouble)
-    for c in reversed(coeffs):
-        num, den = Fraction(c).as_integer_ratio()
-        # int / int rounds correctly, as float(Fraction) does, and raises
-        # OverflowError past the float range
+    for num in reversed(nums):
+        # int / int rounds correctly, reduced or not, as float(Fraction)
+        # does, and raises OverflowError past the float range
         hi = num / den
         hi_num, hi_den = hi.as_integer_ratio()
         lo = (num * hi_den - hi_num * den) / (den * hi_den)
@@ -147,18 +146,21 @@ def _eval_poly_extended(coeffs, z):
 
 
 def _first_peak_sign(psi):
-    """Sign of psi at its first significant interior extremum."""
+    """Sign of psi at its first significant interior extremum.
+
+    Of the samples at or above 1% of the peak, the first to fall after one
+    that did not fall ends it, at its predecessor; else the sign at the peak.
+    """
     mag = np.abs(psi)
     peak = float(mag.max())
-    threshold = 0.01 * peak
-    rising = False
-    for i in range(1, len(psi)):
-        if mag[i] < threshold:
-            continue
-        if mag[i] >= mag[i - 1]:
-            rising = True
-        elif rising:
-            return 1.0 if psi[i - 1] > 0 else -1.0
+    live = mag[1:] >= 0.01 * peak
+    up = mag[1:] >= mag[:-1]
+    rises = np.flatnonzero(live & up)
+    if rises.size:
+        start = rises[0]
+        falls = np.flatnonzero(live[start:] & ~up[start:])
+        if falls.size:
+            return 1.0 if psi[start + falls[0]] > 0 else -1.0
     return 1.0 if psi[int(np.argmax(mag))] > 0 else -1.0
 
 
@@ -176,7 +178,7 @@ def sample(model, root, xs=None, chain=None):
     """
     if chain is None:
         chain = recurrence.run_ttrr(recurrence.build_baseline(model))
-    coeffs = recurrence.assemble_solution(chain, root)
+    image = recurrence.assemble_solution(chain, root)
     if xs is None:
         xs = default_grid(model, model.n)
     else:
@@ -187,7 +189,7 @@ def sample(model, root, xs=None, chain=None):
     z = np.asarray(model.coordinate(xs), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         q = model.prefactor(xs)
-        psi = q * _eval_poly_extended(coeffs, z)
+        psi = q * _eval_poly_extended(image, z)
     # 0 * inf in the dead tail: the underflowed prefactor wins.
     psi = np.where(q == 0.0, 0.0, psi)
     if not np.all(np.isfinite(psi)):

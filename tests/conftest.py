@@ -77,10 +77,12 @@ def exact_root(chain, root):
     """
     x, grain = Fraction(root), 1 << 330
     for _ in range(50):
-        value = polynomials.eval_image(chain.constraint_image, x)
+        value, slope, _ = polynomials.image_horner(
+            chain.constraint_image, x.numerator, x.denominator
+        )
         if value == 0:
             break
-        step = value / polynomials.eval_image(chain.slope_image, x)
+        step = Fraction(value, slope * x.denominator)
         x = Fraction(round((x - step) * grain), grain)
         if abs(step) <= abs(x) / 2**300:
             break
@@ -111,3 +113,33 @@ def certified_roots(chain, roots):
     changes = sum(a * b < 0 for a, b in zip(values, values[1:]))
     assert changes == chain.n + 1, f"{changes} sign changes for {chain.n + 1} roots"
     return refined
+
+
+def _max_abs(coeffs):
+    return max((abs(float(c)) for c in coeffs), default=0.0)
+
+
+def relative_ode_residual(ode, solution):
+    """Max residual coefficient over the size of the largest contribution.
+
+    The scale is floored at (largest ODE coefficient) * (largest solution
+    coefficient): for a constant solution every derivative term vanishes and
+    the one surviving product is the defect itself, which would otherwise
+    make a perfectly solved equation read as relative residual 1.
+    """
+    a = [0, ode.a1, ode.a2, ode.a3]
+    b = [ode.b0, ode.b1, ode.b2]
+    c = [ode.c0, ode.c1]
+    d1 = polynomials.poly_deriv(solution)
+    d2 = polynomials.poly_deriv(d1)
+    terms = [
+        polynomials.poly_mul(a, d2),
+        polynomials.poly_mul(b, d1),
+        polynomials.poly_mul(c, list(solution)),
+    ]
+    scale = max(_max_abs(t) for t in terms)
+    scale = max(scale, _max_abs(a + b + c) * _max_abs(list(solution)))
+    res = polynomials.poly_add(polynomials.poly_add(terms[0], terms[1]), terms[2])
+    if scale == 0.0:
+        return 0.0
+    return _max_abs(res) / scale

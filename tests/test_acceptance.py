@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import DEEP_CASES, certified_roots, exact_root
+from conftest import DEEP_CASES, certified_roots, exact_root, relative_ode_residual
 from qespectra import models, oracle, recurrence, solve
 from qespectra.errors import NonPositiveLambda
 
@@ -195,7 +195,7 @@ def test_10_invariant_sweep(deep):
         for root in roots.roots:
             ode = model.ode_coefficients(root)
             solution = [float(c) for c in recurrence.exact_solution(system, root)]
-            residual = recurrence.relative_ode_residual(ode, solution)
+            residual = relative_ode_residual(ode, solution)
             assert residual < 1e-10, f"{key} root {root}: residual {residual:.3g}"
 
         exact = [float(x) for x in certified_roots(exact_chain, roots)]

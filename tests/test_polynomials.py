@@ -69,8 +69,13 @@ def test_integer_image_evaluates_as_fraction_horner():
     p = [Fraction(3, 4), 0, Fraction(-5, 6), 7, Fraction(1, 10**20)]
     nums, den = P.integer_image(p)
     assert den == 3 * 10**20 and all(type(a) is int for a in nums)
+    slope = P.poly_deriv(p)
     for x in (Fraction(1, 3), Fraction(-7, 2), 0, 2, -1.5, 0.1, 1e300):
         assert P.eval_image((nums, den), x) == P.poly_eval(p, Fraction(x))
+        # the same homogeneous Horner carries the slope, over den * q^d / q
+        q = Fraction(x).denominator
+        _, b, d = P.image_horner((nums, den), Fraction(x).numerator, q)
+        assert Fraction(b * q, d) == P.poly_eval(slope, Fraction(x))
     assert P.eval_image(P.integer_image([]), Fraction(1, 3)) == 0
     assert P.eval_image(P.integer_image([5]), 0.25) == 5
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import certified_roots, float_chain_at
+from conftest import certified_roots, float_chain_at, relative_ode_residual
 from qespectra import cli, models, polynomials, recurrence, solve, wavefunctions
 
 settings.register_profile("suite", max_examples=30, deadline=None)
@@ -105,7 +105,7 @@ def test_solved_instance_invariants(model):
     for root in roots.roots:
         ode = model.ode_coefficients(root)
         exact = [float(c) for c in recurrence.exact_solution(system, root)]
-        assert recurrence.relative_ode_residual(ode, exact) < 1e-10
+        assert relative_ode_residual(ode, exact) < 1e-10
 
 
 @settings(max_examples=15, deadline=None)
@@ -231,3 +231,52 @@ def test_parity_classification_on_constructed_states(cs, odd, half):
         psi = xs * psi
     grid = wavefunctions.WavefunctionGrid(xs, psi, 1.0, 0, None)
     assert wavefunctions.parity_classify(grid) == ("odd" if odd else "even")
+
+
+# ---------------------------------------------------------------------------
+# sign fixing
+# ---------------------------------------------------------------------------
+
+def _first_peak_sign_loop(psi):
+    """The sample-by-sample walk ``wavefunctions._first_peak_sign`` replaces."""
+    mag = np.abs(psi)
+    peak = float(mag.max())
+    threshold = 0.01 * peak
+    rising = False
+    for i in range(1, len(psi)):
+        if mag[i] < threshold:
+            continue
+        if mag[i] >= mag[i - 1]:
+            rising = True
+        elif rising:
+            return 1.0 if psi[i - 1] > 0 else -1.0
+    return 1.0 if psi[int(np.argmax(mag))] > 0 else -1.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    # a narrow range makes plateaus, and values below 1% of a wide range's
+    # peak make runs under the threshold
+    values=st.lists(
+        st.integers(min_value=-3, max_value=3) | st.integers(min_value=-1000, max_value=1000),
+        min_size=1, max_size=60,
+    ),
+    shape=st.sampled_from(("as drawn", "ascending", "descending", "positive", "negative")),
+)
+@example(values=[0, 5, 5, 5, 3, -9], shape="as drawn")  # plateau before the fall
+@example(values=[1000, 2, -3, 1, 400, 300, -800], shape="as drawn")  # sub-threshold run
+@example(values=[0, 1, -2, 1, 100], shape="as drawn")  # 1 sits at the threshold: it counts
+@example(values=[1, 2, 3, 4], shape="ascending")
+@example(values=[-4, -3, -2, -1], shape="ascending")
+@example(values=[0, 0, 0], shape="as drawn")
+def test_first_peak_sign_matches_the_loop(values, shape):
+    psi = np.array(values, dtype=float)
+    if shape == "ascending":
+        psi = np.sort(psi)
+    elif shape == "descending":
+        psi = np.sort(psi)[::-1]
+    elif shape == "positive":
+        psi = np.abs(psi)
+    elif shape == "negative":
+        psi = -np.abs(psi)
+    assert wavefunctions._first_peak_sign(psi) == _first_peak_sign_loop(psi)

@@ -1,12 +1,14 @@
 """Unit tests for the descending recurrence, chain assembly and exact replay."""
 
+import fractions
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import float_chain_at, solved
-from qespectra import models, polynomials, recurrence
+from conftest import float_chain_at, relative_ode_residual, solved
+from qespectra import models, polynomials, recurrence, wavefunctions
 from qespectra.errors import DivisionByZeroMultiplicator, NotARoot
 
 
@@ -209,14 +211,20 @@ def test_exact_solution_accepts_exact_zero_root_of_n0_chain():
     assert [float(c) for c in coeffs] == [1.0]
 
 
+def _fractions(image):
+    """The exact coefficients of an integer image ``(nums, den)``."""
+    nums, den = image
+    return [Fraction(a, den) for a in nums]
+
+
 def test_assemble_solution_float_path_matches_exact():
     # a float root assembled on the pipeline's chain gives exactly the
     # exact_solution of its baseline system: there is one path
     model, system, chain, _, roots = solved("xie-even")
     root = roots.roots[0]
-    assert recurrence.assemble_solution(chain, root) == recurrence.exact_solution(
-        system, root
-    )
+    got = recurrence.assemble_solution(chain, root)
+    assert _fractions(got) == recurrence.exact_solution(system, root)
+    assert got[1] > 0 and all(type(a) is int for a in (*got[0], got[1]))
 
 
 def _fraction_assembly(chain, root):
@@ -274,13 +282,40 @@ EXACTNESS_CASES = (
 
 @pytest.mark.parametrize("model_id,n,params", EXACTNESS_CASES)
 def test_assemble_solution_equals_fraction_horner(model_id, n, params):
-    # the integer images are an evaluation shortcut: every coefficient must
-    # be the very rational that Fraction Horner gives
+    # the integer recurrence is an evaluation shortcut: every coefficient
+    # must be the very rational that Fraction Horner gives
     _, chain, _, roots = recurrence.solve(models.make(model_id, n, params))
     for root in roots.roots:
-        got = recurrence.assemble_solution(chain, root)
+        nums, den = recurrence.assemble_solution(chain, root)
+        assert den > 0 and all(type(a) is int for a in (*nums, den))
+        assert _fractions((nums, den)) == _fraction_assembly(chain, root), root
+
+
+def test_assemble_solution_equals_fraction_horner_on_a_long_chain():
+    # coulomb n = 80: the lowest, a middle and the highest root
+    model = models.make("coulomb", 80, {"lambda": Fraction(1, 2)})
+    _, chain, _, roots = recurrence.solve(model)
+    for root in (roots.roots[0], roots.roots[40], roots.roots[-1]):
+        got = _fractions(recurrence.assemble_solution(chain, root))
         assert got == _fraction_assembly(chain, root), root
-        assert all(type(c) is Fraction for c in got)
+
+
+@pytest.mark.parametrize("n", (5, 20))
+@pytest.mark.parametrize("model_id", sorted(CATALOG_PARAMS))
+def test_step_recurrence_evaluates_every_member(model_id, n):
+    # at rationals the polish never produces (non-dyadic, either sign), the
+    # integer step recurrence gives every member's value exactly
+    chain = recurrence.exact_chain(
+        recurrence.build_baseline(models.make(model_id, n, CATALOG_PARAMS[model_id]))
+    )
+    rng = random.Random(f"{model_id}:{n}")
+    for _ in range(3):
+        x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        nums, den = recurrence._solution_image(chain, x.numerator, x.denominator)
+        assert den > 0
+        assert _fractions((nums, den)) == [
+            polynomials.poly_eval(chain.members[chain.n - j], x) for j in range(n + 1)
+        ], x
 
 
 def test_assemble_solution_splits_the_dshg_doublets():
@@ -288,7 +323,7 @@ def test_assemble_solution_splits_the_dshg_doublets():
     # doublet lie 7e-15 apart, yet both members polish to their own root
     _, chain, _, roots = recurrence.solve(models.make("dshg", 20, {"xi": 2}))
     assert roots.min_gap < 1e-13
-    lowest = [recurrence.assemble_solution(chain, r) for r in roots.roots[:2]]
+    lowest = [_fractions(recurrence.assemble_solution(chain, r)) for r in roots.roots[:2]]
     assert lowest[0] != lowest[1]
 
 
@@ -303,9 +338,30 @@ def test_assemble_solution_gates_still_fire():
         recurrence.assemble_solution(chain, 0.0)
 
 
+def test_assembly_and_sampling_take_no_gcd(monkeypatch):
+    # every Fraction a program builds from two integers normalizes them with
+    # math.gcd; assembly and sampling work on integer pairs and build none
+    model = models.make("razavy-sinh2", 40, CATALOG_PARAMS["razavy-sinh2"])
+    _, chain, _, roots = recurrence.solve(model)
+    chain.constraint_image, chain.constraint_float  # built once per chain
+    calls = []
+    gcd = fractions.math.gcd
+
+    def counted(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(fractions.math, "gcd", counted)
+    for root in roots.roots:
+        recurrence.assemble_solution(chain, root)
+    assert len(calls) == 0
+    wavefunctions.sample(model, roots.roots[0], chain=chain)
+    assert len(calls) == 0
+
+
 def test_exact_chain_cache_clear_drops_the_images():
-    # the integer images live on the cached chain only, so clearing the
-    # cache (as the benchmark does between rounds) drops them too
+    # the integer image and the steps live on the cached chain only, so
+    # clearing the cache (as the benchmark does between rounds) drops them
     model = models.make("coulomb", 6, {"lambda": Fraction(1, 2)})
     system = recurrence.build_baseline(model)
     first = recurrence.exact_chain(system)
@@ -313,8 +369,10 @@ def test_exact_chain_cache_clear_drops_the_images():
     recurrence.exact_chain.cache_clear()
     second = recurrence.exact_chain(system)
     assert second is not first
-    assert second.member_images is not first.member_images
-    assert second.member_images == first.member_images
+    assert second.constraint_image is not first.constraint_image
+    assert second.constraint_image == first.constraint_image
+    assert second.steps is not first.steps
+    assert second.steps == first.steps
     assert callable(recurrence.exact_chain.cache_clear)
 
 
@@ -330,12 +388,19 @@ def test_exact_chain_builds_past_the_float_range():
 
 def test_chain_images_are_the_chain():
     _, _, chain, _, _ = solved("chen-even")
-    polys = chain.members + (chain.constraint,)
-    images = chain.member_images + (chain.constraint_image,)
-    for poly, (nums, den) in zip(polys, images):
-        assert [Fraction(a, den) for a in nums] == list(poly)
-    nums, den = chain.slope_image
-    assert [Fraction(a, den) for a in nums] == polynomials.poly_deriv(chain.constraint)
+    # each stored step rebuilds its member from the two before it
+    assert len(chain.steps) == chain.n
+    prev = []
+    for k, (alpha, beta, gamma, delta) in enumerate(chain.steps, start=1):
+        assert all(type(v) is int for v in (alpha, beta, gamma, delta))
+        cur = chain.members[k - 1]
+        rebuilt = polynomials.poly_add(
+            polynomials.poly_scale(prev, gamma),
+            polynomials.poly_mul_linear(cur, alpha, beta),
+        )
+        assert [Fraction(c, delta) for c in rebuilt] == list(chain.members[k]), k
+        prev = cur
+    assert _fractions(chain.constraint_image) == list(chain.constraint)
     assert chain.constraint_float == tuple(float(c) for c in chain.constraint)
 
 
@@ -348,11 +413,11 @@ def test_ode_residual_detects_wrong_solution():
     ode = model.ode_coefficients(1.0)
     good = recurrence.exact_solution(recurrence.build_baseline(model), 1.0)
     bad = [c + Fraction(1, 10) for c in good]
-    assert recurrence.relative_ode_residual(ode, [float(c) for c in good]) < 1e-14
-    assert recurrence.relative_ode_residual(ode, [float(c) for c in bad]) > 1e-3
+    assert relative_ode_residual(ode, [float(c) for c in good]) < 1e-14
+    assert relative_ode_residual(ode, [float(c) for c in bad]) > 1e-3
 
 
 def test_ode_residual_zero_solution_is_zero():
     model = models.make("coulomb", 1, {"lambda": Fraction(1, 2)})
     ode = model.ode_coefficients(1.0)
-    assert recurrence.relative_ode_residual(ode, [0.0, 0.0]) == 0.0
+    assert relative_ode_residual(ode, [0.0, 0.0]) == 0.0

@@ -102,13 +102,13 @@ def test_extended_horner_splits_as_fractions_do():
     _, chain, _, roots = solve(model)
     z = np.linspace(-3.0, 3.0, 97)
     for root in roots.roots[::4]:
-        coeffs = recurrence.assemble_solution(chain, root)
+        nums, den = recurrence.assemble_solution(chain, root)
         np.testing.assert_array_equal(
-            wavefunctions._eval_poly_extended(coeffs, z),
-            _fraction_split_horner(coeffs, z),
+            wavefunctions._eval_poly_extended((nums, den), z),
+            _fraction_split_horner([Fraction(a, den) for a in nums], z),
         )
     with pytest.raises(OverflowError):
-        wavefunctions._eval_poly_extended([Fraction(10**400, 3)], z)
+        wavefunctions._eval_poly_extended(((10**400,), 3), z)
 
 
 # ---------------------------------------------------------------------------
