@@ -35,6 +35,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -215,23 +216,6 @@ def _pick_indices(roots, root_index):
     return [root_index % count]
 
 
-def _p_nn_zero_flag(system):
-    """True when the last regular member shares a zero with the constraint.
-
-    The z^0 coefficient of the assembled solution is that member's value at
-    the root, so a shared zero means the solution loses its constant term
-    there — worth surfacing as a diagnostic.  Deep chains make any float
-    test hopeless: the member's value at the largest roots sits legitimately
-    tens of orders below its Horner term scale without vanishing, so no
-    magnitude threshold separates "tiny" from "zero".  Both polynomials
-    have exact rational coefficients, though, so the question is decidable:
-    they share a zero iff their polynomial GCD is non-constant.
-    """
-    exact = recurrence.exact_chain(system)
-    gcd = polynomials.exact_gcd(exact.constraint, exact.members[exact.n])
-    return len(gcd) != 1
-
-
 def _scalar_param(value):
     """An exact parameter for JSON: an int when integral, else a float."""
     return int(value) if value.denominator == 1 else float(value)
@@ -249,7 +233,7 @@ def _root_row(model, root):
     return row
 
 
-def _spectrum_result(model_id, model, system, ttrr, rows):
+def _spectrum_result(model_id, model, chain, ttrr, rows):
     name, value = model.baseline()
     lam_tail = ttrr.lam[1:]
     return {
@@ -259,7 +243,7 @@ def _spectrum_result(model_id, model, system, ttrr, rows):
         "baseline": {"name": name, "value": float(value)},
         "roots": rows,
         "chain": {
-            "p_nn_zero_flag": _p_nn_zero_flag(system),
+            "p_nn_zero_flag": chain.p_nn_zero_flag,
             "min_lambda": float(min(lam_tail)) if lam_tail else 1.0,
         },
     }
@@ -315,9 +299,9 @@ def cmd_models(args):
 
 def cmd_roots(args):
     model = _build_model(args)
-    system, _, ttrr, roots = recurrence.solve(model)
+    _, chain, ttrr, roots = recurrence.solve(model)
     rows = [_root_row(model, r) for r in roots.roots]
-    _write_result(_spectrum_result(args.model, model, system, ttrr, rows), args)
+    _write_result(_spectrum_result(args.model, model, chain, ttrr, rows), args)
     return EXIT_OK
 
 
@@ -375,7 +359,7 @@ def cmd_wavefunction(args):
 
 def cmd_verify(args):
     model = _build_model(args)
-    system, chain, ttrr, roots = recurrence.solve(model)
+    _, chain, ttrr, roots = recurrence.solve(model)
     indices = _pick_indices(roots, args.root_index)
     overrides = (args.xmin, args.xmax, args.points)
     rows = []
@@ -405,7 +389,7 @@ def cmd_verify(args):
         if report.residual > VERIFY_RESIDUAL_MAX or not report.converged:
             all_ok = False
         rows.append(row)
-    _write_result(_spectrum_result(args.model, model, system, ttrr, rows), args)
+    _write_result(_spectrum_result(args.model, model, chain, ttrr, rows), args)
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
@@ -430,7 +414,9 @@ def _add_output_options(sub, default_format):
                      help="write to PATH instead of standard output")
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="qespectra",
         description="Algebraic spectra of quasi-solvable potentials via "

@@ -4,8 +4,10 @@ The verifier discretizes H = -d^2/dx^2 + V with second-order central
 differences and Dirichlet walls, finds the FD eigenvalue nearest each
 algebraic energy, and reports the gap together with a discrete residual
 ||H psi - E psi|| / ||psi|| of the *algebraic* wavefunction on the same
-grid.  Convergence is attested by halving h and requiring the gap to
-shrink like h^2 (a factor >= 3 in practice, or hitting the noise floor).
+grid.  Convergence is attested on the grid with half the step: the gap
+shrinks like h^2, so that grid must hold an eigenvalue within a third of
+the gap (or within the noise floor) of the energy.  One Sturm count of
+that window decides it; the refined grid is never solved.
 
 Two discretizations are used:
 
@@ -40,8 +42,8 @@ from . import wavefunctions
 from .errors import DegenerateGrid, InvalidParams
 from .models import CoulombOscillator
 
-# The gap is "converged" when halving the step shrinks it by at least this
-# factor, or it is already at the noise floor.
+# The gap is "converged" when the grid with half the step has an eigenvalue
+# within gap / _SHRINK of the energy, or within the noise floor.
 _SHRINK = 3.0
 _GAP_FLOOR = 1e-9
 # Nearest-eigenvalue query: inverse-iteration solves at the target, then at
@@ -241,19 +243,23 @@ def _nearest(diag, off, energy):
     return float(lam)
 
 
-def _ambiguous(diag, off, energy, gap):
-    """Whether a second eigenvalue lies within 2 ``gap`` of ``energy``.
+def _count_within(diag, off, centre, radius):
+    """How many eigenvalues of T = (diag, off) lie within ``radius`` of ``centre``.
 
-    A Sturm count of [E - 2 gap, E + 2 gap]: the query's tolerance is wider
-    than its window, so no eigenvalue in it is bisected.
+    Two Sturm counts: bisection counts the half-open window (vl, vu], so vl
+    is taken one float below centre - radius to close it, and the query's
+    tolerance is wider than its window, so no eigenvalue in it is bisected.
     """
-    if gap <= 0.0:
-        return False
-    found = sla.eigvalsh_tridiagonal(
-        diag, off, select="v",
-        select_range=(energy - 2.0 * gap, energy + 2.0 * gap), tol=8.0 * gap,
-    )
-    return len(found) >= 2
+    lower = np.nextafter(centre - radius, -np.inf)
+    return len(sla.eigvalsh_tridiagonal(
+        diag, off, select="v", select_range=(lower, centre + radius),
+        tol=4.0 * radius,
+    ))
+
+
+def _ambiguous(diag, off, energy, gap):
+    """Whether a second eigenvalue lies within 2 ``gap`` of ``energy``."""
+    return gap > 0.0 and _count_within(diag, off, energy, 2.0 * gap) >= 2
 
 
 def _residual_full_line(model, scan, cfg, psi, energy):
@@ -405,10 +411,8 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     del diag, off
 
     diag, off = _tridiag(model, scan, _doubled(model, cfg))
-    gap2 = abs(_nearest(diag, off, energy) - energy)
-
-    floor = _GAP_FLOOR * max(1.0, abs(energy))
-    converged = (gap2 * _SHRINK <= gap) or (gap2 <= floor)
+    reach = max(gap / _SHRINK, _GAP_FLOOR * max(1.0, abs(energy)))
+    converged = _count_within(diag, off, energy, reach) > 0
     return VerificationReport(
         algebraic_energy=energy,
         nearest_fd_energy=nearest,

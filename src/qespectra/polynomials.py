@@ -55,11 +55,6 @@ def trim(coeffs):
     return c
 
 
-def degree(p):
-    """Degree of ``p``; -1 for the zero polynomial."""
-    return len(trim(p)) - 1
-
-
 def poly_add(p, q):
     """Coefficient-wise sum."""
     if len(p) < len(q):
@@ -86,24 +81,6 @@ def poly_mul_linear(p, a0, a1):
     return out
 
 
-def poly_mul(p, q):
-    """Full convolution product."""
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def poly_deriv(p):
-    """Formal derivative."""
-    return [k * c for k, c in enumerate(p)][1:]
-
-
 def poly_eval(p, x):
     """Horner evaluation; returns 0 for the zero polynomial."""
     acc = 0
@@ -116,7 +93,7 @@ def integer_image(p):
     """Integer numerators over one common denominator: ``(nums, den)``.
 
     ``p[k] == Fraction(nums[k], den)``; coefficients are converted exactly
-    (floats included).  :func:`eval_image` evaluates the image.
+    (floats included).  :func:`image_horner` evaluates the image.
     """
     exact = [Fraction(c) for c in p]
     den = math.lcm(*(c.denominator for c in exact))
@@ -138,13 +115,6 @@ def image_horner(image, p, q):
         qk *= q
         a, b = a * p + c * qk, b * p + a
     return a, b, den * qk
-
-
-def eval_image(image, x):
-    """Exact value at the rational ``x`` of an integer image, by :func:`image_horner`."""
-    x = Fraction(x)
-    value, _, den = image_horner(image, x.numerator, x.denominator)
-    return Fraction(value, den)
 
 
 def poly_eval_mag(p, x):

@@ -159,8 +159,8 @@ class ConstraintChain:
     ``(alpha, beta, gamma, delta)`` of slice k: P[n,k] = ((alpha + beta x)
     P[n,k-1] + gamma P[n,k-2]) / delta, with P[n,-1] = 0.
 
-    The images below are built on first use and kept on the chain, so they
-    live exactly as long as the cached chain does.
+    The images and the flag below are built on first use and kept on the
+    chain, so they live exactly as long as the cached chain does.
     """
 
     n: int
@@ -181,6 +181,19 @@ class ConstraintChain:
             OverflowError: a coefficient lies beyond the float range.
         """
         return tuple(float(c) for c in self.constraint)
+
+    @cached_property
+    def p_nn_zero_flag(self):
+        """True when the last member P[n,n] shares a zero with the constraint.
+
+        The z^0 coefficient of the assembled solution is that member's value
+        at the root, so a shared zero means the solution loses its constant
+        term there.  No float magnitude test can tell: on deep chains the
+        member's value at the largest roots sits legitimately tens of orders
+        below its Horner term scale without vanishing.  Both polynomials are
+        exact, so they share a zero iff their exact gcd is non-constant.
+        """
+        return len(polynomials.exact_gcd(self.constraint, self.members[self.n])) != 1
 
 
 @lru_cache(maxsize=64)

@@ -41,6 +41,36 @@ def deep():
     return solved
 
 
+def degree(p):
+    """Degree of ``p``; -1 for the zero polynomial."""
+    return len(polynomials.trim(p)) - 1
+
+
+def poly_mul(p, q):
+    """Full convolution product."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def poly_deriv(p):
+    """Formal derivative."""
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def eval_image(image, x):
+    """Exact value at the rational ``x`` of an integer image, by ``image_horner``."""
+    x = Fraction(x)
+    value, _, den = polynomials.image_horner(image, x.numerator, x.denominator)
+    return Fraction(value, den)
+
+
 def float_chain_at(model, x):
     """The chain at one scan value, by a float run read off the ODE table.
 
@@ -109,7 +139,7 @@ def certified_roots(chain, roots):
         *((a + b) / 2 for a, b in zip(refined, refined[1:])),
         refined[-1] + span,
     ]
-    values = [polynomials.eval_image(chain.constraint_image, x) for x in points]
+    values = [eval_image(chain.constraint_image, x) for x in points]
     changes = sum(a * b < 0 for a, b in zip(values, values[1:]))
     assert changes == chain.n + 1, f"{changes} sign changes for {chain.n + 1} roots"
     return refined
@@ -130,12 +160,12 @@ def relative_ode_residual(ode, solution):
     a = [0, ode.a1, ode.a2, ode.a3]
     b = [ode.b0, ode.b1, ode.b2]
     c = [ode.c0, ode.c1]
-    d1 = polynomials.poly_deriv(solution)
-    d2 = polynomials.poly_deriv(d1)
+    d1 = poly_deriv(solution)
+    d2 = poly_deriv(d1)
     terms = [
-        polynomials.poly_mul(a, d2),
-        polynomials.poly_mul(b, d1),
-        polynomials.poly_mul(c, list(solution)),
+        poly_mul(a, d2),
+        poly_mul(b, d1),
+        poly_mul(c, list(solution)),
     ]
     scale = max(_max_abs(t) for t in terms)
     scale = max(scale, _max_abs(a + b + c) * _max_abs(list(solution)))

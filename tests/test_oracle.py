@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from conftest import solved
+from conftest import DEEP_CASES, solved
 from qespectra import models, oracle, solve, wavefunctions
 from qespectra.errors import DegenerateGrid, InvalidParams
 
@@ -198,9 +198,99 @@ def test_certificate_replaces_a_farther_eigenvalue(monkeypatch):
     assert len(found) == 1
 
 
+def test_count_within_closes_the_window_at_both_ends():
+    # tridiag(-1, 2, -1) of odd order has the eigenvalue 2 exactly, and its
+    # neighbours lie ~0.03 away; a window with 2 on either edge holds it
+    diag, off = np.full(201, 2.0), np.full(200, -1.0)
+    radius = 2.0 ** -10
+    assert oracle._count_within(diag, off, 2.0 + radius, radius) == 1
+    assert oracle._count_within(diag, off, 2.0 - radius, radius) == 1
+    assert oracle._count_within(diag, off, 2.0 + 3.0 * radius, radius) == 0
+    assert oracle._count_within(diag, off, 2.0, 0.1) == 7
+
+
 # ---------------------------------------------------------------------------
 # verify_root end to end
 # ---------------------------------------------------------------------------
+
+def _convergence_cases():
+    """Lowest and highest root of each deep well, and two energies off a level."""
+    cases = [(key, index, 0.0) for key in DEEP_CASES for index in (0, -1)]
+    return cases + [("dshg-0", 0, 1e-3), ("dshg-0", 0, 1.0)]
+
+
+@pytest.mark.parametrize("key,index,offset", _convergence_cases())
+def test_convergence_decision_matches_the_refined_nearest_eigenvalue(key, index, offset):
+    """The Sturm count decides as the nearest eigenvalue of the refined grid did.
+
+    The reference solves the grid with half the step for its nearest
+    eigenvalue gap2 and applies the old rule 3 gap2 <= gap or gap2 <= floor.
+    No case puts gap2 within 8 eps max|off| of the edge of the window, so
+    rounding decides none of them.  That is the rounding scale of both
+    computations: near the state the entries are ~1/h^2 = max|off|.  The
+    norm of the matrix is not: the wall potential dominates it (razavy's
+    highest state lies 1.1 eps ||T|| from the edge), and no state sees the
+    walls.
+    """
+    if key == "dshg-0":
+        model = models.make("dshg", 0, {"xi": 1})
+        _, chain, _, roots = solve(model)
+    else:
+        model, _, chain, _, roots = solved(key)
+    root = roots.roots[index]
+    energy = model.energy(root) + offset
+    report = oracle.verify_root(model, root, energy=energy, chain=chain)
+
+    cfg = oracle.default_verify_config(model, root)
+    diag, off = oracle._tridiag(model, root, oracle._doubled(model, cfg))
+    gap2 = abs(oracle._nearest(diag, off, energy) - energy)
+    floor = oracle._GAP_FLOOR * max(1.0, abs(energy))
+    old = gap2 * oracle._SHRINK <= report.abs_gap or gap2 <= floor
+    assert report.converged == old
+    assert report.converged == (offset == 0.0)
+    reach = max(report.abs_gap / oracle._SHRINK, floor)
+    assert abs(gap2 - reach) > 8.0 * np.finfo(float).eps * np.abs(off).max()
+
+
+@pytest.mark.parametrize("t", [0.45, 0.55])
+def test_convergence_threshold_is_a_third_of_the_gap(t):
+    # E = lam2 + t (lam2 - lam1) puts the coarse level lam1 at (1 + t) / t
+    # times the distance of the refined level lam2: 3.2 and 2.8
+    model = models.make("dshg", 0, {"xi": 1})
+    _, chain, _, roots = solve(model)
+    root = roots.roots[0]
+    cfg = oracle.FdConfig(-7.0, 7.0, 999)
+    target = model.energy(root)
+    lam1, lam2 = (
+        oracle._nearest(*oracle._tridiag(model, root, grid), target)
+        for grid in (cfg, oracle._doubled(model, cfg))
+    )
+    energy = lam2 + t * (lam2 - lam1)
+    report = oracle.verify_root(model, root, energy=energy, cfg=cfg, chain=chain)
+    assert report.abs_gap == pytest.approx((1.0 + t) * abs(lam2 - lam1), rel=1e-6)
+    assert abs(lam2 - lam1) > 1e3 * oracle._GAP_FLOOR
+    assert report.converged == (t < 0.5)
+
+
+def test_verify_root_solves_one_grid(monkeypatch):
+    """One nearest-eigenvalue solve, on the coarse grid; the refined one is counted."""
+    sizes = []
+    nearest = oracle._nearest
+
+    def counted(diag, off, energy):
+        sizes.append(len(diag))
+        return nearest(diag, off, energy)
+
+    monkeypatch.setattr(oracle, "_nearest", counted)
+    for model, root in (
+        (models.make("coulomb", 1, {"lambda": Fraction(1, 2)}), 1.0),
+        (solved("dshg")[0], solved("dshg")[4].roots[0]),
+    ):
+        del sizes[:]
+        report = oracle.verify_root(model, root)
+        assert report.converged
+        assert sizes == [oracle.default_verify_config(model, root).points]
+
 
 def test_verify_root_coulomb_small():
     model = models.make("coulomb", 1, {"lambda": Fraction(1, 2)})
@@ -285,8 +375,9 @@ def test_verify_root_peak_memory_on_the_largest_deep_grid():
     """xie-odd root 10 verifies on 325,427 coarse points, 650,855 doubled.
 
     The coarse grid's arrays are freed before the doubled grid is built, and
-    the peak is the bisection workspace of the one certificate query on the
-    doubled grid.  The bisection on an expanding window peaked above 62 MB.
+    the peak is the bisection workspace of the one Sturm-count query that
+    decides convergence on the doubled grid.  The bisection on an expanding
+    window peaked above 62 MB.
     """
     model, _, chain, _, roots = solved("xie-odd")
     root = roots.roots[10]

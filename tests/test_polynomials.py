@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import certified_roots
+from conftest import certified_roots, degree, eval_image, poly_deriv, poly_mul
 from qespectra import models, recurrence, solve
 from qespectra import polynomials as P
 from qespectra.errors import (
@@ -26,9 +26,9 @@ from qespectra.errors import (
 def test_trim_and_degree():
     assert P.trim([1, 2, 0, 0]) == [1, 2]
     assert P.trim([0, 0]) == []
-    assert P.degree([]) == -1
-    assert P.degree([5]) == 0
-    assert P.degree([0, 0, 3, 0]) == 2
+    assert degree([]) == -1
+    assert degree([5]) == 0
+    assert degree([0, 0, 3, 0]) == 2
 
 
 def test_add_scale_mul_roundtrip():
@@ -36,20 +36,20 @@ def test_add_scale_mul_roundtrip():
     q = [0, 4]              # 4x
     assert P.poly_add(p, q) == [1, 1, 2]
     assert P.poly_scale(p, -2) == [-2, 6, -4]
-    assert P.poly_mul(p, q) == [0, 4, -12, 8]
-    assert P.poly_mul_linear(p, 0, 4) == P.poly_mul(p, q)
-    assert P.poly_mul(p, []) == []
+    assert poly_mul(p, q) == [0, 4, -12, 8]
+    assert P.poly_mul_linear(p, 0, 4) == poly_mul(p, q)
+    assert poly_mul(p, []) == []
 
 
 def test_mul_linear_matches_general_product_on_fractions():
     p = [Fraction(1, 3), Fraction(-2), Fraction(5, 7)]
     a0, a1 = Fraction(2, 5), Fraction(-3)
-    assert P.poly_mul_linear(p, a0, a1) == P.poly_mul(p, [a0, a1])
+    assert P.poly_mul_linear(p, a0, a1) == poly_mul(p, [a0, a1])
 
 
 def test_deriv_and_eval():
     p = [5, 0, -1, 2]       # 5 - x^2 + 2x^3
-    assert P.poly_deriv(p) == [0, -2, 6]
+    assert poly_deriv(p) == [0, -2, 6]
     assert P.poly_eval(p, 2) == 5 - 4 + 16
     assert P.poly_eval([], 3.0) == 0
 
@@ -69,15 +69,15 @@ def test_integer_image_evaluates_as_fraction_horner():
     p = [Fraction(3, 4), 0, Fraction(-5, 6), 7, Fraction(1, 10**20)]
     nums, den = P.integer_image(p)
     assert den == 3 * 10**20 and all(type(a) is int for a in nums)
-    slope = P.poly_deriv(p)
+    slope = poly_deriv(p)
     for x in (Fraction(1, 3), Fraction(-7, 2), 0, 2, -1.5, 0.1, 1e300):
-        assert P.eval_image((nums, den), x) == P.poly_eval(p, Fraction(x))
+        assert eval_image((nums, den), x) == P.poly_eval(p, Fraction(x))
         # the same homogeneous Horner carries the slope, over den * q^d / q
         q = Fraction(x).denominator
         _, b, d = P.image_horner((nums, den), Fraction(x).numerator, q)
         assert Fraction(b * q, d) == P.poly_eval(slope, Fraction(x))
-    assert P.eval_image(P.integer_image([]), Fraction(1, 3)) == 0
-    assert P.eval_image(P.integer_image([5]), 0.25) == 5
+    assert eval_image(P.integer_image([]), Fraction(1, 3)) == 0
+    assert eval_image(P.integer_image([5]), 0.25) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +102,10 @@ def test_exact_gcd_zero_cases():
 
 def test_exact_gcd_divides_both_inputs():
     m = [Fraction(1), Fraction(-1, 3), Fraction(1)]   # common factor
-    p = P.poly_mul(m, [2, 1])
-    q = P.poly_mul(m, [Fraction(-5, 7), 0, 1])
+    p = poly_mul(m, [2, 1])
+    q = poly_mul(m, [Fraction(-5, 7), 0, 1])
     g = P.exact_gcd(p, q)
-    assert P.degree(g) == P.degree(m)
+    assert degree(g) == degree(m)
     # monic rescale of m
     lead = m[-1]
     assert g == [c / lead for c in m]

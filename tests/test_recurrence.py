@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import float_chain_at, relative_ode_residual, solved
+from conftest import float_chain_at, poly_deriv, relative_ode_residual, solved
 from qespectra import models, polynomials, recurrence, wavefunctions
 from qespectra.errors import DivisionByZeroMultiplicator, NotARoot
 
@@ -237,7 +237,7 @@ def _fraction_assembly(chain, root):
     grain = recurrence._POLISH_GRAIN
     x = Fraction(root)
     scale = max(Fraction(1), abs(x))
-    derivative = polynomials.poly_deriv(chain.constraint)
+    derivative = poly_deriv(chain.constraint)
     for _ in range(recurrence._POLISH_STEPS):
         value = polynomials.poly_eval(chain.constraint, x)
         if value == 0:
