@@ -2,9 +2,9 @@
 
 Polynomials are plain Python sequences of coefficients in ascending order
 (``p[k]`` multiplies ``x**k``); the zero polynomial is the empty list.  The
-arithmetic helpers never call numpy, so the same code path runs on floats
-and on :class:`fractions.Fraction` entries — the recurrence chain is built
-with them in exact rational arithmetic.
+arithmetic helpers never call numpy, so the same code path runs on floats,
+on :class:`fractions.Fraction` entries and on plain integers — the
+recurrence chain is built with them in exact integer arithmetic.
 
 The second half of the module converts a terminating three-term recurrence
 into its *canonical* monic form
@@ -89,32 +89,23 @@ def poly_eval(p, x):
     return acc
 
 
-def integer_image(p):
-    """Integer numerators over one common denominator: ``(nums, den)``.
+def image_horner(image, p, k):
+    """Value and slope at ``x = p / 2**k`` of a polynomial's integer image.
 
-    ``p[k] == Fraction(nums[k], den)``; coefficients are converted exactly
-    (floats included).  :func:`image_horner` evaluates the image.
-    """
-    exact = [Fraction(c) for c in p]
-    den = math.lcm(*(c.denominator for c in exact))
-    return tuple(c.numerator * (den // c.denominator) for c in exact), den
-
-
-def image_horner(image, p, q):
-    """Value and slope at ``x = p/q`` (q > 0) of a polynomial's integer image.
-
-    Horner in homogeneous form keeps a = sum_k nums[k] p^k q^(d-k) and
-    b = sum_k k nums[k] p^(k-1) q^(d-k) plain integers.  Returns
-    ``(a, b, den * q^d)``: the value is a / (den q^d) and the slope
-    b q / (den q^d), neither reduced, since no gcd is taken.
+    ``image`` is ``(nums, den)``: ``p[j] == Fraction(nums[j], den)``.
+    Horner in homogeneous form keeps a = sum_j nums[j] p^j 2^(k(d-j)) and
+    b = sum_j j nums[j] p^(j-1) 2^(k(d-j)) plain integers, the powers of two
+    as shifts.  Returns ``(a, b, den * 2^(kd))``: the value is
+    a / (den 2^(kd)) and the slope b 2^k / (den 2^(kd)), neither reduced,
+    since no gcd is taken.
     """
     nums, den = image
     coeffs = reversed(nums)
-    a, b, qk = next(coeffs, 0), 0, 1
+    a, b, shift = next(coeffs, 0), 0, 0
     for c in coeffs:
-        qk *= q
-        a, b = a * p + c * qk, b * p + a
-    return a, b, den * qk
+        shift += k
+        a, b = a * p + (c << shift), b * p + a
+    return a, b, den << shift
 
 
 def poly_eval_mag(p, x):

@@ -40,7 +40,6 @@ from . import polynomials
 from .errors import DivisionByZeroMultiplicator, NotARoot
 from .polynomials import (
     image_horner,
-    integer_image,
     poly_add,
     poly_eval_mag,
     poly_mul_linear,
@@ -151,36 +150,50 @@ def build_baseline(model):
 
 @dataclass(frozen=True)
 class ConstraintChain:
-    """Chain of coefficient polynomials in the scan variable.
+    """Chain of coefficient polynomials in the scan variable, in integers.
 
-    ``members[k]`` holds P[n, k] (ascending exact coefficients); the
-    terminal ``constraint`` polynomial has degree n+1 and its roots are the
-    admissible scan values.  ``steps[k-1]`` holds the integers
-    ``(alpha, beta, gamma, delta)`` of slice k: P[n,k] = ((alpha + beta x)
-    P[n,k-1] + gamma P[n,k-2]) / delta, with P[n,-1] = 0.
+    ``steps[k-1]`` holds the integers ``(alpha, beta, gamma, delta)`` of
+    slice k: P[n,k] = ((alpha + beta x) P[n,k-1] + gamma P[n,k-2]) / delta,
+    with P[n,-1] = 0 and P[n,0] = 1.  ``member_images[k]`` is the integer
+    image ``(nums, den)`` of P[n,k] (ascending numerators over one
+    denominator, not reduced), and ``constraint_image`` the reduced image
+    of the terminal constraint polynomial, of degree n+1, whose roots are
+    the admissible scan values.
 
-    The images and the flag below are built on first use and kept on the
-    chain, so they live exactly as long as the cached chain does.
+    The :class:`~fractions.Fraction` views and the flag below are built on
+    first use and kept on the chain, so they live exactly as long as the
+    cached chain does.
     """
 
     n: int
-    members: tuple
-    constraint: tuple
     steps: tuple
+    member_images: tuple
+    constraint_image: tuple
 
     @cached_property
-    def constraint_image(self):
-        """Integer image of the constraint."""
-        return integer_image(self.constraint)
+    def members(self):
+        """P[n, k] for k = 0..n as ascending Fraction coefficients."""
+        return tuple(
+            tuple(Fraction(c, den) for c in nums) for nums, den in self.member_images
+        )
+
+    @cached_property
+    def constraint(self):
+        """The constraint as ascending Fraction coefficients."""
+        nums, den = self.constraint_image
+        return tuple(Fraction(c, den) for c in nums)
 
     @cached_property
     def constraint_float(self):
         """Float coefficients of the constraint.
 
+        int / int rounds correctly, as float(Fraction) does.
+
         Raises:
             OverflowError: a coefficient lies beyond the float range.
         """
-        return tuple(float(c) for c in self.constraint)
+        nums, den = self.constraint_image
+        return tuple(c / den for c in nums)
 
     @cached_property
     def p_nn_zero_flag(self):
@@ -191,9 +204,17 @@ class ConstraintChain:
         term there.  No float magnitude test can tell: on deep chains the
         member's value at the largest roots sits legitimately tens of orders
         below its Horner term scale without vanishing.  Both polynomials are
-        exact, so they share a zero iff their exact gcd is non-constant.
+        exact, so they share a zero iff their exact gcd is non-constant; the
+        gcd is monic, so the numerators of the images serve.
         """
-        return len(polynomials.exact_gcd(self.constraint, self.members[self.n])) != 1
+        constraint, member = self.constraint_image[0], self.member_images[self.n][0]
+        return len(polynomials.exact_gcd(constraint, member)) != 1
+
+
+def _over_common_denominator(*ratios):
+    """``(c_1 d, ..., c_m d, d)`` for rationals c_i and their least common denominator d."""
+    d = math.lcm(*(c.denominator for c in ratios))
+    return (*(c.numerator * (d // c.denominator) for c in ratios), d)
 
 
 @lru_cache(maxsize=64)
@@ -211,9 +232,14 @@ def exact_chain(system):
         P(x) = Fm1(1) P[n,n-1] + F0(0; x) P[n,n].
 
     The multiplicators are read off the system's table at centre 0, in
-    exact rationals, so every member and the constraint carry exact
-    coefficients.  Cached per baseline system; treat the result as
-    read-only.
+    exact rationals, and each slice is stored as its integer step.  The
+    members then run in plain integers: over the running denominator
+    D_k = delta_1 ... delta_k the numerators M_k = D_k P[n,k] obey
+
+        M_k = (alpha_k + beta_k x) M_{k-1} + gamma_k delta_{k-1} M_{k-2},
+
+    with M_0 = 1 and delta_0 = 1, and one gcd reduces the constraint's
+    image.  Cached per baseline system; treat the result as read-only.
 
     Raises:
         DivisionByZeroMultiplicator: F1 vanishes before the last slice.
@@ -223,7 +249,8 @@ def exact_chain(system):
     ode = system.centres[0][1]
     F1, F0, Fm1 = zip(*map(ode.multiplicators, range(n + 2)))
     prev, cur = [], [1]
-    members = [tuple(cur)]
+    den, last_delta = 1, 1
+    members = [(tuple(cur), den)]
     steps = []
     for k in range(1, n + 1):
         f1 = F1[n - k]
@@ -232,19 +259,28 @@ def exact_chain(system):
                 f"leading multiplicator vanishes at slice {n - k}; "
                 "the recurrence cannot be continued"
             )
-        alpha, beta, gamma = -F0[n + 1 - k] / f1, -sigma / f1, -Fm1[n + 2 - k] / f1
-        new = poly_add(poly_scale(prev, gamma), poly_mul_linear(cur, alpha, beta))
-        prev, cur = cur, new
-        members.append(tuple(cur))
-        delta = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
-        steps.append(tuple(int(c * delta) for c in (alpha, beta, gamma)) + (delta,))
+        step = _over_common_denominator(
+            -F0[n + 1 - k] / f1, -sigma / f1, -Fm1[n + 2 - k] / f1
+        )
+        alpha, beta, gamma, delta = step
+        steps.append(step)
+        prev, cur = cur, poly_add(
+            poly_scale(prev, gamma * last_delta), poly_mul_linear(cur, alpha, beta)
+        )
+        den *= delta
+        last_delta = delta
+        members.append((tuple(cur), den))
 
-    constraint = poly_add(
-        poly_scale(prev, Fm1[1]),
-        poly_mul_linear(cur, F0[0], sigma),
-    )
+    # unit D_n P(x) = unit (Fm1(1) delta_n M_{n-1} + F0(0; x) M_n)
+    f0, slope, fm1, unit = _over_common_denominator(F0[0], sigma, Fm1[1])
+    nums = poly_add(poly_scale(prev, fm1 * last_delta), poly_mul_linear(cur, f0, slope))
+    den *= unit
+    g = math.gcd(den, *nums)
     return ConstraintChain(
-        n=n, members=tuple(members), constraint=tuple(constraint), steps=tuple(steps)
+        n=n,
+        steps=tuple(steps),
+        member_images=tuple(members),
+        constraint_image=(tuple(c // g for c in nums), den // g),
     )
 
 
@@ -255,25 +291,28 @@ def run_ttrr(system):
 
 # Exact Newton polish: stop once the step is below scale / 10**32.
 _POLISH_STEPS = 6
-_POLISH_GRAIN = 1 << 200
+_POLISH_BITS = 200
 
 
-def _solution_image(chain, p, q):
-    """Integer image of S(z) at the scan value ``p/q`` (q > 0), by the steps.
+def _solution_image(chain, p, k):
+    """Integer image of S(z) at the scan value ``p / 2**k``, by the steps.
 
-    At x = p/q every member is P[n,k] = M_k / D_n over the common
-    denominator D_n = q^n delta_1 ... delta_n, and the steps give the
-    integers M_k from M_0 = D_n on:
+    At x = p/2^k every member is P[n,j] = M_j / D over the common
+    denominator D = delta_1 ... delta_n 2^(kn), and the steps give the
+    integers M_j from M_0 = D on:
 
-        M_k = ((alpha_k q + beta_k p) M_{k-1} + gamma_k q M_{k-2}) / (q delta_k),
+        M_j = (alpha_j M_{j-1} + gamma_j M_{j-2} + (beta_j p M_{j-1} >> k)) // delta_j.
 
-    a division that is exact because M_k is an integer.  S[j] = P[n,n-j].
+    The shift and the division are exact because M_j is an integer: it is
+    ((alpha_j 2^k + beta_j p) M_{j-1} + gamma_j 2^k M_{j-2}) / (2^k delta_j),
+    so 2^k divides beta_j p M_{j-1}, and delta_j divides the bracket.
+    S[i] = P[n,n-i].
     """
-    den = q**chain.n * math.prod(step[3] for step in chain.steps)
+    den = math.prod(step[3] for step in chain.steps) << k * chain.n
     prev, cur = 0, den
     members = [cur]
     for alpha, beta, gamma, delta in chain.steps:
-        prev, cur = cur, ((alpha * q + beta * p) * cur + gamma * q * prev) // (q * delta)
+        prev, cur = cur, (alpha * cur + gamma * prev + (beta * p * cur >> k)) // delta
         members.append(cur)
     return tuple(reversed(members)), den
 
@@ -281,8 +320,7 @@ def _solution_image(chain, p, q):
 def assemble_solution(chain, root):
     """Monic polynomial solution S(z) at one root of the constraint.
 
-    Returns the integer image ``(nums, den)`` of ``S(z) = sum_j S[j] z^j``
-    (the shape :func:`~qespectra.polynomials.integer_image` gives):
+    Returns the integer image ``(nums, den)`` of ``S(z) = sum_j S[j] z^j``:
     ``S[j] = nums[j] / den``, with ``S[n] = 1`` and ``den > 0``.  The
     member P[n, n-j] evaluated at the root supplies the coefficient of
     ``z^j``.  The pair is not reduced; ``Fraction(nums[j], den)`` is the
@@ -292,51 +330,62 @@ def assemble_solution(chain, root):
     constraint slopes reach ~1e12 while the solution needs the root to
     ~1e-30, far beyond float resolution, and assembling at a merely
     float-accurate root yields a polynomial whose ODE defect is comparable
-    to the solution itself.  So ``root`` is first Newton-polished on the
-    exact constraint (quadratic convergence: two steps from a
-    float-accurate start), and the members are evaluated at the polished
-    rational root by the chain's own recurrence (:func:`_solution_image`).
+    to the solution itself.  So ``root`` (a float, or any dyadic rational)
+    is first Newton-polished on the exact constraint (quadratic
+    convergence: two steps from a float-accurate start), and the members
+    are evaluated at the polished root by the chain's own recurrence
+    (:func:`_solution_image`).
 
-    No gcd is taken: the polish is Newton on the value and slope of
-    :func:`~qespectra.polynomials.image_horner`, every rational an integer
-    pair with a positive denominator, each iterate rounded to the grain by
-    ``divmod`` (ties to even, as ``round`` rounds a Fraction), and every
-    test made by cross-multiplication.  Per root on one Xeon core: 0.3-0.5
-    ms at n = 20, 1.0-1.6 ms at n = 40, 5-8 ms at n = 80.
+    Every iterate is dyadic, p / 2^k: k is the float's own exponent at
+    first and the 200-bit grain after each step, so the polish and the
+    replay scale by shifts.  No gcd is taken: the polish is Newton on the
+    value and slope of :func:`~qespectra.polynomials.image_horner`, each
+    iterate rounded to the grain by ``divmod`` (ties to even, as ``round``
+    rounds a Fraction), and every test made by cross-multiplication.  The
+    drift gate sums the moves |x_{i-1} - x_i| of the rounded iterates, an
+    integer over 2^max(k, 200).  Per root on one Xeon core (coulomb and
+    razavy-sinh2): 0.1-0.2 ms at n = 20, 0.5-0.7 ms at n = 40, 2-2.5 ms at
+    n = 80, ~7 ms at n = 160.
 
     Raises:
         NotARoot: ``root`` does not identify a constraint root: it drifts
             under polish, or the backward error of the constraint at the
             polished root is too large for it to count as a zero.
+        ValueError: ``root`` is not a dyadic rational.
     """
     p, q = Fraction(root).as_integer_ratio()
-    q0, scale_num = q, max(q, abs(p))  # scale = max(1, |root|) = scale_num / q0
-    moved_num, moved_den = 0, 1
+    k0 = q.bit_length() - 1
+    if q != 1 << k0:
+        raise ValueError(f"scan value {root} is not a dyadic rational")
+    k, scale_num = k0, max(q, abs(p))  # scale = max(1, |root|) = scale_num / 2^k0
+    top = max(k0, _POLISH_BITS)
+    moved = 0  # sum of the iterates' moves, over 2^top
     for _ in range(_POLISH_STEPS):
-        value, slope, _ = image_horner(chain.constraint_image, p, q)
+        value, slope, _ = image_horner(chain.constraint_image, p, k)
         if value == 0 or slope == 0:
             break
         # step = value / slope = step_num / step_den, step_den > 0
-        step_num, step_den = (value, slope * q) if slope > 0 else (-value, -slope * q)
+        step_num, step_den = (value, slope << k) if slope > 0 else (-value, -slope << k)
         # Newton squares the iterate's bit length each pass; unchecked, the
         # rational blows up to megabit denominators.  Rounding to a fixed
         # 200 fractional bits (~60 digits) keeps every evaluation cheap while
         # staying far inside the 1e-32 stopping tolerance.
-        den = q * step_den
-        p, rest = divmod((p * step_den - q * step_num) * _POLISH_GRAIN, den)
-        if 2 * rest > den or (2 * rest == den and p & 1):
-            p += 1
-        q = _POLISH_GRAIN
-        moved_num = moved_num * step_den + abs(step_num) * moved_den
-        moved_den *= step_den
-        if abs(step_num) * 10**32 * q0 <= scale_num * step_den:
+        # x - step = num / den
+        num, den = p * step_den - (step_num << k), step_den << k
+        new, rest = divmod(num << _POLISH_BITS, den)
+        if 2 * rest > den or (2 * rest == den and new & 1):
+            new += 1
+        moved += abs((p << top - k) - (new << top - _POLISH_BITS))
+        p, k = new, _POLISH_BITS
+        if abs(step_num) * 10**32 << k0 <= scale_num * step_den:
             break
-    if moved_num * 10**6 * q0 > scale_num * moved_den:
+    if moved * 10**6 << k0 > scale_num << top:
         raise NotARoot(
-            f"scan value {float(root):.6g} drifted by {moved_num / moved_den:.3g} "
+            f"scan value {float(root):.6g} drifted by {moved / (1 << top):.3g} "
             "under exact Newton polish; it does not identify a root"
         )
-    value, mag = poly_eval_mag(chain.constraint_float, p / q)
+    x = p / (1 << k)
+    value, mag = poly_eval_mag(chain.constraint_float, x)
     # mag bounds |value| from above, so mag == 0 forces value == 0: an exact
     # root of a constraint whose terms all vanish at this point (e.g. the
     # n = 0 chain evaluated at scan value 0).  Only a genuinely nonzero
@@ -344,9 +393,9 @@ def assemble_solution(chain, root):
     if abs(value) > _ROOT_BWD_TOL * mag:
         raise NotARoot(
             f"constraint backward error {abs(value):.3g} / {mag:.3g} "
-            f"at scan value {p / q:.6g}"
+            f"at scan value {x:.6g}"
         )
-    return _solution_image(chain, p, q)
+    return _solution_image(chain, p, k)
 
 
 def exact_solution(system, root):

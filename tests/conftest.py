@@ -5,6 +5,7 @@ deep-well instances from many angles; caching the pipeline output keeps the
 whole run inside the runtime budget.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -64,11 +65,80 @@ def poly_deriv(p):
     return [k * c for k, c in enumerate(p)][1:]
 
 
+def integer_image(p):
+    """Integer numerators over one common denominator: ``(nums, den)``.
+
+    ``p[k] == Fraction(nums[k], den)`` with the least such ``den``;
+    coefficients are converted exactly (floats included).
+    """
+    exact = [Fraction(c) for c in p]
+    den = math.lcm(*(c.denominator for c in exact))
+    return tuple(c.numerator * (den // c.denominator) for c in exact), den
+
+
+def rational_horner(image, p, q):
+    """Value and slope at any rational ``x = p/q`` (q > 0) of an integer image.
+
+    Homogeneous Horner with the powers of q as products: returns
+    ``(a, b, den * q^d)``, the value a / (den q^d) and the slope
+    b q / (den q^d).  The reference for ``polynomials.image_horner``, which
+    takes dyadic points only.
+    """
+    nums, den = image
+    coeffs = reversed(nums)
+    a, b, qk = next(coeffs, 0), 0, 1
+    for c in coeffs:
+        qk *= q
+        a, b = a * p + c * qk, b * p + a
+    return a, b, den * qk
+
+
 def eval_image(image, x):
-    """Exact value at the rational ``x`` of an integer image, by ``image_horner``."""
+    """Exact value at the rational ``x`` of an integer image."""
     x = Fraction(x)
-    value, _, den = polynomials.image_horner(image, x.numerator, x.denominator)
+    value, _, den = rational_horner(image, x.numerator, x.denominator)
     return Fraction(value, den)
+
+
+def dyadic(x):
+    """``(p, k)`` with ``x == p / 2**k``, for a dyadic rational ``x``."""
+    p, q = Fraction(x).as_integer_ratio()
+    k = q.bit_length() - 1
+    assert q == 1 << k, f"{x} is not dyadic"
+    return p, k
+
+
+def reference_chain(system):
+    """The exact chain of a baseline system in Fraction arithmetic.
+
+    The recurrence of ``recurrence.exact_chain`` run on the rational
+    multiplicators themselves, member by member.  Returns
+    ``(members, constraint, steps)``: ascending Fraction coefficients of
+    P[n,0..n] and of the constraint, and the integer step
+    ``(alpha, beta, gamma, delta)`` of each slice.
+    """
+    n = system.n
+    sigma = system.sigma0
+    ode = system.centres[0][1]
+    F1, F0, Fm1 = zip(*map(ode.multiplicators, range(n + 2)))
+    prev, cur = [], [Fraction(1)]
+    members = [tuple(cur)]
+    steps = []
+    for k in range(1, n + 1):
+        f1 = F1[n - k]
+        alpha, beta, gamma = -F0[n + 1 - k] / f1, -sigma / f1, -Fm1[n + 2 - k] / f1
+        new = polynomials.poly_add(
+            polynomials.poly_scale(prev, gamma), polynomials.poly_mul_linear(cur, alpha, beta)
+        )
+        prev, cur = cur, new
+        members.append(tuple(cur))
+        delta = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
+        steps.append(tuple(int(c * delta) for c in (alpha, beta, gamma)) + (delta,))
+    constraint = polynomials.poly_add(
+        polynomials.poly_scale(prev, Fm1[1]),
+        polynomials.poly_mul_linear(cur, F0[0], sigma),
+    )
+    return tuple(members), tuple(constraint), tuple(steps)
 
 
 def float_chain_at(model, x):
@@ -107,7 +177,7 @@ def exact_root(chain, root):
     """
     x, grain = Fraction(root), 1 << 330
     for _ in range(50):
-        value, slope, _ = polynomials.image_horner(
+        value, slope, _ = rational_horner(
             chain.constraint_image, x.numerator, x.denominator
         )
         if value == 0:

@@ -8,7 +8,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import certified_roots, degree, eval_image, poly_deriv, poly_mul
+from conftest import (
+    certified_roots,
+    degree,
+    dyadic,
+    eval_image,
+    integer_image,
+    poly_deriv,
+    poly_mul,
+    rational_horner,
+)
 from qespectra import models, recurrence, solve
 from qespectra import polynomials as P
 from qespectra.errors import (
@@ -67,17 +76,22 @@ def test_eval_mag_bounds_value():
 
 def test_integer_image_evaluates_as_fraction_horner():
     p = [Fraction(3, 4), 0, Fraction(-5, 6), 7, Fraction(1, 10**20)]
-    nums, den = P.integer_image(p)
+    nums, den = integer_image(p)
     assert den == 3 * 10**20 and all(type(a) is int for a in nums)
     slope = poly_deriv(p)
     for x in (Fraction(1, 3), Fraction(-7, 2), 0, 2, -1.5, 0.1, 1e300):
         assert eval_image((nums, den), x) == P.poly_eval(p, Fraction(x))
         # the same homogeneous Horner carries the slope, over den * q^d / q
         q = Fraction(x).denominator
-        _, b, d = P.image_horner((nums, den), Fraction(x).numerator, q)
+        _, b, d = rational_horner((nums, den), Fraction(x).numerator, q)
         assert Fraction(b * q, d) == P.poly_eval(slope, Fraction(x))
-    assert eval_image(P.integer_image([]), Fraction(1, 3)) == 0
-    assert eval_image(P.integer_image([5]), 0.25) == 5
+        if q & (q - 1) == 0:
+            # a dyadic point: image_horner gives the very same integers
+            assert P.image_horner((nums, den), *dyadic(x)) == rational_horner(
+                (nums, den), Fraction(x).numerator, q
+            )
+    assert eval_image(integer_image([]), Fraction(1, 3)) == 0
+    assert eval_image(integer_image([5]), 0.25) == 5
 
 
 # ---------------------------------------------------------------------------

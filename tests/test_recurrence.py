@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import float_chain_at, poly_deriv, relative_ode_residual, solved
+from conftest import (
+    float_chain_at,
+    integer_image,
+    poly_deriv,
+    reference_chain,
+    relative_ode_residual,
+    solved,
+)
 from qespectra import models, polynomials, recurrence, wavefunctions
 from qespectra.errors import DivisionByZeroMultiplicator, NotARoot
 
@@ -107,7 +114,7 @@ def test_constraint_couples_the_last_two_members():
             list(chain.members[chain.n]), table.multiplicators(0)[1], system.sigma0
         ),
     )
-    # the chain runs in Fraction arithmetic, so the recombination must
+    # the chain is exact (integers, read here as Fractions), so the recombination must
     # match coefficient for coefficient, exactly
     assert list(lhs) == list(chain.constraint)
 
@@ -234,7 +241,7 @@ def _fraction_assembly(chain, root):
     constraint, each iterate rounded to 200 fractional bits), then
     ``poly_eval`` of every member at the polished root; no gates.
     """
-    grain = recurrence._POLISH_GRAIN
+    grain = 1 << recurrence._POLISH_BITS
     x = Fraction(root)
     scale = max(Fraction(1), abs(x))
     derivative = poly_deriv(chain.constraint)
@@ -303,19 +310,110 @@ def test_assemble_solution_equals_fraction_horner_on_a_long_chain():
 @pytest.mark.parametrize("n", (5, 20))
 @pytest.mark.parametrize("model_id", sorted(CATALOG_PARAMS))
 def test_step_recurrence_evaluates_every_member(model_id, n):
-    # at rationals the polish never produces (non-dyadic, either sign), the
-    # integer step recurrence gives every member's value exactly
+    # at dyadic points the polish never produces (short and long grains,
+    # either sign), the integer step recurrence gives every member's value
+    # exactly
     chain = recurrence.exact_chain(
         recurrence.build_baseline(models.make(model_id, n, CATALOG_PARAMS[model_id]))
     )
     rng = random.Random(f"{model_id}:{n}")
     for _ in range(3):
-        x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-        nums, den = recurrence._solution_image(chain, x.numerator, x.denominator)
+        p, k = rng.randint(-10**6, 10**6), rng.randint(0, 60)
+        x = Fraction(p, 1 << k)
+        nums, den = recurrence._solution_image(chain, p, k)
         assert den > 0
         assert _fractions((nums, den)) == [
             polynomials.poly_eval(chain.members[chain.n - j], x) for j in range(n + 1)
         ], x
+
+
+DYADIC_BITS = (0, 1, 52, 200, 1074)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("k", DYADIC_BITS)
+def test_images_at_dyadic_points_are_fraction_horner(k, sign):
+    # image_horner and _solution_image take the point as p / 2^k and scale
+    # by shifts: value, slope and every member must be the exact rationals
+    # Fraction Horner gives, at the grains a float root or the polish brings
+    rng = random.Random(f"dyadic:{k}:{sign}")
+    for model_id, n in (("chen-even", 7), ("razavy-sinh2", 12), ("dshg", 11)):
+        chain = recurrence.exact_chain(
+            recurrence.build_baseline(models.make(model_id, n, CATALOG_PARAMS[model_id]))
+        )
+        for _ in range(2):
+            p = sign * rng.randrange(1, 1 << (k + 3))
+            x = Fraction(p, 1 << k)
+            value, slope, unit = polynomials.image_horner(chain.constraint_image, p, k)
+            assert unit > 0
+            assert Fraction(value, unit) == polynomials.poly_eval(chain.constraint, x)
+            assert Fraction(slope << k, unit) == polynomials.poly_eval(
+                poly_deriv(chain.constraint), x
+            )
+            for image, member in zip(chain.member_images, chain.members):
+                value, _, unit = polynomials.image_horner(image, p, k)
+                assert Fraction(value, unit) == polynomials.poly_eval(member, x)
+            nums, den = recurrence._solution_image(chain, p, k)
+            assert den > 0
+            assert _fractions((nums, den)) == [
+                polynomials.poly_eval(chain.members[n - j], x) for j in range(n + 1)
+            ], (model_id, x)
+
+
+REFERENCE_CASES = [
+    (model_id, n) for model_id in sorted(CATALOG_PARAMS) for n in (5, 20)
+] + [("razavy-sinh2", 40), ("chen-even", 40), ("dshg", 40)]
+
+
+@pytest.mark.parametrize("model_id,n", REFERENCE_CASES)
+def test_integer_chain_is_the_fraction_chain(model_id, n):
+    # the chain run in integers over one running denominator holds the very
+    # steps, members and constraint of the chain run in Fractions
+    system = recurrence.build_baseline(models.make(model_id, n, CATALOG_PARAMS[model_id]))
+    chain = recurrence.exact_chain.__wrapped__(system)
+    members, constraint, steps = reference_chain(system)
+    assert chain.steps == steps
+    assert chain.constraint_image == integer_image(constraint)
+    assert chain.constraint_float == tuple(float(c) for c in constraint)
+    assert chain.members == members
+    assert chain.constraint == constraint
+    assert all(
+        den > 0 and all(type(c) is int for c in (*nums, den))
+        for nums, den in chain.member_images
+    )
+    shared = len(polynomials.exact_gcd(constraint, members[n])) != 1
+    assert chain.p_nn_zero_flag is shared
+
+
+def test_integer_chain_reduces_the_constraint_image():
+    # on the catalog the running denominator is already the least one; this
+    # table makes the constraint's numerators share 4 with it:
+    # P[1,1] = -(1 + 2x) / 2 and the constraint 1/2 + (1 + 2x) P[1,1] = -2x - 2x^2
+    table = recurrence.OdeCoefficients(
+        *map(Fraction, (0, 0, 0, -2, 0, Fraction(1, 2), 2, 1))
+    )
+    system = recurrence.BaselineSystem(n=1, sigma0=Fraction(2), centres=((0, table),))
+    chain = recurrence.exact_chain.__wrapped__(system)
+    _, constraint, _ = reference_chain(system)
+    assert chain.constraint_image == integer_image(constraint) == ((0, -2, -2), 1)
+
+
+@pytest.mark.parametrize("n", (40, 80))
+def test_exact_chain_takes_few_gcds(monkeypatch, n):
+    # the chain runs in plain integers: gcds come only from the Fraction
+    # multiplicators of each slice and the one reduction of the constraint,
+    # never from the members (a Fraction chain takes ~240 n at n = 40)
+    system = recurrence.build_baseline(models.make("chen-even", n, CATALOG_PARAMS["chen-even"]))
+    calls = []
+    gcd = fractions.math.gcd
+
+    def counted(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(fractions.math, "gcd", counted)
+    recurrence.exact_chain.__wrapped__(system)
+    assert len(calls) <= 40 * n
 
 
 def test_assemble_solution_splits_the_dshg_doublets():
@@ -336,6 +434,18 @@ def test_assemble_solution_gates_still_fire():
     # at 0 the slope vanishes, so the polish stops where |P| = 1 = magnitude
     with pytest.raises(NotARoot, match="backward error"):
         recurrence.assemble_solution(chain, 0.0)
+
+
+def test_assemble_solution_refuses_a_non_dyadic_root():
+    # the polish scales by shifts, so only p / 2^k points are meaningful;
+    # an exact dyadic root is as good as the float it equals
+    model = models.make("coulomb", 1, {"lambda": Fraction(1, 2)})
+    chain = recurrence.run_ttrr(recurrence.build_baseline(model))
+    with pytest.raises(ValueError, match="dyadic"):
+        recurrence.assemble_solution(chain, Fraction(1, 3))
+    assert recurrence.assemble_solution(chain, Fraction(-1)) == (
+        recurrence.assemble_solution(chain, -1.0)
+    )
 
 
 def test_assembly_and_sampling_take_no_gcd(monkeypatch):
