@@ -22,7 +22,7 @@ a finite polynomial space:
 from . import errors, models, oracle, polynomials, recurrence, wavefunctions
 from .errors import QesError
 from .models import catalog, make
-from .oracle import FdConfig, VerificationReport, fd_spectrum, verify_root
+from .oracle import FdConfig, VerificationReport, verify_root
 from .polynomials import RootSet, real_roots, to_canonical_ttrr
 from .recurrence import build_baseline, exact_solution, run_ttrr, solve
 from .wavefunctions import sample
@@ -40,7 +40,6 @@ __all__ = [
     "cli",
     "errors",
     "exact_solution",
-    "fd_spectrum",
     "make",
     "models",
     "oracle",

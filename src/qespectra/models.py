@@ -38,6 +38,11 @@ table shifted to z = 1 + w by :func:`qespectra.recurrence.recentre`, the
 same shift root finding applies to any chain.  The two catalog ids differ
 in the coordinate their states are sampled on, and their exact constraints
 agree, which the tests check.
+
+The odd parity sectors of the sech-power and rational-in-cosh wells are not
+written out either.  An odd state carries tanh x or sinh x, a constant times
+z^(1/2), so the odd table is the even one gauged by phi = z^(1/2) S
+(:func:`qespectra.recurrence.gauge`), at the even baseline for n + 1/2.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import BaselineUnsolvable, DomainError, InvalidParams
-from .recurrence import OdeCoefficients, recentre
+from .recurrence import OdeCoefficients, gauge, recentre
 
 
 def _num(value):
@@ -90,6 +95,15 @@ def _log_cosh(x):
     """log(cosh(x)) without overflow for large |x|."""
     ax = np.abs(x)
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
+
+
+# Exponent mu of each parity sector's odd factor z^mu: the sector at n is
+# the even one at nu = n + mu, its table gauged by z^mu.
+_ODD_EXPONENT = {"even": 0, "odd": Fraction(1, 2)}
+
+
+def _nu(model):
+    return model.n + _ODD_EXPONENT[model.parity]
 
 
 def _check_n(n):
@@ -137,8 +151,7 @@ class SechPowerWell:
     @property
     def s(self):
         """sqrt(-E), fixed by the termination condition."""
-        offset = Fraction(3 if self.parity == "even" else 5, 2)
-        return -2 * self.n - (self.v1 + self.v2) / (2 * self._r) - offset
+        return -2 * _nu(self) - (self.v1 + self.v2) / (2 * self._r) - Fraction(3, 2)
 
     def baseline(self):
         return ("sqrt_minus_E", self.s)
@@ -149,23 +162,16 @@ class SechPowerWell:
 
     def ode_coefficients(self, scan):
         r, s = self._r, self.s
-        if self.parity == "even":
-            return OdeCoefficients(
-                a3=0, a2=4, a1=-4,
-                b2=4 * r, b1=6 + 4 * (s - r), b0=-2,
-                c1=self.v1 + self.v2 + 3 * r + 2 * r * s,
-                c0=s * (s + 1) - r - self.v1 - self.v2 - scan,
-            )
-        return OdeCoefficients(
+        even = OdeCoefficients(
             a3=0, a2=4, a1=-4,
-            b2=4 * r, b1=10 + 4 * (s - r), b0=-6,
-            c1=self.v1 + self.v2 + 5 * r + 2 * r * s,
-            c0=(s + 1) * (s + 2) - 3 * r - self.v1 - self.v2 - scan,
+            b2=4 * r, b1=6 + 4 * (s - r), b0=-2,
+            c1=self.v1 + self.v2 + 3 * r + 2 * r * s,
+            c0=s * (s + 1) - r - self.v1 - self.v2 - scan,
         )
+        return gauge(even, _ODD_EXPONENT[self.parity])
 
     def normalizable(self, root=None):
-        bound = -((4 * self.n + (3 if self.parity == "even" else 5)) * self._r + self.v1)
-        return self.v2 < bound
+        return self.v2 < -((4 * _nu(self) + 3) * self._r + self.v1)
 
     def coordinate(self, x):
         return np.tanh(x) ** 2
@@ -238,10 +244,7 @@ class RationalCoshWell:
 
     @property
     def _en(self):
-        L = self.lam1 + self.lam2
-        if self.parity == "even":
-            return -4 * (self.n + L) ** 2
-        return -1 - 4 * (self.n + L) * (self.n + L + 1)
+        return -4 * (_nu(self) + self.lam1 + self.lam2) ** 2
 
     def baseline(self):
         return ("E", self._en)
@@ -250,38 +253,23 @@ class RationalCoshWell:
         return float(self._en)
 
     def ode_coefficients(self, scan):
-        l1, l2, g = self.lam1, self.lam2, self.g
+        l1, l2, g, en = self.lam1, self.lam2, self.g, self._en
         L = l1 + l2
-        en = self._en
-        if self.parity == "even":
-            return OdeCoefficients(
-                a3=1, a2=-2 - 1 / g, a1=1 + 1 / g,
-                b2=2 * L + 1,
-                b1=-(2 * L + Fraction(3, 2) + (2 * l1 + 1) / g),
-                b0=(1 + g) / (2 * g),
-                c1=L * L + en / 4,
-                c0=-(1 + g) / (4 * g) * (
-                    2 * l1 + (2 * l2 * g - scan) / (1 + g)
-                    - self.v1 - self.v3 / (1 + g) ** 2 + en
-                ),
-            )
-        return OdeCoefficients(
+        even = OdeCoefficients(
             a3=1, a2=-2 - 1 / g, a1=1 + 1 / g,
-            b2=2 * (L + 1),
-            b1=-(2 * L + Fraction(7, 2) + 2 * (l1 + 1) / g),
-            b0=3 * (1 + g) / (2 * g),
-            c1=L * (L + 1) + (en + 1) / 4,
+            b2=2 * L + 1,
+            b1=-(2 * L + Fraction(3, 2) + (2 * l1 + 1) / g),
+            b0=(1 + g) / (2 * g),
+            c1=L * L + en / 4,
             c0=-(1 + g) / (4 * g) * (
-                6 * l1 + 4 * l2 + 1 + (2 * l2 * g - scan) / (1 + g)
+                2 * l1 + (2 * l2 * g - scan) / (1 + g)
                 - self.v1 - self.v3 / (1 + g) ** 2 + en
-            ) + l2 / g,
+            ),
         )
+        return gauge(even, _ODD_EXPONENT[self.parity])
 
     def normalizable(self, root=None):
-        L = self.lam1 + self.lam2
-        if self.parity == "even":
-            return L + self.n < 0
-        return 2 * (L + self.n) < -1
+        return _nu(self) + self.lam1 + self.lam2 < 0
 
     def coordinate(self, x):
         return -np.sinh(x) ** 2
@@ -340,9 +328,6 @@ class CoulombOscillator:
     def energy(self, root):
         """Eigenvalue alpha/omega; independent of which beta root is taken."""
         return float(self.n + self.lam + Fraction(1, 2))
-
-    def beta_physical(self, root):
-        return float(root) * math.sqrt(float(self.omega) / 2.0)
 
     def ode_coefficients(self, scan):
         return OdeCoefficients(
@@ -599,14 +584,15 @@ class PerturbedGaussWell:
             raise DomainError(
                 "fractional beta confines the wavefunction to the half line x > 0"
             )
-        q = np.exp(-0.5 * float(self.xi) * np.cosh(2 * x))
+        q = decay = np.exp(-0.5 * float(self.xi) * np.cosh(2 * x))
         if a:
             q = q * np.cosh(x) ** a
         if b == 1:
             q = q * np.sinh(x)
         elif b:
             q = q * np.sinh(x) ** b
-        return q
+        # past |x| ~ 355 cosh(x)**a overflows where the decay is long 0
+        return np.where(decay == 0.0, 0.0, q)
 
     def potential(self, x, scan=None):
         x = np.asarray(x, dtype=float)

@@ -154,15 +154,6 @@ def _tridiag(model, scan, cfg):
     return _tridiag_full_line(model, scan, cfg)
 
 
-def fd_spectrum(model, scan, cfg, count=12):
-    """Lowest ``count`` finite-difference eigenvalues."""
-    diag, off = _tridiag(model, scan, cfg)
-    count = min(count, len(diag))
-    return sla.eigvalsh_tridiagonal(
-        diag, off, select="i", select_range=(0, count - 1)
-    )
-
-
 def _start_vector(n):
     """Fixed, zero-mean start for inverse iteration.
 

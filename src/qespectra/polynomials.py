@@ -179,23 +179,12 @@ class CanonicalTtrr:
     lam: tuple
     scale: float
 
-    @property
-    def size(self):
-        return len(self.d)
-
 
 @dataclass(frozen=True)
 class RootSet:
-    """Real simple roots of a constraint polynomial, ascending.
-
-    ``residuals[i]`` is the absolute value of the (canonical) polynomial at
-    the polished root; ``min_gap`` is the smallest distance between
-    neighbouring roots, useful for spotting near-degenerate pairs.
-    """
+    """Real simple roots of a constraint polynomial, ascending."""
 
     roots: tuple
-    residuals: tuple
-    min_gap: float
 
 
 def to_canonical_ttrr(system):
@@ -278,16 +267,12 @@ def real_roots(ttrr):
     """
     if any(l <= 0 for l in ttrr.lam):
         raise NonPositiveLambda("canonical chain products must be positive")
-    m = ttrr.size
-    if m == 1:
-        ys = np.array([ttrr.d[0]])
-    else:
-        diag = np.asarray(ttrr.d, dtype=float)
-        off = np.sqrt(np.asarray(ttrr.lam[1:], dtype=float))
-        try:
-            ys = sla.eigvalsh_tridiagonal(diag, off)  # ascending
-        except Exception as exc:  # pragma: no cover - LAPACK failure path
-            raise EigensolveFailure(f"tridiagonal eigensolve failed: {exc}") from exc
+    diag = np.asarray(ttrr.d, dtype=float)
+    off = np.sqrt(np.asarray(ttrr.lam[1:], dtype=float))
+    try:
+        ys = sla.eigvalsh_tridiagonal(diag, off)  # ascending; 1x1 exactly
+    except Exception as exc:  # pragma: no cover - LAPACK failure path
+        raise EigensolveFailure(f"tridiagonal eigensolve failed: {exc}") from exc
     if not np.all(np.isfinite(ys)):
         raise EigensolveFailure("eigensolve produced non-finite values")
 
@@ -296,7 +281,7 @@ def real_roots(ttrr):
     gaps = np.concatenate(([math.inf], np.diff(ys), [math.inf]))
     caps = 0.4 * np.minimum(gaps[:-1], gaps[1:])
     polished = np.empty_like(ys)
-    resid = np.empty_like(ys)
+    unpolished = 0
     for i, (y, cap) in enumerate(zip(ys.tolist(), caps.tolist())):
         # Python floats overflow quietly; the check below reports it
         v, dv = ttrr_terminal(ttrr, y)
@@ -314,32 +299,23 @@ def real_roots(ttrr):
             if abs(step) <= 1e-16 * (1.0 + abs(y)):
                 break
         polished[i] = best_y
-        resid[i] = best_v
-    if not np.all(np.isfinite(resid)):
+        unpolished += not math.isfinite(best_v)
+    if unpolished:
         # the float chain overflowed there, so those roots are raw seeds
         raise EigensolveFailure(
-            f"{int(np.count_nonzero(~np.isfinite(resid)))} of {m} roots could "
-            "not be polished: the canonical chain is not finite there"
+            f"{unpolished} of {len(ys)} roots could not be polished: "
+            "the canonical chain is not finite there"
         )
 
     # a negative scale reverses the order
-    xs = ttrr.scale * polished
-    order = np.argsort(xs)
-    xs = xs[order]
-    resid = resid[order]
-    min_gap = math.inf
-    if m > 1:
-        min_gap = float(np.diff(xs).min())
-        span = float(xs[-1] - xs[0])
-        if span > 0 and min_gap < _SIMPLE_RTOL * span:
-            warnings.warn(
-                f"two roots are only {min_gap:.3g} apart (span {span:.3g}); "
-                "reporting both rather than merging",
-                SimplicityWarning,
-                stacklevel=2,
-            )
-    return RootSet(
-        roots=tuple(float(x) for x in xs),
-        residuals=tuple(float(r) for r in resid),
-        min_gap=min_gap,
-    )
+    xs = np.sort(ttrr.scale * polished)
+    gap = float(np.diff(xs).min(initial=math.inf))
+    span = float(xs[-1] - xs[0])
+    if span > 0 and gap < _SIMPLE_RTOL * span:
+        warnings.warn(
+            f"two roots are only {gap:.3g} apart (span {span:.3g}); "
+            "reporting both rather than merging",
+            SimplicityWarning,
+            stacklevel=2,
+        )
+    return RootSet(roots=tuple(float(x) for x in xs))

@@ -112,6 +112,27 @@ def recentre(ode, r):
     )
 
 
+def gauge(ode, mu):
+    """The ODE table for S after the gauge phi = z^mu S, as a table in z.
+
+    Divided by z^mu, the ODE keeps one term outside the graded shape,
+    (mu b0 + mu (mu - 1) a1) S / z, which ``mu`` must make vanish.
+    """
+    left = mu * ode.b0 + mu * (mu - 1) * ode.a1
+    if left != 0:
+        raise ValueError(f"the gauge z^{mu} leaves a 1/z term of {left} in the ODE")
+    return OdeCoefficients(
+        a3=ode.a3,
+        a2=ode.a2,
+        a1=ode.a1,
+        b2=ode.b2 + 2 * mu * ode.a3,
+        b1=ode.b1 + 2 * mu * ode.a2,
+        b0=ode.b0 + 2 * mu * ode.a1,
+        c1=ode.c1 + mu * ode.b2 + mu * (mu - 1) * ode.a3,
+        c0=ode.c0 + mu * ode.b1 + mu * (mu - 1) * ode.a2,
+    )
+
+
 def candidate_centres(ode):
     """The nonzero rational roots of a3 z^2 + a2 z + a1, ascending.
 
@@ -160,28 +181,14 @@ class ConstraintChain:
     of the terminal constraint polynomial, of degree n+1, whose roots are
     the admissible scan values.
 
-    The :class:`~fractions.Fraction` views and the flag below are built on
-    first use and kept on the chain, so they live exactly as long as the
-    cached chain does.
+    The float view and the flag below are built on first use and kept on
+    the chain, so they live exactly as long as the cached chain does.
     """
 
     n: int
     steps: tuple
     member_images: tuple
     constraint_image: tuple
-
-    @cached_property
-    def members(self):
-        """P[n, k] for k = 0..n as ascending Fraction coefficients."""
-        return tuple(
-            tuple(Fraction(c, den) for c in nums) for nums, den in self.member_images
-        )
-
-    @cached_property
-    def constraint(self):
-        """The constraint as ascending Fraction coefficients."""
-        nums, den = self.constraint_image
-        return tuple(Fraction(c, den) for c in nums)
 
     @cached_property
     def constraint_float(self):
@@ -250,7 +257,7 @@ def exact_chain(system):
     F1, F0, Fm1 = zip(*map(ode.multiplicators, range(n + 2)))
     prev, cur = [], [1]
     den, last_delta = 1, 1
-    members = [(tuple(cur), den)]
+    images = [(tuple(cur), den)]
     steps = []
     for k in range(1, n + 1):
         f1 = F1[n - k]
@@ -269,7 +276,7 @@ def exact_chain(system):
         )
         den *= delta
         last_delta = delta
-        members.append((tuple(cur), den))
+        images.append((tuple(cur), den))
 
     # unit D_n P(x) = unit (Fm1(1) delta_n M_{n-1} + F0(0; x) M_n)
     f0, slope, fm1, unit = _over_common_denominator(F0[0], sigma, Fm1[1])
@@ -279,7 +286,7 @@ def exact_chain(system):
     return ConstraintChain(
         n=n,
         steps=tuple(steps),
-        member_images=tuple(members),
+        member_images=tuple(images),
         constraint_image=(tuple(c // g for c in nums), den // g),
     )
 
@@ -310,11 +317,11 @@ def _solution_image(chain, p, k):
     """
     den = math.prod(step[3] for step in chain.steps) << k * chain.n
     prev, cur = 0, den
-    members = [cur]
+    nums = [cur]
     for alpha, beta, gamma, delta in chain.steps:
         prev, cur = cur, (alpha * cur + gamma * prev + (beta * p * cur >> k)) // delta
-        members.append(cur)
-    return tuple(reversed(members)), den
+        nums.append(cur)
+    return tuple(reversed(nums)), den
 
 
 def assemble_solution(chain, root):

@@ -22,6 +22,9 @@ from .errors import AsymmetricGrid, DegenerateGrid
 _NODE_BAND = 1e-10
 # Relative mismatch allowed when calling a sampled function symmetric.
 _PARITY_TOL = 1e-8
+# decay_halfwidth: the envelope's negligible fraction of its peak, and the
+# half-width scanned (the fallback when the envelope never decays).
+_DECAY_CUTOFF, _DECAY_XMAX = 1e-12, 60.0
 
 
 @dataclass(frozen=True)
@@ -40,16 +43,15 @@ class WavefunctionGrid:
     parity: object
 
 
-def decay_halfwidth(model, degree, cutoff=1e-12, xmax=60.0):
+def decay_halfwidth(model, degree):
     """Half-width beyond which the state is numerically negligible.
 
-    Scans the positive axis for the point where ``|Q(x)| * max(1, |z|)^deg``
-    has fallen below ``cutoff`` times its peak; the polynomial factor is
+    Scans (0, _DECAY_XMAX] for the point where ``|Q(x)| * max(1, |z|)^deg``
+    has fallen below _DECAY_CUTOFF of its peak; the polynomial factor is
     bounded by the coordinate power, so this dominates any root choice.
-    Falls back to ``xmax`` when the envelope never decays (non-normalizable
-    parameter ranges).
+    Falls back to _DECAY_XMAX when the envelope never decays.
     """
-    xs = np.linspace(0.05, xmax, 1200)
+    xs = np.linspace(0.05, _DECAY_XMAX, 1200)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         q = np.abs(model.prefactor(xs))
         z = np.abs(np.asarray(model.coordinate(xs), dtype=float))
@@ -62,13 +64,13 @@ def decay_halfwidth(model, degree, cutoff=1e-12, xmax=60.0):
     env = np.where(np.isnan(env), np.inf, env)
     finite = np.isfinite(env)
     if not np.any(finite) or np.max(env[finite]) == 0.0:
-        return xmax
+        return _DECAY_XMAX
     peak = float(np.max(env[finite]))
     peak_idx = int(np.argmax(np.where(finite, env, -1.0)))
-    below = np.nonzero(env[peak_idx:] < cutoff * peak)[0]
+    below = np.nonzero(env[peak_idx:] < _DECAY_CUTOFF * peak)[0]
     if len(below) == 0:
-        return xmax
-    return min(xmax, 1.1 * xs[peak_idx + below[0]] + 0.5)
+        return _DECAY_XMAX
+    return min(_DECAY_XMAX, 1.1 * xs[peak_idx + below[0]] + 0.5)
 
 
 def default_grid(model, degree, points=2001, halfwidth=None):
@@ -186,8 +188,8 @@ def sample(model, root, xs=None, chain=None):
         if xs.ndim != 1 or len(xs) < 16 or np.any(np.diff(xs) <= 0):
             raise DegenerateGrid("explicit grids must be 1-d, increasing, >= 16 points")
 
-    z = np.asarray(model.coordinate(xs), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
+        z = np.asarray(model.coordinate(xs), dtype=float)
         q = model.prefactor(xs)
         psi = q * _eval_poly_extended(image, z)
     # 0 * inf in the dead tail: the underflowed prefactor wins.

@@ -65,6 +65,17 @@ def poly_deriv(p):
     return [k * c for k, c in enumerate(p)][1:]
 
 
+def as_fractions(image):
+    """The exact coefficients of an integer image ``(nums, den)``, ascending.
+
+    The one way tests read a chain's members and constraint as Fractions:
+    ``as_fractions(chain.member_images[k])`` is P[n,k] and
+    ``as_fractions(chain.constraint_image)`` the constraint.
+    """
+    nums, den = image
+    return [Fraction(c, den) for c in nums]
+
+
 def integer_image(p):
     """Integer numerators over one common denominator: ``(nums, den)``.
 

@@ -12,7 +12,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import DEEP_CASES, certified_roots, exact_root, relative_ode_residual
+from conftest import (
+    DEEP_CASES,
+    as_fractions,
+    certified_roots,
+    exact_root,
+    relative_ode_residual,
+)
 from qespectra import models, oracle, recurrence, solve
 from qespectra.errors import NonPositiveLambda
 
@@ -247,7 +253,8 @@ def test_11_sinh2_variants_reproduce_cosh2_spectra(deep):
     # the sinh^2 chain is the cosh^2 chain re-centred at z = 1, so the two
     # exact monic constraints are one polynomial at every chain length
     def monic(model):
-        constraint = recurrence.exact_chain(recurrence.build_baseline(model)).constraint
+        chain = recurrence.exact_chain(recurrence.build_baseline(model))
+        constraint = as_fractions(chain.constraint_image)
         return [c / constraint[-1] for c in constraint]
 
     for model_id, params in (

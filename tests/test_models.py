@@ -1,10 +1,12 @@
 """Unit tests for the model catalog: tables, validation, classification."""
 
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qespectra import models, recurrence, solve
 from qespectra.errors import (
@@ -273,14 +275,10 @@ def test_xie_normalizable_threshold():
     assert not models.make("xie-odd", n, {"V1": 1, "V2": bound}).normalizable()
 
 
-def test_coulomb_energy_and_physical_coupling():
+def test_coulomb_energy_is_independent_of_the_root():
     model = models.make("coulomb", 3, {"lambda": Fraction(1, 2)})
-    assert model.energy(123.0) == 3 + 0.5 + 0.5  # independent of the root
+    assert model.energy(123.0) == 3 + 0.5 + 0.5
     assert model.baseline() == ("epsilon", 3)
-    # omega = 2 makes the rescaling the identity
-    assert model.beta_physical(1.5) == pytest.approx(1.5)
-    other = models.make("coulomb", 3, {"lambda": Fraction(1, 2), "omega": 8})
-    assert other.beta_physical(1.5) == pytest.approx(3.0)
 
 
 def test_energy_scan_models_return_root_as_energy():
@@ -391,3 +389,94 @@ def test_perturbed_dshg_matches_shifted_razavy():
     np.testing.assert_allclose(
         np.asarray(rp.roots), np.asarray(rr.roots) + shift, rtol=1e-9
     )
+
+
+# ---------------------------------------------------------------------------
+# odd parity sectors: the gauged even table against the hand-written one
+# ---------------------------------------------------------------------------
+
+def _xie_odd_reference(model, scan):
+    """(s, table, normalizable) of the odd sech-power sector, written out."""
+    v1, v2, n = model.v1, model.v2, model.n
+    r = models._sqrt(v1)
+    s = -2 * n - (v1 + v2) / (2 * r) - Fraction(5, 2)
+    table = recurrence.OdeCoefficients(
+        a3=0, a2=4, a1=-4,
+        b2=4 * r, b1=10 + 4 * (s - r), b0=-6,
+        c1=v1 + v2 + 5 * r + 2 * r * s,
+        c0=(s + 1) * (s + 2) - 3 * r - v1 - v2 - scan,
+    )
+    return s, table, v2 < -((4 * n + 5) * r + v1)
+
+
+def _chen_odd_reference(model, scan):
+    """(E, table, normalizable) of the odd rational-in-cosh sector, written out."""
+    l1, l2, g, n = model.lam1, model.lam2, model.g, model.n
+    L = l1 + l2
+    en = -1 - 4 * (n + L) * (n + L + 1)
+    table = recurrence.OdeCoefficients(
+        a3=1, a2=-2 - 1 / g, a1=1 + 1 / g,
+        b2=2 * (L + 1),
+        b1=-(2 * L + Fraction(7, 2) + 2 * (l1 + 1) / g),
+        b0=3 * (1 + g) / (2 * g),
+        c1=L * (L + 1) + (en + 1) / 4,
+        c0=-(1 + g) / (4 * g) * (
+            6 * l1 + 4 * l2 + 1 + (2 * l2 * g - scan) / (1 + g)
+            - model.v1 - model.v3 / (1 + g) ** 2 + en
+        ) + l2 / g,
+    )
+    return en, table, 2 * (L + n) < -1
+
+
+def _assert_odd_sector_is_the_reference(model, scans):
+    if isinstance(model, models.SechPowerWell):
+        reference, baseline = _xie_odd_reference, model.s
+    else:
+        reference, baseline = _chen_odd_reference, model._en
+    for scan in scans:
+        value, table, normalizable = reference(model, scan)
+        got = model.ode_coefficients(scan)
+        assert got == table, scan
+        # exact: every entry the same rational, none a float
+        assert all(type(c) in (int, Fraction) for c in astuple(got))
+    assert baseline == value
+    assert model.normalizable() == normalizable
+
+
+_ODD_SCANS = (Fraction(0), Fraction(1), Fraction(-7, 3))
+
+
+@pytest.mark.parametrize("n", (0, 1, 7, 10, 20, 40))
+@pytest.mark.parametrize("model_id", ("xie-odd", "chen-odd"))
+def test_odd_tables_are_the_hand_written_ones_at_the_deep_parameters(model_id, n):
+    model = models.make(model_id, n, SAMPLE_PARAMS[model_id])
+    _assert_odd_sector_is_the_reference(model, _ODD_SCANS)
+
+
+_FRACTIONS = st.fractions(min_value=-60, max_value=60, max_denominator=40)
+_POSITIVE = st.fractions(min_value=Fraction(1, 40), max_value=20, max_denominator=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=40),
+    v1=_POSITIVE,
+    v2=st.fractions(min_value=-400, max_value=20, max_denominator=40),
+    scan=_FRACTIONS,
+)
+def test_xie_odd_table_is_the_hand_written_one(n, v1, v2, scan):
+    model = models.make("xie-odd", n, {"V1": v1, "V2": v2})
+    _assert_odd_sector_is_the_reference(model, (scan,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=40),
+    v1=st.fractions(min_value=-20, max_value=Fraction(1, 4), max_denominator=40),
+    g=_POSITIVE,
+    v3_margin=st.fractions(min_value=0, max_value=500, max_denominator=40),
+    scan=_FRACTIONS,
+)
+def test_chen_odd_table_is_the_hand_written_one(n, v1, g, v3_margin, scan):
+    params = {"V1": v1, "V3": v3_margin - (1 + g), "g": g}
+    _assert_odd_sector_is_the_reference(models.make("chen-odd", n, params), (scan,))

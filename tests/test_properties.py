@@ -6,7 +6,13 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import certified_roots, float_chain_at, poly_mul, relative_ode_residual
+from conftest import (
+    as_fractions,
+    certified_roots,
+    float_chain_at,
+    poly_mul,
+    relative_ode_residual,
+)
 from qespectra import cli, models, polynomials, recurrence, solve, wavefunctions
 
 settings.register_profile("suite", max_examples=30, deadline=None)
@@ -116,7 +122,7 @@ def test_exact_replay_matches_float_chain(model):
     exact = recurrence.run_ttrr(recurrence.build_baseline(model))
     for x in (-2.0, 0.75):
         members, constraint = float_chain_at(model, x)
-        polys = tuple(exact.members) + (exact.constraint,)
+        polys = map(as_fractions, (*exact.member_images, exact.constraint_image))
         for poly, (value, mag) in zip(polys, members + [constraint]):
             got = float(polynomials.poly_eval(poly, Fraction(x)))
             assert abs(got - value) <= 1e-12 * mag

@@ -5,9 +5,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import (
+    as_fractions,
     float_chain_at,
     integer_image,
     poly_deriv,
@@ -76,6 +78,26 @@ def test_recentre_keeps_the_graded_shape_and_the_lead_multiplicator():
         recurrence.recentre(ode, 2)
 
 
+def test_gauge_shifts_the_multiplicators_by_mu():
+    # phi = z^mu S: the gauged table acts on z^k as the table acts on z^(k+mu),
+    # and its grade -1 action on z^0 is the 1/z term the gauge must cancel
+    ode = models.make("chen-even", 4, _CHEN_DEEP).ode_coefficients(Fraction(-7, 3))
+    half = Fraction(1, 2)
+    gauged = recurrence.gauge(ode, half)
+    for k in range(6):
+        assert gauged.multiplicators(k) == ode.multiplicators(k + half)
+    assert ode.multiplicators(half)[2] == 0
+    assert recurrence.gauge(ode, 0) == ode
+
+
+def test_gauge_refuses_a_left_over_1_over_z_term():
+    # xie: mu b0 + mu (mu - 1) a1 = -2 mu + 4 mu (1 - mu) vanishes at 0 and 1/2
+    # only; mu = 1/3 leaves 2/9
+    ode = models.make("xie-even", 3, {"V1": 1, "V2": -50}).ode_coefficients(0)
+    with pytest.raises(ValueError, match="1/z term of 2/9"):
+        recurrence.gauge(ode, Fraction(1, 3))
+
+
 # ---------------------------------------------------------------------------
 # chain construction against hand-solved instances
 # ---------------------------------------------------------------------------
@@ -86,9 +108,9 @@ def test_coulomb_n1_constraint_by_hand():
     model = models.make("coulomb", 1, {"lambda": Fraction(1, 2)})
     system, chain, ttrr, roots = recurrence.solve(model)
     assert chain.n == 1
-    assert list(chain.members[0]) == [1]
-    assert [float(c) for c in chain.members[1]] == [0.0, -1.0]
-    constraint = [float(c) for c in chain.constraint]
+    assert as_fractions(chain.member_images[0]) == [1]
+    assert [float(c) for c in as_fractions(chain.member_images[1])] == [0.0, -1.0]
+    constraint = [float(c) for c in as_fractions(chain.constraint_image)]
     assert constraint == pytest.approx([1.0, 0.0, -1.0])
     assert roots.roots == pytest.approx([-1.0, 1.0])
 
@@ -108,15 +130,17 @@ def test_constraint_couples_the_last_two_members():
     table = system.centres[0][1]
     lhs = polynomials.poly_add(
         polynomials.poly_scale(
-            list(chain.members[chain.n - 1]), table.multiplicators(1)[2]
+            as_fractions(chain.member_images[chain.n - 1]), table.multiplicators(1)[2]
         ),
         polynomials.poly_mul_linear(
-            list(chain.members[chain.n]), table.multiplicators(0)[1], system.sigma0
+            as_fractions(chain.member_images[chain.n]),
+            table.multiplicators(0)[1],
+            system.sigma0,
         ),
     )
     # the chain is exact (integers, read here as Fractions), so the recombination must
     # match coefficient for coefficient, exactly
-    assert list(lhs) == list(chain.constraint)
+    assert list(lhs) == as_fractions(chain.constraint_image)
 
 
 def test_division_by_zero_multiplicator():
@@ -152,19 +176,19 @@ def test_exact_replay_matches_float_chain(model_id, n, params):
     assert recurrence.run_ttrr(system) is exact
     for x in (-1.5, 0.25, 3.0):
         members, constraint = float_chain_at(model, x)
-        polys = tuple(exact.members) + (exact.constraint,)
+        polys = map(as_fractions, (*exact.member_images, exact.constraint_image))
         for poly, (value, mag) in zip(polys, members + [constraint]):
             got = float(polynomials.poly_eval(poly, Fraction(x)))
             assert abs(got - value) <= 1e-12 * mag
 
 
 def test_exact_chain_members_are_fractions():
+    # every member and the constraint are exact rationals, held as integer
+    # numerators over a positive integer denominator
     _, system, _, _, _ = solved("dshg")
     exact = recurrence.exact_chain(system)
-    assert all(
-        isinstance(c, (int, Fraction)) for member in exact.members for c in member
-    )
-    assert all(isinstance(c, (int, Fraction)) for c in exact.constraint)
+    for nums, den in (*exact.member_images, exact.constraint_image):
+        assert den > 0 and all(type(c) is int for c in (*nums, den))
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +242,13 @@ def test_exact_solution_accepts_exact_zero_root_of_n0_chain():
     assert [float(c) for c in coeffs] == [1.0]
 
 
-def _fractions(image):
-    """The exact coefficients of an integer image ``(nums, den)``."""
-    nums, den = image
-    return [Fraction(a, den) for a in nums]
-
-
 def test_assemble_solution_float_path_matches_exact():
     # a float root assembled on the pipeline's chain gives exactly the
     # exact_solution of its baseline system: there is one path
     model, system, chain, _, roots = solved("xie-even")
     root = roots.roots[0]
     got = recurrence.assemble_solution(chain, root)
-    assert _fractions(got) == recurrence.exact_solution(system, root)
+    assert as_fractions(got) == recurrence.exact_solution(system, root)
     assert got[1] > 0 and all(type(a) is int for a in (*got[0], got[1]))
 
 
@@ -244,9 +262,10 @@ def _fraction_assembly(chain, root):
     grain = 1 << recurrence._POLISH_BITS
     x = Fraction(root)
     scale = max(Fraction(1), abs(x))
-    derivative = poly_deriv(chain.constraint)
+    constraint = as_fractions(chain.constraint_image)
+    derivative = poly_deriv(constraint)
     for _ in range(recurrence._POLISH_STEPS):
-        value = polynomials.poly_eval(chain.constraint, x)
+        value = polynomials.poly_eval(constraint, x)
         if value == 0:
             break
         slope = polynomials.poly_eval(derivative, x)
@@ -257,7 +276,7 @@ def _fraction_assembly(chain, root):
         if abs(step) <= scale / 10**32:
             break
     return [
-        polynomials.poly_eval(chain.members[chain.n - j], x)
+        polynomials.poly_eval(as_fractions(chain.member_images[chain.n - j]), x)
         for j in range(chain.n + 1)
     ]
 
@@ -295,7 +314,7 @@ def test_assemble_solution_equals_fraction_horner(model_id, n, params):
     for root in roots.roots:
         nums, den = recurrence.assemble_solution(chain, root)
         assert den > 0 and all(type(a) is int for a in (*nums, den))
-        assert _fractions((nums, den)) == _fraction_assembly(chain, root), root
+        assert as_fractions((nums, den)) == _fraction_assembly(chain, root), root
 
 
 def test_assemble_solution_equals_fraction_horner_on_a_long_chain():
@@ -303,7 +322,7 @@ def test_assemble_solution_equals_fraction_horner_on_a_long_chain():
     model = models.make("coulomb", 80, {"lambda": Fraction(1, 2)})
     _, chain, _, roots = recurrence.solve(model)
     for root in (roots.roots[0], roots.roots[40], roots.roots[-1]):
-        got = _fractions(recurrence.assemble_solution(chain, root))
+        got = as_fractions(recurrence.assemble_solution(chain, root))
         assert got == _fraction_assembly(chain, root), root
 
 
@@ -322,8 +341,9 @@ def test_step_recurrence_evaluates_every_member(model_id, n):
         x = Fraction(p, 1 << k)
         nums, den = recurrence._solution_image(chain, p, k)
         assert den > 0
-        assert _fractions((nums, den)) == [
-            polynomials.poly_eval(chain.members[chain.n - j], x) for j in range(n + 1)
+        assert as_fractions((nums, den)) == [
+            polynomials.poly_eval(as_fractions(chain.member_images[chain.n - j]), x)
+            for j in range(n + 1)
         ], x
 
 
@@ -341,22 +361,24 @@ def test_images_at_dyadic_points_are_fraction_horner(k, sign):
         chain = recurrence.exact_chain(
             recurrence.build_baseline(models.make(model_id, n, CATALOG_PARAMS[model_id]))
         )
+        constraint = as_fractions(chain.constraint_image)
+        members = [as_fractions(image) for image in chain.member_images]
         for _ in range(2):
             p = sign * rng.randrange(1, 1 << (k + 3))
             x = Fraction(p, 1 << k)
             value, slope, unit = polynomials.image_horner(chain.constraint_image, p, k)
             assert unit > 0
-            assert Fraction(value, unit) == polynomials.poly_eval(chain.constraint, x)
+            assert Fraction(value, unit) == polynomials.poly_eval(constraint, x)
             assert Fraction(slope << k, unit) == polynomials.poly_eval(
-                poly_deriv(chain.constraint), x
+                poly_deriv(constraint), x
             )
-            for image, member in zip(chain.member_images, chain.members):
+            for image, member in zip(chain.member_images, members):
                 value, _, unit = polynomials.image_horner(image, p, k)
                 assert Fraction(value, unit) == polynomials.poly_eval(member, x)
             nums, den = recurrence._solution_image(chain, p, k)
             assert den > 0
-            assert _fractions((nums, den)) == [
-                polynomials.poly_eval(chain.members[n - j], x) for j in range(n + 1)
+            assert as_fractions((nums, den)) == [
+                polynomials.poly_eval(members[n - j], x) for j in range(n + 1)
             ], (model_id, x)
 
 
@@ -375,8 +397,8 @@ def test_integer_chain_is_the_fraction_chain(model_id, n):
     assert chain.steps == steps
     assert chain.constraint_image == integer_image(constraint)
     assert chain.constraint_float == tuple(float(c) for c in constraint)
-    assert chain.members == members
-    assert chain.constraint == constraint
+    assert tuple(tuple(as_fractions(image)) for image in chain.member_images) == members
+    assert as_fractions(chain.constraint_image) == list(constraint)
     assert all(
         den > 0 and all(type(c) is int for c in (*nums, den))
         for nums, den in chain.member_images
@@ -420,8 +442,8 @@ def test_assemble_solution_splits_the_dshg_doublets():
     # dshg n = 20, xi = 2 (an exactness case above): the float roots of each
     # doublet lie 7e-15 apart, yet both members polish to their own root
     _, chain, _, roots = recurrence.solve(models.make("dshg", 20, {"xi": 2}))
-    assert roots.min_gap < 1e-13
-    lowest = [_fractions(recurrence.assemble_solution(chain, r)) for r in roots.roots[:2]]
+    assert min(np.diff(roots.roots)) < 1e-13
+    lowest = [as_fractions(recurrence.assemble_solution(chain, r)) for r in roots.roots[:2]]
     assert lowest[0] != lowest[1]
 
 
@@ -491,7 +513,7 @@ def test_exact_chain_builds_past_the_float_range():
     # range, which only its float image may refuse, not the exact chain
     model = models.make("razavy-sinh2", 160, {"xi": Fraction(1, 2), "alpha": 0, "beta": 1})
     chain = recurrence.run_ttrr(recurrence.build_baseline(model))
-    assert max(abs(c) for c in chain.constraint) > 10**308
+    assert max(abs(c) for c in as_fractions(chain.constraint_image)) > 10**308
     with pytest.raises(OverflowError):
         chain.constraint_float
 
@@ -500,18 +522,19 @@ def test_chain_images_are_the_chain():
     _, _, chain, _, _ = solved("chen-even")
     # each stored step rebuilds its member from the two before it
     assert len(chain.steps) == chain.n
+    members = [as_fractions(image) for image in chain.member_images]
     prev = []
     for k, (alpha, beta, gamma, delta) in enumerate(chain.steps, start=1):
         assert all(type(v) is int for v in (alpha, beta, gamma, delta))
-        cur = chain.members[k - 1]
+        cur = members[k - 1]
         rebuilt = polynomials.poly_add(
             polynomials.poly_scale(prev, gamma),
             polynomials.poly_mul_linear(cur, alpha, beta),
         )
-        assert [Fraction(c, delta) for c in rebuilt] == list(chain.members[k]), k
+        assert [Fraction(c, delta) for c in rebuilt] == members[k], k
         prev = cur
-    assert _fractions(chain.constraint_image) == list(chain.constraint)
-    assert chain.constraint_float == tuple(float(c) for c in chain.constraint)
+    constraint = as_fractions(chain.constraint_image)
+    assert chain.constraint_float == tuple(float(c) for c in constraint)
 
 
 # ---------------------------------------------------------------------------

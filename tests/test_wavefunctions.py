@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import solved
+from conftest import DEEP_CASES, solved
 from qespectra import models, recurrence, solve, wavefunctions
 from qespectra.errors import AsymmetricGrid, DegenerateGrid
 
@@ -216,3 +216,24 @@ def test_sample_rejects_non_roots():
     model = models.make("coulomb", 1, {"lambda": Fraction(1, 2)})
     with pytest.raises(NotARoot):
         wavefunctions.sample(model, 0.37)
+
+
+# every catalog id: the nine deep cases and the two sinh^2 chains
+WIDE_GRID_CASES = {key: (model_id, params) for key, (model_id, _, params) in DEEP_CASES.items()}
+WIDE_GRID_CASES["razavy-sinh2"] = ("razavy-sinh2", DEEP_CASES["razavy"][2])
+WIDE_GRID_CASES["pdshg-20-sinh2"] = ("perturbed-dshg-sinh2", DEEP_CASES["pdshg-20"][2])
+
+
+@pytest.mark.parametrize("case", sorted(WIDE_GRID_CASES))
+def test_wide_grid_keeps_node_counts_and_parities(case):
+    # at |x| = 400 the coordinates overflow (exp 2x, cosh^2 x, sinh^2 x) and so
+    # does cosh(x)^alpha in the perturbed prefactor, where the decaying factor
+    # has long underflowed: the dead tail must sample as zero, silently
+    model_id, params = WIDE_GRID_CASES[case]
+    model = models.make(model_id, 3, dict(params))
+    _, chain, _, roots = solve(model)
+    wide = wavefunctions.default_grid(model, 3, points=20001, halfwidth=400)
+    for root in roots.roots:
+        default = wavefunctions.sample(model, root, chain=chain)
+        far = wavefunctions.sample(model, root, xs=wide, chain=chain)
+        assert (far.node_count, far.parity) == (default.node_count, default.parity), root
