@@ -110,18 +110,26 @@ def _offset_nodes(cfg):
     return xs, h
 
 
+def _nodes(model, cfg):
+    """(xs, h): the nodes of ``cfg`` in the model's discretization, and the step."""
+    if _is_radial(model):
+        return _offset_nodes(cfg)
+    return _uniform_nodes(cfg)
+
+
 def grid_nodes(model, cfg):
     """The sampling nodes verify_root expects wavefunctions on."""
-    if _is_radial(model):
-        return _offset_nodes(cfg)[0]
-    return _uniform_nodes(cfg)[0]
+    return _nodes(model, cfg)[0]
 
 
-def _tridiag_full_line(model, scan, cfg):
-    xs, h = _uniform_nodes(cfg)
-    v = np.asarray(model.potential(xs, scan), dtype=float)
+def _potential(model, xs, scan):
+    return np.asarray(model.potential(xs, scan), dtype=float)
+
+
+def _tridiag_full_line(v, h):
+    """The 3-point operator on uniform nodes with potential ``v`` there."""
     diag = 2.0 / (h * h) + v
-    off = np.full(cfg.points - 1, -1.0 / (h * h))
+    off = np.full(len(v) - 1, -1.0 / (h * h))
     return diag, off
 
 
@@ -135,9 +143,8 @@ def _radial_weights(model, xs, h):
     return w_left, w_right, w_mid
 
 
-def _tridiag_radial(model, scan, cfg):
+def _tridiag_radial(model, scan, cfg, xs, h):
     """Symmetric reduction of the weighted conservation-form operator."""
-    xs, h = _offset_nodes(cfg)
     if cfg.xmin != 0.0:
         raise InvalidParams("the radial discretization anchors the box at xmin = 0")
     w_left, w_right, w_mid = _radial_weights(model, xs, h)
@@ -149,9 +156,10 @@ def _tridiag_radial(model, scan, cfg):
 
 
 def _tridiag(model, scan, cfg):
+    xs, h = _nodes(model, cfg)
     if _is_radial(model):
-        return _tridiag_radial(model, scan, cfg)
-    return _tridiag_full_line(model, scan, cfg)
+        return _tridiag_radial(model, scan, cfg, xs, h)
+    return _tridiag_full_line(_potential(model, xs, scan), h)
 
 
 def _start_vector(n):
@@ -253,16 +261,16 @@ def _ambiguous(diag, off, energy, gap):
     return gap > 0.0 and _count_within(diag, off, energy, 2.0 * gap) >= 2
 
 
-def _residual_full_line(model, scan, cfg, psi, energy):
+def _residual_full_line(v, h, psi, energy):
     """Discrete action residual ||(H - E) psi||_2 / ||psi||_2.
+
+    ``psi`` and the potential ``v`` are sampled on uniform nodes of step h.
 
     The Laplacian uses the five-point fourth-order stencil away from the
     walls and the three-point one beside them (the state has decayed to
     ~1e-12 of its peak there), so the reported number reflects the analytic
     pair rather than the second-order truncation of the eigenvalue mesh.
     """
-    xs, h = _uniform_nodes(cfg)
-    v = np.asarray(model.potential(xs, scan), dtype=float)
     lap = np.zeros_like(psi)
     lap[2:-2] = (
         -psi[:-4] + 16.0 * psi[1:-3] - 30.0 * psi[2:-2] + 16.0 * psi[3:-1] - psi[4:]
@@ -275,7 +283,7 @@ def _residual_full_line(model, scan, cfg, psi, energy):
     return float(np.linalg.norm(r) / np.linalg.norm(psi))
 
 
-def _residual_radial(model, scan, cfg, psi, energy):
+def _residual_radial(model, scan, cfg, xs, h, psi, energy):
     """Weighted-norm residual of the conservation-form operator.
 
     The algebraic wavefunction u is converted to v = u / x**lam; the
@@ -290,9 +298,9 @@ def _residual_radial(model, scan, cfg, psi, energy):
     and caps the whole measurement, so face 1 and row 0 use the one-sided
     four-point stencil (-23, 21, 3, -1)/24 instead (the exact F(0) = 0 flux
     anchors row 0).  The outer-wall rows stay at second order; the state has
-    decayed to nothing there.
+    decayed to nothing there.  ``psi`` is sampled on the nodes ``xs`` of
+    ``cfg``, of step h.
     """
-    xs, h = _offset_nodes(cfg)
     w_mid = _radial_weights(model, xs, h)[2]
     u_pot = 0.25 * xs * xs - float(scan) / xs
     v = psi / np.power(xs, float(model.lam))
@@ -383,19 +391,24 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
         cfg = res_cfg = default_verify_config(model, root)
         if _is_radial(model):
             res_cfg = _radial_residual_config(model, scan, cfg)
-    grid = wavefunctions.sample(
-        model, root, xs=grid_nodes(model, res_cfg), chain=chain
-    )
+    # The residual's nodes; on the full line they are the operator's too,
+    # and so is the potential on them.
+    xs, h = _nodes(model, res_cfg)
+    grid = wavefunctions.sample(model, root, xs=xs, chain=chain)
     psi = np.asarray(grid.psi, dtype=float)
     node_count = int(grid.node_count)
+    del grid
 
     if _is_radial(model):
-        residual = _residual_radial(model, scan, res_cfg, psi, energy)
+        residual = _residual_radial(model, scan, res_cfg, xs, h, psi, energy)
+        del xs, psi
+        diag, off = _tridiag(model, scan, cfg)
     else:
-        residual = _residual_full_line(model, scan, res_cfg, psi, energy)
-    del grid, psi
-
-    diag, off = _tridiag(model, scan, cfg)
+        v = _potential(model, xs, scan)
+        residual = _residual_full_line(v, h, psi, energy)
+        del xs, psi
+        diag, off = _tridiag_full_line(v, h)
+        del v
     nearest = _nearest(diag, off, energy)
     gap = abs(nearest - energy)
     ambiguous = _ambiguous(diag, off, energy, gap)

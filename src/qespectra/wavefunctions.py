@@ -101,17 +101,14 @@ def node_count(xs, psi):
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
-def parity_classify(grid):
-    """Classify a sampled function as even, odd, or neither.
-
-    Raises:
-        AsymmetricGrid: the sample points are not mirror-symmetric.
-    """
-    xs = np.asarray(grid.xs, dtype=float)
-    psi = np.asarray(grid.psi, dtype=float)
+def _is_symmetric(xs):
+    """Whether the sample points mirror about the origin."""
     span = float(np.max(np.abs(xs))) or 1.0
-    if np.max(np.abs(xs + xs[::-1])) > 1e-12 * span:
-        raise AsymmetricGrid("parity needs a grid symmetric about the origin")
+    return bool(np.max(np.abs(xs + xs[::-1])) <= 1e-12 * span)
+
+
+def _parity(psi):
+    """"even", "odd" or None for samples on a mirror-symmetric grid."""
     peak = float(np.max(np.abs(psi)))
     if peak == 0.0:
         return None
@@ -121,6 +118,44 @@ def parity_classify(grid):
     if float(np.max(np.abs(psi + rev))) < _PARITY_TOL * peak:
         return "odd"
     return None
+
+
+def parity_classify(grid):
+    """Classify a sampled function as even, odd, or neither.
+
+    Raises:
+        AsymmetricGrid: the sample points are not mirror-symmetric.
+    """
+    if not _is_symmetric(np.asarray(grid.xs, dtype=float)):
+        raise AsymmetricGrid("parity needs a grid symmetric about the origin")
+    return _parity(np.asarray(grid.psi, dtype=float))
+
+
+def _split(image):
+    """Each coefficient num / den of an integer image as a sum hi + lo of floats.
+
+    hi is the float nearest num / den and lo the float nearest the rest:
+    int / int rounds correctly, reduced or not, as float(Fraction) does,
+    and raises OverflowError past the float range.  The power of two in den
+    is taken out once, so hi * den is a small product shifted, and no
+    full-size product is formed.
+    """
+    nums, den = image
+    e = (den & -den).bit_length() - 1
+    odd = den >> e
+    his, los = [], []
+    for num in nums:
+        hi = num / den
+        m, q = hi.as_integer_ratio()
+        # hi * den = m * odd * 2^shift, with q = 2^k
+        shift = e - q.bit_length() + 1
+        if shift >= 0:
+            lo = (num - (m * odd << shift)) / den
+        else:
+            lo = ((num << -shift) - m * odd) / (den << -shift)
+        his.append(hi)
+        los.append(lo)
+    return his, los
 
 
 def _eval_poly_extended(image, z):
@@ -133,16 +168,13 @@ def _eval_poly_extended(image, z):
     accumulation over double-double images of the exact coefficients keeps
     the pointwise relative error near 1e-13 in the worst catalog case.
     """
-    nums, den = image
-    zl = z.astype(np.longdouble)
+    his, los = _split(image)
+    coeffs = np.array(his, dtype=np.longdouble) + np.array(los, dtype=np.longdouble)
+    zl = np.asarray(z, dtype=np.longdouble)
     acc = np.zeros(zl.shape, dtype=np.longdouble)
-    for num in reversed(nums):
-        # int / int rounds correctly, reduced or not, as float(Fraction)
-        # does, and raises OverflowError past the float range
-        hi = num / den
-        hi_num, hi_den = hi.as_integer_ratio()
-        lo = (num * hi_den - hi_num * den) / (den * hi_den)
-        acc = acc * zl + (np.longdouble(hi) + np.longdouble(lo))
+    for c in coeffs[::-1]:
+        acc *= zl
+        acc += c
     with np.errstate(over="ignore"):
         return acc.astype(float)
 
@@ -166,6 +198,49 @@ def _first_peak_sign(psi):
     return 1.0 if psi[int(np.argmax(mag))] > 0 else -1.0
 
 
+@dataclass(frozen=True)
+class _Frame:
+    """What sampling needs of a grid and a model, whatever the root.
+
+    ``z`` is the coordinate in 80-bit extended precision, ``q`` the
+    prefactor and ``dead`` its underflowed tail (q == 0); ``symmetric``
+    says whether parity is classified (full line, mirrored grid).
+    """
+
+    xs: np.ndarray
+    z: np.ndarray
+    q: np.ndarray
+    dead: np.ndarray
+    symmetric: bool
+
+
+def _frame(model, xs):
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.asarray(model.coordinate(xs), dtype=float).astype(np.longdouble)
+        q = np.asarray(model.prefactor(xs), dtype=float)
+    dead = q == 0.0
+    for owned in (z, q, dead):
+        owned.setflags(write=False)
+    return _Frame(xs, z, q, dead, not model.half_line and _is_symmetric(xs))
+
+
+# The frame of the last model sampled on its default grid, and that model.
+# Keyed by the object itself (``is``), so an equal model built afresh gets
+# a frame of its own.
+_last_default = (None, None)
+
+
+def _default_frame(model):
+    global _last_default
+    cached, frame = _last_default
+    if cached is not model:
+        xs = default_grid(model, model.n)
+        xs.setflags(write=False)
+        frame = _frame(model, xs)
+        _last_default = (model, frame)
+    return frame
+
+
 def sample(model, root, xs=None, chain=None):
     """Sample the normalized wavefunction of one constraint root.
 
@@ -175,25 +250,34 @@ def sample(model, root, xs=None, chain=None):
     :func:`default_grid`) and normalizes by the trapezoid rule.  The
     returned wavefunction is positive at its first interior extremum.
 
+    All roots of one model object sampled on the default grid share one
+    read-only ``xs``: the grid, and the coordinate and prefactor on it, are
+    built once for that model and kept until another model is sampled.
+
     Raises:
         NotARoot: ``root`` does not identify a root of the constraint.
+        DegenerateGrid: an explicit ``xs`` is not 1-d, finite, increasing
+            and at least 16 points long, or the state overflows on it.
     """
     if chain is None:
         chain = recurrence.run_ttrr(recurrence.build_baseline(model))
     image = recurrence.assemble_solution(chain, root)
     if xs is None:
-        xs = default_grid(model, model.n)
+        frame = _default_frame(model)
     else:
         xs = np.asarray(xs, dtype=float)
+        # NaN compares false, so it would pass the ordering test below
+        if not np.all(np.isfinite(xs)):
+            raise DegenerateGrid("explicit grids must hold finite points only")
         if xs.ndim != 1 or len(xs) < 16 or np.any(np.diff(xs) <= 0):
             raise DegenerateGrid("explicit grids must be 1-d, increasing, >= 16 points")
+        frame = _frame(model, xs)
+    xs = frame.xs
 
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.asarray(model.coordinate(xs), dtype=float)
-        q = model.prefactor(xs)
-        psi = q * _eval_poly_extended(image, z)
+        psi = frame.q * _eval_poly_extended(image, frame.z)
     # 0 * inf in the dead tail: the underflowed prefactor wins.
-    psi = np.where(q == 0.0, 0.0, psi)
+    psi[frame.dead] = 0.0
     if not np.all(np.isfinite(psi)):
         raise DegenerateGrid("wavefunction overflowed on this grid; shrink it")
 
@@ -208,17 +292,10 @@ def sample(model, root, xs=None, chain=None):
         raise DegenerateGrid("wavefunction is identically zero on this grid")
     psi = psi / norm
     psi = psi * _first_peak_sign(psi)
-
-    parity = None
-    if not model.half_line:
-        span = float(np.max(np.abs(xs))) or 1.0
-        if np.max(np.abs(xs + xs[::-1])) <= 1e-12 * span:
-            grid = WavefunctionGrid(xs, psi, norm, 0, None)
-            parity = parity_classify(grid)
     return WavefunctionGrid(
         xs=xs,
         psi=psi,
         norm=norm,
         node_count=node_count(xs, psi),
-        parity=parity,
+        parity=_parity(psi) if frame.symmetric else None,
     )

@@ -1,6 +1,9 @@
 """Unit tests for wavefunction sampling, node counting and parity."""
 
+import hashlib
 import math
+import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -85,28 +88,53 @@ def test_decay_halfwidth_overflow_safety():
     assert 0.0 < L <= 60.0
 
 
-def _fraction_split_horner(coeffs, z):
+def _fraction_split(nums, den):
+    """Each coefficient nums[j] / den split into floats hi + lo by Fractions."""
+    coeffs = [Fraction(num, den) for num in nums]
+    his = [float(c) for c in coeffs]
+    los = [float(c - Fraction(hi)) for c, hi in zip(coeffs, his)]
+    return his, los
+
+
+def _fraction_split_horner(nums, den, z):
     """Extended Horner with each coefficient split into hi + lo by Fractions."""
+    his, los = _fraction_split(nums, den)
     zl = z.astype(np.longdouble)
     acc = np.zeros(zl.shape, dtype=np.longdouble)
-    for c in reversed(coeffs):
-        hi = float(Fraction(c))
-        lo = float(Fraction(c) - Fraction(hi))
+    for hi, lo in zip(reversed(his), reversed(los)):
         acc = acc * zl + (np.longdouble(hi) + np.longdouble(lo))
     with np.errstate(over="ignore"):
         return acc.astype(float)
+
+
+# Integer images (nums, den) whose splits take every branch: an odd den (hi
+# finer than den's power of two), a den with a 4000-bit power of two, zero
+# and negative numerators, a subnormal hi, and a lo that is subnormal while
+# hi = 2^-1000 is not.
+EDGE_IMAGES = [
+    ((0, -7, 10, -(1 << 60) - 1, 1 << 80), 3),
+    ((3**2600, -(3**2600) - 1, 0, 5 << 3990, -(7**1500)), 5 << 4000),
+    (((3 << 40) + 1, -(3 << 40) - 1, 1, 0, -1), 3 << 1040),
+]
 
 
 def test_extended_horner_splits_as_fractions_do():
     model = models.make("razavy-sinh2", 40, {"xi": Fraction(1, 2), "alpha": 0, "beta": 1})
     _, chain, _, roots = solve(model)
     z = np.linspace(-3.0, 3.0, 97)
-    for root in roots.roots[::4]:
-        nums, den = recurrence.assemble_solution(chain, root)
+    images = [recurrence.assemble_solution(chain, root) for root in roots.roots[::4]]
+    for nums, den in images + EDGE_IMAGES:
         np.testing.assert_array_equal(
             wavefunctions._eval_poly_extended((nums, den), z),
-            _fraction_split_horner([Fraction(a, den) for a in nums], z),
+            _fraction_split_horner(nums, den, z),
         )
+        # bit for bit, lo too, where the Horner sum cannot see its last bits
+        his, los = wavefunctions._split((nums, den))
+        want_his, want_los = _fraction_split(nums, den)
+        assert [h.hex() for h in his] == [h.hex() for h in want_his]
+        assert [lo.hex() for lo in los] == [lo.hex() for lo in want_los]
+    _, los = wavefunctions._split(EDGE_IMAGES[2])
+    assert 0.0 < abs(los[0]) < sys.float_info.min  # a subnormal lo
     with pytest.raises(OverflowError):
         wavefunctions._eval_poly_extended(((10**400,), 3), z)
 
@@ -208,6 +236,15 @@ def test_sample_explicit_grid_validation():
     decreasing = np.linspace(2.0, 0.1, 50)
     with pytest.raises(DegenerateGrid):
         wavefunctions.sample(model, 1.0, xs=decreasing)
+    # NaN compares false with everything, so it passes an ordering test
+    razavy = models.make("razavy", 3, {"xi": 1, "alpha": 0, "beta": 0})
+    root = solve(razavy)[3].roots[0]
+    for bad in (np.nan, np.inf, -np.inf):
+        xs = np.append(np.linspace(-5.0, 5.0, 20), bad)
+        with pytest.raises(DegenerateGrid, match="finite"):
+            wavefunctions.sample(razavy, root, xs=xs)
+        with pytest.raises(DegenerateGrid, match="finite"):
+            wavefunctions.sample(model, 1.0, xs=np.append(bad, np.linspace(0.1, 5.0, 20)))
 
 
 def test_sample_rejects_non_roots():
@@ -237,3 +274,71 @@ def test_wide_grid_keeps_node_counts_and_parities(case):
         default = wavefunctions.sample(model, root, chain=chain)
         far = wavefunctions.sample(model, root, xs=wide, chain=chain)
         assert (far.node_count, far.parity) == (default.node_count, default.parity), root
+
+
+# ---------------------------------------------------------------------------
+# the default grid: one read-only frame per model object
+# ---------------------------------------------------------------------------
+
+def _state_bytes(state):
+    return (state.xs.tobytes(), state.psi.tobytes(), state.norm.hex(),
+            state.node_count, state.parity)
+
+
+def test_default_frame_is_shared_per_model_object(monkeypatch):
+    calls = []
+    halfwidth = wavefunctions.decay_halfwidth
+
+    def counted(model, degree):
+        calls.append(model)
+        return halfwidth(model, degree)
+
+    monkeypatch.setattr(wavefunctions, "decay_halfwidth", counted)
+    params_a = {"xi": 2, "alpha": 2, "beta": 0}
+    a = models.make("perturbed-dshg", 6, params_a)
+    b = models.make("coulomb", 5, {"lambda": Fraction(3, 2)})
+    a_copy = models.make("perturbed-dshg", 6, params_a)
+    assert a_copy == a and a_copy is not a
+    for turn, model in enumerate((a, b, a, a_copy)):
+        _, chain, _, roots = solve(model)
+        for root in roots.roots:
+            state = wavefunctions.sample(model, root, chain=chain)
+            fresh_xs = wavefunctions.default_grid(model, model.n)
+            fresh = wavefunctions.sample(model, root, xs=fresh_xs, chain=chain)
+            assert _state_bytes(state) == _state_bytes(fresh), (turn, root)
+            with pytest.raises(ValueError):
+                state.xs[0] = 0.0
+        # the default grid was built once per turn for the shared frame,
+        # once per root for the fresh ones
+        assert calls.count(model) == 1 + len(roots.roots), turn
+        calls.clear()
+
+
+# sha256 over (xs, psi, norm, node_count, parity) of every state sampled on
+# the default grid, recorded before the grid was shared between roots.
+DEFAULT_GRID_SHA256 = {
+    ("razavy-sinh2", 40, (("xi", Fraction(1, 2)), ("alpha", 0), ("beta", 1))):
+        "4edb13f23e53525b7ff3a487e07ffa30198fcb055d9aeefe975fd966c19148d2",
+    ("coulomb", 19, (("lambda", Fraction(1, 2)),)):
+        "11fc08bd7fc65e8ff8c9d9edc1232e7cd842db256374038c4334ce51f0eb9512",
+    # fractional beta: the half line
+    ("perturbed-dshg-sinh2", 20, (("xi", 2), ("alpha", 2), ("beta", Fraction(1, 4)))):
+        "5198e2e68348ac36295b4b01e02e4c59cbd88ffa16808889932baa803ba06c51",
+    DEEP_CASES["chen-even"]:
+        "2a5d5bf8af8849e5e20c15f7f07feb17049a778b7f4b2894d6f394cc036a706f",
+}
+
+
+@pytest.mark.parametrize("case", list(DEFAULT_GRID_SHA256), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_default_grid_state_bytes_are_pinned(case):
+    model_id, n, params = case
+    model = models.make(model_id, n, dict(params))
+    _, chain, _, roots = solve(model)
+    digest = hashlib.sha256()
+    for root in roots.roots:
+        state = wavefunctions.sample(model, root, chain=chain)
+        digest.update(state.xs.tobytes())
+        digest.update(state.psi.tobytes())
+        digest.update(struct.pack("<d", state.norm))
+        digest.update(repr((state.node_count, state.parity)).encode())
+    assert digest.hexdigest() == DEFAULT_GRID_SHA256[case]
