@@ -304,24 +304,28 @@ _POLISH_BITS = 200
 def _solution_image(chain, p, k):
     """Integer image of S(z) at the scan value ``p / 2**k``, by the steps.
 
-    At x = p/2^k every member is P[n,j] = M_j / D over the common
-    denominator D = delta_1 ... delta_n 2^(kn), and the steps give the
-    integers M_j from M_0 = D on:
+    At x = p/2^k the members run, with no division, over the growing
+    denominator D_j = delta_1 ... delta_j 2^(kj): the numerators
+    M'_j = D_j P[n,j] obey
 
-        M_j = (alpha_j M_{j-1} + gamma_j M_{j-2} + (beta_j p M_{j-1} >> k)) // delta_j.
+        M'_j = (alpha_j 2^k + beta_j p) M'_{j-1} + gamma_j delta_{j-1} 2^(2k) M'_{j-2},
 
-    The shift and the division are exact because M_j is an integer: it is
-    ((alpha_j 2^k + beta_j p) M_{j-1} + gamma_j 2^k M_{j-2}) / (2^k delta_j),
-    so 2^k divides beta_j p M_{j-1}, and delta_j divides the bracket.
-    S[i] = P[n,n-i].
+    from M'_0 = 1, with M'_{-1} = 0 and delta_0 = 1.  Each member is then
+    scaled once, by delta_{j+1} ... delta_n 2^(k(n-j)), onto the common
+    denominator D_n; the image is ``(nums, D_n)`` with S[i] = P[n,n-i].
     """
-    den = math.prod(step[3] for step in chain.steps) << k * chain.n
-    prev, cur = 0, den
-    nums = [cur]
+    prev, cur, last_delta = 0, 1, 1
+    members = [cur]
     for alpha, beta, gamma, delta in chain.steps:
-        prev, cur = cur, (alpha * cur + gamma * prev + (beta * p * cur >> k)) // delta
-        nums.append(cur)
-    return tuple(reversed(nums)), den
+        prev, cur = cur, ((alpha << k) + beta * p) * cur + (gamma * last_delta * prev << 2 * k)
+        last_delta = delta
+        members.append(cur)
+    # the deltas' product is short next to the power of two, which is a shift
+    nums, tail = [members.pop()], 1
+    for shift, step in enumerate(reversed(chain.steps), 1):
+        tail *= step[3]
+        nums.append(members.pop() * tail << k * shift)
+    return tuple(nums), tail << k * chain.n
 
 
 def assemble_solution(chain, root):
@@ -351,8 +355,9 @@ def assemble_solution(chain, root):
     rounds a Fraction), and every test made by cross-multiplication.  The
     drift gate sums the moves |x_{i-1} - x_i| of the rounded iterates, an
     integer over 2^max(k, 200).  Per root on one Xeon core (coulomb and
-    razavy-sinh2): 0.1-0.2 ms at n = 20, 0.5-0.7 ms at n = 40, 2-2.5 ms at
-    n = 80, ~7 ms at n = 160.
+    razavy-sinh2): 0.1-0.2 ms at n = 20, 0.4-0.7 ms at n = 40 and
+    2.3-2.6 ms at n = 80 (coulomb), of which the replay takes 0.06, 0.24
+    and 0.6-0.9 ms; the rest is the polish.
 
     Raises:
         NotARoot: ``root`` does not identify a constraint root: it drifts

@@ -76,9 +76,13 @@ def decay_halfwidth(model, degree):
 def default_grid(model, degree, points=2001, halfwidth=None):
     """Sampling grid suited to the model's domain.
 
-    Full-line models get a symmetric closed grid; half-line models get a
-    half-offset open grid on (0, L] that avoids the origin singularity and
-    matches the verifier's radial discretization.
+    Full-line models get a closed grid on [-L, L] that mirrors exactly:
+    the right half is that of ``np.linspace(-L, L, points)``, the left half
+    its negation, and the middle point of an odd count is 0.0, so
+    ``xs == -xs[::-1]`` bit for bit (linspace alone misses by an ulp at many
+    points).  Half-line models get a half-offset open grid on (0, L] that
+    avoids the origin singularity and matches the verifier's radial
+    discretization.
     """
     if points < 16:
         raise DegenerateGrid(f"need at least 16 grid points, got {points}")
@@ -88,7 +92,9 @@ def default_grid(model, degree, points=2001, halfwidth=None):
     if model.half_line:
         h = L / points
         return (np.arange(points) + 0.5) * h
-    return np.linspace(-L, L, points)
+    right = np.linspace(-L, L, points)[(points + 1) // 2:]
+    middle = [0.0] if points % 2 else []
+    return np.concatenate((-right[::-1], middle, right))
 
 
 def node_count(xs, psi):
@@ -202,9 +208,13 @@ def _first_peak_sign(psi):
 class _Frame:
     """What sampling needs of a grid and a model, whatever the root.
 
-    ``z`` is the coordinate in 80-bit extended precision, ``q`` the
-    prefactor and ``dead`` its underflowed tail (q == 0); ``symmetric``
-    says whether parity is classified (full line, mirrored grid).
+    ``z`` is the coordinate in 80-bit extended precision at the points the
+    polynomial is evaluated on: all of ``xs``, or only its first
+    ceil(N/2) when ``mirrored`` says the float64 coordinate reads the same
+    backwards, bit for bit (an even chart on an exactly mirrored grid).
+    ``q`` is the prefactor and ``dead`` its underflowed tail (q == 0);
+    ``symmetric`` says whether parity is classified (full line, mirrored
+    grid).
     """
 
     xs: np.ndarray
@@ -212,16 +222,34 @@ class _Frame:
     q: np.ndarray
     dead: np.ndarray
     symmetric: bool
+    mirrored: bool
 
 
 def _frame(model, xs):
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.asarray(model.coordinate(xs), dtype=float).astype(np.longdouble)
+        z = np.asarray(model.coordinate(xs), dtype=float)
         q = np.asarray(model.prefactor(xs), dtype=float)
+    mirrored = bool(np.array_equal(z, z[::-1]))
+    if mirrored:
+        z = z[: (len(z) + 1) // 2]
+    z = z.astype(np.longdouble)
     dead = q == 0.0
     for owned in (z, q, dead):
         owned.setflags(write=False)
-    return _Frame(xs, z, q, dead, not model.half_line and _is_symmetric(xs))
+    symmetric = not model.half_line and _is_symmetric(xs)
+    return _Frame(xs, z, q, dead, symmetric, mirrored)
+
+
+def _frame_values(frame, image):
+    """S(z) at every point of the frame, from one evaluation per mirror pair.
+
+    Horner runs elementwise, so on a mirrored frame the second half is the
+    first half reversed, bit for bit what evaluating it would give.
+    """
+    values = _eval_poly_extended(image, frame.z)
+    if frame.mirrored:
+        values = np.concatenate((values, values[: len(frame.xs) // 2][::-1]))
+    return values
 
 
 # The frame of the last model sampled on its default grid, and that model.
@@ -254,6 +282,14 @@ def sample(model, root, xs=None, chain=None):
     read-only ``xs``: the grid, and the coordinate and prefactor on it, are
     built once for that model and kept until another model is sampled.
 
+    Where the coordinate is even on the grid, bit for bit (the tanh^2,
+    -sinh^2, cosh^2 and sinh^2 charts on an exactly mirrored grid such as
+    the default one), the polynomial is evaluated on the first half of the
+    points and mirrored; the result is byte-identical to evaluating it
+    everywhere, so with a prefactor of the sector's parity psi is exactly
+    even or odd.  Other grids and charts (dshg's exp(2x)) are evaluated at
+    every point.
+
     Raises:
         NotARoot: ``root`` does not identify a root of the constraint.
         DegenerateGrid: an explicit ``xs`` is not 1-d, finite, increasing
@@ -275,7 +311,7 @@ def sample(model, root, xs=None, chain=None):
     xs = frame.xs
 
     with np.errstate(over="ignore", invalid="ignore"):
-        psi = frame.q * _eval_poly_extended(image, frame.z)
+        psi = frame.q * _frame_values(frame, image)
     # 0 * inf in the dead tail: the underflowed prefactor wins.
     psi[frame.dead] = 0.0
     if not np.all(np.isfinite(psi)):

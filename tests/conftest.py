@@ -28,6 +28,21 @@ DEEP_CASES = {
 }
 
 
+# rational parameters for every catalog id, inside its documented range
+CATALOG_PARAMS = {
+    "xie-even": {"V1": 1, "V2": -50},
+    "xie-odd": {"V1": 1, "V2": -50},
+    "chen-even": {"V1": Fraction(9, 100), "V3": 400, "g": Fraction(1, 4)},
+    "chen-odd": {"V1": Fraction(9, 100), "V3": 400, "g": Fraction(1, 4)},
+    "coulomb": {"lambda": Fraction(1, 2)},
+    "razavy": {"xi": Fraction(1, 2), "alpha": 0, "beta": 1},
+    "razavy-sinh2": {"xi": Fraction(1, 2), "alpha": 0, "beta": 1},
+    "dshg": {"xi": 2},
+    "perturbed-dshg": {"xi": 2, "alpha": 2, "beta": 0},
+    "perturbed-dshg-sinh2": {"xi": 2, "alpha": 2, "beta": 0},
+}
+
+
 @lru_cache(maxsize=None)
 def solved(case_key):
     """(model, system, chain, ttrr, roots) for one named deep-well case."""

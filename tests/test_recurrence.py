@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    CATALOG_PARAMS,
+    DEEP_CASES,
     as_fractions,
     float_chain_at,
     integer_image,
@@ -281,20 +283,6 @@ def _fraction_assembly(chain, root):
     ]
 
 
-# rational parameters for every catalog id, inside its documented range
-CATALOG_PARAMS = {
-    "xie-even": {"V1": 1, "V2": -50},
-    "xie-odd": {"V1": 1, "V2": -50},
-    "chen-even": {"V1": Fraction(9, 100), "V3": 400, "g": Fraction(1, 4)},
-    "chen-odd": {"V1": Fraction(9, 100), "V3": 400, "g": Fraction(1, 4)},
-    "coulomb": {"lambda": Fraction(1, 2)},
-    "razavy": {"xi": Fraction(1, 2), "alpha": 0, "beta": 1},
-    "razavy-sinh2": {"xi": Fraction(1, 2), "alpha": 0, "beta": 1},
-    "dshg": {"xi": 2},
-    "perturbed-dshg": {"xi": 2, "alpha": 2, "beta": 0},
-    "perturbed-dshg-sinh2": {"xi": 2, "alpha": 2, "beta": 0},
-}
-
 EXACTNESS_CASES = (
     [(model_id, n, params) for model_id, params in CATALOG_PARAMS.items() for n in (5, 20)]
     + [
@@ -380,6 +368,44 @@ def test_images_at_dyadic_points_are_fraction_horner(k, sign):
             assert as_fractions((nums, den)) == [
                 polynomials.poly_eval(members[n - j], x) for j in range(n + 1)
             ], (model_id, x)
+
+
+def _divide_as_you_go_image(chain, p, k):
+    # the replay with every member over delta_1 ... delta_n 2^(kn) from the
+    # first step on, and one exact division by delta_j at each step
+    den = math.prod(step[3] for step in chain.steps) << k * chain.n
+    prev, cur = 0, den
+    nums = [cur]
+    for alpha, beta, gamma, delta in chain.steps:
+        prev, cur = cur, (alpha * cur + gamma * prev + (beta * p * cur >> k)) // delta
+        nums.append(cur)
+    return tuple(reversed(nums)), den
+
+
+REPLAY_CASES = [
+    (model_id, n, CATALOG_PARAMS[model_id])
+    for model_id in sorted(CATALOG_PARAMS) for n in (0, 1, 2, 20, 40)
+] + [
+    ("coulomb", 80, CATALOG_PARAMS["coulomb"]),
+    # the deep chen-even well: ~275-bit step integers
+    (DEEP_CASES["chen-even"][0], DEEP_CASES["chen-even"][1], dict(DEEP_CASES["chen-even"][2])),
+]
+
+
+@pytest.mark.parametrize(
+    "model_id,n,params", REPLAY_CASES, ids=[f"{c[0]}-{c[1]}" for c in REPLAY_CASES]
+)
+def test_division_free_replay_is_the_divide_as_you_go_replay(model_id, n, params):
+    # the same integers, at p < 0, p = 0 and k = 0, and at the 200-bit grain
+    # of a polished root
+    chain = recurrence.exact_chain(recurrence.build_baseline(models.make(model_id, n, params)))
+    rng = random.Random(f"replay:{model_id}:{n}")
+    points = [(0, 0), (0, 200), (rng.randrange(1, 1 << 40), 0), (-rng.randrange(1, 1 << 40), 0)]
+    for k in (1, 52, 200):
+        p = rng.randrange(1, 1 << (k + 12))
+        points += [(p, k), (-p, k)]
+    for p, k in points:
+        assert recurrence._solution_image(chain, p, k) == _divide_as_you_go_image(chain, p, k), (p, k)
 
 
 REFERENCE_CASES = [

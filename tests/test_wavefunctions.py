@@ -9,9 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import DEEP_CASES, solved
+from conftest import CATALOG_PARAMS, DEEP_CASES, solved
 from qespectra import models, recurrence, solve, wavefunctions
-from qespectra.errors import AsymmetricGrid, DegenerateGrid
+from qespectra.errors import AsymmetricGrid, DegenerateGrid, QesError
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,23 @@ def test_default_grid_full_line_symmetric():
     model = models.make("razavy", 2, {"xi": 1, "alpha": 0, "beta": 0})
     xs = wavefunctions.default_grid(model, 2, points=257)
     assert len(xs) == 257
-    np.testing.assert_allclose(xs + xs[::-1], 0.0, atol=1e-12)
+    assert np.array_equal(xs + xs[::-1], np.zeros_like(xs))
+
+
+@pytest.mark.parametrize("points", (16, 17, 2000, 2001, 20001))
+@pytest.mark.parametrize("halfwidth", (1e-3, 1.0, 60.0, 400.0))
+def test_default_grid_full_line_is_an_exact_mirror(points, halfwidth):
+    # the right half is linspace's, the left its negation, the middle 0.0
+    model = models.make("razavy", 2, {"xi": 1, "alpha": 0, "beta": 0})
+    xs = wavefunctions.default_grid(model, 2, points=points, halfwidth=halfwidth)
+    linspace = np.linspace(-halfwidth, halfwidth, points)
+    assert len(xs) == points
+    assert np.all(np.diff(xs) > 0)
+    assert np.array_equal(xs, -xs[::-1])
+    assert (xs[0], xs[-1]) == (-halfwidth, halfwidth)
+    assert np.array_equal(xs[(points + 1) // 2:], linspace[(points + 1) // 2:])
+    if points % 2:
+        assert xs[points // 2] == 0.0
 
 
 def test_default_grid_half_line_open_offset():
@@ -315,17 +331,19 @@ def test_default_frame_is_shared_per_model_object(monkeypatch):
 
 
 # sha256 over (xs, psi, norm, node_count, parity) of every state sampled on
-# the default grid, recorded before the grid was shared between roots.
+# the default grid, recorded before the grid was shared between roots; the
+# full-line entries re-pinned when that grid became an exact mirror (the
+# half-line ones did not move).
 DEFAULT_GRID_SHA256 = {
     ("razavy-sinh2", 40, (("xi", Fraction(1, 2)), ("alpha", 0), ("beta", 1))):
-        "4edb13f23e53525b7ff3a487e07ffa30198fcb055d9aeefe975fd966c19148d2",
+        "69e451325d41fff87754115695d6305fd2a8bffe2c3751fcfb91347d8c3fd065",
     ("coulomb", 19, (("lambda", Fraction(1, 2)),)):
         "11fc08bd7fc65e8ff8c9d9edc1232e7cd842db256374038c4334ce51f0eb9512",
     # fractional beta: the half line
     ("perturbed-dshg-sinh2", 20, (("xi", 2), ("alpha", 2), ("beta", Fraction(1, 4)))):
         "5198e2e68348ac36295b4b01e02e4c59cbd88ffa16808889932baa803ba06c51",
     DEEP_CASES["chen-even"]:
-        "2a5d5bf8af8849e5e20c15f7f07feb17049a778b7f4b2894d6f394cc036a706f",
+        "74b698f7184b832410a72ba1291b6fe51322e252ebd490afbfc0de12015885f6",
 }
 
 
@@ -342,3 +360,159 @@ def test_default_grid_state_bytes_are_pinned(case):
         digest.update(struct.pack("<d", state.norm))
         digest.update(repr((state.node_count, state.parity)).encode())
     assert digest.hexdigest() == DEFAULT_GRID_SHA256[case]
+
+
+# ---------------------------------------------------------------------------
+# mirrored frames: one evaluation per mirror pair
+# ---------------------------------------------------------------------------
+
+FULL_LINE_IDS = sorted(m for m in CATALOG_PARAMS if not models.make(m, 1, CATALOG_PARAMS[m]).half_line)
+
+
+@pytest.mark.parametrize("model_id", FULL_LINE_IDS)
+def test_half_evaluation_is_the_full_evaluation(model_id):
+    # every even chart evaluates half the default grid and mirrors it, bit
+    # for bit what Horner gives at every point; dshg's exp(2x) is not even
+    model = models.make(model_id, 20, CATALOG_PARAMS[model_id])
+    _, chain, _, roots = solve(model)
+    xs = wavefunctions.default_grid(model, model.n)
+    frame = wavefunctions._frame(model, xs)
+    assert frame.mirrored == (model_id != "dshg")
+    assert len(frame.z) == ((len(xs) + 1) // 2 if frame.mirrored else len(xs))
+    full_z = np.asarray(model.coordinate(xs), dtype=float).astype(np.longdouble)
+    for root in roots.roots:
+        image = recurrence.assemble_solution(chain, root)
+        with np.errstate(over="ignore"):
+            want = wavefunctions._eval_poly_extended(image, full_z)
+            got = wavefunctions._frame_values(frame, image)
+        assert got.tobytes() == want.tobytes(), root
+
+
+def test_a_grid_that_is_not_an_exact_mirror_takes_the_full_path():
+    model = models.make("razavy", 10, CATALOG_PARAMS["razavy"])
+    linspace = np.linspace(-1.0, 1.0, 2001)
+    assert not np.array_equal(linspace, -linspace[::-1])
+    assert not wavefunctions._frame(model, linspace).mirrored
+    assert wavefunctions._frame(model, wavefunctions.default_grid(model, 10, halfwidth=1.0)).mirrored
+
+
+# every parity sector of the even charts: the sampled state is exactly even
+# or odd, and its parity is the sector's
+PARITY_SECTOR_CASES = (
+    [DEEP_CASES[key] for key in ("xie-even", "xie-odd", "chen-even", "chen-odd")]
+    + [
+        (model_id, 20, (("xi", Fraction(1, 2)), ("alpha", a), ("beta", b)))
+        for model_id in ("razavy", "razavy-sinh2") for a in (0, 1) for b in (0, 1)
+    ]
+    + [
+        (model_id, 20, (("xi", 2), ("alpha", 2), ("beta", b)))
+        for model_id in ("perturbed-dshg", "perturbed-dshg-sinh2") for b in (0, 1)
+    ]
+)
+
+
+@pytest.mark.parametrize("case", PARITY_SECTOR_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+def test_even_chart_states_are_exactly_even_or_odd(case):
+    model_id, n, params = case
+    model = models.make(model_id, n, dict(params))
+    _, chain, _, roots = solve(model)
+    sign = {"even": 1.0, "odd": -1.0}[model.parity]
+    for root in roots.roots:
+        state = wavefunctions.sample(model, root, chain=chain)
+        assert np.array_equal(state.psi, sign * state.psi[::-1]), root
+        assert state.parity == model.parity, root
+
+
+def _ladder(first, step, count):
+    return tuple(range(first, first + step * count, step))
+
+
+# Node counts and parities ("e", "o", "-" for None) of every default-grid
+# state at CATALOG_PARAMS, recorded on linspace grids before the grid became
+# an exact mirror; a string names the QesError that every state, or solve,
+# raises.  The top states of the long even-chart chains sample as noise
+# (off their node ladder from index ~35 on), which linspace's 1-ulp asymmetry
+# left unclassified.
+NODES_AND_PARITIES = {
+    ("xie-even", 3): (_ladder(0, 2, 4), "eeee"),
+    ("xie-even", 10): (_ladder(0, 2, 11), "e" * 11),
+    ("xie-even", 20): "DegenerateGrid",
+    ("xie-even", 40): "DegenerateGrid",
+    ("xie-odd", 3): (_ladder(1, 2, 4), "oooo"),
+    ("xie-odd", 10): (_ladder(1, 2, 11), "o" * 11),
+    ("xie-odd", 20): "DegenerateGrid",
+    ("xie-odd", 40): "DegenerateGrid",
+    ("chen-even", 3): ((6, 4, 2, 0), "eeee"),
+    ("chen-even", 10): "NonPositiveLambda",
+    ("chen-even", 20): "DegenerateGrid",
+    ("chen-even", 40): "DegenerateGrid",
+    ("chen-odd", 3): ((7, 5, 3, 1), "oooo"),
+    ("chen-odd", 10): "NonPositiveLambda",
+    ("chen-odd", 20): "DegenerateGrid",
+    ("chen-odd", 40): "DegenerateGrid",
+    ("coulomb", 3): (_ladder(0, 1, 4), "-" * 4),
+    ("coulomb", 10): (_ladder(0, 1, 11), "-" * 11),
+    ("coulomb", 20): (_ladder(0, 1, 21), "-" * 21),
+    ("coulomb", 40): (_ladder(0, 1, 37) + (45, 100, 131, 88), "-" * 41),
+    ("razavy", 3): (_ladder(1, 2, 4), "oooo"),
+    ("razavy", 10): (_ladder(1, 2, 11), "o" * 11),
+    ("razavy", 20): (_ladder(1, 2, 21), "o" * 21),
+    ("razavy", 40): (_ladder(1, 2, 41), "o" * 15 + "-" * 26),
+    ("razavy-sinh2", 3): (_ladder(1, 2, 4), "oooo"),
+    ("razavy-sinh2", 10): (_ladder(1, 2, 11), "o" * 11),
+    ("razavy-sinh2", 20): (_ladder(1, 2, 21), "o" * 21),
+    ("razavy-sinh2", 40): (_ladder(1, 2, 41), "o" * 15 + "-" * 26),
+    ("dshg", 3): (_ladder(0, 1, 4), "eoeo"),
+    ("dshg", 10): (_ladder(0, 1, 11), "eo" * 5 + "e"),
+    ("dshg", 20): (_ladder(0, 1, 21), "e-" + "eo" * 9 + "e"),
+    ("dshg", 40): (
+        (0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 10, 11, 12, 13, 15, 15) + _ladder(16, 1, 25),
+        "-" * 16 + "eo" * 12 + "e",
+    ),
+    ("perturbed-dshg", 3): (_ladder(0, 2, 4), "eeee"),
+    ("perturbed-dshg", 10): (_ladder(0, 2, 11), "e" * 11),
+    ("perturbed-dshg", 20): (_ladder(0, 2, 21), "e" * 21),
+    ("perturbed-dshg", 40): (_ladder(0, 2, 35) + (74, 78, 80, 112, 138, 122), "e" * 14 + "-" * 27),
+    ("perturbed-dshg-sinh2", 3): (_ladder(0, 2, 4), "eeee"),
+    ("perturbed-dshg-sinh2", 10): (_ladder(0, 2, 11), "e" * 11),
+    ("perturbed-dshg-sinh2", 20): (_ladder(0, 2, 21), "e" * 21),
+    ("perturbed-dshg-sinh2", 40): (_ladder(0, 2, 41), "e" * 17 + "-" * 24),
+}
+
+# Node counts the exact mirror moves: noise-dominated states, off the ladder
+# 2i on linspace too, whose samples change with the ulp at half the points.
+# (model, n) -> {root index: node count on the mirrored grid}
+MIRROR_MOVED_NODES = {("perturbed-dshg", 40): {35: 70, 36: 76, 37: 78, 40: 120}}
+
+
+@pytest.mark.parametrize("model_id", sorted(CATALOG_PARAMS))
+def test_node_counts_and_parities_are_those_recorded_on_linspace(model_id):
+    # the same counts and parities, except that every even-chart state now
+    # classifies as its sector: its psi is exactly even or odd
+    for n in (3, 10, 20, 40):
+        recorded = NODES_AND_PARITIES[(model_id, n)]
+        try:
+            model = models.make(model_id, n, CATALOG_PARAMS[model_id])
+            _, chain, _, roots = solve(model)
+            rows = []
+            for root in roots.roots:
+                try:
+                    state = wavefunctions.sample(model, root, chain=chain)
+                    rows.append((state.node_count, state.parity))
+                except QesError as err:
+                    rows.append(type(err).__name__)
+        except QesError as err:
+            assert recorded == type(err).__name__, n
+            continue
+        if isinstance(recorded, str):
+            assert rows == [recorded] * len(rows), n
+            continue
+        nodes, parities = recorded
+        moved = MIRROR_MOVED_NODES.get((model_id, n), {})
+        nodes = [moved.get(i, count) for i, count in enumerate(nodes)]
+        mirrored = wavefunctions._default_frame(model).mirrored
+        parities = [
+            model.parity if mirrored and p == "-" else {"e": "even", "o": "odd", "-": None}[p]
+            for p in parities
+        ]
+        assert rows == list(zip(nodes, parities)), n
