@@ -31,13 +31,16 @@ Each class also declares its user-facing parameters once, as ``PARAMS``
 (parity sector or chain variant) and the notes; :func:`catalog`,
 :func:`make` and :func:`params` derive everything else from the class.
 
-The hyperbolic double wells additionally come in a second algebraization
+The cosh^2 double wells additionally come in a second algebraization
 through the squared-sinh variable instead of squared-cosh.  Since
 sinh^2 x = cosh^2 x - 1, its table is not written out: it is the cosh^2
 table shifted to z = 1 + w by :func:`qespectra.recurrence.recentre`, the
 same shift root finding applies to any chain.  The two catalog ids differ
 in the coordinate their states are sampled on, and their exact constraints
-agree, which the tests check.
+agree, which the tests check.  The hyperbolic (Razavy) double well writes
+no table at all: it is the perturbed shifted-cosh well at half its xi,
+less a constant, and takes that well's table, chart and prefactor at the
+energy shifted by the constant.
 
 The odd parity sectors of the sech-power and rational-in-cosh wells are not
 written out either.  An odd state carries tanh x or sinh x, a constant times
@@ -300,9 +303,9 @@ class CoulombOscillator:
 
     In these rescaled units the eigenvalue alpha/omega equals
     n + lam + 1/2 on the baseline, the polynomial variable is x itself, and
-    the constraint roots are the admissible Coulomb strengths beta.  The
-    physical coupling is beta * sqrt(omega/2); the default omega = 2 makes
-    the rescaling the identity.
+    the constraint roots are the admissible Coulomb strengths beta.  Every
+    output is in these units: ``omega`` is checked and echoed with the
+    parameters, but no table, energy, prefactor or potential reads it.
     """
 
     lam: Fraction
@@ -357,48 +360,13 @@ class CoulombOscillator:
 
 
 # ---------------------------------------------------------------------------
-# hyperbolic double wells (energy scan)
+# the double sinh-Gordon family (energy scan)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HyperbolicDoubleWell:
-    """V(x) = (xi^2/4) sinh^2 2x - (M+1) xi cosh 2x with M = 2n + alpha + beta.
+class _EnergyScan:
+    """Energy-scan models: the roots are energies, every state normalizable."""
 
-    The exponents alpha, beta in {0, 1} select the parity sector.  Both the
-    squared-cosh and the squared-sinh algebraizations are provided; they
-    share potential, prefactor and spectrum, and the sinh^2 table is the
-    cosh^2 one re-centred at z = 1.
-    """
-
-    xi: Fraction
-    alpha: int
-    beta: int
-    n: int
-    variant: str = "cosh2"
-
-    PARAMS: ClassVar[dict] = {"xi": "xi", "alpha": "alpha", "beta": "beta"}
     scan_name: ClassVar[str] = "E"
-    half_line: ClassVar[bool] = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi", _num(self.xi))
-        object.__setattr__(self, "n", _check_n(self.n))
-        if not self.xi > 0:
-            raise InvalidParams("xi must be positive")
-        if self.alpha not in (0, 1) or self.beta not in (0, 1):
-            raise InvalidParams("alpha and beta must each be 0 or 1")
-        object.__setattr__(self, "alpha", int(self.alpha))
-        object.__setattr__(self, "beta", int(self.beta))
-        if self.variant not in ("cosh2", "sinh2"):
-            raise InvalidParams(f"unknown variant {self.variant!r}")
-
-    @property
-    def m_quantum(self):
-        return 2 * self.n + self.alpha + self.beta
-
-    @property
-    def parity(self):
-        return "odd" if self.beta == 1 else "even"
 
     def baseline(self):
         return ("M", self.m_quantum)
@@ -406,55 +374,26 @@ class HyperbolicDoubleWell:
     def energy(self, root):
         return float(root)
 
-    def ode_coefficients(self, scan):
-        xi, a, b, m = self.xi, self.alpha, self.beta, self.m_quantum
-        ode = OdeCoefficients(
-            a3=0, a2=4, a1=-4,
-            b2=-4 * xi, b1=4 * (a + b + xi + 1), b0=-2 * (2 * a + 1),
-            c1=2 * xi * (m - a - b),
-            c0=scan + (a + b) ** 2 + xi * (2 * a - m),
-        )
-        # sinh^2 x = cosh^2 x - 1
-        return ode if self.variant == "cosh2" else recentre(ode, 1)
-
     def normalizable(self, root=None):
         return True
 
-    def coordinate(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.variant == "cosh2":
-            return np.cosh(x) ** 2
-        return np.sinh(x) ** 2
-
-    def prefactor(self, x):
-        x = np.asarray(x, dtype=float)
-        q = np.exp(-0.25 * float(self.xi) * np.cosh(2 * x))
-        if self.alpha:
-            q = q * np.cosh(x)
-        if self.beta:
-            q = q * np.sinh(x)
-        return q
-
-    def potential(self, x, scan=None):
-        x = np.asarray(x, dtype=float)
-        xi, m = float(self.xi), float(self.m_quantum)
-        return 0.25 * xi * xi * np.sinh(2 * x) ** 2 - (m + 1) * xi * np.cosh(2 * x)
-
 
 @dataclass(frozen=True)
-class ShiftedGaussWell:
+class ShiftedGaussWell(_EnergyScan):
     """V(x) = (xi cosh 2x - M)^2 with M = n + 1, in the exponential variable.
 
     The natural polynomial variable is z = exp(2x), which covers the whole
-    line in one chart; parity is not built into the ansatz and emerges only
-    numerically.  Scan variable is the energy.
+    line in one chart, so one chain holds both parity sectors.  Its
+    constraint is exactly a constant times the product of two perturbed-well
+    sector constraints at the same xi and M: (alpha, beta) = (0, 0) at n/2
+    and (1, 1) at n/2 - 1 for even n, (1, 0) and (0, 1) at (n - 1)/2 for
+    odd n.  Scan variable is the energy.
     """
 
     xi: Fraction
     n: int
 
     PARAMS: ClassVar[dict] = {"xi": "xi"}
-    scan_name: ClassVar[str] = "E"
     half_line: ClassVar[bool] = False
 
     def __post_init__(self):
@@ -467,12 +406,6 @@ class ShiftedGaussWell:
     def m_quantum(self):
         return self.n + 1
 
-    def baseline(self):
-        return ("M", self.m_quantum)
-
-    def energy(self, root):
-        return float(root)
-
     def ode_coefficients(self, scan):
         xi, m = self.xi, self.m_quantum
         return OdeCoefficients(
@@ -481,9 +414,6 @@ class ShiftedGaussWell:
             c1=2 * xi * (m - 1),
             c0=scan + 1 - 2 * m - xi * xi,
         )
-
-    def normalizable(self, root=None):
-        return True
 
     def coordinate(self, x):
         return np.exp(2.0 * np.asarray(x, dtype=float))
@@ -500,7 +430,7 @@ class ShiftedGaussWell:
 
 
 @dataclass(frozen=True)
-class PerturbedGaussWell:
+class PerturbedGaussWell(_EnergyScan):
     """The squared shifted-cosh well plus inverse-square barrier terms:
 
         V(x) = (xi cosh 2x - M)^2 - alpha(alpha-1)/cosh^2 x + beta(beta-1)/sinh^2 x
@@ -508,7 +438,10 @@ class PerturbedGaussWell:
     with M = 2n + alpha + beta + 1.  Integer beta in {0, 1} gives the usual
     full-line parity sectors; fractional beta in (0, 1) keeps the chain
     perfectly sensible but the wavefunction only lives on the half line
-    (the sinh^beta factor has a branch point at the origin).
+    (the sinh^beta factor has a branch point at the origin).  Both the
+    squared-cosh and the squared-sinh algebraizations are provided; they
+    share potential, prefactor and spectrum, and the sinh^2 table is the
+    cosh^2 one re-centred at z = 1.
     """
 
     xi: Fraction
@@ -518,7 +451,6 @@ class PerturbedGaussWell:
     variant: str = "cosh2"
 
     PARAMS: ClassVar[dict] = {"xi": "xi", "alpha": "alpha", "beta": "beta"}
-    scan_name: ClassVar[str] = "E"
 
     def __post_init__(self):
         object.__setattr__(self, "xi", _num(self.xi))
@@ -551,12 +483,6 @@ class PerturbedGaussWell:
             return "odd"
         return "none"
 
-    def baseline(self):
-        return ("M", self.m_quantum)
-
-    def energy(self, root):
-        return float(root)
-
     def ode_coefficients(self, scan):
         xi, a, b, m = self.xi, self.alpha, self.beta, self.m_quantum
         ode = OdeCoefficients(
@@ -567,9 +493,6 @@ class PerturbedGaussWell:
         )
         # sinh^2 x = cosh^2 x - 1
         return ode if self.variant == "cosh2" else recentre(ode, 1)
-
-    def normalizable(self, root=None):
-        return True
 
     def coordinate(self, x):
         x = np.asarray(x, dtype=float)
@@ -603,6 +526,65 @@ class PerturbedGaussWell:
         if b * (b - 1) != 0:
             v = v + b * (b - 1) / np.sinh(x) ** 2
         return v
+
+
+@dataclass(frozen=True)
+class HyperbolicDoubleWell(_EnergyScan):
+    """V(x) = (xi^2/4) sinh^2 2x - (M+1) xi cosh 2x with M = 2n + alpha + beta.
+
+    The exponents alpha, beta in {0, 1} select the parity sector, and at
+    those exponents the perturbed well's barrier terms vanish.  Since
+    (xi^2/4) sinh^2 2x = ((xi/2) cosh 2x)^2 - xi^2/4, this potential is the
+    perturbed well at xi/2, with the same alpha, beta and n, less the
+    constant (M+1)^2 + xi^2/4.  So its table (either variant), chart and
+    prefactor are that well's, at the scan shifted by the constant; only
+    the potential is written out here, in its own form.
+    """
+
+    xi: Fraction
+    alpha: int
+    beta: int
+    n: int
+    variant: str = "cosh2"
+
+    PARAMS: ClassVar[dict] = {"xi": "xi", "alpha": "alpha", "beta": "beta"}
+    half_line: ClassVar[bool] = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "xi", _num(self.xi))
+        object.__setattr__(self, "n", _check_n(self.n))
+        if not self.xi > 0:
+            raise InvalidParams("xi must be positive")
+        if self.alpha not in (0, 1) or self.beta not in (0, 1):
+            raise InvalidParams("alpha and beta must each be 0 or 1")
+        object.__setattr__(self, "alpha", int(self.alpha))
+        object.__setattr__(self, "beta", int(self.beta))
+        # built once here, so that sampling does no Fraction arithmetic
+        well = PerturbedGaussWell(self.xi / 2, self.alpha, self.beta, self.n, self.variant)
+        object.__setattr__(self, "_well", well)
+        object.__setattr__(self, "_shift", (self.m_quantum + 1) ** 2 + self.xi ** 2 / 4)
+
+    @property
+    def m_quantum(self):
+        return 2 * self.n + self.alpha + self.beta
+
+    @property
+    def parity(self):
+        return "odd" if self.beta == 1 else "even"
+
+    def ode_coefficients(self, scan):
+        return self._well.ode_coefficients(scan + self._shift)
+
+    def coordinate(self, x):
+        return self._well.coordinate(x)
+
+    def prefactor(self, x):
+        return self._well.prefactor(x)
+
+    def potential(self, x, scan=None):
+        x = np.asarray(x, dtype=float)
+        xi, m = float(self.xi), float(self.m_quantum)
+        return 0.25 * xi * xi * np.sinh(2 * x) ** 2 - (m + 1) * xi * np.cosh(2 * x)
 
 
 # ---------------------------------------------------------------------------

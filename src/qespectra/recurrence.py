@@ -175,11 +175,11 @@ class ConstraintChain:
 
     ``steps[k-1]`` holds the integers ``(alpha, beta, gamma, delta)`` of
     slice k: P[n,k] = ((alpha + beta x) P[n,k-1] + gamma P[n,k-2]) / delta,
-    with P[n,-1] = 0 and P[n,0] = 1.  ``member_images[k]`` is the integer
-    image ``(nums, den)`` of P[n,k] (ascending numerators over one
-    denominator, not reduced), and ``constraint_image`` the reduced image
-    of the terminal constraint polynomial, of degree n+1, whose roots are
-    the admissible scan values.
+    with P[n,-1] = 0 and P[n,0] = 1.  ``last_member_image`` is the integer
+    image ``(nums, den)`` of the last member P[n,n] (ascending numerators
+    over one denominator, not reduced), and ``constraint_image`` the
+    reduced image of the terminal constraint polynomial, of degree n+1,
+    whose roots are the admissible scan values.
 
     The float view and the flag below are built on first use and kept on
     the chain, so they live exactly as long as the cached chain does.
@@ -187,7 +187,7 @@ class ConstraintChain:
 
     n: int
     steps: tuple
-    member_images: tuple
+    last_member_image: tuple
     constraint_image: tuple
 
     @cached_property
@@ -214,7 +214,7 @@ class ConstraintChain:
         exact, so they share a zero iff their exact gcd is non-constant; the
         gcd is monic, so the numerators of the images serve.
         """
-        constraint, member = self.constraint_image[0], self.member_images[self.n][0]
+        constraint, member = self.constraint_image[0], self.last_member_image[0]
         return len(polynomials.exact_gcd(constraint, member)) != 1
 
 
@@ -257,7 +257,6 @@ def exact_chain(system):
     F1, F0, Fm1 = zip(*map(ode.multiplicators, range(n + 2)))
     prev, cur = [], [1]
     den, last_delta = 1, 1
-    images = [(tuple(cur), den)]
     steps = []
     for k in range(1, n + 1):
         f1 = F1[n - k]
@@ -276,18 +275,17 @@ def exact_chain(system):
         )
         den *= delta
         last_delta = delta
-        images.append((tuple(cur), den))
 
     # unit D_n P(x) = unit (Fm1(1) delta_n M_{n-1} + F0(0; x) M_n)
     f0, slope, fm1, unit = _over_common_denominator(F0[0], sigma, Fm1[1])
     nums = poly_add(poly_scale(prev, fm1 * last_delta), poly_mul_linear(cur, f0, slope))
-    den *= unit
-    g = math.gcd(den, *nums)
+    whole = den * unit
+    g = math.gcd(whole, *nums)
     return ConstraintChain(
         n=n,
         steps=tuple(steps),
-        member_images=tuple(images),
-        constraint_image=(tuple(c // g for c in nums), den // g),
+        last_member_image=(tuple(cur), den),
+        constraint_image=(tuple(c // g for c in nums), whole // g),
     )
 
 

@@ -83,9 +83,10 @@ def poly_deriv(p):
 def as_fractions(image):
     """The exact coefficients of an integer image ``(nums, den)``, ascending.
 
-    The one way tests read a chain's members and constraint as Fractions:
-    ``as_fractions(chain.member_images[k])`` is P[n,k] and
-    ``as_fractions(chain.constraint_image)`` the constraint.
+    The one way tests read a chain's images as Fractions:
+    ``as_fractions(chain.last_member_image)`` is P[n,n] and
+    ``as_fractions(chain.constraint_image)`` the constraint.  The other
+    members come from :func:`reference_chain`.
     """
     nums, den = image
     return [Fraction(c, den) for c in nums]

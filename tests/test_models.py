@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qespectra import models, recurrence, solve
+from conftest import as_fractions, poly_mul, solved
+from qespectra import models, oracle, recurrence, solve, wavefunctions
 from qespectra.errors import (
     BaselineUnsolvable,
     DomainError,
@@ -480,3 +481,108 @@ def test_xie_odd_table_is_the_hand_written_one(n, v1, v2, scan):
 def test_chen_odd_table_is_the_hand_written_one(n, v1, g, v3_margin, scan):
     params = {"V1": v1, "V3": v3_margin - (1 + g), "g": g}
     _assert_odd_sector_is_the_reference(models.make("chen-odd", n, params), (scan,))
+
+
+# ---------------------------------------------------------------------------
+# the double sinh-Gordon family: razavy and dshg from perturbed-dshg
+# ---------------------------------------------------------------------------
+
+def _razavy_reference_table(model, scan):
+    """The razavy table (either variant) as written out in its own terms."""
+    xi, a, b, m = model.xi, model.alpha, model.beta, model.m_quantum
+    ode = recurrence.OdeCoefficients(
+        a3=0, a2=4, a1=-4,
+        b2=-4 * xi, b1=4 * (a + b + xi + 1), b0=-2 * (2 * a + 1),
+        c1=2 * xi * (m - a - b),
+        c0=scan + (a + b) ** 2 + xi * (2 * a - m),
+    )
+    return ode if model.variant == "cosh2" else recurrence.recentre(ode, 1)
+
+
+def _razavy_reference_chart(model, x):
+    """(coordinate, prefactor) of razavy, written out in its own terms."""
+    x = np.asarray(x, dtype=float)
+    z = np.cosh(x) ** 2 if model.variant == "cosh2" else np.sinh(x) ** 2
+    q = np.exp(-0.25 * float(model.xi) * np.cosh(2 * x))
+    if model.alpha:
+        q = q * np.cosh(x)
+    if model.beta:
+        q = q * np.sinh(x)
+    return z, q
+
+
+_EXPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+@pytest.mark.parametrize("model_id", ("razavy", "razavy-sinh2"))
+def test_razavy_table_is_the_hand_written_one(model_id):
+    # razavy is perturbed-dshg at xi/2 with the energy shifted by
+    # (M+1)^2 + xi^2/4; the table derived that way must be the one written
+    # out for razavy, rational for rational
+    for xi in (Fraction(k, 4) for k in range(1, 17)):
+        for alpha, beta in _EXPONENTS:
+            for n in (0, 1, 2, 5, 10, 20):
+                model = models.make(model_id, n, {"xi": xi, "alpha": alpha, "beta": beta})
+                for scan in _ODD_SCANS:
+                    got = model.ode_coefficients(scan)
+                    assert got == _razavy_reference_table(model, scan), (xi, alpha, beta, n)
+                    assert all(type(c) in (int, Fraction) for c in astuple(got))
+
+
+def test_razavy_chart_and_prefactor_are_the_hand_written_ones():
+    # bit for bit on the deep case's default grid and on the FD grid of
+    # each of its roots.  np.array_equal compares values, so only the sign
+    # of a zero may differ: perturbed-dshg's prefactor returns +0.0 where
+    # the decay underflows, and 0 * sinh x gave -0.0 for x < 0 there
+    model, _, _, _, roots = solved("razavy")
+    grids = [wavefunctions.default_grid(model, model.n)] + [
+        oracle.grid_nodes(model, oracle.default_verify_config(model, root))
+        for root in roots.roots
+    ]
+    for variant in ("cosh2", "sinh2"):
+        for alpha, beta in _EXPONENTS:
+            well = models.HyperbolicDoubleWell(model.xi, alpha, beta, model.n, variant)
+            for xs in grids:
+                z, q = _razavy_reference_chart(well, xs)
+                got_z, got_q = well.coordinate(xs), well.prefactor(xs)
+                assert np.all(np.isfinite(got_q))
+                assert np.array_equal(got_z, z) and np.array_equal(got_q, q)
+
+
+def test_razavy_samples_past_the_overflow_of_cosh():
+    # past |x| ~ 710 cosh x overflows where the decay has long underflowed:
+    # the prefactor reads 0 there, where the written-out one read nan and
+    # failed the sample as an overflow
+    model = models.make("razavy", 3, {"xi": Fraction(1, 2), "alpha": 1, "beta": 1})
+    _, chain, _, roots = solve(model)
+    xs = np.linspace(-800.0, 800.0, 4001)
+    grid = wavefunctions.sample(model, roots.roots[0], xs=xs, chain=chain)
+    assert np.all(np.isfinite(grid.psi)) and grid.psi[0] == grid.psi[-1] == 0.0
+
+
+def _dshg_sectors(n):
+    """(alpha, beta, n) of the two perturbed-dshg sectors at dshg's M = n + 1."""
+    if n % 2 == 0:
+        return ((0, 0, n // 2), (1, 1, n // 2 - 1))
+    return ((1, 0, (n - 1) // 2), (0, 1, (n - 1) // 2))
+
+
+def _monic_constraint(model):
+    chain = recurrence.exact_chain(recurrence.build_baseline(model))
+    coeffs = as_fractions(chain.constraint_image)
+    return [c / coeffs[-1] for c in coeffs]
+
+
+@pytest.mark.parametrize("xi", (2, Fraction(1, 3)))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 10, 11, 20, 21))
+def test_dshg_constraint_is_the_product_of_its_parity_sectors(n, xi):
+    # over the rationals the dshg constraint is a constant times the product
+    # of two perturbed-dshg sector constraints at the same xi and M: the
+    # exact parity factors of its doublets
+    dshg = models.make("dshg", n, {"xi": xi})
+    product = [Fraction(1)]
+    for alpha, beta, k in _dshg_sectors(n):
+        sector = models.make("perturbed-dshg", k, {"xi": xi, "alpha": alpha, "beta": beta})
+        assert sector.m_quantum == dshg.m_quantum
+        product = poly_mul(product, _monic_constraint(sector))
+    assert _monic_constraint(dshg) == product

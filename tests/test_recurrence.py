@@ -110,8 +110,9 @@ def test_coulomb_n1_constraint_by_hand():
     model = models.make("coulomb", 1, {"lambda": Fraction(1, 2)})
     system, chain, ttrr, roots = recurrence.solve(model)
     assert chain.n == 1
-    assert as_fractions(chain.member_images[0]) == [1]
-    assert [float(c) for c in as_fractions(chain.member_images[1])] == [0.0, -1.0]
+    members, _, _ = reference_chain(system)
+    assert members == ((1,), (0, -1))
+    assert as_fractions(chain.last_member_image) == [0, -1]
     constraint = [float(c) for c in as_fractions(chain.constraint_image)]
     assert constraint == pytest.approx([1.0, 0.0, -1.0])
     assert roots.roots == pytest.approx([-1.0, 1.0])
@@ -126,16 +127,15 @@ def test_coulomb_n2_roots_by_hand():
 
 
 def test_constraint_couples_the_last_two_members():
-    # The constraint must be Fm1(1) * P[n,n-1] + F0(0; x) * P[n,n]
-    # with both members exactly as stored on the chain.
+    # The constraint must be Fm1(1) * P[n,n-1] + F0(0; x) * P[n,n],
+    # with the last member exactly as stored on the chain.
     _, system, chain, _, _ = solved("razavy")
     table = system.centres[0][1]
+    members, _, _ = reference_chain(system)
     lhs = polynomials.poly_add(
-        polynomials.poly_scale(
-            as_fractions(chain.member_images[chain.n - 1]), table.multiplicators(1)[2]
-        ),
+        polynomials.poly_scale(members[chain.n - 1], table.multiplicators(1)[2]),
         polynomials.poly_mul_linear(
-            as_fractions(chain.member_images[chain.n]),
+            as_fractions(chain.last_member_image),
             table.multiplicators(0)[1],
             system.sigma0,
         ),
@@ -176,20 +176,20 @@ def test_exact_replay_matches_float_chain(model_id, n, params):
     system = recurrence.build_baseline(model)
     exact = recurrence.exact_chain(system)
     assert recurrence.run_ttrr(system) is exact
+    polys = (*reference_chain(system)[0], as_fractions(exact.constraint_image))
     for x in (-1.5, 0.25, 3.0):
         members, constraint = float_chain_at(model, x)
-        polys = map(as_fractions, (*exact.member_images, exact.constraint_image))
         for poly, (value, mag) in zip(polys, members + [constraint]):
             got = float(polynomials.poly_eval(poly, Fraction(x)))
             assert abs(got - value) <= 1e-12 * mag
 
 
 def test_exact_chain_members_are_fractions():
-    # every member and the constraint are exact rationals, held as integer
-    # numerators over a positive integer denominator
+    # the last member and the constraint are exact rationals, held as
+    # integer numerators over a positive integer denominator
     _, system, _, _, _ = solved("dshg")
     exact = recurrence.exact_chain(system)
-    for nums, den in (*exact.member_images, exact.constraint_image):
+    for nums, den in (exact.last_member_image, exact.constraint_image):
         assert den > 0 and all(type(c) is int for c in (*nums, den))
 
 
@@ -254,8 +254,8 @@ def test_assemble_solution_float_path_matches_exact():
     assert got[1] > 0 and all(type(a) is int for a in (*got[0], got[1]))
 
 
-def _fraction_assembly(chain, root):
-    """The solution by plain Fraction Horner on the chain's own members.
+def _fraction_assembly(chain, members, root):
+    """The solution by plain Fraction Horner on the chain's members.
 
     The polish schedule of ``assemble_solution`` (Newton on the exact
     constraint, each iterate rounded to 200 fractional bits), then
@@ -277,10 +277,7 @@ def _fraction_assembly(chain, root):
         x = Fraction(round((x - step) * grain), grain)
         if abs(step) <= scale / 10**32:
             break
-    return [
-        polynomials.poly_eval(as_fractions(chain.member_images[chain.n - j]), x)
-        for j in range(chain.n + 1)
-    ]
+    return [polynomials.poly_eval(members[chain.n - j], x) for j in range(chain.n + 1)]
 
 
 EXACTNESS_CASES = (
@@ -298,20 +295,22 @@ EXACTNESS_CASES = (
 def test_assemble_solution_equals_fraction_horner(model_id, n, params):
     # the integer recurrence is an evaluation shortcut: every coefficient
     # must be the very rational that Fraction Horner gives
-    _, chain, _, roots = recurrence.solve(models.make(model_id, n, params))
+    system, chain, _, roots = recurrence.solve(models.make(model_id, n, params))
+    members, _, _ = reference_chain(system)
     for root in roots.roots:
         nums, den = recurrence.assemble_solution(chain, root)
         assert den > 0 and all(type(a) is int for a in (*nums, den))
-        assert as_fractions((nums, den)) == _fraction_assembly(chain, root), root
+        assert as_fractions((nums, den)) == _fraction_assembly(chain, members, root), root
 
 
 def test_assemble_solution_equals_fraction_horner_on_a_long_chain():
     # coulomb n = 80: the lowest, a middle and the highest root
     model = models.make("coulomb", 80, {"lambda": Fraction(1, 2)})
-    _, chain, _, roots = recurrence.solve(model)
+    system, chain, _, roots = recurrence.solve(model)
+    members, _, _ = reference_chain(system)
     for root in (roots.roots[0], roots.roots[40], roots.roots[-1]):
         got = as_fractions(recurrence.assemble_solution(chain, root))
-        assert got == _fraction_assembly(chain, root), root
+        assert got == _fraction_assembly(chain, members, root), root
 
 
 @pytest.mark.parametrize("n", (5, 20))
@@ -320,9 +319,9 @@ def test_step_recurrence_evaluates_every_member(model_id, n):
     # at dyadic points the polish never produces (short and long grains,
     # either sign), the integer step recurrence gives every member's value
     # exactly
-    chain = recurrence.exact_chain(
-        recurrence.build_baseline(models.make(model_id, n, CATALOG_PARAMS[model_id]))
-    )
+    system = recurrence.build_baseline(models.make(model_id, n, CATALOG_PARAMS[model_id]))
+    chain = recurrence.exact_chain(system)
+    members, _, _ = reference_chain(system)
     rng = random.Random(f"{model_id}:{n}")
     for _ in range(3):
         p, k = rng.randint(-10**6, 10**6), rng.randint(0, 60)
@@ -330,8 +329,7 @@ def test_step_recurrence_evaluates_every_member(model_id, n):
         nums, den = recurrence._solution_image(chain, p, k)
         assert den > 0
         assert as_fractions((nums, den)) == [
-            polynomials.poly_eval(as_fractions(chain.member_images[chain.n - j]), x)
-            for j in range(n + 1)
+            polynomials.poly_eval(members[n - j], x) for j in range(n + 1)
         ], x
 
 
@@ -346,11 +344,10 @@ def test_images_at_dyadic_points_are_fraction_horner(k, sign):
     # Fraction Horner gives, at the grains a float root or the polish brings
     rng = random.Random(f"dyadic:{k}:{sign}")
     for model_id, n in (("chen-even", 7), ("razavy-sinh2", 12), ("dshg", 11)):
-        chain = recurrence.exact_chain(
-            recurrence.build_baseline(models.make(model_id, n, CATALOG_PARAMS[model_id]))
-        )
+        system = recurrence.build_baseline(models.make(model_id, n, CATALOG_PARAMS[model_id]))
+        chain = recurrence.exact_chain(system)
         constraint = as_fractions(chain.constraint_image)
-        members = [as_fractions(image) for image in chain.member_images]
+        members, _, _ = reference_chain(system)
         for _ in range(2):
             p = sign * rng.randrange(1, 1 << (k + 3))
             x = Fraction(p, 1 << k)
@@ -360,8 +357,8 @@ def test_images_at_dyadic_points_are_fraction_horner(k, sign):
             assert Fraction(slope << k, unit) == polynomials.poly_eval(
                 poly_deriv(constraint), x
             )
-            for image, member in zip(chain.member_images, members):
-                value, _, unit = polynomials.image_horner(image, p, k)
+            for member in members:
+                value, _, unit = polynomials.image_horner(integer_image(member), p, k)
                 assert Fraction(value, unit) == polynomials.poly_eval(member, x)
             nums, den = recurrence._solution_image(chain, p, k)
             assert den > 0
@@ -416,19 +413,17 @@ REFERENCE_CASES = [
 @pytest.mark.parametrize("model_id,n", REFERENCE_CASES)
 def test_integer_chain_is_the_fraction_chain(model_id, n):
     # the chain run in integers over one running denominator holds the very
-    # steps, members and constraint of the chain run in Fractions
+    # steps, last member and constraint of the chain run in Fractions
     system = recurrence.build_baseline(models.make(model_id, n, CATALOG_PARAMS[model_id]))
     chain = recurrence.exact_chain.__wrapped__(system)
     members, constraint, steps = reference_chain(system)
     assert chain.steps == steps
     assert chain.constraint_image == integer_image(constraint)
     assert chain.constraint_float == tuple(float(c) for c in constraint)
-    assert tuple(tuple(as_fractions(image)) for image in chain.member_images) == members
+    assert as_fractions(chain.last_member_image) == list(members[n])
     assert as_fractions(chain.constraint_image) == list(constraint)
-    assert all(
-        den > 0 and all(type(c) is int for c in (*nums, den))
-        for nums, den in chain.member_images
-    )
+    nums, den = chain.last_member_image
+    assert den > 0 and all(type(c) is int for c in (*nums, den))
     shared = len(polynomials.exact_gcd(constraint, members[n])) != 1
     assert chain.p_nn_zero_flag is shared
 
@@ -545,10 +540,11 @@ def test_exact_chain_builds_past_the_float_range():
 
 
 def test_chain_images_are_the_chain():
-    _, _, chain, _, _ = solved("chen-even")
+    _, system, chain, _, _ = solved("chen-even")
     # each stored step rebuilds its member from the two before it
     assert len(chain.steps) == chain.n
-    members = [as_fractions(image) for image in chain.member_images]
+    members = [list(member) for member in reference_chain(system)[0]]
+    assert as_fractions(chain.last_member_image) == members[-1]
     prev = []
     for k, (alpha, beta, gamma, delta) in enumerate(chain.steps, start=1):
         assert all(type(v) is int for v in (alpha, beta, gamma, delta))
