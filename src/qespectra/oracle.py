@@ -4,10 +4,19 @@ The verifier discretizes H = -d^2/dx^2 + V with second-order central
 differences and Dirichlet walls, finds the FD eigenvalue nearest each
 algebraic energy, and reports the gap together with a discrete residual
 ||H psi - E psi|| / ||psi|| of the *algebraic* wavefunction on the same
-grid.  Convergence is attested on the grid with half the step: the gap
-shrinks like h^2, so that grid must hold an eigenvalue within a third of
-the gap (or within the noise floor) of the energy.  One Sturm count of
-that window decides it; the refined grid is never solved.
+grid.  The nearest eigenvalue is found by O(N) shift-and-invert solves.
+When they settle, one Sturm count of the window of twice the gap about
+the energy both certifies it and says it is not ambiguous (no second
+eigenvalue that near), unless a second eigenvalue lies there; then a
+bisection query of the disc nearer than the estimate settles it.  So very
+fine grids stay cheap.
+
+Convergence is attested on the grid with half the step: the gap shrinks
+like h^2, so that grid must hold an eigenvalue within a third of the gap
+(or within the noise floor) of the energy.  One Sturm count of that
+window decides it; the refined grid is never solved.  On the full line
+every other node of the refined grid is a node of the first, bit for bit,
+and keeps the potential already taken there.
 
 Two discretizations are used:
 
@@ -22,9 +31,7 @@ Two discretizations are used:
   on half-offset nodes x_i = (i - 1/2) h.  The flux through x = 0 carries
   weight w(0) = 0, which encodes the regularity condition with no boundary
   fudging, and a diagonal similarity reduces the problem to a symmetric
-  tridiagonal one.  The nearest eigenvalue is found by O(N) shift-and-invert
-  solves and certified by one bisection query that is two Sturm counts when
-  nothing lies nearer, so very fine grids stay cheap.
+  tridiagonal one.
 
 No other half-line model (fractional-beta perturbed-dshg) has one; checking
 it raises :class:`InvalidParams`.
@@ -174,7 +181,11 @@ def _start_vector(n):
 
 
 def _nearest(diag, off, energy):
-    """The eigenvalue of the tridiagonal T = (diag, off) nearest ``energy``.
+    """The eigenvalue of T = (diag, off) nearest ``energy``, and its ambiguity.
+
+    Returns (nearest, ambiguous), where ambiguous says that a second
+    eigenvalue lies within twice the gap |nearest - E| of E, as
+    :func:`_ambiguous` counts it.
 
     Find: factor T - E once, take two inverse-iteration solves from a fixed
     start, then Rayleigh-quotient steps (an LU solve at the current estimate
@@ -182,12 +193,20 @@ def _nearest(diag, off, energy):
     floor 8 eps ||T||.  An exactly singular T - E makes E itself the answer.
 
     Certify: the residual r of the final pair puts an eigenvalue within r of
-    lam, so one bisection query on the disc |mu - E| < |lam - E| - max(r,
-    floor) settles it.  An empty disc costs two Sturm counts and certifies
-    lam; any eigenvalue inside is bisected to full precision by the same
-    call and the nearest replaces lam.  If the steps stalled (r above twice
-    the floor, as for E midway between two eigenvalues), the disc grows to
-    |lam - E| + r instead, which holds at least one eigenvalue.
+    lam.  If the steps settled (r at most twice the floor) and lam lies
+    farther than max(r, floor) from E, that eigenvalue lies within
+    |lam - E| + r < 2 |lam - E| of E, and one Sturm count of the window
+    |mu - E| <= 2 |lam - E| answers both questions: a count of at most one
+    means nothing lies nearer, so lam stands and is not ambiguous.  Past
+    that, one bisection query on the disc |mu - E| < |lam - E| - max(r,
+    floor) settles it.  An empty disc certifies lam, and the count says it
+    is ambiguous; any eigenvalue inside is bisected to full precision by the
+    same call and the nearest replaces lam.  It is ambiguous if twice its
+    gap still reaches the eigenvalue near the old lam; else its own window
+    is counted.  If the steps stalled (r above twice the floor, as for E
+    midway between two eigenvalues), the disc grows to |lam - E| + r
+    instead, which holds at least one eigenvalue, and ambiguity takes a
+    count of its own.
     """
     lapack = sla.lapack
     tnorm = max(diag.max(), -diag.min()) + 2.0 * max(
@@ -199,7 +218,7 @@ def _nearest(diag, off, energy):
         overwrite_dl=1, overwrite_d=1, overwrite_du=1,
     )
     if info > 0:
-        return float(energy)
+        return float(energy), False
     x = _start_vector(len(diag))
     lam = energy
     for _ in range(_INVERSE_SOLVES):
@@ -232,14 +251,25 @@ def _nearest(diag, off, energy):
     del x, y, r, d, dl, du
 
     dist = abs(lam - energy)
-    radius = dist - max(resid, floor) if resid <= 2.0 * floor else dist + resid
-    if radius > 0.0:
+    settled = resid <= 2.0 * floor
+    radius = dist - max(resid, floor) if settled else dist + resid
+    count = None
+    if settled and radius > 0.0:
+        count = _count_within(diag, off, energy, 2.0 * dist)
+    if radius > 0.0 and (count is None or count >= 2):
         inside = sla.eigvalsh_tridiagonal(
             diag, off, select="v", select_range=(energy - radius, energy + radius)
         )
         if len(inside):
             lam = inside[np.argmin(np.abs(inside - energy))]
-    return float(lam)
+            # The old estimate's eigenvalue lies within dist + max(r, floor)
+            # of E; unless twice the new gap clears that, count afresh.
+            if 2.0 * abs(lam - energy) <= dist + max(resid, floor) + floor:
+                count = None
+    nearest = float(lam)
+    if count is None:
+        return nearest, _ambiguous(diag, off, energy, abs(nearest - energy))
+    return nearest, count >= 2
 
 
 def _count_within(diag, off, centre, radius):
@@ -378,11 +408,35 @@ def _doubled(model, cfg):
     return FdConfig(cfg.xmin, cfg.xmax, 2 * cfg.points + 1)
 
 
+def _refined_full_line(model, scan, cfg, v):
+    """The 3-point operator on the full-line grid with half the step of ``cfg``.
+
+    ``v`` is the potential on the nodes of ``cfg``.  The 2N + 1 interior
+    nodes of the refined grid halve the step exactly, in floats too (h / 2
+    is exact), so its odd-numbered nodes [1::2] are those of ``cfg`` bit for
+    bit and keep their potential from ``v``; the model's potential is taken
+    only at the N + 1 new nodes [0::2].
+    """
+    fine = _doubled(model, cfg)
+    h = (fine.xmax - fine.xmin) / (fine.points + 1)
+    new_nodes = fine.xmin + h * np.arange(1, fine.points + 1, 2)
+    v_fine = np.empty(fine.points)
+    v_fine[0::2] = _potential(model, new_nodes, scan)
+    v_fine[1::2] = v
+    return _tridiag_full_line(v_fine, h)
+
+
 def verify_root(model, root, energy=None, cfg=None, chain=None):
     """Check one algebraic (root, energy) pair against the FD operator.
 
     The wavefunction is sampled here, on :func:`grid_nodes` of ``cfg``; when
     ``cfg`` is the default, the radial residual gets its own finer mesh.
+    A state with no second eigenvalue within twice its gap takes two
+    eigenvalue queries: one Sturm count certifies the nearest eigenvalue
+    and says it is not ambiguous (see :func:`_nearest`), and one more on
+    the grid with half the step decides convergence.  On the full line the
+    potential is taken once on the nodes of ``cfg`` and serves the
+    residual, the operator and every other node of the refined operator.
     """
     energy = model.energy(root) if energy is None else float(energy)
     scan = root
@@ -392,7 +446,7 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
         if _is_radial(model):
             res_cfg = _radial_residual_config(model, scan, cfg)
     # The residual's nodes; on the full line they are the operator's too,
-    # and so is the potential on them.
+    # and so is the potential on them, which the refined operator reuses.
     xs, h = _nodes(model, res_cfg)
     grid = wavefunctions.sample(model, root, xs=xs, chain=chain)
     psi = np.asarray(grid.psi, dtype=float)
@@ -403,18 +457,19 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
         residual = _residual_radial(model, scan, res_cfg, xs, h, psi, energy)
         del xs, psi
         diag, off = _tridiag(model, scan, cfg)
+        nearest, ambiguous = _nearest(diag, off, energy)
+        del diag, off
+        diag, off = _tridiag(model, scan, _doubled(model, cfg))
     else:
         v = _potential(model, xs, scan)
         residual = _residual_full_line(v, h, psi, energy)
         del xs, psi
         diag, off = _tridiag_full_line(v, h)
+        nearest, ambiguous = _nearest(diag, off, energy)
+        del diag, off
+        diag, off = _refined_full_line(model, scan, cfg, v)
         del v
-    nearest = _nearest(diag, off, energy)
     gap = abs(nearest - energy)
-    ambiguous = _ambiguous(diag, off, energy, gap)
-    del diag, off
-
-    diag, off = _tridiag(model, scan, _doubled(model, cfg))
     reach = max(gap / _SHRINK, _GAP_FLOOR * max(1.0, abs(energy)))
     converged = _count_within(diag, off, energy, reach) > 0
     return VerificationReport(

@@ -209,46 +209,56 @@ class _Frame:
     """What sampling needs of a grid and a model, whatever the root.
 
     ``z`` is the coordinate in 80-bit extended precision at the points the
-    polynomial is evaluated on: all of ``xs``, or only its first
-    ceil(N/2) when ``mirrored`` says the float64 coordinate reads the same
-    backwards, bit for bit (an even chart on an exactly mirrored grid).
-    ``q`` is the prefactor and ``dead`` its underflowed tail (q == 0);
-    ``symmetric`` says whether parity is classified (full line, mirrored
-    grid).
+    polynomial is evaluated on: the first ceil(N/2) points, then those of
+    the second half whose float64 coordinate differs from that of their
+    mirror point, N - 1 - i for point i.  A point whose coordinate equals
+    its mirror's, bit for bit, takes its mirror's value: ``source`` maps
+    each point to its value among the evaluated ones, or is None when every
+    point is evaluated in order.  On an exactly mirrored grid with an even
+    chart that is half the points; on the finite-difference nodes, which
+    miss a mirror by an ulp here and there, it is every pair whose
+    coordinate rounds alike.  ``q`` is the prefactor and ``dead`` its
+    underflowed tail (q == 0); ``symmetric`` says whether parity is
+    classified (full line, mirrored grid).
     """
 
     xs: np.ndarray
     z: np.ndarray
+    source: np.ndarray | None
     q: np.ndarray
     dead: np.ndarray
     symmetric: bool
-    mirrored: bool
 
 
 def _frame(model, xs):
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.asarray(model.coordinate(xs), dtype=float)
         q = np.asarray(model.prefactor(xs), dtype=float)
-    mirrored = bool(np.array_equal(z, z[::-1]))
-    if mirrored:
-        z = z[: (len(z) + 1) // 2]
+    evaluated = z != z[::-1]
+    evaluated[: (len(z) + 1) // 2] = True
+    source = None
+    if not evaluated.all():
+        source = np.cumsum(evaluated) - 1
+        source[~evaluated] = source[::-1][~evaluated]
+        z = z[evaluated]
     z = z.astype(np.longdouble)
     dead = q == 0.0
-    for owned in (z, q, dead):
-        owned.setflags(write=False)
+    for owned in (z, source, q, dead):
+        if owned is not None:
+            owned.setflags(write=False)
     symmetric = not model.half_line and _is_symmetric(xs)
-    return _Frame(xs, z, q, dead, symmetric, mirrored)
+    return _Frame(xs, z, source, q, dead, symmetric)
 
 
 def _frame_values(frame, image):
     """S(z) at every point of the frame, from one evaluation per mirror pair.
 
-    Horner runs elementwise, so on a mirrored frame the second half is the
-    first half reversed, bit for bit what evaluating it would give.
+    Horner runs elementwise, so a point whose coordinate is its mirror's,
+    bit for bit, gets bit for bit what evaluating it would give.
     """
     values = _eval_poly_extended(image, frame.z)
-    if frame.mirrored:
-        values = np.concatenate((values, values[: len(frame.xs) // 2][::-1]))
+    if frame.source is not None:
+        values = values[frame.source]
     return values
 
 
@@ -282,13 +292,16 @@ def sample(model, root, xs=None, chain=None):
     read-only ``xs``: the grid, and the coordinate and prefactor on it, are
     built once for that model and kept until another model is sampled.
 
-    Where the coordinate is even on the grid, bit for bit (the tanh^2,
-    -sinh^2, cosh^2 and sinh^2 charts on an exactly mirrored grid such as
-    the default one), the polynomial is evaluated on the first half of the
-    points and mirrored; the result is byte-identical to evaluating it
-    everywhere, so with a prefactor of the sector's parity psi is exactly
-    even or odd.  Other grids and charts (dshg's exp(2x)) are evaluated at
-    every point.
+    The polynomial is evaluated once for each pair of mirror points, i and
+    N - 1 - i, whose coordinates are equal, bit for bit, and the value
+    serves both; the result is byte-identical to evaluating it everywhere.
+    Where the coordinate is even on the whole grid (the tanh^2, -sinh^2,
+    cosh^2 and sinh^2 charts on an exactly mirrored grid such as the
+    default one) that is half the points, and with a prefactor of the
+    sector's parity psi is exactly even or odd.  A grid that mirrors only
+    to within an ulp, such as the verifier's nodes, shares the pairs whose
+    coordinates still round alike; dshg's exp(2x) and the half line share
+    none.
 
     Raises:
         NotARoot: ``root`` does not identify a root of the constraint.

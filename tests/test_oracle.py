@@ -109,12 +109,19 @@ class _RecordingLinalg:
     """scipy.linalg with its eigenvalue queries recorded."""
 
     def __init__(self):
-        self.queries = []  # (select_range, returned values)
+        self.queries = []  # (select_range, returned values, tol)
 
     def eigvalsh_tridiagonal(self, diag, off, **kwargs):
         found = sla.eigvalsh_tridiagonal(diag, off, **kwargs)
-        self.queries.append((kwargs.get("select_range"), found))
+        self.queries.append((kwargs.get("select_range"), found, kwargs.get("tol")))
         return found
+
+    def bisections(self):
+        """The queries that bisect what they find.
+
+        A Sturm count's tolerance spans its window; a bisection has none.
+        """
+        return [(window, found) for window, found, tol in self.queries if tol is None]
 
     def __getattr__(self, name):
         return getattr(sla, name)
@@ -145,7 +152,7 @@ def test_nearest_matches_the_full_spectrum(where):
         "high": spectrum[250] - 0.3,
     }[where]
     dist = np.sort(np.abs(spectrum - energy))
-    got = oracle._nearest(diag, off, energy)
+    got, ambiguous = oracle._nearest(diag, off, energy)
     # an eigenvalue, and no other lies nearer (a tie may go either way)
     assert np.abs(spectrum - got).min() <= floor
     assert abs(got - energy) <= dist[0] + floor
@@ -153,6 +160,7 @@ def test_nearest_matches_the_full_spectrum(where):
         assert abs(got - spectrum[np.argmin(np.abs(spectrum - energy))]) <= floor
     gap = abs(got - energy)
     assert oracle._ambiguous(diag, off, energy, gap) == (dist[1] < 2.0 * dist[0])
+    assert ambiguous == (dist[1] < 2.0 * dist[0])
 
 
 def test_ambiguity_is_read_both_ways():
@@ -174,7 +182,7 @@ def test_nearest_on_an_exact_eigenvalue_returns_the_shift():
     assert sla.lapack.dgttrf(off.copy(), diag - 2.0, off.copy())[-1] > 0
     spectrum = sla.eigvalsh_tridiagonal(diag, off)
     assert np.abs(spectrum - 2.0).min() < 1e-14
-    assert oracle._nearest(diag, off, 2.0) == 2.0
+    assert oracle._nearest(diag, off, 2.0)[0] == 2.0
 
 
 def test_certificate_replaces_a_farther_eigenvalue(monkeypatch):
@@ -196,12 +204,36 @@ def test_certificate_replaces_a_farther_eigenvalue(monkeypatch):
     energy += 1e-3 * (spectrum[near] - energy)
     recorder = _RecordingLinalg()
     monkeypatch.setattr(oracle, "sla", recorder)
-    got = oracle._nearest(diag, off, energy)
+    got = oracle._nearest(diag, off, energy)[0]
     assert abs(got - spectrum[near]) <= floor
-    # one query: its disc reached up to the farther level and held the nearer
-    ((lo, hi), found), = recorder.queries
+    # one bisection: its disc reached up to the farther level and held the nearer
+    ((lo, hi), found), = recorder.bisections()
     assert abs(0.5 * (hi - lo) - abs(spectrum[far] - energy)) <= 2.0 * floor
     assert len(found) == 1
+
+
+def test_a_nearer_level_found_by_the_certificate_is_counted_afresh(monkeypatch):
+    """Start the steps on the eigenvector of the farther of two levels.
+
+    They settle there, and the window twice that distance wide holds both
+    levels; the certificate finds the nearer.  Twice its gap no longer
+    reaches the farther level, so ambiguity takes a count of its own and
+    comes out false.
+    """
+    diag, off = _double_well()
+    spectrum, vectors = sla.eigh_tridiagonal(diag, off)
+    floor = _floor(diag, off)
+    k = 12
+    energy = spectrum[k] + 0.2 * (spectrum[k + 1] - spectrum[k])
+    monkeypatch.setattr(oracle, "_start_vector", lambda n: vectors[:, k + 1].copy())
+    recorder = _RecordingLinalg()
+    monkeypatch.setattr(oracle, "sla", recorder)
+    got, ambiguous = oracle._nearest(diag, off, energy)
+    assert abs(got - spectrum[k]) <= floor
+    assert not ambiguous
+    count, certificate, recount = recorder.queries
+    assert len(count[1]) == 2 and len(certificate[1]) == 1 and len(recount[1]) == 1
+    assert certificate[2] is None
 
 
 def test_count_within_closes_the_window_at_both_ends():
@@ -213,6 +245,46 @@ def test_count_within_closes_the_window_at_both_ends():
     assert oracle._count_within(diag, off, 2.0 - radius, radius) == 1
     assert oracle._count_within(diag, off, 2.0 + 3.0 * radius, radius) == 0
     assert oracle._count_within(diag, off, 2.0, 0.1) == 7
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_other_refined_node_is_a_coarse_node(seed):
+    # h / 2 is exact, and so is 2j (h / 2) = j h before rounding
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        xmin = -scale * rng.uniform(0.0, 2.0) if rng.random() < 0.8 else scale * rng.random()
+        xmax = xmin + scale * rng.uniform(0.01, 3.0)
+        cfg = oracle.FdConfig(xmin, xmax, int(rng.integers(100, 20_000)))
+        coarse = oracle._uniform_nodes(cfg)
+        fine = oracle._uniform_nodes(oracle._doubled(_QuadraticWell(), cfg))
+        assert fine[1] == coarse[1] / 2.0
+        assert fine[0][1::2].tobytes() == coarse[0].tobytes(), cfg
+
+
+@pytest.mark.parametrize("key", [key for key in DEEP_CASES if key != "coulomb"])
+def test_refined_operator_reuses_the_coarse_potential(key, monkeypatch):
+    # the same operator as built from scratch, bit for bit, with the
+    # potential taken at the N + 1 new nodes alone
+    model, _, _, _, roots = solved(key)
+    taken = []
+    potential = oracle._potential
+
+    def counted(model, xs, scan):
+        taken.append(len(xs))
+        return potential(model, xs, scan)
+
+    for root in (roots.roots[0], roots.roots[-1]):
+        cfg = oracle.default_verify_config(model, root)
+        want = oracle._tridiag(model, root, oracle._doubled(model, cfg))
+        v = oracle._potential(model, oracle.grid_nodes(model, cfg), root)
+        monkeypatch.setattr(oracle, "_potential", counted)
+        diag, off = oracle._refined_full_line(model, root, cfg, v)
+        monkeypatch.setattr(oracle, "_potential", potential)
+        assert diag.tobytes() == want[0].tobytes()
+        assert off.tobytes() == want[1].tobytes()
+        assert taken == [cfg.points + 1]
+        taken.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +321,7 @@ def test_convergence_decision_matches_the_refined_nearest_eigenvalue(key, index,
 
     cfg = oracle.default_verify_config(model, root)
     diag, off = oracle._tridiag(model, root, oracle._doubled(model, cfg))
-    gap2 = abs(oracle._nearest(diag, off, energy) - energy)
+    gap2 = abs(oracle._nearest(diag, off, energy)[0] - energy)
     floor = oracle._GAP_FLOOR * max(1.0, abs(energy))
     old = gap2 * oracle._SHRINK <= report.abs_gap or gap2 <= floor
     assert report.converged == old
@@ -268,7 +340,7 @@ def test_convergence_threshold_is_a_third_of_the_gap(t):
     cfg = oracle.FdConfig(-7.0, 7.0, 999)
     target = model.energy(root)
     lam1, lam2 = (
-        oracle._nearest(*oracle._tridiag(model, root, grid), target)
+        oracle._nearest(*oracle._tridiag(model, root, grid), target)[0]
         for grid in (cfg, oracle._doubled(model, cfg))
     )
     energy = lam2 + t * (lam2 - lam1)
@@ -296,6 +368,45 @@ def test_verify_root_solves_one_grid(monkeypatch):
         report = oracle.verify_root(model, root)
         assert report.converged
         assert sizes == [oracle.default_verify_config(model, root).points]
+
+
+@pytest.mark.parametrize(
+    "key,index", [(key, i) for key in DEEP_CASES for i in (0, -1)] + [("pdshg-20", 5)]
+)
+def test_verify_root_takes_two_queries_unless_ambiguous(key, index, monkeypatch):
+    """One Sturm count certifies a state alone within twice its gap and
+    says it is not ambiguous; convergence takes one more.  An ambiguous
+    state takes the three queries every state took before: the count, the
+    certificate and the convergence count.  pdshg-20's root 5 is the deep
+    state whose certificate replaces the estimate (see below)."""
+    model, _, chain, _, roots = solved(key)
+    recorder = _RecordingLinalg()
+    monkeypatch.setattr(oracle, "sla", recorder)
+    report = oracle.verify_root(model, roots.roots[index], chain=chain)
+    assert len(recorder.queries) == (3 if report.ambiguous else 2)
+
+
+def test_a_certified_level_inside_the_count_keeps_the_count(monkeypatch):
+    """pdshg-20's root 5 sits between two FD levels ~1e-4 away, and the
+    Rayleigh steps settle on the farther.  The certificate finds the nearer,
+    and twice its gap still holds the farther: ambiguous, with no recount."""
+    model, _, _, _, roots = solved("pdshg-20")
+    root = roots.roots[5]
+    energy = model.energy(root)
+    diag, off = oracle._tridiag(model, root, oracle.default_verify_config(model, root))
+    near = sla.eigvalsh_tridiagonal(
+        diag, off, select="v", select_range=(energy - 1e-3, energy + 1e-3)
+    )
+    dist = np.sort(np.abs(near - energy))
+    assert len(near) == 2 and dist[1] < 2.0 * dist[0]
+    recorder = _RecordingLinalg()
+    monkeypatch.setattr(oracle, "sla", recorder)
+    got, ambiguous = oracle._nearest(diag, off, energy)
+    assert abs(got - near[np.argmin(np.abs(near - energy))]) <= _floor(diag, off)
+    assert ambiguous
+    (_, found), = recorder.bisections()
+    assert len(found) == 1
+    assert len(recorder.queries) == 2
 
 
 def test_verify_root_coulomb_small():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import CATALOG_PARAMS, DEEP_CASES, solved
-from qespectra import models, recurrence, solve, wavefunctions
+from qespectra import models, oracle, recurrence, solve, wavefunctions
 from qespectra.errors import AsymmetricGrid, DegenerateGrid, QesError
 
 
@@ -363,10 +363,15 @@ def test_default_grid_state_bytes_are_pinned(case):
 
 
 # ---------------------------------------------------------------------------
-# mirrored frames: one evaluation per mirror pair
+# frames: one evaluation per mirror pair
 # ---------------------------------------------------------------------------
 
 FULL_LINE_IDS = sorted(m for m in CATALOG_PARAMS if not models.make(m, 1, CATALOG_PARAMS[m]).half_line)
+
+
+def _mirrored(frame):
+    """Whether the frame evaluates one point of every mirror pair and no more."""
+    return len(frame.z) == (len(frame.xs) + 1) // 2
 
 
 @pytest.mark.parametrize("model_id", FULL_LINE_IDS)
@@ -377,8 +382,8 @@ def test_half_evaluation_is_the_full_evaluation(model_id):
     _, chain, _, roots = solve(model)
     xs = wavefunctions.default_grid(model, model.n)
     frame = wavefunctions._frame(model, xs)
-    assert frame.mirrored == (model_id != "dshg")
-    assert len(frame.z) == ((len(xs) + 1) // 2 if frame.mirrored else len(xs))
+    assert _mirrored(frame) == (model_id != "dshg")
+    assert len(frame.z) == ((len(xs) + 1) // 2 if _mirrored(frame) else len(xs))
     full_z = np.asarray(model.coordinate(xs), dtype=float).astype(np.longdouble)
     for root in roots.roots:
         image = recurrence.assemble_solution(chain, root)
@@ -392,8 +397,65 @@ def test_a_grid_that_is_not_an_exact_mirror_takes_the_full_path():
     model = models.make("razavy", 10, CATALOG_PARAMS["razavy"])
     linspace = np.linspace(-1.0, 1.0, 2001)
     assert not np.array_equal(linspace, -linspace[::-1])
-    assert not wavefunctions._frame(model, linspace).mirrored
-    assert wavefunctions._frame(model, wavefunctions.default_grid(model, 10, halfwidth=1.0)).mirrored
+    assert not _mirrored(wavefunctions._frame(model, linspace))
+    assert _mirrored(wavefunctions._frame(model, wavefunctions.default_grid(model, 10, halfwidth=1.0)))
+
+
+def _frame_map_cases():
+    """(label, model, chain, root, xs) for every kind of grid a frame meets.
+
+    The default exact-mirror grid, the verifier's nodes at the lowest and
+    highest root of each full-line deep well (dshg's exp(2x) chart among
+    them), a linspace grid and two half-line grids.
+    """
+    cases = []
+    for key, (model_id, n, params) in DEEP_CASES.items():
+        model, _, chain, _, roots = solved(key)
+        if key == "coulomb":
+            cases.append(("coulomb-default", model, chain, roots.roots[0],
+                          wavefunctions.default_grid(model, n)))
+            continue
+        for index in (0, -1):
+            root = roots.roots[index]
+            cfg = oracle.default_verify_config(model, root)
+            cases.append((f"{key}-fd-{index}", model, chain, root, oracle.grid_nodes(model, cfg)))
+    model, _, chain, _, roots = solved("razavy")
+    cases.append(("razavy-default", model, chain, roots.roots[3],
+                  wavefunctions.default_grid(model, model.n)))
+    cases.append(("razavy-linspace", model, chain, roots.roots[3], np.linspace(-4.0, 4.0, 3001)))
+    half = models.make("perturbed-dshg", 6, {"xi": 2, "alpha": 2, "beta": Fraction(1, 4)})
+    _, chain, _, roots = solve(half)
+    cases.append(("pdshg-half-line", half, chain, roots.roots[2],
+                  wavefunctions.default_grid(half, half.n, points=2000)))
+    return cases
+
+
+def test_the_frame_map_is_the_full_evaluation():
+    """Every point gets bit for bit what Horner gives there, and each pair
+    of mirror points with equal coordinates is evaluated once."""
+    shared = {}
+    for label, model, chain, root, xs in _frame_map_cases():
+        frame = wavefunctions._frame(model, xs)
+        image = recurrence.assemble_solution(chain, root)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = np.asarray(model.coordinate(xs), dtype=float)
+            want = wavefunctions._eval_poly_extended(image, z.astype(np.longdouble))
+            got = wavefunctions._frame_values(frame, image)
+        assert got.tobytes() == want.tobytes(), label
+        half = len(xs) // 2
+        pairs = sum(1 for i in range(half) if z[i] == z[-1 - i])
+        assert len(frame.z) == len(xs) - pairs, label
+        shared[label] = pairs / half
+    # the default grid shares every pair; dshg's exp(2x) chart and the half
+    # line share none; the verifier's nodes, a few ulps off a mirror, share
+    # some pairs on every even chart, and linspace does too
+    assert shared["razavy-default"] == 1.0
+    assert shared["dshg-fd-0"] == shared["dshg-fd--1"] == 0.0
+    assert shared["coulomb-default"] == shared["pdshg-half-line"] == 0.0
+    assert 0.0 < shared["razavy-linspace"] < 1.0
+    for label, share in shared.items():
+        if "-fd-" in label and not label.startswith("dshg"):
+            assert 0.0 < share < 1.0, label
 
 
 # every parity sector of the even charts: the sampled state is exactly even
@@ -510,7 +572,7 @@ def test_node_counts_and_parities_are_those_recorded_on_linspace(model_id):
         nodes, parities = recorded
         moved = MIRROR_MOVED_NODES.get((model_id, n), {})
         nodes = [moved.get(i, count) for i, count in enumerate(nodes)]
-        mirrored = wavefunctions._default_frame(model).mirrored
+        mirrored = _mirrored(wavefunctions._default_frame(model))
         parities = [
             model.parity if mirrored and p == "-" else {"e": "even", "o": "odd", "-": None}[p]
             for p in parities
