@@ -306,20 +306,26 @@ def cmd_roots(args):
 
 
 def cmd_constraint(args):
+    """Tabulate the constraint's exact value, correctly rounded, on a grid.
+
+    Each grid float is x = p / 2^k, so the integer image evaluates there
+    with no rounding and one int / int division rounds the value; past the
+    float range that division raises OverflowError (exit 3).
+    """
     model = _build_model(args)
     system = recurrence.build_baseline(model)
     chain = recurrence.run_ttrr(system)
-    values = _parse_range(args.range)
-    rows = [
-        (float(x), polynomials.poly_eval(chain.constraint_float, float(x)))
-        for x in values
-    ]
+    rows = []
+    for x in map(float, _parse_range(args.range)):
+        p, q = x.as_integer_ratio()
+        value, _, den = polynomials.image_horner(chain.constraint_image, p, q.bit_length() - 1)
+        rows.append([x, value / den])
     if args.format == "json":
         payload = {
             "model": args.model,
             "scan_variable": model.scan_name,
             "n": int(model.n),
-            "rows": [[x, (v if math.isfinite(v) else None)] for x, v in rows],
+            "rows": rows,
         }
         text = emit_json(payload) + "\n"
     else:

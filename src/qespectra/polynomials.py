@@ -108,22 +108,6 @@ def image_horner(image, p, k):
     return a, b, den << shift
 
 
-def poly_eval_mag(p, x):
-    """Horner evaluation together with the running magnitude sum.
-
-    The magnitude accumulates |c_k| * |x|**k the same way Horner does, so
-    ``abs(value) / mag`` is a backward-error indicator: values below a few
-    ulps of ``mag`` are "zero to working precision".
-    """
-    acc = 0.0
-    mag = 0.0
-    ax = abs(x)
-    for c in reversed(p):
-        acc = acc * x + c
-        mag = mag * ax + abs(c)
-    return acc, mag
-
-
 def exact_gcd(p, q):
     """Monic greatest common divisor of two exactly-represented polynomials.
 

@@ -38,16 +38,7 @@ from functools import cached_property, lru_cache
 
 from . import polynomials
 from .errors import DivisionByZeroMultiplicator, NotARoot
-from .polynomials import (
-    image_horner,
-    poly_add,
-    poly_eval_mag,
-    poly_mul_linear,
-    poly_scale,
-)
-
-# Backward-error threshold for "this scan value annihilates the constraint".
-_ROOT_BWD_TOL = 1e-8
+from .polynomials import image_horner, poly_add, poly_mul_linear, poly_scale
 
 
 @dataclass(frozen=True)
@@ -181,26 +172,14 @@ class ConstraintChain:
     reduced image of the terminal constraint polynomial, of degree n+1,
     whose roots are the admissible scan values.
 
-    The float view and the flag below are built on first use and kept on
-    the chain, so they live exactly as long as the cached chain does.
+    The flag below is built on first use and kept on the chain, so it
+    lives exactly as long as the cached chain does.
     """
 
     n: int
     steps: tuple
     last_member_image: tuple
     constraint_image: tuple
-
-    @cached_property
-    def constraint_float(self):
-        """Float coefficients of the constraint.
-
-        int / int rounds correctly, as float(Fraction) does.
-
-        Raises:
-            OverflowError: a coefficient lies beyond the float range.
-        """
-        nums, den = self.constraint_image
-        return tuple(c / den for c in nums)
 
     @cached_property
     def p_nn_zero_flag(self):
@@ -357,10 +336,20 @@ def assemble_solution(chain, root):
     2.3-2.6 ms at n = 80 (coulomb), of which the replay takes 0.06, 0.24
     and 0.6-0.9 ms; the rest is the polish.
 
+    A polish that meets its 1e-32 stopping test, or lands on an exact zero,
+    has found the root.  One that stops short of it (all six steps used, or
+    a vanishing slope) is accepted only when the polished point passes the
+    backward-error test |P(x)| <= 1e-8 sum_j |c_j| |x|^j, made exactly: one
+    :func:`~qespectra.polynomials.image_horner` on the constraint's image and
+    one on its absolute numerators at |x| share the denominator, so the test
+    is one integer cross-multiplication.  dshg's doublets are the roots that
+    reach it.
+
     Raises:
         NotARoot: ``root`` does not identify a constraint root: it drifts
-            under polish, or the backward error of the constraint at the
-            polished root is too large for it to count as a zero.
+            under polish, or the polish stops short of its tolerance at a
+            point whose backward error is too large for it to count as a
+            zero.
         ValueError: ``root`` is not a dyadic rational.
     """
     p, q = Fraction(root).as_integer_ratio()
@@ -370,9 +359,11 @@ def assemble_solution(chain, root):
     k, scale_num = k0, max(q, abs(p))  # scale = max(1, |root|) = scale_num / 2^k0
     top = max(k0, _POLISH_BITS)
     moved = 0  # sum of the iterates' moves, over 2^top
+    converged = False
     for _ in range(_POLISH_STEPS):
         value, slope, _ = image_horner(chain.constraint_image, p, k)
         if value == 0 or slope == 0:
+            converged = value == 0
             break
         # step = value / slope = step_num / step_den, step_den > 0
         step_num, step_den = (value, slope << k) if slope > 0 else (-value, -slope << k)
@@ -388,23 +379,22 @@ def assemble_solution(chain, root):
         moved += abs((p << top - k) - (new << top - _POLISH_BITS))
         p, k = new, _POLISH_BITS
         if abs(step_num) * 10**32 << k0 <= scale_num * step_den:
+            converged = True
             break
     if moved * 10**6 << k0 > scale_num << top:
         raise NotARoot(
             f"scan value {float(root):.6g} drifted by {moved / (1 << top):.3g} "
             "under exact Newton polish; it does not identify a root"
         )
-    x = p / (1 << k)
-    value, mag = poly_eval_mag(chain.constraint_float, x)
-    # mag bounds |value| from above, so mag == 0 forces value == 0: an exact
-    # root of a constraint whose terms all vanish at this point (e.g. the
-    # n = 0 chain evaluated at scan value 0).  Only a genuinely nonzero
-    # residual relative to the term magnitude disqualifies the root.
-    if abs(value) > _ROOT_BWD_TOL * mag:
-        raise NotARoot(
-            f"constraint backward error {abs(value):.3g} / {mag:.3g} "
-            f"at scan value {x:.6g}"
-        )
+    if not converged:
+        nums, den = chain.constraint_image
+        value, _, _ = image_horner(chain.constraint_image, p, k)
+        mag, _, _ = image_horner((tuple(map(abs, nums)), den), abs(p), k)
+        if abs(value) * 10**8 > mag:
+            raise NotARoot(
+                f"constraint backward error {abs(value) / mag:.3g} "
+                f"at scan value {p / (1 << k):.6g}"
+            )
     return _solution_image(chain, p, k)
 
 

@@ -11,8 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import DEEP_CASES, solved
-from qespectra import cli, oracle
+from conftest import DEEP_CASES, as_fractions, solved
+from qespectra import cli, oracle, polynomials
 from qespectra.errors import InvalidParams
 
 
@@ -370,6 +370,19 @@ def test_constraint_json_variant(capsys):
     assert rows[2.0] == pytest.approx(-3.0)
 
 
+@pytest.mark.parametrize("key,grid", [("xie-even", "0:400:201"), ("razavy", "-200:200:201")])
+def test_constraint_rows_are_the_exact_values_rounded_once(key, grid, capsys):
+    # float Horner on rounded coefficients loses digits to cancellation on
+    # these rows; the exact value rounded once does not
+    code, out = run_cli(*_deep_argv("constraint", key, f"--range={grid}"), capsys=capsys)
+    assert code == 0
+    constraint = as_fractions(solved(key)[2].constraint_image)
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 201
+    for x, v in rows:
+        assert v == float(polynomials.poly_eval(constraint, Fraction(x))), x
+
+
 # ---------------------------------------------------------------------------
 # wavefunction
 # ---------------------------------------------------------------------------
@@ -579,7 +592,7 @@ def test_exit_3_on_numerical_failure(capsys):
 
 
 def test_exit_3_when_the_constraint_overflows_float(capsys):
-    # the n = 150 constraint has coefficients beyond the float range
+    # the n = 150 constraint's values at -10, 0 and 10 lie beyond the float range
     code = cli.main([
         "constraint", "--model", "razavy-sinh2", "--n", "150",
         "--param", "xi=1/2", "--param", "alpha=0", "--param", "beta=1",

@@ -63,17 +63,6 @@ def test_deriv_and_eval():
     assert P.poly_eval([], 3.0) == 0
 
 
-def test_eval_mag_bounds_value():
-    p = [1.0, -7.5, 0.25, 3.0]
-    for x in (-2.0, -0.3, 0.0, 1.7):
-        v, mag = P.poly_eval_mag(p, x)
-        assert mag >= abs(v)
-        assert v == pytest.approx(P.poly_eval(p, x))
-    # at an exact root of an all-zero-term product both value and mag vanish
-    v, mag = P.poly_eval_mag([0.0, 1.0], 0.0)
-    assert v == 0.0 and mag == 0.0
-
-
 def test_integer_image_evaluates_as_fraction_horner():
     p = [Fraction(3, 4), 0, Fraction(-5, 6), 7, Fraction(1, 10**20)]
     nums, den = integer_image(p)

@@ -419,7 +419,6 @@ def test_integer_chain_is_the_fraction_chain(model_id, n):
     members, constraint, steps = reference_chain(system)
     assert chain.steps == steps
     assert chain.constraint_image == integer_image(constraint)
-    assert chain.constraint_float == tuple(float(c) for c in constraint)
     assert as_fractions(chain.last_member_image) == list(members[n])
     assert as_fractions(chain.constraint_image) == list(constraint)
     nums, den = chain.last_member_image
@@ -479,6 +478,42 @@ def test_assemble_solution_gates_still_fire():
         recurrence.assemble_solution(chain, 0.0)
 
 
+def test_assemble_solution_refuses_a_shallow_non_root():
+    # x^2 + 2^-60 has no real root, yet it sits within 2^-60 of zero at 0:
+    # from near 0 the polish wanders without converging or drifting far, and
+    # the exact backward-error test refuses where it stops
+    chain = recurrence.ConstraintChain(
+        n=1, steps=(), last_member_image=((1,), 1), constraint_image=((1, 0, 1 << 60), 1 << 60)
+    )
+    for start in (2.0**-40, 2.0**-35, 2.0**-31, 1e-9):
+        with pytest.raises(NotARoot, match="backward error"):
+            recurrence.assemble_solution(chain, start)
+
+
+def test_every_dshg_root_assembles_and_samples(monkeypatch):
+    # dshg n = 20, xi = 2: the polish of two doublet roots uses up its steps
+    # short of the 1e-32 tolerance, and the exact backward-error test admits
+    # them; it alone evaluates an image other than the constraint's
+    model = models.make("dshg", 20, {"xi": 2})
+    _, chain, _, roots = recurrence.solve(model)
+    tested = []
+    horner = recurrence.image_horner
+
+    def counted(image, p, k):
+        if image is not chain.constraint_image:
+            tested.append(p)
+        return horner(image, p, k)
+
+    monkeypatch.setattr(recurrence, "image_horner", counted)
+    for root in roots.roots:
+        nums, den = recurrence.assemble_solution(chain, root)
+        assert nums[-1] == den > 0
+    assert len(roots.roots) == 21 and len(tested) == 2
+    for root in roots.roots:
+        grid = wavefunctions.sample(model, root, chain=chain)
+        assert math.isfinite(grid.norm) and grid.norm > 0
+
+
 def test_assemble_solution_refuses_a_non_dyadic_root():
     # the polish scales by shifts, so only p / 2^k points are meaningful;
     # an exact dyadic root is as good as the float it equals
@@ -491,12 +526,16 @@ def test_assemble_solution_refuses_a_non_dyadic_root():
     )
 
 
-def test_assembly_and_sampling_take_no_gcd(monkeypatch):
+@pytest.mark.parametrize(
+    "model_id,n,params",
+    [("razavy-sinh2", 40, CATALOG_PARAMS["razavy-sinh2"]), ("dshg", 20, {"xi": 2})],
+)
+def test_assembly_and_sampling_take_no_gcd(monkeypatch, model_id, n, params):
     # every Fraction a program builds from two integers normalizes them with
-    # math.gcd; assembly and sampling work on integer pairs and build none
-    model = models.make("razavy-sinh2", 40, CATALOG_PARAMS["razavy-sinh2"])
+    # math.gcd; assembly and sampling work on integer pairs and build none,
+    # also where dshg's doublets take the exact backward-error test
+    model = models.make(model_id, n, params)
     _, chain, _, roots = recurrence.solve(model)
-    chain.constraint_image, chain.constraint_float  # built once per chain
     calls = []
     gcd = fractions.math.gcd
 
@@ -531,19 +570,18 @@ def test_exact_chain_cache_clear_drops_the_images():
 
 def test_exact_chain_builds_past_the_float_range():
     # razavy-sinh2 n = 160: the constraint's coefficients pass the float
-    # range, which only its float image may refuse, not the exact chain
+    # range, which the exact chain holds as integers
     model = models.make("razavy-sinh2", 160, {"xi": Fraction(1, 2), "alpha": 0, "beta": 1})
     chain = recurrence.run_ttrr(recurrence.build_baseline(model))
     assert max(abs(c) for c in as_fractions(chain.constraint_image)) > 10**308
-    with pytest.raises(OverflowError):
-        chain.constraint_float
 
 
 def test_chain_images_are_the_chain():
     _, system, chain, _, _ = solved("chen-even")
     # each stored step rebuilds its member from the two before it
     assert len(chain.steps) == chain.n
-    members = [list(member) for member in reference_chain(system)[0]]
+    members, constraint, _ = reference_chain(system)
+    members = [list(member) for member in members]
     assert as_fractions(chain.last_member_image) == members[-1]
     prev = []
     for k, (alpha, beta, gamma, delta) in enumerate(chain.steps, start=1):
@@ -555,8 +593,7 @@ def test_chain_images_are_the_chain():
         )
         assert [Fraction(c, delta) for c in rebuilt] == members[k], k
         prev = cur
-    constraint = as_fractions(chain.constraint_image)
-    assert chain.constraint_float == tuple(float(c) for c in constraint)
+    assert as_fractions(chain.constraint_image) == list(constraint)
 
 
 # ---------------------------------------------------------------------------
