@@ -318,7 +318,7 @@ def cmd_constraint(args):
     rows = []
     for x in map(float, _parse_range(args.range)):
         p, q = x.as_integer_ratio()
-        value, _, den = polynomials.image_horner(chain.constraint_image, p, q.bit_length() - 1)
+        value, den = polynomials.image_value(chain.constraint_image, p, q.bit_length() - 1)
         rows.append([x, value / den])
     if args.format == "json":
         payload = {
@@ -467,7 +467,8 @@ def build_parser():
     p.add_argument("--root-index", type=int, default=None,
                    help="verify only this root (default: all)")
     p.add_argument("--xmin", type=float, default=None,
-                   help="override the verifier box lower edge")
+                   help="override the verifier box lower edge (a parity "
+                        "sector needs xmin = -xmax)")
     p.add_argument("--xmax", type=float, default=None,
                    help="override the verifier box upper edge")
     p.add_argument("--points", type=int, default=None,

@@ -14,13 +14,26 @@ fine grids stay cheap.
 Convergence is attested on the grid with half the step: the gap shrinks
 like h^2, so that grid must hold an eigenvalue within a third of the gap
 (or within the noise floor) of the energy.  One Sturm count of that
-window decides it; the refined grid is never solved.  On the full line
-every other node of the refined grid is a node of the first, bit for bit,
-and keeps the potential already taken there.
+window decides it; the refined grid is never solved.  On the full and the
+half line every other node of the refined grid is a node of the first,
+bit for bit, and keeps the potential already taken there.
 
-Two discretizations are used:
+Three discretizations are used:
 
-* full-line models: interior nodes of a uniform grid, walls at +-L;
+* parity sectors (every model that declares ``parity`` "even" or "odd":
+  xie, chen, razavy and perturbed-dshg at beta in {0, 1}): the half line
+  only, at the nodes i h of a symmetric box [-L, L] with the full line's
+  step h = 2L / (points + 1), up to i = M = points // 2 and a wall at
+  (M + 1) h.  An odd state has a Dirichlet wall at 0 (i >= 1).  An even
+  state has a node at 0, whose row folds in its mirror node, -2/h^2 on
+  psi_1; a diagonal similarity makes that row symmetric, with -sqrt(2)/h^2
+  off the diagonal.  This operator has exactly the eigenvalues of the
+  state's parity of the full-line operator on the mirrored nodes i h,
+  |i| <= M, so the other sector's levels are never the nearest.  The
+  residual's stencil extends psi across 0 by its parity and counts every
+  node but 0 twice, so it is the full-line residual;
+* other full-line models (dshg, whose chart holds both parities): interior
+  nodes of a uniform grid, walls at +-L;
 * the radial Coulomb model: the plain 3-point stencil cannot see the correct
   x -> 0 behaviour through the inverse-square term (for exponents around
   1/2 it converges too slowly to pass a factor-3 halving test), so the
@@ -34,7 +47,8 @@ Two discretizations are used:
   tridiagonal one.
 
 No other half-line model (fractional-beta perturbed-dshg) has one; checking
-it raises :class:`InvalidParams`.
+it raises :class:`InvalidParams`.  Neither does a parity sector in a box
+that is not symmetric about 0.
 """
 
 from __future__ import annotations
@@ -67,7 +81,11 @@ _MAX_POINTS = 900_000
 
 @dataclass(frozen=True)
 class FdConfig:
-    """Finite-difference grid: Dirichlet box [xmin, xmax] with interior points."""
+    """Finite-difference grid: Dirichlet box [xmin, xmax] with interior points.
+
+    A parity sector takes the half line of a symmetric box, at the full
+    line's step: the nodes i h, i <= points // 2, of one side.
+    """
 
     xmin: float
     xmax: float
@@ -92,7 +110,10 @@ class VerificationReport:
     residual: float
     converged: bool
     ambiguous: bool
-    node_count: int  # of the algebraic wavefunction on the residual grid
+    # of the algebraic wavefunction on the residual grid; for a parity
+    # sector, on the mirrored full line: 2c (even) or 2c + 1 (odd), where c
+    # is the count on the half-line nodes
+    node_count: int
 
 
 def _is_radial(model):
@@ -105,9 +126,32 @@ def _is_radial(model):
     return False
 
 
+def _kind(model):
+    """The model's discretization: "radial", "even", "odd" or "full"."""
+    if _is_radial(model):
+        return "radial"
+    parity = getattr(model, "parity", None)
+    return parity if parity in ("even", "odd") else "full"
+
+
 def _uniform_nodes(cfg):
     h = (cfg.xmax - cfg.xmin) / (cfg.points + 1)
     xs = cfg.xmin + h * np.arange(1, cfg.points + 1)
+    return xs, h
+
+
+def _half_nodes(cfg, parity):
+    """Nodes i h of the half line: 0 <= i <= M for even states, 1 <= i <= M for odd.
+
+    h is the full line's step in the box, and M = points // 2 numbers the
+    last node inside it.  The refined box's step is h / 2, exactly, so its
+    even-numbered nodes are these, bit for bit.
+    """
+    if cfg.xmin != -cfg.xmax:
+        raise InvalidParams(f"a parity sector is checked on the half line, so its box "
+                            f"must be symmetric: xmin = -xmax, got [{cfg.xmin}, {cfg.xmax}]")
+    h = (cfg.xmax - cfg.xmin) / (cfg.points + 1)
+    xs = h * np.arange(1 if parity == "odd" else 0, cfg.points // 2 + 1)
     return xs, h
 
 
@@ -119,9 +163,12 @@ def _offset_nodes(cfg):
 
 def _nodes(model, cfg):
     """(xs, h): the nodes of ``cfg`` in the model's discretization, and the step."""
-    if _is_radial(model):
+    kind = _kind(model)
+    if kind == "radial":
         return _offset_nodes(cfg)
-    return _uniform_nodes(cfg)
+    if kind == "full":
+        return _uniform_nodes(cfg)
+    return _half_nodes(cfg, kind)
 
 
 def grid_nodes(model, cfg):
@@ -133,10 +180,17 @@ def _potential(model, xs, scan):
     return np.asarray(model.potential(xs, scan), dtype=float)
 
 
-def _tridiag_full_line(v, h):
-    """The 3-point operator on uniform nodes with potential ``v`` there."""
+def _tridiag_line(v, h, kind):
+    """The 3-point operator on the nodes of ``kind`` with potential ``v`` there.
+
+    The full line and the odd half line have Dirichlet walls at both ends;
+    the even half line's first row, symmetrized, couples node 0 to node 1
+    by -sqrt(2)/h^2.
+    """
     diag = 2.0 / (h * h) + v
     off = np.full(len(v) - 1, -1.0 / (h * h))
+    if kind == "even":
+        off[0] = -math.sqrt(2.0) / (h * h)
     return diag, off
 
 
@@ -164,9 +218,10 @@ def _tridiag_radial(model, scan, cfg, xs, h):
 
 def _tridiag(model, scan, cfg):
     xs, h = _nodes(model, cfg)
-    if _is_radial(model):
+    kind = _kind(model)
+    if kind == "radial":
         return _tridiag_radial(model, scan, cfg, xs, h)
-    return _tridiag_full_line(_potential(model, xs, scan), h)
+    return _tridiag_line(_potential(model, xs, scan), h, kind)
 
 
 def _start_vector(n):
@@ -313,6 +368,31 @@ def _residual_full_line(v, h, psi, energy):
     return float(np.linalg.norm(r) / np.linalg.norm(psi))
 
 
+def _residual_half_line(v, h, psi, energy, parity):
+    """The full-line residual of psi extended by its parity, on the half line.
+
+    ``psi`` and ``v`` are sampled on the half-line nodes of ``parity``.  The
+    mirror nodes -2 and -1 (even) or -1 and 0 (odd) take +-psi there, so the
+    stencil rows at and next to 0 are the full line's; the outer wall's rows
+    are those of :func:`_residual_full_line`.  Each node other than 0
+    stands for itself and its mirror, so it counts twice in both norms, and
+    the ratio is the full-line one; an odd state's row 0 vanishes.
+    """
+    ghosts = psi[2:0:-1] if parity == "even" else [-psi[0], 0.0]
+    ext = np.concatenate((ghosts, psi))
+    lap = np.empty_like(psi)
+    lap[:-2] = (
+        -ext[:-4] + 16.0 * ext[1:-3] - 30.0 * ext[2:-2] + 16.0 * ext[3:-1] - ext[4:]
+    ) / 12.0
+    lap[-2] = psi[-3] - 2.0 * psi[-2] + psi[-1]
+    lap[-1] = psi[-2] - 2.0 * psi[-1]
+    r = -lap / (h * h) + (v - energy) * psi
+    num, den = r @ r, psi @ psi
+    if parity == "even":  # node 0 once, the others twice
+        num, den = 2.0 * num - r[0] * r[0], 2.0 * den - psi[0] * psi[0]
+    return float(math.sqrt(num / den))
+
+
 def _residual_radial(model, scan, cfg, xs, h, psi, energy):
     """Weighted-norm residual of the conservation-form operator.
 
@@ -408,22 +488,25 @@ def _doubled(model, cfg):
     return FdConfig(cfg.xmin, cfg.xmax, 2 * cfg.points + 1)
 
 
-def _refined_full_line(model, scan, cfg, v):
-    """The 3-point operator on the full-line grid with half the step of ``cfg``.
+def _refined(model, scan, cfg, v):
+    """The 3-point operator on the line grid with half the step of ``cfg``.
 
-    ``v`` is the potential on the nodes of ``cfg``.  The 2N + 1 interior
-    nodes of the refined grid halve the step exactly, in floats too (h / 2
-    is exact), so its odd-numbered nodes [1::2] are those of ``cfg`` bit for
-    bit and keep their potential from ``v``; the model's potential is taken
-    only at the N + 1 new nodes [0::2].
+    ``v`` is the potential on the nodes of ``cfg``.  The refined grid halves
+    the step exactly, in floats too (h / 2 is exact), so every other one of
+    its nodes is a node of ``cfg`` bit for bit and keeps its potential from
+    ``v``: on the full line and the odd half line the odd-numbered nodes
+    [1::2], on the even half line the even-numbered ones [0::2].  The
+    model's potential is taken only at the others, the new nodes.
     """
-    fine = _doubled(model, cfg)
-    h = (fine.xmax - fine.xmin) / (fine.points + 1)
-    new_nodes = fine.xmin + h * np.arange(1, fine.points + 1, 2)
-    v_fine = np.empty(fine.points)
-    v_fine[0::2] = _potential(model, new_nodes, scan)
-    v_fine[1::2] = v
-    return _tridiag_full_line(v_fine, h)
+    kind = _kind(model)
+    xs, h = _nodes(model, _doubled(model, cfg))
+    old, new = slice(1, None, 2), slice(0, None, 2)
+    if kind == "even":
+        old, new = new, old
+    v_fine = np.empty(len(xs))
+    v_fine[new] = _potential(model, xs[new], scan)
+    v_fine[old] = v
+    return _tridiag_line(v_fine, h, kind)
 
 
 def verify_root(model, root, energy=None, cfg=None, chain=None):
@@ -434,9 +517,11 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     A state with no second eigenvalue within twice its gap takes two
     eigenvalue queries: one Sturm count certifies the nearest eigenvalue
     and says it is not ambiguous (see :func:`_nearest`), and one more on
-    the grid with half the step decides convergence.  On the full line the
-    potential is taken once on the nodes of ``cfg`` and serves the
-    residual, the operator and every other node of the refined operator.
+    the grid with half the step decides convergence.  On the full and the
+    half line the potential is taken once on the nodes of ``cfg`` and
+    serves the residual, the operator and every other node of the refined
+    operator.  A parity sector is sampled on the half-line nodes alone, so
+    each point is evaluated once.
     """
     energy = model.energy(root) if energy is None else float(energy)
     scan = root
@@ -445,15 +530,16 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
         cfg = res_cfg = default_verify_config(model, root)
         if _is_radial(model):
             res_cfg = _radial_residual_config(model, scan, cfg)
-    # The residual's nodes; on the full line they are the operator's too,
-    # and so is the potential on them, which the refined operator reuses.
+    # The residual's nodes; on the line they are the operator's too, and so
+    # is the potential on them, which the refined operator reuses.
     xs, h = _nodes(model, res_cfg)
     grid = wavefunctions.sample(model, root, xs=xs, chain=chain)
     psi = np.asarray(grid.psi, dtype=float)
     node_count = int(grid.node_count)
     del grid
 
-    if _is_radial(model):
+    kind = _kind(model)
+    if kind == "radial":
         residual = _residual_radial(model, scan, res_cfg, xs, h, psi, energy)
         del xs, psi
         diag, off = _tridiag(model, scan, cfg)
@@ -462,12 +548,17 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
         diag, off = _tridiag(model, scan, _doubled(model, cfg))
     else:
         v = _potential(model, xs, scan)
-        residual = _residual_full_line(v, h, psi, energy)
+        if kind == "full":
+            residual = _residual_full_line(v, h, psi, energy)
+        else:
+            residual = _residual_half_line(v, h, psi, energy, kind)
+            # the mirror image doubles each node; an odd state adds one at 0
+            node_count = 2 * node_count + (kind == "odd")
         del xs, psi
-        diag, off = _tridiag_full_line(v, h)
+        diag, off = _tridiag_line(v, h, kind)
         nearest, ambiguous = _nearest(diag, off, energy)
         del diag, off
-        diag, off = _refined_full_line(model, scan, cfg, v)
+        diag, off = _refined(model, scan, cfg, v)
         del v
     gap = abs(nearest - energy)
     reach = max(gap / _SHRINK, _GAP_FLOOR * max(1.0, abs(energy)))

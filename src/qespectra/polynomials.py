@@ -81,14 +81,6 @@ def poly_mul_linear(p, a0, a1):
     return out
 
 
-def poly_eval(p, x):
-    """Horner evaluation; returns 0 for the zero polynomial."""
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def image_horner(image, p, k):
     """Value and slope at ``x = p / 2**k`` of a polynomial's integer image.
 
@@ -106,6 +98,22 @@ def image_horner(image, p, k):
         shift += k
         a, b = a * p + (c << shift), b * p + a
     return a, b, den << shift
+
+
+def image_value(image, p, k):
+    """Value at ``x = p / 2**k`` of a polynomial's integer image, with no slope.
+
+    :func:`image_horner` without its slope, half the big-integer work:
+    returns ``(a, den * 2^(kd))``, the same two integers, so the value is
+    a / (den 2^(kd)), not reduced.
+    """
+    nums, den = image
+    coeffs = reversed(nums)
+    a, shift = next(coeffs, 0), 0
+    for c in coeffs:
+        shift += k
+        a = a * p + (c << shift)
+    return a, den << shift
 
 
 def exact_gcd(p, q):

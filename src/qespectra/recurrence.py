@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 
 from . import polynomials
 from .errors import DivisionByZeroMultiplicator, NotARoot
-from .polynomials import image_horner, poly_add, poly_mul_linear, poly_scale
+from .polynomials import image_horner, image_value, poly_add, poly_mul_linear, poly_scale
 
 
 @dataclass(frozen=True)
@@ -340,7 +340,7 @@ def assemble_solution(chain, root):
     has found the root.  One that stops short of it (all six steps used, or
     a vanishing slope) is accepted only when the polished point passes the
     backward-error test |P(x)| <= 1e-8 sum_j |c_j| |x|^j, made exactly: one
-    :func:`~qespectra.polynomials.image_horner` on the constraint's image and
+    :func:`~qespectra.polynomials.image_value` on the constraint's image and
     one on its absolute numerators at |x| share the denominator, so the test
     is one integer cross-multiplication.  dshg's doublets are the roots that
     reach it.
@@ -388,8 +388,8 @@ def assemble_solution(chain, root):
         )
     if not converged:
         nums, den = chain.constraint_image
-        value, _, _ = image_horner(chain.constraint_image, p, k)
-        mag, _, _ = image_horner((tuple(map(abs, nums)), den), abs(p), k)
+        value, _ = image_value(chain.constraint_image, p, k)
+        mag, _ = image_value((tuple(map(abs, nums)), den), abs(p), k)
         if abs(value) * 10**8 > mag:
             raise NotARoot(
                 f"constraint backward error {abs(value) / mag:.3g} "

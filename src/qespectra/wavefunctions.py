@@ -215,8 +215,8 @@ class _Frame:
     its mirror's, bit for bit, takes its mirror's value: ``source`` maps
     each point to its value among the evaluated ones, or is None when every
     point is evaluated in order.  On an exactly mirrored grid with an even
-    chart that is half the points; on the finite-difference nodes, which
-    miss a mirror by an ulp here and there, it is every pair whose
+    chart that is half the points; on a grid that misses a mirror by an ulp
+    here and there, such as ``np.linspace``'s, it is every pair whose
     coordinate rounds alike.  ``q`` is the prefactor and ``dead`` its
     underflowed tail (q == 0); ``symmetric`` says whether parity is
     classified (full line, mirrored grid).
@@ -299,9 +299,9 @@ def sample(model, root, xs=None, chain=None):
     cosh^2 and sinh^2 charts on an exactly mirrored grid such as the
     default one) that is half the points, and with a prefactor of the
     sector's parity psi is exactly even or odd.  A grid that mirrors only
-    to within an ulp, such as the verifier's nodes, shares the pairs whose
-    coordinates still round alike; dshg's exp(2x) and the half line share
-    none.
+    to within an ulp, such as ``np.linspace``'s, shares the pairs whose
+    coordinates still round alike; dshg's exp(2x) and the half line
+    (among them the verifier's nodes of a parity sector) share none.
 
     Raises:
         NotARoot: ``root`` does not identify a root of the constraint.

@@ -62,6 +62,14 @@ def degree(p):
     return len(polynomials.trim(p)) - 1
 
 
+def poly_eval(p, x):
+    """Horner evaluation; returns 0 for the zero polynomial."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
 def poly_mul(p, q):
     """Full convolution product."""
     if not p or not q:

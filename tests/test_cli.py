@@ -11,8 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import DEEP_CASES, as_fractions, solved
-from qespectra import cli, oracle, polynomials
+from conftest import DEEP_CASES, as_fractions, poly_eval, solved
+from qespectra import cli, oracle
 from qespectra.errors import InvalidParams
 
 
@@ -177,21 +177,23 @@ ROOTS_JSON_SHA256 = {
 # pdshg-20 and pdshg-21 re-pinned with their roots, as above.  The verify
 # digests were re-pinned again when the nearest FD eigenvalue came from
 # shift-and-invert in place of bisection; BISECTION_VERIFY below checks that
-# nothing else moved.
+# nothing else moved for coulomb and dshg.  The seven parity-sector digests
+# were re-pinned once more when those wells came to be checked on the half
+# line; test_oracle.py's half-line tests stand behind them.
 MODELS_SHA256 = {
     "json": "451dd0969fba86ca0c69e56714eff6bca1b53ec6a6e5b4b193917f374c5768e7",
     "csv": "661184224dcd45302d6f07bef72cd28e3b5e1f7493a3a65e85bdfae2ada92c0d",
 }
 VERIFY_JSON_SHA256 = {
-    "xie-even": (1, "e2e696d36b706ae5d09be3a5b35adb1ae6cf12a08a83303ff24018d4b9daa03f"),
-    "xie-odd": (0, "d207f84d4bb9744d30e510d462e00788a70baae1ad22dc8dce15e002c6e18191"),
-    "chen-even": (7, "6558b25995a2a7d520f92a2fc9e4749ea4572c50f945c46878218a6499e17d20"),
-    "chen-odd": (7, "14cc4598de8d60bce40eefe24fd8812e4a37e2977d2ac2d1ae3a97f5ae7578b1"),
+    "xie-even": (1, "a9d5a81573bcee09f6aab9290355af361baae5d5a35f90ebf81967bb07ca0d10"),
+    "xie-odd": (0, "99b65a629da35ffdef7b92450b0ac61a732db919985e733a4dba4ed19301c40c"),
+    "chen-even": (7, "615e9bd6ca1d8d0e63a75832f8914576ed27246912bf9df208c5a12bd08f7973"),
+    "chen-odd": (7, "7e6a98a08024241f07ff824208b83b192170de0e2d9e2b81fcb0a6f26272fcbe"),
     "coulomb": (5, "263ee461cf0436fa7dba915137f0b3fd24d22007d21b9617745912a4eef8b267"),
-    "razavy": (0, "e4ded230dafe7e2168f1bc6073dca9ca2054cf68c3da7d81e716c4ccc7b59d36"),
+    "razavy": (0, "b074d84cde3bd3cea1b29c629ef696ecd36cd4c51e58ed45bcb762488190118a"),
     "dshg": (1, "52be3fb07337c81d9b0660d14ba77d52b0cd4ceeacbd35ed166774c8c933d425"),
-    "pdshg-20": (0, "f84eb9165f00af5a1ed5dc1db0ced9e5a0bcdff00a51f3f31c4a03643f160464"),
-    "pdshg-21": (0, "92e6120d1d0c7ea88d55e86180685f3820cb98b12c449fc8a9876aed2c53f1e0"),
+    "pdshg-20": (0, "1e4e8d6c686c2a6f014a5616f48acee13a3294f2f3df2716271a48edb3a27823"),
+    "pdshg-21": (0, "b8cb07292866f27e483cd03324edb5d0a5d7a68197af131543d06da6850163b0"),
 }
 
 
@@ -235,28 +237,16 @@ def test_verify_json_bytes_are_pinned(capsys):
     assert not changed, f"verify JSON bytes changed for {changed}"
 
 
-# The states of VERIFY_JSON_SHA256 as the bisection oracle reported them,
-# before the nearest FD eigenvalue was found by shift-and-invert:
-# (nearest_fd_energy, abs_gap, sha256 of the whole output).
+# The coulomb and dshg states of VERIFY_JSON_SHA256 as the bisection oracle
+# reported them, before the nearest FD eigenvalue was found by
+# shift-and-invert: (nearest_fd_energy, abs_gap, sha256 of the whole
+# output).  The parity sectors' entries went when they moved to the half
+# line; test_oracle.py's half-line tests replace them.
 BISECTION_VERIFY = {
-    "xie-even": (-9.000132615423354, 0.00013261542335385457,
-                 "53ad0b8b6009e7e27137a00c954ef24a3abf927079dfcbdcee8759c63a6f9b27"),
-    "xie-odd": (-4.000069890735176, 6.989073517615907e-05,
-                "6dfe0745792e121476910d6c3eb53279809d96eb87be0d373271b1bce4bae0ec"),
-    "chen-even": (-4.066285093805854, 0.00012226977742102463,
-                  "5a649e16e1beab64b85c8f3f73f16e752185bbb22ae4151a618057c2a53977a3"),
-    "chen-odd": (-1.0333490944510162, 0.0001320047604169705,
-                 "2dbd1976647fa681f5b5ba8df351766cc0b48f828e79aeac25d9a77192cee2ef"),
     "coulomb": (10.999910324360826, 8.967563917394727e-05,
                 "2737794c4f5c2aceb1cde53f57b348fc81ee97ba77dae7ca17c5ded249ab56c5"),
-    "razavy": (-441.065927449691, 0.00030231475830078125,
-               "6f07daf0b2afc38c50c91078d5659d7115bcfd21c0e4d7d0199c4ee53e4aa70a"),
     "dshg": (22.594741916011603, 0.0002262592315673828,
              "bffdfd318f082a66e25701cd2f07b3930dbc5d57a8fc3d2438b103ef261c3b0e"),
-    "pdshg-20": (48.506437982156484, 0.0003018379211425781,
-                 "96b26207fdb8eecf6e2371c516225703ad6afd92af04e289afb38e35cd00eaee"),
-    "pdshg-21": (50.52592481485324, 0.0003018379211425781,
-                 "d2ed0834da70a5beaf01270dadfc442cf09f90004549c7284ceaea14fca27011"),
 }
 
 
@@ -268,8 +258,8 @@ def test_verify_json_moves_only_in_the_nearest_fd_energy_and_gap(capsys):
     coarse FD matrix (bisection itself is accurate to a few eps ||T||).
     """
     eps = np.finfo(float).eps
-    for key, (k, _) in VERIFY_JSON_SHA256.items():
-        nearest, gap, digest = BISECTION_VERIFY[key]
+    for key, (nearest, gap, digest) in BISECTION_VERIFY.items():
+        k = VERIFY_JSON_SHA256[key][0]
         code, out = run_cli(*_deep_argv("verify", key, "--root-index", str(k)),
                             capsys=capsys)
         assert code == 0, key
@@ -380,7 +370,7 @@ def test_constraint_rows_are_the_exact_values_rounded_once(key, grid, capsys):
     rows = json.loads(out)["rows"]
     assert len(rows) == 201
     for x, v in rows:
-        assert v == float(polynomials.poly_eval(constraint, Fraction(x))), x
+        assert v == float(poly_eval(constraint, Fraction(x))), x
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +522,28 @@ def test_exit_2_on_too_many_grid_points(command, option, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert not target.exists()
+
+
+@pytest.mark.parametrize("box", [("--xmin", "-5"), ("--xmin", "-5", "--xmax", "6")],
+                         ids=" ".join)
+def test_verify_exits_2_on_an_asymmetric_box_for_a_parity_sector(box, capsys):
+    # a parity sector is checked on the half line, so its box must be
+    # [-L, L]; --xmin alone leaves the default xmax
+    code = cli.main([
+        "verify", "--model", "razavy", "--n", "1", "--param", "xi=1/2",
+        "--param", "alpha=0", "--param", "beta=1", "--root-index", "0", *box,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "symmetric" in captured.err and captured.err.count("\n") == 1
+    code = cli.main([
+        "verify", "--model", "razavy", "--n", "1", "--param", "xi=1/2",
+        "--param", "alpha=0", "--param", "beta=1", "--root-index", "0",
+        "--xmin", "-6", "--xmax", "6",
+    ])
+    capsys.readouterr()
+    assert code == 0
 
 
 def test_verify_exits_2_on_a_half_line_model_without_a_discretization(capsys):

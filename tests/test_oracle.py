@@ -1,5 +1,6 @@
 """Unit tests for the independent finite-difference verifier."""
 
+import ast
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -23,6 +24,20 @@ class _QuadraticWell:
 
     def potential(self, x, scan):
         return np.asarray(x, dtype=float) ** 2
+
+
+@dataclass(frozen=True)
+class _SectorWell:
+    """Stub parity sector of -d2/dx2 + 0.6 (x^2 - 9)^2: its lowest doublet
+    is split by about 1e-10 on [-5, 5] (see :func:`_double_well`)."""
+
+    parity: str
+    n: int = 0
+    half_line: bool = False
+
+    def potential(self, x, scan):
+        x = np.asarray(x, dtype=float)
+        return 0.6 * (x * x - 9.0) ** 2
 
 
 def _lowest_levels(model, scan, cfg, count):
@@ -61,6 +76,25 @@ def test_grid_nodes_match_discretization():
     xs = oracle.grid_nodes(full, cfg)
     assert len(xs) == 999
     assert xs[0] == pytest.approx(-5.0 + 10.0 / 1000)  # interior uniform grid
+    # parity sectors: the half line i h with the full line's step, up to
+    # M = points // 2; odd states start at i = 1
+    cfg = oracle.FdConfig(-5.0, 5.0, 999)
+    h = 10.0 / 1000
+    for sector, start in (("even", 0), ("odd", 1)):
+        xs = oracle.grid_nodes(_SectorWell(sector), cfg)
+        assert xs.tobytes() == (h * np.arange(start, 500)).tobytes()
+    even_points = oracle.grid_nodes(_SectorWell("even"), oracle.FdConfig(-5.0, 5.0, 1000))
+    assert len(even_points) == 501 and even_points[-1] == 500 * (10.0 / 1001)
+
+
+@pytest.mark.parametrize("box", [(-5.0, 5.5), (0.0, 5.0)])
+def test_a_parity_sector_needs_a_symmetric_box(box):
+    model, _, chain, _, roots = solved("razavy")
+    cfg = oracle.FdConfig(*box, 2000)
+    with pytest.raises(InvalidParams, match="symmetric"):
+        oracle.grid_nodes(model, cfg)
+    with pytest.raises(InvalidParams, match="symmetric"):
+        oracle.verify_root(model, roots.roots[0], cfg=cfg, chain=chain)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +294,22 @@ def test_every_other_refined_node_is_a_coarse_node(seed):
         fine = oracle._uniform_nodes(oracle._doubled(_QuadraticWell(), cfg))
         assert fine[1] == coarse[1] / 2.0
         assert fine[0][1::2].tobytes() == coarse[0].tobytes(), cfg
+        # the half line of the symmetric box: even nodes keep [0::2], odd [1::2]
+        half_width = abs(xmin) + abs(xmax)
+        box = oracle.FdConfig(-half_width, half_width, cfg.points)
+        for sector, kept in (("even", slice(0, None, 2)), ("odd", slice(1, None, 2))):
+            model = _SectorWell(sector)
+            coarse = oracle._nodes(model, box)
+            fine = oracle._nodes(model, oracle._doubled(model, box))
+            assert fine[1] == coarse[1] / 2.0
+            assert fine[0][kept].tobytes() == coarse[0].tobytes(), (box, sector)
 
 
 @pytest.mark.parametrize("key", [key for key in DEEP_CASES if key != "coulomb"])
 def test_refined_operator_reuses_the_coarse_potential(key, monkeypatch):
     # the same operator as built from scratch, bit for bit, with the
-    # potential taken at the N + 1 new nodes alone
+    # potential taken at the new nodes alone: N + 1 on the full line, and
+    # on the half line every fine node that is not a coarse one
     model, _, _, _, roots = solved(key)
     taken = []
     potential = oracle._potential
@@ -279,12 +323,152 @@ def test_refined_operator_reuses_the_coarse_potential(key, monkeypatch):
         want = oracle._tridiag(model, root, oracle._doubled(model, cfg))
         v = oracle._potential(model, oracle.grid_nodes(model, cfg), root)
         monkeypatch.setattr(oracle, "_potential", counted)
-        diag, off = oracle._refined_full_line(model, root, cfg, v)
+        diag, off = oracle._refined(model, root, cfg, v)
         monkeypatch.setattr(oracle, "_potential", potential)
         assert diag.tobytes() == want[0].tobytes()
         assert off.tobytes() == want[1].tobytes()
-        assert taken == [cfg.points + 1]
+        if key == "dshg":
+            assert taken == [cfg.points + 1]
+        else:
+            assert taken == [len(diag) - len(v)]
         taken.clear()
+
+
+# ---------------------------------------------------------------------------
+# the half line of a parity sector
+# ---------------------------------------------------------------------------
+
+def _mirror(psi, parity):
+    """Samples at i h, |i| <= M, from those of the half line of ``parity``."""
+    if parity == "even":
+        return np.concatenate((psi[:0:-1], psi))
+    return np.concatenate((-psi[::-1], [0.0], psi))
+
+
+def _mirrored_levels(v, h, window):
+    """Eigenvalues in ``window``, their eigenvectors' parities and ||T|| of
+    the full-line operator on the mirrored nodes i h, |i| <= M, built here
+    from the potential ``v`` at i h, 0 <= i <= M."""
+    v = _mirror(v, "even")
+    diag = 2.0 / (h * h) + v
+    off = np.full(len(v) - 1, -1.0 / (h * h))
+    levels, vectors = sla.eigh_tridiagonal(diag, off, select="v", select_range=window)
+    even = np.abs(vectors - vectors[::-1]).max(axis=0) < np.abs(vectors + vectors[::-1]).max(axis=0)
+    tnorm = np.abs(diag).max() + 2.0 * np.abs(off).max()
+    return levels, np.where(even, "even", "odd"), tnorm
+
+
+def _sector_case(case):
+    """(model, root, energy, cfg, chain) of one sector state, or of the stub."""
+    key, index = case
+    if key.startswith("stub"):
+        return _SectorWell(key.removeprefix("stub-")), 0.0, 0.0, oracle.FdConfig(-5.0, 5.0, 601), None
+    model, _, chain, _, roots = solved(key)
+    root = roots.roots[index]
+    return model, root, model.energy(root), oracle.default_verify_config(model, root), chain
+
+
+# the stub, and deep states of each sector that sit in a doublet whose other
+# member the full line held within twice the gap
+SECTOR_CASES = [("stub-even", None), ("stub-odd", None), ("pdshg-20", 5),
+                ("chen-even", 5), ("razavy", 0), ("chen-odd", 4)]
+
+
+@pytest.mark.parametrize("case", SECTOR_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_half_line_levels_are_the_full_line_levels_of_one_parity(case):
+    """The sector's half-line operator has exactly the eigenvalues of its
+    parity of the full-line operator on the mirrored nodes, within
+    32 eps ||T||, and none of the other parity."""
+    model, root, energy, cfg, _ = _sector_case(case)
+    h = (cfg.xmax - cfg.xmin) / (cfg.points + 1)
+    nodes = h * np.arange(cfg.points // 2 + 1)
+    own_nodes = nodes[1:] if model.parity == "odd" else nodes
+    assert oracle.grid_nodes(model, cfg).tobytes() == own_nodes.tobytes()
+    # the whole spectrum of the stub, the doublet about a deep state
+    stub = isinstance(model, _SectorWell)
+    window = (-np.inf, np.inf) if stub else (energy - 1e-3, energy + 1e-3)
+    levels, parity, tnorm = _mirrored_levels(oracle._potential(model, nodes, root), h, window)
+    half = sla.eigvalsh_tridiagonal(
+        *oracle._tridiag(model, root, cfg), select="v", select_range=window
+    )
+    if not stub:
+        assert len(levels) == 2 and sorted(parity) == ["even", "odd"]
+    own = levels[parity == model.parity]
+    assert len(half) == len(own)
+    assert np.abs(half - own).max() <= 32 * np.finfo(float).eps * tnorm
+
+
+@pytest.mark.parametrize("sector", ["even", "odd"])
+@pytest.mark.parametrize("points", [199, 200, 1001])
+def test_half_line_residual_is_the_full_line_residual(sector, points):
+    """On random samples (no cancellation, so rounding is at eps) the
+    half-line residual is the full-line residual of the mirrored samples."""
+    rng = np.random.default_rng(points)
+    cfg = oracle.FdConfig(-3.0, 3.0, points)
+    xs, h = oracle._nodes(_SectorWell(sector), cfg)
+    v = rng.uniform(-5.0, 5.0, cfg.points // 2 + 1)  # at i h, 0 <= i <= M
+    psi = rng.standard_normal(len(xs))
+    half = oracle._residual_half_line(v[len(v) - len(xs):], h, psi, 0.7, sector)
+    full = oracle._residual_full_line(_mirror(v, "even"), h, _mirror(psi, sector), 0.7)
+    assert half == pytest.approx(full, rel=1e-13)
+
+
+@pytest.mark.parametrize("case", SECTOR_CASES[2:], ids=lambda c: f"{c[0]}-{c[1]}")
+def test_half_line_residual_of_a_deep_state_is_its_full_line_residual(case):
+    """The residual a deep state reports is the full-line one of its mirrored
+    samples.  The residual is the small difference of large stencil terms,
+    so rounding moves it by up to ~1e-4 of itself (measured: 4e-6 to 8e-5)."""
+    model, root, energy, cfg, chain = _sector_case(case)
+    xs, h = oracle._nodes(model, cfg)
+    psi = wavefunctions.sample(model, root, xs=xs, chain=chain).psi
+    half = oracle._residual_half_line(
+        oracle._potential(model, xs, root), h, psi, energy, model.parity
+    )
+    v = oracle._potential(model, h * np.arange(cfg.points // 2 + 1), root)
+    full = oracle._residual_full_line(
+        _mirror(v, "even"), h, _mirror(psi, model.parity), energy
+    )
+    assert oracle.verify_root(model, root, chain=chain).residual == half
+    assert half == pytest.approx(full, rel=1e-3)
+
+
+def test_pdshg_20_root_5_reports_the_level_of_its_own_parity():
+    """pdshg-20's root 5 is even.  On the mirrored full line its FD doublet
+    puts the odd level 7.6e-5 above the energy and the even one 9.8e-5
+    below; the full-line oracle reported the odd one.  The half line holds
+    the even level alone, and nothing else within twice its gap."""
+    model, root, energy, cfg, chain = _sector_case(("pdshg-20", 5))
+    assert model.parity == "even"
+    report = oracle.verify_root(model, root, chain=chain)
+    assert 9.7e-5 < report.abs_gap < 9.8e-5 and report.nearest_fd_energy < energy
+    assert not report.ambiguous and report.converged
+    h = (cfg.xmax - cfg.xmin) / (cfg.points + 1)
+    nodes = h * np.arange(cfg.points // 2 + 1)
+    levels, parity, tnorm = _mirrored_levels(
+        oracle._potential(model, nodes, root), h, (energy - 1e-3, energy + 1e-3)
+    )
+    nearest = np.argmin(np.abs(levels - energy))
+    assert parity[nearest] == "odd" and 7.5e-5 < abs(levels[nearest] - energy) < 7.7e-5
+    own, = levels[parity == "even"]
+    assert abs(own - report.nearest_fd_energy) <= 32 * np.finfo(float).eps * tnorm
+
+
+def test_the_oracle_shares_no_code_with_the_algebraic_path():
+    """oracle.py imports neither recurrence nor polynomials.  A sector's
+    parity is read off the model, physics input; the algebraic state comes
+    in only as samples from wavefunctions."""
+    with open(oracle.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    parts = {part for name in names for part in name.split(".")}
+    assert "wavefunctions" in parts and "models" in parts  # the scan sees them
+    assert not parts & {"recurrence", "polynomials"}, sorted(names)
 
 
 # ---------------------------------------------------------------------------
@@ -377,23 +561,34 @@ def test_verify_root_takes_two_queries_unless_ambiguous(key, index, monkeypatch)
     """One Sturm count certifies a state alone within twice its gap and
     says it is not ambiguous; convergence takes one more.  An ambiguous
     state takes the three queries every state took before: the count, the
-    certificate and the convergence count.  pdshg-20's root 5 is the deep
-    state whose certificate replaces the estimate (see below)."""
+    certificate and the convergence count.  No parity-sector state is
+    ambiguous: its half line holds no level of the other parity, not even
+    at pdshg-20's root 5, whose full-line certificate replaced the estimate
+    (see below)."""
     model, _, chain, _, roots = solved(key)
     recorder = _RecordingLinalg()
     monkeypatch.setattr(oracle, "sla", recorder)
     report = oracle.verify_root(model, roots.roots[index], chain=chain)
     assert len(recorder.queries) == (3 if report.ambiguous else 2)
+    if oracle._kind(model) in ("even", "odd"):
+        assert not report.ambiguous
 
 
 def test_a_certified_level_inside_the_count_keeps_the_count(monkeypatch):
-    """pdshg-20's root 5 sits between two FD levels ~1e-4 away, and the
-    Rayleigh steps settle on the farther.  The certificate finds the nearer,
-    and twice its gap still holds the farther: ambiguous, with no recount."""
+    """On the full line, which holds both parities, pdshg-20's root 5 sits
+    between two FD levels ~1e-4 away, and the Rayleigh steps settle on the
+    farther.  The certificate finds the nearer, and twice its gap still
+    holds the farther: ambiguous, with no recount.  The oracle checks this
+    sector on the half line; the full-line matrix is built here, on the
+    interior nodes of the default box."""
     model, _, _, _, roots = solved("pdshg-20")
     root = roots.roots[5]
     energy = model.energy(root)
-    diag, off = oracle._tridiag(model, root, oracle.default_verify_config(model, root))
+    cfg = oracle.default_verify_config(model, root)
+    h = (cfg.xmax - cfg.xmin) / (cfg.points + 1)
+    xs = cfg.xmin + h * np.arange(1, cfg.points + 1)
+    diag = 2.0 / (h * h) + model.potential(xs, root)
+    off = np.full(cfg.points - 1, -1.0 / (h * h))
     near = sla.eigvalsh_tridiagonal(
         diag, off, select="v", select_range=(energy - 1e-3, energy + 1e-3)
     )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from conftest import (
     eval_image,
     integer_image,
     poly_deriv,
+    poly_eval,
     poly_mul,
     rational_horner,
 )
@@ -59,8 +61,8 @@ def test_mul_linear_matches_general_product_on_fractions():
 def test_deriv_and_eval():
     p = [5, 0, -1, 2]       # 5 - x^2 + 2x^3
     assert poly_deriv(p) == [0, -2, 6]
-    assert P.poly_eval(p, 2) == 5 - 4 + 16
-    assert P.poly_eval([], 3.0) == 0
+    assert poly_eval(p, 2) == 5 - 4 + 16
+    assert poly_eval([], 3.0) == 0
 
 
 def test_integer_image_evaluates_as_fraction_horner():
@@ -69,11 +71,11 @@ def test_integer_image_evaluates_as_fraction_horner():
     assert den == 3 * 10**20 and all(type(a) is int for a in nums)
     slope = poly_deriv(p)
     for x in (Fraction(1, 3), Fraction(-7, 2), 0, 2, -1.5, 0.1, 1e300):
-        assert eval_image((nums, den), x) == P.poly_eval(p, Fraction(x))
+        assert eval_image((nums, den), x) == poly_eval(p, Fraction(x))
         # the same homogeneous Horner carries the slope, over den * q^d / q
         q = Fraction(x).denominator
         _, b, d = rational_horner((nums, den), Fraction(x).numerator, q)
-        assert Fraction(b * q, d) == P.poly_eval(slope, Fraction(x))
+        assert Fraction(b * q, d) == poly_eval(slope, Fraction(x))
         if q & (q - 1) == 0:
             # a dyadic point: image_horner gives the very same integers
             assert P.image_horner((nums, den), *dyadic(x)) == rational_horner(
@@ -81,6 +83,18 @@ def test_integer_image_evaluates_as_fraction_horner():
             )
     assert eval_image(integer_image([]), Fraction(1, 3)) == 0
     assert eval_image(integer_image([5]), 0.25) == 5
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_image_value_is_image_horner_without_the_slope(seed):
+    rng = random.Random(seed)
+    for _ in range(50):
+        degree_ = rng.randrange(0, 30)
+        nums = tuple(rng.randrange(-2**200, 2**200) for _ in range(degree_ + 1))
+        image = (nums, rng.randrange(1, 2**100))
+        p, k = rng.randrange(-2**60, 2**60), rng.randrange(0, 300)
+        assert P.image_value(image, p, k) == P.image_horner(image, p, k)[0::2]
+    assert P.image_value(((), 7), 3, 2) == P.image_horner(((), 7), 3, 2)[0::2] == (0, 7)
 
 
 # ---------------------------------------------------------------------------

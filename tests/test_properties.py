@@ -10,6 +10,7 @@ from conftest import (
     as_fractions,
     certified_roots,
     float_chain_at,
+    poly_eval,
     poly_mul,
     reference_chain,
     relative_ode_residual,
@@ -126,7 +127,7 @@ def test_exact_replay_matches_float_chain(model):
     for x in (-2.0, 0.75):
         members, constraint = float_chain_at(model, x)
         for poly, (value, mag) in zip(polys, members + [constraint]):
-            got = float(polynomials.poly_eval(poly, Fraction(x)))
+            got = float(poly_eval(poly, Fraction(x)))
             assert abs(got - value) <= 1e-12 * mag
 
 

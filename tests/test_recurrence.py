@@ -15,6 +15,7 @@ from conftest import (
     float_chain_at,
     integer_image,
     poly_deriv,
+    poly_eval,
     reference_chain,
     relative_ode_residual,
     solved,
@@ -180,7 +181,7 @@ def test_exact_replay_matches_float_chain(model_id, n, params):
     for x in (-1.5, 0.25, 3.0):
         members, constraint = float_chain_at(model, x)
         for poly, (value, mag) in zip(polys, members + [constraint]):
-            got = float(polynomials.poly_eval(poly, Fraction(x)))
+            got = float(poly_eval(poly, Fraction(x)))
             assert abs(got - value) <= 1e-12 * mag
 
 
@@ -267,17 +268,17 @@ def _fraction_assembly(chain, members, root):
     constraint = as_fractions(chain.constraint_image)
     derivative = poly_deriv(constraint)
     for _ in range(recurrence._POLISH_STEPS):
-        value = polynomials.poly_eval(constraint, x)
+        value = poly_eval(constraint, x)
         if value == 0:
             break
-        slope = polynomials.poly_eval(derivative, x)
+        slope = poly_eval(derivative, x)
         if slope == 0:
             break
         step = value / slope
         x = Fraction(round((x - step) * grain), grain)
         if abs(step) <= scale / 10**32:
             break
-    return [polynomials.poly_eval(members[chain.n - j], x) for j in range(chain.n + 1)]
+    return [poly_eval(members[chain.n - j], x) for j in range(chain.n + 1)]
 
 
 EXACTNESS_CASES = (
@@ -329,7 +330,7 @@ def test_step_recurrence_evaluates_every_member(model_id, n):
         nums, den = recurrence._solution_image(chain, p, k)
         assert den > 0
         assert as_fractions((nums, den)) == [
-            polynomials.poly_eval(members[n - j], x) for j in range(n + 1)
+            poly_eval(members[n - j], x) for j in range(n + 1)
         ], x
 
 
@@ -353,17 +354,17 @@ def test_images_at_dyadic_points_are_fraction_horner(k, sign):
             x = Fraction(p, 1 << k)
             value, slope, unit = polynomials.image_horner(chain.constraint_image, p, k)
             assert unit > 0
-            assert Fraction(value, unit) == polynomials.poly_eval(constraint, x)
-            assert Fraction(slope << k, unit) == polynomials.poly_eval(
+            assert Fraction(value, unit) == poly_eval(constraint, x)
+            assert Fraction(slope << k, unit) == poly_eval(
                 poly_deriv(constraint), x
             )
             for member in members:
                 value, _, unit = polynomials.image_horner(integer_image(member), p, k)
-                assert Fraction(value, unit) == polynomials.poly_eval(member, x)
+                assert Fraction(value, unit) == poly_eval(member, x)
             nums, den = recurrence._solution_image(chain, p, k)
             assert den > 0
             assert as_fractions((nums, den)) == [
-                polynomials.poly_eval(members[n - j], x) for j in range(n + 1)
+                poly_eval(members[n - j], x) for j in range(n + 1)
             ], (model_id, x)
 
 
@@ -493,18 +494,19 @@ def test_assemble_solution_refuses_a_shallow_non_root():
 def test_every_dshg_root_assembles_and_samples(monkeypatch):
     # dshg n = 20, xi = 2: the polish of two doublet roots uses up its steps
     # short of the 1e-32 tolerance, and the exact backward-error test admits
-    # them; it alone evaluates an image other than the constraint's
+    # them; it alone evaluates an image other than the constraint's, and
+    # takes no slope
     model = models.make("dshg", 20, {"xi": 2})
     _, chain, _, roots = recurrence.solve(model)
     tested = []
-    horner = recurrence.image_horner
+    value = recurrence.image_value
 
     def counted(image, p, k):
         if image is not chain.constraint_image:
             tested.append(p)
-        return horner(image, p, k)
+        return value(image, p, k)
 
-    monkeypatch.setattr(recurrence, "image_horner", counted)
+    monkeypatch.setattr(recurrence, "image_value", counted)
     for root in roots.roots:
         nums, den = recurrence.assemble_solution(chain, root)
         assert nums[-1] == den > 0

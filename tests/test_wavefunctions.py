@@ -405,8 +405,9 @@ def _frame_map_cases():
     """(label, model, chain, root, xs) for every kind of grid a frame meets.
 
     The default exact-mirror grid, the verifier's nodes at the lowest and
-    highest root of each full-line deep well (dshg's exp(2x) chart among
-    them), a linspace grid and two half-line grids.
+    highest root of each full-line deep well (dshg's exp(2x) chart, and the
+    half line of each parity sector), a linspace grid and two half-line
+    grids.
     """
     cases = []
     for key, (model_id, n, params) in DEEP_CASES.items():
@@ -447,15 +448,14 @@ def test_the_frame_map_is_the_full_evaluation():
         assert len(frame.z) == len(xs) - pairs, label
         shared[label] = pairs / half
     # the default grid shares every pair; dshg's exp(2x) chart and the half
-    # line share none; the verifier's nodes, a few ulps off a mirror, share
-    # some pairs on every even chart, and linspace does too
+    # line share none, and the verifier's nodes of a parity sector are the
+    # half line; linspace, a few ulps off a mirror, shares some pairs
     assert shared["razavy-default"] == 1.0
-    assert shared["dshg-fd-0"] == shared["dshg-fd--1"] == 0.0
     assert shared["coulomb-default"] == shared["pdshg-half-line"] == 0.0
     assert 0.0 < shared["razavy-linspace"] < 1.0
     for label, share in shared.items():
-        if "-fd-" in label and not label.startswith("dshg"):
-            assert 0.0 < share < 1.0, label
+        if "-fd-" in label:
+            assert share == 0.0, label
 
 
 # every parity sector of the even charts: the sampled state is exactly even
