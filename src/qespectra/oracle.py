@@ -11,6 +11,12 @@ eigenvalue that near), unless a second eigenvalue lies there; then a
 bisection query of the disc nearer than the estimate settles it.  So very
 fine grids stay cheap.
 
+A Sturm count says how many eigenvalues lie in a window; it is the count
+LAPACK's dstebz takes before it bisects (see :func:`_sturm_count`), taken
+by dstebz's own kernel dlaebz through the pointer scipy.linalg.cython_lapack
+exports.  It allocates e^2 alone, 8 bytes a row.  The bisection query goes
+through ``sla.eigvalsh_tridiagonal``.
+
 Convergence is attested on the grid with half the step: the gap shrinks
 like h^2, so that grid must hold an eigenvalue within a third of the gap
 (or within the noise floor) of the energy.  One Sturm count of that
@@ -53,11 +59,13 @@ that is not symmetric about 0.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg import cython_lapack
 
 from . import wavefunctions
 from .errors import DegenerateGrid, InvalidParams
@@ -77,6 +85,37 @@ _FLOOR_EPS = 8.0
 _H_SCALE = 0.07
 _MIN_POINTS = 4000
 _MAX_POINTS = 900_000
+# Rows a step of the chunked O(N) scans that prepare a Sturm count, so that
+# e^2 is the only array of N rows a count allocates.
+_STURM_ROWS = 4096
+# LAPACK's safe minimum and relative precision, dlamch("S") and dlamch("P").
+_SAFEMIN = np.finfo(float).tiny
+_ULP = np.finfo(float).eps
+# dstebz widens each block's Gershgorin interval by FUDGE * (||T|| ulp N + PIVMIN).
+_FUDGE = 2.1
+
+
+def _lapack_function(name, *argtypes):
+    """The LAPACK routine ``name`` that scipy.linalg.cython_lapack exports, via ctypes."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = capsule_pointer(capsule, capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+_INT_P = ctypes.POINTER(ctypes.c_int)
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+# DLAEBZ(IJOB, NITMAX, N, MMAX, MINP, NBMIN, ABSTOL, RELTOL, PIVMIN, D, E, E2,
+#        NVAL, AB, C, MOUT, NAB, WORK, IWORK, INFO): the bisection kernel of
+# dstebz.  IJOB = 1 only counts: NAB(i) = how many eigenvalues lie at or
+# below AB(i), by the Sturm sequence of the pivots of T - AB(i).
+_dlaebz = _lapack_function(
+    "dlaebz", *[_INT_P] * 6, *[_DOUBLE_P] * 6, _INT_P, _DOUBLE_P, _DOUBLE_P,
+    _INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P,
+)
 
 
 @dataclass(frozen=True)
@@ -194,21 +233,18 @@ def _tridiag_line(v, h, kind):
     return diag, off
 
 
-def _radial_weights(model, xs, h):
-    lam = float(model.lam)
-    faces_left = xs - 0.5 * h
-    faces_right = xs + 0.5 * h
-    w_left = np.power(np.maximum(faces_left, 0.0), 2 * lam)
-    w_right = np.power(faces_right, 2 * lam)
-    w_mid = np.power(xs, 2 * lam)
-    return w_left, w_right, w_mid
+def _radial_weight(model, x, out=None):
+    """The weight w = x**(2 lam) of the radial conservation form, at ``x``."""
+    return np.power(x, 2 * float(model.lam), out=out)
 
 
 def _tridiag_radial(model, scan, cfg, xs, h):
     """Symmetric reduction of the weighted conservation-form operator."""
     if cfg.xmin != 0.0:
         raise InvalidParams("the radial discretization anchors the box at xmin = 0")
-    w_left, w_right, w_mid = _radial_weights(model, xs, h)
+    w_left = _radial_weight(model, np.maximum(xs - 0.5 * h, 0.0))
+    w_right = _radial_weight(model, xs + 0.5 * h)
+    w_mid = _radial_weight(model, xs)
     u_pot = 0.25 * xs * xs - float(scan) / xs
     diag = (w_left + w_right) / (h * h * w_mid) + u_pot
     # Dirichlet at the outer wall: the right flux of the last node leaves.
@@ -330,15 +366,108 @@ def _nearest(diag, off, energy):
 def _count_within(diag, off, centre, radius):
     """How many eigenvalues of T = (diag, off) lie within ``radius`` of ``centre``.
 
-    Two Sturm counts: bisection counts the half-open window (vl, vu], so vl
-    is taken one float below centre - radius to close it, and the query's
-    tolerance is wider than its window, so no eigenvalue in it is bisected.
+    A Sturm count (see :func:`_sturm_count`) counts the half-open window
+    (vl, vu], so vl is taken one float below centre - radius to close it.
     """
     lower = np.nextafter(centre - radius, -np.inf)
-    return len(sla.eigvalsh_tridiagonal(
-        diag, off, select="v", select_range=(lower, centre + radius),
-        tol=4.0 * radius,
-    ))
+    return _sturm_count(diag, off, lower, centre + radius)
+
+
+def _sturm_count(diag, off, lower, upper):
+    """How many eigenvalues of T = (diag, off) lie in (lower, upper], as dstebz counts them.
+
+    LAPACK's dstebz (``sla.eigvalsh_tridiagonal(select="v")``) counts the
+    window before it bisects anything: two Sturm counts on each unreduced
+    block of T, taken by its kernel dlaebz.  Here dlaebz takes the same two
+    counts on the same inputs, so the number is the one dstebz returns:
+
+    * e^2, zeroed where dstebz splits T: |d_j d_(j+1)| ulp^2 + safemin > e_j^2;
+    * dstebz's PIVMIN, safemin max(1, e_j^2) over the e_j it keeps;
+    * the window clipped to each block's Gershgorin interval, widened by
+      2.1 (||block|| ulp rows + PIVMIN); a block of one row holds its
+      diagonal entry less PIVMIN.
+
+    e^2 is the one array of N rows it allocates, 8 bytes a row; the split
+    test and the Gershgorin scan run over chunks of _STURM_ROWS rows.  (The
+    f2py dstebz allocates and zero-fills 60 bytes a row of workspace.)
+    """
+    diag = np.ascontiguousarray(diag, dtype=float)
+    off = np.ascontiguousarray(off, dtype=float)
+    if diag.ndim != 1 or off.shape != (len(diag) - 1,):
+        raise ValueError("a tridiagonal matrix of N rows takes N - 1 off-diagonal entries")
+    # as eigvalsh_tridiagonal does: a potential that overflows on the box
+    # must not pass for a count
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    e2 = off * off
+    splits = []
+    for start in range(0, len(e2), _STURM_ROWS):
+        stop = min(start + _STURM_ROWS, len(e2))
+        test = np.multiply(diag[start + 1:stop + 1], diag[start:stop])
+        np.abs(test, out=test)
+        test *= _ULP * _ULP
+        test += _SAFEMIN
+        split = start + np.flatnonzero(test > e2[start:stop])
+        e2[split] = 0.0
+        splits.append(split)
+    pivmin = max(1.0, float(e2.max(initial=0.0))) * _SAFEMIN
+    count, begin = 0, 0
+    for end in np.concatenate(splits + [[len(diag) - 1]]) + 1:
+        count += _block_count(diag, off, e2, int(begin), int(end), lower, upper, pivmin)
+        begin = end
+    return count
+
+
+def _block_count(diag, off, e2, begin, end, lower, upper, pivmin):
+    """dstebz's count in (lower, upper] for the unreduced block of rows begin..end-1."""
+    rows = end - begin
+    if rows == 1:
+        return int(lower < diag[begin] - pivmin <= upper)
+    gl, gu = _gershgorin(diag, off, begin, end)
+    bnorm = max(abs(gl), abs(gu))
+    gl = gl - _FUDGE * bnorm * _ULP * rows - _FUDGE * pivmin
+    gu = gu + _FUDGE * bnorm * _ULP * rows + _FUDGE * pivmin
+    if gu < lower:
+        return 0
+    gl, gu = max(gl, lower), min(gu, upper)
+    if gl >= gu:
+        return 0
+    d, e, e_sq = diag[begin:end], off[begin:end - 1], e2[begin:end - 1]
+    one, zero, n = ctypes.c_int(1), ctypes.c_int(0), ctypes.c_int(rows)
+    tol, piv = ctypes.c_double(0.0), ctypes.c_double(pivmin)
+    ab, scratch = (ctypes.c_double * 2)(gl, gu), (ctypes.c_double * 1)()
+    nab, iscratch = (ctypes.c_int * 2)(), (ctypes.c_int * 1)()
+    mout, info = ctypes.c_int(), ctypes.c_int()
+    _dlaebz(
+        one, zero, n, one, one, zero, tol, tol, piv,
+        d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P),
+        e_sq.ctypes.data_as(_DOUBLE_P), iscratch, ab, scratch, mout, nab,
+        scratch, iscratch, info,
+    )
+    return mout.value
+
+
+def _gershgorin(diag, off, begin, end):
+    """dstebz's Gershgorin interval of the block of rows begin..end-1, unwidened.
+
+    Row j spans (d_j -+ |e_(j-1)|) -+ |e_j|, with no e beyond the block's
+    ends, summed in dstebz's order.
+    """
+    gl, gu = math.inf, -math.inf
+    for start in range(begin, end, _STURM_ROWS):
+        stop = min(start + _STURM_ROWS, end)
+        # a[k] = |e| left of row start + k, a[k + 1] = |e| right of it
+        a = np.zeros(stop - start + 1)
+        lo, hi = max(start - 1, begin), min(stop, end - 1)
+        np.abs(off[lo:hi], out=a[lo - start + 1:hi - start + 1])
+        d = diag[start:stop]
+        bound = d + a[:-1]
+        bound += a[1:]
+        gu = max(gu, float(bound.max()))
+        np.subtract(d, a[:-1], out=bound)
+        bound -= a[1:]
+        gl = min(gl, float(bound.min()))
+    return gl, gu
 
 
 def _ambiguous(diag, off, energy, gap):
@@ -411,28 +540,53 @@ def _residual_radial(model, scan, cfg, xs, h, psi, energy):
     decayed to nothing there.  ``psi`` is sampled on the nodes ``xs`` of
     ``cfg``, of step h.
     """
-    w_mid = _radial_weights(model, xs, h)[2]
-    u_pot = 0.25 * xs * xs - float(scan) / xs
-    v = psi / np.power(xs, float(model.lam))
-    m = len(v)
-    faces = cfg.xmin + h * np.arange(m + 1)
-    w_face = np.power(faces, 2 * float(model.lam))
-    grad = np.zeros(m + 1)
-    grad[2:-2] = (27.0 * (v[2:-1] - v[1:-2]) - (v[3:] - v[:-3])) / (24.0 * h)
+    m = len(xs)
+    v = np.power(xs, float(model.lam))
+    np.divide(psi, v, out=v)
+    # Four buffers of ~m rows, each value computed as in the plain formulas
+    # (noted beside each step): the face weights become the fluxes, the
+    # gradients the divergence, then the potential and the weight w_mid.
+    flux = np.arange(m + 1, dtype=float)
+    flux *= h
+    flux += cfg.xmin
+    _radial_weight(model, flux, out=flux)  # w at the faces xmin + h i
+    tmp = np.empty(m)
+    grad = np.empty(m + 1)
+    # grad[2:-2] = (27 (v[2:-1] - v[1:-2]) - (v[3:] - v[:-3])) / (24 h)
+    inner = np.subtract(v[2:-1], v[1:-2], out=grad[2:-2])
+    inner *= 27.0
+    inner -= np.subtract(v[3:], v[:-3], out=tmp[:m - 3])
+    inner /= 24.0 * h
+    grad[0] = 0.0
     grad[1] = (-23.0 * v[0] + 21.0 * v[1] + 3.0 * v[2] - v[3]) / (24.0 * h)
     grad[-2] = (v[-1] - v[-2]) / h
     grad[-1] = (0.0 - v[-1]) / h  # Dirichlet outer wall
-    flux = w_face * grad
+    flux *= grad
     flux[0] = 0.0  # weight w(0) = 0 closes the origin end
-    div = np.empty(m)
-    div[1:-2] = (
-        27.0 * (flux[2:-2] - flux[1:-3]) - (flux[3:-1] - flux[:-4])
-    ) / (24.0 * h)
+    div = grad[:m]
+    # div[1:-2] = (27 (flux[2:-2] - flux[1:-3]) - (flux[3:-1] - flux[:-4])) / (24 h)
+    inner = np.subtract(flux[2:-2], flux[1:-3], out=div[1:-2])
+    inner *= 27.0
+    inner -= np.subtract(flux[3:-1], flux[:-4], out=tmp[:m - 3])
+    inner /= 24.0 * h
     div[0] = (21.0 * flux[1] + 3.0 * flux[2] - flux[3]) / (24.0 * h)
     div[-2:] = (flux[-2:] - flux[-3:-1]) / h
-    r = -div / w_mid + (u_pot - energy) * v
-    num = float(np.sqrt(np.sum(w_mid * r * r)))
-    den = float(np.sqrt(np.sum(w_mid * v * v)))
+    # (u_pot - energy) v, u_pot = 0.25 x x - scan / x
+    pot = np.multiply(0.25, xs, out=tmp)
+    pot *= xs
+    pot -= np.divide(float(scan), xs, out=flux[:m])
+    pot -= energy
+    pot *= v
+    w_mid = _radial_weight(model, xs, out=flux[:m])
+    # r = -div / w_mid + (u_pot - energy) v
+    r = np.negative(div, out=div)
+    r /= w_mid
+    r += pot
+    # sqrt(sum(w_mid * r * r)) / sqrt(sum(w_mid * v * v))
+    np.multiply(w_mid, r, out=tmp)
+    num = float(np.sqrt(np.sum(np.multiply(tmp, r, out=tmp))))
+    np.multiply(w_mid, v, out=tmp)
+    den = float(np.sqrt(np.sum(np.multiply(tmp, v, out=tmp))))
     return num / den
 
 

@@ -25,6 +25,9 @@ _PARITY_TOL = 1e-8
 # decay_halfwidth: the envelope's negligible fraction of its peak, and the
 # half-width scanned (the fallback when the envelope never decays).
 _DECAY_CUTOFF, _DECAY_XMAX = 1e-12, 60.0
+# Rows a block of the 80-bit Horner evaluation, so that its extended-precision
+# arrays stay this size whatever the grid.
+_HORNER_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -173,16 +176,24 @@ def _eval_poly_extended(image, z):
     noise by h^2.  float64 Horner cannot absorb both; extended-precision
     accumulation over double-double images of the exact coefficients keeps
     the pointwise relative error near 1e-13 in the worst catalog case.
+
+    ``z`` is a 1-d array; each block of _HORNER_ROWS points is widened to
+    80 bits, evaluated and rounded to float64 on its own.  Horner runs
+    elementwise, so the values are those of one pass over all of ``z``.
     """
     his, los = _split(image)
     coeffs = np.array(his, dtype=np.longdouble) + np.array(los, dtype=np.longdouble)
-    zl = np.asarray(z, dtype=np.longdouble)
-    acc = np.zeros(zl.shape, dtype=np.longdouble)
-    for c in coeffs[::-1]:
-        acc *= zl
-        acc += c
-    with np.errstate(over="ignore"):
-        return acc.astype(float)
+    z = np.asarray(z)
+    values = np.empty(z.shape)
+    for start in range(0, len(z), _HORNER_ROWS):
+        zl = z[start:start + _HORNER_ROWS].astype(np.longdouble)
+        acc = np.zeros(zl.shape, dtype=np.longdouble)
+        for c in coeffs[::-1]:
+            acc *= zl
+            acc += c
+        with np.errstate(over="ignore"):
+            values[start:start + _HORNER_ROWS] = acc
+    return values
 
 
 def _first_peak_sign(psi):
@@ -208,8 +219,9 @@ def _first_peak_sign(psi):
 class _Frame:
     """What sampling needs of a grid and a model, whatever the root.
 
-    ``z`` is the coordinate in 80-bit extended precision at the points the
-    polynomial is evaluated on: the first ceil(N/2) points, then those of
+    ``z`` is the float64 coordinate at the points the polynomial is
+    evaluated on (:func:`_eval_poly_extended` widens it to 80 bits a block
+    at a time): the first ceil(N/2) points, then those of
     the second half whose float64 coordinate differs from that of their
     mirror point, N - 1 - i for point i.  A point whose coordinate equals
     its mirror's, bit for bit, takes its mirror's value: ``source`` maps
@@ -241,7 +253,9 @@ def _frame(model, xs):
         source = np.cumsum(evaluated) - 1
         source[~evaluated] = source[::-1][~evaluated]
         z = z[evaluated]
-    z = z.astype(np.longdouble)
+    # a view: the radial chart's coordinate is ``xs`` itself, which the
+    # caller keeps writable
+    z = z.view()
     dead = q == 0.0
     for owned in (z, source, q, dead):
         if owned is not None:

@@ -139,23 +139,31 @@ def _floor(diag, off):
     return 8.0 * np.finfo(float).eps * (np.abs(diag).max() + 2.0 * np.abs(off).max())
 
 
-class _RecordingLinalg:
-    """scipy.linalg with its eigenvalue queries recorded."""
+class _RecordingQueries:
+    """The oracle's eigenvalue queries, recorded in order while installed:
+    its Sturm counts (``oracle._count_within``) and its bisections (its
+    ``sla`` binding's ``eigvalsh_tridiagonal``)."""
 
-    def __init__(self):
-        self.queries = []  # (select_range, returned values, tol)
+    def __init__(self, monkeypatch):
+        self.queries = []  # ("count", window, how many) or ("bisect", window, values)
+        count_within = oracle._count_within
+
+        def counted(diag, off, centre, radius):
+            found = count_within(diag, off, centre, radius)
+            self.queries.append(("count", (centre - radius, centre + radius), found))
+            return found
+
+        monkeypatch.setattr(oracle, "_count_within", counted)
+        monkeypatch.setattr(oracle, "sla", self)
 
     def eigvalsh_tridiagonal(self, diag, off, **kwargs):
         found = sla.eigvalsh_tridiagonal(diag, off, **kwargs)
-        self.queries.append((kwargs.get("select_range"), found, kwargs.get("tol")))
+        self.queries.append(("bisect", kwargs.get("select_range"), found))
         return found
 
     def bisections(self):
-        """The queries that bisect what they find.
-
-        A Sturm count's tolerance spans its window; a bisection has none.
-        """
-        return [(window, found) for window, found, tol in self.queries if tol is None]
+        """The queries that bisect what they find: (window, values found)."""
+        return [(window, found) for kind, window, found in self.queries if kind == "bisect"]
 
     def __getattr__(self, name):
         return getattr(sla, name)
@@ -236,8 +244,7 @@ def test_certificate_replaces_a_farther_eigenvalue(monkeypatch):
     near, far = (k, k + 1) if weight[k] < weight[k + 1] else (k + 1, k)
     energy = 0.5 * (spectrum[k] + spectrum[k + 1])
     energy += 1e-3 * (spectrum[near] - energy)
-    recorder = _RecordingLinalg()
-    monkeypatch.setattr(oracle, "sla", recorder)
+    recorder = _RecordingQueries(monkeypatch)
     got = oracle._nearest(diag, off, energy)[0]
     assert abs(got - spectrum[near]) <= floor
     # one bisection: its disc reached up to the farther level and held the nearer
@@ -260,14 +267,14 @@ def test_a_nearer_level_found_by_the_certificate_is_counted_afresh(monkeypatch):
     k = 12
     energy = spectrum[k] + 0.2 * (spectrum[k + 1] - spectrum[k])
     monkeypatch.setattr(oracle, "_start_vector", lambda n: vectors[:, k + 1].copy())
-    recorder = _RecordingLinalg()
-    monkeypatch.setattr(oracle, "sla", recorder)
+    recorder = _RecordingQueries(monkeypatch)
     got, ambiguous = oracle._nearest(diag, off, energy)
     assert abs(got - spectrum[k]) <= floor
     assert not ambiguous
     count, certificate, recount = recorder.queries
-    assert len(count[1]) == 2 and len(certificate[1]) == 1 and len(recount[1]) == 1
-    assert certificate[2] is None
+    assert count[0] == "count" and count[2] == 2
+    assert certificate[0] == "bisect" and len(certificate[2]) == 1
+    assert recount[0] == "count" and recount[2] == 1
 
 
 def test_count_within_closes_the_window_at_both_ends():
@@ -279,6 +286,94 @@ def test_count_within_closes_the_window_at_both_ends():
     assert oracle._count_within(diag, off, 2.0 - radius, radius) == 1
     assert oracle._count_within(diag, off, 2.0 + 3.0 * radius, radius) == 0
     assert oracle._count_within(diag, off, 2.0, 0.1) == 7
+
+
+def _dstebz_count(diag, off, centre, radius):
+    """The count ``_count_within`` takes, by scipy's dstebz: its window
+    closed below and its tolerance wider than the window."""
+    lower = np.nextafter(centre - radius, -np.inf)
+    return len(sla.eigvalsh_tridiagonal(
+        diag, off, select="v", select_range=(lower, centre + radius), tol=4.0 * radius,
+    ))
+
+
+def _count_windows(diag, off, seed):
+    """(centre, radius) windows: random about the lowest levels, wholly below
+    and wholly above the spectrum, and with a level on either edge."""
+    levels = sla.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 11))
+    rng = np.random.default_rng(seed)
+    spacing = levels[-1] - levels[0]
+    windows = [
+        (rng.uniform(levels[0] - 0.1 * spacing, levels[-1]), spacing * 10.0 ** rng.uniform(-12, 0))
+        for _ in range(16)
+    ]
+    top = np.abs(diag).max() + 2.0 * np.abs(off).max()
+    windows += [(levels[0] - 0.5 * spacing, 0.25 * spacing), (2.0 * top, 0.5 * top)]
+    radius = 1e-6 * spacing
+    windows += [(level + sign * radius, radius) for level in levels[::4] for sign in (1.0, -1.0)]
+    return windows
+
+
+@pytest.mark.parametrize("key", ["dshg", "xie-even", "xie-odd", "coulomb"])
+def test_sturm_count_is_the_dstebz_count(key):
+    """The dlaebz count equals dstebz's on the coarse and refined operators
+    of the deepest state of a well of each kind (full, even, odd, radial)."""
+    model, _, _, _, roots = solved(key)
+    root = roots.roots[-1]
+    cfg = oracle.default_verify_config(model, root)
+    for seed, rows in enumerate((cfg, oracle._doubled(model, cfg))):
+        diag, off = oracle._tridiag(model, root, rows)
+        for centre, radius in _count_windows(diag, off, seed):
+            assert oracle._count_within(diag, off, centre, radius) == _dstebz_count(
+                diag, off, centre, radius), (rows.points, centre, radius)
+
+
+def test_sturm_count_splits_as_dstebz_does():
+    """Negligible off-diagonal entries split T into blocks, among them one
+    row at each end; each block is counted on its own.  A window that ends
+    on d_0 sees the split of e_0: its pivot d_0 - d_0 = 0 would send e_0^2
+    to d_1's pivot divided by PIVMIN, and d_1 < d_0."""
+    diag, off = _double_well()
+    off = off.copy()
+    off[0] = 1e-3 * np.finfo(float).eps * math.sqrt(diag[0] * diag[1])
+    off[40] = 0.0
+    off[150] = 1e-3 * np.finfo(float).eps * math.sqrt(diag[150] * diag[151])
+    off[-1] = 1e-200
+    assert diag[1] < diag[0]
+    edge = 2.0 ** -20  # d_0 - edge + edge == d_0
+    for centre, radius in _count_windows(diag, off, 5) + [
+        (diag[0] - edge, edge), (diag[-1], 1e-9),
+        (diag[-1] + 1e-3, 1e-3), (diag[-1] - 1e-3, 1e-3),
+    ]:
+        assert oracle._count_within(diag, off, centre, radius) == _dstebz_count(
+            diag, off, centre, radius), (centre, radius)
+
+
+def test_sturm_count_refuses_a_non_finite_operator():
+    """A potential that overflows on the box raises, as dstebz's wrapper did,
+    rather than passing for a count."""
+    diag, off = _double_well()
+    for i, bad in ((0, math.inf), (1, math.nan)):
+        entries = [diag.copy(), off.copy()]
+        entries[i][7] = bad
+        with pytest.raises(ValueError):
+            oracle._count_within(*entries, diag[20], 1.0)
+
+
+def test_a_sturm_count_allocates_e_squared_alone():
+    """8 bytes a row for e^2, and a few chunks; dstebz's f2py workspace
+    took ~57 bytes a row beyond the inputs."""
+    rows = 200_000
+    diag = 2.0 + np.linspace(0.0, 1.0, rows)
+    off = np.full(rows - 1, -0.4)
+    tracemalloc.start()
+    try:
+        count = oracle._count_within(diag, off, 2.5, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == _dstebz_count(diag, off, 2.5, 0.01)
+    assert peak <= 10 * rows
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -566,8 +661,7 @@ def test_verify_root_takes_two_queries_unless_ambiguous(key, index, monkeypatch)
     at pdshg-20's root 5, whose full-line certificate replaced the estimate
     (see below)."""
     model, _, chain, _, roots = solved(key)
-    recorder = _RecordingLinalg()
-    monkeypatch.setattr(oracle, "sla", recorder)
+    recorder = _RecordingQueries(monkeypatch)
     report = oracle.verify_root(model, roots.roots[index], chain=chain)
     assert len(recorder.queries) == (3 if report.ambiguous else 2)
     if oracle._kind(model) in ("even", "odd"):
@@ -594,8 +688,7 @@ def test_a_certified_level_inside_the_count_keeps_the_count(monkeypatch):
     )
     dist = np.sort(np.abs(near - energy))
     assert len(near) == 2 and dist[1] < 2.0 * dist[0]
-    recorder = _RecordingLinalg()
-    monkeypatch.setattr(oracle, "sla", recorder)
+    recorder = _RecordingQueries(monkeypatch)
     got, ambiguous = oracle._nearest(diag, off, energy)
     assert abs(got - near[np.argmin(np.abs(near - energy))]) <= _floor(diag, off)
     assert ambiguous
@@ -684,16 +777,18 @@ def test_residual_full_line_converges_at_high_order():
 
 
 def test_verify_root_peak_memory_on_the_largest_deep_grid():
-    """xie-odd root 10 verifies on 325,427 coarse points, 650,855 doubled.
+    """xie-odd root 10 verifies on 325,427 points: the half line's 162,713
+    coarse nodes and 325,427 refined ones.
 
-    The coarse grid's arrays are freed before the doubled grid is built, and
-    the peak is the bisection workspace of the one Sturm-count query that
-    decides convergence on the doubled grid.  The bisection on an expanding
-    window peaked above 62 MB.
+    The coarse grid's arrays are freed before the refined grid is built, the
+    Sturm counts allocate e^2 alone (8 bytes a row), and the 80-bit Horner
+    runs in blocks, so the peak, ~38 bytes a point, is the refined operator's
+    build.  With dstebz's zero-filled count workspace it was ~76 bytes a point.
     """
     model, _, chain, _, roots = solved("xie-odd")
     root = roots.roots[10]
-    assert oracle.default_verify_config(model, root).points == 325_427
+    points = oracle.default_verify_config(model, root).points
+    assert points == 325_427
     tracemalloc.start()
     try:
         report = oracle.verify_root(model, root, chain=chain)
@@ -701,4 +796,4 @@ def test_verify_root_peak_memory_on_the_largest_deep_grid():
     finally:
         tracemalloc.stop()
     assert report.converged
-    assert peak < 62e6
+    assert peak < 45 * points

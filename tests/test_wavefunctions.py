@@ -322,6 +322,8 @@ def test_default_frame_is_shared_per_model_object(monkeypatch):
             fresh_xs = wavefunctions.default_grid(model, model.n)
             fresh = wavefunctions.sample(model, root, xs=fresh_xs, chain=chain)
             assert _state_bytes(state) == _state_bytes(fresh), (turn, root)
+            # an explicit grid stays the caller's, though coulomb's chart is x itself
+            assert fresh_xs.flags.writeable
             with pytest.raises(ValueError):
                 state.xs[0] = 0.0
         # the default grid was built once per turn for the shared frame,
