@@ -24,7 +24,7 @@ from .errors import QesError
 from .models import catalog, make
 from .oracle import FdConfig, VerificationReport, verify_root
 from .polynomials import RootSet, real_roots, to_canonical_ttrr
-from .recurrence import build_baseline, exact_solution, run_ttrr, solve
+from .recurrence import Spectrum, build_baseline, exact_solution, solve
 from .wavefunctions import sample
 
 __version__ = "0.1.0"
@@ -33,6 +33,7 @@ __all__ = [
     "FdConfig",
     "QesError",
     "RootSet",
+    "Spectrum",
     "VerificationReport",
     "__version__",
     "build_baseline",
@@ -46,7 +47,6 @@ __all__ = [
     "polynomials",
     "real_roots",
     "recurrence",
-    "run_ttrr",
     "sample",
     "solve",
     "to_canonical_ttrr",

@@ -206,7 +206,7 @@ def _requested_grid(make, *args, points, **kwargs):
 
 
 def _pick_indices(roots, root_index):
-    count = len(roots.roots)
+    count = len(roots)
     if root_index is None:
         return list(range(count))
     if not -count <= root_index < count:
@@ -233,17 +233,17 @@ def _root_row(model, root):
     return row
 
 
-def _spectrum_result(model_id, model, chain, ttrr, rows):
-    name, value = model.baseline()
-    lam_tail = ttrr.lam[1:]
+def _spectrum_result(model_id, spectrum, rows):
+    name, value = spectrum.model.baseline()
+    lam_tail = spectrum.ttrr.lam[1:]
     return {
         "model": model_id,
-        "params": {k: _scalar_param(v) for k, v in models.params(model).items()},
-        "n": int(model.n),
+        "params": {k: _scalar_param(v) for k, v in models.params(spectrum.model).items()},
+        "n": int(spectrum.model.n),
         "baseline": {"name": name, "value": float(value)},
         "roots": rows,
         "chain": {
-            "p_nn_zero_flag": chain.p_nn_zero_flag,
+            "p_nn_zero_flag": spectrum.chain.p_nn_zero_flag,
             "min_lambda": float(min(lam_tail)) if lam_tail else 1.0,
         },
     }
@@ -298,10 +298,9 @@ def cmd_models(args):
 
 
 def cmd_roots(args):
-    model = _build_model(args)
-    _, chain, ttrr, roots = recurrence.solve(model)
-    rows = [_root_row(model, r) for r in roots.roots]
-    _write_result(_spectrum_result(args.model, model, chain, ttrr, rows), args)
+    spectrum = recurrence.solve(_build_model(args))
+    rows = [_root_row(spectrum.model, r) for r in spectrum.roots]
+    _write_result(_spectrum_result(args.model, spectrum, rows), args)
     return EXIT_OK
 
 
@@ -313,8 +312,7 @@ def cmd_constraint(args):
     float range that division raises OverflowError (exit 3).
     """
     model = _build_model(args)
-    system = recurrence.build_baseline(model)
-    chain = recurrence.run_ttrr(system)
+    chain = recurrence.exact_chain(recurrence.build_baseline(model))
     rows = []
     for x in map(float, _parse_range(args.range)):
         p, q = x.as_integer_ratio()
@@ -343,10 +341,9 @@ def cmd_wavefunction(args):
         points=args.grid_points,
         halfwidth=args.grid_l,
     )
-    _, chain, _, roots = recurrence.solve(model)
-    index = _pick_indices(roots, args.root_index)[0]
-    root = roots.roots[index]
-    grid = wavefunctions.sample(model, root, xs=xs, chain=chain)
+    spectrum = recurrence.solve(model)
+    root = spectrum.roots[_pick_indices(spectrum.roots, args.root_index)[0]]
+    grid = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain)
     if args.format == "json":
         payload = {
             "model": args.model,
@@ -365,13 +362,13 @@ def cmd_wavefunction(args):
 
 def cmd_verify(args):
     model = _build_model(args)
-    _, chain, ttrr, roots = recurrence.solve(model)
-    indices = _pick_indices(roots, args.root_index)
+    spectrum = recurrence.solve(model)
+    indices = _pick_indices(spectrum.roots, args.root_index)
     overrides = (args.xmin, args.xmax, args.points)
     rows = []
     all_ok = True
     for index in indices:
-        root = roots.roots[index]
+        root = spectrum.roots[index]
         cfg = None
         if any(v is not None for v in overrides):
             base = oracle.default_verify_config(model, root)
@@ -381,7 +378,12 @@ def cmd_verify(args):
                 xmax=base.xmax if args.xmax is None else args.xmax,
                 points=base.points if args.points is None else args.points,
             )
-        report = oracle.verify_root(model, root, cfg=cfg, chain=chain)
+        try:
+            report = oracle.verify_root(model, root, cfg=cfg, chain=spectrum.chain)
+        except DegenerateGrid as exc:
+            if cfg is None:
+                raise
+            raise InvalidParams(str(exc)) from exc  # the requested box is unusable
         row = _root_row(model, root)
         row["node_count"] = report.node_count
         row["verification"] = {
@@ -395,7 +397,7 @@ def cmd_verify(args):
         if report.residual > VERIFY_RESIDUAL_MAX or not report.converged:
             all_ok = False
         rows.append(row)
-    _write_result(_spectrum_result(args.model, model, chain, ttrr, rows), args)
+    _write_result(_spectrum_result(args.model, spectrum, rows), args)
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 

@@ -85,6 +85,9 @@ _FLOOR_EPS = 8.0
 _H_SCALE = 0.07
 _MIN_POINTS = 4000
 _MAX_POINTS = 900_000
+# Finer steps are refused: the residual's sums grow like h^-5 and leave the
+# float range near h = 1e-61, far below any step a bound state needs.
+_MIN_STEP = 1e-30
 # Rows a step of the chunked O(N) scans that prepare a Sturm count, so that
 # e^2 is the only array of N rows a count allocates.
 _STURM_ROWS = 4096
@@ -137,6 +140,8 @@ class FdConfig:
             raise DegenerateGrid("xmax must exceed xmin")
         if self.points < 100:
             raise DegenerateGrid("fewer than 100 points cannot support verification")
+        if not (self.xmax - self.xmin) / (self.points + 1) >= _MIN_STEP:
+            raise DegenerateGrid(f"grid steps below {_MIN_STEP:g} cannot support verification")
 
 
 @dataclass(frozen=True)
@@ -216,7 +221,12 @@ def grid_nodes(model, cfg):
 
 
 def _potential(model, xs, scan):
-    return np.asarray(model.potential(xs, scan), dtype=float)
+    """V at ``xs``; a box on which it leaves the float range is refused here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.asarray(model.potential(xs, scan), dtype=float)
+    if not np.isfinite(v).all():
+        raise DegenerateGrid("the potential overflows on this box")
+    return v
 
 
 def _tridiag_line(v, h, kind):
@@ -401,15 +411,17 @@ def _sturm_count(diag, off, lower, upper):
         raise ValueError("array must not contain infs or NaNs")
     e2 = off * off
     splits = []
-    for start in range(0, len(e2), _STURM_ROWS):
-        stop = min(start + _STURM_ROWS, len(e2))
-        test = np.multiply(diag[start + 1:stop + 1], diag[start:stop])
-        np.abs(test, out=test)
-        test *= _ULP * _ULP
-        test += _SAFEMIN
-        split = start + np.flatnonzero(test > e2[start:stop])
-        e2[split] = 0.0
-        splits.append(split)
+    # a product past the float range is inf, and splits, as in LAPACK
+    with np.errstate(over="ignore"):
+        for start in range(0, len(e2), _STURM_ROWS):
+            stop = min(start + _STURM_ROWS, len(e2))
+            test = np.multiply(diag[start + 1:stop + 1], diag[start:stop])
+            np.abs(test, out=test)
+            test *= _ULP * _ULP
+            test += _SAFEMIN
+            split = start + np.flatnonzero(test > e2[start:stop])
+            e2[split] = 0.0
+            splits.append(split)
     pivmin = max(1.0, float(e2.max(initial=0.0))) * _SAFEMIN
     count, begin = 0, 0
     for end in np.concatenate(splits + [[len(diag) - 1]]) + 1:

@@ -203,11 +203,15 @@ def to_canonical_ttrr(system):
         SigmaZero: the scan variable is absent from the recurrence.
         DivisionByZeroMultiplicator: ``F1`` vanishes before the last step.
         NonPositiveLambda: no centre gives all-positive products.
+        OverflowError: 1 / sigma, or a multiplicator, lies beyond the float range.
     """
     n = system.n
     sigma = system.sigma0
     if sigma == 0:
         raise SigmaZero("grade-0 multiplicator has no scan-variable term")
+    scale = 1.0 / float(sigma) if float(sigma) else math.inf
+    if math.isinf(scale):
+        raise OverflowError("the scan-variable scale 1 / sigma lies beyond the float range")
     for centre, ode in system.centres:
         F1, F0, Fm1 = zip(*map(ode.multiplicators, range(n + 2)))
         if 0 in F1[:n]:
@@ -222,7 +226,7 @@ def to_canonical_ttrr(system):
                 centre=centre,
                 d=tuple(-float(F0[n + 1 - k]) for k in range(1, n + 2)),
                 lam=tuple(lam),
-                scale=1.0 / float(sigma),
+                scale=scale,
             )
     tried = ", ".join(str(centre) for centre, _ in system.centres)
     raise NonPositiveLambda(

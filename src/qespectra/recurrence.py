@@ -269,7 +269,7 @@ def exact_chain(system):
 
 
 def run_ttrr(system):
-    """The coefficient chain of a baseline system (the cached exact chain)."""
+    """The cached exact chain; kept only because ``perfbench/`` calls and traces it."""
     return exact_chain(system)
 
 
@@ -407,13 +407,24 @@ def exact_solution(system, root):
     return [Fraction(a, den) for a in nums]
 
 
+@dataclass(frozen=True)
+class Spectrum:
+    """What :func:`solve` finds for one model: the exact chain, the canonical
+    form ``ttrr`` and, found on it, the real simple roots, ascending floats."""
+
+    model: object
+    chain: ConstraintChain
+    ttrr: polynomials.CanonicalTtrr
+    roots: tuple
+
+
 def solve(model):
     """Baseline, exact chain, canonical form and real roots of one model.
 
-    Returns ``(system, chain, ttrr, roots)``.  Each stage is called through
-    its module attribute, so a wrapper put on one (a tracer) sees the call.
+    Returns a :class:`Spectrum`.  Each stage is called through its module
+    attribute, so a wrapper put on one (a tracer) sees the call.
     """
     system = build_baseline(model)
-    chain = run_ttrr(system)
+    chain = exact_chain(system)
     ttrr = polynomials.to_canonical_ttrr(system)
-    return system, chain, ttrr, polynomials.real_roots(ttrr)
+    return Spectrum(model, chain, ttrr, polynomials.real_roots(ttrr).roots)

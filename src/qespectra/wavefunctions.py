@@ -297,8 +297,8 @@ def sample(model, root, xs=None, chain=None):
     """Sample the normalized wavefunction of one constraint root.
 
     Assembles the polynomial part at ``root`` on ``chain`` (the model's
-    coefficient chain from :func:`~qespectra.recurrence.run_ttrr`; built
-    here when not given), multiplies by the prefactor on ``xs`` (default:
+    exact chain, :func:`~qespectra.recurrence.exact_chain`; built here when
+    not given), multiplies by the prefactor on ``xs`` (default:
     :func:`default_grid`) and normalizes by the trapezoid rule.  The
     returned wavefunction is positive at its first interior extremum.
 
@@ -323,7 +323,7 @@ def sample(model, root, xs=None, chain=None):
             and at least 16 points long, or the state overflows on it.
     """
     if chain is None:
-        chain = recurrence.run_ttrr(recurrence.build_baseline(model))
+        chain = recurrence.exact_chain(recurrence.build_baseline(model))
     image = recurrence.assemble_solution(chain, root)
     if xs is None:
         frame = _default_frame(model)

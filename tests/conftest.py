@@ -45,10 +45,9 @@ CATALOG_PARAMS = {
 
 @lru_cache(maxsize=None)
 def solved(case_key):
-    """(model, system, chain, ttrr, roots) for one named deep-well case."""
+    """The ``Spectrum`` of one named deep-well case."""
     model_id, n, params = DEEP_CASES[case_key]
-    model = models.make(model_id, n, dict(params))
-    return (model, *solve(model))
+    return solve(models.make(model_id, n, dict(params)))
 
 
 @pytest.fixture(scope="session")
@@ -227,7 +226,7 @@ def exact_root(chain, root):
 
 
 def certified_roots(chain, roots):
-    """Certify a root set against the exact constraint; the refined roots.
+    """Certify ascending float roots against the exact constraint; the refined roots.
 
     Each float root is refined by :func:`exact_root`; the refined rationals
     must be strictly increasing.  The constraint, of degree n + 1, must then
@@ -236,7 +235,7 @@ def certified_roots(chain, roots):
     one a span above the highest.  So it has exactly n + 1 real simple
     roots, one in each interval, and the float roots find all of them.
     """
-    refined = [exact_root(chain, root) for root in roots.roots]
+    refined = [exact_root(chain, root) for root in roots]
     assert all(a < b for a, b in zip(refined, refined[1:])), "refined roots not increasing"
     span = (refined[-1] - refined[0]) or 1
     points = [

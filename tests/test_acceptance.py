@@ -82,58 +82,52 @@ def assert_spectrum(got, want, rtol, zero_abs=1e-10):
 # ---------------------------------------------------------------------------
 
 def test_01_deep_even_sech_well_spectrum_and_baseline(deep):
-    model, system, chain, ttrr, roots = deep("xie-even")
-    assert_spectrum(roots.roots, XIE_EVEN_V3, rtol=1e-4)
-    name, value = model.baseline()
+    spectrum = deep("xie-even")
+    assert_spectrum(spectrum.roots, XIE_EVEN_V3, rtol=1e-4)
+    name, value = spectrum.model.baseline()
     assert name == "sqrt_minus_E" and value == 3
 
 
 def test_02_deep_odd_sech_well_spectrum_and_baseline(deep):
-    model, system, chain, ttrr, roots = deep("xie-odd")
-    assert_spectrum(roots.roots, XIE_ODD_V3, rtol=1e-4)
-    name, value = model.baseline()
+    spectrum = deep("xie-odd")
+    assert_spectrum(spectrum.roots, XIE_ODD_V3, rtol=1e-4)
+    name, value = spectrum.model.baseline()
     assert name == "sqrt_minus_E" and value == 2
 
 
 def test_03_rational_cosh_well_both_parities(deep):
-    _, _, _, _, even_roots = deep("chen-even")
-    assert_spectrum(even_roots.roots, CHEN_EVEN_V2, rtol=1e-4)
-    _, _, _, _, odd_roots = deep("chen-odd")
-    assert_spectrum(odd_roots.roots, CHEN_ODD_V2, rtol=1e-4)
+    assert_spectrum(deep("chen-even").roots, CHEN_EVEN_V2, rtol=1e-4)
+    assert_spectrum(deep("chen-odd").roots, CHEN_ODD_V2, rtol=1e-4)
 
 
 def test_04_coulomb_oscillator_spectrum_antisymmetric(deep):
-    _, _, _, _, roots = deep("coulomb")
-    assert_spectrum(roots.roots, COULOMB_BETA, rtol=1e-4)
-    xs = np.asarray(roots.roots)
+    roots = deep("coulomb").roots
+    assert_spectrum(roots, COULOMB_BETA, rtol=1e-4)
+    xs = np.asarray(roots)
     np.testing.assert_allclose(xs, -xs[::-1], atol=1e-10)
     assert abs(xs[len(xs) // 2]) < 1e-10
 
 
 def test_05_deep_hyperbolic_double_well_spectrum(deep):
-    _, _, _, _, roots = deep("razavy")
-    assert_spectrum(roots.roots, RAZAVY_E, rtol=1e-4)
+    assert_spectrum(deep("razavy").roots, RAZAVY_E, rtol=1e-4)
 
 
 def test_06_shifted_gauss_well_dense_spectrum_with_doublets(deep):
-    _, _, _, _, roots = deep("dshg")
-    assert_spectrum(roots.roots, DSHG_E, rtol=1e-8)
+    assert_spectrum(deep("dshg").roots, DSHG_E, rtol=1e-8)
 
 
 def test_07_perturbed_gauss_well_both_parities(deep):
-    _, _, _, _, roots20 = deep("pdshg-20")
-    assert_spectrum(roots20.roots, PDSHG_20_E, rtol=1e-4)
-    _, _, _, _, roots21 = deep("pdshg-21")
-    assert_spectrum(roots21.roots, PDSHG_21_E, rtol=1e-4)
+    assert_spectrum(deep("pdshg-20").roots, PDSHG_20_E, rtol=1e-4)
+    assert_spectrum(deep("pdshg-21").roots, PDSHG_21_E, rtol=1e-4)
 
 
 def test_08_parity_pair_union_rebuilds_unperturbed_spectrum():
     even = solve(models.make(
         "perturbed-dshg", n=5, params={"xi": 2, "alpha": 1, "beta": 0}
-    ))[3].roots
+    )).roots
     odd = solve(models.make(
         "perturbed-dshg", n=5, params={"xi": 2, "alpha": 0, "beta": 1}
-    ))[3].roots
+    )).roots
     assert len(even) == 6 and len(odd) == 6
     union = sorted(list(even) + list(odd))
     assert_spectrum(union, DSHG_E, rtol=1e-7)
@@ -168,10 +162,10 @@ def test_09_every_root_survives_fd_verification(deep):
     digest = hashlib.sha256()
     unchanged = {}
     for key in DEEP_CASES:
-        model, system, chain, ttrr, roots = deep(key)
+        spectrum = deep(key)
         own = hashlib.sha256()
-        for index, root in enumerate(roots.roots):
-            report = oracle.verify_root(model, root, chain=chain)
+        for index, root in enumerate(spectrum.roots):
+            report = oracle.verify_root(spectrum.model, root, chain=spectrum.chain)
             digest.update(repr(astuple(report)).encode())
             own.update(repr(astuple(report)).encode())
             ok = (
@@ -218,20 +212,21 @@ def test_10_invariant_sweep(deep):
     # (c) assembled solutions solve the equation, (d) the roots are
     # certified against the exact constraint, all across the deep cases
     for key in DEEP_CASES:
-        model, system, chain, ttrr, roots = deep(key)
-        assert all(lam > 0 for lam in ttrr.lam), key
-        xs = np.asarray(roots.roots)
+        spectrum = deep(key)
+        model = spectrum.model
+        assert all(lam > 0 for lam in spectrum.ttrr.lam), key
+        xs = np.asarray(spectrum.roots)
         assert len(xs) == model.n + 1, key
         assert np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0), key
 
-        exact_chain = recurrence.exact_chain(system)
-        for root in roots.roots:
+        system = recurrence.build_baseline(model)
+        for root in spectrum.roots:
             ode = model.ode_coefficients(root)
             solution = [float(c) for c in recurrence.exact_solution(system, root)]
             residual = relative_ode_residual(ode, solution)
             assert residual < 1e-10, f"{key} root {root}: residual {residual:.3g}"
 
-        exact = [float(x) for x in certified_roots(exact_chain, roots)]
+        exact = [float(x) for x in certified_roots(spectrum.chain, spectrum.roots)]
         span = max(1.0, float(xs[-1] - xs[0]))
         np.testing.assert_allclose(exact, xs, rtol=1e-9, atol=1e-9 * span, err_msg=key)
 
@@ -270,10 +265,8 @@ def test_11_sinh2_variants_reproduce_cosh2_spectra(deep):
         )),
     ]
     for key, variant_model in pairs:
-        _, _, _, _, reference = deep(key)
-        variant_roots = solve(variant_model)[3].roots
         np.testing.assert_allclose(
-            np.asarray(variant_roots), np.asarray(reference.roots),
+            np.asarray(solve(variant_model).roots), np.asarray(deep(key).roots),
             rtol=1e-8, err_msg=key,
         )
 
@@ -320,14 +313,13 @@ def ulps(a, b):
 
 
 def test_12_roots_are_within_a_few_ulp_of_the_exact_roots(deep):
-    cases = [(key, deep(key)[2], deep(key)[4], 2) for key in DEEP_CASES]
+    cases = [(key, deep(key), 2) for key in DEEP_CASES]
     for key, (model_id, n, params) in LONG_CASES.items():
-        _, chain, _, roots = solve(models.make(model_id, n, params))
-        cases.append((key, chain, roots, 4))
+        cases.append((key, solve(models.make(model_id, n, params)), 4))
     far = []
-    for key, chain, roots, bound in cases:
-        for index, root in enumerate(roots.roots):
-            distance = ulps(root, float(exact_root(chain, root)))
+    for key, spectrum, bound in cases:
+        for index, root in enumerate(spectrum.roots):
+            distance = ulps(root, float(exact_root(spectrum.chain, root)))
             if distance > bound:
                 far.append(f"{key}[{index}]: {distance} ulp (bound {bound})")
     assert not far, "\n".join(far)
@@ -369,7 +361,7 @@ def _positive_centres(model):
             id=f"{model_id}-{'-'.join(map(str, params.values()))}-n{n}",
             marks=[pytest.mark.xfail(
                 strict=True,
-                reason="the doublets collapse into duplicated roots (ROADMAP item 3)",
+                reason="the doublets collapse into duplicated roots (ROADMAP item 2)",
             )] if (model_id, n) == ("dshg", 40) else [],
         )
         for model_id, params in ENVELOPE
@@ -384,10 +376,10 @@ def test_13_envelope_roots_or_no_positive_centre(model_id, params, n):
         with pytest.raises(NonPositiveLambda):
             solve(model)
         return
-    _, chain, ttrr, roots = solve(model)
-    assert ttrr.centre == positive[0]
-    xs = np.asarray(roots.roots)
+    spectrum = solve(model)
+    assert spectrum.ttrr.centre == positive[0]
+    xs = np.asarray(spectrum.roots)
     assert len(xs) == n + 1
     assert np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)
     if n < 40:  # test_12 certifies four n = 40 chains exactly
-        certified_roots(chain, roots)
+        certified_roots(spectrum.chain, spectrum.roots)

@@ -265,8 +265,8 @@ def test_verify_json_moves_only_in_the_nearest_fd_energy_and_gap(capsys):
         assert code == 0, key
         result = json.loads(out)
         report = result["roots"][0]["verification"]
-        model, _, _, _, roots = solved(key)
-        root = roots.roots[k]
+        spectrum = solved(key)
+        model, root = spectrum.model, spectrum.roots[k]
         diag, off = oracle._tridiag(
             model, root, oracle.default_verify_config(model, root)
         )
@@ -366,7 +366,7 @@ def test_constraint_rows_are_the_exact_values_rounded_once(key, grid, capsys):
     # these rows; the exact value rounded once does not
     code, out = run_cli(*_deep_argv("constraint", key, f"--range={grid}"), capsys=capsys)
     assert code == 0
-    constraint = as_fractions(solved(key)[2].constraint_image)
+    constraint = as_fractions(solved(key).chain.constraint_image)
     rows = json.loads(out)["rows"]
     assert len(rows) == 201
     for x, v in rows:
@@ -494,6 +494,7 @@ def test_exit_2_on_argparse_errors(capsys):
     ("verify", "--points", "50"),
     ("verify", "--xmin", "3", "--xmax", "1"),
     ("verify", "--xmax", "inf"),
+    ("verify", "--xmin=-1e-40", "--xmax=1e-40"),
 ], ids=" ".join)
 def test_exit_2_on_bad_grid_options(argv, capsys):
     command, *options = argv
@@ -544,6 +545,23 @@ def test_verify_exits_2_on_an_asymmetric_box_for_a_parity_sector(box, capsys):
     ])
     capsys.readouterr()
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "dshg", "--n", "2", "--param", "xi=2", "--root-index", "0",
+     "--points", "2000"),
+    ("--model", "perturbed-dshg", "--n", "1", "--param", "xi=2", "--param", "alpha=2",
+     "--param", "beta=0", "--points", "100"),
+], ids=lambda argv: argv[1])
+def test_verify_exits_2_on_a_box_where_the_potential_overflows(argv, capsys):
+    # V = (xi cosh 2x - m)^2 + ... leaves the float range near |x| = 177 at
+    # xi = 2; the oracle refuses the box before it builds anything on it,
+    # and no RuntimeWarning escapes on the way
+    code = cli.main(["verify", *argv, "--xmin", "-300", "--xmax", "300"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: the potential overflows on this box\n"
 
 
 def test_verify_exits_2_on_a_half_line_model_without_a_discretization(capsys):

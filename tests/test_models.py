@@ -369,9 +369,7 @@ def test_models_equal_spectra_between_variants():
     # small instance here keeps the unit suite self-contained)
     a = models.make("razavy", 2, {"xi": 1, "alpha": 1, "beta": 0})
     b = models.make("razavy-sinh2", 2, {"xi": 1, "alpha": 1, "beta": 0})
-    _, _, _, ra = solve(a)
-    _, _, _, rb = solve(b)
-    np.testing.assert_allclose(ra.roots, rb.roots, rtol=1e-10)
+    np.testing.assert_allclose(solve(a).roots, solve(b).roots, rtol=1e-10)
 
 
 def test_perturbed_dshg_matches_shifted_razavy():
@@ -385,10 +383,8 @@ def test_perturbed_dshg_matches_shifted_razavy():
     np.testing.assert_allclose(
         pdshg.potential(xs, None), razavy.potential(xs, None) + shift, rtol=1e-12
     )
-    _, _, _, rp = solve(pdshg)
-    _, _, _, rr = solve(razavy)
     np.testing.assert_allclose(
-        np.asarray(rp.roots), np.asarray(rr.roots) + shift, rtol=1e-9
+        np.asarray(solve(pdshg).roots), np.asarray(solve(razavy).roots) + shift, rtol=1e-9
     )
 
 
@@ -534,10 +530,11 @@ def test_razavy_chart_and_prefactor_are_the_hand_written_ones():
     # each of its roots.  np.array_equal compares values, so only the sign
     # of a zero may differ: perturbed-dshg's prefactor returns +0.0 where
     # the decay underflows, and 0 * sinh x gave -0.0 for x < 0 there
-    model, _, _, _, roots = solved("razavy")
+    spectrum = solved("razavy")
+    model = spectrum.model
     grids = [wavefunctions.default_grid(model, model.n)] + [
         oracle.grid_nodes(model, oracle.default_verify_config(model, root))
-        for root in roots.roots
+        for root in spectrum.roots
     ]
     for variant in ("cosh2", "sinh2"):
         for alpha, beta in _EXPONENTS:
@@ -554,9 +551,9 @@ def test_razavy_samples_past_the_overflow_of_cosh():
     # the prefactor reads 0 there, where the written-out one read nan and
     # failed the sample as an overflow
     model = models.make("razavy", 3, {"xi": Fraction(1, 2), "alpha": 1, "beta": 1})
-    _, chain, _, roots = solve(model)
+    spectrum = solve(model)
     xs = np.linspace(-800.0, 800.0, 4001)
-    grid = wavefunctions.sample(model, roots.roots[0], xs=xs, chain=chain)
+    grid = wavefunctions.sample(model, spectrum.roots[0], xs=xs, chain=spectrum.chain)
     assert np.all(np.isfinite(grid.psi)) and grid.psi[0] == grid.psi[-1] == 0.0
 
 

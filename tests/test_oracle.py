@@ -89,12 +89,13 @@ def test_grid_nodes_match_discretization():
 
 @pytest.mark.parametrize("box", [(-5.0, 5.5), (0.0, 5.0)])
 def test_a_parity_sector_needs_a_symmetric_box(box):
-    model, _, chain, _, roots = solved("razavy")
+    spectrum = solved("razavy")
+    model = spectrum.model
     cfg = oracle.FdConfig(*box, 2000)
     with pytest.raises(InvalidParams, match="symmetric"):
         oracle.grid_nodes(model, cfg)
     with pytest.raises(InvalidParams, match="symmetric"):
-        oracle.verify_root(model, roots.roots[0], cfg=cfg, chain=chain)
+        oracle.verify_root(model, spectrum.roots[0], cfg=cfg, chain=spectrum.chain)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +319,8 @@ def _count_windows(diag, off, seed):
 def test_sturm_count_is_the_dstebz_count(key):
     """The dlaebz count equals dstebz's on the coarse and refined operators
     of the deepest state of a well of each kind (full, even, odd, radial)."""
-    model, _, _, _, roots = solved(key)
-    root = roots.roots[-1]
+    spectrum = solved(key)
+    model, root = spectrum.model, spectrum.roots[-1]
     cfg = oracle.default_verify_config(model, root)
     for seed, rows in enumerate((cfg, oracle._doubled(model, cfg))):
         diag, off = oracle._tridiag(model, root, rows)
@@ -347,6 +348,16 @@ def test_sturm_count_splits_as_dstebz_does():
     ]:
         assert oracle._count_within(diag, off, centre, radius) == _dstebz_count(
             diag, off, centre, radius), (centre, radius)
+
+
+def test_sturm_count_splits_where_a_diagonal_product_overflows():
+    """|d_j d_(j+1)| past the float range is inf, which splits T, as in
+    dstebz's own IEEE arithmetic, and raises no RuntimeWarning."""
+    diag = np.array([1.0, 2.0, 3.0, 1e200, 2e200, 3e200])
+    off = np.full(5, -1.0)
+    for centre, radius in ((5.0, 5.0), (2e200, 1.5e200)):
+        assert oracle._count_within(diag, off, centre, radius) == _dstebz_count(
+            diag, off, centre, radius) == 3, (centre, radius)
 
 
 def test_sturm_count_refuses_a_non_finite_operator():
@@ -405,7 +416,8 @@ def test_refined_operator_reuses_the_coarse_potential(key, monkeypatch):
     # the same operator as built from scratch, bit for bit, with the
     # potential taken at the new nodes alone: N + 1 on the full line, and
     # on the half line every fine node that is not a coarse one
-    model, _, _, _, roots = solved(key)
+    spectrum = solved(key)
+    model = spectrum.model
     taken = []
     potential = oracle._potential
 
@@ -413,7 +425,7 @@ def test_refined_operator_reuses_the_coarse_potential(key, monkeypatch):
         taken.append(len(xs))
         return potential(model, xs, scan)
 
-    for root in (roots.roots[0], roots.roots[-1]):
+    for root in (spectrum.roots[0], spectrum.roots[-1]):
         cfg = oracle.default_verify_config(model, root)
         want = oracle._tridiag(model, root, oracle._doubled(model, cfg))
         v = oracle._potential(model, oracle.grid_nodes(model, cfg), root)
@@ -458,9 +470,10 @@ def _sector_case(case):
     key, index = case
     if key.startswith("stub"):
         return _SectorWell(key.removeprefix("stub-")), 0.0, 0.0, oracle.FdConfig(-5.0, 5.0, 601), None
-    model, _, chain, _, roots = solved(key)
-    root = roots.roots[index]
-    return model, root, model.energy(root), oracle.default_verify_config(model, root), chain
+    spectrum = solved(key)
+    model, root = spectrum.model, spectrum.roots[index]
+    cfg = oracle.default_verify_config(model, root)
+    return model, root, model.energy(root), cfg, spectrum.chain
 
 
 # the stub, and deep states of each sector that sit in a doublet whose other
@@ -590,13 +603,12 @@ def test_convergence_decision_matches_the_refined_nearest_eigenvalue(key, index,
     walls.
     """
     if key == "dshg-0":
-        model = models.make("dshg", 0, {"xi": 1})
-        _, chain, _, roots = solve(model)
+        spectrum = solve(models.make("dshg", 0, {"xi": 1}))
     else:
-        model, _, chain, _, roots = solved(key)
-    root = roots.roots[index]
+        spectrum = solved(key)
+    model, root = spectrum.model, spectrum.roots[index]
     energy = model.energy(root) + offset
-    report = oracle.verify_root(model, root, energy=energy, chain=chain)
+    report = oracle.verify_root(model, root, energy=energy, chain=spectrum.chain)
 
     cfg = oracle.default_verify_config(model, root)
     diag, off = oracle._tridiag(model, root, oracle._doubled(model, cfg))
@@ -614,8 +626,8 @@ def test_convergence_threshold_is_a_third_of_the_gap(t):
     # E = lam2 + t (lam2 - lam1) puts the coarse level lam1 at (1 + t) / t
     # times the distance of the refined level lam2: 3.2 and 2.8
     model = models.make("dshg", 0, {"xi": 1})
-    _, chain, _, roots = solve(model)
-    root = roots.roots[0]
+    spectrum = solve(model)
+    root = spectrum.roots[0]
     cfg = oracle.FdConfig(-7.0, 7.0, 999)
     target = model.energy(root)
     lam1, lam2 = (
@@ -623,7 +635,7 @@ def test_convergence_threshold_is_a_third_of_the_gap(t):
         for grid in (cfg, oracle._doubled(model, cfg))
     )
     energy = lam2 + t * (lam2 - lam1)
-    report = oracle.verify_root(model, root, energy=energy, cfg=cfg, chain=chain)
+    report = oracle.verify_root(model, root, energy=energy, cfg=cfg, chain=spectrum.chain)
     assert report.abs_gap == pytest.approx((1.0 + t) * abs(lam2 - lam1), rel=1e-6)
     assert abs(lam2 - lam1) > 1e3 * oracle._GAP_FLOOR
     assert report.converged == (t < 0.5)
@@ -641,7 +653,7 @@ def test_verify_root_solves_one_grid(monkeypatch):
     monkeypatch.setattr(oracle, "_nearest", counted)
     for model, root in (
         (models.make("coulomb", 1, {"lambda": Fraction(1, 2)}), 1.0),
-        (solved("dshg")[0], solved("dshg")[4].roots[0]),
+        (solved("dshg").model, solved("dshg").roots[0]),
     ):
         del sizes[:]
         report = oracle.verify_root(model, root)
@@ -660,9 +672,10 @@ def test_verify_root_takes_two_queries_unless_ambiguous(key, index, monkeypatch)
     ambiguous: its half line holds no level of the other parity, not even
     at pdshg-20's root 5, whose full-line certificate replaced the estimate
     (see below)."""
-    model, _, chain, _, roots = solved(key)
+    spectrum = solved(key)
+    model = spectrum.model
     recorder = _RecordingQueries(monkeypatch)
-    report = oracle.verify_root(model, roots.roots[index], chain=chain)
+    report = oracle.verify_root(model, spectrum.roots[index], chain=spectrum.chain)
     assert len(recorder.queries) == (3 if report.ambiguous else 2)
     if oracle._kind(model) in ("even", "odd"):
         assert not report.ambiguous
@@ -675,8 +688,8 @@ def test_a_certified_level_inside_the_count_keeps_the_count(monkeypatch):
     holds the farther: ambiguous, with no recount.  The oracle checks this
     sector on the half line; the full-line matrix is built here, on the
     interior nodes of the default box."""
-    model, _, _, _, roots = solved("pdshg-20")
-    root = roots.roots[5]
+    spectrum = solved("pdshg-20")
+    model, root = spectrum.model, spectrum.roots[5]
     energy = model.energy(root)
     cfg = oracle.default_verify_config(model, root)
     h = (cfg.xmax - cfg.xmin) / (cfg.points + 1)
@@ -708,8 +721,8 @@ def test_verify_root_coulomb_small():
 
 
 def test_verify_root_dshg_ground_state():
-    model, _, chain, _, roots = solved("dshg")
-    report = oracle.verify_root(model, roots.roots[0], chain=chain)
+    spectrum = solved("dshg")
+    report = oracle.verify_root(spectrum.model, spectrum.roots[0], chain=spectrum.chain)
     assert report.abs_gap < 1e-3
     assert report.residual < 1e-4
     assert report.converged
@@ -719,9 +732,9 @@ def test_verify_root_negative_control():
     # an energy 1.0 off a true level must be loudly wrong on both meters
     model = models.make("dshg", 0, {"xi": 1})
     # n = 0: single root at the exact ground energy
-    _, chain, _, roots = solve(model)
-    root = roots.roots[0]
-    report = oracle.verify_root(model, root, energy=root + 1.0, chain=chain)
+    spectrum = solve(model)
+    root = spectrum.roots[0]
+    report = oracle.verify_root(model, root, energy=root + 1.0, chain=spectrum.chain)
     assert report.abs_gap > 0.1
     assert report.residual > 1e-2
 
@@ -739,9 +752,9 @@ def test_verify_root_accepts_matching_presampled_grid():
 
 
 def test_default_verify_config_scales_with_energy():
-    model, _, _, _, roots = solved("razavy")
-    lo = oracle.default_verify_config(model, roots.roots[0])
-    hi = oracle.default_verify_config(model, roots.roots[-1])
+    spectrum = solved("razavy")
+    lo = oracle.default_verify_config(spectrum.model, spectrum.roots[0])
+    hi = oracle.default_verify_config(spectrum.model, spectrum.roots[-1])
     assert lo.points >= 4000
     # the step rule follows E - min(V): the highest state needs the finest
     # mesh (the razavy well bottoms out far below even the deepest root)
@@ -764,8 +777,7 @@ def test_residual_full_line_converges_at_high_order():
     # the 5-point scheme on an analytic state: doubling the mesh must
     # shrink the residual by far more than the 2nd-order factor of 4
     model = models.make("dshg", 1, {"xi": 1})
-    _, chain, _, roots = solve(model)
-    root = roots.roots[0]
+    root = solve(model).roots[0]
 
     def residual_at(points):
         cfg = oracle.FdConfig(-7.0, 7.0, points)
@@ -785,8 +797,8 @@ def test_verify_root_peak_memory_on_the_largest_deep_grid():
     runs in blocks, so the peak, ~38 bytes a point, is the refined operator's
     build.  With dstebz's zero-filled count workspace it was ~76 bytes a point.
     """
-    model, _, chain, _, roots = solved("xie-odd")
-    root = roots.roots[10]
+    spectrum = solved("xie-odd")
+    model, chain, root = spectrum.model, spectrum.chain, spectrum.roots[10]
     points = oracle.default_verify_config(model, root).points
     assert points == 325_427
     tracemalloc.start()

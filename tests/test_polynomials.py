@@ -171,6 +171,18 @@ def test_sigma_zero_raises():
         P.to_canonical_ttrr(sys0)
 
 
+@pytest.mark.parametrize("sigma0", [Fraction(1, 10**400), Fraction(-1, 10**320)])
+def test_a_scale_past_the_float_range_overflows(sigma0):
+    # sigma is exact and nonzero, but 1 / sigma has no float: as a zero
+    # float it gave ZeroDivisionError, as a subnormal one an infinite scale
+    with pytest.raises(OverflowError, match="1 / sigma"):
+        P.to_canonical_ttrr(_FakeSystem(2, sigma0=sigma0))
+    # chen-even's sigma is 1 / g times a finite table entry
+    model = models.make("chen-even", 0, {"V1": Fraction(9, 100), "V3": 400, "g": 10**400})
+    with pytest.raises(OverflowError, match="1 / sigma"):
+        solve(model)
+
+
 def test_mixed_sign_products_raise():
     # flip one trailing multiplicator so products change sign mid-chain
     sys0 = _FakeSystem(3, fm1=lambda k: -float(k) if k == 2 else float(k))
@@ -198,9 +210,9 @@ def test_float_parameters_re_centre_like_their_exact_twins():
     # g = 3.0 is the exact 3 once the model is built, so 1/g is exact and
     # the chain re-centres at z = 1, where its products are all positive
     params = {"V1": 0.09, "V3": 400.0, "g": 3.0}
-    _, chain, ttrr, roots = solve(models.make("chen-even", 20, params))
-    assert ttrr.centre == 1 and len(roots.roots) == 21
-    certified_roots(chain, roots)
+    spectrum = solve(models.make("chen-even", 20, params))
+    assert spectrum.ttrr.centre == 1 and len(spectrum.roots) == 21
+    certified_roots(spectrum.chain, spectrum.roots)
 
 
 def test_real_roots_resolves_a_tight_doublet():
@@ -208,9 +220,9 @@ def test_real_roots_resolves_a_tight_doublet():
     # companion-matrix seeds of the monomial constraint coincide; the
     # canonical route resolves both members, and the exact constraint
     # certifies them
-    _, chain, _, roots = solve(models.make("dshg", 5, {"xi": 0.1}))
-    assert min(np.diff(roots.roots)) > 0
-    certified_roots(chain, roots)
+    spectrum = solve(models.make("dshg", 5, {"xi": 0.1}))
+    assert min(np.diff(spectrum.roots)) > 0
+    certified_roots(spectrum.chain, spectrum.roots)
 
 
 def test_real_roots_refuses_roots_it_cannot_polish():

@@ -1,5 +1,7 @@
 """Property-based invariants, randomized over admissible model instances."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    CATALOG_PARAMS,
     as_fractions,
     certified_roots,
     float_chain_at,
@@ -90,13 +93,14 @@ def model_instances(draw, max_n=5):
 @given(model=model_instances())
 @example(model=models.make("dshg", 5, {"xi": 0.1}))
 def test_solved_instance_invariants(model):
-    system, chain, ttrr, roots = solve(model)
+    spectrum = solve(model)
+    system = recurrence.build_baseline(model)
 
     # chain products are strictly positive at the chosen centre
-    assert all(lam > 0 for lam in ttrr.lam)
-    assert ttrr.centre in (centre for centre, _ in system.centres)
+    assert all(lam > 0 for lam in spectrum.ttrr.lam)
+    assert spectrum.ttrr.centre in (centre for centre, _ in system.centres)
 
-    xs = np.asarray(roots.roots)
+    xs = np.asarray(spectrum.roots)
 
     # one real simple root per chain state, in ascending order
     assert len(xs) == model.n + 1
@@ -105,12 +109,12 @@ def test_solved_instance_invariants(model):
 
     # the exact constraint certifies every root, tight doublets included
     # (dshg n = 5, xi = 0.1), and the float roots sit on the exact ones
-    exact = [float(x) for x in certified_roots(chain, roots)]
+    exact = [float(x) for x in certified_roots(spectrum.chain, spectrum.roots)]
     span = max(1.0, float(xs[-1] - xs[0]))
     np.testing.assert_allclose(exact, xs, rtol=1e-9, atol=1e-9 * span)
 
     # every assembled solution satisfies the defining equation
-    for root in roots.roots:
+    for root in spectrum.roots:
         ode = model.ode_coefficients(root)
         exact = [float(c) for c in recurrence.exact_solution(system, root)]
         assert relative_ode_residual(ode, exact) < 1e-10
@@ -122,7 +126,7 @@ def test_exact_replay_matches_float_chain(model):
     # the exact chain at a scan value agrees with a float chain run there
     # straight off the ODE table
     system = recurrence.build_baseline(model)
-    exact = recurrence.run_ttrr(system)
+    exact = recurrence.exact_chain(system)
     polys = (*reference_chain(system)[0], as_fractions(exact.constraint_image))
     for x in (-2.0, 0.75):
         members, constraint = float_chain_at(model, x)
@@ -144,6 +148,83 @@ def test_baseline_table_matches_ode_definition(model, k, probe):
     got = (f1, f0 + system.sigma0 * probe, fm1)
     # float draws too: every parameter is exact once the model is built
     assert got == model.ode_coefficients(probe).multiplicators(k)
+
+
+# ---------------------------------------------------------------------------
+# the command line: every request ends in an exit code
+# ---------------------------------------------------------------------------
+
+_ODD_VALUES = ("nan", "inf", "1/0", "1e400", "1e-9", "-1e6", "text")
+
+
+def _option(draw, name, values):
+    """``[name=value]`` for a drawn value, or no option at all."""
+    value = draw(st.none() | values)
+    return [] if value is None else [f"{name}={value!r}"]
+
+
+@st.composite
+def cli_requests(draw):
+    """argv of one roots, constraint, wavefunction or verify call on a catalog id.
+
+    The parameters are the id's ``CATALOG_PARAMS``, one of them sometimes
+    swapped for an odd value, and the box and grid options range past what
+    the wells allow.
+    """
+    command = draw(st.sampled_from(("roots", "constraint", "wavefunction", "verify")))
+    model_id = draw(st.sampled_from(sorted(CATALOG_PARAMS)))
+    params = {key: str(value) for key, value in CATALOG_PARAMS[model_id].items()}
+    if draw(st.integers(0, 3)) == 0:
+        params[draw(st.sampled_from(sorted(params)))] = draw(st.sampled_from(_ODD_VALUES))
+    argv = [command, "--model", model_id, "--n", str(draw(st.integers(-1, 8)))]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={value}"]
+    if command == "constraint":
+        argv.append("--range=-50:50:5")
+    elif command != "roots":
+        argv.append(f"--root-index={draw(st.integers(-2, 9))}")
+    if command == "wavefunction":
+        argv += _option(draw, "--grid-l", st.floats(-1.0, 300.0))
+        argv += _option(draw, "--grid-points", st.integers(-1, 2000))
+    elif command == "verify":
+        xmax = draw(st.none() | st.floats(-300.0, 300.0))
+        if xmax is not None:
+            xmin = draw(st.sampled_from((-xmax, 0.0, xmax - 1.0)))
+            argv += [f"--xmin={xmin!r}", f"--xmax={xmax!r}"]
+        argv += _option(draw, "--points", st.integers(-1, 2000))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=cli_requests())
+# the escapes found so far: V overflows on the box; |d_j d_(j+1)| overflows
+# in the Sturm count's split test; a step of 1e-91 overflows the residual;
+# sigma = 1/g has no float reciprocal
+@example(argv=[
+    "verify", "--model", "dshg", "--n", "2", "--param", "xi=2", "--root-index=0",
+    "--xmin=-300.0", "--xmax=300.0", "--points=2000",
+])
+@example(argv=[
+    "verify", "--model", "dshg", "--n", "3", "--param", "xi=2", "--root-index=3",
+    "--xmin=0.0", "--xmax=123.80235792120567",
+])
+@example(argv=[
+    "verify", "--model", "dshg", "--n", "0", "--param", "xi=2", "--root-index=0",
+    "--xmin=0.0", "--xmax=7.007208148710982e-89", "--points=471",
+])
+@example(argv=[
+    "roots", "--model", "chen-even", "--n", "0", "--param", "V1=9/100",
+    "--param", "V3=400", "--param", "g=1e400",
+])
+def test_cli_requests_end_in_an_exit_code(argv):
+    # an exception, a RuntimeWarning among them, would propagate out of main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    text = err.getvalue()
+    assert code in (0, 2, 3, 4), (code, text)
+    if code == 3:
+        assert text.startswith("numerical failure:") and text.count("\n") == 1, text
 
 
 # ---------------------------------------------------------------------------

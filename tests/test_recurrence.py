@@ -1,5 +1,6 @@
 """Unit tests for the descending recurrence, chain assembly and exact replay."""
 
+import dataclasses
 import fractions
 import math
 import random
@@ -109,28 +110,50 @@ def test_coulomb_n1_constraint_by_hand():
     # F1(k) = n - k, F0(k; x) = x, Fm1(k) = k (k + 2 lam - 1):
     # P[1,1] = -x, constraint = 2 lam - x^2; roots +-1 at lam = 1/2.
     model = models.make("coulomb", 1, {"lambda": Fraction(1, 2)})
-    system, chain, ttrr, roots = recurrence.solve(model)
+    spectrum = recurrence.solve(model)
+    chain = spectrum.chain
     assert chain.n == 1
-    members, _, _ = reference_chain(system)
+    members, _, _ = reference_chain(recurrence.build_baseline(model))
     assert members == ((1,), (0, -1))
     assert as_fractions(chain.last_member_image) == [0, -1]
     constraint = [float(c) for c in as_fractions(chain.constraint_image)]
     assert constraint == pytest.approx([1.0, 0.0, -1.0])
-    assert roots.roots == pytest.approx([-1.0, 1.0])
+    assert spectrum.roots == pytest.approx([-1.0, 1.0])
 
 
 def test_coulomb_n2_roots_by_hand():
     # constraint x^3/2 - 3x at lam = 1/2: roots -sqrt(6), 0, sqrt(6)
     model = models.make("coulomb", 2, {"lambda": Fraction(1, 2)})
-    _, _, _, roots = recurrence.solve(model)
+    roots = recurrence.solve(model).roots
     s6 = math.sqrt(6.0)
-    assert roots.roots == pytest.approx([-s6, 0.0, s6], abs=1e-12)
+    assert roots == pytest.approx([-s6, 0.0, s6], abs=1e-12)
+
+
+def test_solve_returns_one_frozen_spectrum(monkeypatch):
+    # solve looks each stage up on its module, so a wrapper put there (the
+    # benchmark's tracer) sees the call, and keeps what the stages return
+    model = models.make("coulomb", 2, {"lambda": Fraction(1, 2)})
+    stages = [(recurrence, "build_baseline"), (recurrence, "exact_chain"),
+              (polynomials, "to_canonical_ttrr"), (polynomials, "real_roots")]
+    returned = []
+    for module, name in stages:
+        def stage(arg, stage=getattr(module, name)):
+            returned.append(stage(arg))
+            return returned[-1]
+        monkeypatch.setattr(module, name, stage)
+    spectrum = recurrence.solve(model)
+    _, chain, ttrr, roots = returned
+    assert (spectrum.model, spectrum.chain, spectrum.ttrr) == (model, chain, ttrr)
+    assert spectrum.chain is chain and spectrum.roots is roots.roots
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spectrum.roots = ()
 
 
 def test_constraint_couples_the_last_two_members():
     # The constraint must be Fm1(1) * P[n,n-1] + F0(0; x) * P[n,n],
     # with the last member exactly as stored on the chain.
-    _, system, chain, _, _ = solved("razavy")
+    spectrum = solved("razavy")
+    system, chain = recurrence.build_baseline(spectrum.model), spectrum.chain
     table = system.centres[0][1]
     members, _, _ = reference_chain(system)
     lhs = polynomials.poly_add(
@@ -153,7 +176,7 @@ def test_division_by_zero_multiplicator():
     )
     system = recurrence.BaselineSystem(n=2, sigma0=1, centres=((0, table),))
     with pytest.raises(DivisionByZeroMultiplicator):
-        recurrence.run_ttrr(system)
+        recurrence.exact_chain(system)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +211,7 @@ def test_exact_replay_matches_float_chain(model_id, n, params):
 def test_exact_chain_members_are_fractions():
     # the last member and the constraint are exact rationals, held as
     # integer numerators over a positive integer denominator
-    _, system, _, _, _ = solved("dshg")
-    exact = recurrence.exact_chain(system)
+    exact = solved("dshg").chain
     for nums, den in (exact.last_member_image, exact.constraint_image):
         assert den > 0 and all(type(c) is int for c in (*nums, den))
 
@@ -223,15 +245,17 @@ def test_exact_solution_iterates_stay_coarse_grained():
     # The polish rounds every iterate to 200 fractional bits, so the
     # returned coefficients must keep bounded denominators even for the
     # deepest chain in the suite.
-    model, system, _, _, roots = solved("dshg")
-    coeffs = recurrence.exact_solution(system, roots.roots[0])
+    spectrum = solved("dshg")
+    system = recurrence.build_baseline(spectrum.model)
+    coeffs = recurrence.exact_solution(system, spectrum.roots[0])
     worst = max(Fraction(c).denominator.bit_length() for c in coeffs)
     assert worst < 5000
 
 
 def test_exact_solution_rejects_a_non_root():
-    _, system, _, _, roots = solved("dshg")
-    not_root = roots.roots[0] + 1.0
+    spectrum = solved("dshg")
+    system = recurrence.build_baseline(spectrum.model)
+    not_root = spectrum.roots[0] + 1.0
     with pytest.raises(NotARoot):
         recurrence.exact_solution(system, not_root)
 
@@ -248,9 +272,9 @@ def test_exact_solution_accepts_exact_zero_root_of_n0_chain():
 def test_assemble_solution_float_path_matches_exact():
     # a float root assembled on the pipeline's chain gives exactly the
     # exact_solution of its baseline system: there is one path
-    model, system, chain, _, roots = solved("xie-even")
-    root = roots.roots[0]
-    got = recurrence.assemble_solution(chain, root)
+    spectrum = solved("xie-even")
+    system, root = recurrence.build_baseline(spectrum.model), spectrum.roots[0]
+    got = recurrence.assemble_solution(spectrum.chain, root)
     assert as_fractions(got) == recurrence.exact_solution(system, root)
     assert got[1] > 0 and all(type(a) is int for a in (*got[0], got[1]))
 
@@ -296,9 +320,11 @@ EXACTNESS_CASES = (
 def test_assemble_solution_equals_fraction_horner(model_id, n, params):
     # the integer recurrence is an evaluation shortcut: every coefficient
     # must be the very rational that Fraction Horner gives
-    system, chain, _, roots = recurrence.solve(models.make(model_id, n, params))
-    members, _, _ = reference_chain(system)
-    for root in roots.roots:
+    model = models.make(model_id, n, params)
+    spectrum = recurrence.solve(model)
+    chain = spectrum.chain
+    members, _, _ = reference_chain(recurrence.build_baseline(model))
+    for root in spectrum.roots:
         nums, den = recurrence.assemble_solution(chain, root)
         assert den > 0 and all(type(a) is int for a in (*nums, den))
         assert as_fractions((nums, den)) == _fraction_assembly(chain, members, root), root
@@ -307,9 +333,10 @@ def test_assemble_solution_equals_fraction_horner(model_id, n, params):
 def test_assemble_solution_equals_fraction_horner_on_a_long_chain():
     # coulomb n = 80: the lowest, a middle and the highest root
     model = models.make("coulomb", 80, {"lambda": Fraction(1, 2)})
-    system, chain, _, roots = recurrence.solve(model)
-    members, _, _ = reference_chain(system)
-    for root in (roots.roots[0], roots.roots[40], roots.roots[-1]):
+    spectrum = recurrence.solve(model)
+    chain, roots = spectrum.chain, spectrum.roots
+    members, _, _ = reference_chain(recurrence.build_baseline(model))
+    for root in (roots[0], roots[40], roots[-1]):
         got = as_fractions(recurrence.assemble_solution(chain, root))
         assert got == _fraction_assembly(chain, members, root), root
 
@@ -462,15 +489,17 @@ def test_exact_chain_takes_few_gcds(monkeypatch, n):
 def test_assemble_solution_splits_the_dshg_doublets():
     # dshg n = 20, xi = 2 (an exactness case above): the float roots of each
     # doublet lie 7e-15 apart, yet both members polish to their own root
-    _, chain, _, roots = recurrence.solve(models.make("dshg", 20, {"xi": 2}))
-    assert min(np.diff(roots.roots)) < 1e-13
-    lowest = [as_fractions(recurrence.assemble_solution(chain, r)) for r in roots.roots[:2]]
+    spectrum = recurrence.solve(models.make("dshg", 20, {"xi": 2}))
+    assert min(np.diff(spectrum.roots)) < 1e-13
+    lowest = [
+        as_fractions(recurrence.assemble_solution(spectrum.chain, r)) for r in spectrum.roots[:2]
+    ]
     assert lowest[0] != lowest[1]
 
 
 def test_assemble_solution_gates_still_fire():
     model = models.make("coulomb", 1, {"lambda": Fraction(1, 2)})
-    chain = recurrence.run_ttrr(recurrence.build_baseline(model))
+    chain = recurrence.exact_chain(recurrence.build_baseline(model))
     # constraint 1 - x^2: from 0.5 Newton walks to the root 1
     with pytest.raises(NotARoot, match="drifted"):
         recurrence.assemble_solution(chain, 0.5)
@@ -497,7 +526,8 @@ def test_every_dshg_root_assembles_and_samples(monkeypatch):
     # them; it alone evaluates an image other than the constraint's, and
     # takes no slope
     model = models.make("dshg", 20, {"xi": 2})
-    _, chain, _, roots = recurrence.solve(model)
+    spectrum = recurrence.solve(model)
+    chain, roots = spectrum.chain, spectrum.roots
     tested = []
     value = recurrence.image_value
 
@@ -507,11 +537,11 @@ def test_every_dshg_root_assembles_and_samples(monkeypatch):
         return value(image, p, k)
 
     monkeypatch.setattr(recurrence, "image_value", counted)
-    for root in roots.roots:
+    for root in roots:
         nums, den = recurrence.assemble_solution(chain, root)
         assert nums[-1] == den > 0
-    assert len(roots.roots) == 21 and len(tested) == 2
-    for root in roots.roots:
+    assert len(roots) == 21 and len(tested) == 2
+    for root in roots:
         grid = wavefunctions.sample(model, root, chain=chain)
         assert math.isfinite(grid.norm) and grid.norm > 0
 
@@ -520,7 +550,7 @@ def test_assemble_solution_refuses_a_non_dyadic_root():
     # the polish scales by shifts, so only p / 2^k points are meaningful;
     # an exact dyadic root is as good as the float it equals
     model = models.make("coulomb", 1, {"lambda": Fraction(1, 2)})
-    chain = recurrence.run_ttrr(recurrence.build_baseline(model))
+    chain = recurrence.exact_chain(recurrence.build_baseline(model))
     with pytest.raises(ValueError, match="dyadic"):
         recurrence.assemble_solution(chain, Fraction(1, 3))
     assert recurrence.assemble_solution(chain, Fraction(-1)) == (
@@ -537,7 +567,8 @@ def test_assembly_and_sampling_take_no_gcd(monkeypatch, model_id, n, params):
     # math.gcd; assembly and sampling work on integer pairs and build none,
     # also where dshg's doublets take the exact backward-error test
     model = models.make(model_id, n, params)
-    _, chain, _, roots = recurrence.solve(model)
+    spectrum = recurrence.solve(model)
+    chain, roots = spectrum.chain, spectrum.roots
     calls = []
     gcd = fractions.math.gcd
 
@@ -546,10 +577,10 @@ def test_assembly_and_sampling_take_no_gcd(monkeypatch, model_id, n, params):
         return gcd(*args)
 
     monkeypatch.setattr(fractions.math, "gcd", counted)
-    for root in roots.roots:
+    for root in roots:
         recurrence.assemble_solution(chain, root)
     assert len(calls) == 0
-    wavefunctions.sample(model, roots.roots[0], chain=chain)
+    wavefunctions.sample(model, roots[0], chain=chain)
     assert len(calls) == 0
 
 
@@ -574,12 +605,13 @@ def test_exact_chain_builds_past_the_float_range():
     # razavy-sinh2 n = 160: the constraint's coefficients pass the float
     # range, which the exact chain holds as integers
     model = models.make("razavy-sinh2", 160, {"xi": Fraction(1, 2), "alpha": 0, "beta": 1})
-    chain = recurrence.run_ttrr(recurrence.build_baseline(model))
+    chain = recurrence.exact_chain(recurrence.build_baseline(model))
     assert max(abs(c) for c in as_fractions(chain.constraint_image)) > 10**308
 
 
 def test_chain_images_are_the_chain():
-    _, system, chain, _, _ = solved("chen-even")
+    spectrum = solved("chen-even")
+    system, chain = recurrence.build_baseline(spectrum.model), spectrum.chain
     # each stored step rebuilds its member from the two before it
     assert len(chain.steps) == chain.n
     members, constraint, _ = reference_chain(system)

@@ -136,9 +136,9 @@ EDGE_IMAGES = [
 
 def test_extended_horner_splits_as_fractions_do():
     model = models.make("razavy-sinh2", 40, {"xi": Fraction(1, 2), "alpha": 0, "beta": 1})
-    _, chain, _, roots = solve(model)
+    spectrum = solve(model)
     z = np.linspace(-3.0, 3.0, 97)
-    images = [recurrence.assemble_solution(chain, root) for root in roots.roots[::4]]
+    images = [recurrence.assemble_solution(spectrum.chain, root) for root in spectrum.roots[::4]]
     for nums, den in images + EDGE_IMAGES:
         np.testing.assert_array_equal(
             wavefunctions._eval_poly_extended((nums, den), z),
@@ -175,8 +175,8 @@ def test_sample_coulomb_n1_node_at_plus_one():
 def test_sample_is_normalized_and_sign_fixed():
     # the deep razavy case is the beta = 1 (odd) sector: its lowest state
     # has exactly one node, at the origin
-    model, _, chain, _, roots = solved("razavy")
-    grid = wavefunctions.sample(model, roots.roots[0], chain=chain)
+    spectrum = solved("razavy")
+    grid = wavefunctions.sample(spectrum.model, spectrum.roots[0], chain=spectrum.chain)
     norm = np.trapezoid(grid.psi ** 2, grid.xs)
     assert norm == pytest.approx(1.0, rel=1e-8)
     assert grid.node_count == 1
@@ -189,18 +189,19 @@ def test_sample_is_normalized_and_sign_fixed():
 
 
 def test_sample_node_counts_are_the_full_ladder():
-    model, _, chain, _, roots = solved("dshg")
+    spectrum = solved("dshg")
     counts = [
-        wavefunctions.sample(model, r, chain=chain).node_count
-        for r in roots.roots
+        wavefunctions.sample(spectrum.model, r, chain=spectrum.chain).node_count
+        for r in spectrum.roots
     ]
     assert counts == list(range(12))
 
 
 def test_sample_parity_alternates_for_symmetric_double_well():
-    model, _, chain, _, roots = solved("dshg")
+    spectrum = solved("dshg")
     parities = [
-        wavefunctions.sample(model, r, chain=chain).parity for r in roots.roots
+        wavefunctions.sample(spectrum.model, r, chain=spectrum.chain).parity
+        for r in spectrum.roots
     ]
     assert parities[0] == "even"
     assert all(
@@ -221,11 +222,11 @@ ROOT_AT_ZERO = [
 @pytest.mark.parametrize("model_id,n,params", ROOT_AT_ZERO)
 def test_sample_accepts_a_root_at_scan_value_zero(model_id, n, params):
     model = models.make(model_id, n, params)
-    _, chain, _, roots = solve(model)
-    assert min(abs(r) for r in roots.roots) < 1e-15
+    spectrum = solve(model)
+    assert min(abs(r) for r in spectrum.roots) < 1e-15
     counts = [
-        wavefunctions.sample(model, r, chain=chain).node_count
-        for r in roots.roots
+        wavefunctions.sample(model, r, chain=spectrum.chain).node_count
+        for r in spectrum.roots
     ]
     assert all(b > a for a, b in zip(counts, counts[1:])), counts
 
@@ -254,7 +255,7 @@ def test_sample_explicit_grid_validation():
         wavefunctions.sample(model, 1.0, xs=decreasing)
     # NaN compares false with everything, so it passes an ordering test
     razavy = models.make("razavy", 3, {"xi": 1, "alpha": 0, "beta": 0})
-    root = solve(razavy)[3].roots[0]
+    root = solve(razavy).roots[0]
     for bad in (np.nan, np.inf, -np.inf):
         xs = np.append(np.linspace(-5.0, 5.0, 20), bad)
         with pytest.raises(DegenerateGrid, match="finite"):
@@ -284,11 +285,11 @@ def test_wide_grid_keeps_node_counts_and_parities(case):
     # has long underflowed: the dead tail must sample as zero, silently
     model_id, params = WIDE_GRID_CASES[case]
     model = models.make(model_id, 3, dict(params))
-    _, chain, _, roots = solve(model)
+    spectrum = solve(model)
     wide = wavefunctions.default_grid(model, 3, points=20001, halfwidth=400)
-    for root in roots.roots:
-        default = wavefunctions.sample(model, root, chain=chain)
-        far = wavefunctions.sample(model, root, xs=wide, chain=chain)
+    for root in spectrum.roots:
+        default = wavefunctions.sample(model, root, chain=spectrum.chain)
+        far = wavefunctions.sample(model, root, xs=wide, chain=spectrum.chain)
         assert (far.node_count, far.parity) == (default.node_count, default.parity), root
 
 
@@ -316,11 +317,11 @@ def test_default_frame_is_shared_per_model_object(monkeypatch):
     a_copy = models.make("perturbed-dshg", 6, params_a)
     assert a_copy == a and a_copy is not a
     for turn, model in enumerate((a, b, a, a_copy)):
-        _, chain, _, roots = solve(model)
-        for root in roots.roots:
-            state = wavefunctions.sample(model, root, chain=chain)
+        spectrum = solve(model)
+        for root in spectrum.roots:
+            state = wavefunctions.sample(model, root, chain=spectrum.chain)
             fresh_xs = wavefunctions.default_grid(model, model.n)
-            fresh = wavefunctions.sample(model, root, xs=fresh_xs, chain=chain)
+            fresh = wavefunctions.sample(model, root, xs=fresh_xs, chain=spectrum.chain)
             assert _state_bytes(state) == _state_bytes(fresh), (turn, root)
             # an explicit grid stays the caller's, though coulomb's chart is x itself
             assert fresh_xs.flags.writeable
@@ -328,7 +329,7 @@ def test_default_frame_is_shared_per_model_object(monkeypatch):
                 state.xs[0] = 0.0
         # the default grid was built once per turn for the shared frame,
         # once per root for the fresh ones
-        assert calls.count(model) == 1 + len(roots.roots), turn
+        assert calls.count(model) == 1 + len(spectrum.roots), turn
         calls.clear()
 
 
@@ -353,10 +354,10 @@ DEFAULT_GRID_SHA256 = {
 def test_default_grid_state_bytes_are_pinned(case):
     model_id, n, params = case
     model = models.make(model_id, n, dict(params))
-    _, chain, _, roots = solve(model)
+    spectrum = solve(model)
     digest = hashlib.sha256()
-    for root in roots.roots:
-        state = wavefunctions.sample(model, root, chain=chain)
+    for root in spectrum.roots:
+        state = wavefunctions.sample(model, root, chain=spectrum.chain)
         digest.update(state.xs.tobytes())
         digest.update(state.psi.tobytes())
         digest.update(struct.pack("<d", state.norm))
@@ -381,14 +382,14 @@ def test_half_evaluation_is_the_full_evaluation(model_id):
     # every even chart evaluates half the default grid and mirrors it, bit
     # for bit what Horner gives at every point; dshg's exp(2x) is not even
     model = models.make(model_id, 20, CATALOG_PARAMS[model_id])
-    _, chain, _, roots = solve(model)
+    spectrum = solve(model)
     xs = wavefunctions.default_grid(model, model.n)
     frame = wavefunctions._frame(model, xs)
     assert _mirrored(frame) == (model_id != "dshg")
     assert len(frame.z) == ((len(xs) + 1) // 2 if _mirrored(frame) else len(xs))
     full_z = np.asarray(model.coordinate(xs), dtype=float).astype(np.longdouble)
-    for root in roots.roots:
-        image = recurrence.assemble_solution(chain, root)
+    for root in spectrum.roots:
+        image = recurrence.assemble_solution(spectrum.chain, root)
         with np.errstate(over="ignore"):
             want = wavefunctions._eval_poly_extended(image, full_z)
             got = wavefunctions._frame_values(frame, image)
@@ -413,22 +414,24 @@ def _frame_map_cases():
     """
     cases = []
     for key, (model_id, n, params) in DEEP_CASES.items():
-        model, _, chain, _, roots = solved(key)
+        spectrum = solved(key)
+        model, chain = spectrum.model, spectrum.chain
         if key == "coulomb":
-            cases.append(("coulomb-default", model, chain, roots.roots[0],
+            cases.append(("coulomb-default", model, chain, spectrum.roots[0],
                           wavefunctions.default_grid(model, n)))
             continue
         for index in (0, -1):
-            root = roots.roots[index]
+            root = spectrum.roots[index]
             cfg = oracle.default_verify_config(model, root)
             cases.append((f"{key}-fd-{index}", model, chain, root, oracle.grid_nodes(model, cfg)))
-    model, _, chain, _, roots = solved("razavy")
-    cases.append(("razavy-default", model, chain, roots.roots[3],
+    spectrum = solved("razavy")
+    model, chain, root = spectrum.model, spectrum.chain, spectrum.roots[3]
+    cases.append(("razavy-default", model, chain, root,
                   wavefunctions.default_grid(model, model.n)))
-    cases.append(("razavy-linspace", model, chain, roots.roots[3], np.linspace(-4.0, 4.0, 3001)))
+    cases.append(("razavy-linspace", model, chain, root, np.linspace(-4.0, 4.0, 3001)))
     half = models.make("perturbed-dshg", 6, {"xi": 2, "alpha": 2, "beta": Fraction(1, 4)})
-    _, chain, _, roots = solve(half)
-    cases.append(("pdshg-half-line", half, chain, roots.roots[2],
+    spectrum = solve(half)
+    cases.append(("pdshg-half-line", half, spectrum.chain, spectrum.roots[2],
                   wavefunctions.default_grid(half, half.n, points=2000)))
     return cases
 
@@ -479,10 +482,10 @@ PARITY_SECTOR_CASES = (
 def test_even_chart_states_are_exactly_even_or_odd(case):
     model_id, n, params = case
     model = models.make(model_id, n, dict(params))
-    _, chain, _, roots = solve(model)
+    spectrum = solve(model)
     sign = {"even": 1.0, "odd": -1.0}[model.parity]
-    for root in roots.roots:
-        state = wavefunctions.sample(model, root, chain=chain)
+    for root in spectrum.roots:
+        state = wavefunctions.sample(model, root, chain=spectrum.chain)
         assert np.array_equal(state.psi, sign * state.psi[::-1]), root
         assert state.parity == model.parity, root
 
@@ -557,11 +560,11 @@ def test_node_counts_and_parities_are_those_recorded_on_linspace(model_id):
         recorded = NODES_AND_PARITIES[(model_id, n)]
         try:
             model = models.make(model_id, n, CATALOG_PARAMS[model_id])
-            _, chain, _, roots = solve(model)
+            spectrum = solve(model)
             rows = []
-            for root in roots.roots:
+            for root in spectrum.roots:
                 try:
-                    state = wavefunctions.sample(model, root, chain=chain)
+                    state = wavefunctions.sample(model, root, chain=spectrum.chain)
                     rows.append((state.node_count, state.parity))
                 except QesError as err:
                     rows.append(type(err).__name__)
