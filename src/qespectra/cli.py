@@ -77,6 +77,7 @@ def _parse_value(text):
 
 
 def _parse_params(pairs):
+    """Parameter bindings; one past the float range, where V is taken, is a bad request."""
     out = {}
     for item in pairs or []:
         key, sep, value = item.partition("=")
@@ -84,6 +85,10 @@ def _parse_params(pairs):
         if not sep or not key:
             raise InvalidParams(f"--param expects key=value, got {item!r}")
         out[key] = _parse_value(value)
+        try:
+            float(out[key])
+        except OverflowError:
+            raise InvalidParams(f"parameter {key}={value} lies past the float range")
     return out
 
 

@@ -4,12 +4,14 @@ The verifier discretizes H = -d^2/dx^2 + V with second-order central
 differences and Dirichlet walls, finds the FD eigenvalue nearest each
 algebraic energy, and reports the gap together with a discrete residual
 ||H psi - E psi|| / ||psi|| of the *algebraic* wavefunction on the same
-grid.  The nearest eigenvalue is found by O(N) shift-and-invert solves.
-When they settle, one Sturm count of the window of twice the gap about
-the energy both certifies it and says it is not ambiguous (no second
-eigenvalue that near), unless a second eigenvalue lies there; then a
-bisection query of the disc nearer than the estimate settles it.  So very
-fine grids stay cheap.
+grid.  The nearest eigenvalue is found by O(N) Rayleigh-quotient solves
+that start from that wavefunction, the state's own approximate
+eigenvector, so most states settle in one.  When they settle, one Sturm
+count of the window of twice the gap about the energy both certifies it
+and says it is not ambiguous (no second eigenvalue that near), unless a
+second eigenvalue lies there; then a bisection query of the disc nearer
+than the estimate settles it.  The start sets the cost and never the
+answer.  So very fine grids stay cheap.
 
 A Sturm count says how many eigenvalues lie in a window; it is the count
 LAPACK's dstebz takes before it bisects (see :func:`_sturm_count`), taken
@@ -75,19 +77,18 @@ from .models import CoulombOscillator
 # within gap / _SHRINK of the energy, or within the noise floor.
 _SHRINK = 3.0
 _GAP_FLOOR = 1e-9
-# Nearest-eigenvalue query: inverse-iteration solves at the target, then at
-# most this many Rayleigh-quotient steps; the FD matrix's rounding floor is
-# _FLOOR_EPS * eps * ||T||.
-_INVERSE_SOLVES = 2
+# Nearest-eigenvalue query: at most this many Rayleigh-quotient steps; the
+# FD matrix's rounding floor is _FLOOR_EPS * eps * ||T||.
 _RQ_STEPS = 3
 _FLOOR_EPS = 8.0
 # Step-size rule for default grids: h = _H_SCALE / max(1, E - min V).
 _H_SCALE = 0.07
 _MIN_POINTS = 4000
 _MAX_POINTS = 900_000
-# Finer steps are refused: the residual's sums grow like h^-5 and leave the
-# float range near h = 1e-61, far below any step a bound state needs.
-_MIN_STEP = 1e-30
+# Finer steps are refused, as for sampling: the residual's sums grow like
+# h^-5 and leave the float range near h = 1e-61, far below any step a bound
+# state needs.
+_MIN_STEP = wavefunctions._MIN_STEP
 # Rows a step of the chunked O(N) scans that prepare a Sturm count, so that
 # e^2 is the only array of N rows a count allocates.
 _STURM_ROWS = 4096
@@ -229,14 +230,14 @@ def _potential(model, xs, scan):
     return v
 
 
-def _tridiag_line(v, h, kind):
+def _tridiag_line(v, h, kind, out=None):
     """The 3-point operator on the nodes of ``kind`` with potential ``v`` there.
 
     The full line and the odd half line have Dirichlet walls at both ends;
     the even half line's first row, symmetrized, couples node 0 to node 1
-    by -sqrt(2)/h^2.
+    by -sqrt(2)/h^2.  ``out=v`` builds the diagonal in v's own buffer.
     """
-    diag = 2.0 / (h * h) + v
+    diag = np.add(v, 2.0 / (h * h), out=out)
     off = np.full(len(v) - 1, -1.0 / (h * h))
     if kind == "even":
         off[0] = -math.sqrt(2.0) / (h * h)
@@ -270,28 +271,24 @@ def _tridiag(model, scan, cfg):
     return _tridiag_line(_potential(model, xs, scan), h, kind)
 
 
-def _start_vector(n):
-    """Fixed, zero-mean start for inverse iteration.
-
-    Pseudo-random entries overlap every eigenvector, whatever its parity.
-    """
-    x = np.random.default_rng(0).random(n)
-    x -= 0.5
-    x /= np.linalg.norm(x)
-    return x
-
-
-def _nearest(diag, off, energy):
+def _nearest(diag, off, energy, start):
     """The eigenvalue of T = (diag, off) nearest ``energy``, and its ambiguity.
 
     Returns (nearest, ambiguous), where ambiguous says that a second
     eigenvalue lies within twice the gap |nearest - E| of E, as
-    :func:`_ambiguous` counts it.
+    :func:`_ambiguous` counts it.  ``start`` is the first iterate x: the
+    state's own wavefunction on the nodes of T, in T's symmetric basis.  The
+    iteration overwrites it, so no vector of N rows is copied.
 
-    Find: factor T - E once, take two inverse-iteration solves from a fixed
-    start, then Rayleigh-quotient steps (an LU solve at the current estimate
-    each) until one moves the estimate lam by no more than the rounding
-    floor 8 eps ||T||.  An exactly singular T - E makes E itself the answer.
+    Find: Rayleigh-quotient iteration (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 4).  The first shift is the Rayleigh quotient of x.  Each
+    step solves (T - shift) y = x with dgtsv in x's own buffer, normalises
+    y, and moves the estimate lam to the Rayleigh quotient of y (which is
+    shift + x.y / y.y), until a step moves lam by no more than the rounding
+    floor 8 eps ||T||.  From the state's own wavefunction one solve settles
+    most states.  An exactly singular T - shift makes the shift an
+    eigenvalue, to rounding; the solve has then spoilt x, and the residual
+    counts as 0, below the floor that the certificate takes instead.
 
     Certify: the residual r of the final pair puts an eigenvalue within r of
     lam.  If the steps settled (r at most twice the floor) and lam lies
@@ -304,52 +301,44 @@ def _nearest(diag, off, energy):
     is ambiguous; any eigenvalue inside is bisected to full precision by the
     same call and the nearest replaces lam.  It is ambiguous if twice its
     gap still reaches the eigenvalue near the old lam; else its own window
-    is counted.  If the steps stalled (r above twice the floor, as for E
-    midway between two eigenvalues), the disc grows to |lam - E| + r
+    is counted.  If the steps stalled (r above twice the floor, as for a
+    start that mixes two levels evenly), the disc grows to |lam - E| + r
     instead, which holds at least one eigenvalue, and ambiguity takes a
-    count of its own.
+    count of its own.  So the start sets the cost, never the answer.
     """
     lapack = sla.lapack
     tnorm = max(diag.max(), -diag.min()) + 2.0 * max(
         off.max(initial=0.0), -off.min(initial=0.0)
     )
     floor = _FLOOR_EPS * np.finfo(float).eps * tnorm
-    dl, d, du, du2, ipiv, info = lapack.dgttrf(
-        off.copy(), diag - energy, off.copy(),
-        overwrite_dl=1, overwrite_d=1, overwrite_du=1,
-    )
-    if info > 0:
-        return float(energy), False
-    x = _start_vector(len(diag))
-    lam = energy
-    for _ in range(_INVERSE_SOLVES):
-        y = lapack.dgttrs(dl, d, du, du2, ipiv, x)[0]
-        lam = energy + (x @ y) / (y @ y)
-        y /= np.linalg.norm(y)
-        x = y
-    del du2, ipiv
+    x = start
+    rows = len(diag)
+    d, dl, du = np.empty(rows), np.empty(rows - 1), np.empty(rows - 1)
+    lam = _rayleigh_quotient(diag, off, x, d, dl)
+    resid = None
     for _ in range(_RQ_STEPS):
         shift = lam
         np.subtract(diag, shift, out=d)
         dl[:] = off
         du[:] = off
-        y, info = lapack.dgtsv(
-            dl, d, du, x, overwrite_dl=1, overwrite_d=1, overwrite_du=1
-        )[3:]
+        info = lapack.dgtsv(
+            dl, d, du, x, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
+        )[-1]
         if info > 0:  # exactly singular: the shift is an eigenvalue
+            resid = 0.0
             break
-        lam = shift + (x @ y) / (y @ y)
-        y /= np.linalg.norm(y)
-        x = y
+        x /= np.linalg.norm(x)
+        lam = _rayleigh_quotient(diag, off, x, d, dl)
         if abs(lam - shift) <= floor:
             break
-    # r = (T - lam) x, in the factorization's buffers
-    r = np.subtract(diag, lam, out=d)
-    r *= x
-    r[:-1] += np.multiply(off, x[1:], out=dl)
-    r[1:] += np.multiply(off, x[:-1], out=du)
-    resid = float(np.linalg.norm(r))
-    del x, y, r, d, dl, du
+    if resid is None:
+        # r = (T - lam) x, in the solver's buffers
+        r = np.subtract(diag, lam, out=d)
+        r *= x
+        r[:-1] += np.multiply(off, x[1:], out=dl)
+        r[1:] += np.multiply(off, x[:-1], out=du)
+        resid = float(np.linalg.norm(r))
+    del x, d, dl, du
 
     dist = abs(lam - energy)
     settled = resid <= 2.0 * floor
@@ -371,6 +360,25 @@ def _nearest(diag, off, energy):
     if count is None:
         return nearest, _ambiguous(diag, off, energy, abs(nearest - energy))
     return nearest, count >= 2
+
+
+def _rayleigh_quotient(diag, off, x, d, e):
+    """x.T x / x.x for T = (diag, off), the terms taken in the buffers d and e.
+
+    x.T x is summed as sum((diag_i + off_(i-1) + off_i) x_i^2) -
+    sum(off_i (x_(i+1) - x_i)^2).  Where the entries of T are large (~1/h^2)
+    and x is smooth, the row sums and the differences are small, so neither
+    sum cancels; diag.x^2 + 2 off.(x_i x_(i+1)) cancels to ~eps ||T||.
+    """
+    d[:] = diag
+    d[1:] += off
+    d[:-1] += off
+    d *= x
+    d *= x
+    np.subtract(x[1:], x[:-1], out=e)
+    e *= e
+    e *= off
+    return (np.add.reduce(d) - np.add.reduce(e)) / (x @ x)
 
 
 def _count_within(diag, off, centre, radius):
@@ -661,18 +669,29 @@ def _refined(model, scan, cfg, v):
     the step exactly, in floats too (h / 2 is exact), so every other one of
     its nodes is a node of ``cfg`` bit for bit and keeps its potential from
     ``v``: on the full line and the odd half line the odd-numbered nodes
-    [1::2], on the even half line the even-numbered ones [0::2].  The
-    model's potential is taken only at the others, the new nodes.
+    [1::2], on the even half line the even-numbered ones [0::2].  The new
+    nodes are x0 + j h / 2 for odd j (x0 = xmin on the full line, 0 on the
+    half line), the products a full node array forms there; the model's
+    potential is taken at them alone, straight into the diagonal.
     """
     kind = _kind(model)
-    xs, h = _nodes(model, _doubled(model, cfg))
+    fine = _doubled(model, cfg)
+    h = (fine.xmax - fine.xmin) / (fine.points + 1)
+    # the nodes x0 + j h, 1 <= j < stop, and j = 0 on the even half line
+    x0, stop = (fine.xmin, fine.points + 1) if kind == "full" else (0.0, fine.points // 2 + 1)
     old, new = slice(1, None, 2), slice(0, None, 2)
     if kind == "even":
         old, new = new, old
-    v_fine = np.empty(len(xs))
-    v_fine[new] = _potential(model, xs[new], scan)
-    v_fine[old] = v
-    return _tridiag_line(v_fine, h, kind)
+    xs = np.arange(1, stop, 2, dtype=float)
+    xs *= h
+    xs += x0
+    v_new = _potential(model, xs, scan)
+    del xs
+    diag = np.empty(stop - (kind != "even"))
+    diag[new] = v_new
+    del v_new
+    diag[old] = v
+    return _tridiag_line(diag, h, kind, out=diag)
 
 
 def verify_root(model, root, energy=None, cfg=None, chain=None):
@@ -680,14 +699,17 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
 
     The wavefunction is sampled here, on :func:`grid_nodes` of ``cfg``; when
     ``cfg`` is the default, the radial residual gets its own finer mesh.
-    A state with no second eigenvalue within twice its gap takes two
-    eigenvalue queries: one Sturm count certifies the nearest eigenvalue
-    and says it is not ambiguous (see :func:`_nearest`), and one more on
-    the grid with half the step decides convergence.  On the full and the
-    half line the potential is taken once on the nodes of ``cfg`` and
-    serves the residual, the operator and every other node of the refined
-    operator.  A parity sector is sampled on the half-line nodes alone, so
-    each point is evaluated once.
+    Once the residual has read it, the sampled wavefunction starts the
+    search for the nearest eigenvalue (see :func:`_nearest`); on the radial
+    line it is interpolated onto the operator's nodes when the residual has
+    its own mesh.  A state with no second eigenvalue within twice its gap
+    takes two eigenvalue queries: one Sturm count certifies the nearest
+    eigenvalue and says it is not ambiguous, and one more on the grid with
+    half the step decides convergence.  On the full and the half line the
+    potential is taken once on the nodes of ``cfg`` and serves the residual,
+    the operator and every other node of the refined operator.  A parity
+    sector is sampled on the half-line nodes alone, so each point is
+    evaluated once.
     """
     energy = model.energy(root) if energy is None else float(energy)
     scan = root
@@ -707,10 +729,12 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     kind = _kind(model)
     if kind == "radial":
         residual = _residual_radial(model, scan, res_cfg, xs, h, psi, energy)
-        del xs, psi
+        if res_cfg != cfg:
+            psi = np.interp(_offset_nodes(cfg)[0], xs, psi)
+        del xs
         diag, off = _tridiag(model, scan, cfg)
-        nearest, ambiguous = _nearest(diag, off, energy)
-        del diag, off
+        nearest, ambiguous = _nearest(diag, off, energy, psi)
+        del psi, diag, off
         diag, off = _tridiag(model, scan, _doubled(model, cfg))
     else:
         v = _potential(model, xs, scan)
@@ -720,10 +744,12 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
             residual = _residual_half_line(v, h, psi, energy, kind)
             # the mirror image doubles each node; an odd state adds one at 0
             node_count = 2 * node_count + (kind == "odd")
-        del xs, psi
+        del xs
+        if kind == "even":  # the similarity that symmetrizes row 0
+            psi[0] /= math.sqrt(2.0)
         diag, off = _tridiag_line(v, h, kind)
-        nearest, ambiguous = _nearest(diag, off, energy)
-        del diag, off
+        nearest, ambiguous = _nearest(diag, off, energy, psi)
+        del psi, diag, off
         diag, off = _refined(model, scan, cfg, v)
         del v
     gap = abs(nearest - energy)

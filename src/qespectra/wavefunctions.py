@@ -28,6 +28,10 @@ _DECAY_CUTOFF, _DECAY_XMAX = 1e-12, 60.0
 # Rows a block of the 80-bit Horner evaluation, so that its extended-precision
 # arrays stay this size whatever the grid.
 _HORNER_ROWS = 16384
+# Finer grid steps are refused: no state is resolved on them, and the
+# normalized samples grow like step^-1/2 past any physical scale.  The
+# finite-difference oracle refuses the same steps.
+_MIN_STEP = 1e-30
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,8 @@ def decay_halfwidth(model, degree):
 def default_grid(model, degree, points=2001, halfwidth=None):
     """Sampling grid suited to the model's domain.
 
-    Full-line models get a closed grid on [-L, L] that mirrors exactly:
+    A step below ``_MIN_STEP`` raises :class:`DegenerateGrid`.  Full-line
+    models get a closed grid on [-L, L] that mirrors exactly:
     the right half is that of ``np.linspace(-L, L, points)``, the left half
     its negation, and the middle point of an odd count is 0.0, so
     ``xs == -xs[::-1]`` bit for bit (linspace alone misses by an ulp at many
@@ -92,8 +97,10 @@ def default_grid(model, degree, points=2001, halfwidth=None):
     L = float(halfwidth if halfwidth is not None else decay_halfwidth(model, degree))
     if not 0 < L < math.inf:
         raise DegenerateGrid(f"grid half-width must be positive and finite, got {L}")
+    h = L / points if model.half_line else 2.0 * L / (points - 1)
+    if not h >= _MIN_STEP:
+        raise DegenerateGrid(f"grid steps below {_MIN_STEP:g} cannot support sampling")
     if model.half_line:
-        h = L / points
         return (np.arange(points) + 0.5) * h
     right = np.linspace(-L, L, points)[(points + 1) // 2:]
     middle = [0.0] if points % 2 else []
@@ -187,8 +194,8 @@ def _eval_poly_extended(image, z):
     values = np.empty(z.shape)
     for start in range(0, len(z), _HORNER_ROWS):
         zl = z[start:start + _HORNER_ROWS].astype(np.longdouble)
-        acc = np.zeros(zl.shape, dtype=np.longdouble)
-        for c in coeffs[::-1]:
+        acc = np.full(zl.shape, coeffs[-1], dtype=np.longdouble)
+        for c in coeffs[-2::-1]:
             acc *= zl
             acc += c
         with np.errstate(over="ignore"):
@@ -335,30 +342,38 @@ def sample(model, root, xs=None, chain=None):
         if xs.ndim != 1 or len(xs) < 16 or np.any(np.diff(xs) <= 0):
             raise DegenerateGrid("explicit grids must be 1-d, increasing, >= 16 points")
         frame = _frame(model, xs)
-    xs = frame.xs
+    xs, symmetric = frame.xs, frame.symmetric
 
+    values = _frame_values(frame, image)
     with np.errstate(over="ignore", invalid="ignore"):
-        psi = frame.q * _frame_values(frame, image)
+        psi = np.multiply(frame.q, values, out=values)
     # 0 * inf in the dead tail: the underflowed prefactor wins.
     psi[frame.dead] = 0.0
+    del frame, values  # an explicit grid's coordinate and prefactor go here
     if not np.all(np.isfinite(psi)):
         raise DegenerateGrid("wavefunction overflowed on this grid; shrink it")
 
     # Square at unit peak: psi * psi overflows for long chains while the norm
     # itself fits.  Scaling by a power of two is exact, so the norm is the
     # same number wherever the unscaled square neither overflows nor
-    # underflows.
-    peak_exp = math.frexp(float(np.max(np.abs(psi))))[1]
-    unit = np.ldexp(psi, -peak_exp)
-    norm = math.ldexp(float(np.sqrt(np.trapezoid(unit * unit, xs))), peak_exp)
+    # underflows.  The trapezoid sum is np.trapezoid's own,
+    # add.reduce(diff(xs) * (y[1:] + y[:-1]) / 2), each step in place.
+    peak_exp = math.frexp(max(float(psi.max()), -float(psi.min())))[1]
+    y = np.ldexp(psi, -peak_exp)
+    y *= y
+    area = np.add(y[1:], y[:-1])
+    area *= np.subtract(xs[1:], xs[:-1], out=y[:-1])
+    area /= 2.0
+    norm = math.ldexp(float(np.sqrt(np.add.reduce(area))), peak_exp)
+    del y, area
     if norm == 0.0:
         raise DegenerateGrid("wavefunction is identically zero on this grid")
-    psi = psi / norm
-    psi = psi * _first_peak_sign(psi)
+    psi /= norm
+    psi *= _first_peak_sign(psi)
     return WavefunctionGrid(
         xs=xs,
         psi=psi,
         norm=norm,
         node_count=node_count(xs, psi),
-        parity=_parity(psi) if frame.symmetric else None,
+        parity=_parity(psi) if symmetric else None,
     )

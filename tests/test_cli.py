@@ -179,21 +179,25 @@ ROOTS_JSON_SHA256 = {
 # shift-and-invert in place of bisection; BISECTION_VERIFY below checks that
 # nothing else moved for coulomb and dshg.  The seven parity-sector digests
 # were re-pinned once more when those wells came to be checked on the half
-# line; test_oracle.py's half-line tests stand behind them.
+# line; test_oracle.py's half-line tests stand behind them.  All nine were
+# re-pinned when the search for the nearest level came to start from the
+# state's own wavefunction; test_acceptance.py's
+# test_the_own_wavefunction_start_moves_only_the_nearest_level_within_the_floor
+# stands behind that move.
 MODELS_SHA256 = {
     "json": "451dd0969fba86ca0c69e56714eff6bca1b53ec6a6e5b4b193917f374c5768e7",
     "csv": "661184224dcd45302d6f07bef72cd28e3b5e1f7493a3a65e85bdfae2ada92c0d",
 }
 VERIFY_JSON_SHA256 = {
-    "xie-even": (1, "a9d5a81573bcee09f6aab9290355af361baae5d5a35f90ebf81967bb07ca0d10"),
-    "xie-odd": (0, "99b65a629da35ffdef7b92450b0ac61a732db919985e733a4dba4ed19301c40c"),
-    "chen-even": (7, "615e9bd6ca1d8d0e63a75832f8914576ed27246912bf9df208c5a12bd08f7973"),
-    "chen-odd": (7, "7e6a98a08024241f07ff824208b83b192170de0e2d9e2b81fcb0a6f26272fcbe"),
-    "coulomb": (5, "263ee461cf0436fa7dba915137f0b3fd24d22007d21b9617745912a4eef8b267"),
-    "razavy": (0, "b074d84cde3bd3cea1b29c629ef696ecd36cd4c51e58ed45bcb762488190118a"),
-    "dshg": (1, "52be3fb07337c81d9b0660d14ba77d52b0cd4ceeacbd35ed166774c8c933d425"),
-    "pdshg-20": (0, "1e4e8d6c686c2a6f014a5616f48acee13a3294f2f3df2716271a48edb3a27823"),
-    "pdshg-21": (0, "b8cb07292866f27e483cd03324edb5d0a5d7a68197af131543d06da6850163b0"),
+    "xie-even": (1, "cd74a9ded4fa94baea44876cf287b28e7b845f4903ee92481e54eb339871a874"),
+    "xie-odd": (0, "47c0e376fd672008ec6fb07a864a973e7be2521181c3706db1ad54011908dec1"),
+    "chen-even": (7, "98df6353eb0a284fdaf59decfc981a87fccbf3029fda6c7380d97a13aa87b5a3"),
+    "chen-odd": (7, "ab43484bde2966fc54977264bd560f6a5c949cc91d00aac8e24669be86c1489e"),
+    "coulomb": (5, "80ac854d86fb7dfaab0ae7aa90316d4eccf5862f1499147702d78b0c274a31c9"),
+    "razavy": (0, "9d37be8a77ab21d384dc09ac4e029325466cbbd498f5ae36a3fb533ce755fff3"),
+    "dshg": (1, "e5dbef18049dde121fe05dbeac8d93b0640507c6f40c329262aca7871fa8c8ba"),
+    "pdshg-20": (0, "41a7a547b6270e79320e116f71688777a5e0acae289102dc16b8eb0866493eb0"),
+    "pdshg-21": (0, "4615d0f804708174b0b9bcd68373e42cadae52603343d2c5efcbf1869bf1b1ba"),
 }
 
 
@@ -505,6 +509,35 @@ def test_exit_2_on_bad_grid_options(argv, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "razavy", "--n", "2", "--param", "xi=1e400", "--param", "alpha=0",
+     "--param", "beta=1"),
+    ("--model", "xie-even", "--n", "2", "--param", "V1=1e400", "--param", "V2=-50"),
+], ids=lambda argv: argv[1])
+def test_exit_2_on_a_parameter_past_the_float_range(argv, capsys):
+    # exact, but the potential is taken in floats: refused, naming the
+    # parameter, where the pipeline raised OverflowError (exit 3)
+    code = cli.main(["roots", *argv])
+    captured = capsys.readouterr()
+    name = argv[5].partition("=")[0]
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: parameter {name}=1e400 lies past the float range\n"
+
+
+def test_wavefunction_exits_2_on_a_grid_step_below_the_floor(capsys):
+    # a half-width of 1.5e-183 once sampled psi ~ 1.8e91 and exited 0
+    code = cli.main([
+        "wavefunction", "--model", "chen-even", "--n", "2", "--param", "V1=9/100",
+        "--param", "V3=400", "--param", "g=1/4", "--root-index=0",
+        "--grid-l=1.4675717386772963e-183", "--grid-points", "20",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: grid steps below 1e-30 cannot support sampling\n"
 
 
 @pytest.mark.parametrize("command, option", [

@@ -140,6 +140,23 @@ def _floor(diag, off):
     return 8.0 * np.finfo(float).eps * (np.abs(diag).max() + 2.0 * np.abs(off).max())
 
 
+def _random_start(rows):
+    """A fixed pseudo-random first iterate for ``oracle._nearest``: its
+    entries overlap every eigenvector, whatever its parity."""
+    return np.random.default_rng(0).random(rows) - 0.5
+
+
+def _own_start(model, root, cfg, chain=None):
+    """The state's wavefunction on the nodes of ``cfg``, in the symmetric
+    basis of the oracle's operator there, as ``verify_root`` starts
+    ``oracle._nearest`` from it: an even state's node 0 is divided by
+    sqrt(2)."""
+    psi = wavefunctions.sample(model, root, xs=oracle.grid_nodes(model, cfg), chain=chain).psi
+    if oracle._kind(model) == "even":
+        psi[0] /= math.sqrt(2.0)
+    return psi
+
+
 class _RecordingQueries:
     """The oracle's eigenvalue queries, recorded in order while installed:
     its Sturm counts (``oracle._count_within``) and its bisections (its
@@ -195,7 +212,7 @@ def test_nearest_matches_the_full_spectrum(where):
         "high": spectrum[250] - 0.3,
     }[where]
     dist = np.sort(np.abs(spectrum - energy))
-    got, ambiguous = oracle._nearest(diag, off, energy)
+    got, ambiguous = oracle._nearest(diag, off, energy, _random_start(len(diag)))
     # an eigenvalue, and no other lies nearer (a tie may go either way)
     assert np.abs(spectrum - got).min() <= floor
     assert abs(got - energy) <= dist[0] + floor
@@ -225,28 +242,31 @@ def test_nearest_on_an_exact_eigenvalue_returns_the_shift():
     assert sla.lapack.dgttrf(off.copy(), diag - 2.0, off.copy())[-1] > 0
     spectrum = sla.eigvalsh_tridiagonal(diag, off)
     assert np.abs(spectrum - 2.0).min() < 1e-14
-    assert oracle._nearest(diag, off, 2.0)[0] == 2.0
+    # its eigenvector (1, 0, -1, 0, 1, ...) has the Rayleigh quotient 2 exactly
+    eigenvector = np.zeros(201)
+    eigenvector[::4], eigenvector[2::4] = 1.0, -1.0
+    assert oracle._nearest(diag, off, 2.0, eigenvector)[0] == 2.0
 
 
 def test_certificate_replaces_a_farther_eigenvalue(monkeypatch):
     """Rayleigh steps that settle on the farther of two levels are caught.
 
-    Between two adjacent levels, inverse iteration barely separates them,
-    so the Rayleigh steps settle on the level the fixed start vector weights
-    more.  Put the target just on the side of the other one: the steps land
-    on the farther level, and the certificate's disc must hold the nearer.
+    Between two adjacent levels, Rayleigh-quotient steps from a start that
+    mixes both settle on the level it weights more.  Weight one four times
+    the other, and put the target just on the side of the lighter one: the
+    steps land on the farther level, and the certificate's disc must hold
+    the nearer.
     """
     diag, off = _double_well()
     spectrum, vectors = sla.eigh_tridiagonal(diag, off)
     floor = _floor(diag, off)
-    weight = np.abs(vectors.T @ oracle._start_vector(len(diag)))
-    k = next(k for k in range(12, 200) if max(weight[k], weight[k + 1])
-             > 4.0 * min(weight[k], weight[k + 1]))
-    near, far = (k, k + 1) if weight[k] < weight[k + 1] else (k + 1, k)
+    k = 12
+    near, far = k, k + 1
+    start = vectors[:, far] + 0.25 * vectors[:, near]
     energy = 0.5 * (spectrum[k] + spectrum[k + 1])
     energy += 1e-3 * (spectrum[near] - energy)
     recorder = _RecordingQueries(monkeypatch)
-    got = oracle._nearest(diag, off, energy)[0]
+    got = oracle._nearest(diag, off, energy, start)[0]
     assert abs(got - spectrum[near]) <= floor
     # one bisection: its disc reached up to the farther level and held the nearer
     ((lo, hi), found), = recorder.bisections()
@@ -267,9 +287,8 @@ def test_a_nearer_level_found_by_the_certificate_is_counted_afresh(monkeypatch):
     floor = _floor(diag, off)
     k = 12
     energy = spectrum[k] + 0.2 * (spectrum[k + 1] - spectrum[k])
-    monkeypatch.setattr(oracle, "_start_vector", lambda n: vectors[:, k + 1].copy())
     recorder = _RecordingQueries(monkeypatch)
-    got, ambiguous = oracle._nearest(diag, off, energy)
+    got, ambiguous = oracle._nearest(diag, off, energy, vectors[:, k + 1].copy())
     assert abs(got - spectrum[k]) <= floor
     assert not ambiguous
     count, certificate, recount = recorder.queries
@@ -611,8 +630,10 @@ def test_convergence_decision_matches_the_refined_nearest_eigenvalue(key, index,
     report = oracle.verify_root(model, root, energy=energy, chain=spectrum.chain)
 
     cfg = oracle.default_verify_config(model, root)
-    diag, off = oracle._tridiag(model, root, oracle._doubled(model, cfg))
-    gap2 = abs(oracle._nearest(diag, off, energy)[0] - energy)
+    fine = oracle._doubled(model, cfg)
+    diag, off = oracle._tridiag(model, root, fine)
+    start = _own_start(model, root, fine, spectrum.chain)
+    gap2 = abs(oracle._nearest(diag, off, energy, start)[0] - energy)
     floor = oracle._GAP_FLOOR * max(1.0, abs(energy))
     old = gap2 * oracle._SHRINK <= report.abs_gap or gap2 <= floor
     assert report.converged == old
@@ -631,7 +652,8 @@ def test_convergence_threshold_is_a_third_of_the_gap(t):
     cfg = oracle.FdConfig(-7.0, 7.0, 999)
     target = model.energy(root)
     lam1, lam2 = (
-        oracle._nearest(*oracle._tridiag(model, root, grid), target)[0]
+        oracle._nearest(*oracle._tridiag(model, root, grid), target,
+                        _own_start(model, root, grid, spectrum.chain))[0]
         for grid in (cfg, oracle._doubled(model, cfg))
     )
     energy = lam2 + t * (lam2 - lam1)
@@ -646,9 +668,9 @@ def test_verify_root_solves_one_grid(monkeypatch):
     sizes = []
     nearest = oracle._nearest
 
-    def counted(diag, off, energy):
+    def counted(diag, off, energy, start):
         sizes.append(len(diag))
-        return nearest(diag, off, energy)
+        return nearest(diag, off, energy, start)
 
     monkeypatch.setattr(oracle, "_nearest", counted)
     for model, root in (
@@ -683,11 +705,12 @@ def test_verify_root_takes_two_queries_unless_ambiguous(key, index, monkeypatch)
 
 def test_a_certified_level_inside_the_count_keeps_the_count(monkeypatch):
     """On the full line, which holds both parities, pdshg-20's root 5 sits
-    between two FD levels ~1e-4 away, and the Rayleigh steps settle on the
-    farther.  The certificate finds the nearer, and twice its gap still
-    holds the farther: ambiguous, with no recount.  The oracle checks this
-    sector on the half line; the full-line matrix is built here, on the
-    interior nodes of the default box."""
+    between two FD levels ~1e-4 away, and the Rayleigh steps from its own
+    wavefunction settle on the level of its own parity, the farther.  The
+    certificate finds the nearer, and twice its gap still holds the
+    farther: ambiguous, with no recount.  The oracle checks this sector on
+    the half line; the full-line matrix is built here, on the interior
+    nodes of the default box."""
     spectrum = solved("pdshg-20")
     model, root = spectrum.model, spectrum.roots[5]
     energy = model.energy(root)
@@ -701,8 +724,9 @@ def test_a_certified_level_inside_the_count_keeps_the_count(monkeypatch):
     )
     dist = np.sort(np.abs(near - energy))
     assert len(near) == 2 and dist[1] < 2.0 * dist[0]
+    start = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain).psi
     recorder = _RecordingQueries(monkeypatch)
-    got, ambiguous = oracle._nearest(diag, off, energy)
+    got, ambiguous = oracle._nearest(diag, off, energy, start)
     assert abs(got - near[np.argmin(np.abs(near - energy))]) <= _floor(diag, off)
     assert ambiguous
     (_, found), = recorder.bisections()
@@ -793,9 +817,13 @@ def test_verify_root_peak_memory_on_the_largest_deep_grid():
     coarse nodes and 325,427 refined ones.
 
     The coarse grid's arrays are freed before the refined grid is built, the
-    Sturm counts allocate e^2 alone (8 bytes a row), and the 80-bit Horner
-    runs in blocks, so the peak, ~38 bytes a point, is the refined operator's
-    build.  With dstebz's zero-filled count workspace it was ~76 bytes a point.
+    Sturm counts allocate e^2 alone (8 bytes a row), the 80-bit Horner runs
+    in blocks, and the nearest-level search solves in the wavefunction's own
+    buffer, so the peak, ~28 bytes a point, is that search's: seven arrays
+    of coarse rows.  Before, ``_nearest`` held about nine, for inverse
+    iteration from a pseudo-random start (12.4 MB traced), above the
+    refined operator's build (11.7 MB), and the peak was ~38 bytes a point;
+    with dstebz's zero-filled count workspace it was ~76.
     """
     spectrum = solved("xie-odd")
     model, chain, root = spectrum.model, spectrum.chain, spectrum.roots[10]
@@ -808,4 +836,40 @@ def test_verify_root_peak_memory_on_the_largest_deep_grid():
     finally:
         tracemalloc.stop()
     assert report.converged
-    assert peak < 45 * points
+    assert peak < 36 * points
+
+
+class _RecordingLapack:
+    """scipy.linalg as the oracle sees it, with each LAPACK routine it calls
+    through ``sla.lapack`` recorded by name."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        self.lapack = self
+        monkeypatch.setattr(oracle, "sla", self)
+
+    def __getattr__(self, name):
+        if not hasattr(sla.lapack, name):
+            return getattr(sla, name)
+        routine = getattr(sla.lapack, name)
+
+        def recorded(*args, **kwargs):
+            self.calls.append(name)
+            return routine(*args, **kwargs)
+
+        return recorded
+
+
+@pytest.mark.parametrize("key", DEEP_CASES)
+def test_the_search_from_the_own_wavefunction_takes_at_most_two_solves(key, monkeypatch):
+    """The nearest-level search factors nothing: each deep state's lowest
+    and highest level take one or two dgtsv solves, and no dgttrf or
+    dgttrs (the inverse iteration from a pseudo-random start took one
+    factorization and two solves before its Rayleigh steps)."""
+    spectrum = solved(key)
+    recorder = _RecordingLapack(monkeypatch)
+    for root in (spectrum.roots[0], spectrum.roots[-1]):
+        recorder.calls.clear()
+        oracle.verify_root(spectrum.model, root, chain=spectrum.chain)
+        assert set(recorder.calls) == {"dgtsv"}, (root, recorder.calls)
+        assert len(recorder.calls) <= 2, root

@@ -199,7 +199,8 @@ def cli_requests(draw):
 @given(argv=cli_requests())
 # the escapes found so far: V overflows on the box; |d_j d_(j+1)| overflows
 # in the Sturm count's split test; a step of 1e-91 overflows the residual;
-# sigma = 1/g has no float reciprocal
+# sigma = 1/g has no float reciprocal; a sampling step of 1e-184 exited 0
+# with psi ~ 1e91
 @example(argv=[
     "verify", "--model", "dshg", "--n", "2", "--param", "xi=2", "--root-index=0",
     "--xmin=-300.0", "--xmax=300.0", "--points=2000",
@@ -215,6 +216,11 @@ def cli_requests(draw):
 @example(argv=[
     "roots", "--model", "chen-even", "--n", "0", "--param", "V1=9/100",
     "--param", "V3=400", "--param", "g=1e400",
+])
+@example(argv=[
+    "wavefunction", "--model", "chen-even", "--n", "2", "--param", "V1=9/100",
+    "--param", "V3=400", "--param", "g=1/4", "--root-index=0",
+    "--grid-l=1.4675717386772963e-183", "--grid-points", "20",
 ])
 def test_cli_requests_end_in_an_exit_code(argv):
     # an exception, a RuntimeWarning among them, would propagate out of main
