@@ -16,8 +16,9 @@ answer.  So very fine grids stay cheap.
 A Sturm count says how many eigenvalues lie in a window; it is the count
 LAPACK's dstebz takes before it bisects (see :func:`_sturm_count`), taken
 by dstebz's own kernel dlaebz through the pointer scipy.linalg.cython_lapack
-exports.  It allocates e^2 alone, 8 bytes a row.  The bisection query goes
-through ``sla.eigvalsh_tridiagonal``.
+exports.  It allocates e^2, 8 bytes a row, and the diagonal where the
+operator holds only the potential.  The bisection query goes through
+``sla.eigvalsh_tridiagonal``.
 
 Convergence is attested on the grid with half the step: the gap shrinks
 like h^2, so that grid must hold an eigenvalue within a third of the gap
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg as sla
@@ -89,9 +90,10 @@ _MAX_POINTS = 900_000
 # h^-5 and leave the float range near h = 1e-61, far below any step a bound
 # state needs.
 _MIN_STEP = wavefunctions._MIN_STEP
-# Rows a step of the chunked O(N) scans that prepare a Sturm count, so that
-# e^2 is the only array of N rows a count allocates.
-_STURM_ROWS = 4096
+# Rows a block of every per-node stage but the solves and the counts: the
+# potential, the residuals and the scans that prepare a Sturm count, so
+# that their temporaries stay this size whatever the grid.
+_ROWS = 4096
 # LAPACK's safe minimum and relative precision, dlamch("S") and dlamch("P").
 _SAFEMIN = np.finfo(float).tiny
 _ULP = np.finfo(float).eps
@@ -181,7 +183,9 @@ def _kind(model):
 
 def _uniform_nodes(cfg):
     h = (cfg.xmax - cfg.xmin) / (cfg.points + 1)
-    xs = cfg.xmin + h * np.arange(1, cfg.points + 1)
+    xs = np.arange(1, cfg.points + 1, dtype=float)  # xmin + h i, in place
+    xs *= h
+    xs += cfg.xmin
     return xs, h
 
 
@@ -196,13 +200,18 @@ def _half_nodes(cfg, parity):
         raise InvalidParams(f"a parity sector is checked on the half line, so its box "
                             f"must be symmetric: xmin = -xmax, got [{cfg.xmin}, {cfg.xmax}]")
     h = (cfg.xmax - cfg.xmin) / (cfg.points + 1)
-    xs = h * np.arange(1 if parity == "odd" else 0, cfg.points // 2 + 1)
+    xs = np.arange(1 if parity == "odd" else 0, cfg.points // 2 + 1, dtype=float)
+    xs *= h
     return xs, h
 
 
-def _offset_nodes(cfg):
+def _offset_nodes(cfg, start, stop):
+    """The half-offset nodes xmin + (i + 1/2) h of ``cfg`` for start <= i < stop, and h."""
     h = (cfg.xmax - cfg.xmin) / cfg.points
-    xs = cfg.xmin + (np.arange(cfg.points) + 0.5) * h
+    xs = np.arange(start, stop, dtype=float)
+    xs += 0.5
+    xs *= h
+    xs += cfg.xmin
     return xs, h
 
 
@@ -210,7 +219,7 @@ def _nodes(model, cfg):
     """(xs, h): the nodes of ``cfg`` in the model's discretization, and the step."""
     kind = _kind(model)
     if kind == "radial":
-        return _offset_nodes(cfg)
+        return _offset_nodes(cfg, 0, cfg.points)
     if kind == "full":
         return _uniform_nodes(cfg)
     return _half_nodes(cfg, kind)
@@ -222,26 +231,78 @@ def grid_nodes(model, cfg):
 
 
 def _potential(model, xs, scan):
-    """V at ``xs``; a box on which it leaves the float range is refused here."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = np.asarray(model.potential(xs, scan), dtype=float)
+    """V at ``xs``, a block of _ROWS rows at a time; a box on which it
+    leaves the float range is refused here."""
+    v = np.empty(len(xs))
+    for start in range(0, len(xs), _ROWS):
+        with np.errstate(over="ignore", invalid="ignore"):
+            v[start:start + _ROWS] = model.potential(xs[start:start + _ROWS], scan)
     if not np.isfinite(v).all():
         raise DegenerateGrid("the potential overflows on this box")
     return v
 
 
-def _tridiag_line(v, h, kind, out=None):
+@dataclass(frozen=True)
+class _Tridiagonal:
+    """A symmetric tridiagonal matrix T of N rows, held as little as it allows.
+
+    Its diagonal is ``base + shift``, or ``base`` itself when shift is 0.0:
+    a line operator keeps the potential and adds 2/h^2 wherever the
+    diagonal is read, unless it was built in place.  Its off-diagonal is
+    ``off``, N - 1 entries, but for row 0, which couples to row 1 by
+    ``first`` unless that is None.  On the line ``off`` is one constant, a
+    stride-0 view, and ``first`` differs from it on the even half line alone,
+    so a line operator holds no array of N rows but ``base``.
+    """
+
+    base: np.ndarray
+    shift: float
+    off: np.ndarray
+    first: float | None
+
+    def diagonal(self):
+        """T's diagonal: ``base`` itself, or a new array."""
+        return self.base if self.shift == 0.0 else np.add(self.base, self.shift)
+
+    def off_into(self, out, start):
+        """Off-diagonal entries start, start + 1, ... into ``out``."""
+        out[...] = self.off[start:start + len(out)]
+        if start == 0 and self.first is not None and len(out):
+            out[0] = self.first
+
+    def off_array(self):
+        """The off-diagonal as an array of its own."""
+        off = np.empty(len(self.off))
+        self.off_into(off, 0)
+        return off
+
+    def fill(self, d, e):
+        """T's diagonal into ``d`` and its off-diagonal into ``e``."""
+        if self.shift == 0.0:
+            d[...] = self.base
+        else:
+            np.add(self.base, self.shift, out=d)
+        self.off_into(e, 0)
+
+
+def _held(diag, off):
+    """The matrix with the diagonal ``diag`` and the off-diagonal ``off``, as given."""
+    diag = np.ascontiguousarray(diag, dtype=float)
+    off = np.ascontiguousarray(off, dtype=float)
+    if diag.ndim != 1 or off.shape != (len(diag) - 1,):
+        raise ValueError("a tridiagonal matrix of N rows takes N - 1 off-diagonal entries")
+    return _Tridiagonal(diag, 0.0, off, None)
+
+
+def _line(v, h, kind):
     """The 3-point operator on the nodes of ``kind`` with potential ``v`` there.
 
     The full line and the odd half line have Dirichlet walls at both ends;
     the even half line's first row, symmetrized, couples node 0 to node 1
-    by -sqrt(2)/h^2.  ``out=v`` builds the diagonal in v's own buffer.
+    by -sqrt(2)/h^2.
     """
-    diag = np.add(v, 2.0 / (h * h), out=out)
-    off = np.full(len(v) - 1, -1.0 / (h * h))
-    if kind == "even":
-        off[0] = -math.sqrt(2.0) / (h * h)
-    return diag, off
+    first = -math.sqrt(2.0) / (h * h) if kind == "even" else None
+    return _Tridiagonal(v, 2.0 / (h * h), np.broadcast_to(-1.0 / (h * h), (len(v) - 1,)), first)
 
 
 def _radial_weight(model, x, out=None):
@@ -264,21 +325,26 @@ def _tridiag_radial(model, scan, cfg, xs, h):
 
 
 def _tridiag(model, scan, cfg):
+    """(diag, off): the operator of ``cfg`` in the model's discretization, as arrays."""
     xs, h = _nodes(model, cfg)
     kind = _kind(model)
     if kind == "radial":
         return _tridiag_radial(model, scan, cfg, xs, h)
-    return _tridiag_line(_potential(model, xs, scan), h, kind)
+    line = _line(_potential(model, xs, scan), h, kind)
+    return line.diagonal(), line.off_array()
 
 
-def _nearest(diag, off, energy, start):
-    """The eigenvalue of T = (diag, off) nearest ``energy``, and its ambiguity.
+def _nearest(op, energy, start):
+    """The eigenvalue of the operator ``op`` nearest ``energy``, and its ambiguity.
 
     Returns (nearest, ambiguous), where ambiguous says that a second
     eigenvalue lies within twice the gap |nearest - E| of E, as
     :func:`_ambiguous` counts it.  ``start`` is the first iterate x: the
     state's own wavefunction on the nodes of T, in T's symmetric basis.  The
-    iteration overwrites it, so no vector of N rows is copied.
+    iteration overwrites it, so no vector of N rows is copied.  The solver's
+    three other buffers are the only arrays of N rows it allocates: every
+    step rebuilds T's entries there from ``op``, which holds no diagonal of
+    its own on the line.
 
     Find: Rayleigh-quotient iteration (Parlett, The Symmetric Eigenvalue
     Problem, ch. 4).  The first shift is the Rayleigh quotient of x.  Each
@@ -307,20 +373,19 @@ def _nearest(diag, off, energy, start):
     count of its own.  So the start sets the cost, never the answer.
     """
     lapack = sla.lapack
-    tnorm = max(diag.max(), -diag.min()) + 2.0 * max(
-        off.max(initial=0.0), -off.min(initial=0.0)
-    )
-    floor = _FLOOR_EPS * np.finfo(float).eps * tnorm
     x = start
-    rows = len(diag)
+    rows = len(op.base)
     d, dl, du = np.empty(rows), np.empty(rows - 1), np.empty(rows - 1)
-    lam = _rayleigh_quotient(diag, off, x, d, dl)
+    op.fill(d, dl)
+    tnorm = max(d.max(), -d.min()) + 2.0 * max(dl.max(initial=0.0), -dl.min(initial=0.0))
+    floor = _FLOOR_EPS * np.finfo(float).eps * tnorm
+    lam = _rayleigh_quotient(op, x, d, dl, du)
     resid = None
     for _ in range(_RQ_STEPS):
         shift = lam
-        np.subtract(diag, shift, out=d)
-        dl[:] = off
-        du[:] = off
+        op.fill(d, dl)
+        d -= shift
+        du[:] = dl
         info = lapack.dgtsv(
             dl, d, du, x, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
         )[-1]
@@ -328,16 +393,20 @@ def _nearest(diag, off, energy, start):
             resid = 0.0
             break
         x /= np.linalg.norm(x)
-        lam = _rayleigh_quotient(diag, off, x, d, dl)
+        lam = _rayleigh_quotient(op, x, d, dl, du)
         if abs(lam - shift) <= floor:
             break
     if resid is None:
         # r = (T - lam) x, in the solver's buffers
-        r = np.subtract(diag, lam, out=d)
+        op.fill(d, dl)
+        du[:] = dl
+        r = d
+        r -= lam
         r *= x
-        r[:-1] += np.multiply(off, x[1:], out=dl)
-        r[1:] += np.multiply(off, x[:-1], out=du)
+        r[:-1] += np.multiply(dl, x[1:], out=dl)
+        r[1:] += np.multiply(du, x[:-1], out=du)
         resid = float(np.linalg.norm(r))
+        del r
     del x, d, dl, du
 
     dist = abs(lam - energy)
@@ -345,10 +414,11 @@ def _nearest(diag, off, energy, start):
     radius = dist - max(resid, floor) if settled else dist + resid
     count = None
     if settled and radius > 0.0:
-        count = _count_within(diag, off, energy, 2.0 * dist)
+        count = _count_within(op, energy, 2.0 * dist)
     if radius > 0.0 and (count is None or count >= 2):
         inside = sla.eigvalsh_tridiagonal(
-            diag, off, select="v", select_range=(energy - radius, energy + radius)
+            op.diagonal(), op.off_array(), select="v",
+            select_range=(energy - radius, energy + radius),
         )
         if len(inside):
             lam = inside[np.argmin(np.abs(inside - energy))]
@@ -358,41 +428,41 @@ def _nearest(diag, off, energy, start):
                 count = None
     nearest = float(lam)
     if count is None:
-        return nearest, _ambiguous(diag, off, energy, abs(nearest - energy))
+        return nearest, _ambiguous(op, energy, abs(nearest - energy))
     return nearest, count >= 2
 
 
-def _rayleigh_quotient(diag, off, x, d, e):
-    """x.T x / x.x for T = (diag, off), the terms taken in the buffers d and e.
+def _rayleigh_quotient(op, x, d, e, f):
+    """x.T x / x.x for T = ``op``, the terms taken in the buffers d, e and f.
 
     x.T x is summed as sum((diag_i + off_(i-1) + off_i) x_i^2) -
     sum(off_i (x_(i+1) - x_i)^2).  Where the entries of T are large (~1/h^2)
     and x is smooth, the row sums and the differences are small, so neither
     sum cancels; diag.x^2 + 2 off.(x_i x_(i+1)) cancels to ~eps ||T||.
     """
-    d[:] = diag
-    d[1:] += off
-    d[:-1] += off
+    op.fill(d, f)
+    d[1:] += f
+    d[:-1] += f
     d *= x
     d *= x
     np.subtract(x[1:], x[:-1], out=e)
     e *= e
-    e *= off
+    e *= f
     return (np.add.reduce(d) - np.add.reduce(e)) / (x @ x)
 
 
-def _count_within(diag, off, centre, radius):
-    """How many eigenvalues of T = (diag, off) lie within ``radius`` of ``centre``.
+def _count_within(op, centre, radius):
+    """How many eigenvalues of the operator ``op`` lie within ``radius`` of ``centre``.
 
     A Sturm count (see :func:`_sturm_count`) counts the half-open window
     (vl, vu], so vl is taken one float below centre - radius to close it.
     """
     lower = np.nextafter(centre - radius, -np.inf)
-    return _sturm_count(diag, off, lower, centre + radius)
+    return _sturm_count(op, lower, centre + radius)
 
 
-def _sturm_count(diag, off, lower, upper):
-    """How many eigenvalues of T = (diag, off) lie in (lower, upper], as dstebz counts them.
+def _sturm_count(op, lower, upper):
+    """How many eigenvalues of T = ``op`` lie in (lower, upper], as dstebz counts them.
 
     LAPACK's dstebz (``sla.eigvalsh_tridiagonal(select="v")``) counts the
     window before it bisects anything: two Sturm counts on each unreduced
@@ -405,24 +475,26 @@ def _sturm_count(diag, off, lower, upper):
       2.1 (||block|| ulp rows + PIVMIN); a block of one row holds its
       diagonal entry less PIVMIN.
 
-    e^2 is the one array of N rows it allocates, 8 bytes a row; the split
-    test and the Gershgorin scan run over chunks of _STURM_ROWS rows.  (The
-    f2py dstebz allocates and zero-fills 60 bytes a row of workspace.)
+    e^2 is the one array of N rows it allocates, 8 bytes a row, besides T's
+    diagonal where ``op`` holds none (a line operator that keeps the
+    potential); the split test and the Gershgorin scan run over chunks of
+    _ROWS rows.  (The f2py dstebz allocates and zero-fills 60 bytes a
+    row of workspace.)
     """
-    diag = np.ascontiguousarray(diag, dtype=float)
-    off = np.ascontiguousarray(off, dtype=float)
-    if diag.ndim != 1 or off.shape != (len(diag) - 1,):
-        raise ValueError("a tridiagonal matrix of N rows takes N - 1 off-diagonal entries")
+    diag = op.diagonal()
     # as eigvalsh_tridiagonal does: a potential that overflows on the box
     # must not pass for a count
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+    if not (np.isfinite(diag).all() and np.isfinite(op.off).all()
+            and (op.first is None or math.isfinite(op.first))):
         raise ValueError("array must not contain infs or NaNs")
-    e2 = off * off
+    e2 = np.multiply(op.off, op.off)
+    if op.first is not None and len(e2):
+        e2[0] = op.first * op.first
     splits = []
     # a product past the float range is inf, and splits, as in LAPACK
     with np.errstate(over="ignore"):
-        for start in range(0, len(e2), _STURM_ROWS):
-            stop = min(start + _STURM_ROWS, len(e2))
+        for start in range(0, len(e2), _ROWS):
+            stop = min(start + _ROWS, len(e2))
             test = np.multiply(diag[start + 1:stop + 1], diag[start:stop])
             np.abs(test, out=test)
             test *= _ULP * _ULP
@@ -433,53 +505,58 @@ def _sturm_count(diag, off, lower, upper):
     pivmin = max(1.0, float(e2.max(initial=0.0))) * _SAFEMIN
     count, begin = 0, 0
     for end in np.concatenate(splits + [[len(diag) - 1]]) + 1:
-        count += _block_count(diag, off, e2, int(begin), int(end), lower, upper, pivmin)
+        begin, end = int(begin), int(end)
+        rows = end - begin
+        if rows == 1:
+            count += int(lower < diag[begin] - pivmin <= upper)
+        else:
+            gl, gu = _gershgorin(diag, op, begin, end)
+            bnorm = max(abs(gl), abs(gu))
+            gl = gl - _FUDGE * bnorm * _ULP * rows - _FUDGE * pivmin
+            gu = gu + _FUDGE * bnorm * _ULP * rows + _FUDGE * pivmin
+            gl, gu = max(gl, lower), min(gu, upper)
+            if gl < gu:
+                e_sq = e2[begin:end - 1]
+                count += _block_count(diag[begin:end], e_sq, e_sq, gl, gu, pivmin)
         begin = end
     return count
 
 
-def _block_count(diag, off, e2, begin, end, lower, upper, pivmin):
-    """dstebz's count in (lower, upper] for the unreduced block of rows begin..end-1."""
-    rows = end - begin
-    if rows == 1:
-        return int(lower < diag[begin] - pivmin <= upper)
-    gl, gu = _gershgorin(diag, off, begin, end)
-    bnorm = max(abs(gl), abs(gu))
-    gl = gl - _FUDGE * bnorm * _ULP * rows - _FUDGE * pivmin
-    gu = gu + _FUDGE * bnorm * _ULP * rows + _FUDGE * pivmin
-    if gu < lower:
-        return 0
-    gl, gu = max(gl, lower), min(gu, upper)
-    if gl >= gu:
-        return 0
-    d, e, e_sq = diag[begin:end], off[begin:end - 1], e2[begin:end - 1]
-    one, zero, n = ctypes.c_int(1), ctypes.c_int(0), ctypes.c_int(rows)
+def _block_count(d, e, e2, lower, upper, pivmin):
+    """dlaebz's count in (lower, upper] for one unreduced block (d, e), e2 = e^2.
+
+    With IJOB = 1 dlaebz reads d and e2 alone, never e, so the counts pass
+    e2 in its place: a line operator holds no array of e.
+    """
+    one, zero, n = ctypes.c_int(1), ctypes.c_int(0), ctypes.c_int(len(d))
     tol, piv = ctypes.c_double(0.0), ctypes.c_double(pivmin)
-    ab, scratch = (ctypes.c_double * 2)(gl, gu), (ctypes.c_double * 1)()
+    ab, scratch = (ctypes.c_double * 2)(lower, upper), (ctypes.c_double * 1)()
     nab, iscratch = (ctypes.c_int * 2)(), (ctypes.c_int * 1)()
     mout, info = ctypes.c_int(), ctypes.c_int()
     _dlaebz(
         one, zero, n, one, one, zero, tol, tol, piv,
         d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P),
-        e_sq.ctypes.data_as(_DOUBLE_P), iscratch, ab, scratch, mout, nab,
+        e2.ctypes.data_as(_DOUBLE_P), iscratch, ab, scratch, mout, nab,
         scratch, iscratch, info,
     )
     return mout.value
 
 
-def _gershgorin(diag, off, begin, end):
+def _gershgorin(diag, op, begin, end):
     """dstebz's Gershgorin interval of the block of rows begin..end-1, unwidened.
 
     Row j spans (d_j -+ |e_(j-1)|) -+ |e_j|, with no e beyond the block's
-    ends, summed in dstebz's order.
+    ends, summed in dstebz's order; ``diag`` is the diagonal of ``op``.
     """
     gl, gu = math.inf, -math.inf
-    for start in range(begin, end, _STURM_ROWS):
-        stop = min(start + _STURM_ROWS, end)
+    for start in range(begin, end, _ROWS):
+        stop = min(start + _ROWS, end)
         # a[k] = |e| left of row start + k, a[k + 1] = |e| right of it
         a = np.zeros(stop - start + 1)
         lo, hi = max(start - 1, begin), min(stop, end - 1)
-        np.abs(off[lo:hi], out=a[lo - start + 1:hi - start + 1])
+        inner = a[lo - start + 1:hi - start + 1]
+        op.off_into(inner, lo)
+        np.abs(inner, out=inner)
         d = diag[start:stop]
         bound = d + a[:-1]
         bound += a[1:]
@@ -490,9 +567,40 @@ def _gershgorin(diag, off, begin, end):
     return gl, gu
 
 
-def _ambiguous(diag, off, energy, gap):
-    """Whether a second eigenvalue lies within 2 ``gap`` of ``energy``."""
-    return gap > 0.0 and _count_within(diag, off, energy, 2.0 * gap) >= 2
+def _ambiguous(op, energy, gap):
+    """Whether a second eigenvalue of ``op`` lies within 2 ``gap`` of ``energy``."""
+    return gap > 0.0 and _count_within(op, energy, 2.0 * gap) >= 2
+
+
+def _line_residual(v, h, psi, energy, ghosts):
+    """r = -lap psi / h^2 + (v - E) psi on the line's nodes, a block at a time.
+
+    lap is the five-point fourth-order Laplacian up to the last two rows,
+    beside the wall, which take the three-point one.  ``ghosts`` are the
+    two samples left of node 0, which row 0 reads; without them rows 0 and
+    1 are the three-point rows beside a wall too.  Each block reads psi
+    two rows past its ends, and r is the one array of N rows made here.
+    """
+    m = len(psi)
+    r = np.empty(m)
+    rows = [
+        (m - 2, psi[-3] - 2.0 * psi[-2] + psi[-1]),
+        (m - 1, psi[-2] - 2.0 * psi[-1]),
+    ]
+    first = 0
+    if ghosts is None:
+        first = 2
+        rows += [(0, -2.0 * psi[0] + psi[1]), (1, psi[0] - 2.0 * psi[1] + psi[2])]
+    for start in range(first, m - 2, _ROWS):
+        stop = min(start + _ROWS, m - 2)
+        ext = psi[start - 2:stop + 2] if start else np.concatenate((ghosts, psi[:stop + 2]))
+        lap = (
+            -ext[:-4] + 16.0 * ext[1:-3] - 30.0 * ext[2:-2] + 16.0 * ext[3:-1] - ext[4:]
+        ) / 12.0
+        r[start:stop] = -lap / (h * h) + (v[start:stop] - energy) * psi[start:stop]
+    for i, lap in rows:
+        r[i] = -lap / (h * h) + (v[i] - energy) * psi[i]
+    return r
 
 
 def _residual_full_line(v, h, psi, energy):
@@ -505,15 +613,7 @@ def _residual_full_line(v, h, psi, energy):
     ~1e-12 of its peak there), so the reported number reflects the analytic
     pair rather than the second-order truncation of the eigenvalue mesh.
     """
-    lap = np.zeros_like(psi)
-    lap[2:-2] = (
-        -psi[:-4] + 16.0 * psi[1:-3] - 30.0 * psi[2:-2] + 16.0 * psi[3:-1] - psi[4:]
-    ) / 12.0
-    lap[1] = psi[0] - 2.0 * psi[1] + psi[2]
-    lap[-2] = psi[-3] - 2.0 * psi[-2] + psi[-1]
-    lap[0] = -2.0 * psi[0] + psi[1]
-    lap[-1] = psi[-2] - 2.0 * psi[-1]
-    r = -lap / (h * h) + (v - energy) * psi
+    r = _line_residual(v, h, psi, energy, None)
     return float(np.linalg.norm(r) / np.linalg.norm(psi))
 
 
@@ -528,21 +628,14 @@ def _residual_half_line(v, h, psi, energy, parity):
     the ratio is the full-line one; an odd state's row 0 vanishes.
     """
     ghosts = psi[2:0:-1] if parity == "even" else [-psi[0], 0.0]
-    ext = np.concatenate((ghosts, psi))
-    lap = np.empty_like(psi)
-    lap[:-2] = (
-        -ext[:-4] + 16.0 * ext[1:-3] - 30.0 * ext[2:-2] + 16.0 * ext[3:-1] - ext[4:]
-    ) / 12.0
-    lap[-2] = psi[-3] - 2.0 * psi[-2] + psi[-1]
-    lap[-1] = psi[-2] - 2.0 * psi[-1]
-    r = -lap / (h * h) + (v - energy) * psi
+    r = _line_residual(v, h, psi, energy, ghosts)
     num, den = r @ r, psi @ psi
     if parity == "even":  # node 0 once, the others twice
         num, den = 2.0 * num - r[0] * r[0], 2.0 * den - psi[0] * psi[0]
     return float(math.sqrt(num / den))
 
 
-def _residual_radial(model, scan, cfg, xs, h, psi, energy):
+def _residual_radial(model, scan, cfg, psi, energy):
     """Weighted-norm residual of the conservation-form operator.
 
     The algebraic wavefunction u is converted to v = u / x**lam; the
@@ -557,56 +650,79 @@ def _residual_radial(model, scan, cfg, xs, h, psi, energy):
     and caps the whole measurement, so face 1 and row 0 use the one-sided
     four-point stencil (-23, 21, 3, -1)/24 instead (the exact F(0) = 0 flux
     anchors row 0).  The outer-wall rows stay at second order; the state has
-    decayed to nothing there.  ``psi`` is sampled on the nodes ``xs`` of
-    ``cfg``, of step h.
+    decayed to nothing there.  ``psi`` is sampled on the nodes of ``cfg``.
+
+    One pass over blocks of _ROWS rows: a block of rows takes the
+    fluxes at its faces and one beyond, which take v three nodes past its
+    ends (four above it), each value computed as in the plain formulas
+    noted beside each step.  The two sums are taken whole, so the terms
+    w r^2 and w v^2 are the arrays of N rows made here.
     """
-    m = len(xs)
-    v = np.power(xs, float(model.lam))
-    np.divide(psi, v, out=v)
-    # Four buffers of ~m rows, each value computed as in the plain formulas
-    # (noted beside each step): the face weights become the fluxes, the
-    # gradients the divergence, then the potential and the weight w_mid.
-    flux = np.arange(m + 1, dtype=float)
-    flux *= h
-    flux += cfg.xmin
-    _radial_weight(model, flux, out=flux)  # w at the faces xmin + h i
-    tmp = np.empty(m)
-    grad = np.empty(m + 1)
-    # grad[2:-2] = (27 (v[2:-1] - v[1:-2]) - (v[3:] - v[:-3])) / (24 h)
-    inner = np.subtract(v[2:-1], v[1:-2], out=grad[2:-2])
-    inner *= 27.0
-    inner -= np.subtract(v[3:], v[:-3], out=tmp[:m - 3])
-    inner /= 24.0 * h
-    grad[0] = 0.0
-    grad[1] = (-23.0 * v[0] + 21.0 * v[1] + 3.0 * v[2] - v[3]) / (24.0 * h)
-    grad[-2] = (v[-1] - v[-2]) / h
-    grad[-1] = (0.0 - v[-1]) / h  # Dirichlet outer wall
-    flux *= grad
-    flux[0] = 0.0  # weight w(0) = 0 closes the origin end
-    div = grad[:m]
-    # div[1:-2] = (27 (flux[2:-2] - flux[1:-3]) - (flux[3:-1] - flux[:-4])) / (24 h)
-    inner = np.subtract(flux[2:-2], flux[1:-3], out=div[1:-2])
-    inner *= 27.0
-    inner -= np.subtract(flux[3:-1], flux[:-4], out=tmp[:m - 3])
-    inner /= 24.0 * h
-    div[0] = (21.0 * flux[1] + 3.0 * flux[2] - flux[3]) / (24.0 * h)
-    div[-2:] = (flux[-2:] - flux[-3:-1]) / h
-    # (u_pot - energy) v, u_pot = 0.25 x x - scan / x
-    pot = np.multiply(0.25, xs, out=tmp)
-    pot *= xs
-    pot -= np.divide(float(scan), xs, out=flux[:m])
-    pot -= energy
-    pot *= v
-    w_mid = _radial_weight(model, xs, out=flux[:m])
-    # r = -div / w_mid + (u_pot - energy) v
-    r = np.negative(div, out=div)
-    r /= w_mid
-    r += pot
-    # sqrt(sum(w_mid * r * r)) / sqrt(sum(w_mid * v * v))
-    np.multiply(w_mid, r, out=tmp)
-    num = float(np.sqrt(np.sum(np.multiply(tmp, r, out=tmp))))
-    np.multiply(w_mid, v, out=tmp)
-    den = float(np.sqrt(np.sum(np.multiply(tmp, v, out=tmp))))
+    m = len(psi)
+    lam = float(model.lam)
+    terms_r, terms_v = np.empty(m), np.empty(m)
+    for start in range(0, m, _ROWS):
+        stop = min(start + _ROWS, m)
+        # v at the nodes n0 <= i < n1, and the fluxes at the faces xmin + h f,
+        # f0 <= f < f1, that the rows start..stop-1 read
+        n0, n1 = max(start - 3, 0), min(stop + 4, m)
+        f0, f1 = max(start - 1, 0), min(stop + 3, m + 1)
+        xs, h = _offset_nodes(cfg, n0, n1)
+        v = np.power(xs, lam)
+        np.divide(psi[n0:n1], v, out=v)  # v = psi / x**lam
+        grad = np.empty(f1 - f0)
+        # grad[f] = (27 (v[f] - v[f-1]) - (v[f+1] - v[f-2])) / (24 h), 2 <= f <= m - 2
+        a, b = max(f0, 2) - n0, min(f1, m - 1) - n0
+        if a < b:
+            inner = np.subtract(v[a:b], v[a - 1:b - 1], out=grad[a + n0 - f0:b + n0 - f0])
+            inner *= 27.0
+            inner -= v[a + 1:b + 1] - v[a - 2:b - 2]
+            inner /= 24.0 * h
+        if f0 == 0:
+            grad[0] = 0.0
+            grad[1] = (-23.0 * v[0] + 21.0 * v[1] + 3.0 * v[2] - v[3]) / (24.0 * h)
+        if f0 <= m - 1 < f1:
+            grad[m - 1 - f0] = (v[-1] - v[-2]) / h
+        if m < f1:
+            grad[m - f0] = (0.0 - v[-1]) / h  # Dirichlet outer wall
+        flux = np.arange(f0, f1, dtype=float)
+        flux *= h
+        flux += cfg.xmin
+        _radial_weight(model, flux, out=flux)  # w at the faces
+        flux *= grad
+        if f0 == 0:
+            flux[0] = 0.0  # weight w(0) = 0 closes the origin end
+        div = grad[:stop - start]
+        # div[i] = (27 (flux[i+1] - flux[i]) - (flux[i+2] - flux[i-1])) / (24 h), 1 <= i <= m - 3
+        a, b = max(start, 1) - f0, min(stop, m - 2) - f0
+        if a < b:
+            inner = np.subtract(flux[a + 1:b + 1], flux[a:b], out=div[a + f0 - start:b + f0 - start])
+            inner *= 27.0
+            inner -= flux[a + 2:b + 2] - flux[a - 1:b - 1]
+            inner /= 24.0 * h
+        if start == 0:
+            div[0] = (21.0 * flux[1] + 3.0 * flux[2] - flux[3]) / (24.0 * h)
+        for i in range(max(start, m - 2), stop):
+            div[i - start] = (flux[i + 1 - f0] - flux[i - f0]) / h
+        # (u_pot - energy) v, u_pot = 0.25 x x - scan / x
+        x, v = xs[start - n0:stop - n0], v[start - n0:stop - n0]
+        pot = np.multiply(0.25, x)
+        pot *= x
+        pot -= np.divide(float(scan), x)
+        pot -= energy
+        pot *= v
+        w_mid = _radial_weight(model, x)
+        # r = -div / w_mid + (u_pot - energy) v
+        r = np.negative(div, out=div)
+        r /= w_mid
+        r += pot
+        # the terms of sum(w_mid * r * r) and sum(w_mid * v * v)
+        np.multiply(w_mid, r, out=terms_r[start:stop])
+        terms_r[start:stop] *= r
+        np.multiply(w_mid, v, out=terms_v[start:stop])
+        terms_v[start:stop] *= v
+    num = float(np.sqrt(np.sum(terms_r)))
+    den = float(np.sqrt(np.sum(terms_v)))
     return num / den
 
 
@@ -682,16 +798,19 @@ def _refined(model, scan, cfg, v):
     old, new = slice(1, None, 2), slice(0, None, 2)
     if kind == "even":
         old, new = new, old
-    xs = np.arange(1, stop, 2, dtype=float)
-    xs *= h
-    xs += x0
-    v_new = _potential(model, xs, scan)
-    del xs
     diag = np.empty(stop - (kind != "even"))
-    diag[new] = v_new
+    v_new = diag[new]  # at the nodes of odd j, a block at a time
+    for start in range(0, len(v_new), _ROWS):
+        end = min(start + _ROWS, len(v_new))
+        xs = np.arange(2 * start + 1, 2 * end, 2, dtype=float)
+        xs *= h
+        xs += x0
+        v_new[start:end] = _potential(model, xs, scan)
     del v_new
     diag[old] = v
-    return _tridiag_line(diag, h, kind, out=diag)
+    line = _line(diag, h, kind)
+    np.add(diag, line.shift, out=diag)
+    return replace(line, shift=0.0)
 
 
 def verify_root(model, root, energy=None, cfg=None, chain=None):
@@ -710,6 +829,14 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     the operator and every other node of the refined operator.  A parity
     sector is sampled on the half-line nodes alone, so each point is
     evaluated once.
+
+    Memory: no phase holds more than five arrays of N rows (N the coarse
+    grid's): the potential and the four buffers of the search's dgtsv
+    solves, whose operator is the potential and h alone (a
+    :class:`_Tridiagonal`).  Every other per-node stage, from sampling to
+    the residuals and the refined operator's potential, runs in blocks;
+    only the refined operator's diagonal and e^2, each 2N rows, are whole.
+    The radial residual's own mesh holds psi and its two sums' terms.
     """
     energy = model.energy(root) if energy is None else float(energy)
     scan = root
@@ -728,33 +855,33 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
 
     kind = _kind(model)
     if kind == "radial":
-        residual = _residual_radial(model, scan, res_cfg, xs, h, psi, energy)
+        start = psi
         if res_cfg != cfg:
-            psi = np.interp(_offset_nodes(cfg)[0], xs, psi)
+            start = np.interp(_offset_nodes(cfg, 0, cfg.points)[0], xs, psi)
         del xs
-        diag, off = _tridiag(model, scan, cfg)
-        nearest, ambiguous = _nearest(diag, off, energy, psi)
-        del psi, diag, off
-        diag, off = _tridiag(model, scan, _doubled(model, cfg))
+        residual = _residual_radial(model, scan, res_cfg, psi, energy)
+        del psi
+        nearest, ambiguous = _nearest(_held(*_tridiag(model, scan, cfg)), energy, start)
+        del start
+        fine = _held(*_tridiag(model, scan, _doubled(model, cfg)))
     else:
         v = _potential(model, xs, scan)
+        del xs
         if kind == "full":
             residual = _residual_full_line(v, h, psi, energy)
         else:
             residual = _residual_half_line(v, h, psi, energy, kind)
             # the mirror image doubles each node; an odd state adds one at 0
             node_count = 2 * node_count + (kind == "odd")
-        del xs
         if kind == "even":  # the similarity that symmetrizes row 0
             psi[0] /= math.sqrt(2.0)
-        diag, off = _tridiag_line(v, h, kind)
-        nearest, ambiguous = _nearest(diag, off, energy, psi)
-        del psi, diag, off
-        diag, off = _refined(model, scan, cfg, v)
+        nearest, ambiguous = _nearest(_line(v, h, kind), energy, psi)
+        del psi
+        fine = _refined(model, scan, cfg, v)
         del v
     gap = abs(nearest - energy)
     reach = max(gap / _SHRINK, _GAP_FLOOR * max(1.0, abs(energy)))
-    converged = _count_within(diag, off, energy, reach) > 0
+    converged = _count_within(fine, energy, reach) > 0
     return VerificationReport(
         algebraic_energy=energy,
         nearest_fd_energy=nearest,

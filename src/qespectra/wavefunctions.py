@@ -25,8 +25,9 @@ _PARITY_TOL = 1e-8
 # decay_halfwidth: the envelope's negligible fraction of its peak, and the
 # half-width scanned (the fallback when the envelope never decays).
 _DECAY_CUTOFF, _DECAY_XMAX = 1e-12, 60.0
-# Rows a block of the 80-bit Horner evaluation, so that its extended-precision
-# arrays stay this size whatever the grid.
+# Rows a block of sampling: of the 80-bit Horner evaluation, and on an
+# explicit grid of the coordinate, the prefactor and the norm's terms too,
+# so that their temporaries stay this size whatever the grid.
 _HORNER_ROWS = 16384
 # Finer grid steps are refused: no state is resolved on them, and the
 # normalized samples grow like step^-1/2 past any physical scale.  The
@@ -109,11 +110,14 @@ def default_grid(model, degree, points=2001, halfwidth=None):
 
 def node_count(xs, psi):
     """Count sign changes, ignoring samples inside the dead band."""
-    peak = float(np.max(np.abs(psi)))
+    mag = np.abs(psi)
+    peak = float(mag.max())
     if peak == 0.0:
         return 0
-    live = np.abs(psi) > _NODE_BAND * peak
-    signs = np.sign(psi[live])
+    live = mag > _NODE_BAND * peak
+    del mag
+    signs = psi[live]
+    np.sign(signs, out=signs)
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
@@ -174,6 +178,30 @@ def _split(image):
     return his, los
 
 
+def _coefficients(image):
+    """The coefficients of an integer image in 80 bits, each the sum hi + lo of :func:`_split`."""
+    his, los = _split(image)
+    return np.array(his, dtype=np.longdouble) + np.array(los, dtype=np.longdouble)
+
+
+def _horner_block(coeffs, z, out):
+    """S(z) at one block of float64 ``z``, accumulated in 80 bits, into ``out``.
+
+    A monic image (leading coefficient exactly 1, as every assembled state
+    is) starts at z + c_(n-1): the step it skips multiplies by 1, exactly.
+    """
+    zl = z.astype(np.longdouble)
+    if len(coeffs) > 1 and coeffs[-1] == 1:
+        acc, rest = zl + coeffs[-2], coeffs[-3::-1]
+    else:
+        acc, rest = np.full(zl.shape, coeffs[-1], dtype=np.longdouble), coeffs[-2::-1]
+    for c in rest:
+        acc *= zl
+        acc += c
+    with np.errstate(over="ignore"):
+        out[...] = acc
+
+
 def _eval_poly_extended(image, z):
     """Horner evaluation in 80-bit extended precision of an integer image.
 
@@ -188,18 +216,12 @@ def _eval_poly_extended(image, z):
     80 bits, evaluated and rounded to float64 on its own.  Horner runs
     elementwise, so the values are those of one pass over all of ``z``.
     """
-    his, los = _split(image)
-    coeffs = np.array(his, dtype=np.longdouble) + np.array(los, dtype=np.longdouble)
+    coeffs = _coefficients(image)
     z = np.asarray(z)
     values = np.empty(z.shape)
     for start in range(0, len(z), _HORNER_ROWS):
-        zl = z[start:start + _HORNER_ROWS].astype(np.longdouble)
-        acc = np.full(zl.shape, coeffs[-1], dtype=np.longdouble)
-        for c in coeffs[-2::-1]:
-            acc *= zl
-            acc += c
-        with np.errstate(over="ignore"):
-            values[start:start + _HORNER_ROWS] = acc
+        stop = start + _HORNER_ROWS
+        _horner_block(coeffs, z[start:stop], values[start:stop])
     return values
 
 
@@ -213,13 +235,14 @@ def _first_peak_sign(psi):
     peak = float(mag.max())
     live = mag[1:] >= 0.01 * peak
     up = mag[1:] >= mag[:-1]
-    rises = np.flatnonzero(live & up)
-    if rises.size:
-        start = rises[0]
-        falls = np.flatnonzero(live[start:] & ~up[start:])
-        if falls.size:
-            return 1.0 if psi[start + falls[0]] > 0 else -1.0
-    return 1.0 if psi[int(np.argmax(mag))] > 0 else -1.0
+    del mag
+    rises = live & up
+    if rises.any():
+        start = int(rises.argmax())  # the first True
+        falls = live[start:] & ~up[start:]
+        if falls.any():
+            return 1.0 if psi[start + int(falls.argmax())] > 0 else -1.0
+    return 1.0 if psi[int(np.argmax(np.abs(psi)))] > 0 else -1.0
 
 
 @dataclass(frozen=True)
@@ -312,17 +335,17 @@ def sample(model, root, xs=None, chain=None):
     All roots of one model object sampled on the default grid share one
     read-only ``xs``: the grid, and the coordinate and prefactor on it, are
     built once for that model and kept until another model is sampled.
+    There the polynomial is evaluated once for each pair of mirror points,
+    i and N - 1 - i, whose coordinates are equal, bit for bit, and the
+    value serves both; the result is byte-identical to evaluating it
+    everywhere.  Where the coordinate is even on the whole grid (the
+    tanh^2, -sinh^2, cosh^2 and sinh^2 charts) that is half the points, and
+    with a prefactor of the sector's parity psi is exactly even or odd.
 
-    The polynomial is evaluated once for each pair of mirror points, i and
-    N - 1 - i, whose coordinates are equal, bit for bit, and the value
-    serves both; the result is byte-identical to evaluating it everywhere.
-    Where the coordinate is even on the whole grid (the tanh^2, -sinh^2,
-    cosh^2 and sinh^2 charts on an exactly mirrored grid such as the
-    default one) that is half the points, and with a prefactor of the
-    sector's parity psi is exactly even or odd.  A grid that mirrors only
-    to within an ulp, such as ``np.linspace``'s, shares the pairs whose
-    coordinates still round alike; dshg's exp(2x) and the half line
-    (among them the verifier's nodes of a parity sector) share none.
+    An explicit ``xs``, such as the verifier's nodes of up to 900,000
+    points, is evaluated at every point, a block at a time, with the
+    coordinate and the prefactor taken per block; so psi, and the
+    trapezoid terms of the norm, are the only arrays of its length made.
 
     Raises:
         NotARoot: ``root`` does not identify a root of the constraint.
@@ -334,6 +357,13 @@ def sample(model, root, xs=None, chain=None):
     image = recurrence.assemble_solution(chain, root)
     if xs is None:
         frame = _default_frame(model)
+        xs, symmetric = frame.xs, frame.symmetric
+        psi = _frame_values(frame, image)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(frame.q, psi, out=psi)
+        # 0 * inf in the dead tail: the underflowed prefactor wins.
+        psi[frame.dead] = 0.0
+        del frame
     else:
         xs = np.asarray(xs, dtype=float)
         # NaN compares false, so it would pass the ordering test below
@@ -341,31 +371,11 @@ def sample(model, root, xs=None, chain=None):
             raise DegenerateGrid("explicit grids must hold finite points only")
         if xs.ndim != 1 or len(xs) < 16 or np.any(np.diff(xs) <= 0):
             raise DegenerateGrid("explicit grids must be 1-d, increasing, >= 16 points")
-        frame = _frame(model, xs)
-    xs, symmetric = frame.xs, frame.symmetric
-
-    values = _frame_values(frame, image)
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi = np.multiply(frame.q, values, out=values)
-    # 0 * inf in the dead tail: the underflowed prefactor wins.
-    psi[frame.dead] = 0.0
-    del frame, values  # an explicit grid's coordinate and prefactor go here
+        symmetric = not model.half_line and _is_symmetric(xs)
+        psi = _explicit_values(model, image, xs)
     if not np.all(np.isfinite(psi)):
         raise DegenerateGrid("wavefunction overflowed on this grid; shrink it")
-
-    # Square at unit peak: psi * psi overflows for long chains while the norm
-    # itself fits.  Scaling by a power of two is exact, so the norm is the
-    # same number wherever the unscaled square neither overflows nor
-    # underflows.  The trapezoid sum is np.trapezoid's own,
-    # add.reduce(diff(xs) * (y[1:] + y[:-1]) / 2), each step in place.
-    peak_exp = math.frexp(max(float(psi.max()), -float(psi.min())))[1]
-    y = np.ldexp(psi, -peak_exp)
-    y *= y
-    area = np.add(y[1:], y[:-1])
-    area *= np.subtract(xs[1:], xs[:-1], out=y[:-1])
-    area /= 2.0
-    norm = math.ldexp(float(np.sqrt(np.add.reduce(area))), peak_exp)
-    del y, area
+    norm = _norm(xs, psi)
     if norm == 0.0:
         raise DegenerateGrid("wavefunction is identically zero on this grid")
     psi /= norm
@@ -377,3 +387,47 @@ def sample(model, root, xs=None, chain=None):
         node_count=node_count(xs, psi),
         parity=_parity(psi) if symmetric else None,
     )
+
+
+def _explicit_values(model, image, xs):
+    """Q(x) S(z(x)) at every point of an explicit grid, a block of
+    _HORNER_ROWS points at a time: the coordinate, the prefactor and the
+    80-bit Horner live for one block only, so psi is the one array of N
+    rows made here."""
+    coeffs = _coefficients(image)
+    psi = np.empty(len(xs))
+    for start in range(0, len(xs), _HORNER_ROWS):
+        x = xs[start:start + _HORNER_ROWS]
+        block = psi[start:start + _HORNER_ROWS]
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = np.asarray(model.coordinate(x), dtype=float)
+            q = np.asarray(model.prefactor(x), dtype=float)
+        _horner_block(coeffs, z, block)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(q, block, out=block)
+        # 0 * inf in the dead tail: the underflowed prefactor wins.
+        block[q == 0.0] = 0.0
+    return psi
+
+
+def _norm(xs, psi):
+    """The trapezoid L2 norm of psi on ``xs``.
+
+    Square at unit peak: psi * psi overflows for long chains while the norm
+    itself fits.  Scaling by a power of two is exact, so the norm is the
+    same number wherever the unscaled square neither overflows nor
+    underflows.  The trapezoid sum is np.trapezoid's own,
+    add.reduce(diff(xs) * (y[1:] + y[:-1]) / 2): its terms are taken a
+    block of _HORNER_ROWS at a time, each step in place, and summed whole,
+    in np.add.reduce's own order.
+    """
+    peak_exp = math.frexp(max(float(psi.max()), -float(psi.min())))[1]
+    area = np.empty(len(psi) - 1)
+    for start in range(0, len(area), _HORNER_ROWS):
+        stop = min(start + _HORNER_ROWS, len(area))
+        y = np.ldexp(psi[start:stop + 1], -peak_exp)
+        y *= y
+        terms = np.add(y[1:], y[:-1], out=area[start:stop])
+        terms *= np.subtract(xs[start + 1:stop + 1], xs[start:stop], out=y[:-1])
+        terms /= 2.0
+    return math.ldexp(float(np.sqrt(np.add.reduce(area))), peak_exp)

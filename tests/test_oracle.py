@@ -166,8 +166,8 @@ class _RecordingQueries:
         self.queries = []  # ("count", window, how many) or ("bisect", window, values)
         count_within = oracle._count_within
 
-        def counted(diag, off, centre, radius):
-            found = count_within(diag, off, centre, radius)
+        def counted(op, centre, radius):
+            found = count_within(op, centre, radius)
             self.queries.append(("count", (centre - radius, centre + radius), found))
             return found
 
@@ -212,14 +212,14 @@ def test_nearest_matches_the_full_spectrum(where):
         "high": spectrum[250] - 0.3,
     }[where]
     dist = np.sort(np.abs(spectrum - energy))
-    got, ambiguous = oracle._nearest(diag, off, energy, _random_start(len(diag)))
+    got, ambiguous = oracle._nearest(oracle._held(diag, off), energy, _random_start(len(diag)))
     # an eigenvalue, and no other lies nearer (a tie may go either way)
     assert np.abs(spectrum - got).min() <= floor
     assert abs(got - energy) <= dist[0] + floor
     if dist[1] - dist[0] > 2.0 * floor:
         assert abs(got - spectrum[np.argmin(np.abs(spectrum - energy))]) <= floor
     gap = abs(got - energy)
-    assert oracle._ambiguous(diag, off, energy, gap) == (dist[1] < 2.0 * dist[0])
+    assert oracle._ambiguous(oracle._held(diag, off), energy, gap) == (dist[1] < 2.0 * dist[0])
     assert ambiguous == (dist[1] < 2.0 * dist[0])
 
 
@@ -228,11 +228,11 @@ def test_ambiguity_is_read_both_ways():
     spectrum = sla.eigvalsh_tridiagonal(diag, off)
     # beside the 1e-10 doublet the partner sits within twice the gap
     energy = spectrum[1] + 3e-10
-    assert oracle._ambiguous(diag, off, energy, abs(spectrum[1] - energy))
+    assert oracle._ambiguous(oracle._held(diag, off), energy, abs(spectrum[1] - energy))
     # beside an isolated level it does not
     energy = spectrum[12] + 1e-4
-    assert not oracle._ambiguous(diag, off, energy, abs(spectrum[12] - energy))
-    assert not oracle._ambiguous(diag, off, spectrum[12], 0.0)
+    assert not oracle._ambiguous(oracle._held(diag, off), energy, abs(spectrum[12] - energy))
+    assert not oracle._ambiguous(oracle._held(diag, off), spectrum[12], 0.0)
 
 
 def test_nearest_on_an_exact_eigenvalue_returns_the_shift():
@@ -245,7 +245,7 @@ def test_nearest_on_an_exact_eigenvalue_returns_the_shift():
     # its eigenvector (1, 0, -1, 0, 1, ...) has the Rayleigh quotient 2 exactly
     eigenvector = np.zeros(201)
     eigenvector[::4], eigenvector[2::4] = 1.0, -1.0
-    assert oracle._nearest(diag, off, 2.0, eigenvector)[0] == 2.0
+    assert oracle._nearest(oracle._held(diag, off), 2.0, eigenvector)[0] == 2.0
 
 
 def test_certificate_replaces_a_farther_eigenvalue(monkeypatch):
@@ -266,7 +266,7 @@ def test_certificate_replaces_a_farther_eigenvalue(monkeypatch):
     energy = 0.5 * (spectrum[k] + spectrum[k + 1])
     energy += 1e-3 * (spectrum[near] - energy)
     recorder = _RecordingQueries(monkeypatch)
-    got = oracle._nearest(diag, off, energy, start)[0]
+    got = oracle._nearest(oracle._held(diag, off), energy, start)[0]
     assert abs(got - spectrum[near]) <= floor
     # one bisection: its disc reached up to the farther level and held the nearer
     ((lo, hi), found), = recorder.bisections()
@@ -288,7 +288,7 @@ def test_a_nearer_level_found_by_the_certificate_is_counted_afresh(monkeypatch):
     k = 12
     energy = spectrum[k] + 0.2 * (spectrum[k + 1] - spectrum[k])
     recorder = _RecordingQueries(monkeypatch)
-    got, ambiguous = oracle._nearest(diag, off, energy, vectors[:, k + 1].copy())
+    got, ambiguous = oracle._nearest(oracle._held(diag, off), energy, vectors[:, k + 1].copy())
     assert abs(got - spectrum[k]) <= floor
     assert not ambiguous
     count, certificate, recount = recorder.queries
@@ -302,10 +302,10 @@ def test_count_within_closes_the_window_at_both_ends():
     # neighbours lie ~0.03 away; a window with 2 on either edge holds it
     diag, off = np.full(201, 2.0), np.full(200, -1.0)
     radius = 2.0 ** -10
-    assert oracle._count_within(diag, off, 2.0 + radius, radius) == 1
-    assert oracle._count_within(diag, off, 2.0 - radius, radius) == 1
-    assert oracle._count_within(diag, off, 2.0 + 3.0 * radius, radius) == 0
-    assert oracle._count_within(diag, off, 2.0, 0.1) == 7
+    assert oracle._count_within(oracle._held(diag, off), 2.0 + radius, radius) == 1
+    assert oracle._count_within(oracle._held(diag, off), 2.0 - radius, radius) == 1
+    assert oracle._count_within(oracle._held(diag, off), 2.0 + 3.0 * radius, radius) == 0
+    assert oracle._count_within(oracle._held(diag, off), 2.0, 0.1) == 7
 
 
 def _dstebz_count(diag, off, centre, radius):
@@ -344,7 +344,7 @@ def test_sturm_count_is_the_dstebz_count(key):
     for seed, rows in enumerate((cfg, oracle._doubled(model, cfg))):
         diag, off = oracle._tridiag(model, root, rows)
         for centre, radius in _count_windows(diag, off, seed):
-            assert oracle._count_within(diag, off, centre, radius) == _dstebz_count(
+            assert oracle._count_within(oracle._held(diag, off), centre, radius) == _dstebz_count(
                 diag, off, centre, radius), (rows.points, centre, radius)
 
 
@@ -365,7 +365,7 @@ def test_sturm_count_splits_as_dstebz_does():
         (diag[0] - edge, edge), (diag[-1], 1e-9),
         (diag[-1] + 1e-3, 1e-3), (diag[-1] - 1e-3, 1e-3),
     ]:
-        assert oracle._count_within(diag, off, centre, radius) == _dstebz_count(
+        assert oracle._count_within(oracle._held(diag, off), centre, radius) == _dstebz_count(
             diag, off, centre, radius), (centre, radius)
 
 
@@ -375,7 +375,7 @@ def test_sturm_count_splits_where_a_diagonal_product_overflows():
     diag = np.array([1.0, 2.0, 3.0, 1e200, 2e200, 3e200])
     off = np.full(5, -1.0)
     for centre, radius in ((5.0, 5.0), (2e200, 1.5e200)):
-        assert oracle._count_within(diag, off, centre, radius) == _dstebz_count(
+        assert oracle._count_within(oracle._held(diag, off), centre, radius) == _dstebz_count(
             diag, off, centre, radius) == 3, (centre, radius)
 
 
@@ -387,7 +387,31 @@ def test_sturm_count_refuses_a_non_finite_operator():
         entries = [diag.copy(), off.copy()]
         entries[i][7] = bad
         with pytest.raises(ValueError):
-            oracle._count_within(*entries, diag[20], 1.0)
+            oracle._count_within(oracle._held(*entries), diag[20], 1.0)
+
+
+def test_a_sturm_count_never_reads_the_off_diagonal():
+    """With IJOB = 1, dlaebz counts from d and e^2 alone: an E of NaNs gives
+    every count the true e gives.  The counts pass e^2 in E's place, since a
+    line operator holds no array of e; here on the coarse and refined
+    operators of xie-odd's top state and on a random matrix of 5,000 rows,
+    each one unreduced block, at the random windows of
+    test_sturm_count_is_the_dstebz_count."""
+    spectrum = solved("xie-odd")
+    model, root = spectrum.model, spectrum.roots[-1]
+    cfg = oracle.default_verify_config(model, root)
+    rng = np.random.default_rng(7)
+    matrices = [oracle._tridiag(model, root, rows) for rows in (cfg, oracle._doubled(model, cfg))]
+    matrices.append((rng.uniform(-1.0, 1.0, 5000), rng.uniform(0.1, 1.0, 4999)))
+    for seed, (diag, off) in enumerate(matrices):
+        e2 = off * off
+        pivmin = max(1.0, float(e2.max())) * oracle._SAFEMIN
+        nan = np.full_like(off, np.nan)
+        for centre, radius in _count_windows(diag, off, seed):
+            lower, upper = np.nextafter(centre - radius, -np.inf), centre + radius
+            count = oracle._block_count(diag, off, e2, lower, upper, pivmin)
+            assert oracle._block_count(diag, nan, e2, lower, upper, pivmin) == count
+            assert count == _dstebz_count(diag, off, centre, radius), (seed, centre, radius)
 
 
 def test_a_sturm_count_allocates_e_squared_alone():
@@ -398,7 +422,7 @@ def test_a_sturm_count_allocates_e_squared_alone():
     off = np.full(rows - 1, -0.4)
     tracemalloc.start()
     try:
-        count = oracle._count_within(diag, off, 2.5, 0.01)
+        count = oracle._count_within(oracle._held(diag, off), 2.5, 0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -433,30 +457,36 @@ def test_every_other_refined_node_is_a_coarse_node(seed):
 @pytest.mark.parametrize("key", [key for key in DEEP_CASES if key != "coulomb"])
 def test_refined_operator_reuses_the_coarse_potential(key, monkeypatch):
     # the same operator as built from scratch, bit for bit, with the
-    # potential taken at the new nodes alone: N + 1 on the full line, and
-    # on the half line every fine node that is not a coarse one
+    # potential taken at the new nodes alone, bit for bit the refined grid's
+    # own, in blocks of at most _ROWS: N + 1 on the full line, and on
+    # the half line every fine node that is not a coarse one
     spectrum = solved(key)
     model = spectrum.model
     taken = []
     potential = oracle._potential
 
     def counted(model, xs, scan):
-        taken.append(len(xs))
+        taken.append(xs.copy())
         return potential(model, xs, scan)
 
     for root in (spectrum.roots[0], spectrum.roots[-1]):
         cfg = oracle.default_verify_config(model, root)
-        want = oracle._tridiag(model, root, oracle._doubled(model, cfg))
+        fine = oracle._doubled(model, cfg)
+        want = oracle._tridiag(model, root, fine)
         v = oracle._potential(model, oracle.grid_nodes(model, cfg), root)
         monkeypatch.setattr(oracle, "_potential", counted)
-        diag, off = oracle._refined(model, root, cfg, v)
+        refined = oracle._refined(model, root, cfg, v)
         monkeypatch.setattr(oracle, "_potential", potential)
-        assert diag.tobytes() == want[0].tobytes()
-        assert off.tobytes() == want[1].tobytes()
+        assert refined.diagonal().tobytes() == want[0].tobytes()
+        assert refined.off_array().tobytes() == want[1].tobytes()
+        new = slice(1, None, 2) if oracle._kind(model) == "even" else slice(0, None, 2)
+        nodes = np.concatenate(taken)
+        assert nodes.tobytes() == oracle.grid_nodes(model, fine)[new].tobytes()
+        assert max(len(xs) for xs in taken) <= oracle._ROWS
         if key == "dshg":
-            assert taken == [cfg.points + 1]
+            assert len(nodes) == cfg.points + 1
         else:
-            assert taken == [len(diag) - len(v)]
+            assert len(nodes) == len(want[0]) - len(v)
         taken.clear()
 
 
@@ -633,7 +663,7 @@ def test_convergence_decision_matches_the_refined_nearest_eigenvalue(key, index,
     fine = oracle._doubled(model, cfg)
     diag, off = oracle._tridiag(model, root, fine)
     start = _own_start(model, root, fine, spectrum.chain)
-    gap2 = abs(oracle._nearest(diag, off, energy, start)[0] - energy)
+    gap2 = abs(oracle._nearest(oracle._held(diag, off), energy, start)[0] - energy)
     floor = oracle._GAP_FLOOR * max(1.0, abs(energy))
     old = gap2 * oracle._SHRINK <= report.abs_gap or gap2 <= floor
     assert report.converged == old
@@ -652,7 +682,7 @@ def test_convergence_threshold_is_a_third_of_the_gap(t):
     cfg = oracle.FdConfig(-7.0, 7.0, 999)
     target = model.energy(root)
     lam1, lam2 = (
-        oracle._nearest(*oracle._tridiag(model, root, grid), target,
+        oracle._nearest(oracle._held(*oracle._tridiag(model, root, grid)), target,
                         _own_start(model, root, grid, spectrum.chain))[0]
         for grid in (cfg, oracle._doubled(model, cfg))
     )
@@ -668,9 +698,9 @@ def test_verify_root_solves_one_grid(monkeypatch):
     sizes = []
     nearest = oracle._nearest
 
-    def counted(diag, off, energy, start):
-        sizes.append(len(diag))
-        return nearest(diag, off, energy, start)
+    def counted(op, energy, start):
+        sizes.append(len(op.base))
+        return nearest(op, energy, start)
 
     monkeypatch.setattr(oracle, "_nearest", counted)
     for model, root in (
@@ -726,7 +756,7 @@ def test_a_certified_level_inside_the_count_keeps_the_count(monkeypatch):
     assert len(near) == 2 and dist[1] < 2.0 * dist[0]
     start = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain).psi
     recorder = _RecordingQueries(monkeypatch)
-    got, ambiguous = oracle._nearest(diag, off, energy, start)
+    got, ambiguous = oracle._nearest(oracle._held(diag, off), energy, start)
     assert abs(got - near[np.argmin(np.abs(near - energy))]) <= _floor(diag, off)
     assert ambiguous
     (_, found), = recorder.bisections()
@@ -816,14 +846,19 @@ def test_verify_root_peak_memory_on_the_largest_deep_grid():
     """xie-odd root 10 verifies on 325,427 points: the half line's 162,713
     coarse nodes and 325,427 refined ones.
 
-    The coarse grid's arrays are freed before the refined grid is built, the
-    Sturm counts allocate e^2 alone (8 bytes a row), the 80-bit Horner runs
-    in blocks, and the nearest-level search solves in the wavefunction's own
-    buffer, so the peak, ~28 bytes a point, is that search's: seven arrays
-    of coarse rows.  Before, ``_nearest`` held about nine, for inverse
-    iteration from a pseudo-random start (12.4 MB traced), above the
-    refined operator's build (11.7 MB), and the peak was ~38 bytes a point;
-    with dstebz's zero-filled count workspace it was ~76.
+    The coarse grid's arrays are freed before the refined grid is built, and
+    no phase holds more than five arrays of coarse rows: the potential v and
+    the four buffers of the nearest-level search's dgtsv solves, whose
+    operator is v and h alone.  Sampling, the potential and the residual
+    run in blocks, and the refined operator holds its diagonal and, while
+    counted, e^2.  So the peak, ~20 bytes a point, is the search's five
+    arrays.  Traced peaks by phase, MiB, before and after blocking: sampling
+    7.5 -> 4.0, the potential 6.2 -> 3.7, the half-line residual 8.7 -> 3.9,
+    the search 8.7 -> 6.2 and its count 7.6 -> 5.1, the refined build
+    6.2 -> 3.8 and its count 7.6 -> 5.1.  Before, the residual's temporaries
+    set the peak, ~28 bytes a point; with inverse iteration from a
+    pseudo-random start it was ~38, and with dstebz's zero-filled count
+    workspace ~76.
     """
     spectrum = solved("xie-odd")
     model, chain, root = spectrum.model, spectrum.chain, spectrum.roots[10]
@@ -836,7 +871,30 @@ def test_verify_root_peak_memory_on_the_largest_deep_grid():
     finally:
         tracemalloc.stop()
     assert report.converged
-    assert peak < 36 * points
+    assert peak < 24 * points
+
+
+def test_verify_root_peak_memory_on_the_radial_residual_mesh():
+    """coulomb root 0 solves 4,000 rows, but its residual has a mesh of its
+    own, 173,626 nodes (see _radial_residual_config).  Sampling and the
+    residual take that mesh a block at a time: sampling holds the nodes, psi
+    and the norm's trapezoid terms, and the residual psi and the terms of
+    its two weighted sums, which are summed whole.  The peak reads ~26
+    bytes a node (4.3 MiB traced, sampling and residual alike); before, the
+    residual's six arrays of the mesh made it ~48 (8.0 MiB)."""
+    spectrum = solved("coulomb")
+    model, chain, root = spectrum.model, spectrum.chain, spectrum.roots[0]
+    cfg = oracle.default_verify_config(model, root)
+    nodes = oracle._radial_residual_config(model, root, cfg).points
+    assert (cfg.points, nodes) == (4000, 173_626)
+    tracemalloc.start()
+    try:
+        report = oracle.verify_root(model, root, chain=chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak < 30 * nodes
 
 
 class _RecordingLapack:

@@ -405,12 +405,13 @@ def test_a_grid_that_is_not_an_exact_mirror_takes_the_full_path():
 
 
 def _frame_map_cases():
-    """(label, model, chain, root, xs) for every kind of grid a frame meets.
+    """(label, model, chain, root, xs) for every kind of grid a frame can meet.
 
     The default exact-mirror grid, the verifier's nodes at the lowest and
     highest root of each full-line deep well (dshg's exp(2x) chart, and the
     half line of each parity sector), a linspace grid and two half-line
-    grids.
+    grids.  ``sample`` frames the default grid alone; an explicit grid is
+    evaluated point by point, in blocks.
     """
     cases = []
     for key, (model_id, n, params) in DEEP_CASES.items():
