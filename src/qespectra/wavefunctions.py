@@ -25,9 +25,10 @@ _PARITY_TOL = 1e-8
 # decay_halfwidth: the envelope's negligible fraction of its peak, and the
 # half-width scanned (the fallback when the envelope never decays).
 _DECAY_CUTOFF, _DECAY_XMAX = 1e-12, 60.0
-# Rows a block of sampling: of the 80-bit Horner evaluation, and on an
-# explicit grid of the coordinate, the prefactor and the norm's terms too,
-# so that their temporaries stay this size whatever the grid.
+# Rows a block of sampling: of the coordinate, the prefactor, the 80-bit
+# Horner evaluation and the norm's terms, so that their temporaries stay
+# this size whatever the grid.  On the full line a block and its mirror
+# rows are sampled together.
 _HORNER_ROWS = 16384
 # Finer grid steps are refused: no state is resolved on them, and the
 # normalized samples grow like step^-1/2 past any physical scale.  The
@@ -122,9 +123,16 @@ def node_count(xs, psi):
 
 
 def _is_symmetric(xs):
-    """Whether the sample points mirror about the origin."""
-    span = float(np.max(np.abs(xs))) or 1.0
-    return bool(np.max(np.abs(xs + xs[::-1])) <= 1e-12 * span)
+    """Whether the sample points mirror about the origin.
+
+    The end points decide first, so a grid whose ends do not mirror, such
+    as a half line, is refused with no temporary of its length.
+    """
+    tol = 1e-12 * (max(float(xs.max()), -float(xs.min())) or 1.0)
+    if not abs(xs[0] + xs[-1]) <= tol:
+        return False
+    gap = xs + xs[::-1]
+    return bool(np.max(np.abs(gap, out=gap)) <= tol)
 
 
 def _parity(psi):
@@ -187,8 +195,17 @@ def _coefficients(image):
 def _horner_block(coeffs, z, out):
     """S(z) at one block of float64 ``z``, accumulated in 80 bits, into ``out``.
 
-    A monic image (leading coefficient exactly 1, as every assembled state
-    is) starts at z + c_(n-1): the step it skips multiplies by 1, exactly.
+    A deep-well solution polynomial cancels pointwise by up to ~1e6 on the
+    physical interval (its values sit that far below its coefficients), and
+    verification second-differences the samples, dividing any pointwise
+    noise by h^2.  float64 Horner cannot absorb both; extended-precision
+    accumulation over double-double images of the exact coefficients keeps
+    the pointwise relative error near 1e-13 in the worst catalog case.
+
+    Horner runs elementwise, so a point's value does not depend on the
+    block it is evaluated in.  A monic image (leading coefficient exactly
+    1, as every assembled state is) starts at z + c_(n-1): the step it
+    skips multiplies by 1, exactly.
     """
     zl = z.astype(np.longdouble)
     if len(coeffs) > 1 and coeffs[-1] == 1:
@@ -200,29 +217,6 @@ def _horner_block(coeffs, z, out):
         acc += c
     with np.errstate(over="ignore"):
         out[...] = acc
-
-
-def _eval_poly_extended(image, z):
-    """Horner evaluation in 80-bit extended precision of an integer image.
-
-    A deep-well solution polynomial cancels pointwise by up to ~1e6 on the
-    physical interval (its values sit that far below its coefficients), and
-    verification second-differences the samples, dividing any pointwise
-    noise by h^2.  float64 Horner cannot absorb both; extended-precision
-    accumulation over double-double images of the exact coefficients keeps
-    the pointwise relative error near 1e-13 in the worst catalog case.
-
-    ``z`` is a 1-d array; each block of _HORNER_ROWS points is widened to
-    80 bits, evaluated and rounded to float64 on its own.  Horner runs
-    elementwise, so the values are those of one pass over all of ``z``.
-    """
-    coeffs = _coefficients(image)
-    z = np.asarray(z)
-    values = np.empty(z.shape)
-    for start in range(0, len(z), _HORNER_ROWS):
-        stop = start + _HORNER_ROWS
-        _horner_block(coeffs, z[start:stop], values[start:stop])
-    return values
 
 
 def _first_peak_sign(psi):
@@ -245,82 +239,31 @@ def _first_peak_sign(psi):
     return 1.0 if psi[int(np.argmax(np.abs(psi)))] > 0 else -1.0
 
 
-@dataclass(frozen=True)
-class _Frame:
-    """What sampling needs of a grid and a model, whatever the root.
-
-    ``z`` is the float64 coordinate at the points the polynomial is
-    evaluated on (:func:`_eval_poly_extended` widens it to 80 bits a block
-    at a time): the first ceil(N/2) points, then those of
-    the second half whose float64 coordinate differs from that of their
-    mirror point, N - 1 - i for point i.  A point whose coordinate equals
-    its mirror's, bit for bit, takes its mirror's value: ``source`` maps
-    each point to its value among the evaluated ones, or is None when every
-    point is evaluated in order.  On an exactly mirrored grid with an even
-    chart that is half the points; on a grid that misses a mirror by an ulp
-    here and there, such as ``np.linspace``'s, it is every pair whose
-    coordinate rounds alike.  ``q`` is the prefactor and ``dead`` its
-    underflowed tail (q == 0); ``symmetric`` says whether parity is
-    classified (full line, mirrored grid).
-    """
-
-    xs: np.ndarray
-    z: np.ndarray
-    source: np.ndarray | None
-    q: np.ndarray
-    dead: np.ndarray
-    symmetric: bool
-
-
-def _frame(model, xs):
+def _chart(model, x):
+    """The float64 coordinate and prefactor at the points ``x``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.asarray(model.coordinate(xs), dtype=float)
-        q = np.asarray(model.prefactor(xs), dtype=float)
-    evaluated = z != z[::-1]
-    evaluated[: (len(z) + 1) // 2] = True
-    source = None
-    if not evaluated.all():
-        source = np.cumsum(evaluated) - 1
-        source[~evaluated] = source[::-1][~evaluated]
-        z = z[evaluated]
-    # a view: the radial chart's coordinate is ``xs`` itself, which the
-    # caller keeps writable
-    z = z.view()
-    dead = q == 0.0
-    for owned in (z, source, q, dead):
-        if owned is not None:
-            owned.setflags(write=False)
-    symmetric = not model.half_line and _is_symmetric(xs)
-    return _Frame(xs, z, source, q, dead, symmetric)
+        return (np.asarray(model.coordinate(x), dtype=float),
+                np.asarray(model.prefactor(x), dtype=float))
 
 
-def _frame_values(frame, image):
-    """S(z) at every point of the frame, from one evaluation per mirror pair.
-
-    Horner runs elementwise, so a point whose coordinate is its mirror's,
-    bit for bit, gets bit for bit what evaluating it would give.
-    """
-    values = _eval_poly_extended(image, frame.z)
-    if frame.source is not None:
-        values = values[frame.source]
-    return values
-
-
-# The frame of the last model sampled on its default grid, and that model.
-# Keyed by the object itself (``is``), so an equal model built afresh gets
-# a frame of its own.
+# The last model sampled on its default grid, and (xs, z, q, symmetric):
+# that grid, read-only, the coordinate and the prefactor on it, and
+# whether parity is classified there.  Keyed by the object itself (``is``),
+# so an equal model built afresh gets a grid of its own.
 _last_default = (None, None)
 
 
-def _default_frame(model):
+def _default_inputs(model):
     global _last_default
-    cached, frame = _last_default
+    cached, inputs = _last_default
     if cached is not model:
         xs = default_grid(model, model.n)
-        xs.setflags(write=False)
-        frame = _frame(model, xs)
-        _last_default = (model, frame)
-    return frame
+        z, q = _chart(model, xs)
+        for owned in (xs, z, q):
+            owned.setflags(write=False)
+        inputs = (xs, z, q, not model.half_line and _is_symmetric(xs))
+        _last_default = (model, inputs)
+    return inputs
 
 
 def sample(model, root, xs=None, chain=None):
@@ -334,18 +277,17 @@ def sample(model, root, xs=None, chain=None):
 
     All roots of one model object sampled on the default grid share one
     read-only ``xs``: the grid, and the coordinate and prefactor on it, are
-    built once for that model and kept until another model is sampled.
-    There the polynomial is evaluated once for each pair of mirror points,
-    i and N - 1 - i, whose coordinates are equal, bit for bit, and the
-    value serves both; the result is byte-identical to evaluating it
-    everywhere.  Where the coordinate is even on the whole grid (the
-    tanh^2, -sinh^2, cosh^2 and sinh^2 charts) that is half the points, and
-    with a prefactor of the sector's parity psi is exactly even or odd.
-
-    An explicit ``xs``, such as the verifier's nodes of up to 900,000
-    points, is evaluated at every point, a block at a time, with the
-    coordinate and the prefactor taken per block; so psi, and the
-    trapezoid terms of the norm, are the only arrays of its length made.
+    built once for that model and kept until another model is sampled.  On
+    an explicit ``xs``, such as the verifier's nodes of up to 900,000
+    points, the coordinate and the prefactor are taken a block at a time.
+    Either way :func:`_values` samples the grid in blocks, evaluating the
+    polynomial once for each pair of mirror blocks whose coordinates are
+    equal, bit for bit; the result is byte-identical to evaluating it at
+    every point.  Where the coordinate is even on an exact mirror (the
+    default grid, with the tanh^2, -sinh^2, cosh^2 and sinh^2 charts) that
+    is half the points, and with a prefactor of the sector's parity psi is
+    exactly even or odd.  psi, and the trapezoid terms of the norm, are
+    the only arrays of the grid's length made for a root.
 
     Raises:
         NotARoot: ``root`` does not identify a root of the constraint.
@@ -356,14 +298,10 @@ def sample(model, root, xs=None, chain=None):
         chain = recurrence.exact_chain(recurrence.build_baseline(model))
     image = recurrence.assemble_solution(chain, root)
     if xs is None:
-        frame = _default_frame(model)
-        xs, symmetric = frame.xs, frame.symmetric
-        psi = _frame_values(frame, image)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(frame.q, psi, out=psi)
-        # 0 * inf in the dead tail: the underflowed prefactor wins.
-        psi[frame.dead] = 0.0
-        del frame
+        xs, z, q, symmetric = _default_inputs(model)
+
+        def rows(a, b):
+            return z[a:b], q[a:b]
     else:
         xs = np.asarray(xs, dtype=float)
         # NaN compares false, so it would pass the ordering test below
@@ -372,7 +310,10 @@ def sample(model, root, xs=None, chain=None):
         if xs.ndim != 1 or len(xs) < 16 or np.any(np.diff(xs) <= 0):
             raise DegenerateGrid("explicit grids must be 1-d, increasing, >= 16 points")
         symmetric = not model.half_line and _is_symmetric(xs)
-        psi = _explicit_values(model, image, xs)
+
+        def rows(a, b):
+            return _chart(model, xs[a:b])
+    psi = _values(_coefficients(image), len(xs), rows, model.half_line)
     if not np.all(np.isfinite(psi)):
         raise DegenerateGrid("wavefunction overflowed on this grid; shrink it")
     norm = _norm(xs, psi)
@@ -389,25 +330,43 @@ def sample(model, root, xs=None, chain=None):
     )
 
 
-def _explicit_values(model, image, xs):
-    """Q(x) S(z(x)) at every point of an explicit grid, a block of
-    _HORNER_ROWS points at a time: the coordinate, the prefactor and the
-    80-bit Horner live for one block only, so psi is the one array of N
-    rows made here."""
-    coeffs = _coefficients(image)
-    psi = np.empty(len(xs))
-    for start in range(0, len(xs), _HORNER_ROWS):
-        x = xs[start:start + _HORNER_ROWS]
-        block = psi[start:start + _HORNER_ROWS]
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = np.asarray(model.coordinate(x), dtype=float)
-            q = np.asarray(model.prefactor(x), dtype=float)
-        _horner_block(coeffs, z, block)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(q, block, out=block)
-        # 0 * inf in the dead tail: the underflowed prefactor wins.
-        block[q == 0.0] = 0.0
+def _values(coeffs, count, rows, half_line):
+    """Q(x) S(z(x)) at the ``count`` rows of a grid; ``rows(a, b)`` gives the
+    float64 coordinate and the prefactor at rows [a, b).
+
+    The first ceil(N/2) rows (all N on the half line) are walked a block of
+    _HORNER_ROWS at a time, so the coordinate, the prefactor and the 80-bit
+    Horner live for one block and its mirror only, and psi is the one
+    array of N rows made here.  On the full line each block [a, b) is
+    paired with its mirror rows [N - b, N - a), less an odd count's middle
+    row, which is the block's own.  Where their coordinate is the block's
+    reversed, bit for bit, the block's values serve them, as Horner would
+    give them anyway; else they are evaluated too.
+    """
+    psi = np.empty(count)
+    stop = count if half_line else (count + 1) // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, stop, _HORNER_ROWS):
+            b = min(a + _HORNER_ROWS, stop)
+            z, q = rows(a, b)
+            _horner_block(coeffs, z, psi[a:b])
+            if not half_line:
+                lo, hi = max(count - b, b), count - a
+                zm, qm = rows(lo, hi)
+                if np.array_equal(zm, z[:hi - lo][::-1]):
+                    psi[lo:hi] = psi[a:a + hi - lo][::-1]
+                else:
+                    _horner_block(coeffs, zm, psi[lo:hi])
+                _times(qm, psi[lo:hi])
+            _times(q, psi[a:b])
     return psi
+
+
+def _times(q, block):
+    """Multiply ``block`` by the prefactor ``q`` in place."""
+    np.multiply(q, block, out=block)
+    # 0 * inf in the dead tail: the underflowed prefactor wins.
+    block[q == 0.0] = 0.0
 
 
 def _norm(xs, psi):

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import pytest
 
-from qespectra import models, polynomials, solve
+from qespectra import models, polynomials, solve, wavefunctions
 
 # The deep-well instances the acceptance suite revolves around, with exact
 # rational parameters so every coefficient table stays in Fraction arithmetic.
@@ -54,6 +54,21 @@ def solved(case_key):
 def deep():
     """Accessor fixture for the cached deep-well cases."""
     return solved
+
+
+@pytest.fixture
+def horner_rows(monkeypatch):
+    """The sizes of the blocks that sampling hands the 80-bit Horner, in
+    call order; ``sum`` is the rows it evaluated."""
+    rows = []
+    horner = wavefunctions._horner_block
+
+    def counted(coeffs, z, out):
+        rows.append(len(z))
+        horner(coeffs, z, out)
+
+    monkeypatch.setattr(wavefunctions, "_horner_block", counted)
+    return rows
 
 
 def degree(p):

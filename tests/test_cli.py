@@ -311,6 +311,20 @@ def test_wavefunction_csv_bytes_are_pinned(capsys):
     assert not changed, f"wavefunction CSV bytes changed for {changed}"
 
 
+def test_wavefunction_on_an_even_chart_evaluates_half_the_grid(capsys, horner_rows):
+    # the CLI passes its grid explicitly; it is the default exact mirror,
+    # so the polynomial is evaluated at one point of each mirror pair
+    key = ("razavy-sinh2", 40, ("xi=1/2", "alpha=0", "beta=1"), 20)
+    argv = ["wavefunction", "--model", "razavy-sinh2", "--n", "40",
+            "--root-index", "20", "--format", "csv"]
+    for param in key[2]:
+        argv += ["--param", param]
+    code, out = run_cli(*argv, capsys=capsys)
+    assert code == 0
+    assert sum(horner_rows) == (2001 + 1) // 2
+    assert _sha256(out) == WAVEFUNCTION_CSV_SHA256[key]
+
+
 def test_roots_accepts_m_alias(capsys):
     code, out = run_cli(
         "roots", "--model", "dshg", "--param", "xi=2", "--param", "M=12",

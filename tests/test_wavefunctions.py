@@ -4,6 +4,7 @@ import hashlib
 import math
 import struct
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,21 @@ def test_parity_requires_symmetric_grid():
     grid = wavefunctions.WavefunctionGrid(xs, np.cos(xs), 1.0, 0, None)
     with pytest.raises(AsymmetricGrid):
         wavefunctions.parity_classify(grid)
+
+
+def test_a_grid_whose_ends_do_not_mirror_is_refused_without_a_copy():
+    # such as the verifier's half-line nodes of a parity sector, which
+    # sample checks for a mirror (a sector model is not ``half_line``)
+    xs = np.linspace(1e-3, 10.0, 1_000_000)
+    grid = wavefunctions.WavefunctionGrid(xs, xs, 1.0, 0, None)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AsymmetricGrid):
+            wavefunctions.parity_classify(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +150,17 @@ EDGE_IMAGES = [
 ]
 
 
+# the reference's own Horner, never the one a test counts
+_horner_block = wavefunctions._horner_block
+
+
+def _extended_horner(image, z):
+    """S(z) by the 80-bit Horner over the whole of ``z`` at once."""
+    values = np.empty(len(z))
+    _horner_block(wavefunctions._coefficients(image), z, values)
+    return values
+
+
 def test_extended_horner_splits_as_fractions_do():
     model = models.make("razavy-sinh2", 40, {"xi": Fraction(1, 2), "alpha": 0, "beta": 1})
     spectrum = solve(model)
@@ -141,7 +168,7 @@ def test_extended_horner_splits_as_fractions_do():
     images = [recurrence.assemble_solution(spectrum.chain, root) for root in spectrum.roots[::4]]
     for nums, den in images + EDGE_IMAGES:
         np.testing.assert_array_equal(
-            wavefunctions._eval_poly_extended((nums, den), z),
+            _extended_horner((nums, den), z),
             _fraction_split_horner(nums, den, z),
         )
         # bit for bit, lo too, where the Horner sum cannot see its last bits
@@ -152,7 +179,7 @@ def test_extended_horner_splits_as_fractions_do():
     _, los = wavefunctions._split(EDGE_IMAGES[2])
     assert 0.0 < abs(los[0]) < sys.float_info.min  # a subnormal lo
     with pytest.raises(OverflowError):
-        wavefunctions._eval_poly_extended(((10**400,), 3), z)
+        _extended_horner(((10**400,), 3), z)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +321,7 @@ def test_wide_grid_keeps_node_counts_and_parities(case):
 
 
 # ---------------------------------------------------------------------------
-# the default grid: one read-only frame per model object
+# the default grid: one read-only grid per model object
 # ---------------------------------------------------------------------------
 
 def _state_bytes(state):
@@ -302,7 +329,7 @@ def _state_bytes(state):
             state.node_count, state.parity)
 
 
-def test_default_frame_is_shared_per_model_object(monkeypatch):
+def test_default_grid_is_shared_per_model_object(monkeypatch):
     calls = []
     halfwidth = wavefunctions.decay_halfwidth
 
@@ -327,7 +354,7 @@ def test_default_frame_is_shared_per_model_object(monkeypatch):
             assert fresh_xs.flags.writeable
             with pytest.raises(ValueError):
                 state.xs[0] = 0.0
-        # the default grid was built once per turn for the shared frame,
+        # the default grid was built once per turn for the shared grid,
         # once per root for the fresh ones
         assert calls.count(model) == 1 + len(spectrum.roots), turn
         calls.clear()
@@ -366,102 +393,121 @@ def test_default_grid_state_bytes_are_pinned(case):
 
 
 # ---------------------------------------------------------------------------
-# frames: one evaluation per mirror pair
+# sampling in blocks: one evaluation per pair of mirror blocks
 # ---------------------------------------------------------------------------
 
 FULL_LINE_IDS = sorted(m for m in CATALOG_PARAMS if not models.make(m, 1, CATALOG_PARAMS[m]).half_line)
 
+def _pointwise(model, chain, root, xs):
+    """Q S at each point of ``xs`` on its own: one 80-bit Horner over the
+    whole grid, with no blocks and no mirror."""
+    image = recurrence.assemble_solution(chain, root)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.asarray(model.coordinate(xs), dtype=float)
+        q = np.asarray(model.prefactor(xs), dtype=float)
+        psi = _extended_horner(image, z) * q
+    psi[q == 0.0] = 0.0
+    return psi
 
-def _mirrored(frame):
-    """Whether the frame evaluates one point of every mirror pair and no more."""
-    return len(frame.z) == (len(frame.xs) + 1) // 2
+
+def _sampled_rows(rows, model, chain, root, xs=None):
+    """The rows of the 80-bit Horner that sampling one root evaluates, once
+    its psi is asserted to be the pointwise evaluation, bit for bit."""
+    rows.clear()
+    state = wavefunctions.sample(model, root, xs=xs, chain=chain)
+    want = _pointwise(model, chain, root, state.xs) / state.norm
+    assert state.psi.tobytes() in (want.tobytes(), (-want).tobytes()), root
+    return sum(rows)
 
 
 @pytest.mark.parametrize("model_id", FULL_LINE_IDS)
-def test_half_evaluation_is_the_full_evaluation(model_id):
+def test_half_evaluation_is_the_full_evaluation(model_id, horner_rows):
     # every even chart evaluates half the default grid and mirrors it, bit
-    # for bit what Horner gives at every point; dshg's exp(2x) is not even
-    model = models.make(model_id, 20, CATALOG_PARAMS[model_id])
+    # for bit what Horner gives at every point; dshg's exp(2x) is not even.
+    # The longest chain whose states sample (xie overflows at n = 20, chen
+    # from n = 10)
+    n = max(n for n in (3, 10, 20) if not isinstance(NODES_AND_PARITIES[(model_id, n)], str))
+    model = models.make(model_id, n, CATALOG_PARAMS[model_id])
     spectrum = solve(model)
-    xs = wavefunctions.default_grid(model, model.n)
-    frame = wavefunctions._frame(model, xs)
-    assert _mirrored(frame) == (model_id != "dshg")
-    assert len(frame.z) == ((len(xs) + 1) // 2 if _mirrored(frame) else len(xs))
-    full_z = np.asarray(model.coordinate(xs), dtype=float).astype(np.longdouble)
+    points = len(wavefunctions.default_grid(model, n))
+    want = points if model_id == "dshg" else (points + 1) // 2
     for root in spectrum.roots:
-        image = recurrence.assemble_solution(spectrum.chain, root)
-        with np.errstate(over="ignore"):
-            want = wavefunctions._eval_poly_extended(image, full_z)
-            got = wavefunctions._frame_values(frame, image)
-        assert got.tobytes() == want.tobytes(), root
+        assert _sampled_rows(horner_rows, model, spectrum.chain, root) == want, root
 
 
-def test_a_grid_that_is_not_an_exact_mirror_takes_the_full_path():
+def test_a_grid_that_is_not_an_exact_mirror_takes_the_full_path(horner_rows):
     model = models.make("razavy", 10, CATALOG_PARAMS["razavy"])
+    spectrum = solve(model)
+    root = spectrum.roots[0]
     linspace = np.linspace(-1.0, 1.0, 2001)
     assert not np.array_equal(linspace, -linspace[::-1])
-    assert not _mirrored(wavefunctions._frame(model, linspace))
-    assert _mirrored(wavefunctions._frame(model, wavefunctions.default_grid(model, 10, halfwidth=1.0)))
+    assert _sampled_rows(horner_rows, model, spectrum.chain, root, linspace) == 2001
+    mirror = wavefunctions.default_grid(model, 10, halfwidth=1.0)
+    assert _sampled_rows(horner_rows, model, spectrum.chain, root, mirror) == 1001
 
 
-def _frame_map_cases():
-    """(label, model, chain, root, xs) for every kind of grid a frame can meet.
+def _nudged(xs, row):
+    """``xs`` with one point moved a millionth of a step to the right."""
+    xs = xs.copy()
+    xs[row] += 1e-6 * (xs[row] - xs[row - 1])
+    return xs
+
+
+def _grid_cases():
+    """(label, model, chain, root, xs, rows) for every kind of grid sampling
+    meets, with the Horner rows it evaluates; ``xs`` None is the default
+    grid.
 
     The default exact-mirror grid, the verifier's nodes at the lowest and
     highest root of each full-line deep well (dshg's exp(2x) chart, and the
-    half line of each parity sector), a linspace grid and two half-line
-    grids.  ``sample`` frames the default grid alone; an explicit grid is
-    evaluated point by point, in blocks.
+    half line of each parity sector), a linspace grid, two half-line grids,
+    and exact mirrors of several blocks: of 40,000 and 40,001 points (whose
+    middle row pairs with itself), and of 40,000 with one end point of the
+    first block's mirror rows moved, so that block and its mirror are both
+    evaluated and the second pair is shared.
     """
     cases = []
     for key, (model_id, n, params) in DEEP_CASES.items():
         spectrum = solved(key)
         model, chain = spectrum.model, spectrum.chain
         if key == "coulomb":
-            cases.append(("coulomb-default", model, chain, spectrum.roots[0],
-                          wavefunctions.default_grid(model, n)))
+            cases.append(("coulomb-default", model, chain, spectrum.roots[0], None, 2001))
             continue
         for index in (0, -1):
             root = spectrum.roots[index]
-            cfg = oracle.default_verify_config(model, root)
-            cases.append((f"{key}-fd-{index}", model, chain, root, oracle.grid_nodes(model, cfg)))
+            xs = oracle.grid_nodes(model, oracle.default_verify_config(model, root))
+            cases.append((f"{key}-fd-{index}", model, chain, root, xs, len(xs)))
     spectrum = solved("razavy")
     model, chain, root = spectrum.model, spectrum.chain, spectrum.roots[3]
-    cases.append(("razavy-default", model, chain, root,
-                  wavefunctions.default_grid(model, model.n)))
-    cases.append(("razavy-linspace", model, chain, root, np.linspace(-4.0, 4.0, 3001)))
+    cases.append(("razavy-default", model, chain, root, None, 1001))
+    cases.append(("razavy-linspace", model, chain, root, np.linspace(-4.0, 4.0, 3001), 3001))
+    xs40 = wavefunctions.default_grid(model, model.n, points=40_000, halfwidth=4.0)
+    xs41 = wavefunctions.default_grid(model, model.n, points=40_001, halfwidth=4.0)
+    cases.append(("razavy-mirror-40000", model, chain, root, xs40, 20_000))
+    cases.append(("razavy-mirror-40001", model, chain, root, xs41, 20_001))
+    # either end of the first block's mirror rows
+    for row in (40_000 - wavefunctions._HORNER_ROWS, 39_999):
+        cases.append((f"razavy-mirror-nudged-{row}", model, chain, root, _nudged(xs40, row),
+                      20_000 + wavefunctions._HORNER_ROWS))
     half = models.make("perturbed-dshg", 6, {"xi": 2, "alpha": 2, "beta": Fraction(1, 4)})
     spectrum = solve(half)
     cases.append(("pdshg-half-line", half, spectrum.chain, spectrum.roots[2],
-                  wavefunctions.default_grid(half, half.n, points=2000)))
+                  wavefunctions.default_grid(half, half.n, points=2000), 2000))
     return cases
 
 
-def test_the_frame_map_is_the_full_evaluation():
-    """Every point gets bit for bit what Horner gives there, and each pair
-    of mirror points with equal coordinates is evaluated once."""
-    shared = {}
-    for label, model, chain, root, xs in _frame_map_cases():
-        frame = wavefunctions._frame(model, xs)
-        image = recurrence.assemble_solution(chain, root)
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = np.asarray(model.coordinate(xs), dtype=float)
-            want = wavefunctions._eval_poly_extended(image, z.astype(np.longdouble))
-            got = wavefunctions._frame_values(frame, image)
-        assert got.tobytes() == want.tobytes(), label
-        half = len(xs) // 2
-        pairs = sum(1 for i in range(half) if z[i] == z[-1 - i])
-        assert len(frame.z) == len(xs) - pairs, label
-        shared[label] = pairs / half
-    # the default grid shares every pair; dshg's exp(2x) chart and the half
-    # line share none, and the verifier's nodes of a parity sector are the
-    # half line; linspace, a few ulps off a mirror, shares some pairs
-    assert shared["razavy-default"] == 1.0
-    assert shared["coulomb-default"] == shared["pdshg-half-line"] == 0.0
-    assert 0.0 < shared["razavy-linspace"] < 1.0
-    for label, share in shared.items():
-        if "-fd-" in label:
-            assert share == 0.0, label
+def test_every_grid_samples_as_the_pointwise_evaluation(horner_rows):
+    """Every point gets bit for bit what Horner gives there, and a pair of
+    mirror blocks is evaluated once where their coordinates agree, bit for
+    bit, and twice where they do not."""
+    assert wavefunctions._HORNER_ROWS < 20_000  # so 40,000 points are several blocks
+    for label, model, chain, root, xs, rows in _grid_cases():
+        assert _sampled_rows(horner_rows, model, chain, root, xs) == rows, label
+    # linspace misses a mirror by a few ulps: some pairs of its points have
+    # equal coordinates, but no block does, so every row is evaluated
+    model = solved("razavy").model
+    z = np.asarray(model.coordinate(np.linspace(-4.0, 4.0, 3001)))
+    assert 0 < np.count_nonzero(z[:1500] == z[:-1501:-1]) < 1500
 
 
 # every parity sector of the even charts: the sampled state is exactly even
@@ -578,7 +624,9 @@ def test_node_counts_and_parities_are_those_recorded_on_linspace(model_id):
         nodes, parities = recorded
         moved = MIRROR_MOVED_NODES.get((model_id, n), {})
         nodes = [moved.get(i, count) for i, count in enumerate(nodes)]
-        mirrored = _mirrored(wavefunctions._default_frame(model))
+        with np.errstate(over="ignore"):
+            z = np.asarray(model.coordinate(wavefunctions.default_grid(model, n)), dtype=float)
+        mirrored = np.array_equal(z, z[::-1])
         parities = [
             model.parity if mirrored and p == "-" else {"e": "even", "o": "odd", "-": None}[p]
             for p in parities
