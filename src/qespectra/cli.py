@@ -104,6 +104,8 @@ def _parse_range(text):
         raise InvalidParams("--range needs finite min < max")
     if steps < 2:
         raise InvalidParams("--range needs at least 2 steps")
+    if steps > oracle._MAX_POINTS:  # refused before anything is allocated
+        raise InvalidParams(f"too many --range steps: {steps} > {oracle._MAX_POINTS}")
     return np.linspace(lo, hi, steps)
 
 

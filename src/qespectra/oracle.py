@@ -15,10 +15,10 @@ answer.  So very fine grids stay cheap.
 
 A Sturm count says how many eigenvalues lie in a window; it is the count
 LAPACK's dstebz takes before it bisects (see :func:`_sturm_count`), taken
-by dstebz's own kernel dlaebz through the pointer scipy.linalg.cython_lapack
-exports.  It allocates e^2, 8 bytes a row, and the diagonal where the
-operator holds only the potential.  The bisection query goes through
-``sla.eigvalsh_tridiagonal``.
+on the window itself by dstebz's own kernel dlaebz, through the pointer
+scipy.linalg.cython_lapack exports.  It allocates e^2, 8 bytes a row, and
+the diagonal where the operator holds only the potential.  The bisection
+query goes through ``sla.eigvalsh_tridiagonal``.
 
 Convergence is attested on the grid with half the step: the gap shrinks
 like h^2, so that grid must hold an eigenvalue within a third of the gap
@@ -91,14 +91,12 @@ _MAX_POINTS = 900_000
 # state needs.
 _MIN_STEP = wavefunctions._MIN_STEP
 # Rows a block of every per-node stage but the solves and the counts: the
-# potential, the residuals and the scans that prepare a Sturm count, so
-# that their temporaries stay this size whatever the grid.
+# potential, the residuals and the split test of a Sturm count, so that
+# their temporaries stay this size whatever the grid.
 _ROWS = 4096
 # LAPACK's safe minimum and relative precision, dlamch("S") and dlamch("P").
 _SAFEMIN = np.finfo(float).tiny
 _ULP = np.finfo(float).eps
-# dstebz widens each block's Gershgorin interval by FUDGE * (||T|| ulp N + PIVMIN).
-_FUDGE = 2.1
 
 
 def _lapack_function(name, *argtypes):
@@ -252,7 +250,8 @@ class _Tridiagonal:
     ``off``, N - 1 entries, but for row 0, which couples to row 1 by
     ``first`` unless that is None.  On the line ``off`` is one constant, a
     stride-0 view, and ``first`` differs from it on the even half line alone,
-    so a line operator holds no array of N rows but ``base``.
+    so a line operator holds no array of N rows but ``base``.  ``fill`` and
+    ``off_array`` write the off-diagonal whole.
     """
 
     base: np.ndarray
@@ -264,16 +263,16 @@ class _Tridiagonal:
         """T's diagonal: ``base`` itself, or a new array."""
         return self.base if self.shift == 0.0 else np.add(self.base, self.shift)
 
-    def off_into(self, out, start):
-        """Off-diagonal entries start, start + 1, ... into ``out``."""
-        out[...] = self.off[start:start + len(out)]
-        if start == 0 and self.first is not None and len(out):
+    def off_into(self, out):
+        """T's off-diagonal into ``out``."""
+        out[...] = self.off
+        if self.first is not None and len(out):
             out[0] = self.first
 
     def off_array(self):
         """The off-diagonal as an array of its own."""
         off = np.empty(len(self.off))
-        self.off_into(off, 0)
+        self.off_into(off)
         return off
 
     def fill(self, d, e):
@@ -282,7 +281,7 @@ class _Tridiagonal:
             d[...] = self.base
         else:
             np.add(self.base, self.shift, out=d)
-        self.off_into(e, 0)
+        self.off_into(e)
 
 
 def _held(diag, off):
@@ -471,15 +470,17 @@ def _sturm_count(op, lower, upper):
 
     * e^2, zeroed where dstebz splits T: |d_j d_(j+1)| ulp^2 + safemin > e_j^2;
     * dstebz's PIVMIN, safemin max(1, e_j^2) over the e_j it keeps;
-    * the window clipped to each block's Gershgorin interval, widened by
-      2.1 (||block|| ulp rows + PIVMIN); a block of one row holds its
-      diagonal entry less PIVMIN.
+    * a block of one row holds its diagonal entry less PIVMIN.
+
+    dstebz also clips the window to each block's Gershgorin interval, widened
+    so that dlaebz counts no row at its lower end and every row at its upper
+    end.  The count is monotone in the shift (Demmel, Dhillon and Ren, ETNA 3,
+    1995), so an edge past that interval counts as the clipped edge does, and
+    each block is counted on (lower, upper] itself.
 
     e^2 is the one array of N rows it allocates, 8 bytes a row, besides T's
     diagonal where ``op`` holds none (a line operator that keeps the
-    potential); the split test and the Gershgorin scan run over chunks of
-    _ROWS rows.  (The f2py dstebz allocates and zero-fills 60 bytes a
-    row of workspace.)
+    potential); the split test runs over chunks of _ROWS rows.
     """
     diag = op.diagonal()
     # as eigvalsh_tridiagonal does: a potential that overflows on the box
@@ -506,18 +507,11 @@ def _sturm_count(op, lower, upper):
     count, begin = 0, 0
     for end in np.concatenate(splits + [[len(diag) - 1]]) + 1:
         begin, end = int(begin), int(end)
-        rows = end - begin
-        if rows == 1:
+        if end - begin == 1:
             count += int(lower < diag[begin] - pivmin <= upper)
         else:
-            gl, gu = _gershgorin(diag, op, begin, end)
-            bnorm = max(abs(gl), abs(gu))
-            gl = gl - _FUDGE * bnorm * _ULP * rows - _FUDGE * pivmin
-            gu = gu + _FUDGE * bnorm * _ULP * rows + _FUDGE * pivmin
-            gl, gu = max(gl, lower), min(gu, upper)
-            if gl < gu:
-                e_sq = e2[begin:end - 1]
-                count += _block_count(diag[begin:end], e_sq, e_sq, gl, gu, pivmin)
+            e_sq = e2[begin:end - 1]
+            count += _block_count(diag[begin:end], e_sq, e_sq, lower, upper, pivmin)
         begin = end
     return count
 
@@ -540,31 +534,6 @@ def _block_count(d, e, e2, lower, upper, pivmin):
         scratch, iscratch, info,
     )
     return mout.value
-
-
-def _gershgorin(diag, op, begin, end):
-    """dstebz's Gershgorin interval of the block of rows begin..end-1, unwidened.
-
-    Row j spans (d_j -+ |e_(j-1)|) -+ |e_j|, with no e beyond the block's
-    ends, summed in dstebz's order; ``diag`` is the diagonal of ``op``.
-    """
-    gl, gu = math.inf, -math.inf
-    for start in range(begin, end, _ROWS):
-        stop = min(start + _ROWS, end)
-        # a[k] = |e| left of row start + k, a[k + 1] = |e| right of it
-        a = np.zeros(stop - start + 1)
-        lo, hi = max(start - 1, begin), min(stop, end - 1)
-        inner = a[lo - start + 1:hi - start + 1]
-        op.off_into(inner, lo)
-        np.abs(inner, out=inner)
-        d = diag[start:stop]
-        bound = d + a[:-1]
-        bound += a[1:]
-        gu = max(gu, float(bound.max()))
-        np.subtract(d, a[:-1], out=bound)
-        bound -= a[1:]
-        gl = min(gl, float(bound.min()))
-    return gl, gu
 
 
 def _ambiguous(op, energy, gap):

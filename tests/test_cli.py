@@ -572,6 +572,27 @@ def test_exit_2_on_too_many_grid_points(command, option, tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("steps", [oracle._MAX_POINTS + 1, 10 ** 15])
+def test_constraint_exits_2_on_too_many_range_steps(steps, monkeypatch, tmp_path, capsys):
+    # refused before np.linspace runs: 1e15 steps once escaped as numpy's
+    # _ArrayMemoryError.  The stand-in fails the test instead of allocating.
+    def linspace(lo, hi, count):
+        assert count <= oracle._MAX_POINTS, f"np.linspace ran on {count} steps"
+        return np.array([lo, hi])
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    target = tmp_path / "out.txt"
+    code = cli.main([
+        "constraint", "--model", "dshg", "--n", "2", "--param", "xi=2",
+        f"--range=0:1:{steps}", "--out", str(target),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: too many --range steps: {steps} > {oracle._MAX_POINTS}\n"
+    assert not target.exists()
+    assert len(cli._parse_range(f"0:1:{oracle._MAX_POINTS}")) == 2
+
+
 @pytest.mark.parametrize("box", [("--xmin", "-5"), ("--xmin", "-5", "--xmax", "6")],
                          ids=" ".join)
 def test_verify_exits_2_on_an_asymmetric_box_for_a_parity_sector(box, capsys):

@@ -319,7 +319,9 @@ def _dstebz_count(diag, off, centre, radius):
 
 def _count_windows(diag, off, seed):
     """(centre, radius) windows: random about the lowest levels, wholly below
-    and wholly above the spectrum, and with a level on either edge."""
+    and wholly above the spectrum, with a level on either edge, and from a
+    level to just past and far past either end of T's Gershgorin interval as
+    dstebz widens it."""
     levels = sla.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 11))
     rng = np.random.default_rng(seed)
     spacing = levels[-1] - levels[0]
@@ -331,6 +333,11 @@ def _count_windows(diag, off, seed):
     windows += [(levels[0] - 0.5 * spacing, 0.25 * spacing), (2.0 * top, 0.5 * top)]
     radius = 1e-6 * spacing
     windows += [(level + sign * radius, radius) for level in levels[::4] for sign in (1.0, -1.0)]
+    rims = np.abs(np.concatenate(([0.0], off))) + np.abs(np.concatenate((off, [0.0])))
+    low, high = float((diag - rims).min()), float((diag + rims).max())
+    pad = 2.1 * max(abs(low), abs(high)) * np.finfo(float).eps * len(diag)
+    for end in (low - 2.0 * pad, low - (high - low), high + 2.0 * pad, 2.0 * high - low):
+        windows.append((0.5 * (levels[6] + end), 0.5 * abs(end - levels[6])))
     return windows
 
 
@@ -365,6 +372,13 @@ def test_sturm_count_splits_as_dstebz_does():
         (diag[0] - edge, edge), (diag[-1], 1e-9),
         (diag[-1] + 1e-3, 1e-3), (diag[-1] - 1e-3, 1e-3),
     ]:
+        assert oracle._count_within(oracle._held(diag, off), centre, radius) == _dstebz_count(
+            diag, off, centre, radius), (centre, radius)
+    # lifted, the block of rows 151..299 has its Gershgorin interval above
+    # 4000, and the other blocks' intervals end below 3800: the window
+    # (3800, 3990] lies between them, and (3500, 4500] reaches into both
+    diag[151:-1] += 4000.0
+    for centre, radius in ((3895.0, 95.0), (4000.0, 500.0)):
         assert oracle._count_within(oracle._held(diag, off), centre, radius) == _dstebz_count(
             diag, off, centre, radius), (centre, radius)
 
