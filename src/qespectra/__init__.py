@@ -11,23 +11,37 @@ a finite polynomial space:
   terminating three-term recurrence and the constraint polynomial whose
   roots are the algebraic spectrum;
 * ``polynomials`` — canonical chain form, and root extraction by a
-  symmetric-tridiagonal eigensolve with Newton polishing;
+  symmetric (Jacobi) eigensolve with Newton polishing;
 * ``wavefunctions`` — exact assembly and stable sampling of the polynomial
   wavefunctions, node counting, parity;
 * ``oracle`` — independent finite-difference verification of every
   algebraic energy;
 * ``cli`` — the ``qespectra`` command.
+
+The algebraic path needs numpy alone.  ``oracle``, the one module that
+imports scipy, and its names ``FdConfig``, ``VerificationReport`` and
+``verify_root`` are imported on first use, by ``__getattr__`` below.
 """
 
-from . import errors, models, oracle, polynomials, recurrence, wavefunctions
+import importlib
+
+from . import errors, models, polynomials, recurrence, wavefunctions
 from .errors import QesError
 from .models import catalog, make
-from .oracle import FdConfig, VerificationReport, verify_root
 from .polynomials import RootSet, real_roots, to_canonical_ttrr
 from .recurrence import Spectrum, build_baseline, exact_solution, solve
 from .wavefunctions import sample
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """The oracle and its names, imported on first use (PEP 562)."""
+    if name in ("oracle", "FdConfig", "VerificationReport", "verify_root"):
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "FdConfig",

@@ -39,7 +39,7 @@ from functools import cache
 
 import numpy as np
 
-from . import models, oracle, polynomials, recurrence, wavefunctions
+from . import models, polynomials, recurrence, wavefunctions
 from .errors import (
     BaselineUnsolvable,
     DegenerateGrid,
@@ -104,8 +104,8 @@ def _parse_range(text):
         raise InvalidParams("--range needs finite min < max")
     if steps < 2:
         raise InvalidParams("--range needs at least 2 steps")
-    if steps > oracle._MAX_POINTS:  # refused before anything is allocated
-        raise InvalidParams(f"too many --range steps: {steps} > {oracle._MAX_POINTS}")
+    if steps > wavefunctions._MAX_POINTS:  # refused before anything is allocated
+        raise InvalidParams(f"too many --range steps: {steps} > {wavefunctions._MAX_POINTS}")
     return np.linspace(lo, hi, steps)
 
 
@@ -204,8 +204,8 @@ def _build_model(args):
 
 def _requested_grid(make, *args, points, **kwargs):
     """A grid built from command-line options: a bad one is a bad request."""
-    if points > oracle._MAX_POINTS:  # refused before anything is allocated
-        raise InvalidParams(f"too many grid points: {points} > {oracle._MAX_POINTS}")
+    if points > wavefunctions._MAX_POINTS:  # refused before anything is allocated
+        raise InvalidParams(f"too many grid points: {points} > {wavefunctions._MAX_POINTS}")
     try:
         return make(*args, points=points, **kwargs)
     except DegenerateGrid as exc:
@@ -368,6 +368,8 @@ def cmd_wavefunction(args):
 
 
 def cmd_verify(args):
+    from . import oracle  # the one command that needs scipy
+
     model = _build_model(args)
     spectrum = recurrence.solve(model)
     indices = _pick_indices(spectrum.roots, args.root_index)

@@ -85,7 +85,7 @@ _FLOOR_EPS = 8.0
 # Step-size rule for default grids: h = _H_SCALE / max(1, E - min V).
 _H_SCALE = 0.07
 _MIN_POINTS = 4000
-_MAX_POINTS = 900_000
+_MAX_POINTS = wavefunctions._MAX_POINTS
 # Finer steps are refused, as for sampling: the residual's sums grow like
 # h^-5 and leave the float range near h = 1e-61, far below any step a bound
 # state needs.
@@ -97,6 +97,8 @@ _ROWS = 4096
 # LAPACK's safe minimum and relative precision, dlamch("S") and dlamch("P").
 _SAFEMIN = np.finfo(float).tiny
 _ULP = np.finfo(float).eps
+# An off-diagonal entry this large squares to inf in e^2.
+_E_MAX = math.sqrt(np.finfo(float).max)
 
 
 def _lapack_function(name, *argtypes):
@@ -484,9 +486,11 @@ def _sturm_count(op, lower, upper):
     """
     diag = op.diagonal()
     # as eigvalsh_tridiagonal does: a potential that overflows on the box
-    # must not pass for a count
-    if not (np.isfinite(diag).all() and np.isfinite(op.off).all()
-            and (op.first is None or math.isfinite(op.first))):
+    # must not pass for a count, nor an e whose e^2 overflows PIVMIN to
+    # inf.  NaN fails every comparison; min/max read a stride-0 e in place.
+    first = 0.0 if op.first is None else abs(op.first)
+    if not (np.isfinite(diag).all() and first < _E_MAX
+            and -_E_MAX < op.off.min(initial=0.0) and op.off.max(initial=0.0) < _E_MAX):
         raise ValueError("array must not contain infs or NaNs")
     e2 = np.multiply(op.off, op.off)
     if op.first is not None and len(e2):

@@ -14,12 +14,12 @@ into its *canonical* monic form
 in the rescaled scan variable ``y``.  When every product ``lam_k`` is
 positive, the terminal member's roots are the eigenvalues of the symmetric
 (Jacobi) tridiagonal matrix with diagonal ``d`` and off-diagonal
-``sqrt(lam)``; they are therefore real and simple, and LAPACK's tridiagonal
-solver delivers them to machine precision, after which a Newton polish
-through the recurrence itself restores the last bits.  The products depend
-on where the ODE variable is centred, so the canonical form is taken at the
-first candidate centre where they are all positive.  :func:`real_roots` is
-the one root finder.
+``sqrt(lam)``; they are therefore real and simple, and numpy's dense
+symmetric eigensolve delivers them to machine precision, after which a
+Newton polish through the recurrence itself restores the last bits.  The
+products depend on where the ODE variable is centred, so the canonical form
+is taken at the first candidate centre where they are all positive.
+:func:`real_roots` is the one root finder.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from fractions import Fraction
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import (
     DivisionByZeroMultiplicator,
@@ -249,12 +248,13 @@ def ttrr_terminal(ttrr, y):
 
 
 def real_roots(ttrr):
-    """All roots of the terminal canonical member, by tridiagonal eigensolve.
+    """All roots of the terminal canonical member, by symmetric eigensolve.
 
     The eigenvalues of the symmetric Jacobi matrix (real and simple by
-    construction) are polished through the chain recurrence and returned
-    in the physical scan variable, ascending.  Roots closer than a tiny
-    fraction of the span are reported anyway, with a
+    construction), from ``numpy.linalg.eigvalsh`` on the dense matrix of
+    at most ~100 rows, are polished through the chain recurrence and
+    returned in the physical scan variable, ascending.  Roots closer than
+    a tiny fraction of the span are reported anyway, with a
     :class:`SimplicityWarning`, rather than merged.
 
     Raises:
@@ -263,12 +263,14 @@ def real_roots(ttrr):
     """
     if any(l <= 0 for l in ttrr.lam):
         raise NonPositiveLambda("canonical chain products must be positive")
-    diag = np.asarray(ttrr.d, dtype=float)
-    off = np.sqrt(np.asarray(ttrr.lam[1:], dtype=float))
+    # eigvalsh reads the lower triangle alone; the subdiagonal is written in
+    # place, not added, so that a -0.0 entry of d keeps its sign
+    jacobi = np.diag(np.asarray(ttrr.d, dtype=float))
+    np.fill_diagonal(jacobi[1:], np.sqrt(np.asarray(ttrr.lam[1:], dtype=float)))
     try:
-        ys = sla.eigvalsh_tridiagonal(diag, off)  # ascending; 1x1 exactly
-    except Exception as exc:  # pragma: no cover - LAPACK failure path
-        raise EigensolveFailure(f"tridiagonal eigensolve failed: {exc}") from exc
+        ys = np.linalg.eigvalsh(jacobi)  # ascending; 1x1 exactly
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
+        raise EigensolveFailure(f"symmetric eigensolve failed: {exc}") from exc
     if not np.all(np.isfinite(ys)):
         raise EigensolveFailure("eigensolve produced non-finite values")
 

@@ -34,6 +34,9 @@ _HORNER_ROWS = 16384
 # normalized samples grow like step^-1/2 past any physical scale.  The
 # finite-difference oracle refuses the same steps.
 _MIN_STEP = 1e-30
+# The most points of any grid: the oracle's default grids stop here, and
+# the command line refuses more grid points or --range steps.
+_MAX_POINTS = 900_000
 
 
 @dataclass(frozen=True)

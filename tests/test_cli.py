@@ -710,17 +710,69 @@ def test_out_writes_file(tmp_path, capsys):
     assert len(listing) == 10
 
 
-def test_module_entry_point_smoke():
-    # the child process imports the same package this suite imports
+def _child_env():
+    """The environment of a child process that imports the same package
+    this suite imports."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "qespectra", "roots", "--model", "coulomb",
          "--n", "1", "--param", "lambda=1/2"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, env=_child_env(),
     )
     assert proc.returncode == 0
     result = json.loads(proc.stdout)
     scans = [row["scan_value"] for row in result["roots"]]
     assert scans == pytest.approx([-1.0, 1.0])
+
+
+# Run in a fresh interpreter: import the CLI, report whether scipy came with
+# it, then make any later scipy import fail and run each argv of stdin's
+# JSON list through cli.main, reporting (exit code, sha256 of stdout).
+_WITHOUT_SCIPY = """
+import contextlib, hashlib, io, json, sys
+import qespectra.cli
+loaded = "scipy" in sys.modules
+sys.modules["scipy"] = None
+runs = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = qespectra.cli.main(argv)
+    runs.append((code, hashlib.sha256(out.getvalue().encode()).hexdigest()))
+print(json.dumps({"loaded": loaded, "runs": runs}))
+"""
+
+
+def test_the_algebraic_commands_run_without_scipy(capsys):
+    """Only `verify` needs the FD oracle, the one module that imports scipy:
+    `import qespectra.cli` leaves it unloaded, and `models`, `roots`,
+    `constraint` and `wavefunction` print their pinned bytes with every
+    scipy import refused."""
+    expected = [(["models", "--format", fmt], want) for fmt, want in MODELS_SHA256.items()]
+    expected += [(_deep_argv("roots", key), want) for key, want in ROOTS_JSON_SHA256.items()]
+    for (model_id, n, params, k), want in WAVEFUNCTION_CSV_SHA256.items():
+        argv = ["wavefunction", "--model", model_id, "--n", str(n),
+                "--root-index", str(k), "--format", "csv"]
+        for param in params:
+            argv += ["--param", param]
+        expected.append((argv, want))
+    # no pinned digest for `constraint`: the bytes this process prints
+    argv = _deep_argv("constraint", "xie-even", "--range=0:400:201")
+    code, out = run_cli(*argv, capsys=capsys)
+    assert code == 0
+    expected.append((argv, _sha256(out)))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY],
+        input=json.dumps([argv for argv, _ in expected]),
+        capture_output=True, text=True, timeout=120, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] is False
+    assert result["runs"] == [[0, want] for _, want in expected]

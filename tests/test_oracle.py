@@ -404,6 +404,24 @@ def test_sturm_count_refuses_a_non_finite_operator():
             oracle._count_within(oracle._held(*entries), diag[20], 1.0)
 
 
+def test_sturm_count_refuses_an_off_diagonal_whose_square_overflows():
+    """e^2 past the float range would make PIVMIN inf, and this window,
+    which holds all three eigenvalues, counted 0.  |e| >= sqrt(max float)
+    raises the finiteness error, either sign, on the first row too."""
+    with pytest.raises(ValueError):
+        oracle._count_within(oracle._held([1e300, -1e300, 2e299], [5e299, 3e299]), 0.0, 2e300)
+    edge = oracle._E_MAX
+    for off in ([-edge, 1.0], [1.0, edge]):
+        with pytest.raises(ValueError):
+            oracle._count_within(oracle._held([0.0, 0.0, 0.0], off), 0.0, 1.0)
+    line = oracle._Tridiagonal(np.zeros(3), 0.0, np.broadcast_to(-1.0, (2,)), -edge)
+    with pytest.raises(ValueError):
+        oracle._count_within(line, 0.0, 1.0)
+    below = np.nextafter(edge, 0.0)
+    diag, off = np.zeros(2), np.array([below])  # eigenvalues -below and below
+    assert oracle._count_within(oracle._held(diag, off), 0.0, 2.0 * below) == 2
+
+
 def test_a_sturm_count_never_reads_the_off_diagonal():
     """With IJOB = 1, dlaebz counts from d and e^2 alone: an E of NaNs gives
     every count the true e gives.  The counts pass e^2 in E's place, since a

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    CATALOG_PARAMS,
+    DEEP_CASES,
     certified_roots,
     degree,
     dyadic,
@@ -25,6 +27,7 @@ from qespectra import polynomials as P
 from qespectra.errors import (
     EigensolveFailure,
     NonPositiveLambda,
+    QesError,
     SigmaZero,
     SimplicityWarning,
 )
@@ -270,10 +273,56 @@ def test_rootset_is_ascending():
 @pytest.mark.parametrize("d", (0.1, -0.0, 0.0, 5e-324, -3.7e200, 2.0**1000 * 1.1))
 @pytest.mark.parametrize("scale", (1.0, -0.5))
 def test_one_by_one_chain_root_is_its_entry(d, scale):
-    # n = 0: the eigensolve of a 1x1 matrix returns its entry exactly, and
-    # the polish of y - d at y = d has nothing to do
+    # n = 0: the eigensolve of a 1x1 matrix returns its entry exactly, down
+    # to the sign of a zero, and the polish of y - d at y = d has nothing to do
     ttrr = P.CanonicalTtrr(centre=Fraction(0), d=(d,), lam=(1.0,), scale=scale)
-    assert P.real_roots(ttrr).roots == (scale * d,)
+    assert [x.hex() for x in P.real_roots(ttrr).roots] == [(scale * d).hex()]
+
+
+@pytest.mark.parametrize("lam", ((1.0, math.inf, 1.0), (1.0, 1.0, math.inf)))
+def test_a_non_finite_chain_raises_the_typed_error(lam):
+    # numpy's eigensolve returns NaN seeds on an infinite entry rather than
+    # raising; the finiteness check turns them into the typed error
+    ttrr = P.CanonicalTtrr(centre=Fraction(0), d=(1.0, 2.0, 3.0), lam=lam, scale=1.0)
+    with pytest.raises(EigensolveFailure):
+        P.real_roots(ttrr)
+
+
+def test_roots_do_not_depend_on_the_seed_eigensolver(monkeypatch):
+    """Seeding from LAPACK's tridiagonal solver in place of numpy's dense
+    one gives bit-identical roots (``solve``'s, which are ``real_roots`` of
+    this canonical chain) for every catalog id at n = 1..40 and the deep
+    wells.  The two solvers' seeds agree bit for bit on these chains; the
+    Newton polish does not absorb every seed difference, since seeds moved
+    by one ulp move about 6% of the polished roots by an ulp or more."""
+    from scipy import linalg as sla
+
+    cases = [(m, n, p) for m, p in CATALOG_PARAMS.items() for n in range(1, 41)]
+    cases += [(m, n, dict(p)) for m, n, p in DEEP_CASES.values()]
+    chains = []
+    for model_id, n, params in cases:
+        try:
+            chains.append(P.to_canonical_ttrr(
+                recurrence.build_baseline(models.make(model_id, n, params))))
+        except QesError:  # no positive centre: the chain never reaches a seed
+            continue
+
+    def hex_roots():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SimplicityWarning)
+            return [[x.hex() for x in P.real_roots(ttrr).roots] for ttrr in chains]
+
+    dense = hex_roots()
+    seeded = []
+
+    def tridiagonal(a):
+        seeded.append(len(a))
+        return sla.eigvalsh_tridiagonal(np.diag(a).copy(), np.diag(a, -1).copy())
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", tridiagonal)
+    assert hex_roots() == dense
+    assert seeded == [len(roots) for roots in dense]
+    assert len(chains) == len(cases) - 15  # 15 chen chains have no positive centre
 
 
 def test_negative_scale_roots_are_resorted_ascending():
