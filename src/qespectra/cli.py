@@ -24,8 +24,8 @@ files round-trip bit-exactly through a parse/re-emit cycle.
 
 Exit codes: 0 success; 2 invalid request (unknown model, bad parameters or
 grid options, too many grid points, inadmissible baseline, no FD
-discretization for the model); 3 numerical failure inside the pipeline;
-4 verification shortfall.
+discretization for the model, `verify` without scipy installed); 3
+numerical failure inside the pipeline; 4 verification shortfall.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .errors import (
     DegenerateGrid,
     DomainError,
     InvalidParams,
+    MissingDependency,
     QesError,
 )
 
@@ -53,7 +54,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
-_USAGE_ERRORS = (InvalidParams, DomainError, BaselineUnsolvable)
+_USAGE_ERRORS = (InvalidParams, DomainError, BaselineUnsolvable, MissingDependency)
 
 # verify: a root fails its check when the action residual exceeds this or
 # the gap does not shrink under grid refinement.
@@ -368,7 +369,10 @@ def cmd_wavefunction(args):
 
 
 def cmd_verify(args):
-    from . import oracle  # the one command that needs scipy
+    try:
+        from . import oracle  # the one command that needs scipy
+    except ImportError as exc:
+        raise MissingDependency(f"verify needs scipy: {exc}") from exc
 
     model = _build_model(args)
     spectrum = recurrence.solve(model)

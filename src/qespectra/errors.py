@@ -46,6 +46,10 @@ class NotARoot(QesError):
     the constraint polynomial."""
 
 
+class MissingDependency(QesError):
+    """A package the requested command needs is not installed."""
+
+
 class DegenerateGrid(QesError):
     """A sampling grid is unusable (too few points, zero extent, NaNs)."""
 

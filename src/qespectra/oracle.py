@@ -1,31 +1,28 @@
 """Independent finite-difference check of the algebraic spectra.
 
 The verifier discretizes H = -d^2/dx^2 + V with second-order central
-differences and Dirichlet walls, finds the FD eigenvalue nearest each
-algebraic energy, and reports the gap together with a discrete residual
+differences and Dirichlet walls, pairs each algebraic state with the FD
+level k of its node count (by the discrete oscillation theorem, Gantmacher
+and Krein, the eigenvector of level k of a Jacobi matrix has exactly k
+sign changes), and reports the gap together with a discrete residual
 ||H psi - E psi|| / ||psi|| of the *algebraic* wavefunction on the same
-grid.  The nearest eigenvalue is found by O(N) Rayleigh-quotient solves
-that start from that wavefunction, the state's own approximate
-eigenvector, so most states settle in one.  When they settle, one Sturm
-count of the window of twice the gap about the energy both certifies it
-and says it is not ambiguous (no second eigenvalue that near), unless a
-second eigenvalue lies there; then a bisection query of the disc nearer
-than the estimate settles it.  The start sets the cost and never the
-answer.  So very fine grids stay cheap.
+grid.  Level k is found by O(N) Rayleigh-quotient solves from that
+wavefunction, certified by one Sturm count or else bisected (see
+:func:`_nearest`).  So very fine grids stay cheap.
 
-A Sturm count says how many eigenvalues lie in a window; it is the count
-LAPACK's dstebz takes before it bisects (see :func:`_sturm_count`), taken
-on the window itself by dstebz's own kernel dlaebz, through the pointer
-scipy.linalg.cython_lapack exports.  It allocates e^2, 8 bytes a row, and
-the diagonal where the operator holds only the potential.  The bisection
-query goes through ``sla.eigvalsh_tridiagonal``.
+A Sturm count says how many eigenvalues lie below a window and in it, as
+LAPACK's dstebz counts them before it bisects (see :func:`_count_within`),
+by dstebz's own kernel dlaebz, through the pointer scipy.linalg.cython_lapack
+exports.  It allocates e^2, 8 bytes a row, and the diagonal where the
+operator holds only the potential.  The bisection query goes through
+``sla.eigvalsh_tridiagonal``.
 
 Convergence is attested on the grid with half the step: the gap shrinks
-like h^2, so that grid must hold an eigenvalue within a third of the gap
-(or within the noise floor) of the energy.  One Sturm count of that
-window decides it; the refined grid is never solved.  On the full and the
-half line every other node of the refined grid is a node of the first,
-bit for bit, and keeps the potential already taken there.
+like h^2, so level k of that grid must lie within a third of the gap (or
+within the noise floor) of the energy.  One Sturm count of that window
+decides it; the refined grid is never solved.  On the full and the half
+line every other node of the refined grid is a node of the first, bit for
+bit, and keeps the potential already taken there.
 
 Three discretizations are used:
 
@@ -38,9 +35,10 @@ Three discretizations are used:
   psi_1; a diagonal similarity makes that row symmetric, with -sqrt(2)/h^2
   off the diagonal.  This operator has exactly the eigenvalues of the
   state's parity of the full-line operator on the mirrored nodes i h,
-  |i| <= M, so the other sector's levels are never the nearest.  The
-  residual's stencil extends psi across 0 by its parity and counts every
-  node but 0 twice, so it is the full-line residual;
+  |i| <= M, and the state's level index is its node count c on the half
+  line, before it is doubled for the report.  The residual's stencil
+  extends psi across 0 by its parity and counts every node but 0 twice,
+  so it is the full-line residual;
 * other full-line models (dshg, whose chart holds both parities): interior
   nodes of a uniform grid, walls at +-L;
 * the radial Coulomb model: the plain 3-point stencil cannot see the correct
@@ -74,12 +72,12 @@ from . import wavefunctions
 from .errors import DegenerateGrid, InvalidParams
 from .models import CoulombOscillator
 
-# The gap is "converged" when the grid with half the step has an eigenvalue
-# within gap / _SHRINK of the energy, or within the noise floor.
+# The gap is "converged" when the grid with half the step has the state's
+# level within gap / _SHRINK of the energy, or within the noise floor.
 _SHRINK = 3.0
 _GAP_FLOOR = 1e-9
-# Nearest-eigenvalue query: at most this many Rayleigh-quotient steps; the
-# FD matrix's rounding floor is _FLOOR_EPS * eps * ||T||.
+# Level query: at most this many Rayleigh-quotient steps; the FD matrix's
+# rounding floor is _FLOOR_EPS * eps * ||T||.
 _RQ_STEPS = 3
 _FLOOR_EPS = 8.0
 # Step-size rule for default grids: h = _H_SCALE / max(1, E - min V).
@@ -149,7 +147,9 @@ class FdConfig:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of checking one algebraic energy against the FD operator."""
+    """Outcome of checking one algebraic energy against the FD operator:
+    ``nearest_fd_energy`` is the FD level of the state's node index (NaN
+    where there is none); see :func:`verify_root` for the verdicts."""
 
     algebraic_energy: float
     nearest_fd_energy: float
@@ -335,17 +335,18 @@ def _tridiag(model, scan, cfg):
     return line.diagonal(), line.off_array()
 
 
-def _nearest(op, energy, start):
-    """The eigenvalue of the operator ``op`` nearest ``energy``, and its ambiguity.
+def _nearest(op, energy, start, level):
+    """Eigenvalue number ``level`` (from 0) of the operator ``op``, and its ambiguity.
 
-    Returns (nearest, ambiguous), where ambiguous says that a second
-    eigenvalue lies within twice the gap |nearest - E| of E, as
-    :func:`_ambiguous` counts it.  ``start`` is the first iterate x: the
-    state's own wavefunction on the nodes of T, in T's symmetric basis.  The
-    iteration overwrites it, so no vector of N rows is copied.  The solver's
-    three other buffers are the only arrays of N rows it allocates: every
-    step rebuilds T's entries there from ``op``, which holds no diagonal of
-    its own on the line.
+    Returns (value, ambiguous), where ambiguous says that a second
+    eigenvalue lies within twice the gap |value - E| of E, as
+    :func:`_ambiguous` counts it; (NaN, False) where ``op`` has no such
+    level.  ``start`` is the first iterate x: the state's own wavefunction
+    on the nodes of T, in T's symmetric basis, with ``level`` sign changes.
+    The iteration overwrites it, so no vector of N rows is copied.  The
+    solver's three other buffers are the only arrays of N rows it
+    allocates: every step rebuilds T's entries there from ``op``, which
+    holds no diagonal of its own on the line.
 
     Find: Rayleigh-quotient iteration (Parlett, The Symmetric Eigenvalue
     Problem, ch. 4).  The first shift is the Rayleigh quotient of x.  Each
@@ -358,19 +359,15 @@ def _nearest(op, energy, start):
     counts as 0, below the floor that the certificate takes instead.
 
     Certify: the residual r of the final pair puts an eigenvalue within r of
-    lam.  If the steps settled (r at most twice the floor) and lam lies
-    farther than max(r, floor) from E, that eigenvalue lies within
-    |lam - E| + r < 2 |lam - E| of E, and one Sturm count of the window
-    |mu - E| <= 2 |lam - E| answers both questions: a count of at most one
-    means nothing lies nearer, so lam stands and is not ambiguous.  Past
-    that, one bisection query on the disc |mu - E| < |lam - E| - max(r,
-    floor) settles it.  An empty disc certifies lam, and the count says it
-    is ambiguous; any eigenvalue inside is bisected to full precision by the
-    same call and the nearest replaces lam.  It is ambiguous if twice its
-    gap still reaches the eigenvalue near the old lam; else its own window
-    is counted.  If the steps stalled (r above twice the floor, as for a
-    start that mixes two levels evenly), the disc grows to |lam - E| + r
-    instead, which holds at least one eigenvalue, and ambiguity takes a
+    lam, so within gap + max(gap, r, floor) of E, gap = |lam - E|; that is
+    twice the gap unless lam lies within max(r, floor) of E.  If the steps
+    settled (r at most twice the floor), one Sturm count of that window
+    settles which level lam is and its ambiguity: when it finds the
+    ``level`` lowest eigenvalues below the window and one inside, that one
+    is level ``level``, lam stands, and nothing else lies within twice the gap.
+    Otherwise (the steps stalled on a start that mixes two levels, settled
+    on another level, or a second level lies that near) one bisection
+    query takes level ``level`` to full precision, and ambiguity takes a
     count of its own.  So the start sets the cost, never the answer.
     """
     lapack = sla.lapack
@@ -410,27 +407,16 @@ def _nearest(op, energy, start):
         del r
     del x, d, dl, du
 
-    dist = abs(lam - energy)
-    settled = resid <= 2.0 * floor
-    radius = dist - max(resid, floor) if settled else dist + resid
-    count = None
-    if settled and radius > 0.0:
-        count = _count_within(op, energy, 2.0 * dist)
-    if radius > 0.0 and (count is None or count >= 2):
-        inside = sla.eigvalsh_tridiagonal(
-            op.diagonal(), op.off_array(), select="v",
-            select_range=(energy - radius, energy + radius),
-        )
-        if len(inside):
-            lam = inside[np.argmin(np.abs(inside - energy))]
-            # The old estimate's eigenvalue lies within dist + max(r, floor)
-            # of E; unless twice the new gap clears that, count afresh.
-            if 2.0 * abs(lam - energy) <= dist + max(resid, floor) + floor:
-                count = None
-    nearest = float(lam)
-    if count is None:
-        return nearest, _ambiguous(op, energy, abs(nearest - energy))
-    return nearest, count >= 2
+    gap = abs(lam - energy)
+    if resid <= 2.0 * floor:
+        if _count_within(op, energy, gap + max(gap, resid, floor)) == (level, 1):
+            return float(lam), False
+    if level >= rows:  # no level of this index: a shortfall
+        return math.nan, False
+    lam = float(sla.eigvalsh_tridiagonal(
+        op.diagonal(), op.off_array(), select="i", select_range=(level, level),
+    )[0])
+    return lam, _ambiguous(op, energy, abs(lam - energy))
 
 
 def _rayleigh_quotient(op, x, d, e, f):
@@ -453,22 +439,15 @@ def _rayleigh_quotient(op, x, d, e, f):
 
 
 def _count_within(op, centre, radius):
-    """How many eigenvalues of the operator ``op`` lie within ``radius`` of ``centre``.
+    """(below, inside): how many eigenvalues of T = ``op`` lie below the
+    closed window of ``radius`` about ``centre``, and how many in it.
 
-    A Sturm count (see :func:`_sturm_count`) counts the half-open window
-    (vl, vu], so vl is taken one float below centre - radius to close it.
-    """
-    lower = np.nextafter(centre - radius, -np.inf)
-    return _sturm_count(op, lower, centre + radius)
-
-
-def _sturm_count(op, lower, upper):
-    """How many eigenvalues of T = ``op`` lie in (lower, upper], as dstebz counts them.
-
-    LAPACK's dstebz (``sla.eigvalsh_tridiagonal(select="v")``) counts the
-    window before it bisects anything: two Sturm counts on each unreduced
-    block of T, taken by its kernel dlaebz.  Here dlaebz takes the same two
-    counts on the same inputs, so the number is the one dstebz returns:
+    LAPACK's dstebz (``sla.eigvalsh_tridiagonal(select="v")``) counts a
+    window (vl, vu] before it bisects anything: two Sturm counts, at or
+    below each end, on each unreduced block of T, taken by its kernel
+    dlaebz.  Here dlaebz takes the same two counts on the same inputs, with
+    vl one float below centre - radius to close the window, so the numbers
+    are the ones dstebz takes:
 
     * e^2, zeroed where dstebz splits T: |d_j d_(j+1)| ulp^2 + safemin > e_j^2;
     * dstebz's PIVMIN, safemin max(1, e_j^2) over the e_j it keeps;
@@ -478,12 +457,13 @@ def _sturm_count(op, lower, upper):
     so that dlaebz counts no row at its lower end and every row at its upper
     end.  The count is monotone in the shift (Demmel, Dhillon and Ren, ETNA 3,
     1995), so an edge past that interval counts as the clipped edge does, and
-    each block is counted on (lower, upper] itself.
+    each block is counted at the window's own ends.
 
     e^2 is the one array of N rows it allocates, 8 bytes a row, besides T's
     diagonal where ``op`` holds none (a line operator that keeps the
     potential); the split test runs over chunks of _ROWS rows.
     """
+    lower, upper = np.nextafter(centre - radius, -np.inf), centre + radius
     diag = op.diagonal()
     # as eigvalsh_tridiagonal does: a potential that overflows on the box
     # must not pass for a count, nor an e whose e^2 overflows PIVMIN to
@@ -508,20 +488,22 @@ def _sturm_count(op, lower, upper):
             e2[split] = 0.0
             splits.append(split)
     pivmin = max(1.0, float(e2.max(initial=0.0))) * _SAFEMIN
-    count, begin = 0, 0
+    below = upto = begin = 0
     for end in np.concatenate(splits + [[len(diag) - 1]]) + 1:
         begin, end = int(begin), int(end)
         if end - begin == 1:
-            count += int(lower < diag[begin] - pivmin <= upper)
+            counts = (int(diag[begin] - pivmin <= lower), int(diag[begin] - pivmin <= upper))
         else:
             e_sq = e2[begin:end - 1]
-            count += _block_count(diag[begin:end], e_sq, e_sq, lower, upper, pivmin)
+            counts = _block_count(diag[begin:end], e_sq, e_sq, lower, upper, pivmin)
+        below, upto = below + counts[0], upto + counts[1]
         begin = end
-    return count
+    return below, upto - below
 
 
 def _block_count(d, e, e2, lower, upper, pivmin):
-    """dlaebz's count in (lower, upper] for one unreduced block (d, e), e2 = e^2.
+    """dlaebz's counts at or below ``lower`` and ``upper`` for one unreduced
+    block (d, e), e2 = e^2: NAB, whose difference is the count in (lower, upper].
 
     With IJOB = 1 dlaebz reads d and e2 alone, never e, so the counts pass
     e2 in its place: a line operator holds no array of e.
@@ -537,12 +519,12 @@ def _block_count(d, e, e2, lower, upper, pivmin):
         e2.ctypes.data_as(_DOUBLE_P), iscratch, ab, scratch, mout, nab,
         scratch, iscratch, info,
     )
-    return mout.value
+    return nab[0], nab[1]
 
 
 def _ambiguous(op, energy, gap):
     """Whether a second eigenvalue of ``op`` lies within 2 ``gap`` of ``energy``."""
-    return gap > 0.0 and _count_within(op, energy, 2.0 * gap) >= 2
+    return gap > 0.0 and _count_within(op, energy, 2.0 * gap)[1] >= 2
 
 
 def _line_residual(v, h, psi, energy, ghosts):
@@ -705,8 +687,8 @@ def default_verify_config(model, root):
     The box extends past the sampled decay width of the state; the step
     follows the local-error estimate h^2 (E - min V)^2 / 12, clamped to a
     sane point range.  The energy scales of the deepest catalog wells push
-    the defaults far beyond 4000 points; O(N) nearest-eigenvalue queries
-    keep that cheap.
+    the defaults far beyond 4000 points; O(N) level queries keep that
+    cheap.
     """
     scan = root
     energy = model.energy(root)
@@ -792,14 +774,18 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     The wavefunction is sampled here, on :func:`grid_nodes` of ``cfg``; when
     ``cfg`` is the default, the radial residual gets its own finer mesh.
     Once the residual has read it, the sampled wavefunction starts the
-    search for the nearest eigenvalue (see :func:`_nearest`); on the radial
-    line it is interpolated onto the operator's nodes when the residual has
-    its own mesh.  A state with no second eigenvalue within twice its gap
-    takes two eigenvalue queries: one Sturm count certifies the nearest
-    eigenvalue and says it is not ambiguous, and one more on the grid with
-    half the step decides convergence.  On the full and the half line the
-    potential is taken once on the nodes of ``cfg`` and serves the residual,
-    the operator and every other node of the refined operator.  A parity
+    search for the FD level whose index is its node count (see
+    :func:`_nearest`); on the radial line it is interpolated onto the
+    operator's nodes when the residual has its own mesh.  ``ambiguous``
+    says a second level lies within twice the gap; ``converged``, that the
+    grid with half the step has the state's level within a third of the
+    gap (or the noise floor), and never holds where the operator has no
+    level of that index.  A state whose steps settle, with no second level
+    within twice its gap, takes two eigenvalue queries, one Sturm count on
+    each grid; any other takes a bisection more, and a count more where
+    the steps settled.  On the full and the half line the potential is
+    taken once on the nodes of ``cfg`` and serves the residual, the
+    operator and every other node of the refined operator.  A parity
     sector is sampled on the half-line nodes alone, so each point is
     evaluated once.
 
@@ -823,7 +809,7 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     xs, h = _nodes(model, res_cfg)
     grid = wavefunctions.sample(model, root, xs=xs, chain=chain)
     psi = np.asarray(grid.psi, dtype=float)
-    node_count = int(grid.node_count)
+    level = node_count = int(grid.node_count)
     del grid
 
     kind = _kind(model)
@@ -834,7 +820,7 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
         del xs
         residual = _residual_radial(model, scan, res_cfg, psi, energy)
         del psi
-        nearest, ambiguous = _nearest(_held(*_tridiag(model, scan, cfg)), energy, start)
+        nearest, ambiguous = _nearest(_held(*_tridiag(model, scan, cfg)), energy, start, level)
         del start
         fine = _held(*_tridiag(model, scan, _doubled(model, cfg)))
     else:
@@ -848,13 +834,14 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
             node_count = 2 * node_count + (kind == "odd")
         if kind == "even":  # the similarity that symmetrizes row 0
             psi[0] /= math.sqrt(2.0)
-        nearest, ambiguous = _nearest(_line(v, h, kind), energy, psi)
+        nearest, ambiguous = _nearest(_line(v, h, kind), energy, psi, level)
         del psi
         fine = _refined(model, scan, cfg, v)
         del v
     gap = abs(nearest - energy)
-    reach = max(gap / _SHRINK, _GAP_FLOOR * max(1.0, abs(energy)))
-    converged = _count_within(fine, energy, reach) > 0
+    reach = max(_GAP_FLOOR * max(1.0, abs(energy)), gap / _SHRINK)  # the floor if gap is NaN
+    below, inside = _count_within(fine, energy, reach)
+    converged = below <= level < below + inside and not math.isnan(gap)
     return VerificationReport(
         algebraic_energy=energy,
         nearest_fd_energy=nearest,

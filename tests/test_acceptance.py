@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from conftest import (
     DEEP_CASES,
@@ -152,11 +153,15 @@ def test_08_parity_pair_union_rebuilds_unperturbed_spectrum():
 # over their reports alone.  All three were re-pinned again when the search
 # for the nearest level came to start from the state's own wavefunction;
 # test_the_own_wavefunction_start_moves_only_the_nearest_level_within_the_floor
+# stands behind that move.  The whole digest and dshg's were re-pinned when
+# each state came to be paired with the FD level of its own node index:
+# dshg's roots 0 and 1 moved, to levels 0 and 1, where both had read
+# level 1; test_every_fd_energy_is_the_level_of_the_state_s_node_index
 # stands behind that move.
-VERIFY_REPORTS_SHA256 = "aff92a8f07b230c5a952debfd6c8ccc60e52feb55102a71f43e270520b7e965a"
+VERIFY_REPORTS_SHA256 = "9b7b455b7e2305b928f9af87c87e0105a4e0f64d16b96aa845255027ae2e68d3"
 UNCHANGED_REPORTS_SHA256 = {
     "coulomb": "5bbc8aa1c2c853fb0b4469c339aa9079c67fa759843820f81f7e88f0da9f8c30",
-    "dshg": "91dfcd135ebde90256fc1bf118517253d8640007f5f006b2b7a27af07e15a613",
+    "dshg": "7e2e8f23d955206e097782e29ab9f74df0c38a72ff4016ccfbb8e1f97c17fe3c",
 }
 
 
@@ -192,12 +197,39 @@ def test_09_every_root_survives_fd_verification(deep):
     assert digest.hexdigest() == VERIFY_REPORTS_SHA256
 
 
+def test_every_fd_energy_is_the_level_of_the_state_s_node_index(deep):
+    """Each of the 96 deep reports gives level k of its coarse operator,
+    k the state's node index (on a parity sector's half line, c of
+    node_count = 2c or 2c + 1), within the rounding floor 8 eps ||T||, as
+    a bisection for that level alone finds it.  So dshg's lowest doublet,
+    whose two roots both read level 1 while the oracle took the level
+    nearest the energy, reads two distinct levels, 0 and 1."""
+    eps = np.finfo(float).eps
+    for key in DEEP_CASES:
+        spectrum = deep(key)
+        model = spectrum.model
+        sector = oracle._kind(model) in ("even", "odd")
+        for index, root in enumerate(spectrum.roots):
+            report = oracle.verify_root(model, root, chain=spectrum.chain)
+            level = report.node_count // 2 if sector else report.node_count
+            diag, off = oracle._tridiag(model, root, oracle.default_verify_config(model, root))
+            want = sla.eigvalsh_tridiagonal(diag, off, select="i", select_range=(level, level))[0]
+            floor = 8.0 * eps * (np.abs(diag).max() + 2.0 * np.abs(off).max())
+            assert abs(report.nearest_fd_energy - want) <= floor, (key, index)
+            if key == "dshg" and index < 2:
+                assert level == index, index
+
+
 # The 96 deep reports as the oracle gave them while its search for the
 # nearest level started with inverse iteration from a pseudo-random vector:
 # their digest, as VERIFY_REPORTS_SHA256 above, and each nearest_fd_energy,
-# in the same order.
+# in the same order.  dshg's root 0 read its partner's level there,
+# 22.594741176390073; its entry, and so the digest (once
+# cf7b89f0d25f4a9b2d7b6e92eecbdb502e6b0a770acab2600717cad35107a60a), were
+# re-pinned to its own level 0 when each state came to be paired with the
+# level of its node index (see the test above).
 INVERSE_ITERATION_REPORTS_SHA256 = (
-    "cf7b89f0d25f4a9b2d7b6e92eecbdb502e6b0a770acab2600717cad35107a60a"
+    "1e200ea365122f2762fc717661e5b3cb98fb125fa85cfd059becac988266f66f"
 )
 INVERSE_ITERATION_NEAREST = {
     "xie-even": (
@@ -231,7 +263,7 @@ INVERSE_ITERATION_NEAREST = {
         6.553191804642754,
     ),
     "dshg": (
-        22.594741176390073, 22.594741117303727, 61.34411476071751, 61.35791701095139,
+        22.594720480492715, 22.594741117303727, 61.34411476071751, 61.35791701095139,
         89.87440078945542, 91.28071130722597, 106.47814251737134, 117.00752499619716,
         131.61643632166837, 147.98060987142406, 166.0913531026772, 185.77756459772417,
     ),

@@ -6,13 +6,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import DEEP_CASES, as_fractions, poly_eval, solved
-from qespectra import cli, oracle
+from qespectra import cli, oracle, wavefunctions
 from qespectra.errors import InvalidParams
 
 
@@ -183,7 +184,11 @@ ROOTS_JSON_SHA256 = {
 # re-pinned when the search for the nearest level came to start from the
 # state's own wavefunction; test_acceptance.py's
 # test_the_own_wavefunction_start_moves_only_the_nearest_level_within_the_floor
-# stands behind that move.
+# stands behind that move.  dshg's was re-pinned when each state came to be
+# paired with the FD level of its node index: its root 1 keeps level 1, now
+# from a bisection of that level where the Rayleigh estimate stood before,
+# 2.8e-8 away (BISECTION_VERIFY still holds); test_acceptance.py's
+# test_every_fd_energy_is_the_level_of_the_state_s_node_index stands behind it.
 MODELS_SHA256 = {
     "json": "451dd0969fba86ca0c69e56714eff6bca1b53ec6a6e5b4b193917f374c5768e7",
     "csv": "661184224dcd45302d6f07bef72cd28e3b5e1f7493a3a65e85bdfae2ada92c0d",
@@ -195,7 +200,7 @@ VERIFY_JSON_SHA256 = {
     "chen-odd": (7, "ab43484bde2966fc54977264bd560f6a5c949cc91d00aac8e24669be86c1489e"),
     "coulomb": (5, "80ac854d86fb7dfaab0ae7aa90316d4eccf5862f1499147702d78b0c274a31c9"),
     "razavy": (0, "9d37be8a77ab21d384dc09ac4e029325466cbbd498f5ae36a3fb533ce755fff3"),
-    "dshg": (1, "e5dbef18049dde121fe05dbeac8d93b0640507c6f40c329262aca7871fa8c8ba"),
+    "dshg": (1, "eeef3c594a661232a5d22984c68fcf8ca8c36b5424cf0d8676d1b4d514500bed"),
     "pdshg-20": (0, "41a7a547b6270e79320e116f71688777a5e0acae289102dc16b8eb0866493eb0"),
     "pdshg-21": (0, "4615d0f804708174b0b9bcd68373e42cadae52603343d2c5efcbf1869bf1b1ba"),
 }
@@ -239,6 +244,35 @@ def test_verify_json_bytes_are_pinned(capsys):
         if _sha256(out) != want:
             changed.append(key)
     assert not changed, f"verify JSON bytes changed for {changed}"
+
+
+def test_verify_pairs_the_dshg_doublet_with_its_own_levels(capsys):
+    """dshg n = 10's lowest doublet lies 1.9e-4 apart, narrower than the FD
+    error.  Root 0 used to take root 1's level, the nearer, which moves on
+    the refined grid, and read unconverged (exit 4); paired with level 0,
+    its own node count, it passes."""
+    code, out = run_cli("verify", "--model", "dshg", "--n", "10", "--param", "xi=2",
+                        "--root-index", "0", capsys=capsys)
+    assert code == cli.EXIT_OK
+    row, = json.loads(out)["roots"]
+    assert row["node_count"] == 0 and row["verification"]["converged"]
+
+
+def test_verify_exits_4_on_a_node_count_past_the_last_level(capsys, monkeypatch):
+    """A node count the FD operator has no level for is a shortfall: the
+    report reads null for the level and its gap, not converged, exit 4."""
+    sample = wavefunctions.sample
+
+    def past_the_last_level(*args, **kwargs):
+        return replace(sample(*args, **kwargs), node_count=10**7)
+
+    monkeypatch.setattr(wavefunctions, "sample", past_the_last_level)
+    code, out = run_cli("verify", "--model", "coulomb", "--n", "1", "--param", "lambda=1/2",
+                        "--root-index", "0", "--points", "1000", capsys=capsys)
+    assert code == cli.EXIT_VERIFY
+    report = json.loads(out)["roots"][0]["verification"]
+    assert report["nearest_fd_energy"] is None and report["abs_gap"] is None
+    assert report["converged"] is False
 
 
 # The coulomb and dshg states of VERIFY_JSON_SHA256 as the bisection oracle
@@ -776,3 +810,20 @@ def test_the_algebraic_commands_run_without_scipy(capsys):
     result = json.loads(proc.stdout)
     assert result["loaded"] is False
     assert result["runs"] == [[0, want] for _, want in expected]
+
+
+def test_verify_without_scipy_is_one_error_line():
+    """`verify` needs scipy; without it the command prints one `error:`
+    line and exits 2, with no traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['scipy'] = None; import qespectra.cli as cli; "
+         "sys.exit(cli.main(sys.argv[1:]))",
+         "verify", "--model", "dshg", "--n", "2", "--param", "xi=2"],
+        capture_output=True, text=True, timeout=120, env=_child_env(),
+    )
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stdout == ""
+    line, = proc.stderr.splitlines()
+    assert line.startswith("error: verify needs scipy")
+    assert "Traceback" not in proc.stderr

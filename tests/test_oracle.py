@@ -119,7 +119,7 @@ def test_fd_spectrum_radial_oscillator_levels():
 
 
 # ---------------------------------------------------------------------------
-# nearest-eigenvalue query against a full spectrum
+# level query against a full spectrum
 # ---------------------------------------------------------------------------
 
 def _double_well(points=301):
@@ -163,7 +163,8 @@ class _RecordingQueries:
     ``sla`` binding's ``eigvalsh_tridiagonal``)."""
 
     def __init__(self, monkeypatch):
-        self.queries = []  # ("count", window, how many) or ("bisect", window, values)
+        # ("count", window, (below, inside)) or ("bisect", select_range, values)
+        self.queries = []
         count_within = oracle._count_within
 
         def counted(op, centre, radius):
@@ -198,6 +199,10 @@ def test_double_well_has_a_doublet_split_by_about_1e_10():
     "inside-doublet", "isolated", "high",
 ])
 def test_nearest_matches_the_full_spectrum(where):
+    """Level k of the full spectrum, for k the nearest level's index and
+    its neighbour's, from a start that overlaps every level, whichever
+    level the steps settle on; ambiguous when a second level lies within
+    twice the gap."""
     diag, off = _double_well()
     spectrum = sla.eigvalsh_tridiagonal(diag, off)
     floor = _floor(diag, off)
@@ -211,16 +216,17 @@ def test_nearest_matches_the_full_spectrum(where):
         "isolated": spectrum[12] + 1e-4,
         "high": spectrum[250] - 0.3,
     }[where]
-    dist = np.sort(np.abs(spectrum - energy))
-    got, ambiguous = oracle._nearest(oracle._held(diag, off), energy, _random_start(len(diag)))
-    # an eigenvalue, and no other lies nearer (a tie may go either way)
-    assert np.abs(spectrum - got).min() <= floor
-    assert abs(got - energy) <= dist[0] + floor
-    if dist[1] - dist[0] > 2.0 * floor:
-        assert abs(got - spectrum[np.argmin(np.abs(spectrum - energy))]) <= floor
-    gap = abs(got - energy)
-    assert oracle._ambiguous(oracle._held(diag, off), energy, gap) == (dist[1] < 2.0 * dist[0])
-    assert ambiguous == (dist[1] < 2.0 * dist[0])
+    dist = np.abs(spectrum - energy)
+    nearest = int(np.argmin(dist))
+    for level in (nearest, nearest + 1 if nearest + 1 < len(spectrum) else nearest - 1):
+        got, ambiguous = oracle._nearest(
+            oracle._held(diag, off), energy, _random_start(len(diag)), level
+        )
+        assert abs(got - spectrum[level]) <= floor, level
+        others = np.delete(dist, level).min()
+        assert ambiguous == (others < 2.0 * dist[level]), level
+        gap = abs(got - energy)
+        assert oracle._ambiguous(oracle._held(diag, off), energy, gap) == ambiguous
 
 
 def test_ambiguity_is_read_both_ways():
@@ -245,17 +251,19 @@ def test_nearest_on_an_exact_eigenvalue_returns_the_shift():
     # its eigenvector (1, 0, -1, 0, 1, ...) has the Rayleigh quotient 2 exactly
     eigenvector = np.zeros(201)
     eigenvector[::4], eigenvector[2::4] = 1.0, -1.0
-    assert oracle._nearest(oracle._held(diag, off), 2.0, eigenvector)[0] == 2.0
+    # with 100 sign changes: level 100, which the one count certifies
+    assert oracle._nearest(oracle._held(diag, off), 2.0, eigenvector, 100) == (2.0, False)
 
 
 def test_certificate_replaces_a_farther_eigenvalue(monkeypatch):
-    """Rayleigh steps that settle on the farther of two levels are caught.
+    """Rayleigh steps that settle on a level not the state's are caught.
 
     Between two adjacent levels, Rayleigh-quotient steps from a start that
     mixes both settle on the level it weights more.  Weight one four times
-    the other, and put the target just on the side of the lighter one: the
-    steps land on the farther level, and the certificate's disc must hold
-    the nearer.
+    the other, and ask for the lighter, whose side of the midpoint the
+    target sits on: the steps land on the heavier level, the certificate's
+    count finds two levels in its window, and one bisection takes the level
+    asked for.
     """
     diag, off = _double_well()
     spectrum, vectors = sla.eigh_tridiagonal(diag, off)
@@ -266,21 +274,24 @@ def test_certificate_replaces_a_farther_eigenvalue(monkeypatch):
     energy = 0.5 * (spectrum[k] + spectrum[k + 1])
     energy += 1e-3 * (spectrum[near] - energy)
     recorder = _RecordingQueries(monkeypatch)
-    got = oracle._nearest(oracle._held(diag, off), energy, start)[0]
+    got = oracle._nearest(oracle._held(diag, off), energy, start, near)[0]
     assert abs(got - spectrum[near]) <= floor
-    # one bisection: its disc reached up to the farther level and held the nearer
-    ((lo, hi), found), = recorder.bisections()
-    assert abs(0.5 * (hi - lo) - abs(spectrum[far] - energy)) <= 2.0 * floor
-    assert len(found) == 1
+    # the count's window, twice the distance of the farther level, held both
+    kind, (lo, hi), counts = recorder.queries[0]
+    assert kind == "count" and counts == (near, 2)
+    assert abs(0.5 * (hi - lo) - 2.0 * abs(spectrum[far] - energy)) <= 4.0 * floor
+    # one bisection, of level `near` alone
+    (window, found), = recorder.bisections()
+    assert window == (near, near) and len(found) == 1
 
 
 def test_a_nearer_level_found_by_the_certificate_is_counted_afresh(monkeypatch):
-    """Start the steps on the eigenvector of the farther of two levels.
+    """Start the steps on the eigenvector of the level above the one asked for.
 
     They settle there, and the window twice that distance wide holds both
-    levels; the certificate finds the nearer.  Twice its gap no longer
-    reaches the farther level, so ambiguity takes a count of its own and
-    comes out false.
+    levels, so the certificate fails and one bisection takes the level
+    asked for, the nearer.  Twice its gap no longer reaches the level
+    above, so ambiguity takes a count of its own and comes out false.
     """
     diag, off = _double_well()
     spectrum, vectors = sla.eigh_tridiagonal(diag, off)
@@ -288,33 +299,75 @@ def test_a_nearer_level_found_by_the_certificate_is_counted_afresh(monkeypatch):
     k = 12
     energy = spectrum[k] + 0.2 * (spectrum[k + 1] - spectrum[k])
     recorder = _RecordingQueries(monkeypatch)
-    got, ambiguous = oracle._nearest(oracle._held(diag, off), energy, vectors[:, k + 1].copy())
+    got, ambiguous = oracle._nearest(oracle._held(diag, off), energy, vectors[:, k + 1].copy(), k)
     assert abs(got - spectrum[k]) <= floor
     assert not ambiguous
     count, certificate, recount = recorder.queries
-    assert count[0] == "count" and count[2] == 2
-    assert certificate[0] == "bisect" and len(certificate[2]) == 1
-    assert recount[0] == "count" and recount[2] == 1
+    assert count[0] == "count" and count[2] == (k, 2)
+    assert certificate[0] == "bisect" and certificate[1] == (k, k) and len(certificate[2]) == 1
+    assert recount[0] == "count" and recount[2] == (k, 1)
+
+
+def test_a_stalled_start_takes_one_bisection(monkeypatch):
+    """From a pseudo-random start the Rayleigh steps stall or settle on some
+    other level; one bisection query, of the level asked for alone, answers,
+    whatever the level and wherever the energy sits."""
+    diag, off = _double_well()
+    spectrum = sla.eigvalsh_tridiagonal(diag, off)
+    floor = _floor(diag, off)
+    recorder = _RecordingQueries(monkeypatch)
+    for level in (0, 1, 12, 250, len(spectrum) - 1):
+        for energy in (spectrum[level] + 1e-4, spectrum[level] - 0.3):
+            recorder.queries.clear()
+            got = oracle._nearest(
+                oracle._held(diag, off), energy, _random_start(len(diag)), level
+            )[0]
+            assert abs(got - spectrum[level]) <= floor, (level, energy)
+            bisections = recorder.bisections()
+            assert len(bisections) <= 1, (level, energy)
+            assert all(window == (level, level) and len(found) == 1
+                       for window, found in bisections)
+
+
+def test_a_level_past_the_last_is_a_shortfall(monkeypatch):
+    """A node count the operator has no level for (the radial residual's
+    mesh is finer than the operator) reads NaN and not ambiguous, and asks
+    no bisection query, which would raise."""
+    diag, off = np.full(101, 2.0), np.full(100, -1.0)
+    spectrum = sla.eigvalsh_tridiagonal(diag, off)
+    recorder = _RecordingQueries(monkeypatch)
+    got, ambiguous = oracle._nearest(oracle._held(diag, off), 3.9, _random_start(101), 101)
+    assert math.isnan(got) and not ambiguous
+    assert not recorder.bisections()
+    got = oracle._nearest(oracle._held(diag, off), 3.9, _random_start(101), 100)[0]
+    assert abs(got - spectrum[100]) <= _floor(diag, off)
 
 
 def test_count_within_closes_the_window_at_both_ends():
     # tridiag(-1, 2, -1) of odd order has the eigenvalue 2 exactly, and its
     # neighbours lie ~0.03 away; a window with 2 on either edge holds it
     diag, off = np.full(201, 2.0), np.full(200, -1.0)
+    # (below, inside): the levels below the window, and in it
     radius = 2.0 ** -10
-    assert oracle._count_within(oracle._held(diag, off), 2.0 + radius, radius) == 1
-    assert oracle._count_within(oracle._held(diag, off), 2.0 - radius, radius) == 1
-    assert oracle._count_within(oracle._held(diag, off), 2.0 + 3.0 * radius, radius) == 0
-    assert oracle._count_within(oracle._held(diag, off), 2.0, 0.1) == 7
+    assert oracle._count_within(oracle._held(diag, off), 2.0 + radius, radius) == (100, 1)
+    assert oracle._count_within(oracle._held(diag, off), 2.0 - radius, radius) == (100, 1)
+    assert oracle._count_within(oracle._held(diag, off), 2.0 + 3.0 * radius, radius) == (101, 0)
+    assert oracle._count_within(oracle._held(diag, off), 2.0, 0.1) == (97, 7)
 
 
 def _dstebz_count(diag, off, centre, radius):
-    """The count ``_count_within`` takes, by scipy's dstebz: its window
-    closed below and its tolerance wider than the window."""
+    """The counts ``_count_within`` takes, by scipy's dstebz: below the
+    window, from past T's Gershgorin interval, and in it; the window closed
+    below, and each tolerance wider than its window."""
     lower = np.nextafter(centre - radius, -np.inf)
-    return len(sla.eigvalsh_tridiagonal(
-        diag, off, select="v", select_range=(lower, centre + radius), tol=4.0 * radius,
-    ))
+    bottom = lower - 2.0 * (abs(lower) + np.abs(diag).max() + 2.0 * np.abs(off).max()) - 1.0
+
+    def count(vl, vu):
+        return len(sla.eigvalsh_tridiagonal(
+            diag, off, select="v", select_range=(vl, vu), tol=4.0 * (vu - vl),
+        ))
+
+    return count(bottom, lower), count(lower, centre + radius)
 
 
 def _count_windows(diag, off, seed):
@@ -389,8 +442,9 @@ def test_sturm_count_splits_where_a_diagonal_product_overflows():
     diag = np.array([1.0, 2.0, 3.0, 1e200, 2e200, 3e200])
     off = np.full(5, -1.0)
     for centre, radius in ((5.0, 5.0), (2e200, 1.5e200)):
-        assert oracle._count_within(oracle._held(diag, off), centre, radius) == _dstebz_count(
-            diag, off, centre, radius) == 3, (centre, radius)
+        counts = oracle._count_within(oracle._held(diag, off), centre, radius)
+        assert counts == _dstebz_count(diag, off, centre, radius), (centre, radius)
+        assert counts[1] == 3, (centre, radius)
 
 
 def test_sturm_count_refuses_a_non_finite_operator():
@@ -419,7 +473,7 @@ def test_sturm_count_refuses_an_off_diagonal_whose_square_overflows():
         oracle._count_within(line, 0.0, 1.0)
     below = np.nextafter(edge, 0.0)
     diag, off = np.zeros(2), np.array([below])  # eigenvalues -below and below
-    assert oracle._count_within(oracle._held(diag, off), 0.0, 2.0 * below) == 2
+    assert oracle._count_within(oracle._held(diag, off), 0.0, 2.0 * below) == (0, 2)
 
 
 def test_a_sturm_count_never_reads_the_off_diagonal():
@@ -441,9 +495,10 @@ def test_a_sturm_count_never_reads_the_off_diagonal():
         nan = np.full_like(off, np.nan)
         for centre, radius in _count_windows(diag, off, seed):
             lower, upper = np.nextafter(centre - radius, -np.inf), centre + radius
-            count = oracle._block_count(diag, off, e2, lower, upper, pivmin)
-            assert oracle._block_count(diag, nan, e2, lower, upper, pivmin) == count
-            assert count == _dstebz_count(diag, off, centre, radius), (seed, centre, radius)
+            below, upto = oracle._block_count(diag, off, e2, lower, upper, pivmin)
+            assert oracle._block_count(diag, nan, e2, lower, upper, pivmin) == (below, upto)
+            assert (below, upto - below) == _dstebz_count(diag, off, centre, radius), (
+                seed, centre, radius)
 
 
 def test_a_sturm_count_allocates_e_squared_alone():
@@ -664,6 +719,14 @@ def test_the_oracle_shares_no_code_with_the_algebraic_path():
 # verify_root end to end
 # ---------------------------------------------------------------------------
 
+def _level(model, report):
+    """The state's level index on its operator: its node count, or on a
+    parity sector's half line c, where node_count is 2c or 2c + 1."""
+    if oracle._kind(model) in ("even", "odd"):
+        return report.node_count // 2
+    return report.node_count
+
+
 def _convergence_cases():
     """Lowest and highest root of each deep well, and two energies off a level."""
     cases = [(key, index, 0.0) for key in DEEP_CASES for index in (0, -1)]
@@ -672,10 +735,11 @@ def _convergence_cases():
 
 @pytest.mark.parametrize("key,index,offset", _convergence_cases())
 def test_convergence_decision_matches_the_refined_nearest_eigenvalue(key, index, offset):
-    """The Sturm count decides as the nearest eigenvalue of the refined grid did.
+    """The Sturm count decides as the state's level on the refined grid does.
 
-    The reference solves the grid with half the step for its nearest
-    eigenvalue gap2 and applies the old rule 3 gap2 <= gap or gap2 <= floor.
+    The reference bisects the grid with half the step for the level whose
+    index is the state's node index, at gap2 from the energy, and applies
+    the rule 3 gap2 <= gap or gap2 <= floor.
     No case puts gap2 within 8 eps max|off| of the edge of the window, so
     rounding decides none of them.  That is the rounding scale of both
     computations: near the state the entries are ~1/h^2 = max|off|.  The
@@ -694,8 +758,9 @@ def test_convergence_decision_matches_the_refined_nearest_eigenvalue(key, index,
     cfg = oracle.default_verify_config(model, root)
     fine = oracle._doubled(model, cfg)
     diag, off = oracle._tridiag(model, root, fine)
-    start = _own_start(model, root, fine, spectrum.chain)
-    gap2 = abs(oracle._nearest(oracle._held(diag, off), energy, start)[0] - energy)
+    level = _level(model, report)
+    gap2 = abs(sla.eigvalsh_tridiagonal(
+        diag, off, select="i", select_range=(level, level))[0] - energy)
     floor = oracle._GAP_FLOOR * max(1.0, abs(energy))
     old = gap2 * oracle._SHRINK <= report.abs_gap or gap2 <= floor
     assert report.converged == old
@@ -715,7 +780,7 @@ def test_convergence_threshold_is_a_third_of_the_gap(t):
     target = model.energy(root)
     lam1, lam2 = (
         oracle._nearest(oracle._held(*oracle._tridiag(model, root, grid)), target,
-                        _own_start(model, root, grid, spectrum.chain))[0]
+                        _own_start(model, root, grid, spectrum.chain), 0)[0]
         for grid in (cfg, oracle._doubled(model, cfg))
     )
     energy = lam2 + t * (lam2 - lam1)
@@ -726,13 +791,13 @@ def test_convergence_threshold_is_a_third_of_the_gap(t):
 
 
 def test_verify_root_solves_one_grid(monkeypatch):
-    """One nearest-eigenvalue solve, on the coarse grid; the refined one is counted."""
+    """One level search, on the coarse grid; the refined one is counted."""
     sizes = []
     nearest = oracle._nearest
 
-    def counted(op, energy, start):
+    def counted(op, energy, start, level):
         sizes.append(len(op.base))
-        return nearest(op, energy, start)
+        return nearest(op, energy, start, level)
 
     monkeypatch.setattr(oracle, "_nearest", counted)
     for model, root in (
@@ -749,30 +814,33 @@ def test_verify_root_solves_one_grid(monkeypatch):
     "key,index", [(key, i) for key in DEEP_CASES for i in (0, -1)] + [("pdshg-20", 5)]
 )
 def test_verify_root_takes_two_queries_unless_ambiguous(key, index, monkeypatch):
-    """One Sturm count certifies a state alone within twice its gap and
-    says it is not ambiguous; convergence takes one more.  An ambiguous
-    state takes the three queries every state took before: the count, the
-    certificate and the convergence count.  No parity-sector state is
+    """One Sturm count certifies a state's level alone within twice its gap
+    and says it is not ambiguous; convergence takes one more.  An ambiguous
+    state takes four: the count, the bisection of its level, the count of
+    its ambiguity and the convergence count.  No parity-sector state is
     ambiguous: its half line holds no level of the other parity, not even
-    at pdshg-20's root 5, whose full-line certificate replaced the estimate
-    (see below)."""
+    at pdshg-20's root 5, whose full-line levels lie within twice the gap
+    of each other (see below)."""
     spectrum = solved(key)
     model = spectrum.model
     recorder = _RecordingQueries(monkeypatch)
     report = oracle.verify_root(model, spectrum.roots[index], chain=spectrum.chain)
-    assert len(recorder.queries) == (3 if report.ambiguous else 2)
+    kinds = [kind for kind, _, _ in recorder.queries]
+    assert kinds == (["count", "bisect", "count", "count"] if report.ambiguous
+                     else ["count", "count"])
     if oracle._kind(model) in ("even", "odd"):
         assert not report.ambiguous
 
 
-def test_a_certified_level_inside_the_count_keeps_the_count(monkeypatch):
+def test_the_full_line_keeps_the_level_of_pdshg_20_root_5(monkeypatch):
     """On the full line, which holds both parities, pdshg-20's root 5 sits
     between two FD levels ~1e-4 away, and the Rayleigh steps from its own
-    wavefunction settle on the level of its own parity, the farther.  The
-    certificate finds the nearer, and twice its gap still holds the
-    farther: ambiguous, with no recount.  The oracle checks this sector on
-    the half line; the full-line matrix is built here, on the interior
-    nodes of the default box."""
+    wavefunction settle on the level of its own parity, the farther, whose
+    index is its node count.  The certificate's window holds both levels,
+    so one bisection takes that level again, and its ambiguity is counted:
+    ambiguous.  The oracle checks this sector on the half line; the
+    full-line matrix is built here, on the interior nodes of the default
+    box."""
     spectrum = solved("pdshg-20")
     model, root = spectrum.model, spectrum.roots[5]
     energy = model.energy(root)
@@ -786,14 +854,15 @@ def test_a_certified_level_inside_the_count_keeps_the_count(monkeypatch):
     )
     dist = np.sort(np.abs(near - energy))
     assert len(near) == 2 and dist[1] < 2.0 * dist[0]
-    start = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain).psi
+    grid = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain)
     recorder = _RecordingQueries(monkeypatch)
-    got, ambiguous = oracle._nearest(oracle._held(diag, off), energy, start)
-    assert abs(got - near[np.argmin(np.abs(near - energy))]) <= _floor(diag, off)
+    got, ambiguous = oracle._nearest(oracle._held(diag, off), energy, grid.psi, grid.node_count)
+    assert abs(got - near[np.argmax(np.abs(near - energy))]) <= _floor(diag, off)
     assert ambiguous
-    (_, found), = recorder.bisections()
-    assert len(found) == 1
-    assert len(recorder.queries) == 2
+    count, (_, window, found), recount = recorder.queries
+    assert count[2] == (grid.node_count, 2)
+    assert window == (grid.node_count, grid.node_count) and len(found) == 1
+    assert recount[2] == (grid.node_count, 2)
 
 
 def test_verify_root_coulomb_small():
@@ -880,7 +949,7 @@ def test_verify_root_peak_memory_on_the_largest_deep_grid():
 
     The coarse grid's arrays are freed before the refined grid is built, and
     no phase holds more than five arrays of coarse rows: the potential v and
-    the four buffers of the nearest-level search's dgtsv solves, whose
+    the four buffers of the level search's dgtsv solves, whose
     operator is v and h alone.  Sampling, the potential and the residual
     run in blocks, and the refined operator holds its diagonal and, while
     counted, e^2.  So the peak, ~20 bytes a point, is the search's five
@@ -952,7 +1021,7 @@ class _RecordingLapack:
 
 @pytest.mark.parametrize("key", DEEP_CASES)
 def test_the_search_from_the_own_wavefunction_takes_at_most_two_solves(key, monkeypatch):
-    """The nearest-level search factors nothing: each deep state's lowest
+    """The level search factors nothing: each deep state's lowest
     and highest level take one or two dgtsv solves, and no dgttrf or
     dgttrs (the inverse iteration from a pseudo-random start took one
     factorization and two solves before its Rayleigh steps)."""
