@@ -482,8 +482,8 @@ def build_parser():
     p.add_argument("--root-index", type=int, default=None,
                    help="verify only this root (default: all)")
     p.add_argument("--xmin", type=float, default=None,
-                   help="override the verifier box lower edge (a parity "
-                        "sector needs xmin = -xmax)")
+                   help="override the verifier box lower edge (every line "
+                        "model needs xmin = -xmax, coulomb xmin = 0)")
     p.add_argument("--xmax", type=float, default=None,
                    help="override the verifier box upper edge")
     p.add_argument("--points", type=int, default=None,

@@ -20,27 +20,30 @@ operator holds only the potential.  The bisection query goes through
 Convergence is attested on the grid with half the step: the gap shrinks
 like h^2, so level k of that grid must lie within a third of the gap (or
 within the noise floor) of the energy.  One Sturm count of that window
-decides it; the refined grid is never solved.  On the full and the half
-line every other node of the refined grid is a node of the first, bit for
-bit, and keeps the potential already taken there.
+decides it; the refined grid is never solved.  On the half line every
+other node of the refined grid is a node of the first, bit for bit, and
+keeps the potential already taken there.
 
-Three discretizations are used:
+Two discretizations are used:
 
-* parity sectors (every model that declares ``parity`` "even" or "odd":
-  xie, chen, razavy and perturbed-dshg at beta in {0, 1}): the half line
-  only, at the nodes i h of a symmetric box [-L, L] with the full line's
-  step h = 2L / (points + 1), up to i = M = points // 2 and a wall at
+* the half line of a parity sector, for every line model: at the nodes
+  i h of a symmetric box [-L, L] with the full line's step
+  h = 2L / (points + 1), up to i = M = points // 2 and a wall at
   (M + 1) h.  An odd state has a Dirichlet wall at 0 (i >= 1).  An even
   state has a node at 0, whose row folds in its mirror node, -2/h^2 on
   psi_1; a diagonal similarity makes that row symmetric, with -sqrt(2)/h^2
   off the diagonal.  This operator has exactly the eigenvalues of the
   state's parity of the full-line operator on the mirrored nodes i h,
-  |i| <= M, and the state's level index is its node count c on the half
-  line, before it is doubled for the report.  The residual's stencil
-  extends psi across 0 by its parity and counts every node but 0 twice,
-  so it is the full-line residual;
-* other full-line models (dshg, whose chart holds both parities): interior
-  nodes of a uniform grid, walls at +-L;
+  |i| <= M.  A model that declares ``parity`` "even" or "odd" (xie, chen,
+  razavy and perturbed-dshg at beta in {0, 1}) is sampled on its sector's
+  nodes alone, and the state's level index is its node count c there,
+  before it is doubled for the report.  dshg, whose chart holds both
+  parities, is sampled on the mirrored nodes: level k of the mirrored
+  line has k sign changes, so its parity is that of k, and the state's
+  node count k picks its sector.  psi is projected onto that parity on
+  the half line, (psi(x) +- psi(-x)) / 2, and its level there is k // 2.
+  The residual's stencil extends psi across 0 by its parity and counts
+  every node but 0 twice, so it is the full-line residual;
 * the radial Coulomb model: the plain 3-point stencil cannot see the correct
   x -> 0 behaviour through the inverse-square term (for exponents around
   1/2 it converges too slowly to pass a factor-3 halving test), so the
@@ -54,8 +57,8 @@ Three discretizations are used:
   tridiagonal one.
 
 No other half-line model (fractional-beta perturbed-dshg) has one; checking
-it raises :class:`InvalidParams`.  Neither does a parity sector in a box
-that is not symmetric about 0.
+it raises :class:`InvalidParams`.  Neither does a line model in a box that
+is not symmetric about 0.
 """
 
 from __future__ import annotations
@@ -126,8 +129,8 @@ _dlaebz = _lapack_function(
 class FdConfig:
     """Finite-difference grid: Dirichlet box [xmin, xmax] with interior points.
 
-    A parity sector takes the half line of a symmetric box, at the full
-    line's step: the nodes i h, i <= points // 2, of one side.
+    A line model takes the half line of a symmetric box, at the full line's
+    step: the nodes i h, i <= points // 2, of one side.
     """
 
     xmin: float
@@ -157,9 +160,10 @@ class VerificationReport:
     residual: float
     converged: bool
     ambiguous: bool
-    # of the algebraic wavefunction on the residual grid; for a parity
-    # sector, on the mirrored full line: 2c (even) or 2c + 1 (odd), where c
-    # is the count on the half-line nodes
+    # of the algebraic wavefunction on the residual grid: on the radial
+    # line, or on the mirrored nodes +-i h (dshg); for a parity sector, on
+    # the mirrored line too, 2c (even) or 2c + 1 (odd), where c is the count
+    # on the half-line nodes
     node_count: int
 
 
@@ -174,33 +178,28 @@ def _is_radial(model):
 
 
 def _kind(model):
-    """The model's discretization: "radial", "even", "odd" or "full"."""
+    """The model's discretization: "radial", the sector "even" or "odd", or
+    None where the chart holds both parities (dshg), and each state takes
+    the sector of its node count."""
     if _is_radial(model):
         return "radial"
-    parity = getattr(model, "parity", None)
-    return parity if parity in ("even", "odd") else "full"
+    return getattr(model, "parity", None)
 
 
-def _uniform_nodes(cfg):
-    h = (cfg.xmax - cfg.xmin) / (cfg.points + 1)
-    xs = np.arange(1, cfg.points + 1, dtype=float)  # xmin + h i, in place
-    xs *= h
-    xs += cfg.xmin
-    return xs, h
-
-
-def _half_nodes(cfg, parity):
-    """Nodes i h of the half line: 0 <= i <= M for even states, 1 <= i <= M for odd.
+def _line_nodes(cfg, parity):
+    """Nodes i h of the line: 0 <= i <= M for even states, 1 <= i <= M for
+    odd ones, and the mirrored nodes |i| <= M where ``parity`` is None.
 
     h is the full line's step in the box, and M = points // 2 numbers the
     last node inside it.  The refined box's step is h / 2, exactly, so its
-    even-numbered nodes are these, bit for bit.
+    even-numbered nodes are these, bit for bit, and -i h is -(i h).
     """
     if cfg.xmin != -cfg.xmax:
-        raise InvalidParams(f"a parity sector is checked on the half line, so its box "
+        raise InvalidParams(f"a line model is checked on the half line, so its box "
                             f"must be symmetric: xmin = -xmax, got [{cfg.xmin}, {cfg.xmax}]")
     h = (cfg.xmax - cfg.xmin) / (cfg.points + 1)
-    xs = np.arange(1 if parity == "odd" else 0, cfg.points // 2 + 1, dtype=float)
+    last = cfg.points // 2
+    xs = np.arange({"even": 0, "odd": 1, None: -last}[parity], last + 1, dtype=float)
     xs *= h
     return xs, h
 
@@ -220,9 +219,7 @@ def _nodes(model, cfg):
     kind = _kind(model)
     if kind == "radial":
         return _offset_nodes(cfg, 0, cfg.points)
-    if kind == "full":
-        return _uniform_nodes(cfg)
-    return _half_nodes(cfg, kind)
+    return _line_nodes(cfg, kind)
 
 
 def grid_nodes(model, cfg):
@@ -298,9 +295,10 @@ def _held(diag, off):
 def _line(v, h, kind):
     """The 3-point operator on the nodes of ``kind`` with potential ``v`` there.
 
-    The full line and the odd half line have Dirichlet walls at both ends;
-    the even half line's first row, symmetrized, couples node 0 to node 1
-    by -sqrt(2)/h^2.
+    The odd half line has Dirichlet walls at both ends, one at 0; the even
+    half line's first row, symmetrized, couples node 0 to node 1 by
+    -sqrt(2)/h^2.  On the mirrored nodes (``kind`` None) it is the full
+    line's operator, which holds both sectors.
     """
     first = -math.sqrt(2.0) / (h * h) if kind == "even" else None
     return _Tridiagonal(v, 2.0 / (h * h), np.broadcast_to(-1.0 / (h * h), (len(v) - 1,)), first)
@@ -527,63 +525,35 @@ def _ambiguous(op, energy, gap):
     return gap > 0.0 and _count_within(op, energy, 2.0 * gap)[1] >= 2
 
 
-def _line_residual(v, h, psi, energy, ghosts):
-    """r = -lap psi / h^2 + (v - E) psi on the line's nodes, a block at a time.
+def _residual_half_line(v, h, psi, energy, parity):
+    """The full-line residual ||(H - E) psi|| / ||psi|| of psi extended by
+    its parity, on the half line.
 
-    lap is the five-point fourth-order Laplacian up to the last two rows,
-    beside the wall, which take the three-point one.  ``ghosts`` are the
-    two samples left of node 0, which row 0 reads; without them rows 0 and
-    1 are the three-point rows beside a wall too.  Each block reads psi
-    two rows past its ends, and r is the one array of N rows made here.
+    ``psi`` and ``v`` are sampled on the half-line nodes of ``parity``.  The
+    Laplacian is the five-point fourth-order one up to the last two rows,
+    beside the outer wall, which take the three-point one (the state has
+    decayed to ~1e-12 of its peak there), so the number reflects the
+    analytic pair rather than the second-order truncation of the
+    eigenvalue mesh.  The mirror nodes -2 and -1 (even) or -1 and 0 (odd)
+    take +-psi there, so the stencil rows at and next to 0 are the full
+    line's.  Each node other than 0 stands for itself and its mirror, so it
+    counts twice in both norms, and the ratio is the full-line one; an odd
+    state's row 0 vanishes.  r = -lap psi / h^2 + (v - E) psi is taken a
+    block at a time, each reading psi two rows past its ends, and is the
+    one array of N rows made here.
     """
     m = len(psi)
     r = np.empty(m)
-    rows = [
-        (m - 2, psi[-3] - 2.0 * psi[-2] + psi[-1]),
-        (m - 1, psi[-2] - 2.0 * psi[-1]),
-    ]
-    first = 0
-    if ghosts is None:
-        first = 2
-        rows += [(0, -2.0 * psi[0] + psi[1]), (1, psi[0] - 2.0 * psi[1] + psi[2])]
-    for start in range(first, m - 2, _ROWS):
+    ghosts = psi[2:0:-1] if parity == "even" else [-psi[0], 0.0]
+    for start in range(0, m - 2, _ROWS):
         stop = min(start + _ROWS, m - 2)
         ext = psi[start - 2:stop + 2] if start else np.concatenate((ghosts, psi[:stop + 2]))
         lap = (
             -ext[:-4] + 16.0 * ext[1:-3] - 30.0 * ext[2:-2] + 16.0 * ext[3:-1] - ext[4:]
         ) / 12.0
         r[start:stop] = -lap / (h * h) + (v[start:stop] - energy) * psi[start:stop]
-    for i, lap in rows:
+    for i, lap in ((m - 2, psi[-3] - 2.0 * psi[-2] + psi[-1]), (m - 1, psi[-2] - 2.0 * psi[-1])):
         r[i] = -lap / (h * h) + (v[i] - energy) * psi[i]
-    return r
-
-
-def _residual_full_line(v, h, psi, energy):
-    """Discrete action residual ||(H - E) psi||_2 / ||psi||_2.
-
-    ``psi`` and the potential ``v`` are sampled on uniform nodes of step h.
-
-    The Laplacian uses the five-point fourth-order stencil away from the
-    walls and the three-point one beside them (the state has decayed to
-    ~1e-12 of its peak there), so the reported number reflects the analytic
-    pair rather than the second-order truncation of the eigenvalue mesh.
-    """
-    r = _line_residual(v, h, psi, energy, None)
-    return float(np.linalg.norm(r) / np.linalg.norm(psi))
-
-
-def _residual_half_line(v, h, psi, energy, parity):
-    """The full-line residual of psi extended by its parity, on the half line.
-
-    ``psi`` and ``v`` are sampled on the half-line nodes of ``parity``.  The
-    mirror nodes -2 and -1 (even) or -1 and 0 (odd) take +-psi there, so the
-    stencil rows at and next to 0 are the full line's; the outer wall's rows
-    are those of :func:`_residual_full_line`.  Each node other than 0
-    stands for itself and its mirror, so it counts twice in both norms, and
-    the ratio is the full-line one; an odd state's row 0 vanishes.
-    """
-    ghosts = psi[2:0:-1] if parity == "even" else [-psi[0], 0.0]
-    r = _line_residual(v, h, psi, energy, ghosts)
     num, den = r @ r, psi @ psi
     if parity == "even":  # node 0 once, the others twice
         num, den = 2.0 * num - r[0] * r[0], 2.0 * den - psi[0] * psi[0]
@@ -733,37 +703,34 @@ def _doubled(model, cfg):
     return FdConfig(cfg.xmin, cfg.xmax, 2 * cfg.points + 1)
 
 
-def _refined(model, scan, cfg, v):
-    """The 3-point operator on the line grid with half the step of ``cfg``.
+def _refined(model, scan, cfg, v, parity):
+    """The 3-point operator on the half line of ``parity`` with half the step of ``cfg``.
 
     ``v`` is the potential on the nodes of ``cfg``.  The refined grid halves
     the step exactly, in floats too (h / 2 is exact), so every other one of
     its nodes is a node of ``cfg`` bit for bit and keeps its potential from
-    ``v``: on the full line and the odd half line the odd-numbered nodes
-    [1::2], on the even half line the even-numbered ones [0::2].  The new
-    nodes are x0 + j h / 2 for odd j (x0 = xmin on the full line, 0 on the
-    half line), the products a full node array forms there; the model's
+    ``v``: on the odd half line the odd-numbered nodes [1::2], on the even
+    half line the even-numbered ones [0::2].  The new nodes are j h / 2 for
+    odd j, the products a full node array forms there; the model's
     potential is taken at them alone, straight into the diagonal.
     """
-    kind = _kind(model)
     fine = _doubled(model, cfg)
     h = (fine.xmax - fine.xmin) / (fine.points + 1)
-    # the nodes x0 + j h, 1 <= j < stop, and j = 0 on the even half line
-    x0, stop = (fine.xmin, fine.points + 1) if kind == "full" else (0.0, fine.points // 2 + 1)
+    # the nodes j h, 1 <= j < stop, and j = 0 on the even half line
+    stop = fine.points // 2 + 1
     old, new = slice(1, None, 2), slice(0, None, 2)
-    if kind == "even":
+    if parity == "even":
         old, new = new, old
-    diag = np.empty(stop - (kind != "even"))
+    diag = np.empty(stop - (parity != "even"))
     v_new = diag[new]  # at the nodes of odd j, a block at a time
     for start in range(0, len(v_new), _ROWS):
         end = min(start + _ROWS, len(v_new))
         xs = np.arange(2 * start + 1, 2 * end, 2, dtype=float)
         xs *= h
-        xs += x0
         v_new[start:end] = _potential(model, xs, scan)
     del v_new
     diag[old] = v
-    line = _line(diag, h, kind)
+    line = _line(diag, h, parity)
     np.add(diag, line.shift, out=diag)
     return replace(line, shift=0.0)
 
@@ -776,18 +743,20 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     Once the residual has read it, the sampled wavefunction starts the
     search for the FD level whose index is its node count (see
     :func:`_nearest`); on the radial line it is interpolated onto the
-    operator's nodes when the residual has its own mesh.  ``ambiguous``
-    says a second level lies within twice the gap; ``converged``, that the
-    grid with half the step has the state's level within a third of the
-    gap (or the noise floor), and never holds where the operator has no
-    level of that index.  A state whose steps settle, with no second level
+    operator's nodes when the residual has its own mesh.  A line model is
+    checked on the half line of a parity sector: its own, or for dshg the
+    parity of the node count k on the mirrored nodes, onto which psi is
+    projected, (psi(x) +- psi(-x)) / 2; its level there is k // 2, and
+    ``node_count`` stays k.  ``ambiguous`` says a second level lies within
+    twice the gap; ``converged``, that the grid with half the step has the
+    state's level within a third of the gap (or the noise floor), and never
+    holds where the operator has no level of that index.  A state whose steps settle, with no second level
     within twice its gap, takes two eigenvalue queries, one Sturm count on
     each grid; any other takes a bisection more, and a count more where
-    the steps settled.  On the full and the half line the potential is
-    taken once on the nodes of ``cfg`` and serves the residual, the
-    operator and every other node of the refined operator.  A parity
-    sector is sampled on the half-line nodes alone, so each point is
-    evaluated once.
+    the steps settled.  On the half line the potential is taken once on
+    the nodes of ``cfg`` and serves the residual, the operator and every
+    other node of the refined operator.  A parity sector is sampled on the
+    half-line nodes alone, so each point is evaluated once.
 
     Memory: no phase holds more than five arrays of N rows (N the coarse
     grid's): the potential and the four buffers of the search's dgtsv
@@ -795,7 +764,9 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     :class:`_Tridiagonal`).  Every other per-node stage, from sampling to
     the residuals and the refined operator's potential, runs in blocks;
     only the refined operator's diagonal and e^2, each 2N rows, are whole.
-    The radial residual's own mesh holds psi and its two sums' terms.
+    The radial residual's own mesh holds psi and its two sums' terms, and
+    dshg's sampling its mirrored nodes and psi, about 2N rows each, until
+    the projection.
     """
     energy = model.energy(root) if energy is None else float(energy)
     scan = root
@@ -804,8 +775,9 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
         cfg = res_cfg = default_verify_config(model, root)
         if _is_radial(model):
             res_cfg = _radial_residual_config(model, scan, cfg)
-    # The residual's nodes; on the line they are the operator's too, and so
-    # is the potential on them, which the refined operator reuses.
+    # The residual's nodes; on the line they hold the operator's too (dshg's
+    # mirrored nodes, its half line), and so does the potential on them,
+    # which the refined operator reuses.
     xs, h = _nodes(model, res_cfg)
     grid = wavefunctions.sample(model, root, xs=xs, chain=chain)
     psi = np.asarray(grid.psi, dtype=float)
@@ -824,19 +796,27 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
         del start
         fine = _held(*_tridiag(model, scan, _doubled(model, cfg)))
     else:
-        v = _potential(model, xs, scan)
-        del xs
-        if kind == "full":
-            residual = _residual_full_line(v, h, psi, energy)
+        if kind is None:  # the sector of the node count, on the mirrored nodes
+            odd = node_count % 2
+            kind = ("even", "odd")[odd]
+            middle = len(psi) // 2
+            right, left = psi[middle + odd:], psi[middle - odd::-1]  # psi(x), psi(-x)
+            psi = np.subtract(right, left) if odd else np.add(right, left)
+            psi *= 0.5
+            xs = xs[middle + odd:]
+            del right, left
         else:
-            residual = _residual_half_line(v, h, psi, energy, kind)
             # the mirror image doubles each node; an odd state adds one at 0
             node_count = 2 * node_count + (kind == "odd")
+        level = node_count // 2
+        v = _potential(model, xs, scan)
+        del xs
+        residual = _residual_half_line(v, h, psi, energy, kind)
         if kind == "even":  # the similarity that symmetrizes row 0
             psi[0] /= math.sqrt(2.0)
         nearest, ambiguous = _nearest(_line(v, h, kind), energy, psi, level)
         del psi
-        fine = _refined(model, scan, cfg, v)
+        fine = _refined(model, scan, cfg, v, kind)
         del v
     gap = abs(nearest - energy)
     reach = max(_GAP_FLOOR * max(1.0, abs(energy)), gap / _SHRINK)  # the floor if gap is NaN

@@ -119,12 +119,13 @@ def exact_gcd(p, q):
     """Monic greatest common divisor of two exactly-represented polynomials.
 
     Coefficients are coerced to :class:`fractions.Fraction`, so the inputs
-    must already be exact (ints or Fractions) — float coefficients carry
-    rounding noise that makes almost every pair coprime, which is why the
-    "do these two chain members share a zero?" question is answered on the
-    exact chain, never on float images of it.
+    must already be exact (ints or Fractions): float coefficients carry
+    rounding noise that makes almost every pair coprime.
 
-    Returns ascending monic coefficients; gcd(0, 0) is the empty list.
+    Returns ascending monic coefficients; gcd(0, 0) is the empty list.  The
+    pipeline no longer calls it (``ConstraintChain.p_nn_zero_flag`` reads
+    the chain's multiplicators); it is kept only because ``perfbench/``'s
+    tracer wraps it, and the tests take it as that flag's reference.
     """
     a = [Fraction(c) for c in trim(p)]
     b = [Fraction(c) for c in trim(q)]

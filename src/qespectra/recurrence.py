@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import polynomials
 from .errors import DivisionByZeroMultiplicator, NotARoot
@@ -172,29 +172,20 @@ class ConstraintChain:
     reduced image of the terminal constraint polynomial, of degree n+1,
     whose roots are the admissible scan values.
 
-    The flag below is built on first use and kept on the chain, so it
-    lives exactly as long as the cached chain does.
+    ``p_nn_zero_flag`` is True when the last member P[n,n] shares a zero
+    with the constraint.  The z^0 coefficient of the assembled solution is
+    that member's value at the root, so a shared zero means the solution
+    loses its constant term there.  No float magnitude test can tell: on
+    deep chains the member's value at the largest roots sits legitimately
+    tens of orders below its Horner term scale without vanishing.  The
+    chain's own multiplicators tell exactly (see :func:`exact_chain`).
     """
 
     n: int
     steps: tuple
     last_member_image: tuple
     constraint_image: tuple
-
-    @cached_property
-    def p_nn_zero_flag(self):
-        """True when the last member P[n,n] shares a zero with the constraint.
-
-        The z^0 coefficient of the assembled solution is that member's value
-        at the root, so a shared zero means the solution loses its constant
-        term there.  No float magnitude test can tell: on deep chains the
-        member's value at the largest roots sits legitimately tens of orders
-        below its Horner term scale without vanishing.  Both polynomials are
-        exact, so they share a zero iff their exact gcd is non-constant; the
-        gcd is monic, so the numerators of the images serve.
-        """
-        constraint, member = self.constraint_image[0], self.last_member_image[0]
-        return len(polynomials.exact_gcd(constraint, member)) != 1
+    p_nn_zero_flag: bool
 
 
 def _over_common_denominator(*ratios):
@@ -226,6 +217,13 @@ def exact_chain(system):
 
     with M_0 = 1 and delta_0 = 1, and one gcd reduces the constraint's
     image.  Cached per baseline system; treat the result as read-only.
+
+    The constraint is Fm1(1) delta_n M_{n-1} modulo M_n, and two
+    consecutive members share a zero only where a gamma_k, k >= 2, vanishes
+    (a common zero would pass down the recurrence to M_0 = 1); gamma_k is
+    Fm1(n+2-k) over F1.  So the last member shares a zero with the
+    constraint iff n >= 1 and Fm1 vanishes at one of 1..n: then M_n, or
+    the member M_{k-1} that divides every later one, divides both.
 
     Raises:
         DivisionByZeroMultiplicator: F1 vanishes before the last slice.
@@ -265,6 +263,7 @@ def exact_chain(system):
         steps=tuple(steps),
         last_member_image=(tuple(cur), den),
         constraint_image=(tuple(c // g for c in nums), whole // g),
+        p_nn_zero_flag=n >= 1 and 0 in Fm1[1:n + 1],
     )
 
 

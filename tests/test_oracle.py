@@ -40,6 +40,30 @@ class _SectorWell:
         return 0.6 * (x * x - 9.0) ** 2
 
 
+@dataclass(frozen=True)
+class _SectorOf:
+    """One parity sector of a model whose chart holds both (dshg), as the
+    oracle checks a state of that parity: on its half line."""
+
+    model: object
+    parity: str
+    half_line: bool = False
+
+    def potential(self, x, scan):
+        return self.model.potential(x, scan)
+
+
+def _residual_full_line(v, h, psi, energy):
+    """Reference ||(H - E) psi|| / ||psi|| on uniform nodes of step h with
+    Dirichlet walls past both ends, as the oracle's half-line residual
+    stands for it: the five-point fourth-order Laplacian, and the
+    three-point one in the two rows beside each wall."""
+    lap = np.diff(np.concatenate(([0.0], psi, [0.0])), 2)
+    lap[2:-2] = (-psi[:-4] + 16.0 * psi[1:-3] - 30.0 * psi[2:-2] + 16.0 * psi[3:-1] - psi[4:]) / 12.0
+    r = -lap / (h * h) + (v - energy) * psi
+    return float(np.linalg.norm(r) / np.linalg.norm(psi))
+
+
 def _lowest_levels(model, scan, cfg, count):
     """The lowest ``count`` eigenvalues of the oracle's FD matrix."""
     diag, off = oracle._tridiag(model, scan, cfg)
@@ -71,15 +95,14 @@ def test_grid_nodes_match_discretization():
     xs = oracle.grid_nodes(model, cfg)
     assert len(xs) == 1000
     assert xs[0] == pytest.approx(0.005)   # half-offset open grid
-    full = models.make("dshg", 1, {"xi": 1})
-    cfg = oracle.FdConfig(-5.0, 5.0, 999)
-    xs = oracle.grid_nodes(full, cfg)
-    assert len(xs) == 999
-    assert xs[0] == pytest.approx(-5.0 + 10.0 / 1000)  # interior uniform grid
-    # parity sectors: the half line i h with the full line's step, up to
-    # M = points // 2; odd states start at i = 1
+    # dshg holds both parities: the mirrored nodes i h, |i| <= M = points // 2
+    both = models.make("dshg", 1, {"xi": 1})
     cfg = oracle.FdConfig(-5.0, 5.0, 999)
     h = 10.0 / 1000
+    xs = oracle.grid_nodes(both, cfg)
+    assert xs.tobytes() == (h * np.arange(-499, 500)).tobytes()
+    # parity sectors: the half line i h with the full line's step, up to
+    # M; odd states start at i = 1
     for sector, start in (("even", 0), ("odd", 1)):
         xs = oracle.grid_nodes(_SectorWell(sector), cfg)
         assert xs.tobytes() == (h * np.arange(start, 500)).tobytes()
@@ -89,13 +112,15 @@ def test_grid_nodes_match_discretization():
 
 @pytest.mark.parametrize("box", [(-5.0, 5.5), (0.0, 5.0)])
 def test_a_parity_sector_needs_a_symmetric_box(box):
-    spectrum = solved("razavy")
-    model = spectrum.model
-    cfg = oracle.FdConfig(*box, 2000)
-    with pytest.raises(InvalidParams, match="symmetric"):
-        oracle.grid_nodes(model, cfg)
-    with pytest.raises(InvalidParams, match="symmetric"):
-        oracle.verify_root(model, spectrum.roots[0], cfg=cfg, chain=spectrum.chain)
+    # so does dshg, each of whose states is checked on its parity's half line
+    for key in ("razavy", "dshg"):
+        spectrum = solved(key)
+        model = spectrum.model
+        cfg = oracle.FdConfig(*box, 2000)
+        with pytest.raises(InvalidParams, match="symmetric"):
+            oracle.grid_nodes(model, cfg)
+        with pytest.raises(InvalidParams, match="symmetric"):
+            oracle.verify_root(model, spectrum.roots[0], cfg=cfg, chain=spectrum.chain)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +422,8 @@ def _count_windows(diag, off, seed):
 @pytest.mark.parametrize("key", ["dshg", "xie-even", "xie-odd", "coulomb"])
 def test_sturm_count_is_the_dstebz_count(key):
     """The dlaebz count equals dstebz's on the coarse and refined operators
-    of the deepest state of a well of each kind (full, even, odd, radial)."""
+    of the deepest state of a well of each kind (the mirrored line, which
+    holds both parities, even, odd, radial)."""
     spectrum = solved(key)
     model, root = spectrum.model, spectrum.roots[-1]
     cfg = oracle.default_verify_config(model, root)
@@ -519,36 +545,35 @@ def test_a_sturm_count_allocates_e_squared_alone():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_every_other_refined_node_is_a_coarse_node(seed):
-    # h / 2 is exact, and so is 2j (h / 2) = j h before rounding
+    # h / 2 is exact, and so is 2j (h / 2) = j h before rounding; the
+    # mirrored nodes are the even half line's and their negations, bit for bit
     rng = np.random.default_rng(seed)
     for _ in range(25):
-        scale = 10.0 ** rng.uniform(-3, 3)
-        xmin = -scale * rng.uniform(0.0, 2.0) if rng.random() < 0.8 else scale * rng.random()
-        xmax = xmin + scale * rng.uniform(0.01, 3.0)
-        cfg = oracle.FdConfig(xmin, xmax, int(rng.integers(100, 20_000)))
-        coarse = oracle._uniform_nodes(cfg)
-        fine = oracle._uniform_nodes(oracle._doubled(_QuadraticWell(), cfg))
-        assert fine[1] == coarse[1] / 2.0
-        assert fine[0][1::2].tobytes() == coarse[0].tobytes(), cfg
+        half_width = 10.0 ** rng.uniform(-3, 3) * rng.uniform(0.01, 3.0)
+        box = oracle.FdConfig(-half_width, half_width, int(rng.integers(100, 20_000)))
         # the half line of the symmetric box: even nodes keep [0::2], odd [1::2]
-        half_width = abs(xmin) + abs(xmax)
-        box = oracle.FdConfig(-half_width, half_width, cfg.points)
         for sector, kept in (("even", slice(0, None, 2)), ("odd", slice(1, None, 2))):
             model = _SectorWell(sector)
             coarse = oracle._nodes(model, box)
             fine = oracle._nodes(model, oracle._doubled(model, box))
             assert fine[1] == coarse[1] / 2.0
             assert fine[0][kept].tobytes() == coarse[0].tobytes(), (box, sector)
+        even, h = oracle._nodes(_SectorWell("even"), box)
+        mirrored = oracle._nodes(_QuadraticWell(), box)
+        assert mirrored[1] == h
+        assert mirrored[0][len(even) - 1:].tobytes() == even.tobytes(), box
+        assert mirrored[0][:len(even) - 1].tobytes() == (-even[:0:-1]).tobytes(), box
 
 
 @pytest.mark.parametrize("key", [key for key in DEEP_CASES if key != "coulomb"])
 def test_refined_operator_reuses_the_coarse_potential(key, monkeypatch):
     # the same operator as built from scratch, bit for bit, with the
     # potential taken at the new nodes alone, bit for bit the refined grid's
-    # own, in blocks of at most _ROWS: N + 1 on the full line, and on
-    # the half line every fine node that is not a coarse one
+    # own, in blocks of at most _ROWS: every fine node of the half line that
+    # is not a coarse one.  dshg's states take either parity's half line.
     spectrum = solved(key)
     model = spectrum.model
+    sectors = [model] if oracle._kind(model) else [_SectorOf(model, p) for p in ("even", "odd")]
     taken = []
     potential = oracle._potential
 
@@ -559,22 +584,20 @@ def test_refined_operator_reuses_the_coarse_potential(key, monkeypatch):
     for root in (spectrum.roots[0], spectrum.roots[-1]):
         cfg = oracle.default_verify_config(model, root)
         fine = oracle._doubled(model, cfg)
-        want = oracle._tridiag(model, root, fine)
-        v = oracle._potential(model, oracle.grid_nodes(model, cfg), root)
-        monkeypatch.setattr(oracle, "_potential", counted)
-        refined = oracle._refined(model, root, cfg, v)
-        monkeypatch.setattr(oracle, "_potential", potential)
-        assert refined.diagonal().tobytes() == want[0].tobytes()
-        assert refined.off_array().tobytes() == want[1].tobytes()
-        new = slice(1, None, 2) if oracle._kind(model) == "even" else slice(0, None, 2)
-        nodes = np.concatenate(taken)
-        assert nodes.tobytes() == oracle.grid_nodes(model, fine)[new].tobytes()
-        assert max(len(xs) for xs in taken) <= oracle._ROWS
-        if key == "dshg":
-            assert len(nodes) == cfg.points + 1
-        else:
+        for sector in sectors:
+            want = oracle._tridiag(sector, root, fine)
+            v = oracle._potential(model, oracle.grid_nodes(sector, cfg), root)
+            monkeypatch.setattr(oracle, "_potential", counted)
+            refined = oracle._refined(model, root, cfg, v, sector.parity)
+            monkeypatch.setattr(oracle, "_potential", potential)
+            assert refined.diagonal().tobytes() == want[0].tobytes()
+            assert refined.off_array().tobytes() == want[1].tobytes()
+            new = slice(1, None, 2) if sector.parity == "even" else slice(0, None, 2)
+            nodes = np.concatenate(taken)
+            assert nodes.tobytes() == oracle.grid_nodes(sector, fine)[new].tobytes()
+            assert max(len(xs) for xs in taken) <= oracle._ROWS
             assert len(nodes) == len(want[0]) - len(v)
-        taken.clear()
+            taken.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +676,7 @@ def test_half_line_residual_is_the_full_line_residual(sector, points):
     v = rng.uniform(-5.0, 5.0, cfg.points // 2 + 1)  # at i h, 0 <= i <= M
     psi = rng.standard_normal(len(xs))
     half = oracle._residual_half_line(v[len(v) - len(xs):], h, psi, 0.7, sector)
-    full = oracle._residual_full_line(_mirror(v, "even"), h, _mirror(psi, sector), 0.7)
+    full = _residual_full_line(_mirror(v, "even"), h, _mirror(psi, sector), 0.7)
     assert half == pytest.approx(full, rel=1e-13)
 
 
@@ -669,11 +692,31 @@ def test_half_line_residual_of_a_deep_state_is_its_full_line_residual(case):
         oracle._potential(model, xs, root), h, psi, energy, model.parity
     )
     v = oracle._potential(model, h * np.arange(cfg.points // 2 + 1), root)
-    full = oracle._residual_full_line(
-        _mirror(v, "even"), h, _mirror(psi, model.parity), energy
-    )
+    full = _residual_full_line(_mirror(v, "even"), h, _mirror(psi, model.parity), energy)
     assert oracle.verify_root(model, root, chain=chain).residual == half
     assert half == pytest.approx(full, rel=1e-3)
+
+
+@pytest.mark.parametrize("index", [0, 1, 6, 11])
+def test_a_dshg_state_reports_the_full_line_residual_of_its_projection(index):
+    """dshg is sampled on the mirrored nodes, and its state is projected onto
+    the parity of its node count k, (psi(x) +- psi(-x)) / 2.  The residual it
+    reports is the full-line residual of that projection, which is exactly
+    even or odd on those nodes, and its node count stays k.  Rounding moves
+    the residual as in the test above."""
+    spectrum = solved("dshg")
+    model, root = spectrum.model, spectrum.roots[index]
+    energy = model.energy(root)
+    xs, h = oracle._nodes(model, oracle.default_verify_config(model, root))
+    grid = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain)
+    assert grid.node_count == index
+    sign = -1.0 if index % 2 else 1.0
+    projected = 0.5 * (grid.psi + sign * grid.psi[::-1])
+    assert np.array_equal(projected, sign * projected[::-1])
+    full = _residual_full_line(oracle._potential(model, xs, root), h, projected, energy)
+    report = oracle.verify_root(model, root, chain=spectrum.chain)
+    assert report.node_count == index
+    assert report.residual == pytest.approx(full, rel=1e-3)
 
 
 def test_pdshg_20_root_5_reports_the_level_of_its_own_parity():
@@ -791,7 +834,9 @@ def test_convergence_threshold_is_a_third_of_the_gap(t):
 
 
 def test_verify_root_solves_one_grid(monkeypatch):
-    """One level search, on the coarse grid; the refined one is counted."""
+    """One level search, on the coarse grid; the refined one is counted.
+    dshg's even ground state is searched on the even half line of its
+    mirrored nodes, M + 1 rows, and its odd partner on M."""
     sizes = []
     nearest = oracle._nearest
 
@@ -800,14 +845,16 @@ def test_verify_root_solves_one_grid(monkeypatch):
         return nearest(op, energy, start, level)
 
     monkeypatch.setattr(oracle, "_nearest", counted)
-    for model, root in (
-        (models.make("coulomb", 1, {"lambda": Fraction(1, 2)}), 1.0),
-        (solved("dshg").model, solved("dshg").roots[0]),
+    dshg = solved("dshg")
+    for model, root, rows in (
+        (models.make("coulomb", 1, {"lambda": Fraction(1, 2)}), 1.0, lambda points: points),
+        (dshg.model, dshg.roots[0], lambda points: points // 2 + 1),
+        (dshg.model, dshg.roots[1], lambda points: points // 2),
     ):
         del sizes[:]
         report = oracle.verify_root(model, root)
         assert report.converged
-        assert sizes == [oracle.default_verify_config(model, root).points]
+        assert sizes == [rows(oracle.default_verify_config(model, root).points)]
 
 
 @pytest.mark.parametrize(
@@ -816,20 +863,33 @@ def test_verify_root_solves_one_grid(monkeypatch):
 def test_verify_root_takes_two_queries_unless_ambiguous(key, index, monkeypatch):
     """One Sturm count certifies a state's level alone within twice its gap
     and says it is not ambiguous; convergence takes one more.  An ambiguous
-    state takes four: the count, the bisection of its level, the count of
-    its ambiguity and the convergence count.  No parity-sector state is
+    state would take four: the count, the bisection of its level, the count
+    of its ambiguity and the convergence count.  No line state is
     ambiguous: its half line holds no level of the other parity, not even
     at pdshg-20's root 5, whose full-line levels lie within twice the gap
-    of each other (see below)."""
+    of each other (see below), or at dshg's lowest doublet.  The test
+    below takes every deep state."""
     spectrum = solved(key)
     model = spectrum.model
     recorder = _RecordingQueries(monkeypatch)
     report = oracle.verify_root(model, spectrum.roots[index], chain=spectrum.chain)
-    kinds = [kind for kind, _, _ in recorder.queries]
-    assert kinds == (["count", "bisect", "count", "count"] if report.ambiguous
-                     else ["count", "count"])
-    if oracle._kind(model) in ("even", "odd"):
-        assert not report.ambiguous
+    assert [kind for kind, _, _ in recorder.queries] == ["count", "count"]
+    assert not report.ambiguous
+
+
+def test_every_deep_state_takes_two_counts_and_is_not_ambiguous(monkeypatch):
+    """Each of the 96 deep states takes exactly two Sturm counts, its level's
+    certificate and its convergence, and no bisection; none is ambiguous.
+    dshg's lowest doublet took four queries while both its parities shared
+    the full line, and read ambiguous."""
+    recorder = _RecordingQueries(monkeypatch)
+    for key in DEEP_CASES:
+        spectrum = solved(key)
+        for index, root in enumerate(spectrum.roots):
+            recorder.queries.clear()
+            report = oracle.verify_root(spectrum.model, root, chain=spectrum.chain)
+            assert [kind for kind, _, _ in recorder.queries] == ["count", "count"], (key, index)
+            assert not report.ambiguous, (key, index)
 
 
 def test_the_full_line_keeps_the_level_of_pdshg_20_root_5(monkeypatch):

@@ -209,6 +209,11 @@ def cli_requests(draw):
     "verify", "--model", "dshg", "--n", "3", "--param", "xi=2", "--root-index=3",
     "--xmin=0.0", "--xmax=123.80235792120567",
 ])
+# the same split-test overflow on the symmetric box that dshg's half line needs
+@example(argv=[
+    "verify", "--model", "dshg", "--n", "3", "--param", "xi=2", "--root-index=3",
+    "--xmin=-123.80235792120567", "--xmax=123.80235792120567",
+])
 @example(argv=[
     "verify", "--model", "dshg", "--n", "0", "--param", "xi=2", "--root-index=0",
     "--xmin=0.0", "--xmax=7.007208148710982e-89", "--points=471",

@@ -455,6 +455,35 @@ def test_integer_chain_is_the_fraction_chain(model_id, n):
     assert chain.p_nn_zero_flag is shared
 
 
+def test_p_nn_zero_flag_is_the_gcd_test():
+    """The flag, read off the multiplicators Fm1(1..n), says what a
+    non-constant exact gcd of the last member and the constraint says: on
+    every catalog id at n = 0..12, and on chains where some Fm1(k) vanishes
+    (coulomb at lambda = 0, where Fm1(1) = 0; perturbed-dshg at alpha =
+    -1/2 and -3/2, where Fm1(1) and Fm1(2) do on the cosh^2 chain), and
+    on the sinh^2 variant of those, where none does."""
+    cases = [(model_id, CATALOG_PARAMS[model_id], range(13)) for model_id in CATALOG_PARAMS]
+    cases.append(("coulomb", {"lambda": 0}, range(6)))
+    cases += [
+        (model_id, {"xi": 2, "alpha": Fraction(alpha, 2), "beta": beta}, range(6))
+        for model_id in ("perturbed-dshg", "perturbed-dshg-sinh2")
+        for alpha in (-1, -3) for beta in (0, 1)
+    ]
+    flagged = []
+    for model_id, params, lengths in cases:
+        for n in lengths:
+            chain = recurrence.exact_chain(recurrence.build_baseline(models.make(model_id, n, params)))
+            shared = len(polynomials.exact_gcd(
+                chain.constraint_image[0], chain.last_member_image[0])) != 1
+            assert chain.p_nn_zero_flag is shared, (model_id, params, n)
+            if shared:
+                flagged.append((model_id, n))
+    # coulomb at n = 1..5; perturbed-dshg at n = 1..5 (alpha = -1/2) and
+    # 2..5 (alpha = -3/2), both parities, on the cosh^2 chain alone
+    assert len(flagged) == 23 and {model_id for model_id, _ in flagged} == {
+        "coulomb", "perturbed-dshg"}
+
+
 def test_integer_chain_reduces_the_constraint_image():
     # on the catalog the running denominator is already the least one; this
     # table makes the constraint's numerators share 4 with it:
@@ -513,7 +542,8 @@ def test_assemble_solution_refuses_a_shallow_non_root():
     # from near 0 the polish wanders without converging or drifting far, and
     # the exact backward-error test refuses where it stops
     chain = recurrence.ConstraintChain(
-        n=1, steps=(), last_member_image=((1,), 1), constraint_image=((1, 0, 1 << 60), 1 << 60)
+        n=1, steps=(), last_member_image=((1,), 1), constraint_image=((1, 0, 1 << 60), 1 << 60),
+        p_nn_zero_flag=False,
     )
     for start in (2.0**-40, 2.0**-35, 2.0**-31, 1e-9):
         with pytest.raises(NotARoot, match="backward error"):
