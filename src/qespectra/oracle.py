@@ -76,7 +76,8 @@ from .errors import DegenerateGrid, InvalidParams
 from .models import CoulombOscillator
 
 # The gap is "converged" when the grid with half the step has the state's
-# level within gap / _SHRINK of the energy, or within the noise floor.
+# level, and no other, within gap / _SHRINK of the energy, or within the
+# noise floor.
 _SHRINK = 3.0
 _GAP_FLOOR = 1e-9
 # Level query: at most this many Rayleigh-quotient steps; the FD matrix's
@@ -749,14 +750,18 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     projected, (psi(x) +- psi(-x)) / 2; its level there is k // 2, and
     ``node_count`` stays k.  ``ambiguous`` says a second level lies within
     twice the gap; ``converged``, that the grid with half the step has the
-    state's level within a third of the gap (or the noise floor), and never
-    holds where the operator has no level of that index.  A state whose steps settle, with no second level
-    within twice its gap, takes two eigenvalue queries, one Sturm count on
-    each grid; any other takes a bisection more, and a count more where
-    the steps settled.  On the half line the potential is taken once on
-    the nodes of ``cfg`` and serves the residual, the operator and every
-    other node of the refined operator.  A parity sector is sampled on the
-    half-line nodes alone, so each point is evaluated once.
+    state's level, and no other, within a third of the gap (or the noise
+    floor), and never holds where the operator has no level of that index.
+    A state whose steps settle, with no second level within twice its gap,
+    takes two eigenvalue queries, one Sturm count on each grid; any other
+    takes a bisection more, and a count more where the steps settled.  On
+    the half line the potential is taken once on the nodes of ``cfg`` and
+    serves the residual, the operator and every other node of the refined
+    operator.  A parity sector is sampled on the half-line nodes alone, so
+    each point is evaluated once.  psi is sampled as a product over the
+    certified zeros of S (``wavefunctions.sample``'s ``_product``), but for
+    dshg, whose low states have non-real zeros, and any state whose zeros
+    do not certify: those take the 80-bit Horner.
 
     Memory: no phase holds more than five arrays of N rows (N the coarse
     grid's): the potential and the four buffers of the search's dgtsv
@@ -779,12 +784,12 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     # mirrored nodes, its half line), and so does the potential on them,
     # which the refined operator reuses.
     xs, h = _nodes(model, res_cfg)
-    grid = wavefunctions.sample(model, root, xs=xs, chain=chain)
+    kind = _kind(model)
+    grid = wavefunctions.sample(model, root, xs=xs, chain=chain, _product=kind is not None)
     psi = np.asarray(grid.psi, dtype=float)
     level = node_count = int(grid.node_count)
     del grid
 
-    kind = _kind(model)
     if kind == "radial":
         start = psi
         if res_cfg != cfg:
@@ -821,7 +826,7 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     gap = abs(nearest - energy)
     reach = max(_GAP_FLOOR * max(1.0, abs(energy)), gap / _SHRINK)  # the floor if gap is NaN
     below, inside = _count_within(fine, energy, reach)
-    converged = below <= level < below + inside and not math.isnan(gap)
+    converged = (below, inside) == (level, 1) and not math.isnan(gap)
     return VerificationReport(
         algebraic_energy=energy,
         nearest_fd_energy=nearest,

@@ -5,17 +5,21 @@ A solved root gives a monic polynomial S(z); the physical wavefunction is
 z.  This module samples psi on a grid, normalizes it, fixes the overall
 sign (first interior extremum positive), counts nodes with a dead band so
 that grazing near-zeros are not miscounted, and classifies parity on
-symmetric grids.
+symmetric grids.  S is evaluated by an 80-bit Horner, or, on the
+finite-difference oracle's grids, as the product over its zeros, the
+unknowns of the functional Bethe Ansatz, where they certify real and
+simple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import recurrence
+from . import polynomials, recurrence
 from .errors import AsymmetricGrid, DegenerateGrid
 
 # Samples within this fraction of max|psi| count as zero for node purposes.
@@ -25,11 +29,17 @@ _PARITY_TOL = 1e-8
 # decay_halfwidth: the envelope's negligible fraction of its peak, and the
 # half-width scanned (the fallback when the envelope never decays).
 _DECAY_CUTOFF, _DECAY_XMAX = 1e-12, 60.0
-# Rows a block of sampling: of the coordinate, the prefactor, the 80-bit
-# Horner evaluation and the norm's terms, so that their temporaries stay
+# Rows a block of sampling: of the coordinate, the prefactor, the
+# evaluation of S and the norm's terms, so that their temporaries stay
 # this size whatever the grid.  On the full line a block and its mirror
 # rows are sampled together.
 _HORNER_ROWS = 16384
+# The polish of the zeros of S (see _zeros): at most _POLISH_STEPS Aberth
+# steps, until no zero moves by more than _SETTLED of the largest (a few
+# ulps; the certificate's lattice search takes the last bits), or, once the
+# steps are below _LOCAL, they stop shrinking.
+_POLISH_STEPS = 100
+_SETTLED, _LOCAL = 16 * np.finfo(float).eps, 1e-8
 # Finer grid steps are refused: no state is resolved on them, and the
 # normalized samples grow like step^-1/2 past any physical scale.  The
 # finite-difference oracle refuses the same steps.
@@ -222,6 +232,200 @@ def _horner_block(coeffs, z, out):
         out[...] = acc
 
 
+def _product_block(zeros, z, out):
+    """S(z) = prod_j (z - zeta_j) at one block of float64 ``z``, into ``out``.
+
+    ``zeros`` is :func:`_zeros`'s pair (hi, lo): each zeta_j = hi_j + lo_j to
+    far below an ulp of hi_j.  Each factor is (z - hi_j) - lo_j, two float64
+    subtractions, the first exact near the zero (Sterbenz), so it carries an
+    ulp or so of itself even where z nears zeta_j; each step is one product.
+    So a point's value carries about 3n roundings of its own, with no
+    cancellation across terms.
+    """
+    out[...] = 1.0
+    factor = np.empty_like(z)
+    for hi, lo in zip(*zeros):
+        np.subtract(z, hi, out=factor)
+        factor -= lo
+        out *= factor
+
+
+def _sign(image, x):
+    """The sign of S at the float ``x``, exactly: -1, 0 or 1."""
+    p, q = x.as_integer_ratio()
+    value, _ = polynomials.image_value(image, p, q.bit_length() - 1)
+    return (value > 0) - (value < 0)
+
+
+def _lattice(x):
+    """The float ``x`` as an integer, in the floats' own order, one apart
+    where they are neighbours; :func:`_unlattice` undoes it."""
+    bits = int(np.float64(x).view(np.int64))
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _unlattice(key):
+    """The float at the lattice position ``key`` of :func:`_lattice`."""
+    return float(np.int64(key if key >= 0 else (-key) | -0x8000_0000_0000_0000).view(np.float64))
+
+
+def _faithful(image, zeta, left, right, s):
+    """``zeta`` if S changes sign across its two float neighbours, else the
+    float next to which it does, found on the float lattice between the
+    floats ``left`` and ``right``, where S takes the signs -s and s: a
+    gallop from ``zeta`` toward the change, then bisection.  None if that
+    float is not faithful either."""
+    down, up = np.nextafter(zeta, -math.inf), np.nextafter(zeta, math.inf)
+    below, above = _sign(image, down), _sign(image, up)
+    if below * above < 0:
+        return zeta
+    if 0 in (below, above):
+        return down if below == 0 else up
+    lo, hi = _lattice(left), _lattice(right)
+    if below == s:  # S changes sign below zeta's lower neighbour
+        hi = _lattice(down)
+    else:
+        lo = _lattice(up)
+    step = 1
+    while hi - lo > 1:
+        probe = (lo + hi) // 2
+        if step:  # gallop away from zeta, by doubling steps, until S changes sign
+            probe = max(probe, hi - step) if below == s else min(probe, lo + step)
+            step *= 2
+        sign = _sign(image, _unlattice(probe))
+        if sign == 0:
+            return _unlattice(probe)
+        if sign == s:
+            hi = probe
+        else:
+            lo = probe
+        if sign != below:
+            step = 0
+    zeta = _unlattice(lo)
+    down, up = np.nextafter(zeta, -math.inf), np.nextafter(zeta, math.inf)
+    return zeta if _sign(image, down) * _sign(image, up) < 0 else None
+
+
+def _jacobi_seeds(coeffs):
+    """Seeds of the zeros of the monic S, by its Sturm sequence in 80 bits.
+
+    p_0 = S and p_1 = S' / n, then p_(k-1) = (z - a_k) p_k - b_k p_(k+1), each
+    p_k monic of degree n - k.  Where every b_k > 0 (S has n real, simple
+    zeros; Sturm), S is the characteristic polynomial of the Jacobi matrix
+    with diagonal a and off-diagonal sqrt(b), and its eigenvalues
+    (``numpy.linalg.eigvalsh``, as for the constraint's roots) are the
+    seeds; else None, as where rounding breaks the sequence.  On the deep
+    states they lie within 1.3e-14 of the largest zero, where the companion
+    eigenvalues (``np.roots``) lie within 6.8e-11, and they need no
+    nonsymmetric eigensolver (LAPACK's dgeev adds ~0.6 MB to a verify
+    process).
+    """
+    n = len(coeffs) - 1
+    prev, cur = coeffs, np.arange(1, n + 1) * coeffs[1:] / n
+    diag, off = [], []
+    while True:
+        a = (cur[-2] if len(cur) > 1 else 0) - prev[-2]
+        diag.append(a)
+        if len(cur) == 1:
+            break
+        # the remainder p_(k-1) - (z - a) p_k, of degree n - k - 1
+        rest = (prev - np.concatenate(([0], cur)) + np.append(a * cur, 0))[:len(cur) - 1]
+        if not -rest[-1] > 0:
+            return None
+        off.append(-rest[-1])
+        prev, cur = cur, rest / rest[-1]
+    jacobi = np.diag(np.array(diag, dtype=float))
+    np.fill_diagonal(jacobi[1:], np.sqrt(np.array(off, dtype=float)))
+    if not np.isfinite(jacobi).all():
+        return None
+    try:
+        return np.linalg.eigvalsh(jacobi)
+    except np.linalg.LinAlgError:  # pragma: no cover - LAPACK failure path
+        return None
+
+
+def _zeros(image, coeffs):
+    """The n zeros zeta_j of the monic S of degree n, each certified real
+    and simple, as a pair of float arrays (hi, lo): hi ascending, each its
+    zero correctly rounded, and lo the exact Newton step from hi, rounded,
+    so that hi + lo misses zeta_j by about ulp(hi)^2 |S''/S'|; None where
+    the certificate fails.
+
+    Seeds: :func:`_jacobi_seeds`, polished together by Aberth's
+    simultaneous Newton steps in 80 bits on ``coeffs``,
+    :func:`_coefficients` of ``image`` (Aberth, Math. Comp. 27 (1973) 339),
+    in real arithmetic, as the zeros sought are real: at most
+    _POLISH_STEPS, until no zero moves by more than
+    _SETTLED of the largest, or the steps, once below _LOCAL, stop shrinking
+    (the 80-bit noise where S cancels).  Certificate, by the exact sign of S
+    (``polynomials.image_value``) at floats:
+
+    * isolation: at the n + 1 points t_0 < ... < t_n, one halfway between
+      each two neighbouring polished seeds and one past either end, S takes the
+      signs (-1)^(n - i), so each (t_i, t_(i+1)) holds exactly one zero of
+      S, and S has no other;
+    * faithfulness: S changes sign across each zero's two float neighbours,
+      so the zero lies within an ulp of the float; a zero that does not is
+      sought on the float lattice inside (t_i, t_(i+1)) (:func:`_faithful`).
+      The exact Newton step then says which of the float and its neighbour
+      the zero is nearer, so hi depends on the zero alone, not on the seeds.
+
+    A state with non-real zeros (dshg's low doublets) fails isolation.
+    """
+    n = len(coeffs) - 1
+    if n == 0:
+        return np.empty(0), np.empty(0)
+    with np.errstate(all="ignore"):
+        seeds = _jacobi_seeds(coeffs)
+        if seeds is None:
+            return None
+        seeds = seeds.astype(np.longdouble)
+        last = math.inf
+        for _ in range(_POLISH_STEPS):
+            value, slope = np.full_like(seeds, coeffs[-1]), np.zeros_like(seeds)
+            for c in coeffs[-2::-1]:
+                slope = slope * seeds + value
+                value = value * seeds + c
+            ratio = value / slope
+            pull = seeds[:, None] - seeds[None, :]
+            np.fill_diagonal(pull, np.inf)
+            move = ratio / (1.0 - ratio * np.sum(1.0 / pull, axis=1))
+            seeds -= move
+            size = float(np.max(np.abs(move)) / np.max(np.abs(seeds)))
+            if size <= _SETTLED or last <= size < _LOCAL:
+                break
+            last = size
+        zeros = np.sort(seeds.astype(float))
+        reach = max(1.0, float(np.max(np.abs(zeros))))
+        points = np.concatenate(
+            ([zeros[0] - reach], (zeros[:-1] + zeros[1:]) / 2, [zeros[-1] + reach]))
+    if not (np.isfinite(points).all() and (points[:-1] < zeros).all()
+            and (zeros < points[1:]).all()):
+        return None
+    if any(_sign(image, t) != (-1) ** (n - i) for i, t in enumerate(points)):
+        return None
+    rest = np.empty(n)
+    for i, zeta in enumerate(zeros.tolist()):
+        zeta = _faithful(image, zeta, points[i], points[i + 1], (-1) ** (n - i - 1))
+        if zeta is None:
+            return None
+        step = _newton_step(image, zeta)
+        near = np.nextafter(zeta, math.copysign(math.inf, step))
+        if abs(step) > abs(near - zeta) / 2:  # the zero rounds to the neighbour
+            zeta, step = near, _newton_step(image, near)
+        zeros[i], rest[i] = zeta, step
+    return (zeros, rest) if np.all(np.isfinite(rest)) else None
+
+
+def _newton_step(image, x):
+    """-S(x) / S'(x) at the float ``x``, from S's exact value and slope,
+    rounded once; NaN where the slope vanishes."""
+    p, q = x.as_integer_ratio()
+    k = q.bit_length() - 1
+    value, slope, _ = polynomials.image_horner(image, p, k)
+    return -value / (slope << k) if slope else math.nan
+
+
 def _first_peak_sign(psi):
     """Sign of psi at its first significant interior extremum.
 
@@ -269,7 +473,7 @@ def _default_inputs(model):
     return inputs
 
 
-def sample(model, root, xs=None, chain=None):
+def sample(model, root, xs=None, chain=None, *, _product=False):
     """Sample the normalized wavefunction of one constraint root.
 
     Assembles the polynomial part at ``root`` on ``chain`` (the model's
@@ -291,6 +495,12 @@ def sample(model, root, xs=None, chain=None):
     is half the points, and with a prefactor of the sector's parity psi is
     exactly even or odd.  psi, and the trapezoid terms of the norm, are
     the only arrays of the grid's length made for a root.
+
+    The polynomial is S evaluated by the 80-bit Horner (:func:`_horner_block`).
+    ``_product``, which the finite-difference oracle alone passes, asks for
+    S as a float64 product over its zeros instead (:func:`_product_block`),
+    wherever they certify (:func:`_zeros`); where they do not, the Horner
+    samples the state, the same bytes as without it.
 
     Raises:
         NotARoot: ``root`` does not identify a root of the constraint.
@@ -316,7 +526,13 @@ def sample(model, root, xs=None, chain=None):
 
         def rows(a, b):
             return _chart(model, xs[a:b])
-    psi = _values(_coefficients(image), len(xs), rows, model.half_line)
+    coeffs = _coefficients(image)
+    zeros = _zeros(image, coeffs) if _product else None
+    if zeros is None:
+        evaluate = partial(_horner_block, coeffs)
+    else:
+        evaluate = partial(_product_block, zeros)
+    psi = _values(evaluate, len(xs), rows, model.half_line)
     if not np.all(np.isfinite(psi)):
         raise DegenerateGrid("wavefunction overflowed on this grid; shrink it")
     norm = _norm(xs, psi)
@@ -333,18 +549,20 @@ def sample(model, root, xs=None, chain=None):
     )
 
 
-def _values(coeffs, count, rows, half_line):
+def _values(evaluate, count, rows, half_line):
     """Q(x) S(z(x)) at the ``count`` rows of a grid; ``rows(a, b)`` gives the
-    float64 coordinate and the prefactor at rows [a, b).
+    float64 coordinate and the prefactor at rows [a, b), and
+    ``evaluate(z, out)`` writes S at a block of coordinates into ``out``,
+    point by point.
 
     The first ceil(N/2) rows (all N on the half line) are walked a block of
-    _HORNER_ROWS at a time, so the coordinate, the prefactor and the 80-bit
-    Horner live for one block and its mirror only, and psi is the one
+    _HORNER_ROWS at a time, so the coordinate, the prefactor and the
+    evaluation live for one block and its mirror only, and psi is the one
     array of N rows made here.  On the full line each block [a, b) is
     paired with its mirror rows [N - b, N - a), less an odd count's middle
     row, which is the block's own.  Where their coordinate is the block's
-    reversed, bit for bit, the block's values serve them, as Horner would
-    give them anyway; else they are evaluated too.
+    reversed, bit for bit, the block's values serve them, as evaluating
+    them would give anyway; else they are evaluated too.
     """
     psi = np.empty(count)
     stop = count if half_line else (count + 1) // 2
@@ -352,14 +570,14 @@ def _values(coeffs, count, rows, half_line):
         for a in range(0, stop, _HORNER_ROWS):
             b = min(a + _HORNER_ROWS, stop)
             z, q = rows(a, b)
-            _horner_block(coeffs, z, psi[a:b])
+            evaluate(z, psi[a:b])
             if not half_line:
                 lo, hi = max(count - b, b), count - a
                 zm, qm = rows(lo, hi)
                 if np.array_equal(zm, z[:hi - lo][::-1]):
                     psi[lo:hi] = psi[a:a + hi - lo][::-1]
                 else:
-                    _horner_block(coeffs, zm, psi[lo:hi])
+                    evaluate(zm, psi[lo:hi])
                 _times(qm, psi[lo:hi])
             _times(q, psi[a:b])
     return psi

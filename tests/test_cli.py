@@ -192,21 +192,26 @@ ROOTS_JSON_SHA256 = {
 # dshg's was re-pinned again (once
 # eeef3c594a661232a5d22984c68fcf8ca8c36b5424cf0d8676d1b4d514500bed) when
 # dshg came to be checked on the half line of its node count's parity, and
-# no longer reads ambiguous; the same test stands behind that move.
+# no longer reads ambiguous; the same test stands behind that move.  The
+# eight others were re-pinned when the oracle came to sample psi as a
+# product over the certified zeros of S, which moved each residual's
+# digits; test_wavefunctions.py's
+# test_the_product_is_as_near_exact_as_the_horner_on_the_oracle_nodes
+# stands behind that move (the old digests are listed in CHANGES.md).
 MODELS_SHA256 = {
     "json": "451dd0969fba86ca0c69e56714eff6bca1b53ec6a6e5b4b193917f374c5768e7",
     "csv": "661184224dcd45302d6f07bef72cd28e3b5e1f7493a3a65e85bdfae2ada92c0d",
 }
 VERIFY_JSON_SHA256 = {
-    "xie-even": (1, "cd74a9ded4fa94baea44876cf287b28e7b845f4903ee92481e54eb339871a874"),
-    "xie-odd": (0, "47c0e376fd672008ec6fb07a864a973e7be2521181c3706db1ad54011908dec1"),
-    "chen-even": (7, "98df6353eb0a284fdaf59decfc981a87fccbf3029fda6c7380d97a13aa87b5a3"),
-    "chen-odd": (7, "ab43484bde2966fc54977264bd560f6a5c949cc91d00aac8e24669be86c1489e"),
-    "coulomb": (5, "80ac854d86fb7dfaab0ae7aa90316d4eccf5862f1499147702d78b0c274a31c9"),
-    "razavy": (0, "9d37be8a77ab21d384dc09ac4e029325466cbbd498f5ae36a3fb533ce755fff3"),
+    "xie-even": (1, "51da49e11fdd37e1362762a3dd40646b6fd16684830450756373b55974ce2f5e"),
+    "xie-odd": (0, "03de134fc16fd533681cc8943db24e4b3e3080e651ce19e8c1f837d18a27b2fd"),
+    "chen-even": (7, "de845b26b0956c60550f3ec95e60d4aa9a68e7b995bb2fa214f7b38849a0ba97"),
+    "chen-odd": (7, "bcd78fd9be54c71a22da2cd6f9502a7dab85e63c7c2d1da220174c6d58dd7706"),
+    "coulomb": (5, "9de7d78088a3b8ce3220eb240b91c6b167afdf1160cbd47acd9a494092ad9da1"),
+    "razavy": (0, "0094cd689ea2b107362eeb2286b2680426d0a9e58200fdff8f69f321784265a9"),
     "dshg": (1, "4aa8814211b64a4b5b18cb9b6659d24618a412b2172f9bf0b5afea44752dee33"),
-    "pdshg-20": (0, "41a7a547b6270e79320e116f71688777a5e0acae289102dc16b8eb0866493eb0"),
-    "pdshg-21": (0, "4615d0f804708174b0b9bcd68373e42cadae52603343d2c5efcbf1869bf1b1ba"),
+    "pdshg-20": (0, "782b009fd4d01d7b9f8dacb66fd380dc3e6c7dc0893489134202c14434d2059b"),
+    "pdshg-21": (0, "7c4cc628f20f216d69ba386c4a369abac908f581f5f528f73c528c79afb5c56e"),
 }
 
 
@@ -286,6 +291,40 @@ def test_verify_passes_dshg_states_that_failed_on_the_full_line(n, index, capsys
     assert not report["ambiguous"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("coulomb", "15", "15", "lambda=1/2"),
+    ("coulomb", "20", "20", "lambda=1/2"),
+    ("razavy", "20", "20", "xi=1/2", "alpha=0", "beta=1"),
+    ("perturbed-dshg", "20", "20", "xi=2", "alpha=2", "beta=0"),
+], ids=lambda argv: f"{argv[0]}-{argv[1]}")
+def test_verify_passes_top_states_that_the_horner_sampled_as_noise(argv, capsys):
+    """The top normalizable state of each chain read residuals of 7.3e-4,
+    1.08, 0.016 and 0.70 (exit 4) while the 80-bit Horner sampled psi: its
+    pointwise error, amplified ~4/h^2 by the residual's second difference.
+    Sampled as a product over the certified zeros of S, each passes."""
+    model_id, n, index, *params = argv
+    args = ["verify", "--model", model_id, "--n", n, "--root-index", index, "--format", "json"]
+    for param in params:
+        args += ["--param", param]
+    code, out = run_cli(*args, capsys=capsys)
+    assert code == cli.EXIT_OK
+    report = json.loads(out)["roots"][0]["verification"]
+    assert report["residual"] <= cli.VERIFY_RESIDUAL_MAX and report["converged"]
+
+
+def test_verify_is_not_converged_when_the_refined_window_holds_other_levels(capsys):
+    """A box far wider than the state's puts level 3 of the coarse grid at
+    5.4e198; a third of that gap, about the energy, holds 3547 levels of the
+    refined grid, and converged read true.  It now needs the state's level
+    alone in the window: exit 4, converged false."""
+    code, out = run_cli("verify", "--model", "dshg", "--n", "3", "--param", "xi=2",
+                        "--root-index", "3", "--xmin=-123.80235792120567",
+                        "--xmax=123.80235792120567", "--format", "json", capsys=capsys)
+    assert code == cli.EXIT_VERIFY
+    report = json.loads(out)["roots"][0]["verification"]
+    assert report["abs_gap"] > 1e198 and report["converged"] is False
+
+
 def test_verify_exits_4_on_a_node_count_past_the_last_level(capsys, monkeypatch):
     """A node count the FD operator has no level for is a shortfall: the
     report reads null for the level and its gap, not converged, exit 4."""
@@ -312,9 +351,13 @@ def test_verify_exits_4_on_a_node_count_past_the_last_level(capsys, monkeypatch)
 # it is now the bisection of level 1 of the mirrored line's operator, which
 # the half line's odd level is (once 22.594741916011603, 0.0002262592315673828
 # and bffdfd318f082a66e25701cd2f07b3930dbc5d57a8fc3d2438b103ef261c3b0e).
+# coulomb's digest was re-pinned (once
+# 2737794c4f5c2aceb1cde53f57b348fc81ee97ba77dae7ca17c5ded249ab56c5) when psi
+# came to be sampled as a product over the zeros of S, which moved its
+# residual; its bisection values hold unedited.
 BISECTION_VERIFY = {
     "coulomb": (10.999910324360826, 8.967563917394727e-05,
-                "2737794c4f5c2aceb1cde53f57b348fc81ee97ba77dae7ca17c5ded249ab56c5"),
+                "ca46b412703a5ad48e88ac5aa310e6e0eed7b6bf1100dc1ac53643c5796d6569"),
     "dshg": (22.594741676409363, 0.00022649883380765345,
              "a76ce8084d9cc64fa6f63569309f9f434775f1b447548426f31f0b1cc7b8e2f2"),
 }

@@ -173,10 +173,12 @@ def _random_start(rows):
 
 def _own_start(model, root, cfg, chain=None):
     """The state's wavefunction on the nodes of ``cfg``, in the symmetric
-    basis of the oracle's operator there, as ``verify_root`` starts
+    basis of the oracle's operator there, as ``verify_root`` samples it
+    (a product over the zeros of S but for dshg) and starts
     ``oracle._nearest`` from it: an even state's node 0 is divided by
     sqrt(2)."""
-    psi = wavefunctions.sample(model, root, xs=oracle.grid_nodes(model, cfg), chain=chain).psi
+    psi = wavefunctions.sample(model, root, xs=oracle.grid_nodes(model, cfg), chain=chain,
+                               _product=oracle._kind(model) is not None).psi
     if oracle._kind(model) == "even":
         psi[0] /= math.sqrt(2.0)
     return psi
@@ -687,7 +689,7 @@ def test_half_line_residual_of_a_deep_state_is_its_full_line_residual(case):
     so rounding moves it by up to ~1e-4 of itself (measured: 4e-6 to 8e-5)."""
     model, root, energy, cfg, chain = _sector_case(case)
     xs, h = oracle._nodes(model, cfg)
-    psi = wavefunctions.sample(model, root, xs=xs, chain=chain).psi
+    psi = wavefunctions.sample(model, root, xs=xs, chain=chain, _product=True).psi
     half = oracle._residual_half_line(
         oracle._potential(model, xs, root), h, psi, energy, model.parity
     )

@@ -6,12 +6,13 @@ import struct
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from conftest import CATALOG_PARAMS, DEEP_CASES, solved
-from qespectra import models, oracle, recurrence, solve, wavefunctions
+from conftest import CATALOG_PARAMS, DEEP_CASES, eval_image, solved
+from qespectra import models, oracle, polynomials, recurrence, solve, wavefunctions
 from qespectra.errors import AsymmetricGrid, DegenerateGrid, QesError
 
 
@@ -632,3 +633,156 @@ def test_node_counts_and_parities_are_those_recorded_on_linspace(model_id):
             for p in parities
         ]
         assert rows == list(zip(nodes, parities)), n
+
+
+# ---------------------------------------------------------------------------
+# psi as a product over the certified zeros of S, on the oracle's grids
+# ---------------------------------------------------------------------------
+
+# the deep wells whose states the oracle samples as a product; dshg's low
+# states have non-real zeros, and the oracle keeps the Horner for dshg
+PRODUCT_KEYS = [key for key in DEEP_CASES if key != "dshg"]
+_EPS = np.finfo(float).eps
+
+
+@lru_cache(maxsize=None)
+def _state(key, index):
+    """(image, certified zeros (hi, lo) or None) of one deep state."""
+    spectrum = solved(key)
+    image = recurrence.assemble_solution(spectrum.chain, spectrum.roots[index])
+    return image, wavefunctions._zeros(image, wavefunctions._coefficients(image))
+
+
+def _product_states():
+    return [(key, index) for key in PRODUCT_KEYS for index in range(len(solved(key).roots))]
+
+
+def test_no_deep_state_but_dshg_falls_back_to_the_horner():
+    """All 84 states of the eight other deep wells certify n real, simple
+    zeros, ascending, each correctly rounded."""
+    states = _product_states()
+    assert len(states) == 84
+    for key, index in states:
+        image, zeros = _state(key, index)
+        assert zeros is not None, (key, index)
+        his, los = zeros
+        assert len(his) == len(los) == len(image[0]) - 1 == solved(key).model.n, (key, index)
+        assert np.all(np.diff(his) > 0), (key, index)
+        # hi is the zero correctly rounded: lo is at most half an ulp
+        near = np.nextafter(his, np.copysign(np.inf, los))
+        assert np.all(np.abs(los) <= np.abs(near - his) / 2), (key, index)
+
+
+def test_every_certified_zero_changes_sign_across_its_float_neighbours():
+    """Each zero is faithful: S, evaluated exactly in Fractions, takes
+    opposite signs at the floats on either side of it, so the exact zero
+    lies within an ulp."""
+    for key, index in _product_states():
+        image, (his, _) = _state(key, index)
+        for zeta in his:
+            below = eval_image(image, np.nextafter(zeta, -math.inf))
+            above = eval_image(image, np.nextafter(zeta, math.inf))
+            assert below * above < 0, (key, index, zeta)
+
+
+def test_the_zeros_sum_to_minus_the_next_to_leading_coefficient():
+    """Vieta: the sum of the n zeros of the monic S is -S[n-1], to within n
+    ulps of the largest zero."""
+    for key, index in _product_states():
+        (nums, den), (his, _) = _state(key, index)
+        ulp = np.spacing(np.max(np.abs(his)))
+        assert abs(math.fsum(his) + nums[-2] / den) <= len(his) * ulp, (key, index)
+
+
+def test_the_scan_value_is_affine_in_the_sum_of_the_zeros():
+    """The paper's identity between the constraint root and the functional
+    Bethe Ansatz: S[n-1] is the chain's first member, (alpha_1 + beta_1 x) /
+    delta_1, so the n + 1 points (sum of zeros, root) of one well lie on
+    the line x = -(delta_1 sum + alpha_1) / beta_1.  The fitted line
+    misses no point by more than 8 eps of the largest root, and its slope is
+    the chain's, -delta_1 / beta_1: 4, 4, 3.016, 2.016, 1, 2, 16 and 16."""
+    for key in PRODUCT_KEYS:
+        spectrum = solved(key)
+        alpha, beta, _, delta = spectrum.chain.steps[0]
+        sums = np.array([math.fsum(np.concatenate(_state(key, i)[1]))
+                         for i in range(len(spectrum.roots))])
+        roots = np.array(spectrum.roots)
+        slope, intercept = np.polyfit(sums, roots, 1)
+        scale = np.max(np.abs(roots))
+        assert np.max(np.abs(slope * sums + intercept - roots)) <= 8 * _EPS * scale, key
+        assert slope == pytest.approx(-delta / beta, rel=1e-12), key
+        assert np.max(np.abs(-(delta * sums + alpha) / beta - roots)) <= 8 * _EPS * scale, key
+
+
+def test_a_state_with_non_real_zeros_samples_by_the_horner_bit_for_bit():
+    """dshg's root 1 has non-real zeros in the e^(2x) chart: its
+    certificate fails, and asking for the product samples it by the 80-bit
+    Horner, the very bytes."""
+    spectrum = solved("dshg")
+    model, root = spectrum.model, spectrum.roots[1]
+    image = recurrence.assemble_solution(spectrum.chain, root)
+    coeffs = wavefunctions._coefficients(image)
+    seeds = np.roots(coeffs[::-1].astype(float))
+    assert np.max(np.abs(seeds.imag)) > 1e-3 * np.max(np.abs(seeds))
+    assert wavefunctions._zeros(image, coeffs) is None
+    xs = oracle.grid_nodes(model, oracle.default_verify_config(model, root))
+    horner = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain)
+    asked = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain, _product=True)
+    assert asked.psi.tobytes() == horner.psi.tobytes()
+    assert (asked.norm, asked.node_count) == (horner.norm, horner.node_count)
+
+
+def _exact_error(image, z, values):
+    """|values - S(z)| at each float of ``z``, exactly, and S(z) rounded."""
+    errors, exact = np.empty(len(z)), np.empty(len(z))
+    for i, (x, value) in enumerate(zip(z.tolist(), values.tolist())):
+        p, q = x.as_integer_ratio()
+        a, d = polynomials.image_value(image, p, q.bit_length() - 1)
+        vp, vq = value.as_integer_ratio()
+        errors[i] = abs(vp * d - a * vq) / (vq * d)
+        exact[i] = a / d
+    return errors, exact
+
+
+def test_the_product_is_as_near_exact_as_the_horner_on_the_oracle_nodes():
+    """On each of the 84 states, at every k-th of the nodes the oracle samples
+    (about 256 of them), the product's error against S evaluated exactly at
+    the sampled coordinate, weighted by the prefactor, is at most the
+    80-bit Horner's or 8 eps of the peak, whichever is larger.  Both errors
+    are then at float64 rounding; ROADMAP's "nearer the exact value" rule
+    reads it so, since the Horner itself rounds to float64.  The product
+    itself stays within 6 eps of the peak (4.2 eps measured at every
+    node); each zero's rest lo buys that: with hi alone it reads 10 eps."""
+    worst = []
+    for key, index in _product_states():
+        spectrum = solved(key)
+        model, root = spectrum.model, spectrum.roots[index]
+        cfg = oracle.default_verify_config(model, root)
+        if oracle._is_radial(model):
+            cfg = oracle._radial_residual_config(model, root, cfg)
+        xs = oracle.grid_nodes(model, cfg)
+        xs = xs[::len(xs) // 256 + 1]
+        image, zeros = _state(key, index)
+        z, q = wavefunctions._chart(model, xs)
+        product, horner = np.empty(len(z)), np.empty(len(z))
+        wavefunctions._product_block(zeros, z, product)
+        wavefunctions._horner_block(wavefunctions._coefficients(image), z, horner)
+        new, exact = _exact_error(image, z, product)
+        old, _ = _exact_error(image, z, horner)
+        peak = np.max(np.abs(q * exact))
+        new, old = np.max(np.abs(q) * new) / peak, np.max(np.abs(q) * old) / peak
+        assert new <= max(old, 8 * _EPS), (key, index, new, old)
+        worst.append(new)
+    assert max(worst) <= 6 * _EPS
+
+
+def test_verify_samples_by_the_product_where_it_certifies(horner_rows):
+    """The oracle asks for the product: a razavy state takes no Horner row,
+    and a dshg state, sampled by the Horner, takes every one."""
+    for key, rows in (("razavy", 0), ("dshg", None)):
+        spectrum = solved(key)
+        model, root = spectrum.model, spectrum.roots[0]
+        horner_rows.clear()
+        oracle.verify_root(model, root, chain=spectrum.chain)
+        want = len(oracle.grid_nodes(model, oracle.default_verify_config(model, root)))
+        assert sum(horner_rows) == (want if rows is None else rows), key
