@@ -402,7 +402,10 @@ def cmd_verify(args):
         row["verification"] = {
             "algebraic_energy": report.algebraic_energy,
             "nearest_fd_energy": report.nearest_fd_energy,
+            "subgrid_fd_energy": report.subgrid_fd_energy,
+            "richardson_energy": report.richardson_energy,
             "abs_gap": report.abs_gap,
+            "extrapolation_error": report.extrapolation_error,
             "residual": report.residual,
             "converged": report.converged,
             "ambiguous": report.ambiguous,

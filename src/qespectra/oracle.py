@@ -17,12 +17,13 @@ exports.  It allocates e^2, 8 bytes a row, and the diagonal where the
 operator holds only the potential.  The bisection query goes through
 ``sla.eigvalsh_tridiagonal``.
 
-Convergence is attested on the grid with half the step: the gap shrinks
-like h^2, so level k of that grid must lie within a third of the gap (or
-within the noise floor) of the energy.  One Sturm count of that window
-decides it; the refined grid is never solved.  On the half line every
-other node of the refined grid is a node of the first, bit for bit, and
-keeps the potential already taken there.
+Convergence is attested by Richardson's h^2 rule (L. F. Richardson, Phil.
+Trans. R. Soc. A 210 (1911) 307) on the grid's own subgrid of step 2h:
+level k is taken there too, from the grid's own eigenvector, and the
+extrapolation E_R = E_h + (E_h - E_2h) / 3 must lie within a tenth of the
+shift |E_h - E_2h| (or within the noise floor) of the energy.  On the
+half line the subgrid is every other node, bit for bit, and keeps the
+potential already taken there; no grid finer than the first is built.
 
 Two discretizations are used:
 
@@ -46,7 +47,7 @@ Two discretizations are used:
   every node but 0 twice, so it is the full-line residual;
 * the radial Coulomb model: the plain 3-point stencil cannot see the correct
   x -> 0 behaviour through the inverse-square term (for exponents around
-  1/2 it converges too slowly to pass a factor-3 halving test), so the
+  1/2 it converges too slowly for the h^2 rule), so the
   substitution u = x**lam * v is discretized instead, in conservation form
 
       -(w v')' / w + U v = E v,     w = x**(2 lam),  U = x^2/4 - beta/x
@@ -65,7 +66,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
@@ -75,10 +76,10 @@ from . import wavefunctions
 from .errors import DegenerateGrid, InvalidParams
 from .models import CoulombOscillator
 
-# The gap is "converged" when the grid with half the step has the state's
-# level, and no other, within gap / _SHRINK of the energy, or within the
-# noise floor.
-_SHRINK = 3.0
+# The gap is "converged" when the Richardson extrapolation from the grid and
+# its subgrid of step 2h lies within _SHIFT_SHARE of their shift of the
+# energy, or within the noise floor.
+_SHIFT_SHARE = 0.1
 _GAP_FLOOR = 1e-9
 # Level query: at most this many Rayleigh-quotient steps; the FD matrix's
 # rounding floor is _FLOOR_EPS * eps * ||T||.
@@ -93,8 +94,8 @@ _MAX_POINTS = wavefunctions._MAX_POINTS
 # state needs.
 _MIN_STEP = wavefunctions._MIN_STEP
 # Rows a block of every per-node stage but the solves and the counts: the
-# potential, the residuals and the split test of a Sturm count, so that
-# their temporaries stay this size whatever the grid.
+# potential, the residuals, the sums of squares and the split test of a
+# Sturm count, so that their temporaries stay this size whatever the grid.
 _ROWS = 4096
 # LAPACK's safe minimum and relative precision, dlamch("S") and dlamch("P").
 _SAFEMIN = np.finfo(float).tiny
@@ -152,12 +153,16 @@ class FdConfig:
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of checking one algebraic energy against the FD operator:
-    ``nearest_fd_energy`` is the FD level of the state's node index (NaN
-    where there is none); see :func:`verify_root` for the verdicts."""
+    ``nearest_fd_energy`` is the FD level of the state's node index, and
+    ``subgrid_fd_energy`` that level with step 2h (NaN where there is none);
+    see :func:`verify_root` for their extrapolation and the verdicts."""
 
     algebraic_energy: float
     nearest_fd_energy: float
+    subgrid_fd_energy: float
+    richardson_energy: float
     abs_gap: float
+    extrapolation_error: float
     residual: float
     converged: bool
     ambiguous: bool
@@ -192,8 +197,8 @@ def _line_nodes(cfg, parity):
     odd ones, and the mirrored nodes |i| <= M where ``parity`` is None.
 
     h is the full line's step in the box, and M = points // 2 numbers the
-    last node inside it.  The refined box's step is h / 2, exactly, so its
-    even-numbered nodes are these, bit for bit, and -i h is -(i h).
+    last node inside it.  -i h is -(i h), bit for bit, and j (2h) is (2j) h,
+    since 2h is exact: the subgrid of step 2h is every other node.
     """
     if cfg.xmin != -cfg.xmax:
         raise InvalidParams(f"a line model is checked on the half line, so its box "
@@ -205,9 +210,10 @@ def _line_nodes(cfg, parity):
     return xs, h
 
 
-def _offset_nodes(cfg, start, stop):
-    """The half-offset nodes xmin + (i + 1/2) h of ``cfg`` for start <= i < stop, and h."""
-    h = (cfg.xmax - cfg.xmin) / cfg.points
+def _offset_nodes(cfg, start, stop, step=1):
+    """The half-offset nodes xmin + (i + 1/2) h of ``cfg`` for start <= i < stop, and h;
+    h is ``step`` times the step of ``cfg``."""
+    h = step * (cfg.xmax - cfg.xmin) / cfg.points
     xs = np.arange(start, stop, dtype=float)
     xs += 0.5
     xs *= h
@@ -389,7 +395,7 @@ def _nearest(op, energy, start, level):
         if info > 0:  # exactly singular: the shift is an eigenvalue
             resid = 0.0
             break
-        x /= np.linalg.norm(x)
+        x /= math.sqrt(_sum_squares(x))
         lam = _rayleigh_quotient(op, x, d, dl, du)
         if abs(lam - shift) <= floor:
             break
@@ -402,7 +408,7 @@ def _nearest(op, energy, start, level):
         r *= x
         r[:-1] += np.multiply(dl, x[1:], out=dl)
         r[1:] += np.multiply(du, x[:-1], out=du)
-        resid = float(np.linalg.norm(r))
+        resid = math.sqrt(_sum_squares(r))
         del r
     del x, d, dl, du
 
@@ -434,7 +440,15 @@ def _rayleigh_quotient(op, x, d, e, f):
     np.subtract(x[1:], x[:-1], out=e)
     e *= e
     e *= f
-    return (np.add.reduce(d) - np.add.reduce(e)) / (x @ x)
+    return (np.add.reduce(d) - np.add.reduce(e)) / _sum_squares(x)
+
+
+def _sum_squares(x):
+    """sum(x_i^2), the same float whatever the BLAS thread count: ``x @ x``
+    and ``np.linalg.norm`` sum in an order that follows the threads, where
+    numpy's pairwise ``np.add.reduce`` sums each block of _ROWS rows and
+    ``math.fsum`` adds the block sums, correctly rounded."""
+    return math.fsum(np.add.reduce(np.square(x[i:i + _ROWS])) for i in range(0, len(x), _ROWS))
 
 
 def _count_within(op, centre, radius):
@@ -555,7 +569,7 @@ def _residual_half_line(v, h, psi, energy, parity):
         r[start:stop] = -lap / (h * h) + (v[start:stop] - energy) * psi[start:stop]
     for i, lap in ((m - 2, psi[-3] - 2.0 * psi[-2] + psi[-1]), (m - 1, psi[-2] - 2.0 * psi[-1])):
         r[i] = -lap / (h * h) + (v[i] - energy) * psi[i]
-    num, den = r @ r, psi @ psi
+    num, den = _sum_squares(r), _sum_squares(psi)
     if parity == "even":  # node 0 once, the others twice
         num, den = 2.0 * num - r[0] * r[0], 2.0 * den - psi[0] * psi[0]
     return float(math.sqrt(num / den))
@@ -697,45 +711,6 @@ def _radial_residual_config(model, scan, cfg):
     return FdConfig(cfg.xmin, cfg.xmax, points)
 
 
-def _doubled(model, cfg):
-    if _is_radial(model):
-        return FdConfig(cfg.xmin, cfg.xmax, 2 * cfg.points)
-    # 2N+1 interior points exactly halve the interior step.
-    return FdConfig(cfg.xmin, cfg.xmax, 2 * cfg.points + 1)
-
-
-def _refined(model, scan, cfg, v, parity):
-    """The 3-point operator on the half line of ``parity`` with half the step of ``cfg``.
-
-    ``v`` is the potential on the nodes of ``cfg``.  The refined grid halves
-    the step exactly, in floats too (h / 2 is exact), so every other one of
-    its nodes is a node of ``cfg`` bit for bit and keeps its potential from
-    ``v``: on the odd half line the odd-numbered nodes [1::2], on the even
-    half line the even-numbered ones [0::2].  The new nodes are j h / 2 for
-    odd j, the products a full node array forms there; the model's
-    potential is taken at them alone, straight into the diagonal.
-    """
-    fine = _doubled(model, cfg)
-    h = (fine.xmax - fine.xmin) / (fine.points + 1)
-    # the nodes j h, 1 <= j < stop, and j = 0 on the even half line
-    stop = fine.points // 2 + 1
-    old, new = slice(1, None, 2), slice(0, None, 2)
-    if parity == "even":
-        old, new = new, old
-    diag = np.empty(stop - (parity != "even"))
-    v_new = diag[new]  # at the nodes of odd j, a block at a time
-    for start in range(0, len(v_new), _ROWS):
-        end = min(start + _ROWS, len(v_new))
-        xs = np.arange(2 * start + 1, 2 * end, 2, dtype=float)
-        xs *= h
-        v_new[start:end] = _potential(model, xs, scan)
-    del v_new
-    diag[old] = v
-    line = _line(diag, h, parity)
-    np.add(diag, line.shift, out=diag)
-    return replace(line, shift=0.0)
-
-
 def verify_root(model, root, energy=None, cfg=None, chain=None):
     """Check one algebraic (root, energy) pair against the FD operator.
 
@@ -749,29 +724,30 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     parity of the node count k on the mirrored nodes, onto which psi is
     projected, (psi(x) +- psi(-x)) / 2; its level there is k // 2, and
     ``node_count`` stays k.  ``ambiguous`` says a second level lies within
-    twice the gap; ``converged``, that the grid with half the step has the
-    state's level, and no other, within a third of the gap (or the noise
-    floor), and never holds where the operator has no level of that index.
-    A state whose steps settle, with no second level within twice its gap,
-    takes two eigenvalue queries, one Sturm count on each grid; any other
-    takes a bisection more, and a count more where the steps settled.  On
-    the half line the potential is taken once on the nodes of ``cfg`` and
-    serves the residual, the operator and every other node of the refined
-    operator.  A parity sector is sampled on the half-line nodes alone, so
-    each point is evaluated once.  psi is sampled as a product over the
-    certified zeros of S (``wavefunctions.sample``'s ``_product``), but for
-    dshg, whose low states have non-real zeros, and any state whose zeros
-    do not certify: those take the 80-bit Horner.
+    twice the gap.  The same level is then searched on the subgrid of step
+    2h, from the first search's last iterate at the subgrid's nodes (on the
+    radial line, which lie midway between two of the grid's, their mean).
+    ``converged`` says that Richardson's extrapolation E_R = E_h + (E_h -
+    E_2h) / 3 lies within a tenth of the shift |E_h - E_2h| of the energy,
+    or within the noise floor, and never holds where either grid has no
+    level of that index.  A state whose steps settle on both grids, with no
+    second level within twice its gap, takes two eigenvalue queries, one
+    Sturm count on each; any other takes a bisection more, and a count more
+    where the steps settled.  On the half line the potential is taken once,
+    on the nodes of ``cfg``, and serves the residual and both operators; a
+    parity sector is sampled there alone.  psi is sampled as a product over the certified zeros of S
+    (``wavefunctions.sample``'s ``_product``), but for dshg, whose low
+    states have non-real zeros, and any state whose zeros do not certify:
+    those take the 80-bit Horner.
 
-    Memory: no phase holds more than five arrays of N rows (N the coarse
-    grid's): the potential and the four buffers of the search's dgtsv
-    solves, whose operator is the potential and h alone (a
-    :class:`_Tridiagonal`).  Every other per-node stage, from sampling to
-    the residuals and the refined operator's potential, runs in blocks;
-    only the refined operator's diagonal and e^2, each 2N rows, are whole.
-    The radial residual's own mesh holds psi and its two sums' terms, and
-    dshg's sampling its mirrored nodes and psi, about 2N rows each, until
-    the projection.
+    Memory: no phase holds more than five arrays of N rows (N the grid's):
+    the potential and the four buffers of the search's dgtsv solves, whose
+    operator is the potential and h alone (a :class:`_Tridiagonal`).  The
+    subgrid's search and count hold the potential and four arrays of N / 2
+    rows.  Every other per-node stage, from sampling to the residuals, runs
+    in blocks.  The radial residual's own mesh holds psi and its two sums'
+    terms, and dshg's sampling its mirrored nodes and psi, about 2N rows
+    each, until the projection.
     """
     energy = model.energy(root) if energy is None else float(energy)
     scan = root
@@ -782,7 +758,7 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
             res_cfg = _radial_residual_config(model, scan, cfg)
     # The residual's nodes; on the line they hold the operator's too (dshg's
     # mirrored nodes, its half line), and so does the potential on them,
-    # which the refined operator reuses.
+    # which the subgrid's operator reuses.
     xs, h = _nodes(model, res_cfg)
     kind = _kind(model)
     grid = wavefunctions.sample(model, root, xs=xs, chain=chain, _product=kind is not None)
@@ -798,8 +774,10 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
         residual = _residual_radial(model, scan, res_cfg, psi, energy)
         del psi
         nearest, ambiguous = _nearest(_held(*_tridiag(model, scan, cfg)), energy, start, level)
-        del start
-        fine = _held(*_tridiag(model, scan, _doubled(model, cfg)))
+        # the subgrid's node (j + 1/2) 2h lies midway between nodes 2j and 2j + 1
+        half = cfg.points // 2
+        start = np.add(start[:2 * half:2], start[1:2 * half:2])
+        sub = _held(*_tridiag_radial(model, scan, cfg, *_offset_nodes(cfg, 0, half, 2)))
     else:
         if kind is None:  # the sector of the node count, on the mirrored nodes
             odd = node_count % 2
@@ -820,17 +798,22 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
         if kind == "even":  # the similarity that symmetrizes row 0
             psi[0] /= math.sqrt(2.0)
         nearest, ambiguous = _nearest(_line(v, h, kind), energy, psi, level)
+        # the nodes 2j h: [0::2] of the even half line, [1::2] of the odd one
+        every_other = slice(int(kind == "odd"), None, 2)
+        start = psi[every_other].copy()
         del psi
-        fine = _refined(model, scan, cfg, v, kind)
-        del v
-    gap = abs(nearest - energy)
-    reach = max(_GAP_FLOOR * max(1.0, abs(energy)), gap / _SHRINK)  # the floor if gap is NaN
-    below, inside = _count_within(fine, energy, reach)
-    converged = (below, inside) == (level, 1) and not math.isnan(gap)
+        sub = _line(v[every_other], 2.0 * h, kind)
+    nearest_2h, _ = _nearest(sub, energy, start, level)
+    richardson = nearest + (nearest - nearest_2h) / 3.0
+    error = abs(richardson - energy)
+    converged = error <= _SHIFT_SHARE * abs(nearest - nearest_2h) + _GAP_FLOOR * max(1.0, abs(energy))
     return VerificationReport(
         algebraic_energy=energy,
         nearest_fd_energy=nearest,
-        abs_gap=gap,
+        subgrid_fd_energy=nearest_2h,
+        richardson_energy=richardson,
+        abs_gap=abs(nearest - energy),
+        extrapolation_error=error,
         residual=residual,
         converged=converged,
         ambiguous=ambiguous,

@@ -6,7 +6,10 @@ comparisons are relative unless a root is exactly zero.
 """
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import astuple, replace
 from fractions import Fraction
 
@@ -170,11 +173,19 @@ def test_08_parity_pair_union_rebuilds_unperturbed_spectrum():
 # certified zeros of S: every report but dshg's moved in its residual's
 # digits, and in its level's within the rounding floor; test_wavefunctions.py's
 # test_the_product_is_as_near_exact_as_the_horner_on_the_oracle_nodes stands
-# behind that move, with the level test below.
-VERIFY_REPORTS_SHA256 = "7464a32ffe71ee94a8bf4ce9931e58dacdea4a9de2ae0fb79d32df71d4ac1883"
+# behind that move, with the level test below.  All three were re-pinned
+# (once 7464a32ffe71ee94a8bf4ce9931e58dacdea4a9de2ae0fb79d32df71d4ac1883,
+# 3ecde983c44b9f3446834e33553bf9b9a637d2f2fc7ecbf91ead34cb1424e925 and
+# aaf0a92e4439b4c286f5f1be631de973b8d737246eef212009e7de187d70f6c3) when
+# convergence came to be attested by Richardson's rule on the subgrid, which
+# added three fields, and the oracle's sums of squares left BLAS, which moved
+# the last digits of levels and residuals: the extrapolation_error gate below
+# and test_deep_reports_do_not_depend_on_the_blas_thread_count stand behind
+# that move.
+VERIFY_REPORTS_SHA256 = "8fe3aef6bc0792c5fb669df19f2add8cf797552bbce9c2ffa15728a349e45cec"
 UNCHANGED_REPORTS_SHA256 = {
-    "coulomb": "3ecde983c44b9f3446834e33553bf9b9a637d2f2fc7ecbf91ead34cb1424e925",
-    "dshg": "aaf0a92e4439b4c286f5f1be631de973b8d737246eef212009e7de187d70f6c3",
+    "coulomb": "15a66950c030b9ef435a7919d7fb3541ae9ff0c3b8496ef63d70627c8152472c",
+    "dshg": "67c0042c2694d49b3f0b7f974c6b181ffd910a90470bc60d84da42f7cbab522f",
 }
 
 
@@ -193,6 +204,8 @@ def test_09_every_root_survives_fd_verification(deep):
                 report.abs_gap < 1e-3
                 and report.residual < 1e-4
                 and report.converged
+                and report.extrapolation_error
+                <= 0.1 * abs(report.nearest_fd_energy - report.subgrid_fd_energy)
             )
             # a half line holds no level of the other parity
             if report.ambiguous:
@@ -201,7 +214,8 @@ def test_09_every_root_survives_fd_verification(deep):
                 failures.append(
                     f"{key}[{index}] root={root:.6g}: gap={report.abs_gap:.3g} "
                     f"residual={report.residual:.3g} "
-                    f"converged={report.converged}"
+                    f"converged={report.converged} "
+                    f"extrapolation_error={report.extrapolation_error:.3g}"
                 )
         if key in UNCHANGED_REPORTS_SHA256:
             unchanged[key] = own.hexdigest()
@@ -233,6 +247,36 @@ def test_every_fd_energy_is_the_level_of_the_state_s_node_index(deep):
                 assert level == index, index
 
 
+_DEEP_REPORTS = """
+from dataclasses import astuple
+from conftest import DEEP_CASES, solved
+from qespectra import oracle
+for key in DEEP_CASES:
+    spectrum = solved(key)
+    for root in spectrum.roots:
+        print(repr(astuple(oracle.verify_root(spectrum.model, root, chain=spectrum.chain))))
+"""
+
+
+def test_deep_reports_do_not_depend_on_the_blas_thread_count():
+    """The 96 deep reports, every field, are the same bytes at one BLAS
+    thread and at two: the oracle takes no sum through BLAS, whose order
+    follows the thread count (see oracle._sum_squares)."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oracle.__file__)))
+    path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _DEEP_REPORTS], env=env,
+                              capture_output=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 96
+    assert outputs[0] == outputs[1]
+
+
 # The 96 deep reports as the oracle gave them while its search for the
 # nearest level started with inverse iteration from a pseudo-random vector:
 # their digest, as VERIFY_REPORTS_SHA256 above, and each nearest_fd_energy,
@@ -245,10 +289,12 @@ def test_every_fd_energy_is_the_level_of_the_state_s_node_index(deep):
 # were re-pinned to its half-line levels when dshg left the full line.  The
 # digest (once 29925f9f7e977d2a6f044f9be97c91ea979954ffa9f4a935346bd73173d681f9)
 # was re-pinned when psi came to be sampled as a product over the zeros of
-# S, which moved the residuals (see VERIFY_REPORTS_SHA256); every entry
-# below holds unedited.
+# S, which moved the residuals (see VERIFY_REPORTS_SHA256), and again (once
+# 8f9f0101971aa0fc2a26ca76f35708311e19bcf9712b8e153ce9cc9095403f9c) with
+# VERIFY_REPORTS_SHA256 when the subgrid's fields came; every entry below
+# holds unedited.
 INVERSE_ITERATION_REPORTS_SHA256 = (
-    "8f9f0101971aa0fc2a26ca76f35708311e19bcf9712b8e153ce9cc9095403f9c"
+    "023fa571c8016f9bbdd3577077f744fa87fc746f5643b3b340233105790572ad"
 )
 INVERSE_ITERATION_NEAREST = {
     "xie-even": (
@@ -302,8 +348,8 @@ INVERSE_ITERATION_NEAREST = {
 def test_the_own_wavefunction_start_moves_only_the_nearest_level_within_the_floor(deep):
     """Every nearest_fd_energy lies within the rounding floor 8 eps ||T|| of
     the coarse operator of its value from the pseudo-random start, and
-    writing that value back, with its gap, restores every report: no other
-    field moved."""
+    writing that value back, with its gap and its Richardson extrapolation
+    from the subgrid's level, restores every report: no other field moved."""
     eps = np.finfo(float).eps
     digest = hashlib.sha256()
     for key in DEEP_CASES:
@@ -315,8 +361,11 @@ def test_the_own_wavefunction_start_moves_only_the_nearest_level_within_the_floo
             diag, off = oracle._tridiag(model, root, oracle.default_verify_config(model, root))
             floor = 8.0 * eps * (np.abs(diag).max() + 2.0 * np.abs(off).max())
             assert abs(report.nearest_fd_energy - old) <= floor, (key, root)
+            richardson = old + (old - report.subgrid_fd_energy) / 3.0
             report = replace(
-                report, nearest_fd_energy=old, abs_gap=abs(old - report.algebraic_energy)
+                report, nearest_fd_energy=old, abs_gap=abs(old - report.algebraic_energy),
+                richardson_energy=richardson,
+                extrapolation_error=abs(richardson - report.algebraic_energy),
             )
             digest.update(repr(astuple(report)).encode())
     assert digest.hexdigest() == INVERSE_ITERATION_REPORTS_SHA256

@@ -197,21 +197,27 @@ ROOTS_JSON_SHA256 = {
 # product over the certified zeros of S, which moved each residual's
 # digits; test_wavefunctions.py's
 # test_the_product_is_as_near_exact_as_the_horner_on_the_oracle_nodes
-# stands behind that move (the old digests are listed in CHANGES.md).
+# stands behind that move (the old digests are listed in CHANGES.md).  All
+# nine were re-pinned when convergence came to be attested by Richardson's
+# rule on the subgrid of step 2h, which added three fields to each report,
+# and the oracle's sums of squares left BLAS; test_acceptance.py's
+# extrapolation_error gate in test_09 and
+# test_deep_reports_do_not_depend_on_the_blas_thread_count stand behind that
+# move (the old digests are listed in CHANGES.md).
 MODELS_SHA256 = {
     "json": "451dd0969fba86ca0c69e56714eff6bca1b53ec6a6e5b4b193917f374c5768e7",
     "csv": "661184224dcd45302d6f07bef72cd28e3b5e1f7493a3a65e85bdfae2ada92c0d",
 }
 VERIFY_JSON_SHA256 = {
-    "xie-even": (1, "51da49e11fdd37e1362762a3dd40646b6fd16684830450756373b55974ce2f5e"),
-    "xie-odd": (0, "03de134fc16fd533681cc8943db24e4b3e3080e651ce19e8c1f837d18a27b2fd"),
-    "chen-even": (7, "de845b26b0956c60550f3ec95e60d4aa9a68e7b995bb2fa214f7b38849a0ba97"),
-    "chen-odd": (7, "bcd78fd9be54c71a22da2cd6f9502a7dab85e63c7c2d1da220174c6d58dd7706"),
-    "coulomb": (5, "9de7d78088a3b8ce3220eb240b91c6b167afdf1160cbd47acd9a494092ad9da1"),
-    "razavy": (0, "0094cd689ea2b107362eeb2286b2680426d0a9e58200fdff8f69f321784265a9"),
-    "dshg": (1, "4aa8814211b64a4b5b18cb9b6659d24618a412b2172f9bf0b5afea44752dee33"),
-    "pdshg-20": (0, "782b009fd4d01d7b9f8dacb66fd380dc3e6c7dc0893489134202c14434d2059b"),
-    "pdshg-21": (0, "7c4cc628f20f216d69ba386c4a369abac908f581f5f528f73c528c79afb5c56e"),
+    "xie-even": (1, "c5cd7e8e8ca7faf613b904853b0bb3ad831c9ae173ebc3879f12cb58c3246455"),
+    "xie-odd": (0, "bbdc5f0b592398a6e06737b8711e20728af9ae2fe4a8fd3ed9c1eebcd6f801de"),
+    "chen-even": (7, "1f51064e4064b6f42b4b08ae3e3b2fe2cad985fe9daecc67e768c9cc751c5eac"),
+    "chen-odd": (7, "43944e3b9be4b0fe7c39bb6f5c9313cb6f4b5ba24fd3c0cc9d66053ab9cfd53c"),
+    "coulomb": (5, "11e32bf37b16a0999c846209949177a76f4441a1f4a6e7eaceaa98178ed17313"),
+    "razavy": (0, "569913fae78c8c6aed1cfeb57e284ef19462286010e8143f8547ea514a6f546e"),
+    "dshg": (1, "82ca7788b741a46f92a8b817c6dbe5c51b8c28dc5f31b31897ad8b4677a5c628"),
+    "pdshg-20": (0, "b32585c257f7ff4b2ec75f3a586abd2d798428ad097ccde53f43cd72bad65c1f"),
+    "pdshg-21": (0, "5a4f82d363edcd422f91c41a256a05a82150fe70b3b9fda84357eabc21e49814"),
 }
 
 
@@ -265,7 +271,7 @@ def test_verify_json_bytes_are_pinned(capsys):
 def test_verify_pairs_the_dshg_doublet_with_its_own_levels(capsys):
     """dshg n = 10's lowest doublet lies 1.9e-4 apart, narrower than the FD
     error.  Root 0 used to take root 1's level, the nearer, which moves on
-    the refined grid, and read unconverged (exit 4); paired with level 0,
+    the grid with half the step, and read unconverged (exit 4); paired with level 0,
     its own node count, it passes."""
     code, out = run_cli("verify", "--model", "dshg", "--n", "10", "--param", "xi=2",
                         "--root-index", "0", capsys=capsys)
@@ -314,9 +320,10 @@ def test_verify_passes_top_states_that_the_horner_sampled_as_noise(argv, capsys)
 
 def test_verify_is_not_converged_when_the_refined_window_holds_other_levels(capsys):
     """A box far wider than the state's puts level 3 of the coarse grid at
-    5.4e198; a third of that gap, about the energy, holds 3547 levels of the
-    refined grid, and converged read true.  It now needs the state's level
-    alone in the window: exit 4, converged false."""
+    5.4e198; a third of that gap, about the energy, held 3547 levels of the
+    grid with half the step, and converged read true while a Sturm count of
+    that window decided it.  Extrapolated with the subgrid's level, the
+    energy lies nowhere near: exit 4, converged false."""
     code, out = run_cli("verify", "--model", "dshg", "--n", "3", "--param", "xi=2",
                         "--root-index", "3", "--xmin=-123.80235792120567",
                         "--xmax=123.80235792120567", "--format", "json", capsys=capsys)
@@ -342,6 +349,26 @@ def test_verify_exits_4_on_a_node_count_past_the_last_level(capsys, monkeypatch)
     assert report["converged"] is False
 
 
+def test_verify_exits_4_where_the_subgrid_has_no_level_of_the_node_count(capsys, monkeypatch):
+    """On 1,000 points the radial line has 1,000 levels and its subgrid
+    500: a node count of 700 has a level on the grid alone.  The report
+    reads null for the subgrid's level and the extrapolation, not
+    converged, exit 4, and nothing raises."""
+    sample = wavefunctions.sample
+
+    def between_the_grids(*args, **kwargs):
+        return replace(sample(*args, **kwargs), node_count=700)
+
+    monkeypatch.setattr(wavefunctions, "sample", between_the_grids)
+    code, out = run_cli("verify", "--model", "coulomb", "--n", "1", "--param", "lambda=1/2",
+                        "--root-index", "0", "--points", "1000", capsys=capsys)
+    assert code == cli.EXIT_VERIFY
+    report = json.loads(out)["roots"][0]["verification"]
+    assert report["nearest_fd_energy"] > report["algebraic_energy"]
+    assert report["subgrid_fd_energy"] is None and report["richardson_energy"] is None
+    assert report["extrapolation_error"] is None and report["converged"] is False
+
+
 # The coulomb and dshg states of VERIFY_JSON_SHA256 as the bisection oracle
 # reported them, before the nearest FD eigenvalue was found by
 # shift-and-invert: (nearest_fd_energy, abs_gap, sha256 of the whole
@@ -354,17 +381,22 @@ def test_verify_exits_4_on_a_node_count_past_the_last_level(capsys, monkeypatch)
 # coulomb's digest was re-pinned (once
 # 2737794c4f5c2aceb1cde53f57b348fc81ee97ba77dae7ca17c5ded249ab56c5) when psi
 # came to be sampled as a product over the zeros of S, which moved its
-# residual; its bisection values hold unedited.
+# residual; its bisection values hold unedited.  Both digests were re-pinned
+# (once ca46b412703a5ad48e88ac5aa310e6e0eed7b6bf1100dc1ac53643c5796d6569 and
+# a76ce8084d9cc64fa6f63569309f9f434775f1b447548426f31f0b1cc7b8e2f2) with
+# VERIFY_JSON_SHA256 when the subgrid's fields came; their bisection values
+# hold unedited.
 BISECTION_VERIFY = {
     "coulomb": (10.999910324360826, 8.967563917394727e-05,
-                "ca46b412703a5ad48e88ac5aa310e6e0eed7b6bf1100dc1ac53643c5796d6569"),
+                "f01131932ac9053b2acc77a367685722dd6ae742df4e3803cb179dcb7eafd10f"),
     "dshg": (22.594741676409363, 0.00022649883380765345,
-             "a76ce8084d9cc64fa6f63569309f9f434775f1b447548426f31f0b1cc7b8e2f2"),
+             "55313a2d22f7f178c9d4549b836d39ce073512be840d21abd8380a89c0cc7cec"),
 }
 
 
 def test_verify_json_moves_only_in_the_nearest_fd_energy_and_gap(capsys):
-    """Writing back the bisection values must restore every byte.
+    """Writing back the bisection values, and the extrapolation from them,
+    must restore every byte.
 
     The nearest FD eigenvalue may move only by rounding: within 32 eps ||T||
     of the bisection value, where ||T|| = max|diag| + 2 max|off| bounds the
@@ -385,7 +417,10 @@ def test_verify_json_moves_only_in_the_nearest_fd_energy_and_gap(capsys):
         )
         tnorm = np.abs(diag).max() + 2.0 * np.abs(off).max()
         assert abs(report["nearest_fd_energy"] - nearest) <= 32 * eps * tnorm, key
+        richardson = nearest + (nearest - report["subgrid_fd_energy"]) / 3.0
         report["nearest_fd_energy"], report["abs_gap"] = nearest, gap
+        report["richardson_energy"] = richardson
+        report["extrapolation_error"] = abs(richardson - report["algebraic_energy"])
         assert _sha256(cli.emit_json(result) + "\n") == digest, key
 
 
@@ -553,8 +588,8 @@ def test_verify_coulomb_n0_is_machine_accurate(capsys):
     assert row["scan_value"] == pytest.approx(0.0, abs=1e-14)
     ver = row["verification"]
     assert list(ver) == [
-        "algebraic_energy", "nearest_fd_energy", "abs_gap",
-        "residual", "converged", "ambiguous",
+        "algebraic_energy", "nearest_fd_energy", "subgrid_fd_energy", "richardson_energy",
+        "abs_gap", "extrapolation_error", "residual", "converged", "ambiguous",
     ]
     assert ver["residual"] < 1e-8
     assert ver["converged"] is True

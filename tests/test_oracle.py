@@ -184,6 +184,22 @@ def _own_start(model, root, cfg, chain=None):
     return psi
 
 
+def _searched(model, root, monkeypatch, **kwargs):
+    """verify_root's report, and the operators it searches, in order: the
+    grid's and its subgrid's."""
+    ops = []
+    nearest = oracle._nearest
+
+    def recorded(op, energy, start, level):
+        ops.append(op)
+        return nearest(op, energy, start, level)
+
+    monkeypatch.setattr(oracle, "_nearest", recorded)
+    report = oracle.verify_root(model, root, **kwargs)
+    monkeypatch.setattr(oracle, "_nearest", nearest)
+    return report, ops
+
+
 class _RecordingQueries:
     """The oracle's eigenvalue queries, recorded in order while installed:
     its Sturm counts (``oracle._count_within``) and its bisections (its
@@ -421,19 +437,26 @@ def _count_windows(diag, off, seed):
     return windows
 
 
+def _grid_and_subgrid(model, root, monkeypatch):
+    """(diag, off) of the operator of the default grid of ``root`` in the
+    model's discretization (for dshg the mirrored line, which holds both
+    parities), and of the subgrid operator that verify_root searches."""
+    cfg = oracle.default_verify_config(model, root)
+    _, (_, subgrid) = _searched(model, root, monkeypatch)
+    return [oracle._tridiag(model, root, cfg), (subgrid.diagonal(), subgrid.off_array())]
+
+
 @pytest.mark.parametrize("key", ["dshg", "xie-even", "xie-odd", "coulomb"])
-def test_sturm_count_is_the_dstebz_count(key):
-    """The dlaebz count equals dstebz's on the coarse and refined operators
-    of the deepest state of a well of each kind (the mirrored line, which
+def test_sturm_count_is_the_dstebz_count(key, monkeypatch):
+    """The dlaebz count equals dstebz's on the grid and subgrid operators of
+    the deepest state of a well of each kind (the mirrored line, which
     holds both parities, even, odd, radial)."""
     spectrum = solved(key)
     model, root = spectrum.model, spectrum.roots[-1]
-    cfg = oracle.default_verify_config(model, root)
-    for seed, rows in enumerate((cfg, oracle._doubled(model, cfg))):
-        diag, off = oracle._tridiag(model, root, rows)
+    for seed, (diag, off) in enumerate(_grid_and_subgrid(model, root, monkeypatch)):
         for centre, radius in _count_windows(diag, off, seed):
             assert oracle._count_within(oracle._held(diag, off), centre, radius) == _dstebz_count(
-                diag, off, centre, radius), (rows.points, centre, radius)
+                diag, off, centre, radius), (len(diag), centre, radius)
 
 
 def test_sturm_count_splits_as_dstebz_does():
@@ -504,18 +527,17 @@ def test_sturm_count_refuses_an_off_diagonal_whose_square_overflows():
     assert oracle._count_within(oracle._held(diag, off), 0.0, 2.0 * below) == (0, 2)
 
 
-def test_a_sturm_count_never_reads_the_off_diagonal():
+def test_a_sturm_count_never_reads_the_off_diagonal(monkeypatch):
     """With IJOB = 1, dlaebz counts from d and e^2 alone: an E of NaNs gives
     every count the true e gives.  The counts pass e^2 in E's place, since a
-    line operator holds no array of e; here on the coarse and refined
+    line operator holds no array of e; here on the grid and subgrid
     operators of xie-odd's top state and on a random matrix of 5,000 rows,
     each one unreduced block, at the random windows of
     test_sturm_count_is_the_dstebz_count."""
     spectrum = solved("xie-odd")
     model, root = spectrum.model, spectrum.roots[-1]
-    cfg = oracle.default_verify_config(model, root)
     rng = np.random.default_rng(7)
-    matrices = [oracle._tridiag(model, root, rows) for rows in (cfg, oracle._doubled(model, cfg))]
+    matrices = _grid_and_subgrid(model, root, monkeypatch)
     matrices.append((rng.uniform(-1.0, 1.0, 5000), rng.uniform(0.1, 1.0, 4999)))
     for seed, (diag, off) in enumerate(matrices):
         e2 = off * off
@@ -546,36 +568,43 @@ def test_a_sturm_count_allocates_e_squared_alone():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_every_other_refined_node_is_a_coarse_node(seed):
-    # h / 2 is exact, and so is 2j (h / 2) = j h before rounding; the
-    # mirrored nodes are the even half line's and their negations, bit for bit
+def test_every_subgrid_node_is_a_coarse_node(seed):
+    # 2h is exact, and so is j (2h) = (2j) h before rounding: the half line's
+    # subgrid of step 2h is every other node, bit for bit, [0::2] (even) or
+    # [1::2] (odd); the mirrored nodes are the even half line's and their
+    # negations, bit for bit.  The radial subgrid's half-offset nodes are
+    # those of the box with half the points, bit for bit, where that is whole.
     rng = np.random.default_rng(seed)
     for _ in range(25):
         half_width = 10.0 ** rng.uniform(-3, 3) * rng.uniform(0.01, 3.0)
         box = oracle.FdConfig(-half_width, half_width, int(rng.integers(100, 20_000)))
-        # the half line of the symmetric box: even nodes keep [0::2], odd [1::2]
-        for sector, kept in (("even", slice(0, None, 2)), ("odd", slice(1, None, 2))):
-            model = _SectorWell(sector)
-            coarse = oracle._nodes(model, box)
-            fine = oracle._nodes(model, oracle._doubled(model, box))
-            assert fine[1] == coarse[1] / 2.0
-            assert fine[0][kept].tobytes() == coarse[0].tobytes(), (box, sector)
+        for sector, first in (("even", 0), ("odd", 1)):
+            coarse, h = oracle._nodes(_SectorWell(sector), box)
+            kept = coarse[first::2]
+            sub = np.arange(first, first + len(kept), dtype=float) * (2.0 * h)
+            assert sub.tobytes() == kept.tobytes(), (box, sector)
         even, h = oracle._nodes(_SectorWell("even"), box)
         mirrored = oracle._nodes(_QuadraticWell(), box)
         assert mirrored[1] == h
         assert mirrored[0][len(even) - 1:].tobytes() == even.tobytes(), box
         assert mirrored[0][:len(even) - 1].tobytes() == (-even[:0:-1]).tobytes(), box
+        points = 2 * int(rng.integers(100, 10_000))
+        radial = oracle.FdConfig(0.0, half_width, points)
+        sub, step = oracle._offset_nodes(radial, 0, points // 2, 2)
+        halved, halved_step = oracle._offset_nodes(
+            oracle.FdConfig(0.0, half_width, points // 2), 0, points // 2)
+        assert step == halved_step and sub.tobytes() == halved.tobytes(), radial
 
 
 @pytest.mark.parametrize("key", [key for key in DEEP_CASES if key != "coulomb"])
-def test_refined_operator_reuses_the_coarse_potential(key, monkeypatch):
-    # the same operator as built from scratch, bit for bit, with the
-    # potential taken at the new nodes alone, bit for bit the refined grid's
-    # own, in blocks of at most _ROWS: every fine node of the half line that
-    # is not a coarse one.  dshg's states take either parity's half line.
+def test_subgrid_operator_reuses_the_coarse_potential(key, monkeypatch):
+    # On a box of P = 2M + 1 points, odd, the subgrid is the half line of
+    # the box of M points, whose step is 2h bit for bit: its operator is
+    # that box's as built from scratch, bit for bit, with every potential
+    # value taken from the grid's, at no new node.  dshg's states take
+    # either parity's half line.
     spectrum = solved(key)
     model = spectrum.model
-    sectors = [model] if oracle._kind(model) else [_SectorOf(model, p) for p in ("even", "odd")]
     taken = []
     potential = oracle._potential
 
@@ -584,22 +613,18 @@ def test_refined_operator_reuses_the_coarse_potential(key, monkeypatch):
         return potential(model, xs, scan)
 
     for root in (spectrum.roots[0], spectrum.roots[-1]):
-        cfg = oracle.default_verify_config(model, root)
-        fine = oracle._doubled(model, cfg)
-        for sector in sectors:
-            want = oracle._tridiag(sector, root, fine)
-            v = oracle._potential(model, oracle.grid_nodes(sector, cfg), root)
-            monkeypatch.setattr(oracle, "_potential", counted)
-            refined = oracle._refined(model, root, cfg, v, sector.parity)
-            monkeypatch.setattr(oracle, "_potential", potential)
-            assert refined.diagonal().tobytes() == want[0].tobytes()
-            assert refined.off_array().tobytes() == want[1].tobytes()
-            new = slice(1, None, 2) if sector.parity == "even" else slice(0, None, 2)
-            nodes = np.concatenate(taken)
-            assert nodes.tobytes() == oracle.grid_nodes(sector, fine)[new].tobytes()
-            assert max(len(xs) for xs in taken) <= oracle._ROWS
-            assert len(nodes) == len(want[0]) - len(v)
-            taken.clear()
+        box = oracle.default_verify_config(model, root)
+        cfg = oracle.FdConfig(box.xmin, box.xmax, box.points | 1)
+        monkeypatch.setattr(oracle, "_potential", counted)
+        report, (grid, subgrid) = _searched(model, root, monkeypatch, cfg=cfg, chain=spectrum.chain)
+        monkeypatch.setattr(oracle, "_potential", potential)
+        sector = _SectorOf(model, ("even", "odd")[report.node_count % 2])
+        assert np.concatenate(taken).tobytes() == oracle.grid_nodes(sector, cfg).tobytes()
+        want = oracle._tridiag(sector, root, oracle.FdConfig(cfg.xmin, cfg.xmax, cfg.points // 2))
+        assert subgrid.diagonal().tobytes() == want[0].tobytes()
+        assert subgrid.off_array().tobytes() == want[1].tobytes()
+        assert np.shares_memory(subgrid.base, grid.base)
+        taken.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -764,14 +789,6 @@ def test_the_oracle_shares_no_code_with_the_algebraic_path():
 # verify_root end to end
 # ---------------------------------------------------------------------------
 
-def _level(model, report):
-    """The state's level index on its operator: its node count, or on a
-    parity sector's half line c, where node_count is 2c or 2c + 1."""
-    if oracle._kind(model) in ("even", "odd"):
-        return report.node_count // 2
-    return report.node_count
-
-
 def _convergence_cases():
     """Lowest and highest root of each deep well, and two energies off a level."""
     cases = [(key, index, 0.0) for key in DEEP_CASES for index in (0, -1)]
@@ -779,18 +796,15 @@ def _convergence_cases():
 
 
 @pytest.mark.parametrize("key,index,offset", _convergence_cases())
-def test_convergence_decision_matches_the_refined_nearest_eigenvalue(key, index, offset):
-    """The Sturm count decides as the state's level on the refined grid does.
-
-    The reference bisects the grid with half the step for the level whose
-    index is the state's node index, at gap2 from the energy, and applies
-    the rule 3 gap2 <= gap or gap2 <= floor.
-    No case puts gap2 within 8 eps max|off| of the edge of the window, so
-    rounding decides none of them.  That is the rounding scale of both
-    computations: near the state the entries are ~1/h^2 = max|off|.  The
-    norm of the matrix is not: the wall potential dominates it (razavy's
-    highest state lies 1.1 eps ||T|| from the edge), and no state sees the
-    walls.
+def test_convergence_decision_matches_the_refined_nearest_eigenvalue(key, index, offset, monkeypatch):
+    """The decision is that of the nearest eigenvalue refined by Richardson's
+    rule, taken by bisection: level k of the subgrid operator, k the
+    state's node index (halved on the half line), extrapolated with the
+    grid's level to E_R, must lie within a tenth of the shift (or the
+    floor) of the energy.  So every deep state's lowest and highest root
+    converge, and an energy 1e-3 or 1 off a level does not.  No case puts |E_R - E| within 8 eps max|off| of
+    the bound, so rounding decides none of them: that is the rounding scale
+    of both computations, since near the state the entries are ~1/h^2.
     """
     if key == "dshg-0":
         spectrum = solve(models.make("dshg", 0, {"xi": 1}))
@@ -798,65 +812,53 @@ def test_convergence_decision_matches_the_refined_nearest_eigenvalue(key, index,
         spectrum = solved(key)
     model, root = spectrum.model, spectrum.roots[index]
     energy = model.energy(root) + offset
-    report = oracle.verify_root(model, root, energy=energy, chain=spectrum.chain)
-
-    cfg = oracle.default_verify_config(model, root)
-    fine = oracle._doubled(model, cfg)
-    diag, off = oracle._tridiag(model, root, fine)
-    level = _level(model, report)
-    gap2 = abs(sla.eigvalsh_tridiagonal(
-        diag, off, select="i", select_range=(level, level))[0] - energy)
-    floor = oracle._GAP_FLOOR * max(1.0, abs(energy))
-    old = gap2 * oracle._SHRINK <= report.abs_gap or gap2 <= floor
-    assert report.converged == old
+    report, (_, subgrid) = _searched(model, root, monkeypatch, energy=energy, chain=spectrum.chain)
+    level = report.node_count if oracle._kind(model) == "radial" else report.node_count // 2
+    off = subgrid.off_array()
+    want = sla.eigvalsh_tridiagonal(subgrid.diagonal(), off, select="i",
+                                    select_range=(level, level))[0]
+    nearest = report.nearest_fd_energy
+    extrapolated = nearest + (nearest - want) / 3.0
+    bound = oracle._SHIFT_SHARE * abs(nearest - want) + oracle._GAP_FLOOR * max(1.0, abs(energy))
+    assert report.converged == (abs(extrapolated - energy) <= bound)
     assert report.converged == (offset == 0.0)
-    reach = max(report.abs_gap / oracle._SHRINK, floor)
-    assert abs(gap2 - reach) > 8.0 * np.finfo(float).eps * np.abs(off).max()
+    assert abs(abs(extrapolated - energy) - bound) > 8.0 * np.finfo(float).eps * np.abs(off).max()
 
 
-@pytest.mark.parametrize("t", [0.45, 0.55])
-def test_convergence_threshold_is_a_third_of_the_gap(t):
-    # E = lam2 + t (lam2 - lam1) puts the coarse level lam1 at (1 + t) / t
-    # times the distance of the refined level lam2: 3.2 and 2.8
+@pytest.mark.parametrize("t", [0.09, 0.11])
+def test_convergence_threshold_is_a_tenth_of_the_shift(t):
+    # E = E_R + t (E_h - E_2h) puts the extrapolation t shifts from the
+    # energy; the levels, searched from the state's own wavefunction, do not
+    # depend on the energy
     model = models.make("dshg", 0, {"xi": 1})
     spectrum = solve(model)
     root = spectrum.roots[0]
     cfg = oracle.FdConfig(-7.0, 7.0, 999)
-    target = model.energy(root)
-    lam1, lam2 = (
-        oracle._nearest(oracle._held(*oracle._tridiag(model, root, grid)), target,
-                        _own_start(model, root, grid, spectrum.chain), 0)[0]
-        for grid in (cfg, oracle._doubled(model, cfg))
-    )
-    energy = lam2 + t * (lam2 - lam1)
+    first = oracle.verify_root(model, root, cfg=cfg, chain=spectrum.chain)
+    fine, coarse = first.nearest_fd_energy, first.subgrid_fd_energy
+    energy = first.richardson_energy + t * (fine - coarse)
     report = oracle.verify_root(model, root, energy=energy, cfg=cfg, chain=spectrum.chain)
-    assert report.abs_gap == pytest.approx((1.0 + t) * abs(lam2 - lam1), rel=1e-6)
-    assert abs(lam2 - lam1) > 1e3 * oracle._GAP_FLOOR
-    assert report.converged == (t < 0.5)
+    assert (report.nearest_fd_energy, report.subgrid_fd_energy) == (fine, coarse)
+    assert report.extrapolation_error == pytest.approx(t * abs(fine - coarse), rel=1e-6)
+    assert abs(fine - coarse) > 1e3 * oracle._GAP_FLOOR
+    assert report.converged == (t < 0.1)
 
 
-def test_verify_root_solves_one_grid(monkeypatch):
-    """One level search, on the coarse grid; the refined one is counted.
-    dshg's even ground state is searched on the even half line of its
-    mirrored nodes, M + 1 rows, and its odd partner on M."""
-    sizes = []
-    nearest = oracle._nearest
-
-    def counted(op, energy, start, level):
-        sizes.append(len(op.base))
-        return nearest(op, energy, start, level)
-
-    monkeypatch.setattr(oracle, "_nearest", counted)
+def test_verify_root_searches_the_grid_and_its_subgrid(monkeypatch):
+    """Two level searches: the grid's, and its subgrid's of step 2h.  dshg's
+    even ground state is searched on the even half line of its mirrored
+    nodes, M + 1 rows, then on every other one of them; its odd partner on
+    M rows, then M // 2; coulomb's radial line on its points, then half."""
     dshg = solved("dshg")
     for model, root, rows in (
-        (models.make("coulomb", 1, {"lambda": Fraction(1, 2)}), 1.0, lambda points: points),
-        (dshg.model, dshg.roots[0], lambda points: points // 2 + 1),
-        (dshg.model, dshg.roots[1], lambda points: points // 2),
+        (models.make("coulomb", 1, {"lambda": Fraction(1, 2)}), 1.0,
+         lambda points: [points, points // 2]),
+        (dshg.model, dshg.roots[0], lambda points: [points // 2 + 1, points // 4 + 1]),
+        (dshg.model, dshg.roots[1], lambda points: [points // 2, points // 4]),
     ):
-        del sizes[:]
-        report = oracle.verify_root(model, root)
+        report, ops = _searched(model, root, monkeypatch)
         assert report.converged
-        assert sizes == [rows(oracle.default_verify_config(model, root).points)]
+        assert [len(op.base) for op in ops] == rows(oracle.default_verify_config(model, root).points)
 
 
 @pytest.mark.parametrize(
@@ -1007,21 +1009,22 @@ def test_residual_full_line_converges_at_high_order():
 
 def test_verify_root_peak_memory_on_the_largest_deep_grid():
     """xie-odd root 10 verifies on 325,427 points: the half line's 162,713
-    coarse nodes and 325,427 refined ones.
+    nodes, and the 81,356 of its subgrid of step 2h.
 
-    The coarse grid's arrays are freed before the refined grid is built, and
-    no phase holds more than five arrays of coarse rows: the potential v and
-    the four buffers of the level search's dgtsv solves, whose
+    No phase holds more than five arrays of the grid's rows: the potential
+    v and the four buffers of the level search's dgtsv solves, whose
     operator is v and h alone.  Sampling, the potential and the residual
-    run in blocks, and the refined operator holds its diagonal and, while
-    counted, e^2.  So the peak, ~20 bytes a point, is the search's five
-    arrays.  Traced peaks by phase, MiB, before and after blocking: sampling
-    7.5 -> 4.0, the potential 6.2 -> 3.7, the half-line residual 8.7 -> 3.9,
-    the search 8.7 -> 6.2 and its count 7.6 -> 5.1, the refined build
-    6.2 -> 3.8 and its count 7.6 -> 5.1.  Before, the residual's temporaries
-    set the peak, ~28 bytes a point; with inverse iteration from a
-    pseudo-random start it was ~38, and with dstebz's zero-filled count
-    workspace ~76.
+    run in blocks.  The search's buffers are freed before the subgrid's is
+    made, which holds v and four arrays of half the rows, and while
+    counted a diagonal and e^2 of half the rows.  So the peak, ~20 bytes a
+    point, is the grid's search.  Traced peaks by phase, MiB, before and
+    after blocking: sampling 7.5 -> 4.0, the potential 6.2 -> 3.7, the
+    half-line residual 8.7 -> 3.9, the search 8.7 -> 6.2 and its count
+    7.6 -> 5.1; the subgrid's search and count 3.8, where the operator with
+    half the step, 2N rows, took 6.2 to build and 7.6 to count.  Before,
+    the residual's temporaries set the peak, ~28 bytes a point; with
+    inverse iteration from a pseudo-random start it was ~38, and with
+    dstebz's zero-filled count workspace ~76.
     """
     spectrum = solved("xie-odd")
     model, chain, root = spectrum.model, spectrum.chain, spectrum.roots[10]
@@ -1083,14 +1086,27 @@ class _RecordingLapack:
 
 @pytest.mark.parametrize("key", DEEP_CASES)
 def test_the_search_from_the_own_wavefunction_takes_at_most_two_solves(key, monkeypatch):
-    """The level search factors nothing: each deep state's lowest
-    and highest level take one or two dgtsv solves, and no dgttrf or
-    dgttrs (the inverse iteration from a pseudo-random start took one
-    factorization and two solves before its Rayleigh steps)."""
+    """The level search factors nothing: each deep state's lowest and
+    highest level take two searches, the grid's from the state's own
+    wavefunction and the subgrid's from the grid's last iterate, each of
+    one or two dgtsv solves, and no dgttrf or dgttrs (the inverse iteration
+    from a pseudo-random start took one factorization and two solves before
+    its Rayleigh steps)."""
     spectrum = solved(key)
     recorder = _RecordingLapack(monkeypatch)
+    solves = []
+    nearest = oracle._nearest
+
+    def counted(*args):
+        before = len(recorder.calls)
+        found = nearest(*args)
+        solves.append(len(recorder.calls) - before)
+        return found
+
+    monkeypatch.setattr(oracle, "_nearest", counted)
     for root in (spectrum.roots[0], spectrum.roots[-1]):
         recorder.calls.clear()
+        solves.clear()
         oracle.verify_root(spectrum.model, root, chain=spectrum.chain)
         assert set(recorder.calls) == {"dgtsv"}, (root, recorder.calls)
-        assert len(recorder.calls) <= 2, root
+        assert len(solves) == 2 and all(1 <= count <= 2 for count in solves), (root, solves)
