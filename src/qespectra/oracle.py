@@ -10,12 +10,11 @@ grid.  Level k is found by O(N) Rayleigh-quotient solves from that
 wavefunction, certified by one Sturm count or else bisected (see
 :func:`_nearest`).  So very fine grids stay cheap.
 
-A Sturm count says how many eigenvalues lie below a window and in it, as
-LAPACK's dstebz counts them before it bisects (see :func:`_count_within`),
-by dstebz's own kernel dlaebz, through the pointer scipy.linalg.cython_lapack
-exports.  It allocates e^2, 8 bytes a row, and the diagonal where the
-operator holds only the potential.  The bisection query goes through
-``sla.eigvalsh_tridiagonal``.
+One kernel counts and locates levels: dstebz's Sturm count, LAPACK's
+dlaebz, through the pointer scipy.linalg.cython_lapack exports, on dstebz's
+inputs (:func:`_sturm`).  It counts a window (:func:`_count_within`) and
+bisects a level to neighbouring floats (:func:`_bisect`) in e^2, 8 bytes a
+row, and the diagonal where the operator holds only the potential.
 
 Convergence is attested by Richardson's h^2 rule (L. F. Richardson, Phil.
 Trans. R. Soc. A 210 (1911) 307) on the grid's own subgrid of step 2h:
@@ -102,6 +101,8 @@ _SAFEMIN = np.finfo(float).tiny
 _ULP = np.finfo(float).eps
 # An off-diagonal entry this large squares to inf in e^2.
 _E_MAX = math.sqrt(np.finfo(float).max)
+# The largest float's place on the float lattice, which holds every level.
+_LATTICE_END = wavefunctions._lattice(np.finfo(float).max)
 
 
 def _lapack_function(name, *argtypes):
@@ -371,9 +372,10 @@ def _nearest(op, energy, start, level):
     ``level`` lowest eigenvalues below the window and one inside, that one
     is level ``level``, lam stands, and nothing else lies within twice the gap.
     Otherwise (the steps stalled on a start that mixes two levels, settled
-    on another level, or a second level lies that near) one bisection
-    query takes level ``level`` to full precision, and ambiguity takes a
-    count of its own.  So the start sets the cost, never the answer.
+    on another level, or a second level lies that near) one bisection on
+    Sturm counts (:func:`_bisect`) takes level ``level`` to neighbouring
+    floats, and ambiguity takes a count of its own.  So the start sets the
+    cost, never the answer.
     """
     lapack = sla.lapack
     x = start
@@ -418,9 +420,7 @@ def _nearest(op, energy, start, level):
             return float(lam), False
     if level >= rows:  # no level of this index: a shortfall
         return math.nan, False
-    lam = float(sla.eigvalsh_tridiagonal(
-        op.diagonal(), op.off_array(), select="i", select_range=(level, level),
-    )[0])
+    lam = _bisect(op, level)
     return lam, _ambiguous(op, energy, abs(lam - energy))
 
 
@@ -451,34 +451,16 @@ def _sum_squares(x):
     return math.fsum(np.add.reduce(np.square(x[i:i + _ROWS])) for i in range(0, len(x), _ROWS))
 
 
-def _count_within(op, centre, radius):
-    """(below, inside): how many eigenvalues of T = ``op`` lie below the
-    closed window of ``radius`` about ``centre``, and how many in it.
-
-    LAPACK's dstebz (``sla.eigvalsh_tridiagonal(select="v")``) counts a
-    window (vl, vu] before it bisects anything: two Sturm counts, at or
-    below each end, on each unreduced block of T, taken by its kernel
-    dlaebz.  Here dlaebz takes the same two counts on the same inputs, with
-    vl one float below centre - radius to close the window, so the numbers
-    are the ones dstebz takes:
-
-    * e^2, zeroed where dstebz splits T: |d_j d_(j+1)| ulp^2 + safemin > e_j^2;
-    * dstebz's PIVMIN, safemin max(1, e_j^2) over the e_j it keeps;
-    * a block of one row holds its diagonal entry less PIVMIN.
-
-    dstebz also clips the window to each block's Gershgorin interval, widened
-    so that dlaebz counts no row at its lower end and every row at its upper
-    end.  The count is monotone in the shift (Demmel, Dhillon and Ren, ETNA 3,
-    1995), so an edge past that interval counts as the clipped edge does, and
-    each block is counted at the window's own ends.
-
-    e^2 is the one array of N rows it allocates, 8 bytes a row, besides T's
-    diagonal where ``op`` holds none (a line operator that keeps the
-    potential); the split test runs over chunks of _ROWS rows.
+def _sturm(op):
+    """(d, e2, pivmin) of T = ``op``, as dstebz hands them to dlaebz to
+    search the whole matrix: e^2 zeroed where dstebz splits T, |d_j d_(j+1)|
+    ulp^2 + safemin > e_j^2, so that each block's pivots start afresh, and
+    PIVMIN, safemin max(1, e_j^2) over the e_j kept.  e^2 is the one array
+    of N rows made, besides T's diagonal where ``op`` holds none (a line
+    operator keeps the potential); the split test runs in chunks of _ROWS.
     """
-    lower, upper = np.nextafter(centre - radius, -np.inf), centre + radius
     diag = op.diagonal()
-    # as eigvalsh_tridiagonal does: a potential that overflows on the box
+    # as scipy's dstebz wrapper does: a potential that overflows on the box
     # must not pass for a count, nor an e whose e^2 overflows PIVMIN to
     # inf.  NaN fails every comparison; min/max read a stride-0 e in place.
     first = 0.0 if op.first is None else abs(op.first)
@@ -488,7 +470,6 @@ def _count_within(op, centre, radius):
     e2 = np.multiply(op.off, op.off)
     if op.first is not None and len(e2):
         e2[0] = op.first * op.first
-    splits = []
     # a product past the float range is inf, and splits, as in LAPACK
     with np.errstate(over="ignore"):
         for start in range(0, len(e2), _ROWS):
@@ -497,42 +478,56 @@ def _count_within(op, centre, radius):
             np.abs(test, out=test)
             test *= _ULP * _ULP
             test += _SAFEMIN
-            split = start + np.flatnonzero(test > e2[start:stop])
-            e2[split] = 0.0
-            splits.append(split)
-    pivmin = max(1.0, float(e2.max(initial=0.0))) * _SAFEMIN
-    below = upto = begin = 0
-    for end in np.concatenate(splits + [[len(diag) - 1]]) + 1:
-        begin, end = int(begin), int(end)
-        if end - begin == 1:
-            counts = (int(diag[begin] - pivmin <= lower), int(diag[begin] - pivmin <= upper))
-        else:
-            e_sq = e2[begin:end - 1]
-            counts = _block_count(diag[begin:end], e_sq, e_sq, lower, upper, pivmin)
-        below, upto = below + counts[0], upto + counts[1]
-        begin = end
+            e2[start:stop][test > e2[start:stop]] = 0.0
+    return diag, e2, max(1.0, float(e2.max(initial=0.0))) * _SAFEMIN
+
+
+def _counts(sturm, lower, upper):
+    """How many eigenvalues of ``sturm`` (:func:`_sturm`) lie at or below
+    ``lower``, and at or below ``upper``: one dlaebz call.  With IJOB = 1 it
+    reads d and e2 alone, never e, so e2 goes in e's place.
+    """
+    d, e2, pivmin = sturm
+    one, zero, tol = ctypes.c_int(1), ctypes.c_int(0), ctypes.c_double(0.0)
+    ab, scratch = (ctypes.c_double * 2)(lower, upper), (ctypes.c_double * 1)()
+    nab, iscratch = (ctypes.c_int * 2)(), (ctypes.c_int * 1)()
+    e2_p = e2.ctypes.data_as(_DOUBLE_P)
+    _dlaebz(one, zero, ctypes.c_int(len(d)), one, one, zero, tol, tol, ctypes.c_double(pivmin),
+            d.ctypes.data_as(_DOUBLE_P), e2_p, e2_p, iscratch, ab, scratch, ctypes.c_int(),
+            nab, scratch, iscratch, ctypes.c_int())
+    return nab[0], nab[1]
+
+
+def _count_within(op, centre, radius):
+    """(below, inside): how many eigenvalues of T = ``op`` lie below the
+    closed window of ``radius`` about ``centre``, and how many in it: the
+    two counts dstebz takes of (vl, vu] before it bisects, vl one float
+    below centre - radius to close the window.
+    """
+    lower, upper = np.nextafter(centre - radius, -np.inf), centre + radius
+    below, upto = _counts(_sturm(op), lower, upper)
     return below, upto - below
 
 
-def _block_count(d, e, e2, lower, upper, pivmin):
-    """dlaebz's counts at or below ``lower`` and ``upper`` for one unreduced
-    block (d, e), e2 = e^2: NAB, whose difference is the count in (lower, upper].
+def _bisect(op, level):
+    """Eigenvalue number ``level`` (from 0) of T = ``op``, to neighbouring
+    floats: the least float at which the Sturm count exceeds ``level``.
 
-    With IJOB = 1 dlaebz reads d and e2 alone, never e, so the counts pass
-    e2 in its place: a line operator holds no array of e.
+    Bisection on Sturm counts (Barth, Martin and Wilkinson, Numer. Math. 9
+    (1967) 386), monotone in IEEE arithmetic (Demmel, Dhillon and Ren, ETNA
+    3, 1995), over the float lattice (``wavefunctions._lattice``), whatever
+    the scale of T.  Each dlaebz call counts two floats, which cut the
+    bracket in thirds: 41 calls from the whole lattice, 2^64 floats.
     """
-    one, zero, n = ctypes.c_int(1), ctypes.c_int(0), ctypes.c_int(len(d))
-    tol, piv = ctypes.c_double(0.0), ctypes.c_double(pivmin)
-    ab, scratch = (ctypes.c_double * 2)(lower, upper), (ctypes.c_double * 1)()
-    nab, iscratch = (ctypes.c_int * 2)(), (ctypes.c_int * 1)()
-    mout, info = ctypes.c_int(), ctypes.c_int()
-    _dlaebz(
-        one, zero, n, one, one, zero, tol, tol, piv,
-        d.ctypes.data_as(_DOUBLE_P), e.ctypes.data_as(_DOUBLE_P),
-        e2.ctypes.data_as(_DOUBLE_P), iscratch, ab, scratch, mout, nab,
-        scratch, iscratch, info,
-    )
-    return nab[0], nab[1]
+    sturm = _sturm(op)
+    # count(lo) <= level < count(hi), as lattice positions
+    lo, hi = -_LATTICE_END, _LATTICE_END
+    while hi - lo > 1:
+        third = max((hi - lo) // 3, 1)
+        a, b = lo + third, hi - third
+        at_a, at_b = _counts(sturm, wavefunctions._unlattice(a), wavefunctions._unlattice(b))
+        lo, hi = (lo, a) if at_a > level else (a, b) if at_b > level else (b, hi)
+    return wavefunctions._unlattice(hi)
 
 
 def _ambiguous(op, energy, gap):

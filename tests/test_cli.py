@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from conftest import DEEP_CASES, as_fractions, poly_eval, solved
-from qespectra import cli, oracle, polynomials, wavefunctions
+from qespectra import cli, models, oracle, polynomials, solve, wavefunctions
 from qespectra.errors import InvalidParams
 
 
@@ -318,18 +319,30 @@ def test_verify_passes_top_states_that_the_horner_sampled_as_noise(argv, capsys)
     assert report["residual"] <= cli.VERIFY_RESIDUAL_MAX and report["converged"]
 
 
-def test_verify_is_not_converged_when_the_refined_window_holds_other_levels(capsys):
-    """A box far wider than the state's puts level 3 of the coarse grid at
-    5.4e198; a third of that gap, about the energy, held 3547 levels of the
-    grid with half the step, and converged read true while a Sturm count of
-    that window decided it.  Extrapolated with the subgrid's level, the
-    energy lies nowhere near: exit 4, converged false."""
+def test_verify_of_a_wide_box_reads_its_level_and_exits_4_on_the_residual(capsys):
+    """A box far wider than the state's reaches walls of 9.3e214 on the
+    diagonal.  dstebz's default tolerance there, ~eps ||T||, put level 3
+    at 5.4e198; bisection on Sturm counts to neighbouring floats puts it
+    where dstebz with an explicit tolerance does: level 1 of the odd half
+    line, built here from the potential.  The state fails on its residual
+    alone: exit 4."""
+    xmax = 123.80235792120567
     code, out = run_cli("verify", "--model", "dshg", "--n", "3", "--param", "xi=2",
-                        "--root-index", "3", "--xmin=-123.80235792120567",
-                        "--xmax=123.80235792120567", "--format", "json", capsys=capsys)
+                        "--root-index", "3", f"--xmin={-xmax}", f"--xmax={xmax}",
+                        "--format", "json", capsys=capsys)
     assert code == cli.EXIT_VERIFY
     report = json.loads(out)["roots"][0]["verification"]
-    assert report["abs_gap"] > 1e198 and report["converged"] is False
+    model = models.make("dshg", 3, {"xi": Fraction(2)})
+    root = solve(model).roots[3]
+    points = oracle.default_verify_config(model, root).points
+    h = 2.0 * xmax / (points + 1)
+    xs = h * np.arange(1, points // 2 + 1)  # the odd half line's nodes i h, i >= 1
+    diag = 2.0 / (h * h) + model.potential(xs, root)
+    off = np.full(len(xs) - 1, -1.0 / (h * h))
+    assert diag.max() > 9e214
+    level, = sla.eigvalsh_tridiagonal(diag, off, select="i", select_range=(1, 1), tol=1e-12)
+    assert abs(report["nearest_fd_energy"] - level) <= 1e-10 * abs(level)
+    assert report["residual"] > cli.VERIFY_RESIDUAL_MAX
 
 
 def test_verify_exits_4_on_a_node_count_past_the_last_level(capsys, monkeypatch):

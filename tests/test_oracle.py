@@ -202,33 +202,30 @@ def _searched(model, root, monkeypatch, **kwargs):
 
 class _RecordingQueries:
     """The oracle's eigenvalue queries, recorded in order while installed:
-    its Sturm counts (``oracle._count_within``) and its bisections (its
-    ``sla`` binding's ``eigvalsh_tridiagonal``)."""
+    its Sturm counts of a window (``oracle._count_within``) and its
+    bisections of one level (``oracle._bisect``)."""
 
     def __init__(self, monkeypatch):
-        # ("count", window, (below, inside)) or ("bisect", select_range, values)
+        # ("count", window, (below, inside)) or ("bisect", level, value)
         self.queries = []
-        count_within = oracle._count_within
+        count_within, bisect = oracle._count_within, oracle._bisect
 
         def counted(op, centre, radius):
             found = count_within(op, centre, radius)
             self.queries.append(("count", (centre - radius, centre + radius), found))
             return found
 
-        monkeypatch.setattr(oracle, "_count_within", counted)
-        monkeypatch.setattr(oracle, "sla", self)
+        def bisected(op, level):
+            found = bisect(op, level)
+            self.queries.append(("bisect", level, found))
+            return found
 
-    def eigvalsh_tridiagonal(self, diag, off, **kwargs):
-        found = sla.eigvalsh_tridiagonal(diag, off, **kwargs)
-        self.queries.append(("bisect", kwargs.get("select_range"), found))
-        return found
+        monkeypatch.setattr(oracle, "_count_within", counted)
+        monkeypatch.setattr(oracle, "_bisect", bisected)
 
     def bisections(self):
-        """The queries that bisect what they find: (window, values found)."""
-        return [(window, found) for kind, window, found in self.queries if kind == "bisect"]
-
-    def __getattr__(self, name):
-        return getattr(sla, name)
+        """The bisection queries: (level, value found)."""
+        return [(level, found) for kind, level, found in self.queries if kind == "bisect"]
 
 
 def test_double_well_has_a_doublet_split_by_about_1e_10():
@@ -324,8 +321,8 @@ def test_certificate_replaces_a_farther_eigenvalue(monkeypatch):
     assert kind == "count" and counts == (near, 2)
     assert abs(0.5 * (hi - lo) - 2.0 * abs(spectrum[far] - energy)) <= 4.0 * floor
     # one bisection, of level `near` alone
-    (window, found), = recorder.bisections()
-    assert window == (near, near) and len(found) == 1
+    (level, found), = recorder.bisections()
+    assert level == near and found == got
 
 
 def test_a_nearer_level_found_by_the_certificate_is_counted_afresh(monkeypatch):
@@ -347,7 +344,7 @@ def test_a_nearer_level_found_by_the_certificate_is_counted_afresh(monkeypatch):
     assert not ambiguous
     count, certificate, recount = recorder.queries
     assert count[0] == "count" and count[2] == (k, 2)
-    assert certificate[0] == "bisect" and certificate[1] == (k, k) and len(certificate[2]) == 1
+    assert certificate[0] == "bisect" and certificate[1] == k and certificate[2] == got
     assert recount[0] == "count" and recount[2] == (k, 1)
 
 
@@ -368,8 +365,7 @@ def test_a_stalled_start_takes_one_bisection(monkeypatch):
             assert abs(got - spectrum[level]) <= floor, (level, energy)
             bisections = recorder.bisections()
             assert len(bisections) <= 1, (level, energy)
-            assert all(window == (level, level) and len(found) == 1
-                       for window, found in bisections)
+            assert all(bisected == level for bisected, _ in bisections)
 
 
 def test_a_level_past_the_last_is_a_shortfall(monkeypatch):
@@ -384,6 +380,67 @@ def test_a_level_past_the_last_is_a_shortfall(monkeypatch):
     assert not recorder.bisections()
     got = oracle._nearest(oracle._held(diag, off), 3.9, _random_start(101), 100)[0]
     assert abs(got - spectrum[100]) <= _floor(diag, off)
+
+
+def test_the_bisection_reads_a_wall_dominated_level_to_its_own_rounding(monkeypatch):
+    """dshg (n = 0, xi = 1) on [-7, 7] with 999 points: the walls put 3.4e11
+    on the diagonal, and dstebz's default tolerance, ~eps ||T||, missed the
+    even half line's level 0 by 2.4e-5.  Forced from a pseudo-random start,
+    the fallback bisects Sturm counts to neighbouring floats and reads the
+    level of a dense eigensolve."""
+    model = models.make("dshg", 0, {"xi": Fraction(1)})
+    root = solve(model).roots[0]
+    sector, cfg = _SectorOf(model, "even"), oracle.FdConfig(-7.0, 7.0, 999)
+    diag, off = oracle._tridiag(sector, root, cfg)
+    assert diag.max() > 3e11
+    dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0]
+    recorder = _RecordingQueries(monkeypatch)
+    got, ambiguous = oracle._nearest(
+        oracle._held(diag, off), model.energy(root), _random_start(len(diag)), 0)
+    assert [level for level, _ in recorder.bisections()] == [0]
+    assert abs(got - dense) <= 1e-10 and not ambiguous
+
+
+def test_the_bisection_is_bounded_in_counts_and_memory(monkeypatch):
+    """The fallback forced on xie-odd root 10's grid, the largest deep one
+    (162,713 rows of the odd half line), from a pseudo-random start.
+
+    Each call of the count helper counts two floats, which cut the bracket
+    in thirds: from the whole float lattice, 2^64 floats, in 41 calls, well
+    within 64 bisection steps.  The bisection holds T's diagonal and e^2,
+    16 bytes a row, below the search's three dgtsv buffers, so the search
+    sets the peak, ~24 bytes a row; dstebz's bisection took ~76."""
+    spectrum = solved("xie-odd")
+    model, root = spectrum.model, spectrum.roots[10]
+    cfg = oracle.default_verify_config(model, root)
+    xs, h = oracle._nodes(model, cfg)
+    op = oracle._line(oracle._potential(model, xs, root), h, "odd")
+    rows, level, energy = len(xs), 10, model.energy(root)
+    assert rows == 162_713
+    start = _random_start(rows)
+    del xs
+    calls = []
+    counts = oracle._counts
+
+    def counted(sturm, lower, upper):
+        calls.append((lower, upper))
+        return counts(sturm, lower, upper)
+
+    monkeypatch.setattr(oracle, "_counts", counted)
+    recorder = _RecordingQueries(monkeypatch)
+    tracemalloc.start()
+    try:
+        got, _ = oracle._nearest(op, energy, start, level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [bisected for bisected, _ in recorder.bisections()] == [level]
+    windows = sum(kind == "count" for kind, _, _ in recorder.queries)
+    assert len(calls) - windows <= 64
+    assert peak <= 26 * rows
+    want, = sla.eigvalsh_tridiagonal(op.diagonal(), op.off_array(), select="i",
+                                     select_range=(level, level), tol=4e-16 * abs(energy))
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_count_within_closes_the_window_at_both_ends():
@@ -529,24 +586,37 @@ def test_sturm_count_refuses_an_off_diagonal_whose_square_overflows():
 
 def test_a_sturm_count_never_reads_the_off_diagonal(monkeypatch):
     """With IJOB = 1, dlaebz counts from d and e^2 alone: an E of NaNs gives
-    every count the true e gives.  The counts pass e^2 in E's place, since a
-    line operator holds no array of e; here on the grid and subgrid
-    operators of xie-odd's top state and on a random matrix of 5,000 rows,
-    each one unreduced block, at the random windows of
-    test_sturm_count_is_the_dstebz_count."""
+    every count the true e gives, and so does the e^2 that ``_counts``
+    passes in E's place, since a line operator holds no array of e; here on
+    the grid and subgrid operators of xie-odd's top state and on a random
+    matrix of 5,000 rows, each one unreduced block, at the random windows
+    of test_sturm_count_is_the_dstebz_count."""
     spectrum = solved("xie-odd")
     model, root = spectrum.model, spectrum.roots[-1]
     rng = np.random.default_rng(7)
     matrices = _grid_and_subgrid(model, root, monkeypatch)
     matrices.append((rng.uniform(-1.0, 1.0, 5000), rng.uniform(0.1, 1.0, 4999)))
+    dlaebz = oracle._dlaebz
+
+    def counts_reading(e, sturm, lower, upper):
+        """``_counts`` with ``e`` in dlaebz's argument E."""
+        def swapped(*args):
+            dlaebz(*args[:10], e.ctypes.data_as(oracle._DOUBLE_P), *args[11:])
+
+        monkeypatch.setattr(oracle, "_dlaebz", swapped)
+        try:
+            return oracle._counts(sturm, lower, upper)
+        finally:
+            monkeypatch.setattr(oracle, "_dlaebz", dlaebz)
+
     for seed, (diag, off) in enumerate(matrices):
-        e2 = off * off
-        pivmin = max(1.0, float(e2.max())) * oracle._SAFEMIN
+        sturm = oracle._sturm(oracle._held(diag, off))
         nan = np.full_like(off, np.nan)
         for centre, radius in _count_windows(diag, off, seed):
             lower, upper = np.nextafter(centre - radius, -np.inf), centre + radius
-            below, upto = oracle._block_count(diag, off, e2, lower, upper, pivmin)
-            assert oracle._block_count(diag, nan, e2, lower, upper, pivmin) == (below, upto)
+            below, upto = oracle._counts(sturm, lower, upper)
+            assert counts_reading(off, sturm, lower, upper) == (below, upto)
+            assert counts_reading(nan, sturm, lower, upper) == (below, upto)
             assert (below, upto - below) == _dstebz_count(diag, off, centre, radius), (
                 seed, centre, radius)
 
@@ -923,9 +993,9 @@ def test_the_full_line_keeps_the_level_of_pdshg_20_root_5(monkeypatch):
     got, ambiguous = oracle._nearest(oracle._held(diag, off), energy, grid.psi, grid.node_count)
     assert abs(got - near[np.argmax(np.abs(near - energy))]) <= _floor(diag, off)
     assert ambiguous
-    count, (_, window, found), recount = recorder.queries
+    count, (_, level, found), recount = recorder.queries
     assert count[2] == (grid.node_count, 2)
-    assert window == (grid.node_count, grid.node_count) and len(found) == 1
+    assert level == grid.node_count and found == got
     assert recount[2] == (grid.node_count, 2)
 
 
