@@ -85,7 +85,7 @@ _GAP_FLOOR = 1e-9
 _RQ_STEPS = 3
 _FLOOR_EPS = 8.0
 # Step-size rule for default grids: h = _H_SCALE / max(1, E - min V).
-_H_SCALE = 0.07
+_H_SCALE = 0.091
 _MIN_POINTS = 4000
 _MAX_POINTS = wavefunctions._MAX_POINTS
 # Finer steps are refused, as for sampling: the residual's sums grow like
@@ -346,10 +346,11 @@ def _nearest(op, energy, start, level):
 
     Returns (value, ambiguous), where ambiguous says that a second
     eigenvalue lies within twice the gap |value - E| of E, as
-    :func:`_ambiguous` counts it; (NaN, False) where ``op`` has no such
-    level.  ``start`` is the first iterate x: the state's own wavefunction
-    on the nodes of T, in T's symmetric basis, with ``level`` sign changes.
-    The iteration overwrites it, so no vector of N rows is copied.  The
+    :func:`_ambiguous` counts it; (NaN, False), with no search, where ``op``
+    has no such level.  ``start`` is the first iterate x: the state's own
+    wavefunction on the nodes of T, in T's symmetric basis, with ``level``
+    sign changes.  The iteration overwrites it, so no vector of N rows is
+    copied.  The
     solver's three other buffers are the only arrays of N rows it
     allocates: every step rebuilds T's entries there from ``op``, which
     holds no diagonal of its own on the line.
@@ -374,12 +375,15 @@ def _nearest(op, energy, start, level):
     Otherwise (the steps stalled on a start that mixes two levels, settled
     on another level, or a second level lies that near) one bisection on
     Sturm counts (:func:`_bisect`) takes level ``level`` to neighbouring
-    floats, and ambiguity takes a count of its own.  So the start sets the
-    cost, never the answer.
+    floats, and ambiguity takes a count of its own.  The count, the
+    bisection and the recount share one Sturm set-up (:func:`_sturm`).  So
+    the start sets the cost, never the answer.
     """
+    rows = len(op.base)
+    if level >= rows:  # no level of this index: a shortfall
+        return math.nan, False
     lapack = sla.lapack
     x = start
-    rows = len(op.base)
     d, dl, du = np.empty(rows), np.empty(rows - 1), np.empty(rows - 1)
     op.fill(d, dl)
     tnorm = max(d.max(), -d.min()) + 2.0 * max(dl.max(initial=0.0), -dl.min(initial=0.0))
@@ -415,13 +419,12 @@ def _nearest(op, energy, start, level):
     del x, d, dl, du
 
     gap = abs(lam - energy)
+    sturm = _sturm(op)
     if resid <= 2.0 * floor:
-        if _count_within(op, energy, gap + max(gap, resid, floor)) == (level, 1):
+        if _count_within(sturm, energy, gap + max(gap, resid, floor)) == (level, 1):
             return float(lam), False
-    if level >= rows:  # no level of this index: a shortfall
-        return math.nan, False
-    lam = _bisect(op, level)
-    return lam, _ambiguous(op, energy, abs(lam - energy))
+    lam = _bisect(sturm, level)
+    return lam, _ambiguous(sturm, energy, abs(lam - energy))
 
 
 def _rayleigh_quotient(op, x, d, e, f):
@@ -498,20 +501,21 @@ def _counts(sturm, lower, upper):
     return nab[0], nab[1]
 
 
-def _count_within(op, centre, radius):
-    """(below, inside): how many eigenvalues of T = ``op`` lie below the
-    closed window of ``radius`` about ``centre``, and how many in it: the
-    two counts dstebz takes of (vl, vu] before it bisects, vl one float
-    below centre - radius to close the window.
+def _count_within(sturm, centre, radius):
+    """(below, inside): how many eigenvalues of ``sturm`` (:func:`_sturm`)
+    lie below the closed window of ``radius`` about ``centre``, and how
+    many in it: the two counts dstebz takes of (vl, vu] before it bisects,
+    vl one float below centre - radius to close the window.
     """
     lower, upper = np.nextafter(centre - radius, -np.inf), centre + radius
-    below, upto = _counts(_sturm(op), lower, upper)
+    below, upto = _counts(sturm, lower, upper)
     return below, upto - below
 
 
-def _bisect(op, level):
-    """Eigenvalue number ``level`` (from 0) of T = ``op``, to neighbouring
-    floats: the least float at which the Sturm count exceeds ``level``.
+def _bisect(sturm, level):
+    """Eigenvalue number ``level`` (from 0) of ``sturm`` (:func:`_sturm`), to
+    neighbouring floats: the least float at which the Sturm count exceeds
+    ``level``.
 
     Bisection on Sturm counts (Barth, Martin and Wilkinson, Numer. Math. 9
     (1967) 386), monotone in IEEE arithmetic (Demmel, Dhillon and Ren, ETNA
@@ -519,7 +523,6 @@ def _bisect(op, level):
     the scale of T.  Each dlaebz call counts two floats, which cut the
     bracket in thirds: 41 calls from the whole lattice, 2^64 floats.
     """
-    sturm = _sturm(op)
     # count(lo) <= level < count(hi), as lattice positions
     lo, hi = -_LATTICE_END, _LATTICE_END
     while hi - lo > 1:
@@ -530,9 +533,10 @@ def _bisect(op, level):
     return wavefunctions._unlattice(hi)
 
 
-def _ambiguous(op, energy, gap):
-    """Whether a second eigenvalue of ``op`` lies within 2 ``gap`` of ``energy``."""
-    return gap > 0.0 and _count_within(op, energy, 2.0 * gap)[1] >= 2
+def _ambiguous(sturm, energy, gap):
+    """Whether a second eigenvalue of ``sturm`` (:func:`_sturm`) lies within
+    2 ``gap`` of ``energy``."""
+    return gap > 0.0 and _count_within(sturm, energy, 2.0 * gap)[1] >= 2
 
 
 def _residual_half_line(v, h, psi, energy, parity):
@@ -666,9 +670,12 @@ def default_verify_config(model, root):
 
     The box extends past the sampled decay width of the state; the step
     follows the local-error estimate h^2 (E - min V)^2 / 12, clamped to a
-    sane point range.  The energy scales of the deepest catalog wells push
-    the defaults far beyond 4000 points; O(N) level queries keep that
-    cheap.
+    sane point range.  Since Richardson's extrapolation on the subgrid
+    attests convergence, the step, h = 0.091 / max(1, E - min V), is 1.3
+    times the one that sized each grid for the raw gap alone; the deep
+    wells' worst gap keeps a 40% margin under the 1e-3 gate.  The energy
+    scales of the deepest catalog wells push the defaults far beyond 4000
+    points; O(N) level queries keep that cheap.
     """
     scan = root
     energy = model.energy(root)

@@ -43,6 +43,11 @@ CATALOG_PARAMS = {
 }
 
 
+# The worst abs_gap a passing FD verification may read on a default grid: a
+# 40% margin under the 1e-3 gate (test_acceptance.py's test_09).
+GAP_MARGIN = 6e-4
+
+
 @lru_cache(maxsize=None)
 def solved(case_key):
     """The ``Spectrum`` of one named deep-well case."""

@@ -204,21 +204,26 @@ ROOTS_JSON_SHA256 = {
 # and the oracle's sums of squares left BLAS; test_acceptance.py's
 # extrapolation_error gate in test_09 and
 # test_deep_reports_do_not_depend_on_the_blas_thread_count stand behind that
+# move (the old digests are listed in CHANGES.md).  xie-even, razavy,
+# pdshg-20 and pdshg-21, whose states' grids lie past the 4,000-point floor,
+# were re-pinned when the default step grew from 0.07 to
+# 0.091 / max(1, E - min V); test_acceptance.py's
+# test_the_default_grid_keeps_a_margin_under_the_gap_gate stands behind that
 # move (the old digests are listed in CHANGES.md).
 MODELS_SHA256 = {
     "json": "451dd0969fba86ca0c69e56714eff6bca1b53ec6a6e5b4b193917f374c5768e7",
     "csv": "661184224dcd45302d6f07bef72cd28e3b5e1f7493a3a65e85bdfae2ada92c0d",
 }
 VERIFY_JSON_SHA256 = {
-    "xie-even": (1, "c5cd7e8e8ca7faf613b904853b0bb3ad831c9ae173ebc3879f12cb58c3246455"),
+    "xie-even": (1, "5859a849bb231e55952fe8d5c3bfb4f4a6e7c5c402fd4a768e0f6b52391517a8"),
     "xie-odd": (0, "bbdc5f0b592398a6e06737b8711e20728af9ae2fe4a8fd3ed9c1eebcd6f801de"),
     "chen-even": (7, "1f51064e4064b6f42b4b08ae3e3b2fe2cad985fe9daecc67e768c9cc751c5eac"),
     "chen-odd": (7, "43944e3b9be4b0fe7c39bb6f5c9313cb6f4b5ba24fd3c0cc9d66053ab9cfd53c"),
     "coulomb": (5, "11e32bf37b16a0999c846209949177a76f4441a1f4a6e7eaceaa98178ed17313"),
-    "razavy": (0, "569913fae78c8c6aed1cfeb57e284ef19462286010e8143f8547ea514a6f546e"),
+    "razavy": (0, "1415db43abe922937d0874d58f2cf11e369414f54c00c34366f20c999811866f"),
     "dshg": (1, "82ca7788b741a46f92a8b817c6dbe5c51b8c28dc5f31b31897ad8b4677a5c628"),
-    "pdshg-20": (0, "b32585c257f7ff4b2ec75f3a586abd2d798428ad097ccde53f43cd72bad65c1f"),
-    "pdshg-21": (0, "5a4f82d363edcd422f91c41a256a05a82150fe70b3b9fda84357eabc21e49814"),
+    "pdshg-20": (0, "ffb36da97d7e3d7e175ee11794803cab582c211211abb285fde75335bb3e1838"),
+    "pdshg-21": (0, "c960dbca56e94eb22ca1ffffe155c8b5d44ce7f47da3f2a5a4dd2852917e8a37"),
 }
 
 

@@ -3,7 +3,7 @@
 import ast
 import math
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -200,6 +200,11 @@ def _searched(model, root, monkeypatch, **kwargs):
     return report, ops
 
 
+def _sturm_of(diag, off):
+    """The Sturm set-up (``oracle._sturm``) of the matrix ``diag``, ``off``."""
+    return oracle._sturm(oracle._held(diag, off))
+
+
 class _RecordingQueries:
     """The oracle's eigenvalue queries, recorded in order while installed:
     its Sturm counts of a window (``oracle._count_within``) and its
@@ -210,13 +215,13 @@ class _RecordingQueries:
         self.queries = []
         count_within, bisect = oracle._count_within, oracle._bisect
 
-        def counted(op, centre, radius):
-            found = count_within(op, centre, radius)
+        def counted(sturm, centre, radius):
+            found = count_within(sturm, centre, radius)
             self.queries.append(("count", (centre - radius, centre + radius), found))
             return found
 
-        def bisected(op, level):
-            found = bisect(op, level)
+        def bisected(sturm, level):
+            found = bisect(sturm, level)
             self.queries.append(("bisect", level, found))
             return found
 
@@ -266,7 +271,7 @@ def test_nearest_matches_the_full_spectrum(where):
         others = np.delete(dist, level).min()
         assert ambiguous == (others < 2.0 * dist[level]), level
         gap = abs(got - energy)
-        assert oracle._ambiguous(oracle._held(diag, off), energy, gap) == ambiguous
+        assert oracle._ambiguous(_sturm_of(diag, off), energy, gap) == ambiguous
 
 
 def test_ambiguity_is_read_both_ways():
@@ -274,11 +279,11 @@ def test_ambiguity_is_read_both_ways():
     spectrum = sla.eigvalsh_tridiagonal(diag, off)
     # beside the 1e-10 doublet the partner sits within twice the gap
     energy = spectrum[1] + 3e-10
-    assert oracle._ambiguous(oracle._held(diag, off), energy, abs(spectrum[1] - energy))
+    assert oracle._ambiguous(_sturm_of(diag, off), energy, abs(spectrum[1] - energy))
     # beside an isolated level it does not
     energy = spectrum[12] + 1e-4
-    assert not oracle._ambiguous(oracle._held(diag, off), energy, abs(spectrum[12] - energy))
-    assert not oracle._ambiguous(oracle._held(diag, off), spectrum[12], 0.0)
+    assert not oracle._ambiguous(_sturm_of(diag, off), energy, abs(spectrum[12] - energy))
+    assert not oracle._ambiguous(_sturm_of(diag, off), spectrum[12], 0.0)
 
 
 def test_nearest_on_an_exact_eigenvalue_returns_the_shift():
@@ -348,6 +353,35 @@ def test_a_nearer_level_found_by_the_certificate_is_counted_afresh(monkeypatch):
     assert recount[0] == "count" and recount[2] == (k, 1)
 
 
+def test_a_fallback_prepares_the_sturm_inputs_once(monkeypatch):
+    """The certificate's count, the bisection and the ambiguity's recount
+    read one Sturm set-up: T's diagonal and e^2 are prepared once, where the
+    certificate fails (as in the test above) and where a stalled start
+    takes no certificate, and the values are those of a set-up apiece."""
+    diag, off = _double_well()
+    spectrum, vectors = sla.eigh_tridiagonal(diag, off)
+    k = 12
+    energy = spectrum[k] + 0.2 * (spectrum[k + 1] - spectrum[k])
+    starts = (vectors[:, k + 1], _random_start(len(diag)))
+    apiece = [oracle._bisect(_sturm_of(diag, off), k)]
+    apiece.append(oracle._ambiguous(_sturm_of(diag, off), energy, abs(apiece[0] - energy)))
+    sturm, calls = oracle._sturm, []
+
+    def counted(op):
+        calls.append(len(op.base))
+        return sturm(op)
+
+    monkeypatch.setattr(oracle, "_sturm", counted)
+    recorder = _RecordingQueries(monkeypatch)
+    for start in starts:
+        calls.clear()
+        recorder.queries.clear()
+        got = oracle._nearest(oracle._held(diag, off), energy, start.copy(), k)
+        assert [kind for kind, _, _ in recorder.queries][-2:] == ["bisect", "count"]
+        assert calls == [len(diag)]
+        assert list(got) == apiece
+
+
 def test_a_stalled_start_takes_one_bisection(monkeypatch):
     """From a pseudo-random start the Rayleigh steps stall or settle on some
     other level; one bisection query, of the level asked for alone, answers,
@@ -402,8 +436,10 @@ def test_the_bisection_reads_a_wall_dominated_level_to_its_own_rounding(monkeypa
 
 
 def test_the_bisection_is_bounded_in_counts_and_memory(monkeypatch):
-    """The fallback forced on xie-odd root 10's grid, the largest deep one
-    (162,713 rows of the odd half line), from a pseudo-random start.
+    """The fallback forced on xie-odd root 10's grid of 325,427 points
+    (162,713 rows of the odd half line), from a pseudo-random start: the
+    largest deep grid while the default step was 0.07 / (E - min V), kept
+    here as an explicit FdConfig.
 
     Each call of the count helper counts two floats, which cut the bracket
     in thirds: from the whole float lattice, 2^64 floats, in 41 calls, well
@@ -412,7 +448,7 @@ def test_the_bisection_is_bounded_in_counts_and_memory(monkeypatch):
     sets the peak, ~24 bytes a row; dstebz's bisection took ~76."""
     spectrum = solved("xie-odd")
     model, root = spectrum.model, spectrum.roots[10]
-    cfg = oracle.default_verify_config(model, root)
+    cfg = replace(oracle.default_verify_config(model, root), points=325_427)
     xs, h = oracle._nodes(model, cfg)
     op = oracle._line(oracle._potential(model, xs, root), h, "odd")
     rows, level, energy = len(xs), 10, model.energy(root)
@@ -449,10 +485,10 @@ def test_count_within_closes_the_window_at_both_ends():
     diag, off = np.full(201, 2.0), np.full(200, -1.0)
     # (below, inside): the levels below the window, and in it
     radius = 2.0 ** -10
-    assert oracle._count_within(oracle._held(diag, off), 2.0 + radius, radius) == (100, 1)
-    assert oracle._count_within(oracle._held(diag, off), 2.0 - radius, radius) == (100, 1)
-    assert oracle._count_within(oracle._held(diag, off), 2.0 + 3.0 * radius, radius) == (101, 0)
-    assert oracle._count_within(oracle._held(diag, off), 2.0, 0.1) == (97, 7)
+    assert oracle._count_within(_sturm_of(diag, off), 2.0 + radius, radius) == (100, 1)
+    assert oracle._count_within(_sturm_of(diag, off), 2.0 - radius, radius) == (100, 1)
+    assert oracle._count_within(_sturm_of(diag, off), 2.0 + 3.0 * radius, radius) == (101, 0)
+    assert oracle._count_within(_sturm_of(diag, off), 2.0, 0.1) == (97, 7)
 
 
 def _dstebz_count(diag, off, centre, radius):
@@ -511,8 +547,9 @@ def test_sturm_count_is_the_dstebz_count(key, monkeypatch):
     spectrum = solved(key)
     model, root = spectrum.model, spectrum.roots[-1]
     for seed, (diag, off) in enumerate(_grid_and_subgrid(model, root, monkeypatch)):
+        sturm = _sturm_of(diag, off)
         for centre, radius in _count_windows(diag, off, seed):
-            assert oracle._count_within(oracle._held(diag, off), centre, radius) == _dstebz_count(
+            assert oracle._count_within(sturm, centre, radius) == _dstebz_count(
                 diag, off, centre, radius), (len(diag), centre, radius)
 
 
@@ -533,14 +570,14 @@ def test_sturm_count_splits_as_dstebz_does():
         (diag[0] - edge, edge), (diag[-1], 1e-9),
         (diag[-1] + 1e-3, 1e-3), (diag[-1] - 1e-3, 1e-3),
     ]:
-        assert oracle._count_within(oracle._held(diag, off), centre, radius) == _dstebz_count(
+        assert oracle._count_within(_sturm_of(diag, off), centre, radius) == _dstebz_count(
             diag, off, centre, radius), (centre, radius)
     # lifted, the block of rows 151..299 has its Gershgorin interval above
     # 4000, and the other blocks' intervals end below 3800: the window
     # (3800, 3990] lies between them, and (3500, 4500] reaches into both
     diag[151:-1] += 4000.0
     for centre, radius in ((3895.0, 95.0), (4000.0, 500.0)):
-        assert oracle._count_within(oracle._held(diag, off), centre, radius) == _dstebz_count(
+        assert oracle._count_within(_sturm_of(diag, off), centre, radius) == _dstebz_count(
             diag, off, centre, radius), (centre, radius)
 
 
@@ -550,7 +587,7 @@ def test_sturm_count_splits_where_a_diagonal_product_overflows():
     diag = np.array([1.0, 2.0, 3.0, 1e200, 2e200, 3e200])
     off = np.full(5, -1.0)
     for centre, radius in ((5.0, 5.0), (2e200, 1.5e200)):
-        counts = oracle._count_within(oracle._held(diag, off), centre, radius)
+        counts = oracle._count_within(_sturm_of(diag, off), centre, radius)
         assert counts == _dstebz_count(diag, off, centre, radius), (centre, radius)
         assert counts[1] == 3, (centre, radius)
 
@@ -563,7 +600,7 @@ def test_sturm_count_refuses_a_non_finite_operator():
         entries = [diag.copy(), off.copy()]
         entries[i][7] = bad
         with pytest.raises(ValueError):
-            oracle._count_within(oracle._held(*entries), diag[20], 1.0)
+            oracle._count_within(_sturm_of(*entries), diag[20], 1.0)
 
 
 def test_sturm_count_refuses_an_off_diagonal_whose_square_overflows():
@@ -571,17 +608,17 @@ def test_sturm_count_refuses_an_off_diagonal_whose_square_overflows():
     which holds all three eigenvalues, counted 0.  |e| >= sqrt(max float)
     raises the finiteness error, either sign, on the first row too."""
     with pytest.raises(ValueError):
-        oracle._count_within(oracle._held([1e300, -1e300, 2e299], [5e299, 3e299]), 0.0, 2e300)
+        oracle._count_within(_sturm_of([1e300, -1e300, 2e299], [5e299, 3e299]), 0.0, 2e300)
     edge = oracle._E_MAX
     for off in ([-edge, 1.0], [1.0, edge]):
         with pytest.raises(ValueError):
-            oracle._count_within(oracle._held([0.0, 0.0, 0.0], off), 0.0, 1.0)
+            oracle._count_within(_sturm_of([0.0, 0.0, 0.0], off), 0.0, 1.0)
     line = oracle._Tridiagonal(np.zeros(3), 0.0, np.broadcast_to(-1.0, (2,)), -edge)
     with pytest.raises(ValueError):
-        oracle._count_within(line, 0.0, 1.0)
+        oracle._count_within(oracle._sturm(line), 0.0, 1.0)
     below = np.nextafter(edge, 0.0)
     diag, off = np.zeros(2), np.array([below])  # eigenvalues -below and below
-    assert oracle._count_within(oracle._held(diag, off), 0.0, 2.0 * below) == (0, 2)
+    assert oracle._count_within(_sturm_of(diag, off), 0.0, 2.0 * below) == (0, 2)
 
 
 def test_a_sturm_count_never_reads_the_off_diagonal(monkeypatch):
@@ -610,7 +647,7 @@ def test_a_sturm_count_never_reads_the_off_diagonal(monkeypatch):
             monkeypatch.setattr(oracle, "_dlaebz", dlaebz)
 
     for seed, (diag, off) in enumerate(matrices):
-        sturm = oracle._sturm(oracle._held(diag, off))
+        sturm = _sturm_of(diag, off)
         nan = np.full_like(off, np.nan)
         for centre, radius in _count_windows(diag, off, seed):
             lower, upper = np.nextafter(centre - radius, -np.inf), centre + radius
@@ -629,7 +666,7 @@ def test_a_sturm_count_allocates_e_squared_alone():
     off = np.full(rows - 1, -0.4)
     tracemalloc.start()
     try:
-        count = oracle._count_within(oracle._held(diag, off), 2.5, 0.01)
+        count = oracle._count_within(_sturm_of(diag, off), 2.5, 0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -816,14 +853,22 @@ def test_a_dshg_state_reports_the_full_line_residual_of_its_projection(index):
     assert report.residual == pytest.approx(full, rel=1e-3)
 
 
+# pdshg-20 root 5's default grid while the default step was 0.07 / (E - min V):
+# on it the full line's doublet lies within twice the gap (see the tests below).
+PDSHG_20_ROOT_5_POINTS = 67_976
+
+
 def test_pdshg_20_root_5_reports_the_level_of_its_own_parity():
     """pdshg-20's root 5 is even.  On the mirrored full line its FD doublet
     puts the odd level 7.6e-5 above the energy and the even one 9.8e-5
     below; the full-line oracle reported the odd one.  The half line holds
-    the even level alone, and nothing else within twice its gap."""
+    the even level alone, and nothing else within twice its gap.  The grid
+    is the default one while the default step was 0.07 / (E - min V),
+    67,976 points."""
     model, root, energy, cfg, chain = _sector_case(("pdshg-20", 5))
     assert model.parity == "even"
-    report = oracle.verify_root(model, root, chain=chain)
+    cfg = replace(cfg, points=PDSHG_20_ROOT_5_POINTS)
+    report = oracle.verify_root(model, root, cfg=cfg, chain=chain)
     assert 9.7e-5 < report.abs_gap < 9.8e-5 and report.nearest_fd_energy < energy
     assert not report.ambiguous and report.converged
     h = (cfg.xmax - cfg.xmin) / (cfg.points + 1)
@@ -974,11 +1019,11 @@ def test_the_full_line_keeps_the_level_of_pdshg_20_root_5(monkeypatch):
     so one bisection takes that level again, and its ambiguity is counted:
     ambiguous.  The oracle checks this sector on the half line; the
     full-line matrix is built here, on the interior nodes of the default
-    box."""
+    box with PDSHG_20_ROOT_5_POINTS."""
     spectrum = solved("pdshg-20")
     model, root = spectrum.model, spectrum.roots[5]
     energy = model.energy(root)
-    cfg = oracle.default_verify_config(model, root)
+    cfg = replace(oracle.default_verify_config(model, root), points=PDSHG_20_ROOT_5_POINTS)
     h = (cfg.xmax - cfg.xmin) / (cfg.points + 1)
     xs = cfg.xmin + h * np.arange(1, cfg.points + 1)
     diag = 2.0 / (h * h) + model.potential(xs, root)
@@ -1078,8 +1123,8 @@ def test_residual_full_line_converges_at_high_order():
 
 
 def test_verify_root_peak_memory_on_the_largest_deep_grid():
-    """xie-odd root 10 verifies on 325,427 points: the half line's 162,713
-    nodes, and the 81,356 of its subgrid of step 2h.
+    """xie-odd root 10 verifies on 250,329 points: the half line's 125,164
+    nodes, and the 62,582 of its subgrid of step 2h.
 
     No phase holds more than five arrays of the grid's rows: the potential
     v and the four buffers of the level search's dgtsv solves, whose
@@ -1087,11 +1132,12 @@ def test_verify_root_peak_memory_on_the_largest_deep_grid():
     run in blocks.  The search's buffers are freed before the subgrid's is
     made, which holds v and four arrays of half the rows, and while
     counted a diagonal and e^2 of half the rows.  So the peak, ~20 bytes a
-    point, is the grid's search.  Traced peaks by phase, MiB, before and
-    after blocking: sampling 7.5 -> 4.0, the potential 6.2 -> 3.7, the
-    half-line residual 8.7 -> 3.9, the search 8.7 -> 6.2 and its count
-    7.6 -> 5.1; the subgrid's search and count 3.8, where the operator with
-    half the step, 2N rows, took 6.2 to build and 7.6 to count.  Before,
+    point, is the grid's search.  Traced peaks by phase on the 325,427
+    points of the step 0.07 / (E - min V), MiB, before and after blocking:
+    sampling 7.5 -> 4.0, the potential 6.2 -> 3.7, the half-line residual
+    8.7 -> 3.9, the search 8.7 -> 6.2 and its count 7.6 -> 5.1; the
+    subgrid's search and count 3.8, where the operator with half the step,
+    2N rows, took 6.2 to build and 7.6 to count.  Before,
     the residual's temporaries set the peak, ~28 bytes a point; with
     inverse iteration from a pseudo-random start it was ~38, and with
     dstebz's zero-filled count workspace ~76.
@@ -1099,7 +1145,7 @@ def test_verify_root_peak_memory_on_the_largest_deep_grid():
     spectrum = solved("xie-odd")
     model, chain, root = spectrum.model, spectrum.chain, spectrum.roots[10]
     points = oracle.default_verify_config(model, root).points
-    assert points == 325_427
+    assert points == 250_329
     tracemalloc.start()
     try:
         report = oracle.verify_root(model, root, chain=chain)
