@@ -101,8 +101,9 @@ def _parse_range(text):
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise InvalidParams(f"--range expects numeric min:max:steps, got {text!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise InvalidParams("--range needs finite min < max")
+    # max - min past the float range would make np.linspace's points NaN
+    if not (hi > lo and math.isfinite(hi - lo)):
+        raise InvalidParams("--range needs finite min < max, max - min within the float range")
     if steps < 2:
         raise InvalidParams("--range needs at least 2 steps")
     if steps > wavefunctions._MAX_POINTS:  # refused before anything is allocated

@@ -54,11 +54,6 @@ class DegenerateGrid(QesError):
     """A sampling grid is unusable (too few points, zero extent, NaNs)."""
 
 
-class AsymmetricGrid(QesError):
-    """Parity classification was requested on a grid that is not symmetric
-    about the origin."""
-
-
 class SimplicityWarning(UserWarning):
     """Two computed roots are closer than the simplicity resolution
     threshold; they are reported anyway rather than silently merged."""

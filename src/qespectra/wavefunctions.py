@@ -8,7 +8,8 @@ that grazing near-zeros are not miscounted, and classifies parity on
 symmetric grids.  S is evaluated by an 80-bit Horner, or, on the
 finite-difference oracle's grids, as the product over its zeros, the
 unknowns of the functional Bethe Ansatz, where they certify real and
-simple.
+simple: seeded by the Jacobi matrix of S's Sturm sequence, each moved by
+one exact Newton step, and certified by exact signs of S at floats.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import polynomials, recurrence
-from .errors import AsymmetricGrid, DegenerateGrid
+from .errors import DegenerateGrid
 
 # Samples within this fraction of max|psi| count as zero for node purposes.
 _NODE_BAND = 1e-10
@@ -34,12 +35,6 @@ _DECAY_CUTOFF, _DECAY_XMAX = 1e-12, 60.0
 # this size whatever the grid.  On the full line a block and its mirror
 # rows are sampled together.
 _HORNER_ROWS = 16384
-# The polish of the zeros of S (see _zeros): at most _POLISH_STEPS Aberth
-# steps, until no zero moves by more than _SETTLED of the largest (a few
-# ulps; the certificate's lattice search takes the last bits), or, once the
-# steps are below _LOCAL, they stop shrinking.
-_POLISH_STEPS = 100
-_SETTLED, _LOCAL = 16 * np.finfo(float).eps, 1e-8
 # Finer grid steps are refused: no state is resolved on them, and the
 # normalized samples grow like step^-1/2 past any physical scale.  The
 # finite-difference oracle refuses the same steps.
@@ -159,17 +154,6 @@ def _parity(psi):
     if float(np.max(np.abs(psi + rev))) < _PARITY_TOL * peak:
         return "odd"
     return None
-
-
-def parity_classify(grid):
-    """Classify a sampled function as even, odd, or neither.
-
-    Raises:
-        AsymmetricGrid: the sample points are not mirror-symmetric.
-    """
-    if not _is_symmetric(np.asarray(grid.xs, dtype=float)):
-        raise AsymmetricGrid("parity needs a grid symmetric about the origin")
-    return _parity(np.asarray(grid.psi, dtype=float))
 
 
 def _split(image):
@@ -351,19 +335,16 @@ def _zeros(image, coeffs):
     so that hi + lo misses zeta_j by about ulp(hi)^2 |S''/S'|; None where
     the certificate fails.
 
-    Seeds: :func:`_jacobi_seeds`, polished together by Aberth's
-    simultaneous Newton steps in 80 bits on ``coeffs``,
-    :func:`_coefficients` of ``image`` (Aberth, Math. Comp. 27 (1973) 339),
-    in real arithmetic, as the zeros sought are real: at most
-    _POLISH_STEPS, until no zero moves by more than
-    _SETTLED of the largest, or the steps, once below _LOCAL, stop shrinking
-    (the 80-bit noise where S cancels).  Certificate, by the exact sign of S
+    Seeds: :func:`_jacobi_seeds` of ``coeffs``, :func:`_coefficients` of
+    ``image``, each moved by one exact Newton step (:func:`_newton_step`).
+    A step that is NaN (S' vanishes at the seed) or past the float range
+    fails the isolation below.  Certificate, by the exact sign of S
     (``polynomials.image_value``) at floats:
 
     * isolation: at the n + 1 points t_0 < ... < t_n, one halfway between
-      each two neighbouring polished seeds and one past either end, S takes the
-      signs (-1)^(n - i), so each (t_i, t_(i+1)) holds exactly one zero of
-      S, and S has no other;
+      each two neighbouring stepped seeds and one past either end, S takes
+      the signs (-1)^(n - i), so each (t_i, t_(i+1)) holds exactly one zero
+      of S, and S has no other;
     * faithfulness: S changes sign across each zero's two float neighbours,
       so the zero lies within an ulp of the float; a zero that does not is
       sought on the float lattice inside (t_i, t_(i+1)) (:func:`_faithful`).
@@ -379,23 +360,7 @@ def _zeros(image, coeffs):
         seeds = _jacobi_seeds(coeffs)
         if seeds is None:
             return None
-        seeds = seeds.astype(np.longdouble)
-        last = math.inf
-        for _ in range(_POLISH_STEPS):
-            value, slope = np.full_like(seeds, coeffs[-1]), np.zeros_like(seeds)
-            for c in coeffs[-2::-1]:
-                slope = slope * seeds + value
-                value = value * seeds + c
-            ratio = value / slope
-            pull = seeds[:, None] - seeds[None, :]
-            np.fill_diagonal(pull, np.inf)
-            move = ratio / (1.0 - ratio * np.sum(1.0 / pull, axis=1))
-            seeds -= move
-            size = float(np.max(np.abs(move)) / np.max(np.abs(seeds)))
-            if size <= _SETTLED or last <= size < _LOCAL:
-                break
-            last = size
-        zeros = np.sort(seeds.astype(float))
+        zeros = np.sort([x + _newton_step(image, x) for x in seeds.tolist()])
         reach = max(1.0, float(np.max(np.abs(zeros))))
         points = np.concatenate(
             ([zeros[0] - reach], (zeros[:-1] + zeros[1:]) / 2, [zeros[-1] + reach]))
@@ -419,11 +384,15 @@ def _zeros(image, coeffs):
 
 def _newton_step(image, x):
     """-S(x) / S'(x) at the float ``x``, from S's exact value and slope,
-    rounded once; NaN where the slope vanishes."""
+    rounded once; NaN where the slope vanishes or the step is past the
+    float range."""
     p, q = x.as_integer_ratio()
     k = q.bit_length() - 1
     value, slope, _ = polynomials.image_horner(image, p, k)
-    return -value / (slope << k) if slope else math.nan
+    try:
+        return -value / (slope << k)
+    except (ZeroDivisionError, OverflowError):
+        return math.nan
 
 
 def _first_peak_sign(psi):
@@ -499,8 +468,9 @@ def sample(model, root, xs=None, chain=None, *, _product=False):
     The polynomial is S evaluated by the 80-bit Horner (:func:`_horner_block`).
     ``_product``, which the finite-difference oracle alone passes, asks for
     S as a float64 product over its zeros instead (:func:`_product_block`),
-    wherever they certify (:func:`_zeros`); where they do not, the Horner
-    samples the state, the same bytes as without it.
+    wherever they certify (:func:`_zeros`: Jacobi seeds, one exact Newton
+    step each, exact signs); where they do not, the Horner samples the
+    state, the same bytes as without it.
 
     Raises:
         NotARoot: ``root`` does not identify a root of the constraint.

@@ -755,6 +755,21 @@ def test_constraint_exits_2_on_too_many_range_steps(steps, monkeypatch, tmp_path
     assert len(cli._parse_range(f"0:1:{oracle._MAX_POINTS}")) == 2
 
 
+def test_constraint_exits_2_on_a_range_span_past_the_float_range(tmp_path, capsys):
+    # max - min overflows: np.linspace gave NaN and inf points, and the
+    # exact evaluation raised ValueError out of main (exit 1)
+    target = tmp_path / "out.txt"
+    code = cli.main([
+        "constraint", "--model", "dshg", "--n", "2", "--param", "xi=2",
+        "--range=-1e308:1e308:3", "--out", str(target),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --range") and captured.err.count("\n") == 1
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("box", [("--xmin", "-5"), ("--xmin", "-5", "--xmax", "6")],
                          ids=" ".join)
 def test_verify_exits_2_on_an_asymmetric_box_for_a_parity_sector(box, capsys):

@@ -227,6 +227,11 @@ def cli_requests(draw):
     "--param", "V3=400", "--param", "g=1/4", "--root-index=0",
     "--grid-l=1.4675717386772963e-183", "--grid-points", "20",
 ])
+# a --range whose span max - min overflows gave NaN points (exit 1)
+@example(argv=[
+    "constraint", "--model", "dshg", "--n", "2", "--param", "xi=2",
+    "--range=-1e308:1e308:3",
+])
 def test_cli_requests_end_in_an_exit_code(argv):
     # an exception, a RuntimeWarning among them, would propagate out of main
     out, err = io.StringIO(), io.StringIO()
@@ -330,8 +335,8 @@ def test_parity_classification_on_constructed_states(cs, odd, half):
     psi = poly_even * np.exp(-(xs ** 2))
     if odd:
         psi = xs * psi
-    grid = wavefunctions.WavefunctionGrid(xs, psi, 1.0, 0, None)
-    assert wavefunctions.parity_classify(grid) == ("odd" if odd else "even")
+    assert wavefunctions._is_symmetric(xs)
+    assert wavefunctions._parity(psi) == ("odd" if odd else "even")
 
 
 # ---------------------------------------------------------------------------

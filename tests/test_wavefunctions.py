@@ -13,7 +13,7 @@ import pytest
 
 from conftest import CATALOG_PARAMS, DEEP_CASES, eval_image, solved
 from qespectra import models, oracle, polynomials, recurrence, solve, wavefunctions
-from qespectra.errors import AsymmetricGrid, DegenerateGrid, QesError
+from qespectra.errors import DegenerateGrid, QesError
 
 
 # ---------------------------------------------------------------------------
@@ -31,30 +31,28 @@ def test_node_count_ignores_grazing_zeros():
 
 def test_parity_classify_even_odd_neither():
     xs = np.linspace(-2, 2, 401)
-    even = wavefunctions.WavefunctionGrid(xs, np.cosh(xs), 1.0, 0, None)
-    odd = wavefunctions.WavefunctionGrid(xs, np.sinh(xs), 1.0, 0, None)
-    skew = wavefunctions.WavefunctionGrid(xs, np.exp(xs), 1.0, 0, None)
-    assert wavefunctions.parity_classify(even) == "even"
-    assert wavefunctions.parity_classify(odd) == "odd"
-    assert wavefunctions.parity_classify(skew) is None
+    assert wavefunctions._is_symmetric(xs)
+    assert wavefunctions._parity(np.cosh(xs)) == "even"
+    assert wavefunctions._parity(np.sinh(xs)) == "odd"
+    assert wavefunctions._parity(np.exp(xs)) is None
 
 
 def test_parity_requires_symmetric_grid():
-    xs = np.linspace(-1, 2, 100)
-    grid = wavefunctions.WavefunctionGrid(xs, np.cos(xs), 1.0, 0, None)
-    with pytest.raises(AsymmetricGrid):
-        wavefunctions.parity_classify(grid)
+    # sample classifies parity only where the grid mirrors
+    assert not wavefunctions._is_symmetric(np.linspace(-1, 2, 100))
+    model = models.make("razavy", 2, {"xi": Fraction(1, 2), "alpha": 0, "beta": 1})
+    root = solve(model).roots[0]
+    assert wavefunctions.sample(model, root, xs=np.linspace(-4, 5, 401)).parity is None
+    assert wavefunctions.sample(model, root, xs=np.linspace(-4, 4, 401)).parity == "odd"
 
 
 def test_a_grid_whose_ends_do_not_mirror_is_refused_without_a_copy():
     # such as the verifier's half-line nodes of a parity sector, which
     # sample checks for a mirror (a sector model is not ``half_line``)
     xs = np.linspace(1e-3, 10.0, 1_000_000)
-    grid = wavefunctions.WavefunctionGrid(xs, xs, 1.0, 0, None)
     tracemalloc.start()
     try:
-        with pytest.raises(AsymmetricGrid):
-            wavefunctions.parity_classify(grid)
+        assert not wavefunctions._is_symmetric(xs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -724,6 +722,52 @@ def test_a_state_with_non_real_zeros_samples_by_the_horner_bit_for_bit():
     coeffs = wavefunctions._coefficients(image)
     seeds = np.roots(coeffs[::-1].astype(float))
     assert np.max(np.abs(seeds.imag)) > 1e-3 * np.max(np.abs(seeds))
+    assert wavefunctions._zeros(image, coeffs) is None
+    xs = oracle.grid_nodes(model, oracle.default_verify_config(model, root))
+    horner = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain)
+    asked = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain, _product=True)
+    assert asked.psi.tobytes() == horner.psi.tobytes()
+    assert (asked.norm, asked.node_count) == (horner.norm, horner.node_count)
+
+
+@pytest.mark.parametrize("jitter", [1e-12, 1e-6])
+def test_the_certified_zeros_do_not_depend_on_their_seeds(jitter, monkeypatch):
+    """Each Jacobi seed moved by up to ``jitter`` of itself, which keeps it
+    inside its isolating gap, gives the same (hi, lo) bytes on all 84
+    states: the certificate, not the seeds, fixes every bit.  From 1e-6
+    off, one Newton step leaves 583 of the 816 zeros more than an ulp
+    away, so the lattice search and the rounding step must find the same
+    floats."""
+    rng = np.random.default_rng(1)
+    seeds = wavefunctions._jacobi_seeds
+
+    def jittered(coeffs):
+        exact = seeds(coeffs)
+        return exact * (1.0 + jitter * rng.uniform(-1.0, 1.0, len(exact)))
+
+    monkeypatch.setattr(wavefunctions, "_jacobi_seeds", jittered)
+    for key, index in _product_states():
+        image, (his, los) = _state(key, index)
+        moved = wavefunctions._zeros(image, wavefunctions._coefficients(image))
+        assert moved is not None, (key, index)
+        assert moved[0].tobytes() == his.tobytes(), (key, index)
+        assert moved[1].tobytes() == los.tobytes(), (key, index)
+
+
+@pytest.mark.parametrize("seed", [0.0, 5e-324], ids=["flat", "overflowing"])
+def test_a_seed_without_a_newton_step_samples_by_the_horner(seed, monkeypatch):
+    """coulomb's n = 2 root 1 has S = z^2 - 2.  Its seeds certify; a seed
+    at 0, where S' = 0, or at the least subnormal, where the Newton step
+    -S/S' = 2e323 is past the float range, fails the certificate without
+    raising, and the product samples the Horner's bytes."""
+    model = models.make("coulomb", 2, CATALOG_PARAMS["coulomb"])
+    spectrum = solve(model)
+    root = spectrum.roots[1]
+    image = recurrence.assemble_solution(spectrum.chain, root)
+    assert image == ((-4, 0, 2), 2)
+    coeffs = wavefunctions._coefficients(image)
+    assert wavefunctions._zeros(image, coeffs) is not None
+    monkeypatch.setattr(wavefunctions, "_jacobi_seeds", lambda coeffs: np.array([seed, 1.5]))
     assert wavefunctions._zeros(image, coeffs) is None
     xs = oracle.grid_nodes(model, oracle.default_verify_config(model, root))
     horner = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain)
