@@ -385,12 +385,15 @@ def cmd_verify(args):
         root = spectrum.roots[index]
         cfg = None
         if any(v is not None for v in overrides):
-            base = oracle.default_verify_config(model, root)
+            xmin, xmax = oracle.default_box(model)
+            points = args.points
+            if points is None:  # the default step, which samples the state
+                points = oracle.default_verify_config(model, root).points
             cfg = _requested_grid(
                 oracle.FdConfig,
-                xmin=base.xmin if args.xmin is None else args.xmin,
-                xmax=base.xmax if args.xmax is None else args.xmax,
-                points=base.points if args.points is None else args.points,
+                xmin=xmin if args.xmin is None else args.xmin,
+                xmax=xmax if args.xmax is None else args.xmax,
+                points=points,
             )
         try:
             report = oracle.verify_root(model, root, cfg=cfg, chain=spectrum.chain)

@@ -84,7 +84,10 @@ _GAP_FLOOR = 1e-9
 # rounding floor is _FLOOR_EPS * eps * ||T||.
 _RQ_STEPS = 3
 _FLOOR_EPS = 8.0
-# Step-size rule for default grids: h = _H_SCALE / max(1, E - min V).
+# Step rules for default grids: on the line, the gap h^2 <(V - E)^2> / 12
+# that the state's own psi predicts is _GAP_TARGET; on the radial line,
+# h = _H_SCALE / max(1, E - min V).
+_GAP_TARGET = 3e-4
 _H_SCALE = 0.091
 _MIN_POINTS = 4000
 _MAX_POINTS = wavefunctions._MAX_POINTS
@@ -665,31 +668,69 @@ def _residual_radial(model, scan, cfg, psi, energy):
     return num / den
 
 
-def default_verify_config(model, root):
-    """Pick a box and step so the FD gap sits well inside tolerance.
+def default_box(model):
+    """(xmin, xmax): the default box of every root of ``model``, 1.15 L + 2
+    past the half-width L of its default sampling grid (the state's decay
+    width, ``wavefunctions.decay_halfwidth``): [-xmax, xmax] on the line,
+    [0, xmax] on the radial one.  L is taken once per model object, with
+    that grid."""
+    xmax = 1.15 * wavefunctions._default_inputs(model)[-1] + 2.0
+    return (0.0 if _is_radial(model) else -xmax), xmax
 
-    The box extends past the sampled decay width of the state; the step
-    follows the local-error estimate h^2 (E - min V)^2 / 12, clamped to a
-    sane point range.  Since Richardson's extrapolation on the subgrid
-    attests convergence, the step, h = 0.091 / max(1, E - min V), is 1.3
-    times the one that sized each grid for the raw gap alone; the deep
-    wells' worst gap keeps a 40% margin under the 1e-3 gate.  The energy
-    scales of the deepest catalog wells push the defaults far beyond 4000
-    points; O(N) level queries keep that cheap.
+
+def default_verify_config(model, root):
+    """The default grid of one root: :func:`default_box`, and the step
+    that puts the FD gap well inside tolerance.
+
+    On the line the state predicts its own gap.  The 3-point Laplacian
+    takes psi'' with the error (h^2 / 12) psi^(4), so first-order
+    perturbation theory puts the level at E_h - E = -(h^2 / 12) <psi,
+    psi^(4)> / <psi, psi> = -(h^2 / 12) ||(V - E) psi||^2 / ||psi||^2, since
+    psi'' = (V - E) psi holds exactly for the algebraic state.  So the step
+    is h = sqrt(12 _GAP_TARGET / m2), m2 = sum psi^2 (V - E)^2 / sum psi^2
+    over the model's default sampling grid, psi sampled as on the FD nodes
+    (see :func:`verify_root`): the predicted gap is _GAP_TARGET, 3e-4,
+    under the 1e-3 gate, and the deep wells' actual gaps agree with it to
+    about three digits.
+
+    The radial line keeps the worst-case bound h = _H_SCALE / max(1, E -
+    min V), which never looks at where psi lives: its conservation-form
+    operator in v = u / x^lam has an error term of its own, and for
+    lam = 1/2 <(V - E)^2> diverges at the origin, where psi^2 ~ x while
+    V ~ -1 / (4 x^2).
+
+    The points are clamped to a sane range; the energy scales of the
+    deepest catalog wells push them far beyond 4000, and O(N) level
+    queries keep that cheap.
     """
-    scan = root
+    return _default_config(model, root, None if _is_radial(model) else _solution(model, root))
+
+
+def _solution(model, root, chain=None):
+    """S at ``root`` as the oracle samples it (``wavefunctions.solution``):
+    the product over its certified zeros, but for dshg, whose low states
+    have non-real zeros, and any state whose zeros do not certify: those
+    take the 80-bit Horner."""
+    return wavefunctions.solution(model, root, chain, product=_kind(model) is not None)
+
+
+def _default_config(model, root, s):
+    """:func:`default_verify_config`, with S at ``root`` already assembled
+    as ``s`` (:func:`_solution`), which sizes a line grid; the radial rule
+    reads no S."""
+    xmin, xmax = default_box(model)
     energy = model.energy(root)
-    halfwidth = wavefunctions.decay_halfwidth(model, model.n)
     if _is_radial(model):
-        xmin, xmax = 0.0, 1.15 * halfwidth + 2.0
         probe = np.linspace(0.3, xmax, 1500)
+        h = _H_SCALE / max(1.0, energy - float(np.min(model.potential(probe, root))))
     else:
-        xmax = 1.15 * halfwidth + 2.0
-        xmin = -xmax
-        probe = np.linspace(xmin, xmax, 3001)
-    vmin = float(np.min(model.potential(probe, scan)))
-    k2 = max(1.0, energy - vmin)
-    h = _H_SCALE / k2
+        xs, psi = wavefunctions.default_values(model, s)
+        with np.errstate(all="ignore"):
+            psi = psi / np.max(np.abs(psi))  # psi^2 stays in range
+            m2 = _sum_squares((model.potential(xs, root) - energy) * psi) / _sum_squares(psi)
+        # NaN or inf where psi or V left the float range: the state overflows
+        # on the FD nodes too, and the fewest points find that soonest
+        h = math.sqrt(12.0 * _GAP_TARGET / m2) if 0.0 < m2 < math.inf else math.inf
     points = int(np.clip((xmax - xmin) / h, _MIN_POINTS, _MAX_POINTS))
     return FdConfig(xmin=xmin, xmax=xmax, points=points)
 
@@ -737,10 +778,12 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     Sturm count on each; any other takes a bisection more, and a count more
     where the steps settled.  On the half line the potential is taken once,
     on the nodes of ``cfg``, and serves the residual and both operators; a
-    parity sector is sampled there alone.  psi is sampled as a product over the certified zeros of S
-    (``wavefunctions.sample``'s ``_product``), but for dshg, whose low
-    states have non-real zeros, and any state whose zeros do not certify:
-    those take the 80-bit Horner.
+    parity sector is sampled there alone.  psi is sampled as a product over
+    the certified zeros of S, but for dshg, whose low states have non-real
+    zeros, and any state whose zeros do not certify: those take the 80-bit
+    Horner (:func:`_solution`).  S is assembled, and its zeros certified,
+    once: a default line grid is sized from the same S, sampled on the
+    model's default sampling grid (:func:`default_verify_config`).
 
     Memory: no phase holds more than five arrays of N rows (N the grid's):
     the potential and the four buffers of the search's dgtsv solves, whose
@@ -753,17 +796,18 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     """
     energy = model.energy(root) if energy is None else float(energy)
     scan = root
+    kind = _kind(model)
+    s = _solution(model, root, chain)
     res_cfg = cfg
     if cfg is None:
-        cfg = res_cfg = default_verify_config(model, root)
-        if _is_radial(model):
+        cfg = res_cfg = _default_config(model, root, s)
+        if kind == "radial":
             res_cfg = _radial_residual_config(model, scan, cfg)
     # The residual's nodes; on the line they hold the operator's too (dshg's
     # mirrored nodes, its half line), and so does the potential on them,
     # which the subgrid's operator reuses.
     xs, h = _nodes(model, res_cfg)
-    kind = _kind(model)
-    grid = wavefunctions.sample(model, root, xs=xs, chain=chain, _product=kind is not None)
+    grid = wavefunctions.sample(model, root, xs=xs, chain=chain, _solution=s)
     psi = np.asarray(grid.psi, dtype=float)
     level = node_count = int(grid.node_count)
     del grid

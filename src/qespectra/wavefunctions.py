@@ -422,10 +422,11 @@ def _chart(model, x):
                 np.asarray(model.prefactor(x), dtype=float))
 
 
-# The last model sampled on its default grid, and (xs, z, q, symmetric):
-# that grid, read-only, the coordinate and the prefactor on it, and
-# whether parity is classified there.  Keyed by the object itself (``is``),
-# so an equal model built afresh gets a grid of its own.
+# The last model sampled on its default grid, and (xs, z, q, symmetric,
+# halfwidth): that grid, read-only, the coordinate and the prefactor on it,
+# whether parity is classified there, and its half-width L, the model's
+# decay_halfwidth.  Keyed by the object itself (``is``), so an equal model
+# built afresh gets a grid of its own.
 _last_default = (None, None)
 
 
@@ -433,16 +434,48 @@ def _default_inputs(model):
     global _last_default
     cached, inputs = _last_default
     if cached is not model:
-        xs = default_grid(model, model.n)
+        halfwidth = decay_halfwidth(model, model.n)
+        xs = default_grid(model, model.n, halfwidth=halfwidth)
         z, q = _chart(model, xs)
         for owned in (xs, z, q):
             owned.setflags(write=False)
-        inputs = (xs, z, q, not model.half_line and _is_symmetric(xs))
+        inputs = (xs, z, q, not model.half_line and _is_symmetric(xs), halfwidth)
         _last_default = (model, inputs)
     return inputs
 
 
-def sample(model, root, xs=None, chain=None, *, _product=False):
+def solution(model, root, chain=None, *, product=False):
+    """S at ``root`` as ``evaluate(z, out)``, which writes S at a block of
+    float64 coordinates into ``out``, point by point (see :func:`sample`).
+
+    Assembles S on ``chain`` (built here when not given), and evaluates it
+    by the 80-bit Horner (:func:`_horner_block`), or, with ``product``, as
+    the float64 product over its zeros (:func:`_product_block`) wherever
+    they certify (:func:`_zeros`).  So S is assembled, and its zeros
+    certified, once for every grid it samples.
+
+    Raises:
+        NotARoot: ``root`` does not identify a root of the constraint.
+    """
+    if chain is None:
+        chain = recurrence.exact_chain(recurrence.build_baseline(model))
+    image = recurrence.assemble_solution(chain, root)
+    coeffs = _coefficients(image)
+    zeros = _zeros(image, coeffs) if product else None
+    if zeros is None:
+        return partial(_horner_block, coeffs)
+    return partial(_product_block, zeros)
+
+
+def default_values(model, evaluate):
+    """(xs, Q(x) S(z(x))) on the model's shared default grid, with S the
+    ``evaluate`` of :func:`solution`: unnormalized, and NaN or inf wherever
+    the samples leave the float range."""
+    xs, z, q, _, _ = _default_inputs(model)
+    return xs, _values(evaluate, len(xs), lambda a, b: (z[a:b], q[a:b]), model.half_line)
+
+
+def sample(model, root, xs=None, chain=None, *, _solution=None):
     """Sample the normalized wavefunction of one constraint root.
 
     Assembles the polynomial part at ``root`` on ``chain`` (the model's
@@ -466,22 +499,20 @@ def sample(model, root, xs=None, chain=None, *, _product=False):
     the only arrays of the grid's length made for a root.
 
     The polynomial is S evaluated by the 80-bit Horner (:func:`_horner_block`).
-    ``_product``, which the finite-difference oracle alone passes, asks for
-    S as a float64 product over its zeros instead (:func:`_product_block`),
-    wherever they certify (:func:`_zeros`: Jacobi seeds, one exact Newton
-    step each, exact signs); where they do not, the Horner samples the
-    state, the same bytes as without it.
+    ``_solution``, which the finite-difference oracle alone passes, is S at
+    ``root`` as :func:`solution` gives it, already assembled: with
+    ``product`` it is the float64 product over the zeros of S wherever they
+    certify (Jacobi seeds, one exact Newton step each, exact signs), and
+    the Horner, the same bytes as without it, where they do not.
 
     Raises:
         NotARoot: ``root`` does not identify a root of the constraint.
         DegenerateGrid: an explicit ``xs`` is not 1-d, finite, increasing
             and at least 16 points long, or the state overflows on it.
     """
-    if chain is None:
-        chain = recurrence.exact_chain(recurrence.build_baseline(model))
-    image = recurrence.assemble_solution(chain, root)
+    evaluate = solution(model, root, chain) if _solution is None else _solution
     if xs is None:
-        xs, z, q, symmetric = _default_inputs(model)
+        xs, z, q, symmetric, _ = _default_inputs(model)
 
         def rows(a, b):
             return z[a:b], q[a:b]
@@ -496,12 +527,6 @@ def sample(model, root, xs=None, chain=None, *, _product=False):
 
         def rows(a, b):
             return _chart(model, xs[a:b])
-    coeffs = _coefficients(image)
-    zeros = _zeros(image, coeffs) if _product else None
-    if zeros is None:
-        evaluate = partial(_horner_block, coeffs)
-    else:
-        evaluate = partial(_product_block, zeros)
     psi = _values(evaluate, len(xs), rows, model.half_line)
     if not np.all(np.isfinite(psi)):
         raise DegenerateGrid("wavefunction overflowed on this grid; shrink it")

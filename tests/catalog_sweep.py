@@ -13,7 +13,7 @@ margin GAP_MARGIN under the 1e-3 gate.
     PYTHONPATH=src python tests/catalog_sweep.py --write  # rewrite the table
 
 pytest does not collect this file (its name does not start with test_);
-it takes ~11 s on one core of a 2-core x86-64 VM.  Rewrite the table only
+it takes ~8 s on one core of a 2-core x86-64 VM.  Rewrite the table only
 behind a change that means to move a verdict, and say which moved.
 """
 

@@ -25,7 +25,7 @@ from conftest import (
     exact_root,
     relative_ode_residual,
 )
-from qespectra import models, oracle, recurrence, solve
+from qespectra import models, oracle, recurrence, solve, wavefunctions
 from qespectra.errors import NonPositiveLambda
 
 # ---------------------------------------------------------------------------
@@ -189,11 +189,18 @@ def test_08_parity_pair_union_rebuilds_unperturbed_spectrum():
 # default step grew from 0.07 to 0.091 / max(1, E - min V), which moved
 # every report on a grid past the 4,000-point floor; the gates below and
 # test_the_default_grid_keeps_a_margin_under_the_gap_gate stand behind that
-# move.
-VERIFY_REPORTS_SHA256 = "e9595f3a76f43991c8769a004392f59253ef2c199f78bb4125a7a784ad92deb4"
+# move.  The whole digest and dshg's (once
+# e9595f3a76f43991c8769a004392f59253ef2c199f78bb4125a7a784ad92deb4 and
+# 7d2e75513d6cf29da8124d696920adccd71d60a999649c0c05d3fab3aa3ebce4) were
+# re-pinned when each line grid came to be sized from the gap its state's
+# own psi predicts, h^2 <(V - E)^2> / 12 = 3e-4, which moved every line
+# report on a grid past the 4,000-point floor; coulomb's grids, whose rule
+# did not change, kept its digest.  The same gates and test stand behind
+# that move.
+VERIFY_REPORTS_SHA256 = "80d806cb7e03ba4c740dd9ecea654b2ba21aaaf9142a4b6cb04d5e834a482fa2"
 UNCHANGED_REPORTS_SHA256 = {
     "coulomb": "5d6267bc821ba10386e3f70967227d81fdabd657e509c25101875f398c3b1afe",
-    "dshg": "7d2e75513d6cf29da8124d696920adccd71d60a999649c0c05d3fab3aa3ebce4",
+    "dshg": "21b26a3159c828f99cc76c685e3f1c2902be6a5a9b87e5b168874a72a6cd1f72",
 }
 
 
@@ -233,24 +240,42 @@ def test_09_every_root_survives_fd_verification(deep):
 
 
 # The 96 deep default grids: their points in total and the largest (xie-odd's
-# root 10), at the step 0.091 / max(1, E - min V).  At 0.07 / max(1, E - min V),
-# before Richardson's extrapolation on the subgrid came to attest convergence,
-# they held 5,548,607 points and the largest 325,427.
-DEEP_GRID_POINTS = (4_279_483, 250_329)
+# root 10), each line grid at the step whose predicted gap h^2 <(V - E)^2> / 12
+# is 3e-4.  At the step 0.091 / max(1, E - min V) they held 4,279,483 points
+# and the largest 250,329; at 0.07 / max(1, E - min V), before Richardson's
+# extrapolation on the subgrid came to attest convergence, 5,548,607 and
+# 325,427.
+DEEP_GRID_POINTS = (2_460_360, 80_149)
 
 
 def test_the_default_grid_keeps_a_margin_under_the_gap_gate(deep):
-    """The default step is 1.3 times the one that sized each grid for the
-    raw gap alone, and the coarser grids keep a margin: the 96 deep states'
-    worst abs_gap, pdshg-21's root 0 at 5.1e-4 (3.0e-4 before), is at most
-    GAP_MARGIN.  test_09 holds every other gate on the same reports."""
+    """Each line grid is sized for the gap its state's own psi predicts,
+    3e-4, and the grids keep a margin: the 96 deep states' worst abs_gap,
+    3.0e-4 (5.1e-4 at the step 0.091 / max(1, E - min V)), is at most
+    GAP_MARGIN.  test_09 holds every other gate on the same reports.
+
+    The prediction holds: on each of the 85 line states the level lies
+    below the energy by h^2 m2 / 12, m2 = sum psi^2 (V - E)^2 / sum psi^2
+    over the default sampling grid, to 1e-3 of itself (2e-4 measured),
+    at the grid's own step, on the 4,000-point floor too."""
     points, worst = [], 0.0
     for key in DEEP_CASES:
         spectrum = deep(key)
+        model = spectrum.model
         for root in spectrum.roots:
-            points.append(oracle.default_verify_config(spectrum.model, root).points)
-            report = oracle.verify_root(spectrum.model, root, chain=spectrum.chain)
+            cfg = oracle.default_verify_config(model, root)
+            points.append(cfg.points)
+            report = oracle.verify_root(model, root, chain=spectrum.chain)
             worst = max(worst, report.abs_gap)
+            if oracle._is_radial(model):
+                continue
+            state = wavefunctions.sample(model, root, chain=spectrum.chain)
+            force = (model.potential(state.xs, root) - report.algebraic_energy) * state.psi
+            m2 = np.sum(force ** 2) / np.sum(state.psi ** 2)
+            h = (cfg.xmax - cfg.xmin) / (cfg.points + 1)
+            predicted = -h * h * m2 / 12.0
+            gap = report.nearest_fd_energy - report.algebraic_energy
+            assert gap == pytest.approx(predicted, rel=1e-3), (key, root)
     assert (sum(points), max(points)) == DEEP_GRID_POINTS
     assert worst <= GAP_MARGIN
 
@@ -377,9 +402,20 @@ INVERSE_ITERATION_NEAREST = {
 
 
 # The table above was recorded on the default grids of the step
-# HISTORY_H_SCALE / max(1, E - min V) (oracle._H_SCALE), and the test below
-# keeps them, coulomb's residual mesh included, whatever the default step.
+# HISTORY_H_SCALE / max(1, E - min V), in the default box.  The test below
+# builds those grids itself, as explicit FdConfigs, and verifies each state
+# on its grid as on a default one, coulomb's residual mesh included,
+# whatever the default step.
 HISTORY_H_SCALE = 0.07
+
+
+def _history_config(model, root):
+    """The grid of the step HISTORY_H_SCALE / max(1, E - min V), with min V
+    taken on a probe of the default box, as the default rule once took it."""
+    xmin, xmax = oracle.default_box(model)
+    probe = np.linspace(0.3, xmax, 1500) if xmin == 0.0 else np.linspace(xmin, xmax, 3001)
+    h = HISTORY_H_SCALE / max(1.0, model.energy(root) - float(np.min(model.potential(probe, root))))
+    return oracle.FdConfig(xmin, xmax, int(np.clip((xmax - xmin) / h, 4000, 900_000)))
 
 
 def test_the_own_wavefunction_start_moves_only_the_nearest_level_within_the_floor(
@@ -387,8 +423,12 @@ def test_the_own_wavefunction_start_moves_only_the_nearest_level_within_the_floo
     """Every nearest_fd_energy lies within the rounding floor 8 eps ||T|| of
     the coarse operator of its value from the pseudo-random start, and
     writing that value back, with its gap and its Richardson extrapolation
-    from the subgrid's level, restores every report: no other field moved."""
-    monkeypatch.setattr(oracle, "_H_SCALE", HISTORY_H_SCALE)
+    from the subgrid's level, restores every report: no other field moved.
+    Each state's historical grid stands in for its default one, so that
+    coulomb's residual takes its own mesh, and its level search the start
+    interpolated from it, as they did."""
+    monkeypatch.setattr(oracle, "_default_config",
+                        lambda model, root, s: _history_config(model, root))
     eps = np.finfo(float).eps
     digest = hashlib.sha256()
     for key in DEEP_CASES:
@@ -397,7 +437,7 @@ def test_the_own_wavefunction_start_moves_only_the_nearest_level_within_the_floo
         assert len(INVERSE_ITERATION_NEAREST[key]) == len(spectrum.roots), key
         for root, old in zip(spectrum.roots, INVERSE_ITERATION_NEAREST[key]):
             report = oracle.verify_root(model, root, chain=spectrum.chain)
-            diag, off = oracle._tridiag(model, root, oracle.default_verify_config(model, root))
+            diag, off = oracle._tridiag(model, root, _history_config(model, root))
             floor = 8.0 * eps * (np.abs(diag).max() + 2.0 * np.abs(off).max())
             assert abs(report.nearest_fd_energy - old) <= floor, (key, root)
             richardson = old + (old - report.subgrid_fd_energy) / 3.0

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from conftest import DEEP_CASES, as_fractions, poly_eval, solved
+from conftest import CATALOG_PARAMS, DEEP_CASES, GAP_MARGIN, as_fractions, poly_eval, solved
 from qespectra import cli, models, oracle, polynomials, solve, wavefunctions
 from qespectra.errors import InvalidParams
 
@@ -209,7 +209,11 @@ ROOTS_JSON_SHA256 = {
 # were re-pinned when the default step grew from 0.07 to
 # 0.091 / max(1, E - min V); test_acceptance.py's
 # test_the_default_grid_keeps_a_margin_under_the_gap_gate stands behind that
-# move (the old digests are listed in CHANGES.md).
+# move (the old digests are listed in CHANGES.md).  razavy, pdshg-20 and
+# pdshg-21 were re-pinned again when each line grid came to be sized from
+# the gap its state's own psi predicts, h^2 <(V - E)^2> / 12 = 3e-4; the
+# same test stands behind that move (the old digests are listed in
+# CHANGES.md).
 MODELS_SHA256 = {
     "json": "451dd0969fba86ca0c69e56714eff6bca1b53ec6a6e5b4b193917f374c5768e7",
     "csv": "661184224dcd45302d6f07bef72cd28e3b5e1f7493a3a65e85bdfae2ada92c0d",
@@ -220,10 +224,10 @@ VERIFY_JSON_SHA256 = {
     "chen-even": (7, "1f51064e4064b6f42b4b08ae3e3b2fe2cad985fe9daecc67e768c9cc751c5eac"),
     "chen-odd": (7, "43944e3b9be4b0fe7c39bb6f5c9313cb6f4b5ba24fd3c0cc9d66053ab9cfd53c"),
     "coulomb": (5, "11e32bf37b16a0999c846209949177a76f4441a1f4a6e7eaceaa98178ed17313"),
-    "razavy": (0, "1415db43abe922937d0874d58f2cf11e369414f54c00c34366f20c999811866f"),
+    "razavy": (0, "fb691c87e5d9c161d5216e7b3ca3658ed6a7e343d37cc21a97f1b926ee60c5c6"),
     "dshg": (1, "82ca7788b741a46f92a8b817c6dbe5c51b8c28dc5f31b31897ad8b4677a5c628"),
-    "pdshg-20": (0, "ffb36da97d7e3d7e175ee11794803cab582c211211abb285fde75335bb3e1838"),
-    "pdshg-21": (0, "c960dbca56e94eb22ca1ffffe155c8b5d44ce7f47da3f2a5a4dd2852917e8a37"),
+    "pdshg-20": (0, "07969ad4d23f6406b0206642cabcdf6eaee1aed1ed157d2e29b4ab55b6a2b601"),
+    "pdshg-21": (0, "efb6cc3fd5515d5f533c38f93988fd28ed1925e0f301c36948d115df4cb06e3a"),
 }
 
 
@@ -322,6 +326,73 @@ def test_verify_passes_top_states_that_the_horner_sampled_as_noise(argv, capsys)
     assert code == cli.EXIT_OK
     report = json.loads(out)["roots"][0]["verification"]
     assert report["residual"] <= cli.VERIFY_RESIDUAL_MAX and report["converged"]
+
+
+def test_verify_passes_razavy_n40_root_7_sized_for_its_own_gap(capsys):
+    """razavy n = 40 root 7 failed on its residual alone, 1.06e-4 on the
+    359,490 points of the step 0.091 / max(1, E - min V): the finer the
+    grid, the more the residual's second difference amplifies rounding,
+    as 1/h^2.  Sized for the gap its own psi predicts, 3e-4, its grid
+    holds 312,067 points, and it passes with 15 nodes."""
+    argv = ["verify", "--model", "razavy", "--n", "40", "--root-index", "7"]
+    for name, value in CATALOG_PARAMS["razavy"].items():
+        argv += ["--param", f"{name}={value}"]
+    code, out = run_cli(*argv, capsys=capsys)
+    assert code == cli.EXIT_OK
+    row, = json.loads(out)["roots"]
+    report = row["verification"]
+    assert row["node_count"] == 15
+    assert report["residual"] <= cli.VERIFY_RESIDUAL_MAX and report["converged"]
+    assert report["abs_gap"] <= GAP_MARGIN and not report["ambiguous"]
+    model = models.make("razavy", 40, CATALOG_PARAMS["razavy"])
+    assert oracle.default_verify_config(model, solve(model).roots[7]).points == 312_067
+
+
+def test_verify_takes_the_decay_width_once_per_model(capsys, monkeypatch):
+    """The box, 1.15 L + 2, is the same for every root: L is the half-width
+    of the model's default sampling grid, which the step rule samples too,
+    so verifying all 11 roots of deep xie-odd takes one decay_halfwidth."""
+    calls = []
+    halfwidth = wavefunctions.decay_halfwidth
+
+    def counted(model, degree):
+        calls.append(degree)
+        return halfwidth(model, degree)
+
+    monkeypatch.setattr(wavefunctions, "decay_halfwidth", counted)
+    code, out = run_cli(*_deep_argv("verify", "xie-odd"), capsys=capsys)
+    assert code == cli.EXIT_OK
+    assert len(json.loads(out)["roots"]) == 11
+    assert calls == [10]
+
+
+@pytest.mark.parametrize("points", [None, "4000"])
+def test_verify_assembles_each_state_once_and_samples_it_where_it_must(
+        points, capsys, monkeypatch):
+    """Each root's S is assembled, and its zeros certified, once.  On a
+    default grid, S is evaluated twice, on the default sampling grid that
+    sizes the step and on the FD nodes; with --points the step is given,
+    so S is evaluated on the FD nodes alone.  Either way the state is
+    sampled once (``wavefunctions.sample``)."""
+    calls = {"sample": 0, "_values": 0, "_zeros": 0}
+
+    def counting(name):
+        real = getattr(wavefunctions, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(wavefunctions, name, counted)
+
+    for name in calls:
+        counting(name)
+    extra = () if points is None else ("--points", points)
+    code, out = run_cli(*_deep_argv("verify", "xie-odd", *extra), capsys=capsys)
+    assert code in (cli.EXIT_OK, cli.EXIT_VERIFY)
+    roots = len(json.loads(out)["roots"])
+    assert roots == 11
+    assert calls == {"sample": roots, "_values": roots * (2 if points is None else 1),
+                     "_zeros": roots}
 
 
 def test_verify_of_a_wide_box_reads_its_level_and_exits_4_on_the_residual(capsys):

@@ -178,7 +178,7 @@ def _own_start(model, root, cfg, chain=None):
     ``oracle._nearest`` from it: an even state's node 0 is divided by
     sqrt(2)."""
     psi = wavefunctions.sample(model, root, xs=oracle.grid_nodes(model, cfg), chain=chain,
-                               _product=oracle._kind(model) is not None).psi
+                               _solution=oracle._solution(model, root, chain)).psi
     if oracle._kind(model) == "even":
         psi[0] /= math.sqrt(2.0)
     return psi
@@ -821,7 +821,8 @@ def test_half_line_residual_of_a_deep_state_is_its_full_line_residual(case):
     so rounding moves it by up to ~1e-4 of itself (measured: 4e-6 to 8e-5)."""
     model, root, energy, cfg, chain = _sector_case(case)
     xs, h = oracle._nodes(model, cfg)
-    psi = wavefunctions.sample(model, root, xs=xs, chain=chain, _product=True).psi
+    psi = wavefunctions.sample(model, root, xs=xs, chain=chain,
+                               _solution=oracle._solution(model, root, chain)).psi
     half = oracle._residual_half_line(
         oracle._potential(model, xs, root), h, psi, energy, model.parity
     )
@@ -1123,8 +1124,9 @@ def test_residual_full_line_converges_at_high_order():
 
 
 def test_verify_root_peak_memory_on_the_largest_deep_grid():
-    """xie-odd root 10 verifies on 250,329 points: the half line's 125,164
-    nodes, and the 62,582 of its subgrid of step 2h.
+    """xie-odd root 10 verifies on 80,149 points: the half line's 40,074
+    nodes, and the 20,037 of its subgrid of step 2h.  (At the step 0.091 /
+    max(1, E - min V) it verified on 250,329 points.)
 
     No phase holds more than five arrays of the grid's rows: the potential
     v and the four buffers of the level search's dgtsv solves, whose
@@ -1145,7 +1147,7 @@ def test_verify_root_peak_memory_on_the_largest_deep_grid():
     spectrum = solved("xie-odd")
     model, chain, root = spectrum.model, spectrum.chain, spectrum.roots[10]
     points = oracle.default_verify_config(model, root).points
-    assert points == 250_329
+    assert points == 80_149
     tracemalloc.start()
     try:
         report = oracle.verify_root(model, root, chain=chain)

@@ -725,7 +725,8 @@ def test_a_state_with_non_real_zeros_samples_by_the_horner_bit_for_bit():
     assert wavefunctions._zeros(image, coeffs) is None
     xs = oracle.grid_nodes(model, oracle.default_verify_config(model, root))
     horner = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain)
-    asked = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain, _product=True)
+    product = wavefunctions.solution(model, root, spectrum.chain, product=True)
+    asked = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain, _solution=product)
     assert asked.psi.tobytes() == horner.psi.tobytes()
     assert (asked.norm, asked.node_count) == (horner.norm, horner.node_count)
 
@@ -771,7 +772,8 @@ def test_a_seed_without_a_newton_step_samples_by_the_horner(seed, monkeypatch):
     assert wavefunctions._zeros(image, coeffs) is None
     xs = oracle.grid_nodes(model, oracle.default_verify_config(model, root))
     horner = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain)
-    asked = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain, _product=True)
+    product = wavefunctions.solution(model, root, spectrum.chain, product=True)
+    asked = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain, _solution=product)
     assert asked.psi.tobytes() == horner.psi.tobytes()
     assert (asked.norm, asked.node_count) == (horner.norm, horner.node_count)
 
@@ -821,12 +823,22 @@ def test_the_product_is_as_near_exact_as_the_horner_on_the_oracle_nodes():
 
 
 def test_verify_samples_by_the_product_where_it_certifies(horner_rows):
-    """The oracle asks for the product: a razavy state takes no Horner row,
-    and a dshg state, sampled by the Horner, takes every one."""
-    for key, rows in (("razavy", 0), ("dshg", None)):
+    """The oracle asks for the product, on the default sampling grid that
+    sizes its grid (the probe) and on the FD nodes alike: a razavy state
+    takes no Horner row in either, and a dshg state, sampled by the
+    Horner, takes every one of both, the probe's 2,001 rows first."""
+    for key, horner in (("razavy", False), ("dshg", True)):
         spectrum = solved(key)
         model, root = spectrum.model, spectrum.roots[0]
         horner_rows.clear()
+        cfg = oracle.default_verify_config(model, root)
+        probe = sum(horner_rows)
+        horner_rows.clear()
         oracle.verify_root(model, root, chain=spectrum.chain)
-        want = len(oracle.grid_nodes(model, oracle.default_verify_config(model, root)))
-        assert sum(horner_rows) == (want if rows is None else rows), key
+        nodes = len(oracle.grid_nodes(model, cfg))
+        if horner:
+            assert probe == len(wavefunctions.default_grid(model, model.n)) == 2001, key
+            done = np.cumsum(horner_rows).tolist()  # rows evaluated, block by block
+            assert probe in done and done[-1] == probe + nodes, key
+        else:
+            assert probe == sum(horner_rows) == 0, key
