@@ -38,7 +38,7 @@ class NonPositiveLambda(QesError):
 
 class EigensolveFailure(QesError):
     """An eigenvalue backend returned something unusable (NaN, a failed
-    convergence flag), or a root could not be polished."""
+    convergence flag), so that a root would not be finite."""
 
 
 class NotARoot(QesError):
@@ -55,5 +55,5 @@ class DegenerateGrid(QesError):
 
 
 class SimplicityWarning(UserWarning):
-    """Two computed roots are closer than the simplicity resolution
-    threshold; they are reported anyway rather than silently merged."""
+    """Some roots could not be certified real and simple (two lie within
+    half an ulp of one float); they are reported uncertified, not merged."""

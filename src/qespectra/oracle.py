@@ -104,8 +104,9 @@ _SAFEMIN = np.finfo(float).tiny
 _ULP = np.finfo(float).eps
 # An off-diagonal entry this large squares to inf in e^2.
 _E_MAX = math.sqrt(np.finfo(float).max)
-# The largest float's place on the float lattice, which holds every level.
-_LATTICE_END = wavefunctions._lattice(np.finfo(float).max)
+# The largest float's place on the float lattice, which holds every level
+# (a float's bits as an integer, negated below 0: neighbours lie one apart).
+_LATTICE_END = int(np.finfo(float).max.view(np.int64))
 
 
 def _lapack_function(name, *argtypes):
@@ -522,7 +523,7 @@ def _bisect(sturm, level):
 
     Bisection on Sturm counts (Barth, Martin and Wilkinson, Numer. Math. 9
     (1967) 386), monotone in IEEE arithmetic (Demmel, Dhillon and Ren, ETNA
-    3, 1995), over the float lattice (``wavefunctions._lattice``), whatever
+    3, 1995), over the float lattice (``_LATTICE_END``), whatever
     the scale of T.  Each dlaebz call counts two floats, which cut the
     bracket in thirds: 41 calls from the whole lattice, 2^64 floats.
     """
@@ -531,9 +532,14 @@ def _bisect(sturm, level):
     while hi - lo > 1:
         third = max((hi - lo) // 3, 1)
         a, b = lo + third, hi - third
-        at_a, at_b = _counts(sturm, wavefunctions._unlattice(a), wavefunctions._unlattice(b))
+        at_a, at_b = _counts(sturm, _unlattice(a), _unlattice(b))
         lo, hi = (lo, a) if at_a > level else (a, b) if at_b > level else (b, hi)
-    return wavefunctions._unlattice(hi)
+    return _unlattice(hi)
+
+
+def _unlattice(key):
+    """The float at the place ``key`` of the float lattice (``_LATTICE_END``)."""
+    return float(np.int64(key if key >= 0 else (-key) | -0x8000_0000_0000_0000).view(np.float64))
 
 
 def _ambiguous(sturm, energy, gap):
@@ -701,7 +707,8 @@ def default_verify_config(model, root):
 
     The points are clamped to a sane range; the energy scales of the
     deepest catalog wells push them far beyond 4000, and O(N) level
-    queries keep that cheap.
+    queries keep that cheap.  A state that is not normalizable takes the
+    floor, _MIN_POINTS: no grid can pass it.
     """
     return _default_config(model, root, None if _is_radial(model) else _solution(model, root))
 
@@ -720,7 +727,11 @@ def _default_config(model, root, s):
     reads no S."""
     xmin, xmax = default_box(model)
     energy = model.energy(root)
-    if _is_radial(model):
+    if not model.normalizable(root):
+        # psi grows toward the box's ends, so no grid passes it: the fewest
+        # points find that soonest
+        h = math.inf
+    elif _is_radial(model):
         probe = np.linspace(0.3, xmax, 1500)
         h = _H_SCALE / max(1.0, energy - float(np.min(model.potential(probe, root))))
     else:

@@ -15,16 +15,18 @@ in the rescaled scan variable ``y``.  When every product ``lam_k`` is
 positive, the terminal member's roots are the eigenvalues of the symmetric
 (Jacobi) tridiagonal matrix with diagonal ``d`` and off-diagonal
 ``sqrt(lam)``; they are therefore real and simple, and numpy's dense
-symmetric eigensolve delivers them to machine precision, after which a
-Newton polish through the recurrence itself restores the last bits.  The
-products depend on where the ODE variable is centred, so the canonical form
-is taken at the first candidate centre where they are all positive.
-:func:`real_roots` is the one root finder.
+symmetric eigensolve seeds them, which :func:`certified_zeros` proves
+real and simple, and rounds correctly, by exact signs of the constraint's
+integer image at floats; the zeros of each solution polynomial take the
+same certificate.  The products depend on where the ODE variable is
+centred, so the canonical form is taken at the first candidate centre
+where they are all positive.  :func:`real_roots` is the one root finder.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import warnings
 from fractions import Fraction
 from dataclasses import dataclass
@@ -38,9 +40,6 @@ from .errors import (
     SigmaZero,
     SimplicityWarning,
 )
-
-# Roots closer than this fraction of the root span trigger SimplicityWarning.
-_SIMPLE_RTOL = 1e-10
 
 # ---------------------------------------------------------------------------
 # dense coefficient arithmetic (number-type generic)
@@ -150,6 +149,139 @@ def exact_gcd(p, q):
 
 
 # ---------------------------------------------------------------------------
+# certified real zeros of an integer image
+# ---------------------------------------------------------------------------
+
+def _lattice(x):
+    """The float ``x`` as an integer, in the floats' own order, one apart
+    where they are neighbours; :func:`_unlattice` undoes it."""
+    bits, = struct.unpack("<q", struct.pack("<d", x))
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _unlattice(key):
+    """The float at the lattice position ``key`` of :func:`_lattice`."""
+    return struct.unpack("<d", struct.pack("<q", key if key >= 0 else (-key) | -(1 << 63)))[0]
+
+
+def _sign(image, key):
+    """The sign, exactly (-1, 0 or 1), of the image's polynomial at the
+    point ``key`` of the half-ulp lattice: the float at :func:`_lattice`
+    position key / 2 for an even key, else the midpoint of the two floats
+    around it."""
+    p, q = _unlattice(key // 2).as_integer_ratio()
+    if key % 2:
+        r, t = _unlattice(key // 2 + 1).as_integer_ratio()
+        p, q = p * (max(q, t) // q) + r * (max(q, t) // t), 2 * max(q, t)
+    value, _ = image_value(image, p, q.bit_length() - 1)
+    return (value > 0) - (value < 0)
+
+
+def _newton_step(image, x):
+    """-P(x) / P'(x) at the float ``x``, from P's exact value and slope,
+    rounded once; NaN where ``x`` is not finite, the slope vanishes or the
+    step is past the float range."""
+    try:
+        p, q = x.as_integer_ratio()
+        k = q.bit_length() - 1
+        value, slope, _ = image_horner(image, p, k)
+        return -value / (slope << k)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return math.nan
+
+
+def _between(image, lo, hi, s):
+    """A half-ulp lattice key strictly between the keys of two floats,
+    ``lo`` < ``hi``, where P takes the sign s: at the floats' midpoint, or,
+    for floats at most 4 ulp apart, at any key between them, the middle
+    ones first, since two zeros less than an ulp apart may have no float
+    between them, only a midpoint; None if there is none."""
+    middle = _unlattice(lo // 2) / 2 + _unlattice(hi // 2) / 2
+    keys = range(lo + 1, hi) if hi - lo <= 8 else [2 * _lattice(middle)]
+    return next((k for k in sorted(keys, key=lambda k: abs(2 * k - lo - hi))
+                 if _sign(image, k) == s), None)
+
+
+def _rounded(image, key, lo, hi, s):
+    """The float nearest a zero of P between the half-ulp lattice keys
+    ``lo`` < ``key`` < ``hi``, where P takes the signs -s and s: the sign
+    half an ulp below the float at ``key`` says on which side of it the
+    zero lies, a gallop away from the float finds a sign change, and
+    bisection narrows it to the half-ulp either side of one float."""
+    def above(k):  # P's sign -s at k puts the zero above it; one at k rounds half to even
+        return (_sign(image, k) or (-s if k // 2 % 2 else s)) == -s
+
+    if lo < key - 1:
+        lo, hi = (key - 1, hi) if above(key - 1) else (lo, key - 1)
+    step = 2
+    while hi - lo - lo % 2 > 1:  # (lo, hi) is not yet inside one float's half-ulp cell
+        probe = (lo + hi) // 2
+        if step:  # gallop away from key, by doubling steps, until P changes sign
+            probe = max(probe, hi - step) if hi < key else min(probe, lo + step)
+            step *= 2
+        up = above(probe)
+        if up == (hi < key):
+            step = 0
+        lo, hi = (probe, hi) if up else (lo, probe)
+    return _unlattice((lo + lo % 2) // 2)
+
+
+def certified_zeros(image, seeds):
+    """The n real zeros of the polynomial P of an integer image, from n
+    float seeds, certified real and simple in exact arithmetic.
+
+    ``image`` is ``(nums, den)``, den > 0, of degree n = ``len(seeds)``,
+    its leading coefficient of either sign s.  Each seed takes one exact
+    Newton step (:func:`_newton_step`; NaN or past the float range fails
+    the isolation below).  Returns ``(zeros, rest)``: zeros ascending,
+    each its zero correctly rounded, and rest the exact Newton step from
+    each, rounded, so that zeros + rest misses each zero by about ulp^2
+    |P''/P'|.  A zero whose certificate fails is its stepped seed, with a
+    NaN rest; the others keep theirs.  Certificate, by the exact sign of P
+    (:func:`_sign`) on the lattice of floats and the midpoints between
+    them:
+
+    * isolation: at n + 1 points t_0 < ... < t_n, one between each two
+      neighbouring stepped seeds (:func:`_between`) and one past either
+      end, P takes the signs s (-1)^(n - i).  Where all n + 1 do, each
+      (t_i, t_(i+1)) holds exactly one zero of P, and P has no other.
+      Where some do not, an interval whose two ends do holds an odd number
+      of zeros, and its zero below is one of them, correctly rounded,
+      though not proven the only one;
+    * rounding: P changes sign within half an ulp of the zero's float
+      either side, so the zero is nearer that float than any other; from
+      the stepped seed, the float is found inside (t_i, t_(i+1)) by
+      :func:`_rounded`, so it depends on the zero alone, not on the seeds.
+
+    A polynomial with non-real zeros, or two zeros within half an ulp of
+    one float, fails isolation there.
+    """
+    nums, _ = image
+    n = len(seeds)
+    lead = (nums[-1] > 0) - (nums[-1] < 0) if len(nums) == n + 1 else 0
+    zeros = np.sort([x + _newton_step(image, x) for x in seeds.tolist()])
+    rest = np.full(n, math.nan)
+    if not lead or not n:
+        return zeros, rest
+    signs = [lead * (-1) ** (n - i) for i in range(n + 1)]
+    keys = [2 * _lattice(z) if math.isfinite(z) else None for z in zeros.tolist()]
+    reach = max(1.0, float(np.max(np.abs(zeros))))
+    ends = [2 * _lattice(t) if math.isfinite(t) else None
+            for t in (zeros[0] - reach, zeros[-1] + reach)]
+    points = [t if t is not None and _sign(image, t) == s else None
+              for t, s in zip(ends, signs[::n])]
+    points[1:1] = [_between(image, a, b, s) if None not in (a, b) else None
+                   for a, b, s in zip(keys, keys[1:], signs[1:])]
+    for i, key in enumerate(keys):
+        if None not in (key, points[i], points[i + 1]):
+            zeta = _rounded(image, key, points[i], points[i + 1], signs[i + 1])
+            step = _newton_step(image, zeta)
+            if math.isfinite(step):
+                zeros[i], rest[i] = zeta, step
+    return zeros, rest
+
+
+# ---------------------------------------------------------------------------
 # canonical three-term chain
 # ---------------------------------------------------------------------------
 
@@ -164,12 +296,15 @@ class CanonicalTtrr:
         lam: products ``lam_1 .. lam_{n+1}``, all strictly positive.
             ``lam[0]`` is 1.0 by convention and multiplies nothing.
         scale: map back to the physical scan variable, ``scan = scale * y``.
+        constraint_image: ``ConstraintChain.constraint_image``, the exact
+            constraint in the scan variable, which certifies the roots.
     """
 
     centre: Fraction
     d: tuple
     lam: tuple
     scale: float
+    constraint_image: tuple
 
 
 @dataclass(frozen=True)
@@ -182,9 +317,10 @@ class RootSet:
 def to_canonical_ttrr(system):
     """Reduce a baseline recurrence to canonical monic form.
 
-    ``system`` is a :class:`~qespectra.recurrence.BaselineSystem` (any object
-    with ``n``, ``sigma0`` and ``centres`` attributes works, each centre's
-    table offering ``multiplicators(k) -> (F1, F0, Fm1)`` at scan value 0).
+    ``system`` is a :class:`~qespectra.recurrence.BaselineSystem` (any
+    hashable object with ``n``, ``sigma0`` and ``centres`` attributes works,
+    each centre's table offering exact ``multiplicators(k) -> (F1, F0, Fm1)``
+    at scan value 0).
     Writing the grade-0 multiplicator as ``F0(k) + sigma * x``, the raw
     members are rescaled to be monic in ``y = sigma * x``, which turns the
     recurrence into the canonical chain with
@@ -197,7 +333,8 @@ def to_canonical_ttrr(system):
     roots are exactly the admissible scan values.  The multiplicators are
     taken at the first of the system's centres whose products are all
     positive; F1 and sigma are the same at every centre, and so are the
-    constraint's roots.
+    constraint's roots.  The exact constraint comes from the cached
+    :func:`~qespectra.recurrence.exact_chain` of ``system``.
 
     Raises:
         SigmaZero: the scan variable is absent from the recurrence.
@@ -205,6 +342,8 @@ def to_canonical_ttrr(system):
         NonPositiveLambda: no centre gives all-positive products.
         OverflowError: 1 / sigma, or a multiplicator, lies beyond the float range.
     """
+    from . import recurrence  # recurrence imports this module
+
     n = system.n
     sigma = system.sigma0
     if sigma == 0:
@@ -227,6 +366,7 @@ def to_canonical_ttrr(system):
                 d=tuple(-float(F0[n + 1 - k]) for k in range(1, n + 2)),
                 lam=tuple(lam),
                 scale=scale,
+                constraint_image=recurrence.exact_chain(system).constraint_image,
             )
     tried = ", ".join(str(centre) for centre, _ in system.centres)
     raise NonPositiveLambda(
@@ -235,32 +375,22 @@ def to_canonical_ttrr(system):
     )
 
 
-def ttrr_terminal(ttrr, y):
-    """Terminal chain member at ``y``: value and derivative."""
-    p_prev, p = 0.0, 1.0
-    dp_prev, dp = 0.0, 0.0
-    for dk, lk in zip(ttrr.d, ttrr.lam):
-        lin = y - dk
-        p_new = lin * p - lk * p_prev
-        dp_new = p + lin * dp - lk * dp_prev
-        p_prev, p = p, p_new
-        dp_prev, dp = dp, dp_new
-    return p, dp
-
-
 def real_roots(ttrr):
-    """All roots of the terminal canonical member, by symmetric eigensolve.
+    """All roots of the constraint, seeded by a symmetric eigensolve and
+    certified in exact arithmetic, ascending.
 
-    The eigenvalues of the symmetric Jacobi matrix (real and simple by
-    construction), from ``numpy.linalg.eigvalsh`` on the dense matrix of
-    at most ~100 rows, are polished through the chain recurrence and
-    returned in the physical scan variable, ascending.  Roots closer than
-    a tiny fraction of the span are reported anyway, with a
-    :class:`SimplicityWarning`, rather than merged.
+    The eigenvalues of the symmetric Jacobi matrix (``numpy.linalg.eigvalsh``
+    on at most ~100 rows) times ``scale`` seed :func:`certified_zeros` on
+    ``ttrr.constraint_image``: each root is the float nearest its exact
+    root, whatever the seeds' last bits.  A root whose certificate fails
+    (on dshg's doublets that share a float, from n = 20) is its
+    Newton-stepped seed, not merged, and a :class:`SimplicityWarning` says
+    that the set is not certified; the other roots are still rounded.
 
     Raises:
-        EigensolveFailure: the eigensolve fails, or the chain recurrence
-            overflows at some root, which leaves that root unpolished.
+        NonPositiveLambda: a chain product is not positive.
+        EigensolveFailure: the eigensolve fails, or gives a root that is
+            not finite.
     """
     if any(l <= 0 for l in ttrr.lam):
         raise NonPositiveLambda("canonical chain products must be positive")
@@ -269,52 +399,18 @@ def real_roots(ttrr):
     jacobi = np.diag(np.asarray(ttrr.d, dtype=float))
     np.fill_diagonal(jacobi[1:], np.sqrt(np.asarray(ttrr.lam[1:], dtype=float)))
     try:
-        ys = np.linalg.eigvalsh(jacobi)  # ascending; 1x1 exactly
+        ys = np.linalg.eigvalsh(jacobi)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise EigensolveFailure(f"symmetric eigensolve failed: {exc}") from exc
-    if not np.all(np.isfinite(ys)):
-        raise EigensolveFailure("eigensolve produced non-finite values")
-
-    # Damped Newton polish: each root moves at most 0.4 of the gap to its
-    # nearest neighbour, so the polish can never reorder or merge them.
-    gaps = np.concatenate(([math.inf], np.diff(ys), [math.inf]))
-    caps = 0.4 * np.minimum(gaps[:-1], gaps[1:])
-    polished = np.empty_like(ys)
-    unpolished = 0
-    for i, (y, cap) in enumerate(zip(ys.tolist(), caps.tolist())):
-        # Python floats overflow quietly; the check below reports it
-        v, dv = ttrr_terminal(ttrr, y)
-        best_y, best_v = y, abs(v)
-        for _ in range(12):
-            if dv == 0.0 or not math.isfinite(v):
-                break
-            step = -v / dv
-            if abs(step) > cap:
-                step = math.copysign(cap, step)
-            y += step
-            v, dv = ttrr_terminal(ttrr, y)
-            if abs(v) < best_v:
-                best_y, best_v = y, abs(v)
-            if abs(step) <= 1e-16 * (1.0 + abs(y)):
-                break
-        polished[i] = best_y
-        unpolished += not math.isfinite(best_v)
-    if unpolished:
-        # the float chain overflowed there, so those roots are raw seeds
-        raise EigensolveFailure(
-            f"{unpolished} of {len(ys)} roots could not be polished: "
-            "the canonical chain is not finite there"
-        )
-
-    # a negative scale reverses the order
-    xs = np.sort(ttrr.scale * polished)
-    gap = float(np.diff(xs).min(initial=math.inf))
-    span = float(xs[-1] - xs[0])
-    if span > 0 and gap < _SIMPLE_RTOL * span:
+    roots, rest = certified_zeros(ttrr.constraint_image, ttrr.scale * ys)
+    if not np.all(np.isfinite(roots)):
+        raise EigensolveFailure("the eigensolve gave roots that are not finite")
+    if not np.isfinite(rest).all():
         warnings.warn(
-            f"two roots are only {gap:.3g} apart (span {span:.3g}); "
-            "reporting both rather than merging",
+            f"{np.isnan(rest).sum()} of the {len(roots)} roots could not be certified "
+            "real and simple, and some may share a float; reporting them uncertified "
+            "rather than merging",
             SimplicityWarning,
             stacklevel=2,
         )
-    return RootSet(roots=tuple(float(x) for x in xs))
+    return RootSet(roots=tuple(roots.tolist()))

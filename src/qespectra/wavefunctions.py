@@ -8,8 +8,8 @@ that grazing near-zeros are not miscounted, and classifies parity on
 symmetric grids.  S is evaluated by an 80-bit Horner, or, on the
 finite-difference oracle's grids, as the product over its zeros, the
 unknowns of the functional Bethe Ansatz, where they certify real and
-simple: seeded by the Jacobi matrix of S's Sturm sequence, each moved by
-one exact Newton step, and certified by exact signs of S at floats.
+simple: seeded by the Jacobi matrix of S's Sturm sequence and certified
+by ``polynomials.certified_zeros``, as the constraint's roots are.
 """
 
 from __future__ import annotations
@@ -234,62 +234,6 @@ def _product_block(zeros, z, out):
         out *= factor
 
 
-def _sign(image, x):
-    """The sign of S at the float ``x``, exactly: -1, 0 or 1."""
-    p, q = x.as_integer_ratio()
-    value, _ = polynomials.image_value(image, p, q.bit_length() - 1)
-    return (value > 0) - (value < 0)
-
-
-def _lattice(x):
-    """The float ``x`` as an integer, in the floats' own order, one apart
-    where they are neighbours; :func:`_unlattice` undoes it."""
-    bits = int(np.float64(x).view(np.int64))
-    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
-
-
-def _unlattice(key):
-    """The float at the lattice position ``key`` of :func:`_lattice`."""
-    return float(np.int64(key if key >= 0 else (-key) | -0x8000_0000_0000_0000).view(np.float64))
-
-
-def _faithful(image, zeta, left, right, s):
-    """``zeta`` if S changes sign across its two float neighbours, else the
-    float next to which it does, found on the float lattice between the
-    floats ``left`` and ``right``, where S takes the signs -s and s: a
-    gallop from ``zeta`` toward the change, then bisection.  None if that
-    float is not faithful either."""
-    down, up = np.nextafter(zeta, -math.inf), np.nextafter(zeta, math.inf)
-    below, above = _sign(image, down), _sign(image, up)
-    if below * above < 0:
-        return zeta
-    if 0 in (below, above):
-        return down if below == 0 else up
-    lo, hi = _lattice(left), _lattice(right)
-    if below == s:  # S changes sign below zeta's lower neighbour
-        hi = _lattice(down)
-    else:
-        lo = _lattice(up)
-    step = 1
-    while hi - lo > 1:
-        probe = (lo + hi) // 2
-        if step:  # gallop away from zeta, by doubling steps, until S changes sign
-            probe = max(probe, hi - step) if below == s else min(probe, lo + step)
-            step *= 2
-        sign = _sign(image, _unlattice(probe))
-        if sign == 0:
-            return _unlattice(probe)
-        if sign == s:
-            hi = probe
-        else:
-            lo = probe
-        if sign != below:
-            step = 0
-    zeta = _unlattice(lo)
-    down, up = np.nextafter(zeta, -math.inf), np.nextafter(zeta, math.inf)
-    return zeta if _sign(image, down) * _sign(image, up) < 0 else None
-
-
 def _jacobi_seeds(coeffs):
     """Seeds of the zeros of the monic S, by its Sturm sequence in 80 bits.
 
@@ -329,70 +273,18 @@ def _jacobi_seeds(coeffs):
 
 
 def _zeros(image, coeffs):
-    """The n zeros zeta_j of the monic S of degree n, each certified real
-    and simple, as a pair of float arrays (hi, lo): hi ascending, each its
-    zero correctly rounded, and lo the exact Newton step from hi, rounded,
-    so that hi + lo misses zeta_j by about ulp(hi)^2 |S''/S'|; None where
-    the certificate fails.
-
-    Seeds: :func:`_jacobi_seeds` of ``coeffs``, :func:`_coefficients` of
-    ``image``, each moved by one exact Newton step (:func:`_newton_step`).
-    A step that is NaN (S' vanishes at the seed) or past the float range
-    fails the isolation below.  Certificate, by the exact sign of S
-    (``polynomials.image_value``) at floats:
-
-    * isolation: at the n + 1 points t_0 < ... < t_n, one halfway between
-      each two neighbouring stepped seeds and one past either end, S takes
-      the signs (-1)^(n - i), so each (t_i, t_(i+1)) holds exactly one zero
-      of S, and S has no other;
-    * faithfulness: S changes sign across each zero's two float neighbours,
-      so the zero lies within an ulp of the float; a zero that does not is
-      sought on the float lattice inside (t_i, t_(i+1)) (:func:`_faithful`).
-      The exact Newton step then says which of the float and its neighbour
-      the zero is nearer, so hi depends on the zero alone, not on the seeds.
-
-    A state with non-real zeros (dshg's low doublets) fails isolation.
+    """The n zeros zeta_j of the monic S of degree n as a pair of float
+    arrays (hi, lo), hi each zeta_j correctly rounded and hi + lo nearer
+    still, from ``polynomials.certified_zeros`` on ``image`` and the
+    :func:`_jacobi_seeds` of its :func:`_coefficients` ``coeffs``; None
+    where the certificate fails, as on dshg's states with non-real zeros.
     """
-    n = len(coeffs) - 1
-    if n == 0:
-        return np.empty(0), np.empty(0)
     with np.errstate(all="ignore"):
-        seeds = _jacobi_seeds(coeffs)
-        if seeds is None:
-            return None
-        zeros = np.sort([x + _newton_step(image, x) for x in seeds.tolist()])
-        reach = max(1.0, float(np.max(np.abs(zeros))))
-        points = np.concatenate(
-            ([zeros[0] - reach], (zeros[:-1] + zeros[1:]) / 2, [zeros[-1] + reach]))
-    if not (np.isfinite(points).all() and (points[:-1] < zeros).all()
-            and (zeros < points[1:]).all()):
+        seeds = _jacobi_seeds(coeffs) if len(coeffs) > 1 else np.empty(0)
+    if seeds is None:
         return None
-    if any(_sign(image, t) != (-1) ** (n - i) for i, t in enumerate(points)):
-        return None
-    rest = np.empty(n)
-    for i, zeta in enumerate(zeros.tolist()):
-        zeta = _faithful(image, zeta, points[i], points[i + 1], (-1) ** (n - i - 1))
-        if zeta is None:
-            return None
-        step = _newton_step(image, zeta)
-        near = np.nextafter(zeta, math.copysign(math.inf, step))
-        if abs(step) > abs(near - zeta) / 2:  # the zero rounds to the neighbour
-            zeta, step = near, _newton_step(image, near)
-        zeros[i], rest[i] = zeta, step
-    return (zeros, rest) if np.all(np.isfinite(rest)) else None
-
-
-def _newton_step(image, x):
-    """-S(x) / S'(x) at the float ``x``, from S's exact value and slope,
-    rounded once; NaN where the slope vanishes or the step is past the
-    float range."""
-    p, q = x.as_integer_ratio()
-    k = q.bit_length() - 1
-    value, slope, _ = polynomials.image_horner(image, p, k)
-    try:
-        return -value / (slope << k)
-    except (ZeroDivisionError, OverflowError):
-        return math.nan
+    zeros, rest = polynomials.certified_zeros(image, seeds)
+    return (zeros, rest) if np.isfinite(rest).all() else None
 
 
 def _first_peak_sign(psi):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from conftest import DEEP_CASES, solved
+from conftest import CATALOG_PARAMS, DEEP_CASES, solved
 from qespectra import models, oracle, solve, wavefunctions
 from qespectra.errors import DegenerateGrid, InvalidParams
 
@@ -1095,6 +1095,19 @@ def test_default_verify_config_scales_with_energy():
     # mesh (the razavy well bottoms out far below even the deepest root)
     assert hi.points > lo.points
     assert lo.xmin == -lo.xmax
+
+
+@pytest.mark.parametrize("model_id", ["xie-even", "xie-odd"])
+def test_a_state_that_is_not_normalizable_takes_the_fewest_points(model_id):
+    # at n = 15 every xie state lies below min V and grows toward the box's
+    # ends; its predicted gap once gave it 115,966 or 151,466 points, which
+    # no grid can pass.  It takes the floor, and still fails.
+    model = models.make(model_id, 15, CATALOG_PARAMS[model_id])
+    root = solve(model).roots[0]
+    assert not model.normalizable(root)
+    assert oracle.default_verify_config(model, root).points == oracle._MIN_POINTS
+    report = oracle.verify_root(model, root)
+    assert not (report.abs_gap < 1e-3 and report.residual < 1e-4 and report.converged)
 
 
 def test_radial_residual_mesh_tracks_the_coulomb_core():

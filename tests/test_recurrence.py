@@ -142,9 +142,11 @@ def test_solve_returns_one_frozen_spectrum(monkeypatch):
             return returned[-1]
         monkeypatch.setattr(module, name, stage)
     spectrum = recurrence.solve(model)
-    _, chain, ttrr, roots = returned
+    # to_canonical_ttrr reads the constraint off the cached chain
+    _, chain, again, ttrr, roots = returned
     assert (spectrum.model, spectrum.chain, spectrum.ttrr) == (model, chain, ttrr)
-    assert spectrum.chain is chain and spectrum.roots is roots.roots
+    assert spectrum.chain is chain is again and spectrum.roots is roots.roots
+    assert ttrr.constraint_image is chain.constraint_image
     with pytest.raises(dataclasses.FrozenInstanceError):
         spectrum.roots = ()
 

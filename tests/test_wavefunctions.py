@@ -259,9 +259,9 @@ def test_sample_accepts_a_root_at_scan_value_zero(model_id, n, params):
 
 def test_sample_norm_survives_an_overflowing_square():
     # max|psi| is ~1e162 before normalization, so psi * psi overflows.  The
-    # root is the sixth eigenvalue seed of this chain: real_roots refuses the
-    # chain, whose float recurrence overflows at its nine lowest roots, and
-    # sample polishes the seed on the exact constraint.
+    # root is the sixth eigenvalue seed of this chain, which the float
+    # polish could not refine (its float recurrence overflowed at the nine
+    # lowest roots); sample polishes the seed on the exact constraint.
     model = models.make(
         "razavy-sinh2", 80, {"xi": Fraction(1, 2), "alpha": 0, "beta": 1}
     )
