@@ -583,13 +583,17 @@ def _residual_half_line(v, h, psi, energy, parity):
     return float(math.sqrt(num / den))
 
 
-def _residual_radial(model, scan, cfg, psi, energy):
-    """Weighted-norm residual of the conservation-form operator.
+def _residual_radial(model, scan, cfg, evaluate, norm, energy):
+    """Weighted-norm residual of the conservation-form operator on the nodes of ``cfg``.
 
-    The algebraic wavefunction u is converted to v = u / x**lam; the
-    residual is measured in the L2(w dx) norm in which the operator is
-    self-adjoint, so the truncated first node carries its proper (vanishing)
-    weight.
+    The algebraic wavefunction u = Q S / ``norm`` is evaluated on the nodes
+    here, S by ``evaluate`` (:func:`_solution`), and converted to
+    v = u / x**lam; the residual is measured in the L2(w dx) norm in which
+    the operator is self-adjoint, so the truncated first node carries its
+    proper (vanishing) weight.  ``norm``, psi's norm on the operator's
+    nodes, keeps the sums in range.  u is not given sampling's sign: every
+    step is odd in u, and rounding to nearest is symmetric, so the ratio
+    is the same to the last bit either way.
 
     Face gradients and the conservative divergence both use the staggered
     fourth-order pair 27(f_{1/2} - f_{-1/2}) - (f_{3/2} - f_{-3/2}) where
@@ -598,17 +602,20 @@ def _residual_radial(model, scan, cfg, psi, energy):
     and caps the whole measurement, so face 1 and row 0 use the one-sided
     four-point stencil (-23, 21, 3, -1)/24 instead (the exact F(0) = 0 flux
     anchors row 0).  The outer-wall rows stay at second order; the state has
-    decayed to nothing there.  ``psi`` is sampled on the nodes of ``cfg``.
+    decayed to nothing there.
 
     One pass over blocks of _ROWS rows: a block of rows takes the
-    fluxes at its faces and one beyond, which take v three nodes past its
+    fluxes at its faces and one beyond, which take u three nodes past its
     ends (four above it), each value computed as in the plain formulas
-    noted beside each step.  The two sums are taken whole, so the terms
-    w r^2 and w v^2 are the arrays of N rows made here.
+    noted beside each step.  Each block sums its terms w r^2 and w v^2 by
+    np.add.reduce and ``math.fsum`` adds the block sums, as
+    :func:`_sum_squares` does, so no array of the mesh's length is made.
+    A u that leaves the float range raises :class:`DegenerateGrid`, as
+    sampling does.
     """
-    m = len(psi)
+    m = cfg.points
     lam = float(model.lam)
-    terms_r, terms_v = np.empty(m), np.empty(m)
+    sums_r, sums_v = [], []
     for start in range(0, m, _ROWS):
         stop = min(start + _ROWS, m)
         # v at the nodes n0 <= i < n1, and the fluxes at the faces xmin + h f,
@@ -616,8 +623,15 @@ def _residual_radial(model, scan, cfg, psi, energy):
         n0, n1 = max(start - 3, 0), min(stop + 4, m)
         f0, f1 = max(start - 1, 0), min(stop + 3, m + 1)
         xs, h = _offset_nodes(cfg, n0, n1)
-        v = np.power(xs, lam)
-        np.divide(psi[n0:n1], v, out=v)  # v = psi / x**lam
+        z, q = wavefunctions._chart(model, xs)
+        v = np.empty(n1 - n0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            evaluate(z, v)
+            wavefunctions._times(q, v)
+            v /= norm
+        if not np.isfinite(v).all():
+            raise DegenerateGrid("wavefunction overflowed on this grid; shrink it")
+        v /= np.power(xs, lam)  # v = u / x**lam
         grad = np.empty(f1 - f0)
         # grad[f] = (27 (v[f] - v[f-1]) - (v[f+1] - v[f-2])) / (24 h), 2 <= f <= m - 2
         a, b = max(f0, 2) - n0, min(f1, m - 1) - n0
@@ -664,14 +678,14 @@ def _residual_radial(model, scan, cfg, psi, energy):
         r = np.negative(div, out=div)
         r /= w_mid
         r += pot
-        # the terms of sum(w_mid * r * r) and sum(w_mid * v * v)
-        np.multiply(w_mid, r, out=terms_r[start:stop])
-        terms_r[start:stop] *= r
-        np.multiply(w_mid, v, out=terms_v[start:stop])
-        terms_v[start:stop] *= v
-    num = float(np.sqrt(np.sum(terms_r)))
-    den = float(np.sqrt(np.sum(terms_v)))
-    return num / den
+        # this block's terms of sum(w_mid * r * r) and sum(w_mid * v * v)
+        terms = np.multiply(w_mid, r, out=pot)
+        terms *= r
+        sums_r.append(np.add.reduce(terms))
+        np.multiply(w_mid, v, out=terms)
+        terms *= v
+        sums_v.append(np.add.reduce(terms))
+    return math.sqrt(math.fsum(sums_r)) / math.sqrt(math.fsum(sums_v))
 
 
 def default_box(model):
@@ -768,12 +782,12 @@ def _radial_residual_config(model, scan, cfg):
 def verify_root(model, root, energy=None, cfg=None, chain=None):
     """Check one algebraic (root, energy) pair against the FD operator.
 
-    The wavefunction is sampled here, on :func:`grid_nodes` of ``cfg``; when
-    ``cfg`` is the default, the radial residual gets its own finer mesh.
-    Once the residual has read it, the sampled wavefunction starts the
-    search for the FD level whose index is its node count (see
-    :func:`_nearest`); on the radial line it is interpolated onto the
-    operator's nodes when the residual has its own mesh.  A line model is
+    The wavefunction is sampled here, on :func:`grid_nodes` of ``cfg``.
+    Once the residual has read it, it starts the search for the FD level
+    whose index is its node count (see :func:`_nearest`).  When ``cfg`` is
+    the default, the radial residual takes a finer mesh of its own, on
+    which psi is evaluated from the same S a block at a time, at the scale
+    of its norm on ``cfg`` (:func:`_residual_radial`).  A line model is
     checked on the half line of a parity sector: its own, or for dshg the
     parity of the node count k on the mirrored nodes, onto which psi is
     projected, (psi(x) +- psi(-x)) / 2; its level there is k // 2, and
@@ -801,9 +815,9 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     operator is the potential and h alone (a :class:`_Tridiagonal`).  The
     subgrid's search and count hold the potential and four arrays of N / 2
     rows.  Every other per-node stage, from sampling to the residuals, runs
-    in blocks.  The radial residual's own mesh holds psi and its two sums'
-    terms, and dshg's sampling its mirrored nodes and psi, about 2N rows
-    each, until the projection.
+    in blocks; the radial residual's own mesh holds no array of its
+    length.  dshg's sampling holds its mirrored nodes and psi, about 2N
+    rows each, until the projection.
     """
     energy = model.energy(root) if energy is None else float(energy)
     scan = root
@@ -814,26 +828,23 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
         cfg = res_cfg = _default_config(model, root, s)
         if kind == "radial":
             res_cfg = _radial_residual_config(model, scan, cfg)
-    # The residual's nodes; on the line they hold the operator's too (dshg's
-    # mirrored nodes, its half line), and so does the potential on them,
-    # which the subgrid's operator reuses.
-    xs, h = _nodes(model, res_cfg)
+    # The operator's nodes (for dshg the mirrored nodes, then its half
+    # line); on the line they are the residual's too, and the potential
+    # taken there serves the subgrid's operator.
+    xs, h = _nodes(model, cfg)
     grid = wavefunctions.sample(model, root, xs=xs, chain=chain, _solution=s)
-    psi = np.asarray(grid.psi, dtype=float)
+    psi, norm = np.asarray(grid.psi, dtype=float), grid.norm
     level = node_count = int(grid.node_count)
     del grid
 
     if kind == "radial":
-        start = psi
-        if res_cfg != cfg:
-            start = np.interp(_offset_nodes(cfg, 0, cfg.points)[0], xs, psi)
         del xs
-        residual = _residual_radial(model, scan, res_cfg, psi, energy)
-        del psi
-        nearest, ambiguous = _nearest(_held(*_tridiag(model, scan, cfg)), energy, start, level)
+        residual = _residual_radial(model, scan, res_cfg, s, norm, energy)
+        nearest, ambiguous = _nearest(_held(*_tridiag(model, scan, cfg)), energy, psi, level)
         # the subgrid's node (j + 1/2) 2h lies midway between nodes 2j and 2j + 1
         half = cfg.points // 2
-        start = np.add(start[:2 * half:2], start[1:2 * half:2])
+        start = np.add(psi[:2 * half:2], psi[1:2 * half:2])
+        del psi
         sub = _held(*_tridiag_radial(model, scan, cfg, *_offset_nodes(cfg, 0, half, 2)))
     else:
         if kind is None:  # the sector of the node count, on the mirrored nodes

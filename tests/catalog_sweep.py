@@ -9,8 +9,12 @@ the class of its error.  The verdicts must equal the table pinned in
 catalog_verdicts.txt, and the worst gap of a passing state must keep the
 margin GAP_MARGIN under the 1e-3 gate.
 
-    PYTHONPATH=src python tests/catalog_sweep.py          # check; exit 1 if a verdict moved
-    PYTHONPATH=src python tests/catalog_sweep.py --write  # rewrite the table
+    PYTHONPATH=src python tests/catalog_sweep.py            # check; exit 1 if a verdict moved
+    PYTHONPATH=src python tests/catalog_sweep.py --write    # rewrite the table
+    PYTHONPATH=src python tests/catalog_sweep.py --print 25 30 40  # print, check nothing
+
+``--print`` writes the verdict lines at other chain lengths in the table's
+format, to diff two trees at lengths the table does not pin.
 
 pytest does not collect this file (its name does not start with test_);
 it takes ~8 s on one core of a 2-core x86-64 VM.  Rewrite the table only
@@ -29,11 +33,11 @@ CHAIN_LENGTHS = (3, 10, 15, 20)
 TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "catalog_verdicts.txt")
 
 
-def sweep():
+def sweep(chain_lengths=CHAIN_LENGTHS):
     """{(model id, n, root index): verdict}, and the worst passing gap."""
     verdicts, worst = {}, 0.0
     for model_id in sorted(CATALOG_PARAMS):
-        for n in CHAIN_LENGTHS:
+        for n in chain_lengths:
             try:
                 model = models.make(model_id, n, CATALOG_PARAMS[model_id])
                 spectrum = solve(model)
@@ -70,8 +74,15 @@ def read_table():
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true", help="rewrite the pinned table")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", action="store_true", help="rewrite the pinned table")
+    mode.add_argument("--print", type=int, nargs="+", metavar="N", dest="lengths",
+                      help="print the verdicts at these chain lengths and check nothing")
     args = parser.parse_args(argv)
+    if args.lengths:
+        for (model_id, n, index), verdict in sweep(args.lengths)[0].items():
+            print(model_id, n, index, verdict)
+        return 0
     verdicts, worst = sweep()
     if args.write:
         with open(TABLE, "w") as out:

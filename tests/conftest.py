@@ -229,7 +229,9 @@ def exact_root(chain, root):
     """The constraint root next to the float ``root``, as a rational.
 
     Exact Newton on the chain's integer image, kept to 330 fractional bits,
-    until the step falls below 2**-300 of the root.
+    until the step falls below 2**-300 of the root, or the kept iterate
+    stops moving: within 2**-30 of 0, 2**-300 of the root lies below the
+    grain 2**-330.
     """
     x, grain = Fraction(root), 1 << 330
     for _ in range(50):
@@ -239,8 +241,8 @@ def exact_root(chain, root):
         if value == 0:
             break
         step = Fraction(value, slope * x.denominator)
-        x = Fraction(round((x - step) * grain), grain)
-        if abs(step) <= abs(x) / 2**300:
+        x, last = Fraction(round((x - step) * grain), grain), x
+        if x == last or abs(step) <= abs(x) / 2**300:
             break
     else:
         raise AssertionError(f"exact Newton from {root!r} did not converge")

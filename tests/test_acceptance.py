@@ -201,10 +201,17 @@ def test_08_parity_pair_union_rebuilds_unperturbed_spectrum():
 # 5d6267bc821ba10386e3f70967227d81fdabd657e509c25101875f398c3b1afe) were
 # re-pinned when every root came to be certified and correctly rounded,
 # which moved the roots, and so the reports, that the float polish had
-# left 1 ulp off; test_12, now at 0 ulp, stands behind that move.
-VERIFY_REPORTS_SHA256 = "aebc4fb81792fd59a98bfa8d9df1922ff64c3c10c0271581f653c89305520ee5"
+# left 1 ulp off; test_12, now at 0 ulp, stands behind that move.  The
+# whole digest and coulomb's (once
+# aebc4fb81792fd59a98bfa8d9df1922ff64c3c10c0271581f653c89305520ee5 and
+# 25a45d4844c2cb13982805d3a18205f49f485a22ba5dc2a17a6d485aa4ab85fe) were
+# re-pinned when coulomb's psi came to be sampled on the operator's nodes
+# alone, and its residual to evaluate psi on its own mesh a block at a
+# time; test_the_residual_in_blocks_moves_coulomb_only_by_rounding stands
+# behind that move.
+VERIFY_REPORTS_SHA256 = "b1fb72bd7e40cf23da6868d364e04a64911b60f386f195c4b42b60819007d076"
 UNCHANGED_REPORTS_SHA256 = {
-    "coulomb": "25a45d4844c2cb13982805d3a18205f49f485a22ba5dc2a17a6d485aa4ab85fe",
+    "coulomb": "14780fad92bec9e0f67beec845ae0c5668b3246c3147d9c17306b4b54e88bf62",
     "dshg": "21b26a3159c828f99cc76c685e3f1c2902be6a5a9b87e5b168874a72a6cd1f72",
 }
 
@@ -354,10 +361,12 @@ def test_deep_reports_do_not_depend_on_the_blas_thread_count():
 # 8f9f0101971aa0fc2a26ca76f35708311e19bcf9712b8e153ce9cc9095403f9c) with
 # VERIFY_REPORTS_SHA256 when the subgrid's fields came, and again (once
 # 023fa571c8016f9bbdd3577077f744fa87fc746f5643b3b340233105790572ad) with
-# it when the roots came to be certified and correctly rounded; every
-# entry below holds unedited.
+# it when the roots came to be certified and correctly rounded, and again
+# (once 88aa461d98b1d255331dc680eb62a67821e8a87b7e77a96a3006351e78f362ee)
+# with it when coulomb's residual came to run in blocks on its own mesh;
+# every entry below holds unedited.
 INVERSE_ITERATION_REPORTS_SHA256 = (
-    "88aa461d98b1d255331dc680eb62a67821e8a87b7e77a96a3006351e78f362ee"
+    "993d440e3ef2c3b243c3a83c1514cfcd3c8a3187db6970dc3f8e56b4d08f7f37"
 )
 INVERSE_ITERATION_NEAREST = {
     "xie-even": (
@@ -432,8 +441,7 @@ def test_the_own_wavefunction_start_moves_only_the_nearest_level_within_the_floo
     writing that value back, with its gap and its Richardson extrapolation
     from the subgrid's level, restores every report: no other field moved.
     Each state's historical grid stands in for its default one, so that
-    coulomb's residual takes its own mesh, and its level search the start
-    interpolated from it, as they did."""
+    coulomb's residual takes its own mesh, as it did."""
     monkeypatch.setattr(oracle, "_default_config",
                         lambda model, root, s: _history_config(model, root))
     eps = np.finfo(float).eps
@@ -455,6 +463,52 @@ def test_the_own_wavefunction_start_moves_only_the_nearest_level_within_the_floo
             )
             digest.update(repr(astuple(report)).encode())
     assert digest.hexdigest() == INVERSE_ITERATION_REPORTS_SHA256
+
+
+# The deep coulomb reports while psi was sampled on the residual's own mesh,
+# normalized there, and interpolated onto the operator's nodes to start the
+# level search: (nearest_fd_energy, subgrid_fd_energy, residual), in root
+# order.
+MESH_SAMPLED_COULOMB = (
+    (10.99999892712593, 10.999995708477503, 9.903942634504149e-08),
+    (10.999994432495882, 10.99997772981713, 6.241359027298005e-08),
+    (10.99998497554127, 10.999939901530315, 4.3020886702356545e-08),
+    (10.999969977333738, 10.999879907588927, 2.1250959875934833e-08),
+    (10.999948569164475, 10.999794273124284, 6.838636225644473e-09),
+    (10.99991032435558, 10.99964128857371, 4.475299356774886e-08),
+    (10.999928230194259, 10.999712917755716, 7.829283915092466e-09),
+    (10.999964931035237, 10.999859723990346, 2.7851827050564067e-08),
+    (10.999980303179624, 10.999921212957334, 6.279131455260976e-08),
+    (10.999987888295438, 10.999951553053524, 1.1237383439080168e-07),
+    (10.999992119525603, 10.999968478136427, 2.0938276908462952e-07),
+)
+
+
+def test_the_residual_in_blocks_moves_coulomb_only_by_rounding(deep):
+    """coulomb's psi is sampled on the operator's nodes alone, and its
+    residual evaluates psi on its own mesh a block at a time, at the scale
+    of psi's norm on the operator's nodes.  Each report keeps its node
+    count, its root index; each level lies within the rounding floor
+    8 eps ||T|| of its operator of the value above, on the grid and on the
+    subgrid; and each residual within 5% of its value above (0.2% measured),
+    under the 1e-4 gate.  Past its third digit a residual on this mesh reads
+    rounding noise: a new scale or order of summation moves it there."""
+    spectrum = deep("coulomb")
+    model = spectrum.model
+    eps = np.finfo(float).eps
+    assert len(MESH_SAMPLED_COULOMB) == len(spectrum.roots)
+    for index, (root, old) in enumerate(zip(spectrum.roots, MESH_SAMPLED_COULOMB)):
+        report = oracle.verify_root(model, root, chain=spectrum.chain)
+        cfg = oracle.default_verify_config(model, root)
+        operators = (oracle._tridiag(model, root, cfg), oracle._tridiag_radial(
+            model, root, cfg, *oracle._offset_nodes(cfg, 0, cfg.points // 2, 2)))
+        levels = (report.nearest_fd_energy, report.subgrid_fd_energy)
+        for level, was, (diag, off) in zip(levels, old, operators):
+            floor = 8.0 * eps * (np.abs(diag).max() + 2.0 * np.abs(off).max())
+            assert abs(level - was) <= floor, (index, level, was)
+        assert report.node_count == index
+        assert abs(report.residual / old[2] - 1.0) <= 0.05, (index, report.residual, old[2])
+        assert report.residual < 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,15 @@ ROOTS_JSON_SHA256 = {
 # CHANGES.md).  pdshg-20 and pdshg-21 were re-pinned when their root 0,
 # 1 ulp off under the float polish, came to be certified and correctly
 # rounded; test_12 stands behind that move (the old digests are listed in
-# CHANGES.md).
+# CHANGES.md).  coulomb's was re-pinned (once
+# 11e32bf37b16a0999c846209949177a76f4441a1f4a6e7eaceaa98178ed17313) when its
+# residual came to evaluate psi on its own mesh a block at a time, at the
+# scale of psi's norm on the operator's nodes, and to sum block by block,
+# which moved its residual's last digits, and psi came to be sampled on the
+# operator's nodes alone, which moved its level within the rounding floor;
+# test_acceptance.py's
+# test_the_residual_in_blocks_moves_coulomb_only_by_rounding stands behind
+# that move.
 MODELS_SHA256 = {
     "json": "451dd0969fba86ca0c69e56714eff6bca1b53ec6a6e5b4b193917f374c5768e7",
     "csv": "661184224dcd45302d6f07bef72cd28e3b5e1f7493a3a65e85bdfae2ada92c0d",
@@ -230,7 +238,7 @@ VERIFY_JSON_SHA256 = {
     "xie-odd": (0, "bbdc5f0b592398a6e06737b8711e20728af9ae2fe4a8fd3ed9c1eebcd6f801de"),
     "chen-even": (7, "1f51064e4064b6f42b4b08ae3e3b2fe2cad985fe9daecc67e768c9cc751c5eac"),
     "chen-odd": (7, "43944e3b9be4b0fe7c39bb6f5c9313cb6f4b5ba24fd3c0cc9d66053ab9cfd53c"),
-    "coulomb": (5, "11e32bf37b16a0999c846209949177a76f4441a1f4a6e7eaceaa98178ed17313"),
+    "coulomb": (5, "e4f8e5ab5c879ab6fc9faa389362d27eb0aa149924ea0b1d11bce005d1b11218"),
     "razavy": (0, "fb691c87e5d9c161d5216e7b3ca3658ed6a7e343d37cc21a97f1b926ee60c5c6"),
     "dshg": (1, "82ca7788b741a46f92a8b817c6dbe5c51b8c28dc5f31b31897ad8b4677a5c628"),
     "pdshg-20": (0, "471eff325ff7741b9b9d315a773af2afe04de13231fa77ee746d85325c877d1f"),
@@ -481,10 +489,13 @@ def test_verify_exits_4_where_the_subgrid_has_no_level_of_the_node_count(capsys,
 # (once ca46b412703a5ad48e88ac5aa310e6e0eed7b6bf1100dc1ac53643c5796d6569 and
 # a76ce8084d9cc64fa6f63569309f9f434775f1b447548426f31f0b1cc7b8e2f2) with
 # VERIFY_JSON_SHA256 when the subgrid's fields came; their bisection values
-# hold unedited.
+# hold unedited.  coulomb's digest was re-pinned (once
+# f01131932ac9053b2acc77a367685722dd6ae742df4e3803cb179dcb7eafd10f) with
+# VERIFY_JSON_SHA256 when its residual came to run in blocks on its own
+# mesh; its bisection values hold unedited.
 BISECTION_VERIFY = {
     "coulomb": (10.999910324360826, 8.967563917394727e-05,
-                "f01131932ac9053b2acc77a367685722dd6ae742df4e3803cb179dcb7eafd10f"),
+                "a423a31f6f8b0233cb89eccd56498926aa57e52de0f189e17535f752f89474d8"),
     "dshg": (22.594741676409363, 0.00022649883380765345,
              "55313a2d22f7f178c9d4549b836d39ce073512be840d21abd8380a89c0cc7cec"),
 }

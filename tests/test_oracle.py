@@ -1121,6 +1121,79 @@ def test_radial_residual_mesh_tracks_the_coulomb_core():
     assert strong.points <= 900_000
 
 
+@pytest.mark.parametrize("n", [3, 10, 15, 20, 25, 30])
+def test_a_coulomb_state_counts_its_nodes_on_the_operator_s_nodes_as_on_the_mesh(n):
+    """verify_root counts a coulomb state's nodes on the operator's nodes,
+    where it once counted them on the residual's own finer mesh (up to
+    900,000 nodes at n = 30).  Each state of CATALOG_PARAMS at these n,
+    the deep well's at n = 10, counts its root index on both."""
+    model = models.make("coulomb", n, CATALOG_PARAMS["coulomb"])
+    spectrum = solve(model)
+    for index, root in enumerate(spectrum.roots):
+        s = oracle._solution(model, root, spectrum.chain)
+        cfg = oracle.default_verify_config(model, root)
+        for grid in (cfg, oracle._radial_residual_config(model, root, cfg)):
+            xs = oracle.grid_nodes(model, grid)
+            assert wavefunctions.sample(model, root, xs=xs, _solution=s).node_count == index
+
+
+def _radial_residual_whole(model, scan, cfg, psi, energy):
+    """Reference weighted residual of ``psi``, sampled on the nodes of
+    ``cfg``: each stencil of _residual_radial over whole arrays, in its
+    order of operations, and the sums by np.add.reduce."""
+    m, lam = len(psi), float(model.lam)
+    xs, h = oracle._offset_nodes(cfg, 0, m)
+    v = psi / np.power(xs, lam)
+    grad = np.zeros(m + 1)
+    grad[1] = (-23.0 * v[0] + 21.0 * v[1] + 3.0 * v[2] - v[3]) / (24.0 * h)
+    grad[2:m - 1] = ((v[2:m - 1] - v[1:m - 2]) * 27.0 - (v[3:m] - v[0:m - 3])) / (24.0 * h)
+    grad[m - 1], grad[m] = (v[-1] - v[-2]) / h, (0.0 - v[-1]) / h
+    flux = oracle._radial_weight(model, np.arange(m + 1, dtype=float) * h + cfg.xmin) * grad
+    flux[0] = 0.0
+    div = np.empty(m)
+    div[0] = (21.0 * flux[1] + 3.0 * flux[2] - flux[3]) / (24.0 * h)
+    div[1:m - 2] = (
+        (flux[2:m - 1] - flux[1:m - 2]) * 27.0 - (flux[3:m] - flux[0:m - 3])
+    ) / (24.0 * h)
+    div[m - 2:] = (flux[m - 1:] - flux[m - 2:m]) / h
+    w_mid = oracle._radial_weight(model, xs)
+    r = -div / w_mid + (0.25 * xs * xs - float(scan) / xs - energy) * v
+    return math.sqrt(np.add.reduce(w_mid * r * r)) / math.sqrt(np.add.reduce(w_mid * v * v))
+
+
+@pytest.mark.parametrize("points", [4097, 8194, 10_000])
+def test_the_radial_residual_in_blocks_is_the_residual_of_the_whole_mesh(points):
+    """The residual evaluates psi a block of _ROWS rows at a time, from S
+    and the chart, at the scale of its norm on the operator's nodes: on
+    those nodes it reads the residual of the sampled psi, taken whole, to
+    the order of its sums (a last block of one row, of the two rows by the
+    outer wall, and a partial one).  psi's sign moves no bit of it."""
+    spectrum = solved("coulomb")
+    model, root = spectrum.model, spectrum.roots[3]
+    energy = model.energy(root)
+    cfg = oracle.FdConfig(0.0, oracle.default_box(model)[1], points)
+    s = oracle._solution(model, root, spectrum.chain)
+    grid = wavefunctions.sample(model, root, xs=oracle.grid_nodes(model, cfg), _solution=s)
+    got = oracle._residual_radial(model, root, cfg, s, grid.norm, energy)
+    want = _radial_residual_whole(model, root, cfg, grid.psi, energy)
+    assert abs(got / want - 1.0) < 1e-12, (got, want)
+    assert oracle._residual_radial(model, root, cfg, s, -grid.norm, energy) == got
+
+
+def test_a_wavefunction_that_overflows_on_the_residual_mesh_raises():
+    """No array of the mesh's length is made, and still an S past the
+    float range in any block of the mesh (here the third of three) is
+    refused, as sampling refuses it."""
+    model = models.make("coulomb", 1, {"lambda": Fraction(1, 2)})
+    cfg = oracle.FdConfig(0.0, 25.0, 10_000)
+
+    def evaluate(z, out):
+        out[...] = np.where(z > 21.0, np.inf, 1.0)
+
+    with pytest.raises(DegenerateGrid, match="overflowed"):
+        oracle._residual_radial(model, 1.0, cfg, evaluate, 1.0, 2.0)
+
+
 def test_residual_full_line_converges_at_high_order():
     # the 5-point scheme on an analytic state: doubling the mesh must
     # shrink the residual by far more than the 2nd-order factor of 4
@@ -1172,26 +1245,31 @@ def test_verify_root_peak_memory_on_the_largest_deep_grid():
 
 
 def test_verify_root_peak_memory_on_the_radial_residual_mesh():
-    """coulomb root 0 solves 4,000 rows, but its residual has a mesh of its
-    own, 173,626 nodes (see _radial_residual_config).  Sampling and the
-    residual take that mesh a block at a time: sampling holds the nodes, psi
-    and the norm's trapezoid terms, and the residual psi and the terms of
-    its two weighted sums, which are summed whole.  The peak reads ~26
-    bytes a node (4.3 MiB traced, sampling and residual alike); before, the
-    residual's six arrays of the mesh made it ~48 (8.0 MiB)."""
+    """coulomb roots 0 and 10 solve 4,000 and 20,591 rows, but their
+    residuals have a mesh of their own, 173,626 nodes each (see
+    _radial_residual_config).  psi is sampled on the operator's nodes
+    alone, and the residual evaluates it on the mesh a block at a time and
+    sums its terms block by block, so no array of the mesh's length is
+    made: the peak is the operator's, under the bound of the largest line
+    grid (test_verify_root_peak_memory_on_the_largest_deep_grid).  It reads
+    0.40 and 1.65 MB traced; while psi was sampled on the mesh and
+    interpolated onto the operator's nodes, 4.5 and 4.6 MB, ~26 bytes a
+    mesh node, and before the residual ran in blocks, ~48."""
     spectrum = solved("coulomb")
-    model, chain, root = spectrum.model, spectrum.chain, spectrum.roots[0]
-    cfg = oracle.default_verify_config(model, root)
-    nodes = oracle._radial_residual_config(model, root, cfg).points
-    assert (cfg.points, nodes) == (4000, 173_626)
-    tracemalloc.start()
-    try:
-        report = oracle.verify_root(model, root, chain=chain)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.converged
-    assert peak < 30 * nodes
+    model, chain = spectrum.model, spectrum.chain
+    for index, points in ((0, 4000), (10, 20_591)):
+        root = spectrum.roots[index]
+        cfg = oracle.default_verify_config(model, root)
+        nodes = oracle._radial_residual_config(model, root, cfg).points
+        assert (cfg.points, nodes) == (points, 173_626)
+        tracemalloc.start()
+        try:
+            report = oracle.verify_root(model, root, chain=chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak < 24 * 80_149, (index, peak)
 
 
 class _RecordingLapack:

@@ -17,6 +17,7 @@ from conftest import (
     degree,
     dyadic,
     eval_image,
+    exact_root,
     integer_image,
     poly_deriv,
     poly_eval,
@@ -67,6 +68,20 @@ def test_deriv_and_eval():
     assert poly_deriv(p) == [0, -2, 6]
     assert poly_eval(p, 2) == 5 - 4 + 16
     assert poly_eval([], 3.0) == 0
+
+
+@pytest.mark.parametrize("root", [-5e-13, 1.0])
+def test_exact_root_settles_next_to_zero(root):
+    """conftest's exact Newton keeps 330 fractional bits and stops on a step
+    under 2**-300 of the root, which near 0 lies below that grain: a root
+    of (x + 5e-13)(x - 1) at -5e-13 never took such a step.  It also stops
+    where the kept iterate stops moving, and lands on each root to the
+    grain."""
+    zero = Fraction(-5, 10**13)  # no float
+    chain = dataclasses.make_dataclass("Chain", ["constraint_image"])(
+        integer_image(poly_mul([-zero, 1], [-1, 1])))
+    exact = zero if root < 0 else Fraction(1)
+    assert abs(exact_root(chain, root) - exact) <= Fraction(1, 1 << 330)
 
 
 def test_integer_image_evaluates_as_fraction_horner():
