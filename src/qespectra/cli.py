@@ -231,6 +231,8 @@ def _scalar_param(value):
 
 
 def _root_row(model, root):
+    """One root's row, read off ``model``, the model of its state
+    (``Spectrum.states``); ``parity`` where that model declares one."""
     row = {
         "scan_value": float(root),
         "energy": float(model.energy(root)),
@@ -239,6 +241,8 @@ def _root_row(model, root):
     double_well = getattr(model, "double_well", None)
     if double_well is not None:
         row["double_well"] = bool(double_well(root))
+    if getattr(model, "parity", None) in ("even", "odd"):
+        row["parity"] = model.parity
     return row
 
 
@@ -308,7 +312,7 @@ def cmd_models(args):
 
 def cmd_roots(args):
     spectrum = recurrence.solve(_build_model(args))
-    rows = [_root_row(spectrum.model, r) for r in spectrum.roots]
+    rows = [_root_row(model, r) for r, (model, _) in zip(spectrum.roots, spectrum.states)]
     _write_result(_spectrum_result(args.model, spectrum, rows), args)
     return EXIT_OK
 
@@ -342,7 +346,9 @@ def cmd_constraint(args):
 
 
 def cmd_wavefunction(args):
-    model = _build_model(args)
+    spectrum = recurrence.solve(_build_model(args))
+    index, = _pick_indices(spectrum.roots, args.root_index)
+    root, (model, chain) = spectrum.roots[index], spectrum.states[index]
     xs = _requested_grid(
         wavefunctions.default_grid,
         model,
@@ -350,9 +356,7 @@ def cmd_wavefunction(args):
         points=args.grid_points,
         halfwidth=args.grid_l,
     )
-    spectrum = recurrence.solve(model)
-    root = spectrum.roots[_pick_indices(spectrum.roots, args.root_index)[0]]
-    grid = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain)
+    grid = wavefunctions.sample(model, root, xs=xs, chain=chain)
     if args.format == "json":
         payload = {
             "model": args.model,
@@ -375,14 +379,13 @@ def cmd_verify(args):
     except ImportError as exc:
         raise MissingDependency(f"verify needs scipy: {exc}") from exc
 
-    model = _build_model(args)
-    spectrum = recurrence.solve(model)
+    spectrum = recurrence.solve(_build_model(args))
     indices = _pick_indices(spectrum.roots, args.root_index)
     overrides = (args.xmin, args.xmax, args.points)
     rows = []
     all_ok = True
     for index in indices:
-        root = spectrum.roots[index]
+        root, (model, chain) = spectrum.roots[index], spectrum.states[index]
         cfg = None
         if any(v is not None for v in overrides):
             xmin, xmax = oracle.default_box(model)
@@ -396,7 +399,7 @@ def cmd_verify(args):
                 points=points,
             )
         try:
-            report = oracle.verify_root(model, root, cfg=cfg, chain=spectrum.chain)
+            report = oracle.verify_root(model, root, cfg=cfg, chain=chain)
         except DegenerateGrid as exc:
             if cfg is None:
                 raise

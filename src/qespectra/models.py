@@ -384,10 +384,8 @@ class ShiftedGaussWell(_EnergyScan):
 
     The natural polynomial variable is z = exp(2x), which covers the whole
     line in one chart, so one chain holds both parity sectors.  Its
-    constraint is exactly a constant times the product of two perturbed-well
-    sector constraints at the same xi and M: (alpha, beta) = (0, 0) at n/2
-    and (1, 1) at n/2 - 1 for even n, (1, 0) and (0, 1) at (n - 1)/2 for
-    odd n.  Scan variable is the energy.
+    constraint is exactly a constant times the product of its two
+    :meth:`sectors`' constraints.  Scan variable is the energy.
     """
 
     xi: Fraction
@@ -405,6 +403,15 @@ class ShiftedGaussWell(_EnergyScan):
     @property
     def m_quantum(self):
         return self.n + 1
+
+    def sectors(self):
+        """The perturbed wells at this xi and M whose states are this well's,
+        even first: (alpha, beta) = (0, 0) at n/2 and (1, 1) at n/2 - 1 for
+        even n, the even one alone at n = 0; (1, 0) and (0, 1) at (n - 1)/2
+        for odd n."""
+        half, odd = divmod(self.n, 2)
+        table = ((1, 0, half), (0, 1, half)) if odd else ((0, 0, half), (1, 1, half - 1))
+        return tuple(PerturbedGaussWell(self.xi, a, b, k) for a, b, k in table if k >= 0)
 
     def ode_coefficients(self, scan):
         xi, m = self.xi, self.m_quantum

@@ -26,24 +26,20 @@ potential already taken there; no grid finer than the first is built.
 
 Two discretizations are used:
 
-* the half line of a parity sector, for every line model: at the nodes
-  i h of a symmetric box [-L, L] with the full line's step
-  h = 2L / (points + 1), up to i = M = points // 2 and a wall at
-  (M + 1) h.  An odd state has a Dirichlet wall at 0 (i >= 1).  An even
-  state has a node at 0, whose row folds in its mirror node, -2/h^2 on
-  psi_1; a diagonal similarity makes that row symmetric, with -sqrt(2)/h^2
-  off the diagonal.  This operator has exactly the eigenvalues of the
-  state's parity of the full-line operator on the mirrored nodes i h,
-  |i| <= M.  A model that declares ``parity`` "even" or "odd" (xie, chen,
-  razavy and perturbed-dshg at beta in {0, 1}) is sampled on its sector's
-  nodes alone, and the state's level index is its node count c there,
-  before it is doubled for the report.  dshg, whose chart holds both
-  parities, is sampled on the mirrored nodes: level k of the mirrored
-  line has k sign changes, so its parity is that of k, and the state's
-  node count k picks its sector.  psi is projected onto that parity on
-  the half line, (psi(x) +- psi(-x)) / 2, and its level there is k // 2.
-  The residual's stencil extends psi across 0 by its parity and counts
-  every node but 0 twice, so it is the full-line residual;
+* the half line of a parity sector, for every line model that declares
+  ``parity`` "even" or "odd" (xie, chen, razavy and perturbed-dshg at
+  beta in {0, 1}): at the nodes i h of a symmetric box [-L, L] with the
+  full line's step h = 2L / (points + 1), up to i = M = points // 2 and a
+  wall at (M + 1) h.  An odd state has a Dirichlet wall at 0 (i >= 1).  An
+  even state has a node at 0, whose row folds in its mirror node, -2/h^2
+  on psi_1; a diagonal similarity makes that row symmetric, with
+  -sqrt(2)/h^2 off the diagonal.  This operator has exactly the
+  eigenvalues of the state's parity of the full-line operator on the
+  mirrored nodes i h, |i| <= M.  The state is sampled on its sector's
+  nodes alone, and its level index is its node count c there, before it
+  is doubled for the report.  The residual's stencil extends psi across 0
+  by its parity and counts every node but 0 twice, so it is the full-line
+  residual;
 * the radial Coulomb model: the plain 3-point stencil cannot see the correct
   x -> 0 behaviour through the inverse-square term (for exponents around
   1/2 it converges too slowly for the h^2 rule), so the
@@ -56,9 +52,11 @@ Two discretizations are used:
   fudging, and a diagonal similarity reduces the problem to a symmetric
   tridiagonal one.
 
-No other half-line model (fractional-beta perturbed-dshg) has one; checking
-it raises :class:`InvalidParams`.  Neither does a line model in a box that
-is not symmetric about 0.
+No other model has one; checking it raises :class:`InvalidParams`: a
+half-line model (fractional-beta perturbed-dshg), a line model in a box
+that is not symmetric about 0, and dshg, whose chart holds both parities;
+each dshg state is its parity sector's (``recurrence.solve``'s ``states``),
+and is checked there.
 """
 
 from __future__ import annotations
@@ -172,45 +170,38 @@ class VerificationReport:
     converged: bool
     ambiguous: bool
     # of the algebraic wavefunction on the residual grid: on the radial
-    # line, or on the mirrored nodes +-i h (dshg); for a parity sector, on
-    # the mirrored line too, 2c (even) or 2c + 1 (odd), where c is the count
-    # on the half-line nodes
+    # line, or for a parity sector on the mirrored line, 2c (even) or
+    # 2c + 1 (odd), where c is the count on the half-line nodes
     node_count: int
 
 
-def _is_radial(model):
-    """Whether the model takes the radial discretization (Coulomb alone)."""
+def _kind(model):
+    """The model's discretization: "radial" (Coulomb alone), or its parity
+    sector's half line, "even" or "odd"."""
     if isinstance(model, CoulombOscillator):
-        return True
+        return "radial"
     if model.half_line:
         raise InvalidParams(f"no finite-difference discretization for a half-line "
                             f"{type(model).__name__}; only Coulomb has a radial one")
-    return False
-
-
-def _kind(model):
-    """The model's discretization: "radial", the sector "even" or "odd", or
-    None where the chart holds both parities (dshg), and each state takes
-    the sector of its node count."""
-    if _is_radial(model):
-        return "radial"
-    return getattr(model, "parity", None)
+    parity = getattr(model, "parity", None)
+    if parity not in ("even", "odd"):
+        raise InvalidParams(f"no finite-difference discretization for a "
+                            f"{type(model).__name__}, whose chart holds both parities; "
+                            "verify each state in its parity sector")
+    return parity
 
 
 def _line_nodes(cfg, parity):
     """Nodes i h of the line: 0 <= i <= M for even states, 1 <= i <= M for
-    odd ones, and the mirrored nodes |i| <= M where ``parity`` is None.
-
-    h is the full line's step in the box, and M = points // 2 numbers the
-    last node inside it.  -i h is -(i h), bit for bit, and j (2h) is (2j) h,
-    since 2h is exact: the subgrid of step 2h is every other node.
-    """
+    odd ones.  h is the full line's step in the box, and M = points // 2
+    numbers the last node inside it.  j (2h) is (2j) h, since 2h is exact:
+    the subgrid of step 2h is every other node."""
     if cfg.xmin != -cfg.xmax:
         raise InvalidParams(f"a line model is checked on the half line, so its box "
                             f"must be symmetric: xmin = -xmax, got [{cfg.xmin}, {cfg.xmax}]")
     h = (cfg.xmax - cfg.xmin) / (cfg.points + 1)
     last = cfg.points // 2
-    xs = np.arange({"even": 0, "odd": 1, None: -last}[parity], last + 1, dtype=float)
+    xs = np.arange(int(parity == "odd"), last + 1, dtype=float)
     xs *= h
     return xs, h
 
@@ -305,12 +296,11 @@ def _held(diag, off):
 
 
 def _line(v, h, kind):
-    """The 3-point operator on the nodes of ``kind`` with potential ``v`` there.
+    """The 3-point operator on the half line of ``kind`` with potential ``v`` there.
 
     The odd half line has Dirichlet walls at both ends, one at 0; the even
     half line's first row, symmetrized, couples node 0 to node 1 by
-    -sqrt(2)/h^2.  On the mirrored nodes (``kind`` None) it is the full
-    line's operator, which holds both sectors.
+    -sqrt(2)/h^2.
     """
     first = -math.sqrt(2.0) / (h * h) if kind == "even" else None
     return _Tridiagonal(v, 2.0 / (h * h), np.broadcast_to(-1.0 / (h * h), (len(v) - 1,)), first)
@@ -695,7 +685,7 @@ def default_box(model):
     [0, xmax] on the radial one.  L is taken once per model object, with
     that grid."""
     xmax = 1.15 * wavefunctions._default_inputs(model)[-1] + 2.0
-    return (0.0 if _is_radial(model) else -xmax), xmax
+    return (0.0 if _kind(model) == "radial" else -xmax), xmax
 
 
 def default_verify_config(model, root):
@@ -724,28 +714,21 @@ def default_verify_config(model, root):
     queries keep that cheap.  A state that is not normalizable takes the
     floor, _MIN_POINTS: no grid can pass it.
     """
-    return _default_config(model, root, None if _is_radial(model) else _solution(model, root))
-
-
-def _solution(model, root, chain=None):
-    """S at ``root`` as the oracle samples it (``wavefunctions.solution``):
-    the product over its certified zeros, but for dshg, whose low states
-    have non-real zeros, and any state whose zeros do not certify: those
-    take the 80-bit Horner."""
-    return wavefunctions.solution(model, root, chain, product=_kind(model) is not None)
+    s = None if _kind(model) == "radial" else wavefunctions.solution(model, root, product=True)
+    return _default_config(model, root, s)
 
 
 def _default_config(model, root, s):
     """:func:`default_verify_config`, with S at ``root`` already assembled
-    as ``s`` (:func:`_solution`), which sizes a line grid; the radial rule
-    reads no S."""
+    as ``s`` (``wavefunctions.solution``), which sizes a line grid; the
+    radial rule reads no S."""
     xmin, xmax = default_box(model)
     energy = model.energy(root)
     if not model.normalizable(root):
         # psi grows toward the box's ends, so no grid passes it: the fewest
         # points find that soonest
         h = math.inf
-    elif _is_radial(model):
+    elif _kind(model) == "radial":
         probe = np.linspace(0.3, xmax, 1500)
         h = _H_SCALE / max(1.0, energy - float(np.min(model.potential(probe, root))))
     else:
@@ -788,11 +771,9 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     the default, the radial residual takes a finer mesh of its own, on
     which psi is evaluated from the same S a block at a time, at the scale
     of its norm on ``cfg`` (:func:`_residual_radial`).  A line model is
-    checked on the half line of a parity sector: its own, or for dshg the
-    parity of the node count k on the mirrored nodes, onto which psi is
-    projected, (psi(x) +- psi(-x)) / 2; its level there is k // 2, and
-    ``node_count`` stays k.  ``ambiguous`` says a second level lies within
-    twice the gap.  The same level is then searched on the subgrid of step
+    checked on the half line of its parity sector, where its level is its
+    node count c, and ``node_count`` is 2c or 2c + 1, the count on the full
+    line.  ``ambiguous`` says a second level lies within twice the gap.  The same level is then searched on the subgrid of step
     2h, from the first search's last iterate at the subgrid's nodes (on the
     radial line, which lie midway between two of the grid's, their mean).
     ``converged`` says that Richardson's extrapolation E_R = E_h + (E_h -
@@ -802,13 +783,12 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     second level within twice its gap, takes two eigenvalue queries, one
     Sturm count on each; any other takes a bisection more, and a count more
     where the steps settled.  On the half line the potential is taken once,
-    on the nodes of ``cfg``, and serves the residual and both operators; a
-    parity sector is sampled there alone.  psi is sampled as a product over
-    the certified zeros of S, but for dshg, whose low states have non-real
-    zeros, and any state whose zeros do not certify: those take the 80-bit
-    Horner (:func:`_solution`).  S is assembled, and its zeros certified,
-    once: a default line grid is sized from the same S, sampled on the
-    model's default sampling grid (:func:`default_verify_config`).
+    on the nodes of ``cfg``, and serves the residual and both operators.
+    psi is sampled as a product over the certified zeros of S, or by the
+    80-bit Horner where they do not certify (``wavefunctions.solution``).
+    S is assembled, and its zeros certified, once: a default line grid is
+    sized from the same S, sampled on the model's default sampling grid
+    (:func:`default_verify_config`).
 
     Memory: no phase holds more than five arrays of N rows (N the grid's):
     the potential and the four buffers of the search's dgtsv solves, whose
@@ -816,21 +796,19 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     subgrid's search and count hold the potential and four arrays of N / 2
     rows.  Every other per-node stage, from sampling to the residuals, runs
     in blocks; the radial residual's own mesh holds no array of its
-    length.  dshg's sampling holds its mirrored nodes and psi, about 2N
-    rows each, until the projection.
+    length.
     """
     energy = model.energy(root) if energy is None else float(energy)
     scan = root
     kind = _kind(model)
-    s = _solution(model, root, chain)
+    s = wavefunctions.solution(model, root, chain, product=True)
     res_cfg = cfg
     if cfg is None:
         cfg = res_cfg = _default_config(model, root, s)
         if kind == "radial":
             res_cfg = _radial_residual_config(model, scan, cfg)
-    # The operator's nodes (for dshg the mirrored nodes, then its half
-    # line); on the line they are the residual's too, and the potential
-    # taken there serves the subgrid's operator.
+    # The operator's nodes; on the line they are the residual's too, and
+    # the potential taken there serves the subgrid's operator.
     xs, h = _nodes(model, cfg)
     grid = wavefunctions.sample(model, root, xs=xs, chain=chain, _solution=s)
     psi, norm = np.asarray(grid.psi, dtype=float), grid.norm
@@ -847,19 +825,8 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
         del psi
         sub = _held(*_tridiag_radial(model, scan, cfg, *_offset_nodes(cfg, 0, half, 2)))
     else:
-        if kind is None:  # the sector of the node count, on the mirrored nodes
-            odd = node_count % 2
-            kind = ("even", "odd")[odd]
-            middle = len(psi) // 2
-            right, left = psi[middle + odd:], psi[middle - odd::-1]  # psi(x), psi(-x)
-            psi = np.subtract(right, left) if odd else np.add(right, left)
-            psi *= 0.5
-            xs = xs[middle + odd:]
-            del right, left
-        else:
-            # the mirror image doubles each node; an odd state adds one at 0
-            node_count = 2 * node_count + (kind == "odd")
-        level = node_count // 2
+        # the mirror image doubles each node; an odd state adds one at 0
+        node_count = 2 * level + (kind == "odd")
         v = _potential(model, xs, scan)
         del xs
         residual = _residual_half_line(v, h, psi, energy, kind)

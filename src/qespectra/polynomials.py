@@ -375,6 +375,16 @@ def to_canonical_ttrr(system):
     )
 
 
+def jacobi_eigenvalues(d, off):
+    """The ascending eigenvalues of the symmetric tridiagonal matrix with
+    diagonal ``d`` and off-diagonal ``off``: ``numpy.linalg.eigvalsh`` (which
+    raises LinAlgError where LAPACK fails) of its dense lower triangle, the
+    subdiagonal written in place, not added, so that a -0.0 in d keeps its sign."""
+    jacobi = np.diag(np.asarray(d, dtype=float))
+    np.fill_diagonal(jacobi[1:], off)
+    return np.linalg.eigvalsh(jacobi)
+
+
 def real_roots(ttrr):
     """All roots of the constraint, seeded by a symmetric eigensolve and
     certified in exact arithmetic, ascending.
@@ -394,12 +404,8 @@ def real_roots(ttrr):
     """
     if any(l <= 0 for l in ttrr.lam):
         raise NonPositiveLambda("canonical chain products must be positive")
-    # eigvalsh reads the lower triangle alone; the subdiagonal is written in
-    # place, not added, so that a -0.0 entry of d keeps its sign
-    jacobi = np.diag(np.asarray(ttrr.d, dtype=float))
-    np.fill_diagonal(jacobi[1:], np.sqrt(np.asarray(ttrr.lam[1:], dtype=float)))
     try:
-        ys = np.linalg.eigvalsh(jacobi)
+        ys = jacobi_eigenvalues(ttrr.d, np.sqrt(np.asarray(ttrr.lam[1:], dtype=float)))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise EigensolveFailure(f"symmetric eigensolve failed: {exc}") from exc
     roots, rest = certified_zeros(ttrr.constraint_image, ttrr.scale * ys)

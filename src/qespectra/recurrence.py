@@ -409,21 +409,35 @@ def exact_solution(system, root):
 @dataclass(frozen=True)
 class Spectrum:
     """What :func:`solve` finds for one model: the exact chain, the canonical
-    form ``ttrr`` and, found on it, the real simple roots, ascending floats."""
+    form ``ttrr``, the real simple roots, ascending floats, and for each root
+    ``states[i]``, the ``(model, chain)`` whose state it is: the model and
+    its chain, or the parity sector's where the model has sectors."""
 
     model: object
     chain: ConstraintChain
     ttrr: polynomials.CanonicalTtrr
     roots: tuple
+    states: tuple
 
 
 def solve(model):
     """Baseline, exact chain, canonical form and real roots of one model.
 
-    Returns a :class:`Spectrum`.  Each stage is called through its module
-    attribute, so a wrapper put on one (a tracer) sees the call.
+    A model with ``sectors`` (dshg) keeps its own chain and canonical form,
+    and its roots are its sectors' certified roots, merged in ascending
+    order; a float two sectors share keeps the order of ``sectors``, even
+    first.  Returns a :class:`Spectrum`.  Each stage is called through its
+    module attribute, so a wrapper put on one (a tracer) sees the call.
     """
     system = build_baseline(model)
     chain = exact_chain(system)
     ttrr = polynomials.to_canonical_ttrr(system)
-    return Spectrum(model, chain, ttrr, polynomials.real_roots(ttrr).roots)
+    if hasattr(model, "sectors"):
+        parts = [solve(sector) for sector in model.sectors()]
+        merged = sorted((pair for part in parts for pair in zip(part.roots, part.states)),
+                        key=lambda pair: pair[0])
+        roots, states = tuple(zip(*merged))
+    else:
+        roots = polynomials.real_roots(ttrr).roots
+        states = ((model, chain),) * len(roots)
+    return Spectrum(model, chain, ttrr, roots, states)

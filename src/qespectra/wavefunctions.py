@@ -241,8 +241,8 @@ def _jacobi_seeds(coeffs):
     p_k monic of degree n - k.  Where every b_k > 0 (S has n real, simple
     zeros; Sturm), S is the characteristic polynomial of the Jacobi matrix
     with diagonal a and off-diagonal sqrt(b), and its eigenvalues
-    (``numpy.linalg.eigvalsh``, as for the constraint's roots) are the
-    seeds; else None, as where rounding breaks the sequence.  On the deep
+    (``polynomials.jacobi_eigenvalues``, as for the constraint's roots) are
+    the seeds; else None, as where rounding breaks the sequence.  On the deep
     states they lie within 1.3e-14 of the largest zero, where the companion
     eigenvalues (``np.roots``) lie within 6.8e-11, and they need no
     nonsymmetric eigensolver (LAPACK's dgeev adds ~0.6 MB to a verify
@@ -262,12 +262,11 @@ def _jacobi_seeds(coeffs):
             return None
         off.append(-rest[-1])
         prev, cur = cur, rest / rest[-1]
-    jacobi = np.diag(np.array(diag, dtype=float))
-    np.fill_diagonal(jacobi[1:], np.sqrt(np.array(off, dtype=float)))
-    if not np.isfinite(jacobi).all():
+    diag, off = np.array(diag, dtype=float), np.sqrt(np.array(off, dtype=float))
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         return None
     try:
-        return np.linalg.eigvalsh(jacobi)
+        return polynomials.jacobi_eigenvalues(diag, off)
     except np.linalg.LinAlgError:  # pragma: no cover - LAPACK failure path
         return None
 

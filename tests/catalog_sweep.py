@@ -1,7 +1,9 @@
 """Sweep the finite-difference verdicts of the catalog at n = 3, 10, 15 and 20.
 
 Every CATALOG_PARAMS model (see conftest.py) is solved at each n, and each
-of its roots is checked by ``oracle.verify_root`` on its default grid.  A
+of its roots is checked by ``oracle.verify_root`` on its default grid, as
+the state of its own model and chain (``Spectrum.states``: dshg's are its
+parity sectors').  A
 state's verdict is three words: whether it passes test_09's gates
 (abs_gap < 1e-3, residual < 1e-4 and converged), whether it converged,
 and whether it is ambiguous.  A model or state the pipeline refuses reads
@@ -44,9 +46,9 @@ def sweep(chain_lengths=CHAIN_LENGTHS):
             except QesError as exc:
                 verdicts[model_id, n, "-"] = f"error:{type(exc).__name__}"
                 continue
-            for index, root in enumerate(spectrum.roots):
+            for index, (root, (state, chain)) in enumerate(zip(spectrum.roots, spectrum.states)):
                 try:
-                    report = oracle.verify_root(model, root, chain=spectrum.chain)
+                    report = oracle.verify_root(state, root, chain=chain)
                 except QesError as exc:
                     verdicts[model_id, n, str(index)] = f"error:{type(exc).__name__}"
                     continue

@@ -166,7 +166,8 @@ def test_08_parity_pair_union_rebuilds_unperturbed_spectrum():
 # parity: every dshg report moved (its box is the mirrored nodes +-i h, and
 # its residual is that of its projection onto one parity), no other did,
 # and the same test stands behind the move, with
-# test_oracle.py's test_a_dshg_state_reports_the_full_line_residual_of_its_projection.
+# test_oracle.py's test_a_dshg_state_reports_the_full_line_residual_of_its_projection
+# (deleted with the projection, when dshg's states moved to its sectors).
 # The whole digest and coulomb's (once
 # 90daa13a4eb13d98ffee626123cb8c0e49b491d8c66919ca2710e23bbf8d5b77 and
 # 5bbc8aa1c2c853fb0b4469c339aa9079c67fa759843820f81f7e88f0da9f8c30) were
@@ -208,11 +209,19 @@ def test_08_parity_pair_union_rebuilds_unperturbed_spectrum():
 # re-pinned when coulomb's psi came to be sampled on the operator's nodes
 # alone, and its residual to evaluate psi on its own mesh a block at a
 # time; test_the_residual_in_blocks_moves_coulomb_only_by_rounding stands
-# behind that move.
-VERIFY_REPORTS_SHA256 = "b1fb72bd7e40cf23da6868d364e04a64911b60f386f195c4b42b60819007d076"
+# behind that move.  The whole digest and dshg's (once
+# b1fb72bd7e40cf23da6868d364e04a64911b60f386f195c4b42b60819007d076 and
+# 21b26a3159c828f99cc76c685e3f1c2902be6a5a9b87e5b168874a72a6cd1f72) were
+# re-pinned when each dshg state came to be its parity sector's, sampled
+# as a product over the certified zeros of the sector's S on the same grid
+# and operator, where dshg's own psi was projected onto one parity: each
+# level moved within the rounding floor, and each residual in its noise
+# (at most 1.2e-7); test_wavefunctions.py's
+# test_a_dshg_state_is_its_sector_state stands behind that move.
+VERIFY_REPORTS_SHA256 = "c49f1226e9b12a90265581ccbc622ae8033fcba7677c81f1b9c870716c89c1b9"
 UNCHANGED_REPORTS_SHA256 = {
     "coulomb": "14780fad92bec9e0f67beec845ae0c5668b3246c3147d9c17306b4b54e88bf62",
-    "dshg": "21b26a3159c828f99cc76c685e3f1c2902be6a5a9b87e5b168874a72a6cd1f72",
+    "dshg": "2222b4789b032e313d9e61153ba29313b39bcd5928c1b0f3354f22c14b39cfc6",
 }
 
 
@@ -223,8 +232,8 @@ def test_09_every_root_survives_fd_verification(deep):
     for key in DEEP_CASES:
         spectrum = deep(key)
         own = hashlib.sha256()
-        for index, root in enumerate(spectrum.roots):
-            report = oracle.verify_root(spectrum.model, root, chain=spectrum.chain)
+        for index, (root, (model, chain)) in enumerate(zip(spectrum.roots, spectrum.states)):
+            report = oracle.verify_root(model, root, chain=chain)
             digest.update(repr(astuple(report)).encode())
             own.update(repr(astuple(report)).encode())
             ok = (
@@ -273,15 +282,14 @@ def test_the_default_grid_keeps_a_margin_under_the_gap_gate(deep):
     points, worst = [], 0.0
     for key in DEEP_CASES:
         spectrum = deep(key)
-        model = spectrum.model
-        for root in spectrum.roots:
+        for root, (model, chain) in zip(spectrum.roots, spectrum.states):
             cfg = oracle.default_verify_config(model, root)
             points.append(cfg.points)
-            report = oracle.verify_root(model, root, chain=spectrum.chain)
+            report = oracle.verify_root(model, root, chain=chain)
             worst = max(worst, report.abs_gap)
-            if oracle._is_radial(model):
+            if oracle._kind(model) == "radial":
                 continue
-            state = wavefunctions.sample(model, root, chain=spectrum.chain)
+            state = wavefunctions.sample(model, root, chain=chain)
             force = (model.potential(state.xs, root) - report.algebraic_energy) * state.psi
             m2 = np.sum(force ** 2) / np.sum(state.psi ** 2)
             h = (cfg.xmax - cfg.xmin) / (cfg.points + 1)
@@ -298,21 +306,23 @@ def test_every_fd_energy_is_the_level_of_the_state_s_node_index(deep):
     node_count = 2c or 2c + 1), within the rounding floor 8 eps ||T||, as
     a bisection for that level alone finds it.  So dshg's lowest doublet,
     whose two roots both read level 1 while the oracle took the level
-    nearest the energy, reads two distinct levels, 0 and 1."""
+    nearest the energy, reads level 0 of each sector, node counts 0 and 1,
+    and dshg's node counts run 0..11."""
     eps = np.finfo(float).eps
     for key in DEEP_CASES:
         spectrum = deep(key)
-        model = spectrum.model
-        sector = oracle._kind(model) in ("even", "odd")
-        for index, root in enumerate(spectrum.roots):
-            report = oracle.verify_root(model, root, chain=spectrum.chain)
+        counts = []
+        for index, (root, (model, chain)) in enumerate(zip(spectrum.roots, spectrum.states)):
+            report = oracle.verify_root(model, root, chain=chain)
+            sector = oracle._kind(model) in ("even", "odd")
             level = report.node_count // 2 if sector else report.node_count
             diag, off = oracle._tridiag(model, root, oracle.default_verify_config(model, root))
             want = sla.eigvalsh_tridiagonal(diag, off, select="i", select_range=(level, level))[0]
             floor = 8.0 * eps * (np.abs(diag).max() + 2.0 * np.abs(off).max())
             assert abs(report.nearest_fd_energy - want) <= floor, (key, index)
-            if key == "dshg" and index < 2:
-                assert level == index, index
+            counts.append(report.node_count)
+        if key == "dshg":
+            assert counts == list(range(len(spectrum.roots)))
 
 
 _DEEP_REPORTS = """
@@ -321,8 +331,8 @@ from conftest import DEEP_CASES, solved
 from qespectra import oracle
 for key in DEEP_CASES:
     spectrum = solved(key)
-    for root in spectrum.roots:
-        print(repr(astuple(oracle.verify_root(spectrum.model, root, chain=spectrum.chain))))
+    for root, (model, chain) in zip(spectrum.roots, spectrum.states):
+        print(repr(astuple(oracle.verify_root(model, root, chain=chain))))
 """
 
 
@@ -363,10 +373,13 @@ def test_deep_reports_do_not_depend_on_the_blas_thread_count():
 # 023fa571c8016f9bbdd3577077f744fa87fc746f5643b3b340233105790572ad) with
 # it when the roots came to be certified and correctly rounded, and again
 # (once 88aa461d98b1d255331dc680eb62a67821e8a87b7e77a96a3006351e78f362ee)
-# with it when coulomb's residual came to run in blocks on its own mesh;
-# every entry below holds unedited.
+# with it when coulomb's residual came to run in blocks on its own mesh,
+# and again (once
+# 993d440e3ef2c3b243c3a83c1514cfcd3c8a3187db6970dc3f8e56b4d08f7f37) with it
+# when each dshg state came to be its parity sector's; every entry below
+# holds unedited.
 INVERSE_ITERATION_REPORTS_SHA256 = (
-    "993d440e3ef2c3b243c3a83c1514cfcd3c8a3187db6970dc3f8e56b4d08f7f37"
+    "c7bb628103ceec0bdd330d0b310942ce3f17c9fcb97759d5542e9ab4ef84b299"
 )
 INVERSE_ITERATION_NEAREST = {
     "xie-even": (
@@ -421,7 +434,9 @@ INVERSE_ITERATION_NEAREST = {
 # HISTORY_H_SCALE / max(1, E - min V), in the default box.  The test below
 # builds those grids itself, as explicit FdConfigs, and verifies each state
 # on its grid as on a default one, coulomb's residual mesh included,
-# whatever the default step.
+# whatever the default step.  dshg's states, checked in their sectors since,
+# keep their grids: at n = 11 each sector's default box is dshg's, bit for
+# bit, and its potential is dshg's.
 HISTORY_H_SCALE = 0.07
 
 
@@ -448,10 +463,10 @@ def test_the_own_wavefunction_start_moves_only_the_nearest_level_within_the_floo
     digest = hashlib.sha256()
     for key in DEEP_CASES:
         spectrum = deep(key)
-        model = spectrum.model
         assert len(INVERSE_ITERATION_NEAREST[key]) == len(spectrum.roots), key
-        for root, old in zip(spectrum.roots, INVERSE_ITERATION_NEAREST[key]):
-            report = oracle.verify_root(model, root, chain=spectrum.chain)
+        for root, (model, chain), old in zip(
+                spectrum.roots, spectrum.states, INVERSE_ITERATION_NEAREST[key]):
+            report = oracle.verify_root(model, root, chain=chain)
             diag, off = oracle._tridiag(model, root, _history_config(model, root))
             floor = 8.0 * eps * (np.abs(diag).max() + 2.0 * np.abs(off).max())
             assert abs(report.nearest_fd_energy - old) <= floor, (key, root)
@@ -682,10 +697,6 @@ def _positive_centres(model):
         pytest.param(
             model_id, params, n,
             id=f"{model_id}-{'-'.join(map(str, params.values()))}-n{n}",
-            marks=[pytest.mark.xfail(
-                strict=True,
-                reason="the doublets collapse into duplicated roots (ROADMAP item 2)",
-            )] if (model_id, n) == ("dshg", 40) else [],
         )
         for model_id, params in ENVELOPE
         for n in (10, 20, 40)
@@ -703,6 +714,14 @@ def test_13_envelope_roots_or_no_positive_centre(model_id, params, n):
     assert spectrum.ttrr.centre == positive[0]
     xs = np.asarray(spectrum.roots)
     assert len(xs) == n + 1
-    assert np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)
-    if n < 40:  # test_12 certifies four n = 40 chains exactly
-        certified_roots(spectrum.chain, spectrum.roots)
+    # ascending; a float repeats only as two states of opposite parities
+    # (dshg's doublets, from n = 20)
+    parities = [getattr(state, "parity", None) for state, _ in spectrum.states]
+    assert np.all(np.isfinite(xs)) and np.all(np.diff(xs) >= 0)
+    for i in np.flatnonzero(np.diff(xs) == 0):
+        assert {parities[i], parities[i + 1]} == {"even", "odd"}, i
+    # each root in the chain of its state: test_12 certifies four n = 40
+    # chains exactly
+    for chain in {id(chain): chain for _, chain in spectrum.states}.values():
+        if chain.n < 40:
+            certified_roots(chain, [r for r, (_, c) in zip(xs, spectrum.states) if c is chain])

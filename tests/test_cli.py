@@ -163,17 +163,21 @@ def test_roots_energy_scan_has_no_double_well_column(capsys):
 # xie-odd and dshg were re-pinned when every root came to be certified and
 # correctly rounded, which moved the roots that the float polish had left
 # 1 ulp off; test_12, now at 0 ulp, stands behind that move (the old
-# digests are listed in CHANGES.md).
+# digests are listed in CHANGES.md).  All but coulomb's were re-pinned when
+# each row came to carry the parity its state's model declares, and dshg's
+# states came to be its parity sectors'; test_recurrence.py's
+# test_dshg_solves_through_its_parity_sectors stands behind that move (the
+# old digests are listed in CHANGES.md).
 ROOTS_JSON_SHA256 = {
-    "xie-even": "fe59bcda1253360acd7b1d848942225df7397a0fdda63393f446b5a527f26135",
-    "xie-odd": "81ffac20e70839420b878b37fe757af6ebbc11509adfe935b27f7fce2f6e0341",
-    "chen-even": "07ed57b1e9c5226b9606316198006cc1923231bb1bc70248fa3f403282a15629",
-    "chen-odd": "bec0db06137576dd8174bbc0a42ae4be560bca76e154d6f0b04893009eaee001",
+    "xie-even": "5f9c4833bd787132185902be96d88fdb98fa4bc2c3c3d29a2825f87b492471e7",
+    "xie-odd": "6770f1a7ebb84df89a1d5ea03edbd01fb64e1584a0b2aeec137a695599e3f4de",
+    "chen-even": "efb1c0dcb4ccf3b178bfefd7e9616dfffa34b80b3c24d0693c643a95852a0a99",
+    "chen-odd": "8ced9910fb94bb1e749556660df6b16050d59640c98bb87b9be46ca220252902",
     "coulomb": "9188589ea7accdcab304cf428cd9d573599bce4f02cfa7465ec40bbee2e2bcdd",
-    "razavy": "1d736aac351fe1ec543f796f5ce852f5aca00dc285e3fb89fc766c22d98c34e8",
-    "dshg": "0ab60f97ec176512317685a750912ad0e8fd34b65b95b344739a07da123b4e1d",
-    "pdshg-20": "253f78d633fac94376e04650c3960210566e993aa51a6c3c7cca54b190ba29a0",
-    "pdshg-21": "1999d4cbb55d4fcecd022322d15eabf5dcd6193fa78e49a14b35e6934ed8e5e7",
+    "razavy": "2483aee2ecf3f4eb7bf6d4e4246558d253db473659a5436fa80c62ae7dd608aa",
+    "dshg": "1dfe1fccb3c2101e7e53951be598bbac4d587b8e40459489ca773b70d2fa8da1",
+    "pdshg-20": "412f24fd804771d9bd7bdfede822063aa3be50d20c08a3cff31f708afce207a5",
+    "pdshg-21": "26a858cd95e00a9df4fb142bf160cf2d63e68f55fdfa39ed951f9ef17417c28b",
 }
 
 
@@ -228,21 +232,25 @@ ROOTS_JSON_SHA256 = {
 # operator's nodes alone, which moved its level within the rounding floor;
 # test_acceptance.py's
 # test_the_residual_in_blocks_moves_coulomb_only_by_rounding stands behind
-# that move.
+# that move.  All but coulomb's were re-pinned when each row came to carry
+# the parity its state's model declares, and dshg's too when its states came
+# to be verified in their parity sectors, which moved its residual's
+# digits; test_wavefunctions.py's test_a_dshg_state_is_its_sector_state
+# stands behind that move (the old digests are listed in CHANGES.md).
 MODELS_SHA256 = {
     "json": "451dd0969fba86ca0c69e56714eff6bca1b53ec6a6e5b4b193917f374c5768e7",
     "csv": "661184224dcd45302d6f07bef72cd28e3b5e1f7493a3a65e85bdfae2ada92c0d",
 }
 VERIFY_JSON_SHA256 = {
-    "xie-even": (1, "5859a849bb231e55952fe8d5c3bfb4f4a6e7c5c402fd4a768e0f6b52391517a8"),
-    "xie-odd": (0, "bbdc5f0b592398a6e06737b8711e20728af9ae2fe4a8fd3ed9c1eebcd6f801de"),
-    "chen-even": (7, "1f51064e4064b6f42b4b08ae3e3b2fe2cad985fe9daecc67e768c9cc751c5eac"),
-    "chen-odd": (7, "43944e3b9be4b0fe7c39bb6f5c9313cb6f4b5ba24fd3c0cc9d66053ab9cfd53c"),
+    "xie-even": (1, "9f63bf9122a77cb7be46b5587636d4f858e32f0f0ea6383952b8ad1b3cc3c31c"),
+    "xie-odd": (0, "cac11a5e18d9090f945559b4852c3a32e9ba2f291671581c68444a935cc0cb14"),
+    "chen-even": (7, "b390d2496127d68726bfa2e81d7213c21ab0246596e2a7445d8d563f16b6cdc1"),
+    "chen-odd": (7, "ce2c2ea2bb11bf70c2f6d652b48190a361c7ea0f75a68938bfc24e5193010f11"),
     "coulomb": (5, "e4f8e5ab5c879ab6fc9faa389362d27eb0aa149924ea0b1d11bce005d1b11218"),
-    "razavy": (0, "fb691c87e5d9c161d5216e7b3ca3658ed6a7e343d37cc21a97f1b926ee60c5c6"),
-    "dshg": (1, "82ca7788b741a46f92a8b817c6dbe5c51b8c28dc5f31b31897ad8b4677a5c628"),
-    "pdshg-20": (0, "471eff325ff7741b9b9d315a773af2afe04de13231fa77ee746d85325c877d1f"),
-    "pdshg-21": (0, "81e5bde9bfb050377097ff624a1ef9845b6ec00b1d93b0f062e8b09216678bc9"),
+    "razavy": (0, "40987ff2a69d3e84e08980892e6f71295c2bb7ab1f296f1529d06baa4c46d0df"),
+    "dshg": (1, "5697b72fb9fbb4824f5f33373f377904ad19017d039d1991adbcd0d825e13a6c"),
+    "pdshg-20": (0, "8dd3f3515b03c3dba18515254342eaf7cc83879dbc1407aaf27414c3d10fada1"),
+    "pdshg-21": (0, "3c0d8975d2904ac4cb036bbd2cf01a0ab6c9ea4a0bb41dc90a92034819e7cec1"),
 }
 
 
@@ -310,8 +318,8 @@ def test_verify_passes_dshg_states_that_failed_on_the_full_line(n, index, capsys
     """On the full line these two states (xi = 2) read residuals 1.4e-4 and
     1.1e-4, over the gate (exit 4): each sample carries a part of the other
     parity, ~1e-13 of its norm, which the residual's second difference
-    amplifies.  Projected onto the parity of its node count and checked on
-    that half line, each passes, with its node count kept."""
+    amplifies.  Checked in its parity sector, on that sector's half line,
+    each passes, with its node count kept."""
     code, out = run_cli("verify", "--model", "dshg", "--n", str(n), "--param", "xi=2",
                         "--root-index", str(index), capsys=capsys)
     assert code == cli.EXIT_OK
@@ -320,6 +328,43 @@ def test_verify_passes_dshg_states_that_failed_on_the_full_line(n, index, capsys
     report = row["verification"]
     assert report["residual"] <= cli.VERIFY_RESIDUAL_MAX and report["converged"]
     assert not report["ambiguous"]
+
+
+@pytest.mark.parametrize("n", [0, 1, 30, 40])
+def test_every_dshg_state_verifies_in_its_parity_sector(n, capsys):
+    """Each dshg state (xi = 2) is its parity sector's, and passes `verify`
+    there, node counts 0..n in order.  Checked on dshg's own chain, at n = 30
+    roots 1, 3 and 9 read their doublet partners' node counts, and at n = 40
+    24 of 41 states failed."""
+    code, out = run_cli("verify", "--model", "dshg", "--n", str(n), "--param", "xi=2",
+                        capsys=capsys)
+    assert code == cli.EXIT_OK
+    rows = json.loads(out)["roots"]
+    assert [row["node_count"] for row in rows] == list(range(n + 1))
+    assert [row["parity"] for row in rows] == [("even", "odd")[i % 2] for i in range(n + 1)]
+    for row in rows:
+        report = row["verification"]
+        assert report["residual"] <= cli.VERIFY_RESIDUAL_MAX and report["converged"], row
+        assert report["abs_gap"] <= GAP_MARGIN and not report["ambiguous"], row
+
+
+def test_roots_pair_each_shared_dshg_float_with_both_parities(capsys):
+    """dshg n = 40 (xi = 2): 41 rows, each with the parity of its state's
+    sector; the 8 scan values that two rows share pair "even" with "odd"."""
+    code, out = run_cli("roots", "--model", "dshg", "--n", "40", "--param", "xi=2",
+                        "--format", "csv", capsys=capsys)
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header == "scan_value,energy,normalizable,parity"
+    rows = [line.split(",") for line in lines]
+    assert len(rows) == 41
+    scans = [float(row[0]) for row in rows]
+    assert scans == sorted(scans)
+    by_scan = {}
+    for row in rows:
+        by_scan.setdefault(row[0], []).append(row[3])
+    shared = [parities for parities in by_scan.values() if len(parities) > 1]
+    assert len(shared) == 8 and all(parities == ["even", "odd"] for parities in shared)
 
 
 @pytest.mark.parametrize("argv", [
@@ -416,15 +461,15 @@ def test_verify_of_a_wide_box_reads_its_level_and_exits_4_on_the_residual(capsys
     at 5.4e198; bisection on Sturm counts to neighbouring floats puts it
     where dstebz with an explicit tolerance does: level 1 of the odd half
     line, built here from the potential.  The state fails on its residual
-    alone: exit 4."""
+    alone: exit 4.  The state is its odd sector's, where it is level 1."""
     xmax = 123.80235792120567
     code, out = run_cli("verify", "--model", "dshg", "--n", "3", "--param", "xi=2",
                         "--root-index", "3", f"--xmin={-xmax}", f"--xmax={xmax}",
                         "--format", "json", capsys=capsys)
     assert code == cli.EXIT_VERIFY
     report = json.loads(out)["roots"][0]["verification"]
-    model = models.make("dshg", 3, {"xi": Fraction(2)})
-    root = solve(model).roots[3]
+    spectrum = solve(models.make("dshg", 3, {"xi": Fraction(2)}))
+    root, (model, _) = spectrum.roots[3], spectrum.states[3]
     points = oracle.default_verify_config(model, root).points
     h = 2.0 * xmax / (points + 1)
     xs = h * np.arange(1, points // 2 + 1)  # the odd half line's nodes i h, i >= 1
@@ -492,12 +537,15 @@ def test_verify_exits_4_where_the_subgrid_has_no_level_of_the_node_count(capsys,
 # hold unedited.  coulomb's digest was re-pinned (once
 # f01131932ac9053b2acc77a367685722dd6ae742df4e3803cb179dcb7eafd10f) with
 # VERIFY_JSON_SHA256 when its residual came to run in blocks on its own
-# mesh; its bisection values hold unedited.
+# mesh; its bisection values hold unedited.  dshg's digest was re-pinned
+# (once 55313a2d22f7f178c9d4549b836d39ce073512be840d21abd8380a89c0cc7cec)
+# with VERIFY_JSON_SHA256 when its state came to be verified in its odd
+# sector, on the same operator; its bisection values hold unedited.
 BISECTION_VERIFY = {
     "coulomb": (10.999910324360826, 8.967563917394727e-05,
                 "a423a31f6f8b0233cb89eccd56498926aa57e52de0f189e17535f752f89474d8"),
     "dshg": (22.594741676409363, 0.00022649883380765345,
-             "55313a2d22f7f178c9d4549b836d39ce073512be840d21abd8380a89c0cc7cec"),
+             "82ada7d976c1383d55f654d1ba45ee3ef96bffc6f3f622bc99c7e222ed70996c"),
 }
 
 
@@ -518,7 +566,7 @@ def test_verify_json_moves_only_in_the_nearest_fd_energy_and_gap(capsys):
         result = json.loads(out)
         report = result["roots"][0]["verification"]
         spectrum = solved(key)
-        model, root = spectrum.model, spectrum.roots[k]
+        root, (model, _) = spectrum.roots[k], spectrum.states[k]
         diag, off = oracle._tridiag(
             model, root, oracle.default_verify_config(model, root)
         )
@@ -536,20 +584,25 @@ def test_verify_json_moves_only_in_the_nearest_fd_energy_and_gap(capsys):
 # for the full-line models re-pinned when the default grid became an exact
 # mirror: (model, n, parameters, k) -> digest.  dshg roots 0 and 1 are the
 # two members of its lowest doublet, which both round to root 0's float, so
-# they cannot certify; root 1's was re-pinned when uncertified roots came
+# dshg's own chain cannot certify them; root 1's was re-pinned when uncertified roots came
 # to be the Newton-stepped eigenvalue seeds, 2 ulp above root 0 where the
 # float polish had left it 1 ulp above (the old digest is listed in
-# CHANGES.md).  test_13 and the node-count test of test_wavefunctions.py
-# still hold it distinct and on its node ladder.
+# CHANGES.md).  Both were re-pinned (once
+# fb36abb093c7ad9cdc9df0349d7693c266b20577d69929f3d0a4acf7f243bc31 and
+# 74817774e890825ab3ecff496a68539d71219f8e91f43cb12905c37111a91192) when
+# each dshg state came to be sampled in its parity sector: roots 0 and 1
+# now share one float, and are told apart by their sectors, even and odd;
+# test_wavefunctions.py's test_a_dshg_state_is_its_sector_state and its
+# node-count test stand behind that move.
 WAVEFUNCTION_CSV_SHA256 = {
     ("razavy-sinh2", 40, ("xi=1/2", "alpha=0", "beta=1"), 20):
         "1d48b9f9d7346f7150e28f2f25c1de2262008a4424d40f23e8e4d65999164446",
     ("coulomb", 29, ("lambda=1/2",), 14):
         "af3fa9404db0ba55e4ed24e84fcf253f5da69481f7fb600675b93781d65c8aa9",
     ("dshg", 20, ("xi=2",), 0):
-        "fb36abb093c7ad9cdc9df0349d7693c266b20577d69929f3d0a4acf7f243bc31",
+        "ed94c89d57c8d9b6f129ecd014fd2e7b3653706cd00bfa96fff9b91ee32e6562",
     ("dshg", 20, ("xi=2",), 1):
-        "74817774e890825ab3ecff496a68539d71219f8e91f43cb12905c37111a91192",
+        "2255cc2e15eefc0d8752f76733f38af68cebe6a71b68a40dbc220c6eda18a351",
 }
 
 

@@ -577,6 +577,9 @@ def test_dshg_constraint_is_the_product_of_its_parity_sectors(n, xi):
     # of two perturbed-dshg sector constraints at the same xi and M: the
     # exact parity factors of its doublets
     dshg = models.make("dshg", n, {"xi": xi})
+    # and they are the sectors whose states solve takes for dshg's
+    assert [(s.xi, s.alpha, s.beta, s.n) for s in dshg.sectors()] == [
+        (xi, alpha, beta, k) for alpha, beta, k in _dshg_sectors(n)]
     product = [Fraction(1)]
     for alpha, beta, k in _dshg_sectors(n):
         sector = models.make("perturbed-dshg", k, {"xi": xi, "alpha": alpha, "beta": beta})

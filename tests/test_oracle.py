@@ -17,8 +17,9 @@ from qespectra.errors import DegenerateGrid, InvalidParams
 
 @dataclass(frozen=True)
 class _QuadraticWell:
-    """Stub full-line model: V = x^2, exact levels 2k + 1."""
+    """Stub parity sector of V = x^2: exact levels 2k + 1, even k even."""
 
+    parity: str
     n: int = 0
     half_line: bool = False
 
@@ -38,19 +39,6 @@ class _SectorWell:
     def potential(self, x, scan):
         x = np.asarray(x, dtype=float)
         return 0.6 * (x * x - 9.0) ** 2
-
-
-@dataclass(frozen=True)
-class _SectorOf:
-    """One parity sector of a model whose chart holds both (dshg), as the
-    oracle checks a state of that parity: on its half line."""
-
-    model: object
-    parity: str
-    half_line: bool = False
-
-    def potential(self, x, scan):
-        return self.model.potential(x, scan)
 
 
 def _residual_full_line(v, h, psi, energy):
@@ -95,12 +83,8 @@ def test_grid_nodes_match_discretization():
     xs = oracle.grid_nodes(model, cfg)
     assert len(xs) == 1000
     assert xs[0] == pytest.approx(0.005)   # half-offset open grid
-    # dshg holds both parities: the mirrored nodes i h, |i| <= M = points // 2
-    both = models.make("dshg", 1, {"xi": 1})
     cfg = oracle.FdConfig(-5.0, 5.0, 999)
     h = 10.0 / 1000
-    xs = oracle.grid_nodes(both, cfg)
-    assert xs.tobytes() == (h * np.arange(-499, 500)).tobytes()
     # parity sectors: the half line i h with the full line's step, up to
     # M; odd states start at i = 1
     for sector, start in (("even", 0), ("odd", 1)):
@@ -112,15 +96,31 @@ def test_grid_nodes_match_discretization():
 
 @pytest.mark.parametrize("box", [(-5.0, 5.5), (0.0, 5.0)])
 def test_a_parity_sector_needs_a_symmetric_box(box):
-    # so does dshg, each of whose states is checked on its parity's half line
+    # so does each dshg state, the state of its parity sector
     for key in ("razavy", "dshg"):
         spectrum = solved(key)
-        model = spectrum.model
+        model, chain = spectrum.states[0]
         cfg = oracle.FdConfig(*box, 2000)
         with pytest.raises(InvalidParams, match="symmetric"):
             oracle.grid_nodes(model, cfg)
         with pytest.raises(InvalidParams, match="symmetric"):
-            oracle.verify_root(model, spectrum.roots[0], cfg=cfg, chain=spectrum.chain)
+            oracle.verify_root(model, spectrum.roots[0], cfg=cfg, chain=chain)
+
+
+@pytest.mark.parametrize("n", [0, 1, 11])
+def test_dshg_itself_is_refused(n):
+    """dshg's chart holds both parities, and the oracle discretizes none
+    such: each dshg state is checked as its parity sector's (the model in
+    ``Spectrum.states``), never as dshg's."""
+    spectrum = solve(models.make("dshg", n, {"xi": 2}))
+    cfg = oracle.FdConfig(-5.0, 5.0, 999)
+    for call in (lambda: oracle.verify_root(spectrum.model, spectrum.roots[0], chain=spectrum.chain),
+                 lambda: oracle.verify_root(spectrum.model, spectrum.roots[0], cfg=cfg),
+                 lambda: oracle.default_verify_config(spectrum.model, spectrum.roots[0]),
+                 lambda: oracle.grid_nodes(spectrum.model, cfg)):
+        with pytest.raises(InvalidParams, match="both parities"):
+            call()
+    assert all(model.parity in ("even", "odd") for model, _ in spectrum.states)
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +128,13 @@ def test_a_parity_sector_needs_a_symmetric_box(box):
 # ---------------------------------------------------------------------------
 
 def test_fd_spectrum_harmonic_oscillator_levels():
+    # the even half line holds levels 1, 5, 9 and the odd one 3, 7
     cfg = oracle.FdConfig(-10.0, 10.0, 8000)
-    levels = _lowest_levels(_QuadraticWell(), 0.0, cfg, 5)
-    np.testing.assert_allclose(levels, [1.0, 3.0, 5.0, 7.0, 9.0], atol=1e-4)
+    even = _lowest_levels(_QuadraticWell("even"), 0.0, cfg, 3)
+    odd = _lowest_levels(_QuadraticWell("odd"), 0.0, cfg, 2)
+    np.testing.assert_allclose(np.sort(np.concatenate((even, odd))), [1.0, 3.0, 5.0, 7.0, 9.0],
+                               atol=1e-4)
+    np.testing.assert_allclose(odd, [3.0, 7.0], atol=1e-4)
 
 
 def test_fd_spectrum_radial_oscillator_levels():
@@ -174,11 +178,11 @@ def _random_start(rows):
 def _own_start(model, root, cfg, chain=None):
     """The state's wavefunction on the nodes of ``cfg``, in the symmetric
     basis of the oracle's operator there, as ``verify_root`` samples it
-    (a product over the zeros of S but for dshg) and starts
-    ``oracle._nearest`` from it: an even state's node 0 is divided by
-    sqrt(2)."""
+    (a product over the zeros of S) and starts ``oracle._nearest`` from it:
+    an even state's node 0 is divided by sqrt(2)."""
+    s = wavefunctions.solution(model, root, chain, product=True)
     psi = wavefunctions.sample(model, root, xs=oracle.grid_nodes(model, cfg), chain=chain,
-                               _solution=oracle._solution(model, root, chain)).psi
+                               _solution=s).psi
     if oracle._kind(model) == "even":
         psi[0] /= math.sqrt(2.0)
     return psi
@@ -417,15 +421,15 @@ def test_a_level_past_the_last_is_a_shortfall(monkeypatch):
 
 
 def test_the_bisection_reads_a_wall_dominated_level_to_its_own_rounding(monkeypatch):
-    """dshg (n = 0, xi = 1) on [-7, 7] with 999 points: the walls put 3.4e11
-    on the diagonal, and dstebz's default tolerance, ~eps ||T||, missed the
-    even half line's level 0 by 2.4e-5.  Forced from a pseudo-random start,
-    the fallback bisects Sturm counts to neighbouring floats and reads the
-    level of a dense eigensolve."""
-    model = models.make("dshg", 0, {"xi": Fraction(1)})
-    root = solve(model).roots[0]
-    sector, cfg = _SectorOf(model, "even"), oracle.FdConfig(-7.0, 7.0, 999)
-    diag, off = oracle._tridiag(sector, root, cfg)
+    """dshg (n = 0, xi = 1), its even sector, on [-7, 7] with 999 points:
+    the walls put 3.4e11 on the diagonal, and dstebz's default tolerance,
+    ~eps ||T||, missed the even half line's level 0 by 2.4e-5.  Forced from
+    a pseudo-random start, the fallback bisects Sturm counts to neighbouring
+    floats and reads the level of a dense eigensolve."""
+    spectrum = solve(models.make("dshg", 0, {"xi": Fraction(1)}))
+    root, (model, _) = spectrum.roots[0], spectrum.states[0]
+    cfg = oracle.FdConfig(-7.0, 7.0, 999)
+    diag, off = oracle._tridiag(model, root, cfg)
     assert diag.max() > 3e11
     dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0]
     recorder = _RecordingQueries(monkeypatch)
@@ -532,8 +536,8 @@ def _count_windows(diag, off, seed):
 
 def _grid_and_subgrid(model, root, monkeypatch):
     """(diag, off) of the operator of the default grid of ``root`` in the
-    model's discretization (for dshg the mirrored line, which holds both
-    parities), and of the subgrid operator that verify_root searches."""
+    model's discretization, and of the subgrid operator that verify_root
+    searches."""
     cfg = oracle.default_verify_config(model, root)
     _, (_, subgrid) = _searched(model, root, monkeypatch)
     return [oracle._tridiag(model, root, cfg), (subgrid.diagonal(), subgrid.off_array())]
@@ -542,10 +546,10 @@ def _grid_and_subgrid(model, root, monkeypatch):
 @pytest.mark.parametrize("key", ["dshg", "xie-even", "xie-odd", "coulomb"])
 def test_sturm_count_is_the_dstebz_count(key, monkeypatch):
     """The dlaebz count equals dstebz's on the grid and subgrid operators of
-    the deepest state of a well of each kind (the mirrored line, which
-    holds both parities, even, odd, radial)."""
+    the deepest state of a well of each kind (dshg's in its odd sector,
+    even, odd, radial)."""
     spectrum = solved(key)
-    model, root = spectrum.model, spectrum.roots[-1]
+    root, (model, _) = spectrum.roots[-1], spectrum.states[-1]
     for seed, (diag, off) in enumerate(_grid_and_subgrid(model, root, monkeypatch)):
         sturm = _sturm_of(diag, off)
         for centre, radius in _count_windows(diag, off, seed):
@@ -678,9 +682,8 @@ def test_a_sturm_count_allocates_e_squared_alone():
 def test_every_subgrid_node_is_a_coarse_node(seed):
     # 2h is exact, and so is j (2h) = (2j) h before rounding: the half line's
     # subgrid of step 2h is every other node, bit for bit, [0::2] (even) or
-    # [1::2] (odd); the mirrored nodes are the even half line's and their
-    # negations, bit for bit.  The radial subgrid's half-offset nodes are
-    # those of the box with half the points, bit for bit, where that is whole.
+    # [1::2] (odd).  The radial subgrid's half-offset nodes are those of the
+    # box with half the points, bit for bit, where that is whole.
     rng = np.random.default_rng(seed)
     for _ in range(25):
         half_width = 10.0 ** rng.uniform(-3, 3) * rng.uniform(0.01, 3.0)
@@ -690,11 +693,6 @@ def test_every_subgrid_node_is_a_coarse_node(seed):
             kept = coarse[first::2]
             sub = np.arange(first, first + len(kept), dtype=float) * (2.0 * h)
             assert sub.tobytes() == kept.tobytes(), (box, sector)
-        even, h = oracle._nodes(_SectorWell("even"), box)
-        mirrored = oracle._nodes(_QuadraticWell(), box)
-        assert mirrored[1] == h
-        assert mirrored[0][len(even) - 1:].tobytes() == even.tobytes(), box
-        assert mirrored[0][:len(even) - 1].tobytes() == (-even[:0:-1]).tobytes(), box
         points = 2 * int(rng.integers(100, 10_000))
         radial = oracle.FdConfig(0.0, half_width, points)
         sub, step = oracle._offset_nodes(radial, 0, points // 2, 2)
@@ -709,9 +707,8 @@ def test_subgrid_operator_reuses_the_coarse_potential(key, monkeypatch):
     # the box of M points, whose step is 2h bit for bit: its operator is
     # that box's as built from scratch, bit for bit, with every potential
     # value taken from the grid's, at no new node.  dshg's states take
-    # either parity's half line.
+    # their sectors' half lines, of either parity.
     spectrum = solved(key)
-    model = spectrum.model
     taken = []
     potential = oracle._potential
 
@@ -719,15 +716,15 @@ def test_subgrid_operator_reuses_the_coarse_potential(key, monkeypatch):
         taken.append(xs.copy())
         return potential(model, xs, scan)
 
-    for root in (spectrum.roots[0], spectrum.roots[-1]):
+    for index in (0, -1):
+        root, (model, chain) = spectrum.roots[index], spectrum.states[index]
         box = oracle.default_verify_config(model, root)
         cfg = oracle.FdConfig(box.xmin, box.xmax, box.points | 1)
         monkeypatch.setattr(oracle, "_potential", counted)
-        report, (grid, subgrid) = _searched(model, root, monkeypatch, cfg=cfg, chain=spectrum.chain)
+        _, (grid, subgrid) = _searched(model, root, monkeypatch, cfg=cfg, chain=chain)
         monkeypatch.setattr(oracle, "_potential", potential)
-        sector = _SectorOf(model, ("even", "odd")[report.node_count % 2])
-        assert np.concatenate(taken).tobytes() == oracle.grid_nodes(sector, cfg).tobytes()
-        want = oracle._tridiag(sector, root, oracle.FdConfig(cfg.xmin, cfg.xmax, cfg.points // 2))
+        assert np.concatenate(taken).tobytes() == oracle.grid_nodes(model, cfg).tobytes()
+        want = oracle._tridiag(model, root, oracle.FdConfig(cfg.xmin, cfg.xmax, cfg.points // 2))
         assert subgrid.diagonal().tobytes() == want[0].tobytes()
         assert subgrid.off_array().tobytes() == want[1].tobytes()
         assert np.shares_memory(subgrid.base, grid.base)
@@ -822,7 +819,7 @@ def test_half_line_residual_of_a_deep_state_is_its_full_line_residual(case):
     model, root, energy, cfg, chain = _sector_case(case)
     xs, h = oracle._nodes(model, cfg)
     psi = wavefunctions.sample(model, root, xs=xs, chain=chain,
-                               _solution=oracle._solution(model, root, chain)).psi
+                               _solution=wavefunctions.solution(model, root, chain, product=True)).psi
     half = oracle._residual_half_line(
         oracle._potential(model, xs, root), h, psi, energy, model.parity
     )
@@ -830,28 +827,6 @@ def test_half_line_residual_of_a_deep_state_is_its_full_line_residual(case):
     full = _residual_full_line(_mirror(v, "even"), h, _mirror(psi, model.parity), energy)
     assert oracle.verify_root(model, root, chain=chain).residual == half
     assert half == pytest.approx(full, rel=1e-3)
-
-
-@pytest.mark.parametrize("index", [0, 1, 6, 11])
-def test_a_dshg_state_reports_the_full_line_residual_of_its_projection(index):
-    """dshg is sampled on the mirrored nodes, and its state is projected onto
-    the parity of its node count k, (psi(x) +- psi(-x)) / 2.  The residual it
-    reports is the full-line residual of that projection, which is exactly
-    even or odd on those nodes, and its node count stays k.  Rounding moves
-    the residual as in the test above."""
-    spectrum = solved("dshg")
-    model, root = spectrum.model, spectrum.roots[index]
-    energy = model.energy(root)
-    xs, h = oracle._nodes(model, oracle.default_verify_config(model, root))
-    grid = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain)
-    assert grid.node_count == index
-    sign = -1.0 if index % 2 else 1.0
-    projected = 0.5 * (grid.psi + sign * grid.psi[::-1])
-    assert np.array_equal(projected, sign * projected[::-1])
-    full = _residual_full_line(oracle._potential(model, xs, root), h, projected, energy)
-    report = oracle.verify_root(model, root, chain=spectrum.chain)
-    assert report.node_count == index
-    assert report.residual == pytest.approx(full, rel=1e-3)
 
 
 # pdshg-20 root 5's default grid while the default step was 0.07 / (E - min V):
@@ -926,9 +901,9 @@ def test_convergence_decision_matches_the_refined_nearest_eigenvalue(key, index,
         spectrum = solve(models.make("dshg", 0, {"xi": 1}))
     else:
         spectrum = solved(key)
-    model, root = spectrum.model, spectrum.roots[index]
+    root, (model, chain) = spectrum.roots[index], spectrum.states[index]
     energy = model.energy(root) + offset
-    report, (_, subgrid) = _searched(model, root, monkeypatch, energy=energy, chain=spectrum.chain)
+    report, (_, subgrid) = _searched(model, root, monkeypatch, energy=energy, chain=chain)
     level = report.node_count if oracle._kind(model) == "radial" else report.node_count // 2
     off = subgrid.off_array()
     want = sla.eigvalsh_tridiagonal(subgrid.diagonal(), off, select="i",
@@ -946,14 +921,13 @@ def test_convergence_threshold_is_a_tenth_of_the_shift(t):
     # E = E_R + t (E_h - E_2h) puts the extrapolation t shifts from the
     # energy; the levels, searched from the state's own wavefunction, do not
     # depend on the energy
-    model = models.make("dshg", 0, {"xi": 1})
-    spectrum = solve(model)
-    root = spectrum.roots[0]
+    spectrum = solve(models.make("dshg", 0, {"xi": 1}))
+    root, (model, chain) = spectrum.roots[0], spectrum.states[0]
     cfg = oracle.FdConfig(-7.0, 7.0, 999)
-    first = oracle.verify_root(model, root, cfg=cfg, chain=spectrum.chain)
+    first = oracle.verify_root(model, root, cfg=cfg, chain=chain)
     fine, coarse = first.nearest_fd_energy, first.subgrid_fd_energy
     energy = first.richardson_energy + t * (fine - coarse)
-    report = oracle.verify_root(model, root, energy=energy, cfg=cfg, chain=spectrum.chain)
+    report = oracle.verify_root(model, root, energy=energy, cfg=cfg, chain=chain)
     assert (report.nearest_fd_energy, report.subgrid_fd_energy) == (fine, coarse)
     assert report.extrapolation_error == pytest.approx(t * abs(fine - coarse), rel=1e-6)
     assert abs(fine - coarse) > 1e3 * oracle._GAP_FLOOR
@@ -962,15 +936,16 @@ def test_convergence_threshold_is_a_tenth_of_the_shift(t):
 
 def test_verify_root_searches_the_grid_and_its_subgrid(monkeypatch):
     """Two level searches: the grid's, and its subgrid's of step 2h.  dshg's
-    even ground state is searched on the even half line of its mirrored
-    nodes, M + 1 rows, then on every other one of them; its odd partner on
-    M rows, then M // 2; coulomb's radial line on its points, then half."""
+    even ground state is searched on its even sector's half line, M + 1
+    rows, then on every other one of them; its odd partner, in the odd
+    sector, on M rows, then M // 2; coulomb's radial line on its points,
+    then half."""
     dshg = solved("dshg")
     for model, root, rows in (
         (models.make("coulomb", 1, {"lambda": Fraction(1, 2)}), 1.0,
          lambda points: [points, points // 2]),
-        (dshg.model, dshg.roots[0], lambda points: [points // 2 + 1, points // 4 + 1]),
-        (dshg.model, dshg.roots[1], lambda points: [points // 2, points // 4]),
+        (dshg.states[0][0], dshg.roots[0], lambda points: [points // 2 + 1, points // 4 + 1]),
+        (dshg.states[1][0], dshg.roots[1], lambda points: [points // 2, points // 4]),
     ):
         report, ops = _searched(model, root, monkeypatch)
         assert report.converged
@@ -990,9 +965,9 @@ def test_verify_root_takes_two_queries_unless_ambiguous(key, index, monkeypatch)
     of each other (see below), or at dshg's lowest doublet.  The test
     below takes every deep state."""
     spectrum = solved(key)
-    model = spectrum.model
+    model, chain = spectrum.states[index]
     recorder = _RecordingQueries(monkeypatch)
-    report = oracle.verify_root(model, spectrum.roots[index], chain=spectrum.chain)
+    report = oracle.verify_root(model, spectrum.roots[index], chain=chain)
     assert [kind for kind, _, _ in recorder.queries] == ["count", "count"]
     assert not report.ambiguous
 
@@ -1005,9 +980,9 @@ def test_every_deep_state_takes_two_counts_and_is_not_ambiguous(monkeypatch):
     recorder = _RecordingQueries(monkeypatch)
     for key in DEEP_CASES:
         spectrum = solved(key)
-        for index, root in enumerate(spectrum.roots):
+        for index, (root, (model, chain)) in enumerate(zip(spectrum.roots, spectrum.states)):
             recorder.queries.clear()
-            report = oracle.verify_root(spectrum.model, root, chain=spectrum.chain)
+            report = oracle.verify_root(model, root, chain=chain)
             assert [kind for kind, _, _ in recorder.queries] == ["count", "count"], (key, index)
             assert not report.ambiguous, (key, index)
 
@@ -1057,7 +1032,8 @@ def test_verify_root_coulomb_small():
 
 def test_verify_root_dshg_ground_state():
     spectrum = solved("dshg")
-    report = oracle.verify_root(spectrum.model, spectrum.roots[0], chain=spectrum.chain)
+    model, chain = spectrum.states[0]
+    report = oracle.verify_root(model, spectrum.roots[0], chain=chain)
     assert report.abs_gap < 1e-3
     assert report.residual < 1e-4
     assert report.converged
@@ -1065,11 +1041,10 @@ def test_verify_root_dshg_ground_state():
 
 def test_verify_root_negative_control():
     # an energy 1.0 off a true level must be loudly wrong on both meters
-    model = models.make("dshg", 0, {"xi": 1})
-    # n = 0: single root at the exact ground energy
-    spectrum = solve(model)
-    root = spectrum.roots[0]
-    report = oracle.verify_root(model, root, energy=root + 1.0, chain=spectrum.chain)
+    # n = 0: single root at the exact ground energy, in the even sector
+    spectrum = solve(models.make("dshg", 0, {"xi": 1}))
+    root, (model, chain) = spectrum.roots[0], spectrum.states[0]
+    report = oracle.verify_root(model, root, energy=root + 1.0, chain=chain)
     assert report.abs_gap > 0.1
     assert report.residual > 1e-2
 
@@ -1130,7 +1105,7 @@ def test_a_coulomb_state_counts_its_nodes_on_the_operator_s_nodes_as_on_the_mesh
     model = models.make("coulomb", n, CATALOG_PARAMS["coulomb"])
     spectrum = solve(model)
     for index, root in enumerate(spectrum.roots):
-        s = oracle._solution(model, root, spectrum.chain)
+        s = wavefunctions.solution(model, root, spectrum.chain, product=True)
         cfg = oracle.default_verify_config(model, root)
         for grid in (cfg, oracle._radial_residual_config(model, root, cfg)):
             xs = oracle.grid_nodes(model, grid)
@@ -1172,7 +1147,7 @@ def test_the_radial_residual_in_blocks_is_the_residual_of_the_whole_mesh(points)
     model, root = spectrum.model, spectrum.roots[3]
     energy = model.energy(root)
     cfg = oracle.FdConfig(0.0, oracle.default_box(model)[1], points)
-    s = oracle._solution(model, root, spectrum.chain)
+    s = wavefunctions.solution(model, root, spectrum.chain, product=True)
     grid = wavefunctions.sample(model, root, xs=oracle.grid_nodes(model, cfg), _solution=s)
     got = oracle._residual_radial(model, root, cfg, s, grid.norm, energy)
     want = _radial_residual_whole(model, root, cfg, grid.psi, energy)
@@ -1197,12 +1172,12 @@ def test_a_wavefunction_that_overflows_on_the_residual_mesh_raises():
 def test_residual_full_line_converges_at_high_order():
     # the 5-point scheme on an analytic state: doubling the mesh must
     # shrink the residual by far more than the 2nd-order factor of 4
-    model = models.make("dshg", 1, {"xi": 1})
-    root = solve(model).roots[0]
+    spectrum = solve(models.make("dshg", 1, {"xi": 1}))
+    root, (model, chain) = spectrum.roots[0], spectrum.states[0]
 
     def residual_at(points):
         cfg = oracle.FdConfig(-7.0, 7.0, points)
-        return oracle.verify_root(model, root, cfg=cfg).residual
+        return oracle.verify_root(model, root, cfg=cfg, chain=chain).residual
 
     coarse = residual_at(999)
     fine = residual_at(1999)
@@ -1313,9 +1288,10 @@ def test_the_search_from_the_own_wavefunction_takes_at_most_two_solves(key, monk
         return found
 
     monkeypatch.setattr(oracle, "_nearest", counted)
-    for root in (spectrum.roots[0], spectrum.roots[-1]):
+    for index in (0, -1):
         recorder.calls.clear()
         solves.clear()
-        oracle.verify_root(spectrum.model, root, chain=spectrum.chain)
+        root, (model, chain) = spectrum.roots[index], spectrum.states[index]
+        oracle.verify_root(model, root, chain=chain)
         assert set(recorder.calls) == {"dgtsv"}, (root, recorder.calls)
         assert len(solves) == 2 and all(1 <= count <= 2 for count in solves), (root, solves)

@@ -4,6 +4,7 @@ import dataclasses
 import fractions
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import (
     CATALOG_PARAMS,
     DEEP_CASES,
     as_fractions,
+    certified_roots,
     float_chain_at,
     integer_image,
     poly_deriv,
@@ -22,7 +24,7 @@ from conftest import (
     solved,
 )
 from qespectra import models, polynomials, recurrence, wavefunctions
-from qespectra.errors import DivisionByZeroMultiplicator, NotARoot
+from qespectra.errors import DivisionByZeroMultiplicator, NotARoot, SimplicityWarning
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +521,15 @@ def test_exact_chain_takes_few_gcds(monkeypatch, n):
 
 def test_assemble_solution_splits_the_dshg_doublets():
     # dshg n = 20, xi = 2 (an exactness case above): the float roots of each
-    # doublet lie 7e-15 apart, yet both members polish to their own root
+    # doublet lie 7e-15 apart, yet both members polish to their own root.
+    # These are the eigenvalue seeds of dshg's own chain, which certifies
+    # neither; solve takes both roots from the parity sectors, on one float
     spectrum = recurrence.solve(models.make("dshg", 20, {"xi": 2}))
-    assert min(np.diff(spectrum.roots)) < 1e-13
-    lowest = [
-        as_fractions(recurrence.assemble_solution(spectrum.chain, r)) for r in spectrum.roots[:2]
-    ]
+    with pytest.warns(SimplicityWarning, match="2 of the 21 roots"):
+        roots = polynomials.real_roots(spectrum.ttrr).roots
+    assert 0 < roots[1] - roots[0] < 1e-13
+    assert spectrum.roots[0] == spectrum.roots[1] == roots[0]
+    lowest = [as_fractions(recurrence.assemble_solution(spectrum.chain, r)) for r in roots[:2]]
     assert lowest[0] != lowest[1]
 
 
@@ -679,3 +684,34 @@ def test_ode_residual_zero_solution_is_zero():
     model = models.make("coulomb", 1, {"lambda": Fraction(1, 2)})
     ode = model.ode_coefficients(1.0)
     assert relative_ode_residual(ode, [0.0, 0.0]) == 0.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 20, 30, 40, 80])
+def test_dshg_solves_through_its_parity_sectors(n):
+    """dshg's constraint is the product of its sectors' (test_models.py), each
+    of which ends a Jacobi chain: solve merges their certified roots, n + 1
+    of them, with no SimplicityWarning, and keeps dshg's own chain and
+    canonical form.  Each root is certified on the chain of its state's
+    sector.  A float that two roots share (1, 4, 8 and 26 pairs at n = 20,
+    30, 40 and 80) holds one state of each parity, the even first."""
+    model = models.make("dshg", n, {"xi": 2})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spectrum = recurrence.solve(model)
+    system = recurrence.build_baseline(model)
+    assert spectrum.chain is recurrence.exact_chain(system)
+    assert spectrum.ttrr == polynomials.to_canonical_ttrr(system)
+    roots = spectrum.roots
+    assert len(roots) == n + 1 and list(roots) == sorted(roots)
+    sectors = model.sectors()
+    assert [sector.parity for sector in sectors] == ["even", "odd"][:len(sectors)]
+    for sector in sectors:
+        chain = recurrence.exact_chain(recurrence.build_baseline(sector))
+        own = [root for root, (state, _) in zip(roots, spectrum.states) if state == sector]
+        assert all(c is chain for state, c in spectrum.states if state == sector)
+        assert len(own) == sector.n + 1
+        certified_roots(chain, own)
+    parities = [state.parity for state, _ in spectrum.states]
+    shared = [i for i in range(n) if roots[i] == roots[i + 1]]
+    assert len(shared) == {0: 0, 1: 0, 20: 1, 30: 4, 40: 8, 80: 26}[n]
+    assert all(parities[i:i + 2] == ["even", "odd"] for i in shared)

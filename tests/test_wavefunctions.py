@@ -458,8 +458,8 @@ def _grid_cases():
     grid.
 
     The default exact-mirror grid, the verifier's nodes at the lowest and
-    highest root of each full-line deep well (dshg's exp(2x) chart, and the
-    half line of each parity sector), a linspace grid, two half-line grids,
+    highest root of each full-line deep well (the half line of each parity
+    sector, dshg's states in theirs), a linspace grid, two half-line grids,
     and exact mirrors of several blocks: of 40,000 and 40,001 points (whose
     middle row pairs with itself), and of 40,000 with one end point of the
     first block's mirror rows moved, so that block and its mirror are both
@@ -473,7 +473,7 @@ def _grid_cases():
             cases.append(("coulomb-default", model, chain, spectrum.roots[0], None, 2001))
             continue
         for index in (0, -1):
-            root = spectrum.roots[index]
+            root, (model, chain) = spectrum.roots[index], spectrum.states[index]
             xs = oracle.grid_nodes(model, oracle.default_verify_config(model, root))
             cases.append((f"{key}-fd-{index}", model, chain, root, xs, len(xs)))
     spectrum = solved("razavy")
@@ -545,7 +545,9 @@ def _ladder(first, step, count):
 # an exact mirror; a string names the QesError that every state, or solve,
 # raises.  The top states of the long even-chart chains sample as noise
 # (off their node ladder from index ~35 on), which linspace's 1-ulp asymmetry
-# left unclassified.
+# left unclassified.  Each state is sampled as the state of its own model
+# (``Spectrum.states``): dshg's n = 40 row was recorded again when its states
+# came to be sampled in their parity sectors.
 NODES_AND_PARITIES = {
     ("xie-even", 3): (_ladder(0, 2, 4), "eeee"),
     ("xie-even", 10): (_ladder(0, 2, 11), "e" * 11),
@@ -578,10 +580,10 @@ NODES_AND_PARITIES = {
     ("dshg", 3): (_ladder(0, 1, 4), "eoeo"),
     ("dshg", 10): (_ladder(0, 1, 11), "eo" * 5 + "e"),
     ("dshg", 20): (_ladder(0, 1, 21), "e-" + "eo" * 9 + "e"),
-    ("dshg", 40): (
-        (0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 10, 11, 12, 13, 15, 15) + _ladder(16, 1, 25),
-        "-" * 16 + "eo" * 12 + "e",
-    ),
+    # sampled in its parity sectors; on its own chart its lowest doublets
+    # collapsed: (0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 10, 11, 12, 13, 15, 15) and
+    # 16..40, "-" * 16 + "eo" * 12 + "e"
+    ("dshg", 40): (_ladder(0, 1, 41), "eo" * 20 + "e"),
     ("perturbed-dshg", 3): (_ladder(0, 2, 4), "eeee"),
     ("perturbed-dshg", 10): (_ladder(0, 2, 11), "e" * 11),
     ("perturbed-dshg", 20): (_ladder(0, 2, 21), "e" * 21),
@@ -598,6 +600,13 @@ NODES_AND_PARITIES = {
 MIRROR_MOVED_NODES = {("perturbed-dshg", 40): {35: 70, 36: 76, 37: 78, 40: 120}}
 
 
+def _mirrored(model):
+    """Whether the model's coordinate is even on its default grid, bit for bit."""
+    with np.errstate(over="ignore"):
+        z = np.asarray(model.coordinate(wavefunctions.default_grid(model, model.n)), dtype=float)
+    return np.array_equal(z, z[::-1])
+
+
 @pytest.mark.parametrize("model_id", sorted(CATALOG_PARAMS))
 def test_node_counts_and_parities_are_those_recorded_on_linspace(model_id):
     # the same counts and parities, except that every even-chart state now
@@ -605,12 +614,11 @@ def test_node_counts_and_parities_are_those_recorded_on_linspace(model_id):
     for n in (3, 10, 20, 40):
         recorded = NODES_AND_PARITIES[(model_id, n)]
         try:
-            model = models.make(model_id, n, CATALOG_PARAMS[model_id])
-            spectrum = solve(model)
+            spectrum = solve(models.make(model_id, n, CATALOG_PARAMS[model_id]))
             rows = []
-            for root in spectrum.roots:
+            for root, (model, chain) in zip(spectrum.roots, spectrum.states):
                 try:
-                    state = wavefunctions.sample(model, root, chain=spectrum.chain)
+                    state = wavefunctions.sample(model, root, chain=chain)
                     rows.append((state.node_count, state.parity))
                 except QesError as err:
                     rows.append(type(err).__name__)
@@ -623,12 +631,9 @@ def test_node_counts_and_parities_are_those_recorded_on_linspace(model_id):
         nodes, parities = recorded
         moved = MIRROR_MOVED_NODES.get((model_id, n), {})
         nodes = [moved.get(i, count) for i, count in enumerate(nodes)]
-        with np.errstate(over="ignore"):
-            z = np.asarray(model.coordinate(wavefunctions.default_grid(model, n)), dtype=float)
-        mirrored = np.array_equal(z, z[::-1])
         parities = [
-            model.parity if mirrored and p == "-" else {"e": "even", "o": "odd", "-": None}[p]
-            for p in parities
+            model.parity if _mirrored(model) and p == "-" else {"e": "even", "o": "odd", "-": None}[p]
+            for p, (model, _) in zip(parities, spectrum.states)
         ]
         assert rows == list(zip(nodes, parities)), n
 
@@ -637,8 +642,9 @@ def test_node_counts_and_parities_are_those_recorded_on_linspace(model_id):
 # psi as a product over the certified zeros of S, on the oracle's grids
 # ---------------------------------------------------------------------------
 
-# the deep wells whose states the oracle samples as a product; dshg's low
-# states have non-real zeros, and the oracle keeps the Horner for dshg
+# the deep wells whose own states the oracle samples as a product; dshg's
+# low states have non-real zeros in its e^(2x) chart, and the oracle
+# samples each in its parity sector (test_a_dshg_state_is_its_sector_state)
 PRODUCT_KEYS = [key for key in DEEP_CASES if key != "dshg"]
 _EPS = np.finfo(float).eps
 
@@ -723,7 +729,7 @@ def test_a_state_with_non_real_zeros_samples_by_the_horner_bit_for_bit():
     seeds = np.roots(coeffs[::-1].astype(float))
     assert np.max(np.abs(seeds.imag)) > 1e-3 * np.max(np.abs(seeds))
     assert wavefunctions._zeros(image, coeffs) is None
-    xs = oracle.grid_nodes(model, oracle.default_verify_config(model, root))
+    xs = wavefunctions.default_grid(model, model.n, points=20_001)
     horner = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain)
     product = wavefunctions.solution(model, root, spectrum.chain, product=True)
     asked = wavefunctions.sample(model, root, xs=xs, chain=spectrum.chain, _solution=product)
@@ -804,7 +810,7 @@ def test_the_product_is_as_near_exact_as_the_horner_on_the_oracle_nodes():
         spectrum = solved(key)
         model, root = spectrum.model, spectrum.roots[index]
         cfg = oracle.default_verify_config(model, root)
-        if oracle._is_radial(model):
+        if oracle._kind(model) == "radial":
             cfg = oracle._radial_residual_config(model, root, cfg)
         xs = oracle.grid_nodes(model, cfg)
         xs = xs[::len(xs) // 256 + 1]
@@ -824,21 +830,34 @@ def test_the_product_is_as_near_exact_as_the_horner_on_the_oracle_nodes():
 
 def test_verify_samples_by_the_product_where_it_certifies(horner_rows):
     """The oracle asks for the product, on the default sampling grid that
-    sizes its grid (the probe) and on the FD nodes alike: a razavy state
-    takes no Horner row in either, and a dshg state, sampled by the
-    Horner, takes every one of both, the probe's 2,001 rows first."""
-    for key, horner in (("razavy", False), ("dshg", True)):
+    sizes its grid (the probe) and on the FD nodes alike: every state of
+    razavy and of dshg, whose states it samples in their parity sectors,
+    takes no Horner row in either.  dshg's lowest states, sampled on its own
+    e^(2x) chart, took the Horner: their zeros there are not real."""
+    for key in ("razavy", "dshg"):
         spectrum = solved(key)
-        model, root = spectrum.model, spectrum.roots[0]
-        horner_rows.clear()
-        cfg = oracle.default_verify_config(model, root)
-        probe = sum(horner_rows)
-        horner_rows.clear()
-        oracle.verify_root(model, root, chain=spectrum.chain)
-        nodes = len(oracle.grid_nodes(model, cfg))
-        if horner:
-            assert probe == len(wavefunctions.default_grid(model, model.n)) == 2001, key
-            done = np.cumsum(horner_rows).tolist()  # rows evaluated, block by block
-            assert probe in done and done[-1] == probe + nodes, key
-        else:
-            assert probe == sum(horner_rows) == 0, key
+        for root, (model, chain) in zip(spectrum.roots, spectrum.states):
+            oracle.default_verify_config(model, root)
+            oracle.verify_root(model, root, chain=chain)
+            assert sum(horner_rows) == 0, (key, root)
+
+
+@pytest.mark.parametrize("n", [11, 20, 21, 30])
+def test_a_dshg_state_is_its_sector_state(n):
+    """On dshg's default grid, each state sampled in its parity sector is
+    the state dshg's own chain samples, within 1e-10 of the peak (measured:
+    1.1e-14 at n = 11, 6.8e-12 at n = 30), at every root whose float no
+    other root shares; where two share one, dshg's chain assembles both at
+    one point.  So the sector's psi may stand for dshg's wherever a dshg
+    state is sampled or verified."""
+    spectrum = solve(models.make("dshg", n, {"xi": 2}))
+    checked = 0
+    for root, (model, chain) in zip(spectrum.roots, spectrum.states):
+        if spectrum.roots.count(root) > 1:
+            continue
+        own = wavefunctions.sample(spectrum.model, root, chain=spectrum.chain)
+        sector = wavefunctions.sample(model, root, xs=own.xs, chain=chain)
+        assert np.max(np.abs(sector.psi - own.psi)) <= 1e-10 * np.max(np.abs(own.psi)), root
+        assert (sector.node_count, sector.parity) == (own.node_count, model.parity), root
+        checked += 1
+    assert checked == n + 1 - {11: 0, 20: 2, 21: 2, 30: 8}[n]
