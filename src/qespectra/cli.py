@@ -386,12 +386,13 @@ def cmd_verify(args):
     all_ok = True
     for index in indices:
         root, (model, chain) = spectrum.roots[index], spectrum.states[index]
-        cfg = None
+        cfg = s = None
         if any(v is not None for v in overrides):
             xmin, xmax = oracle.default_box(model)
             points = args.points
-            if points is None:  # the default step, which samples the state
-                points = oracle.default_verify_config(model, root).points
+            if points is None:  # the default step, from the S that verify_root samples
+                s = wavefunctions.solution(model, root, chain, product=True)
+                points = oracle._default_config(model, root, s).points
             cfg = _requested_grid(
                 oracle.FdConfig,
                 xmin=xmin if args.xmin is None else args.xmin,
@@ -399,7 +400,7 @@ def cmd_verify(args):
                 points=points,
             )
         try:
-            report = oracle.verify_root(model, root, cfg=cfg, chain=chain)
+            report = oracle.verify_root(model, root, cfg=cfg, chain=chain, _solution=s)
         except DegenerateGrid as exc:
             if cfg is None:
                 raise

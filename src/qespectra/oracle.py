@@ -577,7 +577,7 @@ def _residual_radial(model, scan, cfg, evaluate, norm, energy):
     """Weighted-norm residual of the conservation-form operator on the nodes of ``cfg``.
 
     The algebraic wavefunction u = Q S / ``norm`` is evaluated on the nodes
-    here, S by ``evaluate`` (:func:`_solution`), and converted to
+    here, S by ``evaluate`` (``wavefunctions.solution``), and converted to
     v = u / x**lam; the residual is measured in the L2(w dx) norm in which
     the operator is self-adjoint, so the truncated first node carries its
     proper (vanishing) weight.  ``norm``, psi's norm on the operator's
@@ -648,7 +648,8 @@ def _residual_radial(model, scan, cfg, evaluate, norm, energy):
         # div[i] = (27 (flux[i+1] - flux[i]) - (flux[i+2] - flux[i-1])) / (24 h), 1 <= i <= m - 3
         a, b = max(start, 1) - f0, min(stop, m - 2) - f0
         if a < b:
-            inner = np.subtract(flux[a + 1:b + 1], flux[a:b], out=div[a + f0 - start:b + f0 - start])
+            inner = np.subtract(flux[a + 1:b + 1], flux[a:b],
+                                out=div[a + f0 - start:b + f0 - start])
             inner *= 27.0
             inner -= flux[a + 2:b + 2] - flux[a - 1:b - 1]
             inner /= 24.0 * h
@@ -762,7 +763,7 @@ def _radial_residual_config(model, scan, cfg):
     return FdConfig(cfg.xmin, cfg.xmax, points)
 
 
-def verify_root(model, root, energy=None, cfg=None, chain=None):
+def verify_root(model, root, energy=None, cfg=None, chain=None, *, _solution=None):
     """Check one algebraic (root, energy) pair against the FD operator.
 
     The wavefunction is sampled here, on :func:`grid_nodes` of ``cfg``.
@@ -773,9 +774,10 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     of its norm on ``cfg`` (:func:`_residual_radial`).  A line model is
     checked on the half line of its parity sector, where its level is its
     node count c, and ``node_count`` is 2c or 2c + 1, the count on the full
-    line.  ``ambiguous`` says a second level lies within twice the gap.  The same level is then searched on the subgrid of step
-    2h, from the first search's last iterate at the subgrid's nodes (on the
-    radial line, which lie midway between two of the grid's, their mean).
+    line.  ``ambiguous`` says a second level lies within twice the gap.  The
+    same level is then searched on the subgrid of step 2h, from the first
+    search's last iterate at the subgrid's nodes (on the radial line, which
+    lie midway between two of the grid's, their mean).
     ``converged`` says that Richardson's extrapolation E_R = E_h + (E_h -
     E_2h) / 3 lies within a tenth of the shift |E_h - E_2h| of the energy,
     or within the noise floor, and never holds where either grid has no
@@ -788,7 +790,8 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     80-bit Horner where they do not certify (``wavefunctions.solution``).
     S is assembled, and its zeros certified, once: a default line grid is
     sized from the same S, sampled on the model's default sampling grid
-    (:func:`default_verify_config`).
+    (:func:`default_verify_config`).  ``_solution``, which the command line
+    alone passes, is that S, already assembled (``wavefunctions.solution``).
 
     Memory: no phase holds more than five arrays of N rows (N the grid's):
     the potential and the four buffers of the search's dgtsv solves, whose
@@ -801,7 +804,7 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     energy = model.energy(root) if energy is None else float(energy)
     scan = root
     kind = _kind(model)
-    s = wavefunctions.solution(model, root, chain, product=True)
+    s = wavefunctions.solution(model, root, chain, product=True) if _solution is None else _solution
     res_cfg = cfg
     if cfg is None:
         cfg = res_cfg = _default_config(model, root, s)
@@ -841,7 +844,8 @@ def verify_root(model, root, energy=None, cfg=None, chain=None):
     nearest_2h, _ = _nearest(sub, energy, start, level)
     richardson = nearest + (nearest - nearest_2h) / 3.0
     error = abs(richardson - energy)
-    converged = error <= _SHIFT_SHARE * abs(nearest - nearest_2h) + _GAP_FLOOR * max(1.0, abs(energy))
+    converged = error <= (_SHIFT_SHARE * abs(nearest - nearest_2h)
+                          + _GAP_FLOOR * max(1.0, abs(energy)))
     return VerificationReport(
         algebraic_energy=energy,
         nearest_fd_energy=nearest,

@@ -32,7 +32,8 @@ canonical form and roots.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+import warnings
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -179,6 +180,7 @@ class ConstraintChain:
     deep chains the member's value at the largest roots sits legitimately
     tens of orders below its Horner term scale without vanishing.  The
     chain's own multiplicators tell exactly (see :func:`exact_chain`).
+    ``memo``, outside eq, hash and repr, keeps what :func:`solve` derives from it.
     """
 
     n: int
@@ -186,6 +188,7 @@ class ConstraintChain:
     last_member_image: tuple
     constraint_image: tuple
     p_nn_zero_flag: bool
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _over_common_denominator(*ratios):
@@ -216,7 +219,7 @@ def exact_chain(system):
         M_k = (alpha_k + beta_k x) M_{k-1} + gamma_k delta_{k-1} M_{k-2},
 
     with M_0 = 1 and delta_0 = 1, and one gcd reduces the constraint's
-    image.  Cached per baseline system; treat the result as read-only.
+    image.  Cached per baseline system; treat it as read-only but for ``memo``.
 
     The constraint is Fm1(1) delta_n M_{n-1} modulo M_n, and two
     consecutive members share a zero only where a gamma_k, k >= 2, vanishes
@@ -428,16 +431,28 @@ def solve(model):
     order; a float two sectors share keeps the order of ``sectors``, even
     first.  Returns a :class:`Spectrum`.  Each stage is called through its
     module attribute, so a wrapper put on one (a tracer) sees the call.
+    The chain's ``memo`` keeps the canonical form and the roots until
+    ``exact_chain.cache_clear()``; each call gives the root finder's
+    warnings again (a :class:`SimplicityWarning` counts the uncertified
+    roots), and a stage that raises stores nothing.
     """
     system = build_baseline(model)
     chain = exact_chain(system)
-    ttrr = polynomials.to_canonical_ttrr(system)
+    ttrr = chain.memo.get("ttrr") or polynomials.to_canonical_ttrr(system)
     if hasattr(model, "sectors"):
         parts = [solve(sector) for sector in model.sectors()]
         merged = sorted((pair for part in parts for pair in zip(part.roots, part.states)),
                         key=lambda pair: pair[0])
         roots, states = tuple(zip(*merged))
     else:
-        roots = polynomials.real_roots(ttrr).roots
+        if "roots" not in chain.memo:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                found = polynomials.real_roots(ttrr).roots
+            chain.memo["roots"] = found, tuple((w.category, str(w.message)) for w in caught)
+        roots, notes = chain.memo["roots"]
+        for category, text in notes:
+            warnings.warn(text, category, stacklevel=2)
         states = ((model, chain),) * len(roots)
+    chain.memo["ttrr"] = ttrr
     return Spectrum(model, chain, ttrr, roots, states)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,7 +15,7 @@ import pytest
 from scipy import linalg as sla
 
 from conftest import CATALOG_PARAMS, DEEP_CASES, GAP_MARGIN, as_fractions, poly_eval, solved
-from qespectra import cli, models, oracle, polynomials, solve, wavefunctions
+from qespectra import cli, models, oracle, polynomials, recurrence, solve, wavefunctions
 from qespectra.errors import InvalidParams
 
 
@@ -301,6 +302,35 @@ def test_verify_json_bytes_are_pinned(capsys):
     assert not changed, f"verify JSON bytes changed for {changed}"
 
 
+@pytest.mark.parametrize("key", ["razavy", "coulomb"])
+def test_verify_bytes_do_not_depend_on_the_chain_cache(key, capsys, monkeypatch):
+    """One process verifies every state of a deep well, in a shuffled
+    order: each output is the bytes of the same call made on a cleared
+    chain cache, though the later calls take the chain's canonical form
+    and roots from its memo."""
+    order = list(range(len(solved(key).roots)))
+    random.Random(key).shuffle(order)
+    finds = []
+    real_roots = polynomials.real_roots
+    monkeypatch.setattr(polynomials, "real_roots", lambda ttrr: finds.append(1) or real_roots(ttrr))
+
+    def outputs(clear):
+        found = {}
+        for k in order:
+            if clear:
+                recurrence.exact_chain.cache_clear()
+            code, found[k] = run_cli(*_deep_argv("verify", key, "--root-index", str(k)),
+                                     capsys=capsys)
+            assert code == cli.EXIT_OK, (key, k)
+        return found
+
+    recurrence.exact_chain.cache_clear()
+    shared = outputs(clear=False)
+    assert len(finds) == 1
+    assert outputs(clear=True) == shared
+    assert len(finds) == 1 + len(order)
+
+
 def test_verify_pairs_the_dshg_doublet_with_its_own_levels(capsys):
     """dshg n = 10's lowest doublet lies 1.9e-4 apart, narrower than the FD
     error.  Root 0 used to take root 1's level, the nearer, which moves on
@@ -426,33 +456,41 @@ def test_verify_takes_the_decay_width_once_per_model(capsys, monkeypatch):
     assert calls == [10]
 
 
-@pytest.mark.parametrize("points", [None, "4000"])
+@pytest.mark.parametrize("grid", [None, "4000", "box"])
 def test_verify_assembles_each_state_once_and_samples_it_where_it_must(
-        points, capsys, monkeypatch):
+        grid, capsys, monkeypatch):
     """Each root's S is assembled, and its zeros certified, once.  On a
-    default grid, S is evaluated twice, on the default sampling grid that
-    sizes the step and on the FD nodes; with --points the step is given,
-    so S is evaluated on the FD nodes alone.  Either way the state is
-    sampled once (``wavefunctions.sample``)."""
-    calls = {"sample": 0, "_values": 0, "_zeros": 0}
+    default step, S is evaluated twice, on the default sampling grid that
+    sizes the step and on the FD nodes, and so it is where --xmin/--xmax
+    give the box alone; with --points the step is given, so S is
+    evaluated on the FD nodes alone.  Either way the state is sampled once
+    (``wavefunctions.sample``).  The default box, given as options, reads
+    the default grid's bytes."""
+    model_id, n, params = DEEP_CASES["xie-odd"]
+    xmax = float(oracle.default_box(models.make(model_id, n, dict(params)))[1])
+    default = None if grid == "4000" else run_cli(*_deep_argv("verify", "xie-odd"), capsys=capsys)
+    calls = {"sample": 0, "_values": 0, "_zeros": 0, "assemble_solution": 0}
 
-    def counting(name):
-        real = getattr(wavefunctions, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
-        monkeypatch.setattr(wavefunctions, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     for name in calls:
-        counting(name)
-    extra = () if points is None else ("--points", points)
+        counting(recurrence if name == "assemble_solution" else wavefunctions, name)
+    extra = {None: (), "4000": ("--points", "4000"),
+             "box": (f"--xmin={-xmax!r}", f"--xmax={xmax!r}")}[grid]
     code, out = run_cli(*_deep_argv("verify", "xie-odd", *extra), capsys=capsys)
     assert code in (cli.EXIT_OK, cli.EXIT_VERIFY)
     roots = len(json.loads(out)["roots"])
     assert roots == 11
-    assert calls == {"sample": roots, "_values": roots * (2 if points is None else 1),
-                     "_zeros": roots}
+    assert calls == {"sample": roots, "_values": roots * (1 if grid == "4000" else 2),
+                     "_zeros": roots, "assemble_solution": roots}
+    if default is not None:
+        assert (code, out) == default
 
 
 def test_verify_of_a_wide_box_reads_its_level_and_exits_4_on_the_residual(capsys):

@@ -24,7 +24,13 @@ from conftest import (
     solved,
 )
 from qespectra import models, polynomials, recurrence, wavefunctions
-from qespectra.errors import DivisionByZeroMultiplicator, NotARoot, SimplicityWarning
+from qespectra.errors import (
+    DivisionByZeroMultiplicator,
+    EigensolveFailure,
+    NonPositiveLambda,
+    NotARoot,
+    SimplicityWarning,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +139,9 @@ def test_coulomb_n2_roots_by_hand():
 
 def test_solve_returns_one_frozen_spectrum(monkeypatch):
     # solve looks each stage up on its module, so a wrapper put there (the
-    # benchmark's tracer) sees the call, and keeps what the stages return
+    # benchmark's tracer) sees the call, and keeps what the stages return;
+    # on a chain solved before, the chain's memo serves the last two
+    recurrence.exact_chain.cache_clear()
     model = models.make("coulomb", 2, {"lambda": Fraction(1, 2)})
     stages = [(recurrence, "build_baseline"), (recurrence, "exact_chain"),
               (polynomials, "to_canonical_ttrr"), (polynomials, "real_roots")]
@@ -151,6 +159,107 @@ def test_solve_returns_one_frozen_spectrum(monkeypatch):
     assert ttrr.constraint_image is chain.constraint_image
     with pytest.raises(dataclasses.FrozenInstanceError):
         spectrum.roots = ()
+
+
+def _stage_calls(monkeypatch):
+    """The calls of solve's two chain stages, counted through their module
+    attributes, as the benchmark's tracer sees them."""
+    calls = {"to_canonical_ttrr": 0, "real_roots": 0}
+    for name in calls:
+        def counted(arg, stage=getattr(polynomials, name), name=name):
+            calls[name] += 1
+            return stage(arg)
+        monkeypatch.setattr(polynomials, name, counted)
+    return calls
+
+
+def test_an_equal_model_reuses_its_chain_s_canonical_form_and_roots(monkeypatch):
+    """The canonical form and the roots depend on the exact chain alone: a
+    second solve of an equal model runs neither stage and returns the same
+    bytes, until the chain's cache entry is cleared."""
+    recurrence.exact_chain.cache_clear()
+    calls = _stage_calls(monkeypatch)
+    first = recurrence.solve(models.make("razavy", 10, CATALOG_PARAMS["razavy"]))
+    again = recurrence.solve(models.make("razavy", 10, CATALOG_PARAMS["razavy"]))
+    assert calls == {"to_canonical_ttrr": 1, "real_roots": 1}
+    assert again.chain is first.chain
+    assert again.ttrr == first.ttrr
+    assert [x.hex() for x in again.roots] == [x.hex() for x in first.roots]
+    recurrence.exact_chain.cache_clear()
+    fresh = recurrence.solve(models.make("razavy", 10, CATALOG_PARAMS["razavy"]))
+    assert calls == {"to_canonical_ttrr": 2, "real_roots": 2}
+    assert fresh.chain is not first.chain and fresh.chain.memo is not first.chain.memo
+    assert (fresh.ttrr, fresh.roots) == (first.ttrr, first.roots)
+
+
+def test_dshg_shares_its_sectors_spectra(monkeypatch):
+    """dshg's own canonical form and each sector's roots are kept on their
+    chains: a second solve of dshg, or a solve of one of its sectors alone,
+    runs no stage."""
+    recurrence.exact_chain.cache_clear()
+    calls = _stage_calls(monkeypatch)
+    first = recurrence.solve(models.make("dshg", 11, {"xi": 2}))
+    # dshg's own canonical form and its sectors'; the roots are the sectors'
+    assert calls == {"to_canonical_ttrr": 3, "real_roots": 2}
+    again = recurrence.solve(models.make("dshg", 11, {"xi": 2}))
+    for sector in models.make("dshg", 11, {"xi": 2}).sectors():
+        alone = recurrence.solve(sector)
+        assert alone.roots == tuple(root for root, (state, _) in zip(first.roots, first.states)
+                                    if state == sector)
+    assert calls == {"to_canonical_ttrr": 3, "real_roots": 2}
+    assert (again.ttrr, again.roots) == (first.ttrr, first.roots)
+    assert all(a is b for (_, a), (_, b) in zip(again.states, first.states))
+
+
+def test_a_failing_solve_stores_nothing_and_raises_every_time(monkeypatch):
+    """A stage that raises leaves the chain's memo empty, so the next call
+    runs it, and raises, again."""
+    recurrence.exact_chain.cache_clear()
+    calls = _stage_calls(monkeypatch)
+    chen = models.make("chen-even", 10, CATALOG_PARAMS["chen-even"])
+    for k in (1, 2, 3):
+        with pytest.raises(NonPositiveLambda):
+            recurrence.solve(chen)
+        assert calls == {"to_canonical_ttrr": k, "real_roots": 0}
+    assert recurrence.exact_chain(recurrence.build_baseline(chen)).memo == {}
+    # a root finder that fails after the canonical form stores neither
+    coulomb = models.make("coulomb", 4, CATALOG_PARAMS["coulomb"])
+    with monkeypatch.context() as patched:
+        patched.setattr(polynomials, "certified_zeros",
+                        lambda image, seeds: (np.full(len(seeds), math.nan),) * 2)
+        for k in (1, 2):
+            with pytest.raises(EigensolveFailure):
+                recurrence.solve(coulomb)
+            assert calls == {"to_canonical_ttrr": 3 + k, "real_roots": k}
+    assert recurrence.exact_chain(recurrence.build_baseline(coulomb)).memo == {}
+    assert len(recurrence.solve(coulomb).roots) == 5
+    assert calls == {"to_canonical_ttrr": 6, "real_roots": 3}
+
+
+def test_every_call_warns_of_the_roots_it_could_not_certify(monkeypatch):
+    """A root set with an uncertified root gives its SimplicityWarning on
+    every call, on a hit as on the miss that found it."""
+    certify = polynomials.certified_zeros
+
+    def one_uncertified(image, seeds):
+        zeros, rest = certify(image, seeds)
+        rest[0] = math.nan
+        return zeros, rest
+
+    recurrence.exact_chain.cache_clear()
+    monkeypatch.setattr(polynomials, "certified_zeros", one_uncertified)
+    calls = _stage_calls(monkeypatch)
+    model = models.make("coulomb", 6, CATALOG_PARAMS["coulomb"])
+    try:
+        spectra = []
+        for _ in range(3):
+            with pytest.warns(SimplicityWarning, match="1 of the 7 roots") as record:
+                spectra.append(recurrence.solve(model))
+            assert len(record) == 1
+        assert calls["real_roots"] == 1
+        assert spectra[1].roots is spectra[2].roots == spectra[0].roots
+    finally:
+        recurrence.exact_chain.cache_clear()  # the memo holds the uncertified set
 
 
 def test_constraint_couples_the_last_two_members():
